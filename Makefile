@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race bench bench-json bench-h6 bench-h8 bench-compare golden-regen vet cover cover-check figures figures-h6 fuzz serve smoke-serve smoke-trace clean
+.PHONY: all build test test-short test-race loc bench bench-json bench-h6 bench-h8 bench-compare golden-regen vet cover cover-check figures figures-h6 fuzz serve smoke-serve smoke-trace clean
 
 all: build test
 
@@ -18,12 +18,19 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Race-detector pass over the parallel router engine (and everything else).
+# Race-detector pass over the worker pool (and everything else).
 test-race:
 	$(GO) test -race -short ./...
 
 cover:
 	$(GO) test -short -cover ./...
+
+# Non-test Go line counts (plain wc -l) of the packages ROADMAP items 2-3 set
+# their acceptance numbers on.
+loc:
+	@for d in internal/network internal/router . cmd; do \
+		printf '%-18s %6d\n' $$d $$(find $$d $$([ $$d = cmd ] || echo -maxdepth 1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	done
 
 # Coverage floor over the internal packages (the simulation engine). The
 # floor is the measured total at the time the gate was added, rounded down —
@@ -40,7 +47,7 @@ bench:
 	$(GO) test -bench . -benchmem .
 
 # Machine-readable Step benchmarks (name, ns/op, allocs/op) across the load
-# range, scheduler on/off, serial and pooled (4 and 8 workers), plus the
+# range, scheduler on/off, without a pool and with 4 and 8 workers, plus the
 # isolated pool-dispatch barrier cost — the tracked perf baseline of the
 # activity scheduler and the worker pool. -count 3 with benchjson's
 # min-fold absorbs shared-machine noise (single runs swing ±10%). Compare
@@ -57,21 +64,21 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -phases \
 		-note "Snapshot* rows are the checkpoint layer: encode/restore a warm h=3 image (~0.7 MB) in ~3 ms, full Fork ~9 ms — the fixed cost each warm-fork sweep point pays." \
 		-note "warm-cache sweep speedup: sweep -h 3 -points 5 -warmup 3000 -measure 1000 with -checkpoint/-restore dropped 1.43 s -> 0.53 s (~2.7x) on the second invocation, restoring all 5 points and skipping 15000 warmup cycles; CSV rows bit-identical (TestWarmCacheSweep)." \
-		-note "h6 rows are the full-scale regime (876 routers): serial vs ShardByGroup+4 workers through the production cutover (on a single-P host both take the serial path; on multicore the shard rows dispatch whole groups to the pool, bit-identically — TestH6ShardedSmoke). The group-sharding PR cut the saturated (load=0.90) h=6 serial step from 6.84 ms (min of 3, pre-PR engine on this machine) to 4.35-4.9 ms (~1.5x on the min-fold) via per-group SoA arenas, block-carved packet allocation, the Cycle head/arbiter prefetch pass and the serial event-loop lookahead." \
+		-note "h6 rows are the full-scale regime (876 routers): no pool (serial) vs a 4-worker pool (shard4) through the auto cutover (on a single-P host the caller walks every phase of both; on multicore the shard4 rows dispatch whole groups to the pool, bit-identically — TestH6ShardedSmoke). The h=3 workersN rows go through the same group-stealing dispatch. The group-sharding PR cut the saturated (load=0.90) h=6 serial step from 6.84 ms (min of 3, pre-PR engine on this machine) to 4.35-4.9 ms (~1.5x on the min-fold) via per-group SoA arenas, block-carved packet allocation, the Cycle head/arbiter prefetch pass and the serial event-loop lookahead." \
 		-note "h8 rows are the stretch regime the sharded injection front-end opened (a=16, 129 groups, 2064 routers, 16512 nodes): load edges only, 500-cycle warm-up — a cost tracker, not the paper protocol. StepPhases rows carry the per-phase breakdown (see the phases map); the host block records the machine shape the numbers were taken on." \
 		-note "injection-shard no-regression check: interleaved same-day A/B of the pre-shard engine vs this one on h6/load=0.90/serial (8 samples each, 1s benchtime) gave old min 4.78 ms / new min 4.87 ms with overlapping spreads and a slightly better new-engine mean — parity within this box's ±8% noise; bytes/op rose ~2 KB from the per-group packet pools (allocs/op unchanged at 6)." \
 		> BENCH_step.json
 	@cat BENCH_step.json
 
-# Full-scale h=6 Step rows only (876 routers; serial vs group-sharded):
-# the headline numbers of the sharded engine and the default figure regime
-# since ShardByGroup. Warm-up dominates (2000 full-size cycles per row).
+# Full-scale h=6 Step rows only (876 routers; no pool vs a 4-worker pool):
+# the default figure regime. Warm-up dominates (2000 full-size cycles per
+# row).
 bench-h6:
 	$(GO) test ./internal/network -run '^$$' -bench 'StepByLoad/h6' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -timeout $(BENCH_TIMEOUT)
 
 # Stretch-regime h=8 Step rows (a=16, 129 groups, 2064 routers, 16512 nodes;
-# serial vs group-sharded): the regime the sharded injection front-end
-# opened. Load edges only — see BenchmarkStepByLoad for why.
+# no pool vs a 4-worker pool). Load edges only — see BenchmarkStepByLoad for
+# why.
 bench-h8:
 	$(GO) test ./internal/network -run '^$$' -bench 'StepByLoad/h8' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -timeout $(BENCH_TIMEOUT)
 
@@ -96,11 +103,10 @@ bench-compare:
 figures:
 	$(GO) run ./cmd/experiments -fig all -h 3 -points 8 -svg figures | tee experiments_h3.txt
 
-# Paper-scale (h=6, 5256 nodes) headline figure — the routine regime since
-# the group-sharded Step; -workers/-shard engage the sharded engine on
-# multicore hosts (bit-identical results either way).
+# Paper-scale (h=6, 5256 nodes) headline figure; -workers engages the
+# group-stealing pool on multicore hosts (bit-identical results either way).
 figures-h6:
-	$(GO) run ./cmd/experiments -fig fig5 -h 6 -points 6 -workers 4 -shard
+	$(GO) run ./cmd/experiments -fig fig5 -h 6 -points 6 -workers 4
 
 # Run the sweep service: HTTP/JSON experiment requests with a
 # determinism-backed result cache (see docs/ARCHITECTURE.md "The sweep

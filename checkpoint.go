@@ -112,8 +112,7 @@ func EngineDigest() uint64 { return network.EngineDigest() }
 
 // CanonicalConfigJSON returns the canonical identity of a configuration: its
 // JSON encoding with the wall-clock-only execution fields (Workers,
-// ParallelCutover, ShardByGroup, scheduler/cache toggles) normalized away.
-// Two configurations that provably simulate bit-identically — differing only
+// ShardByGroup, scheduler/cache toggles) normalized away. Two configurations that provably simulate bit-identically — differing only
 // in those fields — canonicalize to the same bytes, which is what lets the
 // warm-snapshot cache and the sweep service's result cache share entries
 // across execution settings.

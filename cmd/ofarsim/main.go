@@ -35,11 +35,9 @@ func main() {
 		static   = flag.Float64("static-th", -1, "OFAR static non-minimal threshold (<0 = variable policy)")
 		escapeTO = flag.Int("escape-timeout", 32, "blocked cycles before requesting the escape ring")
 		faults   = flag.String("faults", "", "fault schedule: a JSON file of Fault objects, or inline like link@5000:12:7,router@20000:3")
-		workers  = flag.Int("workers", 0, "intra-cycle router-stage workers on a persistent pool (0/1 = serial; results are bit-identical)")
-		shard    = flag.Bool("shard", false, "shard the cycle by dragonfly group across the workers (needs -workers > 1; results are bit-identical)")
+		workers  = flag.Int("workers", 0, "intra-cycle workers: a persistent pool steals whole dragonfly groups each phase (0/1 = no pool; results are bit-identical)")
 		ckpt     = flag.String("checkpoint", "", "write the post-warmup network snapshot to this file (resume later with -restore)")
 		restore  = flag.String("restore", "", "resume from a warm snapshot file instead of simulating warmup (same config and physics required; results are bit-identical)")
-		cutover  = flag.Int("cutover", 0, "active-router count below which a parallel step runs serially (0 = auto-calibrate from -workers)")
 		jobs     = flag.String("jobs", "", "job-level workload instead of -pattern: kind:size@load[,...] with kinds stencil (size XxYxZ), a2a, ring, ps; -load scales every job")
 		jobMap   = flag.String("jobmap", "linear", "job placement: linear (consecutive nodes) or random (seeded permutation)")
 		bg       = flag.Float64("bg", 0, "uniform background load on nodes no job occupies")
@@ -106,8 +104,6 @@ func main() {
 	}
 
 	cfg.Workers = *workers
-	cfg.ShardByGroup = *shard
-	cfg.ParallelCutover = *cutover
 
 	if *confPath != "" {
 		loaded, err := ofar.LoadConfig(*confPath)
@@ -115,16 +111,11 @@ func main() {
 			fatal("%v", err)
 		}
 		cfg = loaded
-		// Explicit -workers/-shard/-cutover flags override the file: all
-		// three change wall-clock time only, never results.
+		// An explicit -workers flag overrides the file: it changes
+		// wall-clock time only, never results.
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "workers":
+			if f.Name == "workers" {
 				cfg.Workers = *workers
-			case "shard":
-				cfg.ShardByGroup = *shard
-			case "cutover":
-				cfg.ParallelCutover = *cutover
 			}
 		})
 	}

@@ -27,9 +27,7 @@ func main() {
 		measure = flag.Int("measure", 5000, "measurement cycles")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		seeds   = flag.Int("seeds", 1, "replicate each point across this many seeds (mean±sd output)")
-		workers = flag.Int("workers", 0, "router-stage pool workers per network (0/1 = serial; bit-identical results)")
-		shard   = flag.Bool("shard", false, "shard each network's cycle by dragonfly group across the workers (needs -workers > 1; bit-identical)")
-		cutover = flag.Int("cutover", 0, "active-router count below which a parallel step runs serially (0 = auto)")
+		workers = flag.Int("workers", 0, "pool workers per network, stealing whole dragonfly groups (0/1 = no pool; bit-identical results)")
 		faults  = flag.String("faults", "", "fault schedule: a JSON file of Fault objects, or inline like link@5000:12:7")
 		ckpt    = flag.String("checkpoint", "", "directory to write per-point warm snapshots into (reuse with -restore; single-seed sweeps)")
 		restore = flag.String("restore", "", "directory of warm snapshots: points found there skip warmup, bit-identically (stale entries re-warm)")
@@ -42,8 +40,6 @@ func main() {
 	cfg := ofar.DefaultConfig(*h)
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	cfg.ShardByGroup = *shard
-	cfg.ParallelCutover = *cutover
 	if *faults != "" {
 		fs, err := ofar.LoadFaults(*faults)
 		if err != nil {

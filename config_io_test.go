@@ -29,6 +29,23 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConfigFromJSONIgnoresRetiredKeys: -dump-config files written before
+// ParallelCutover and DisableShardedGenerate were removed still load.
+func TestConfigFromJSONIgnoresRetiredKeys(t *testing.T) {
+	data, err := ConfigToJSON(DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append(data[:len(data)-2:len(data)-2], ",\n  \"ParallelCutover\": 8,\n  \"DisableShardedGenerate\": true\n}"...)
+	back, err := ConfigFromJSON(old)
+	if err != nil {
+		t.Fatalf("config with retired keys rejected: %v", err)
+	}
+	if !reflect.DeepEqual(back, DefaultConfig(2)) {
+		t.Errorf("retired keys changed the loaded config: %+v", back)
+	}
+}
+
 func TestConfigFromJSONValidates(t *testing.T) {
 	if _, err := ConfigFromJSON([]byte(`{"P":0}`)); err == nil {
 		t.Error("invalid config accepted")

@@ -120,18 +120,16 @@ func RunLoadSweep(cfg Config, ps PatternSpec, loads []float64, warmup, measure i
 //
 // The two levels compose, coarsely: workers bounds the sweep's concurrency
 // budget (≤ 0 uses GOMAXPROCS), and each concurrently simulated network
-// owns a resident pool of cfg.Workers router-stage workers. With the
-// spawn-per-cycle engine it was right to divide the caller's budget by
-// cfg.Workers — every in-flight network really ran that many goroutines
-// every cycle. With the persistent pool that division over-throttles: pool
-// workers are resident but *parked* whenever the parallel cutover keeps a
-// step serial, which is the whole low-load half of a typical sweep, so a
-// small explicit budget (say 3, as the sweep tests pass) would pin the
-// sweep to one network while nearly every pool goroutine slept. The cap is
-// therefore recalibrated to the machine: max(1, GOMAXPROCS/cfg.Workers)
-// in-flight networks — the honest bound for the steady state where every
-// network is saturated and every pool busy — further capped by an explicit
-// caller budget only when that budget is smaller.
+// owns a resident pool of cfg.PoolWidth() workers. Dividing the caller's
+// budget by that width would over-throttle: pool workers are resident but
+// *parked* whenever the cutover leaves a phase to the Step caller, which is
+// the whole low-load half of a typical sweep, so a small explicit budget
+// (say 3, as the sweep tests pass) would pin the sweep to one network while
+// nearly every pool goroutine slept. The cap is therefore calibrated to the
+// machine: max(1, GOMAXPROCS/cfg.PoolWidth()) in-flight networks — the
+// honest bound for the steady state where every network is saturated and
+// every pool busy — further capped by an explicit caller budget only when
+// that budget is smaller.
 func RunLoadSweepParallel(cfg Config, ps PatternSpec, loads []float64, warmup, measure, workers int) ([]SteadyResult, error) {
 	out, _, err := RunLoadSweepOpt(cfg, ps, loads, warmup, measure, SweepOptions{Parallel: workers})
 	return out, err
@@ -183,21 +181,7 @@ func RunLoadSweepOpt(cfg Config, ps PatternSpec, loads []float64, warmup, measur
 		workers = runtime.GOMAXPROCS(0)
 	}
 	nets := workers
-	if cfg.Workers > 1 {
-		// Per-network worker width. Under ShardByGroup whole groups are the
-		// stealing unit, so a network can keep at most min(Workers, groups)
-		// workers busy — budgeting the raw Workers count against GOMAXPROCS
-		// would over-throttle the sweep on small-group configs (e.g. h=2 with
-		// 8-wide pools would halve the in-flight networks for workers that
-		// can never all engage).
-		width := cfg.Workers
-		if cfg.ShardByGroup {
-			groups := cfg.Groups
-			if groups == 0 {
-				groups = cfg.A*cfg.H + 1
-			}
-			width = min(width, groups)
-		}
+	if width := cfg.PoolWidth(); width > 1 {
 		nets = min(workers, max(1, runtime.GOMAXPROCS(0)/width))
 	}
 	out := make([]SteadyResult, len(loads))

@@ -78,19 +78,19 @@ func TestIdleCycleIsPure(t *testing.T) {
 func TestActiveSetTracksLoad(t *testing.T) {
 	cfg := testConfig(OFAR)
 	n := mustNet(t, cfg)
-	if got := len(n.compactActive()); got != 0 {
+	if got := n.ActiveRouters(); got != 0 {
 		t.Fatalf("fresh network has %d active routers, want 0", got)
 	}
 	n.SetGenerator(traffic.NewBurst(traffic.NewUniform(n.Topo), 2, n.Topo.Nodes))
 	n.Run(5)
-	if got := len(n.compactActive()); got == 0 {
+	if got := n.ActiveRouters(); got == 0 {
 		t.Fatal("no routers awake with a burst in flight")
 	}
 	if !n.RunUntilDrained(200000) {
 		t.Fatalf("burst not drained: %d/%d", n.Stats.Delivered, n.Stats.Generated)
 	}
 	n.Run(cfg.GlobalLatency + cfg.PacketSize + 2)
-	if got := len(n.compactActive()); got != 0 {
+	if got := n.ActiveRouters(); got != 0 {
 		t.Fatalf("%d routers still awake after draining, want 0", got)
 	}
 	for _, r := range n.Routers {
@@ -144,9 +144,9 @@ func TestReadyVCCounterMatchesBuffers(t *testing.T) {
 // scheduler and the worker pool: h=3 cycle cost across the load range of
 // the paper's latency/throughput sweeps (most sweep points sit below
 // saturation, where the scheduler skips the bulk of the routers), with the
-// scheduler on and off, serial and with 4 and 8 pool workers. The parallel
-// rows exercise the cutover exactly as production runs do: low-load steps
-// fall back to the serial path, saturated steps dispatch to the pool.
+// scheduler on and off, without a pool and with 4 and 8 pool workers. The
+// pooled rows exercise the cutover exactly as production runs do: low-load
+// phases stay on the caller, saturated ones dispatch to the pool.
 // `make bench-json` records the numbers in BENCH_step.json.
 func BenchmarkStepByLoad(b *testing.B) {
 	for _, load := range []float64{0.05, 0.2, 0.5, 0.9, 0.99} {
@@ -164,11 +164,7 @@ func BenchmarkStepByLoad(b *testing.B) {
 					cfg := DefaultConfig(3)
 					cfg.Workers = workers
 					cfg.DisableActivitySched = !sched
-					n, err := New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer n.Close()
+					n := mustNet(b, cfg)
 					n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), load, cfg.PacketSize))
 					n.Run(2000) // reach steady state before measuring
 					b.ReportAllocs()
@@ -182,67 +178,44 @@ func BenchmarkStepByLoad(b *testing.B) {
 	}
 
 	// Full-scale h=6 rows (876 routers, 5256 nodes): the routine figure
-	// regime since the group-sharded Step (see EXPERIMENTS.md). Serial vs
-	// ShardByGroup with 4 workers, across the low/mid/saturated loads the
-	// paper's sweeps hit; the shard rows go through the production cutover,
-	// so on a single-P host they measure the serial fall-back exactly as a
-	// production run would. Skipped under -short: each warm-up alone runs
-	// 2000 full-size cycles.
+	// regime (see EXPERIMENTS.md). No pool vs a 4-worker pool (the row names
+	// "serial"/"shard4" are what BENCH_step.json tracks), across the
+	// low/mid/saturated loads the paper's sweeps hit; the shard4 rows go
+	// through the auto cutover, so on a single-P host they measure the caller
+	// walking every phase exactly as a production run would.
+	//
+	// Stretch-regime h=8 rows (a=16, 129 groups, 2064 routers, 16512 nodes):
+	// only the edges of the load range — an h=8 warm-up alone costs hundreds
+	// of milliseconds, so the mid-load rows would triple the suite's wall
+	// clock for numbers the h=6 rows already track. The shorter warm-up (500
+	// cycles) reaches a steady in-flight population at these loads; it is not
+	// the paper-grade measurement protocol, just a cost tracker.
+	//
+	// Skipped under -short: each h=6 warm-up alone runs 2000 full-size cycles.
 	if testing.Short() {
 		return
 	}
-	for _, load := range []float64{0.05, 0.5, 0.9} {
-		for _, mode := range []string{"serial", "shard4"} {
-			b.Run(fmt.Sprintf("h6/load=%.2f/%s", load, mode), func(b *testing.B) {
-				cfg := DefaultConfig(6)
-				if mode == "shard4" {
-					cfg.Workers = 4
-					cfg.ShardByGroup = true
-				}
-				n, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer n.Close()
-				n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), load, cfg.PacketSize))
-				n.Run(2000) // reach steady state before measuring
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					n.Step()
-				}
-			})
-		}
-	}
-
-	// Stretch-regime h=8 rows (a=16, 129 groups, 2064 routers, 16512 nodes):
-	// the regime the sharded injection front-end opened. Only the edges of the
-	// load range — a serial h=8 warm-up alone costs hundreds of milliseconds,
-	// so the mid-load rows would triple the suite's wall clock for numbers the
-	// h=6 rows already track. The shorter warm-up (500 cycles) reaches a
-	// steady in-flight population at these loads; it is not the paper-grade
-	// measurement protocol, just a cost tracker.
-	for _, load := range []float64{0.05, 0.9} {
-		for _, mode := range []string{"serial", "shard4"} {
-			b.Run(fmt.Sprintf("h8/load=%.2f/%s", load, mode), func(b *testing.B) {
-				cfg := DefaultConfig(8)
-				if mode == "shard4" {
-					cfg.Workers = 4
-					cfg.ShardByGroup = true
-				}
-				n, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer n.Close()
-				n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), load, cfg.PacketSize))
-				n.Run(500)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					n.Step()
-				}
-			})
+	for _, big := range []struct {
+		h, warm int
+		loads   []float64
+	}{{6, 2000, []float64{0.05, 0.5, 0.9}}, {8, 500, []float64{0.05, 0.9}}} {
+		for _, load := range big.loads {
+			for _, mode := range []string{"serial", "shard4"} {
+				b.Run(fmt.Sprintf("h%d/load=%.2f/%s", big.h, load, mode), func(b *testing.B) {
+					cfg := DefaultConfig(big.h)
+					if mode == "shard4" {
+						cfg.Workers = 4
+					}
+					n := mustNet(b, cfg)
+					n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), load, cfg.PacketSize))
+					n.Run(big.warm)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						n.Step()
+					}
+				})
+			}
 		}
 	}
 }
@@ -253,9 +226,9 @@ func BenchmarkStepByLoad(b *testing.B) {
 // publication, router stage) as a custom <phase>-ns/op metric next to the
 // whole-step ns/op. It is a separate benchmark rather than extra rows in
 // StepByLoad so the timing branch's clock reads never contaminate the
-// long-tracked StepByLoad baselines. The serial-vs-shard4 pair is the
-// headline the sharded injection front-end is judged by: the generate-ns
-// share must drop under shard4 while ns/op does not regress.
+// long-tracked StepByLoad baselines. The serial-vs-shard4 pair (no pool vs
+// 4 workers) shows what the pool buys per phase: the generate-ns share must
+// drop under shard4 while ns/op does not regress.
 func BenchmarkStepPhases(b *testing.B) {
 	if testing.Short() {
 		b.Skip("phase breakdown warms up 2000 full-size h=6 cycles per row")
@@ -266,13 +239,8 @@ func BenchmarkStepPhases(b *testing.B) {
 				cfg := DefaultConfig(6)
 				if mode == "shard4" {
 					cfg.Workers = 4
-					cfg.ShardByGroup = true
 				}
-				n, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer n.Close()
+				n := mustNet(b, cfg)
 				n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), load, cfg.PacketSize))
 				n.Run(2000) // reach steady state before measuring
 				n.EnablePhaseTimings()

@@ -49,26 +49,20 @@ type goldenSpec struct {
 // one network, the rest in a freshly built network restored from its
 // snapshot — the document must come out identical, which pins the
 // checkpoint layer to the same golden contract as the engines.
-func goldenRun(t *testing.T, spec goldenSpec, workers int, noSched, noCache, shard, noGenShard bool, snapAt int) []byte {
+func goldenRun(t *testing.T, spec goldenSpec, workers int, noSched, noCache bool, snapAt int) []byte {
 	t.Helper()
 	cfg := DefaultConfig(spec.h)
 	cfg.Seed = 12345
 	cfg.Workers = workers
 	cfg.DisableActivitySched = noSched
 	cfg.DisableRouteCache = noCache
-	cfg.ShardByGroup = shard
-	cfg.DisableShardedGenerate = noGenShard
-	if shard {
-		// Force the shard dispatch on every non-empty cycle so the golden
-		// contract covers the sharded engine even on a single-P host.
-		cfg.ParallelCutover = 1
-	}
 	cfg.Faults = spec.faults
 	attach := func(n *Network) {
 		n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), spec.load, cfg.PacketSize))
 	}
-	n := mustNet(t, cfg)
-	t.Cleanup(n.Close)
+	// The pool is forced on for every non-empty phase so the golden contract
+	// covers it even on a single-P host.
+	n := mustPoolNet(t, cfg)
 	attach(n)
 	n.EnableGrantLog(goldenHead)
 	if snapAt > 0 && snapAt < spec.cycles {
@@ -77,8 +71,7 @@ func goldenRun(t *testing.T, spec goldenSpec, workers int, noSched, noCache, sha
 		if err := n.Snapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
-		m := mustNet(t, cfg)
-		t.Cleanup(m.Close)
+		m := mustPoolNet(t, cfg)
 		attach(m)
 		if err := m.Restore(&buf); err != nil {
 			t.Fatal(err)
@@ -141,16 +134,14 @@ func goldenSerialize(t *testing.T, n *Network, cfg Config, spec goldenSpec) []by
 	return append(data, '\n')
 }
 
-// checkGolden compares every engine variant's serialized run — serial,
-// parallel, group-sharded, scheduler off, route cache off, sharded
-// generation off, and mid-run
-// snapshot/restore round trips (including across sharding) — against the
-// golden file, rewriting the file first when
-// -update-golden is set (only the serial scheduler-on variant rewrites, so a
-// divergence between variants still fails).
+// checkGolden compares every engine variant's serialized run — walked by the
+// caller or the pool, scheduler off, route cache off, and mid-run
+// snapshot/restore round trips — against the golden file, rewriting the file
+// first when -update-golden is set (only the serial scheduler-on variant
+// rewrites, so a divergence between variants still fails).
 func checkGolden(t *testing.T, path string, spec goldenSpec) {
 	t.Helper()
-	base := goldenRun(t, spec, 0, false, false, false, false, 0)
+	base := goldenRun(t, spec, 0, false, false, 0)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -165,32 +156,25 @@ func checkGolden(t *testing.T, path string, spec goldenSpec) {
 		t.Fatalf("reading golden file (regenerate with -update-golden): %v", err)
 	}
 	variants := []struct {
-		name       string
-		workers    int
-		noSched    bool
-		noCache    bool
-		shard      bool
-		noGenShard bool
-		snapAt     int
+		name    string
+		workers int
+		noSched bool
+		noCache bool
+		snapAt  int
 	}{
 		{name: "serial"},
 		{name: "serial-nosched", noSched: true},
 		{name: "serial-nocache", noCache: true},
 		{name: "workers4", workers: 4},
 		{name: "workers4-nosched", workers: 4, noSched: true},
-		{name: "workers4-nocache", workers: 4, noCache: true},
-		{name: "shard4", workers: 4, shard: true},
-		{name: "shard4-nosched", workers: 4, shard: true, noSched: true},
-		{name: "shard8-nocache", workers: 8, shard: true, noCache: true},
-		{name: "shard4-nogenshard", workers: 4, shard: true, noGenShard: true},
+		{name: "workers8-nocache", workers: 8, noCache: true},
 		{name: "snapshot-restore", snapAt: spec.cycles / 2},
 		{name: "snapshot-restore-workers4", workers: 4, snapAt: spec.cycles / 2},
-		{name: "snapshot-restore-shard4", workers: 4, shard: true, snapAt: spec.cycles / 2},
 	}
 	for _, v := range variants {
 		got := base
-		if v.workers != 0 || v.noSched || v.noCache || v.shard || v.snapAt != 0 {
-			got = goldenRun(t, spec, v.workers, v.noSched, v.noCache, v.shard, v.noGenShard, v.snapAt)
+		if v.workers != 0 || v.noSched || v.noCache || v.snapAt != 0 {
+			got = goldenRun(t, spec, v.workers, v.noSched, v.noCache, v.snapAt)
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s diverged from %s (len %d vs %d) — a behavioral change; "+

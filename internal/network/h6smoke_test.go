@@ -7,12 +7,12 @@ import (
 )
 
 // TestH6ShardedSmoke is the CI gate for the full-scale regime: 200 cycles of
-// the paper's h=6 system (876 routers, 5256 nodes), serial versus sharded
-// (ShardByGroup, 4 workers, cutover forced to 1 so the shard path genuinely
-// dispatches on any host), compared digest-for-digest after every cycle. It
-// runs even under -short — this is the check the CI smoke step builds on —
-// and is deliberately per-cycle: an ordering bug in the cross-shard commit
-// would be caught at the first divergent cycle, not smeared into an
+// the paper's h=6 system (876 routers, 5256 nodes), groups walked by the
+// caller versus stolen by a 4-worker pool (cutover forced to 1 so the pool
+// genuinely dispatches on any host), compared digest-for-digest after every
+// cycle. It runs even under -short — this is the check the CI smoke step
+// builds on — and is deliberately per-cycle: an ordering bug in the ordered
+// commit would be caught at the first divergent cycle, not smeared into an
 // end-of-run aggregate.
 func TestH6ShardedSmoke(t *testing.T) {
 	const cycles = 200
@@ -20,10 +20,8 @@ func TestH6ShardedSmoke(t *testing.T) {
 		cfg := DefaultConfig(6)
 		if shard {
 			cfg.Workers = 4
-			cfg.ShardByGroup = true
-			cfg.ParallelCutover = 1
 		}
-		n := mustNet(t, cfg)
+		n := mustPoolNet(t, cfg)
 		n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.5, cfg.PacketSize))
 		n.EnableGrantDigest()
 		return n

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"time"
 
 	"ofar/internal/core"
 	"ofar/internal/packet"
@@ -35,44 +36,43 @@ type event struct {
 	kind  evKind
 }
 
-// schedEv is one deferred wheel insertion: a shard-phase worker appends
-// these to its group's outbox instead of touching the shared timing wheel,
-// and the serial barrier merges the outboxes in ascending group order —
-// which, for commit-phase insertions, reproduces the serial engine's
-// ascending-router insertion order exactly (routers are numbered
-// group-major), and for handle-phase insertions produces only credit events,
+// schedEv is one deferred wheel insertion: a pool worker appends these to
+// its group's outbox instead of touching the shared timing wheel, and the
+// caller merges the outboxes in ascending group order at the barrier —
+// which, for router-stage insertions, is ascending router order (routers are
+// numbered group-major), exactly the order the caller inserts them in when
+// it walks the groups itself; event-phase insertions are credit events only,
 // whose in-slot order is unobservable (credits commute and fold nothing).
 type schedEv struct {
 	ev    event
 	delay int32
 }
 
-// Deferred handle effects, recorded per due-event index and applied at the
-// end of the event phase in ascending index order — the exact order the
-// pre-sharding engine folded them in, regardless of which group (or which
-// shard worker) processed the event. fxNone slots are skipped.
+// Observable handle effects. The caller applies them inline when it walks
+// the due list itself; pool workers record them per due-event index and the
+// barrier applies them in ascending index order — the same order, regardless
+// of which worker processed which group. fxNone slots are skipped.
 const (
 	fxNone uint8 = iota
 	fxDeliver
 	fxDrop
 )
 
-// genRec is one deferred generation event from the sharded injection
-// front-end: a packet created during the parallel generate phase (pkt != nil,
-// ID not yet assigned) or a dead-destination drop that consumed a destination
-// draw without allocating (pkt == nil). The commit barrier replays these in
-// ascending (group, node) order to stamp IDs and fold the observable effects
-// exactly as the serial per-node loop interleaves them.
+// genRec is one deferred generation event: a packet created by generateGroup
+// (pkt != nil, ID not yet assigned) or a dead-destination drop that consumed
+// a destination draw without allocating (pkt == nil). commitGenerate replays
+// these in ascending (group, node) order to stamp IDs and fold the observable
+// effects, whoever walked the groups.
 type genRec struct {
 	pkt  *packet.Packet
 	node int32
 	dst  int32
 }
 
-// groupScratch is one group's cross-shard channel: the wheel-insertion
-// outbox, the generate-phase outbox and the counter deltas its shares
-// accumulate while the shared counters are off limits. Padded to cache-line
-// multiples so adjacent groups written by different workers never
+// groupScratch is one group's channel to the shared state: the
+// wheel-insertion outbox, the generate-phase outbox and the counter deltas
+// its phases accumulate while the shared counters are off limits. Padded to
+// cache-line multiples so adjacent groups written by different workers never
 // false-share.
 type groupScratch struct {
 	sched    []schedEv
@@ -110,12 +110,11 @@ type Network struct {
 	// trafficRNG[g] is group g's traffic stream, derived deterministically
 	// from the run seed (one stream per dragonfly group). Nodes of group g
 	// draw from stream g in ascending node order — the same sequence whether
-	// the per-group loop runs serially or on a shard worker.
+	// the caller or a pool worker walks the group.
 	trafficRNG []*simcore.RNG
 	pending    []pqueue
 	gen        traffic.Generator
 	genLocal   bool // generator implements traffic.GroupLocalGenerator
-	genShard   bool // sharded generate allowed (shardOn, not disabled, past cutover)
 	groupNodes int  // nodes per group (Topo.P * Topo.A)
 	now        int64
 	usePB      bool
@@ -133,11 +132,13 @@ type Network struct {
 	deadRouter []bool
 	deadNode   []bool
 
-	// Parallel router stage (Config.Workers > 1): a persistent worker pool
-	// (see pool.go), per-worker engines (clones when the engine carries
-	// scratch state), the per-router grant buffers the compute phase fills
-	// for the serial commit phase, and the cutover below which a cycle runs
-	// serially on the caller's goroutine.
+	// Who walks the groups. With Config.Workers > 1 the network owns a
+	// persistent worker pool (see pool.go) of `workers` participants with
+	// per-worker engines (clones when the engine carries scratch state) and
+	// the per-router grant buffers workers fill for the caller's commit; a
+	// phase goes to the pool when it has at least `cutover` units of work
+	// (see pooled) and is walked by the caller otherwise. workerPool is nil
+	// on Workers <= 1 networks and after Close.
 	workers    int
 	workerEng  []router.Engine
 	grantBuf   [][]router.Grant
@@ -148,31 +149,26 @@ type Network struct {
 	// routers that can possibly produce a grant or observable side effect
 	// run Cycle. A router is awake while it holds a routable buffer head;
 	// handle (arrivals, drain completions) and generate (injections) wake
-	// routers, and compactActive drops the ones whose work has drained.
-	// The active set is kept per dragonfly group (routers are numbered
-	// group-major, so per-group sorted lists concatenate into the globally
-	// sorted order the serial loop needs); a shard worker compacts and
-	// iterates only its own groups' lists.
-	schedOn    bool
-	awake      []bool    // router is on its group's active list
-	activeG    [][]int32 // per-group awake router ids (sorted by compactGroup)
-	activeFlat []int32   // concatenation scratch returned by compactActive
-	allIdx     []int32   // 0..Routers-1, the legacy full iteration order
+	// routers, and compactGroup drops the ones whose work has drained.
+	// The active set is kept per dragonfly group and sorted, so walking the
+	// groups in order visits routers in ascending index (routers are numbered
+	// group-major). With the scheduler off every router is permanently awake
+	// and the lists are never compacted.
+	schedOn bool
+	awake   []bool    // router is on its group's active list
+	activeG [][]int32 // per-group awake router ids (sorted by compactGroup)
 
-	// Group partition of the event phase, used when the sharded dispatch
-	// runs (the serial path processes the due list directly in ascending
-	// order). dueG holds per-group indices into the cycle's due list;
-	// fxKind/fxPkt are the per-index deferred effects applied in due order
-	// at the barrier; gs carries each group's outbox.
+	// Per-group state of the pipeline. dueG holds per-group indices into the
+	// cycle's due list and fxKind/fxPkt the per-index deferred effects (both
+	// used only when the pool runs the event phase); gs carries each group's
+	// outboxes.
 	nGroups   int
-	groupSize int     // routers per group (Topo.A)
-	groupIDs  []int32 // 0..nGroups-1: the shard dispatch iteration list
+	groupSize int // routers per group (Topo.A)
 	dueG      [][]int32
 	curDue    []event // the due list being processed (pool workers read it)
 	fxKind    []uint8
 	fxPkt     []*packet.Packet
-	shardOn   bool  // Config.ShardByGroup && workers > 1
-	evSink    int64 // write-only prefetch sink of the serial event loop
+	evSink    int64 // write-only prefetch sink of the caller's event loop
 	gs        []groupScratch
 
 	// Grant digest (tests): FNV-1a fold of every committed grant and every
@@ -207,8 +203,8 @@ type Network struct {
 	CongestionStalls int64
 
 	// Per-phase Step timing (EnablePhaseTimings): wall-clock nanoseconds
-	// accumulated per Step phase. Off by default — the flag costs one branch
-	// per Step; when on, each Step pays a handful of clock reads.
+	// accumulated per Step phase. Off by default — the flag costs a branch
+	// per phase; when on, each Step pays a handful of clock reads.
 	timingOn bool
 	phaseNs  PhaseNanos
 }
@@ -359,9 +355,9 @@ func New(cfg Config) (*Network, error) {
 
 	// Routers are constructed group by group into contiguous []Router slabs,
 	// each group's slices carved from a private arena: one dragonfly group —
-	// the shard unit of ShardByGroup and the iteration unit of the
-	// group-partitioned event loop — then occupies a contiguous, cache-dense
-	// region instead of ~a·(2+ports·(4+vcs)) scattered heap objects.
+	// the ownership unit of the Step pipeline — then occupies a contiguous,
+	// cache-dense region instead of ~a·(2+ports·(4+vcs)) scattered heap
+	// objects.
 	n.Routers = make([]*router.Router, topo.Routers)
 	routerSlab := make([]router.Router, topo.Routers)
 	groupArena := make([]*router.Arena, topo.G)
@@ -466,33 +462,26 @@ func New(cfg Config) (*Network, error) {
 			n.congestionTh = 0.7
 		}
 	}
-	n.schedOn = !cfg.DisableActivitySched
-	n.awake = make([]bool, topo.Routers)
-	n.allIdx = make([]int32, topo.Routers)
-	for r := range n.allIdx {
-		n.allIdx[r] = int32(r)
-	}
 	n.nGroups = topo.G
 	n.groupSize = topo.A
 	n.groupNodes = topo.P * topo.A
 	n.poolG = make([]packet.Pool, topo.G)
-	n.groupIDs = make([]int32, topo.G)
 	n.activeG = make([][]int32, topo.G)
 	n.dueG = make([][]int32, topo.G)
 	n.gs = make([]groupScratch, topo.G)
-	for g := range n.groupIDs {
-		n.groupIDs[g] = int32(g)
+	n.awake = make([]bool, topo.Routers)
+	n.schedOn = !cfg.DisableActivitySched
+	if !n.schedOn {
+		for r := range n.awake {
+			n.wake(int32(r))
+		}
 	}
 	if len(cfg.Faults) > 0 {
 		if err := n.prepareFaults(cfg.Faults); err != nil {
 			return nil, err
 		}
 	}
-	n.workers = cfg.Workers
-	if n.workers > topo.Routers {
-		n.workers = topo.Routers
-	}
-	n.shardOn = cfg.ShardByGroup && n.workers > 1
+	n.workers = cfg.PoolWidth()
 	if n.workers > 1 {
 		n.grantBuf = make([][]router.Grant, topo.Routers)
 		n.workerEng = make([]router.Engine, n.workers)
@@ -505,34 +494,23 @@ func New(cfg Config) (*Network, error) {
 				n.workerEng[w] = n.Engine
 			}
 		}
-		n.cutover = cfg.ParallelCutover
-		if n.cutover == 0 {
-			n.cutover = autoCutover(n.workers)
-		}
-		// The generate phase has no per-cycle activity count to compare
-		// against the cutover (every node is probed every cycle), so the
-		// decision is static: shard it whenever the router stage could ever
-		// shard — i.e. the cutover does not pin the network serial. The
-		// documented ParallelCutover semantics carry over: values above the
-		// router count keep generation serial too, and single-P hosts stay
-		// serial via autoCutover.
-		n.genShard = n.shardOn && !cfg.DisableShardedGenerate && n.cutover <= len(n.Routers)
+		n.cutover = autoCutover(n.workers)
 		n.startPool(n.workers)
 	}
 	return n, nil
 }
 
-// autoCutover picks the active-list size below which a parallel network runs
-// the cycle serially on the caller's goroutine, calibrated from the machine
-// and the worker count rather than measured at runtime (a measurement would
-// make wall-clock behavior depend on warm-up noise; the formula keeps it
-// reproducible). Two regimes:
+// autoCutover picks the amount of work (awake routers, due events) below
+// which a Workers > 1 network walks a phase on the caller's goroutine,
+// calibrated from the machine and the worker count rather than measured at
+// runtime (a measurement would make wall-clock behavior depend on warm-up
+// noise; the formula keeps it reproducible). Two regimes:
 //
 //   - GOMAXPROCS == 1: a pool dispatch can never win — the caller computes
-//     the whole list itself and then pays goroutine switches just to join
-//     the parked workers — so the cutover is pinned above any possible
-//     active list and every cycle stays serial. (Tests that need the pool
-//     exercised regardless set ParallelCutover = 1 explicitly.)
+//     every group itself and then pays goroutine switches just to join the
+//     parked workers — so the cutover is pinned above any possible work count
+//     and the caller walks every phase. (In-package tests that need the pool
+//     exercised regardless override the cutover after construction.)
 //
 //   - multicore: a pool dispatch (wake + steal + join) costs a handful of
 //     microseconds; one awake router's compute phase costs ~1–2 µs
@@ -551,6 +529,14 @@ func autoCutover(workers int) int {
 		return math.MaxInt32
 	}
 	return 6 * workers
+}
+
+// pooled reports whether a phase with the given amount of work is stolen by
+// the pool rather than walked by the caller. Phases without a per-cycle work
+// count (generate, PB) pass the router count: they go to the pool unless the
+// cutover pins the whole network to the caller.
+func (n *Network) pooled(work int) bool {
+	return n.workerPool != nil && work >= n.cutover
 }
 
 // SetGenerator attaches the traffic source. A job-aware source additionally
@@ -586,99 +572,85 @@ func (n *Network) Generator() traffic.Generator { return n.gen }
 // Now returns the current cycle.
 func (n *Network) Now() int64 { return n.now }
 
-// Step advances the simulation one cycle: deliver due events, generate and
-// inject traffic, publish PB flags, then run routing and switch allocation
-// on the routers that can do work this cycle (all of them when the activity
-// scheduler is disabled). With Config.Workers > 1 and an active list at
-// least ParallelCutover long, the router stage runs as two phases — a
-// parallel compute phase on the persistent worker pool and a serial commit
-// phase — with bit-identical results (see cycleRouters); shorter lists run
-// serially on the caller's goroutine, where the pool barrier could never
-// pay for itself.
+// Step advances the simulation one cycle through the group-partitioned
+// pipeline: apply due faults, deliver due events, generate and inject
+// traffic, publish PB flags, then run routing and switch allocation on the
+// routers that can do work this cycle (all of them when the activity
+// scheduler is disabled). Each phase works group by group; the only fork is
+// who walks the groups — the pool (Config.Workers > 1 and enough work, see
+// pooled) or the caller in ascending order — and every effect on shared
+// state is committed by the caller in a fixed order, so results are
+// bit-identical either way (docs/ARCHITECTURE.md, "The Step pipeline").
 func (n *Network) Step() {
-	if n.timingOn {
-		n.stepTimed()
-		return
-	}
 	now := n.now
+	var t time.Time
+	if n.timingOn {
+		t = time.Now()
+		n.phaseNs.Cycles++
+	}
 	if n.faultIdx < len(n.faults) {
 		n.applyDueFaults(now)
 	}
+	t = n.lap(&n.phaseNs.Faults, t)
 	if due := n.wheel.Advance(); len(due) > 0 {
 		n.processDue(due, now)
 	}
+	t = n.lap(&n.phaseNs.Events, t)
 	if n.gen != nil {
 		n.generate(now)
 	}
+	t = n.lap(&n.phaseNs.Generate, t)
 	if n.usePB {
 		n.publishPB(now)
 	}
+	t = n.lap(&n.phaseNs.PB, t)
 	n.routerStage(now)
+	n.lap(&n.phaseNs.Routers, t)
 	n.now++
 }
 
-// routerStage runs the routing/allocation phase of one cycle. The sharded
-// path decides on the pre-compaction active count (a superset of the
-// post-compaction list, so the decision is conservative) because compaction
-// itself runs inside the shard phase; the legacy paths keep their exact
-// pre-sharding control flow.
+// routerStage runs the routing/allocation phase of one cycle: cycleGroup for
+// every group, which commits as it goes when the caller walks and leaves the
+// commit to an ordered commitGroup pass when the pool does. The pool decision
+// uses the pre-compaction active count (a superset of the post-compaction
+// lists, so it is conservative) because compaction itself is part of
+// cycleGroup.
 func (n *Network) routerStage(now int64) {
-	act := len(n.allIdx)
-	if n.schedOn {
-		act = 0
-		for g := range n.activeG {
-			act += len(n.activeG[g])
-		}
-	}
+	act := n.ActiveRouters()
 	if act == 0 {
 		return
 	}
-	if n.shardOn && act >= n.cutover {
-		n.cycleShard(now)
-		return
-	}
-	list := n.allIdx
-	if n.schedOn {
-		list = n.compactActive()
-	}
-	if !n.shardOn && n.workers > 1 && len(list) >= n.cutover {
-		n.cycleRouters(list, now)
-		return
-	}
-	for _, i := range list {
-		r := n.Routers[i]
-		grants := r.Cycle(n.Engine, now)
-		for j := range grants {
-			n.commit(r, &grants[j], now)
+	if !n.pooled(act) {
+		for g := 0; g < n.nGroups; g++ {
+			n.cycleGroup(g, n.Engine, now, nil)
 		}
+		return
+	}
+	n.runShards(phaseCycle, now)
+	for g := 0; g < n.nGroups; g++ {
+		n.commitGroup(g, now)
 	}
 }
 
-// processDue runs the event phase over one cycle's due list, partitioned by
-// target group. Group order is the processing order in both the serial loop
-// and the sharded dispatch, so the two are trivially identical; equivalence
-// with the pre-partition engine (ascending due order) rests on three facts,
-// each pinned by the golden tests:
+// processDue runs the event phase over one cycle's due list. The caller
+// handles the events itself in ascending due order with every effect inline;
+// the pool partitions the list by target group, handles each group's share
+// concurrently and leaves the shared effects to a barrier here. The two agree
+// because:
 //
 //   - Router mutations commute across groups: an event targets exactly one
 //     router (arrivals and drains touch input buffers, credits touch output
 //     ports), and same-router events touch disjoint (port, VC) state.
 //   - Observable effects (delivery folds and stats, fault drops) are not
 //     applied in processing order: they are recorded per due index and
-//     applied in ascending index order afterwards — the exact fold order of
-//     the pre-partition engine, because arrive/drain events enter a wheel
-//     slot only during the commit phase (ascending router order) and their
-//     relative in-slot order is therefore identical under both engines.
+//     applied in ascending index order afterwards — the caller's inline
+//     order.
 //   - Handle-phase wheel insertions are credit events only; their in-slot
-//     order differs from the pre-partition engine's, but credits fold
-//     nothing and AddCredit is commutative (a sum plus idempotent dirty
-//     bits), so no digest, stat or future decision can observe the shuffle.
+//     order differs between the two walks, but credits fold nothing and
+//     AddCredit is commutative (a sum plus idempotent dirty bits), so no
+//     digest, stat or future decision can observe the shuffle.
 func (n *Network) processDue(due []event, now int64) {
-	if !n.shardOn || len(due) < n.cutover {
-		// Serial fast path: the pre-partition engine verbatim — ascending
-		// due order, effects applied inline. No group partition, no effect
-		// deferral; the sharded path below reproduces exactly this order.
-		//
+	if !n.pooled(len(due)) {
 		// The lookahead touch warms the port state of an event a few slots
 		// ahead: due-order jumps between routers, so each event's first
 		// dereference is otherwise a serial cache miss. Reads of exported
@@ -695,7 +667,7 @@ func (n *Network) processDue(due []event, now int64) {
 					sink += int64(inp.VCs[nx.vc].Ring)
 				}
 			}
-			n.handleSerial(due[i], now)
+			n.handle(due[i], i, now, nil)
 		}
 		n.evSink = sink
 		return
@@ -719,43 +691,25 @@ func (n *Network) processDue(due []event, now int64) {
 	n.curDue = due
 	n.runShards(phaseHandle, now)
 	n.curDue = nil
-	// Commit the cross-shard channels in ascending group order: wheel
-	// outboxes (credit refunds) and in-flight deltas.
+	// Merge the group outboxes in ascending group order: wheel insertions
+	// (credit refunds) and in-flight deltas.
 	for g := range n.gs {
-		sh := &n.gs[g]
-		for _, se := range sh.sched {
-			n.wheel.Schedule(int(se.delay), se.ev)
-		}
-		sh.sched = sh.sched[:0]
-		n.inFlight += sh.inFlight
-		sh.inFlight = 0
+		n.flushSched(g)
+		n.inFlight += n.gs[g].inFlight
+		n.gs[g].inFlight = 0
 	}
 	// Apply deferred effects in original due order (see above).
 	for i, k := range n.fxKind {
-		switch k {
-		case fxDeliver:
+		if k != fxNone {
 			p := n.fxPkt[i]
 			n.fxPkt[i] = nil
-			if n.digestOn {
-				// Folding (identity, latency) pins per-packet delivery
-				// times, not just the grant sequence.
-				n.fold(1, now, int64(p.Src), int64(p.Dst), p.Born, p.Injected)
-			}
-			n.Stats.OnDeliver(p.Born, p.Injected, now, p.TotalHops, p.RingHops)
-			if p.Job >= 0 {
-				n.Stats.JobDelivered(int(p.Job), now-p.Born)
-			}
-			n.putPacket(p)
-		case fxDrop:
-			p := n.fxPkt[i]
-			n.fxPkt[i] = nil
-			n.dropPacket(p, now)
+			n.applyEffect(k, p, now)
 		}
 	}
 }
 
-// sched inserts a wheel event directly (sh == nil: serial event phase) or
-// into the group's outbox (sharded event phase, where the shared wheel is
+// sched inserts a wheel event directly (sh == nil: the caller is walking)
+// or into the group's outbox (a pool worker, for which the shared wheel is
 // off limits until the barrier).
 func (n *Network) sched(sh *groupScratch, delay int, ev event) {
 	if sh == nil {
@@ -765,12 +719,14 @@ func (n *Network) sched(sh *groupScratch, delay int, ev event) {
 	}
 }
 
-// wake puts a router on the active list (idempotent). Callers are the three
-// places that can create routable work: handle (arrivals and drain
-// completions) and generate (injections). Waking conservatively is always
-// safe — an awake router with no routable head runs a no-op Cycle and is
-// dropped by the next compactActive — whereas a missed wake would silently
-// freeze the router's traffic, so every candidate event wakes its router.
+// wake puts a router on its group's active list (idempotent, and a no-op
+// with the scheduler off, where every router is awake from construction).
+// Callers are the three places that can create routable work: handle
+// (arrivals and drain completions) and generate (injections). Waking
+// conservatively is always safe — an awake router with no routable head runs
+// a no-op Cycle and is dropped by the next compactGroup — whereas a missed
+// wake would silently freeze the router's traffic, so every candidate event
+// wakes its router.
 func (n *Network) wake(r int32) {
 	if !n.awake[r] {
 		n.awake[r] = true
@@ -780,42 +736,22 @@ func (n *Network) wake(r int32) {
 }
 
 // ActiveRouters reports how many routers are currently on the activity
-// scheduler's active list (every router when the scheduler is disabled).
-// This is the quantity the parallel cutover compares against
-// Config.ParallelCutover; exposed for diagnostics and calibration.
+// scheduler's active lists (every router when the scheduler is disabled).
+// This is the work count the router stage holds against the pool cutover;
+// exposed for diagnostics and calibration.
 func (n *Network) ActiveRouters() int {
-	if n.schedOn {
-		total := 0
-		for g := range n.activeG {
-			total += len(n.activeG[g])
-		}
-		return total
-	}
-	return len(n.Routers)
-}
-
-// compactActive compacts every group's active list and returns their
-// concatenation: per-group sorted lists of a group-major router numbering
-// concatenate into the globally ascending order the legacy full loop visits
-// routers in, which keeps grant commit order, timing-wheel insertion order
-// and therefore every digest bit-identical. Skipped routers contribute no
-// grants, so removing them from the iteration changes nothing else.
-func (n *Network) compactActive() []int32 {
-	flat := n.activeFlat[:0]
+	total := 0
 	for g := range n.activeG {
-		if len(n.activeG[g]) > 0 {
-			flat = append(flat, n.compactGroup(g)...)
-		}
+		total += len(n.activeG[g])
 	}
-	n.activeFlat = flat
-	return flat
+	return total
 }
 
 // compactGroup drops routers with no routable buffer head from one group's
 // active list and sorts the survivors by router index. Touches only
 // group-owned state (the group's list and its routers' awake flags), so
-// shard workers compact their claimed groups concurrently.
-func (n *Network) compactGroup(g int) []int32 {
+// pool workers compact their claimed groups concurrently.
+func (n *Network) compactGroup(g int) {
 	keep := n.activeG[g][:0]
 	for _, id := range n.activeG[g] {
 		if n.Routers[id].HasRoutableWork() {
@@ -826,22 +762,17 @@ func (n *Network) compactGroup(g int) []int32 {
 	}
 	slices.Sort(keep)
 	n.activeG[g] = keep
-	return keep
 }
 
-// publishPB refreshes the group flag boards. The boards store transitions,
-// so only routers whose global-port occupancy moved since their last publish
-// (PBDirty) need to recompute; the full sweep remains available for the
-// scheduler-disabled path and produces identical reader-visible flags.
-//
-// With group sharding past the cutover, the O(routers) dirty scan runs on
-// the pool instead: each worker publishes its claimed groups' boards. A
-// group's board is written only by that group's routers (UpdatePBFlags sets
-// the router's own link flags), each router writes disjoint flag indices,
-// and nothing reads any board during this phase — so the sweep parallelizes
-// with no outbox and no barrier merge, bit-identically.
+// publishPB refreshes the group flag boards, group by group — on the pool
+// whenever the cutover does not pin the network to the caller (the dirty
+// scan is O(routers) every cycle, so the decision is static). A group's
+// board is written only by that group's routers (UpdatePBFlags sets the
+// router's own link flags), each router writes disjoint flag indices, and
+// nothing reads any board during this phase — so the walk needs no outbox
+// and no barrier merge.
 func (n *Network) publishPB(now int64) {
-	if n.shardOn && n.cutover <= len(n.Routers) {
+	if n.pooled(len(n.Routers)) {
 		n.runShards(phasePB, now)
 		return
 	}
@@ -850,8 +781,10 @@ func (n *Network) publishPB(now int64) {
 	}
 }
 
-// publishPBGroup republishes one group's flag board (serial loop or shard
-// worker; see publishPB).
+// publishPBGroup republishes one group's flag board. The boards store
+// transitions, so only routers whose global-port occupancy moved since their
+// last publish (PBDirty) need to recompute; the full sweep of the
+// scheduler-disabled path produces identical reader-visible flags.
 func (n *Network) publishPBGroup(g int, now int64) {
 	lo := g * n.groupSize
 	hi := lo + n.groupSize
@@ -988,19 +921,22 @@ func (n *Network) fold(vs ...int64) {
 	n.digestCount++
 }
 
-// handleSerial processes one due event with inline effects — the serial
-// event phase, byte-for-byte the pre-partition engine. The sharded path
-// (handleGroup + deferred effects) reproduces exactly this processing order;
-// see processDue.
-func (n *Network) handleSerial(ev event, now int64) {
+// handle processes one due event. Everything it mutates directly is owned by
+// the event's group: the target router (every event targets exactly one),
+// and that group's awake/activeG entries. Whatever is shared goes through
+// sh: the caller walking the due list in order passes nil and wheel
+// insertions, the in-flight counter and observable effects apply inline; a
+// pool worker passes its group's scratch and they wait for the barrier in
+// processDue.
+func (n *Network) handle(ev event, idx int, now int64, sh *groupScratch) {
 	switch ev.kind {
 	case evArrive:
-		n.inFlight--
+		n.addInFlight(sh, -1)
 		if n.deadRouter != nil && n.deadRouter[ev.r] {
 			// The packet was launched before the router died; the link
 			// delivered it into a void. No credit refund: the upstream port
 			// is dead and its counters are frozen.
-			n.dropPacket(ev.pkt, now)
+			n.effect(sh, idx, fxDrop, ev.pkt, now)
 			return
 		}
 		if n.deadNode != nil && n.deadNode[ev.pkt.Dst] {
@@ -1010,31 +946,26 @@ func (n *Network) handleSerial(ev event, now int64) {
 			// on this live router is never consumed.
 			up := &n.Routers[ev.r].In[ev.port]
 			if up.UpRouter >= 0 {
-				n.wheel.Schedule(0, event{kind: evCredit, r: int32(up.UpRouter), port: int16(up.UpPort), vc: ev.vc, phits: int32(ev.pkt.Size)})
+				n.sched(sh, 0, event{kind: evCredit, r: int32(up.UpRouter), port: int16(up.UpPort), vc: ev.vc, phits: int32(ev.pkt.Size)})
 			}
-			n.dropPacket(ev.pkt, now)
+			n.effect(sh, idx, fxDrop, ev.pkt, now)
 			return
 		}
 		n.Routers[ev.r].Arrive(int(ev.port), int(ev.vc), ev.pkt)
-		if n.schedOn {
-			n.wake(ev.r)
-		}
+		n.wake(ev.r)
 	case evDrain, evDrainDeliver:
 		r := n.Routers[ev.r]
 		p, upR, upP := r.FinishDrain(int(ev.port), int(ev.vc))
-		if n.schedOn {
-			// The drain's end frees the input port and promotes any packet
-			// queued behind the drained head; credits (evCredit) need no
-			// wake because they cannot create a routable head on a router
-			// that has none.
-			n.wake(ev.r)
-		}
+		// The drain's end frees the input port and promotes any packet queued
+		// behind the drained head; credits (evCredit) need no wake because
+		// they cannot create a routable head on a router that has none.
+		n.wake(ev.r)
 		if ev.kind == evDrain {
 			// The packet has fully left this buffer and is now only on the
 			// link (its arrival event is pending); with link latencies ≥
 			// packetSize-1 — true for all shipped configurations — this
 			// keeps the conservation accounting exact.
-			n.inFlight++
+			n.addInFlight(sh, 1)
 		}
 		if upR >= 0 && (n.deadRouter == nil || !n.deadRouter[ev.r]) {
 			// Dead routers return no credits: their upstream ports are dead
@@ -1042,224 +973,99 @@ func (n *Network) handleSerial(ev event, now int64) {
 			// whose counters were re-derived against the new downstream
 			// buffer and must not absorb refunds for the old one.
 			lat := n.Routers[upR].Out[upP].Latency
-			n.wheel.Schedule(lat-1, event{kind: evCredit, r: int32(upR), port: int16(upP), vc: ev.vc, phits: int32(p.Size)})
+			n.sched(sh, lat-1, event{kind: evCredit, r: int32(upR), port: int16(upP), vc: ev.vc, phits: int32(p.Size)})
 		}
 		if ev.kind == evDrainDeliver {
 			p.Done = now
-			if n.digestOn {
-				// Folding (identity, latency) pins per-packet delivery
-				// times, not just the grant sequence.
-				n.fold(1, now, int64(p.Src), int64(p.Dst), p.Born, p.Injected)
-			}
-			n.Stats.OnDeliver(p.Born, p.Injected, now, p.TotalHops, p.RingHops)
-			if p.Job >= 0 {
-				n.Stats.JobDelivered(int(p.Job), now-p.Born)
-			}
-			n.putPacket(p)
+			n.effect(sh, idx, fxDeliver, p, now)
 		}
 	case evCredit:
 		n.Routers[ev.r].AddCredit(int(ev.port), int(ev.vc), int(ev.phits))
 	}
 }
 
-// handleGroup processes one group's share of the due list inside a shard
-// worker: wheel insertions and the in-flight counter go through the group's
-// scratch, and everything else the switch mutates is owned by the group —
-// routers of this group (every event targets its own router), the
-// awake/activeG entries of this group, and the fx slots of this group's due
-// indices. Observable effects (deliveries, drops) are only *recorded* here;
-// processDue applies them in original due order.
-func (n *Network) handleGroup(g int, due []event, now int64, sh *groupScratch) {
-	for _, idx := range n.dueG[g] {
-		ev := due[idx]
-		switch ev.kind {
-		case evArrive:
-			sh.inFlight--
-			if n.deadRouter != nil && n.deadRouter[ev.r] {
-				// The packet was launched before the router died; the link
-				// delivered it into a void. No credit refund: the upstream
-				// port is dead and its counters are frozen.
-				n.fxKind[idx] = fxDrop
-				n.fxPkt[idx] = ev.pkt
-				continue
-			}
-			if n.deadNode != nil && n.deadNode[ev.pkt.Dst] {
-				// The destination died while the packet was en route. Drop it
-				// here rather than let it chase an unreachable ejection port —
-				// with a synthesized refund, since the buffer space it
-				// reserved on this live router is never consumed.
-				up := &n.Routers[ev.r].In[ev.port]
-				if up.UpRouter >= 0 {
-					n.sched(sh, 0, event{kind: evCredit, r: int32(up.UpRouter), port: int16(up.UpPort), vc: ev.vc, phits: int32(ev.pkt.Size)})
-				}
-				n.fxKind[idx] = fxDrop
-				n.fxPkt[idx] = ev.pkt
-				continue
-			}
-			n.Routers[ev.r].Arrive(int(ev.port), int(ev.vc), ev.pkt)
-			if n.schedOn {
-				n.wake(ev.r)
-			}
-		case evDrain, evDrainDeliver:
-			r := n.Routers[ev.r]
-			p, upR, upP := r.FinishDrain(int(ev.port), int(ev.vc))
-			if n.schedOn {
-				// The drain's end frees the input port and promotes any packet
-				// queued behind the drained head; credits (evCredit) need no
-				// wake because they cannot create a routable head on a router
-				// that has none.
-				n.wake(ev.r)
-			}
-			if ev.kind == evDrain {
-				// The packet has fully left this buffer and is now only on the
-				// link (its arrival event is pending); with link latencies ≥
-				// packetSize-1 — true for all shipped configurations — this
-				// keeps the conservation accounting exact.
-				sh.inFlight++
-			}
-			if upR >= 0 && (n.deadRouter == nil || !n.deadRouter[ev.r]) {
-				// Dead routers return no credits: their upstream ports are
-				// dead with frozen counters — except a re-formed ring
-				// predecessor, whose counters were re-derived against the new
-				// downstream buffer and must not absorb refunds for the old
-				// one.
-				lat := n.Routers[upR].Out[upP].Latency
-				n.sched(sh, lat-1, event{kind: evCredit, r: int32(upR), port: int16(upP), vc: ev.vc, phits: int32(p.Size)})
-			}
-			if ev.kind == evDrainDeliver {
-				p.Done = now
-				n.fxKind[idx] = fxDeliver
-				n.fxPkt[idx] = p
-			}
-		case evCredit:
-			n.Routers[ev.r].AddCredit(int(ev.port), int(ev.vc), int(ev.phits))
-		}
+// addInFlight moves the on-link packet count: directly, or as a group delta
+// merged at the barrier.
+func (n *Network) addInFlight(sh *groupScratch, d int) {
+	if sh == nil {
+		n.inFlight += d
+	} else {
+		sh.inFlight += d
 	}
 }
 
-// generate runs the injection front-end for one cycle. Both paths walk the
-// same (group, node) order and draw from the same per-group traffic streams;
-// equivalence of the sharded path rests on three facts, mirrored from the
-// processDue argument and pinned by the golden/invariance matrices:
+// effect applies one observable handle effect now (sh == nil) or records it
+// under its due index for the barrier to apply in due order.
+func (n *Network) effect(sh *groupScratch, idx int, kind uint8, p *packet.Packet, now int64) {
+	if sh == nil {
+		n.applyEffect(kind, p, now)
+	} else {
+		n.fxKind[idx], n.fxPkt[idx] = kind, p
+	}
+}
+
+// applyEffect folds one delivery or fault drop into the digest and the
+// statistics and recycles the packet. Caller's goroutine only.
+func (n *Network) applyEffect(kind uint8, p *packet.Packet, now int64) {
+	if kind == fxDrop {
+		n.dropPacket(p, now)
+		return
+	}
+	if n.digestOn {
+		// Folding (identity, latency) pins per-packet delivery times, not
+		// just the grant sequence.
+		n.fold(1, now, int64(p.Src), int64(p.Dst), p.Born, p.Injected)
+	}
+	n.Stats.OnDeliver(p.Born, p.Injected, now, p.TotalHops, p.RingHops)
+	if p.Job >= 0 {
+		n.Stats.JobDelivered(int(p.Job), now-p.Born)
+	}
+	n.putPacket(p)
+}
+
+// generate runs the injection front-end for one cycle: generateGroup over
+// every group, then commitGenerate. The pool takes the groups when the
+// source is group-local and the cutover does not pin the network to the
+// caller (every node is probed every cycle, so there is no per-cycle work
+// count to compare — the decision is static); otherwise the caller walks
+// them in ascending order. Either way the same draws come from the same
+// per-group streams, because:
 //
 //   - Per-node work is group-local: Next/Retract draw from the group's own
 //     stream (and, for GroupLocalGenerator sources, touch only per-node or
 //     commutative-atomic generator state), the pending queue and the
 //     injection router belong to the node's own group, and packets come from
-//     the group's own pool shard. Nothing one group does can change what
-//     another group generates or injects this cycle.
+//     the group's own pool. Nothing one group does can change what another
+//     group generates or injects this cycle.
 //   - Observable effects are not applied in processing order: packet IDs,
 //     Stats counters, digest folds, trace-recorder appends and job
-//     accounting are recorded per group (genRec) and replayed at the barrier
-//     in ascending (group, node) order — the exact interleaving of the
-//     serial loop, including the running Generated count the path-trace
-//     sampler reads.
-//   - Counter deltas that the serial loop interleaves with generation
-//     (SourceBlocked, Injected, CongestionStalls) are plain sums with no
-//     intermediate observer, so per-group accumulation plus an ordered merge
-//     is invisible.
+//     accounting are recorded per group (genRec) and replayed by
+//     commitGenerate in ascending (group, node) order, including the running
+//     Generated count the path-trace sampler reads.
+//   - The remaining counters (SourceBlocked, Injected, CongestionStalls) are
+//     plain sums with no intermediate observer, so per-group accumulation
+//     plus an ordered merge is invisible.
 //
 // Generators without the GroupLocalGenerator marker (Burst, JobSet — shared
-// plain-int progress counters) always take the serial path, which performs
-// identical draws from the identical streams, so the results cannot depend
-// on which path executed.
+// plain-int progress counters) are always walked by the caller.
 func (n *Network) generate(now int64) {
-	if n.genShard && n.genLocal {
+	if n.genLocal && n.pooled(len(n.Routers)) {
 		n.runShards(phaseGenerate, now)
-		n.commitGenerate(now)
-		return
+	} else {
+		for g := 0; g < n.nGroups; g++ {
+			n.generateGroup(g, n.Engine, now)
+		}
 	}
-	for g := 0; g < n.nGroups; g++ {
-		n.generateSerial(g, now)
-	}
+	n.commitGenerate(now)
 }
 
-// generateSerial generates and injects for every node of one group with all
-// effects applied inline — the serial injection front-end, processing nodes
-// in the exact order the pre-sharding single-stream loop did (ascending node
-// == ascending (group, node), since node numbering is group-major).
-func (n *Network) generateSerial(g int, now int64) {
-	topo := n.Topo
-	rng := n.trafficRNG[g]
-	lo := g * n.groupNodes
-	hi := lo + n.groupNodes
-	for node := lo; node < hi; node++ {
-		if n.deadNode != nil && n.deadNode[node] {
-			continue // dead sources neither draw traffic nor inject
-		}
-		pq := &n.pending[node]
-		if dst, ok := n.gen.Next(rng, node, now); ok {
-			if n.deadNode != nil && n.deadNode[dst] {
-				// The destination is down; the source learns immediately
-				// (its NIC would). Generated and Dropped move together so
-				// conservation holds without allocating a packet.
-				n.Stats.Generated++
-				n.Stats.Dropped++
-				n.Stats.NoteAffectedFlow(node, dst)
-				if n.jobOf != nil {
-					j := int(n.jobOf[node])
-					n.Stats.JobGenerated(j)
-					n.Stats.JobDropped(j)
-				}
-				if n.rec != nil {
-					n.rec.Add(now, node, dst, n.Cfg.PacketSize)
-				}
-				if n.digestOn {
-					n.fold(2, now, int64(node), int64(dst), now)
-				}
-			} else if pq.len() >= n.Cfg.PendingCap {
-				n.gen.Retract(node)
-				n.Stats.SourceBlocked++
-			} else {
-				p := n.poolG[g].GetBlank()
-				p.ID = n.pool.NextID()
-				p.Size = n.Cfg.PacketSize
-				p.Src, p.Dst = node, dst
-				p.SrcGroup = g
-				p.DstGroup = topo.GroupOfNode(dst)
-				p.Born = now
-				if n.jobOf != nil {
-					p.Job = n.jobOf[node]
-					n.Stats.JobGenerated(int(p.Job))
-				}
-				if n.rec != nil {
-					n.rec.Add(now, node, dst, n.Cfg.PacketSize)
-				}
-				pq.push(p)
-				if n.traceEvery > 0 && n.Stats.Generated%int64(n.traceEvery) == 0 {
-					n.traces[p.ID] = &Trace{Src: node, Dst: dst}
-				}
-				n.Stats.Generated++
-			}
-		}
-		if p := pq.peek(); p != nil {
-			r := n.Routers[topo.RouterOf(node)]
-			if n.congestionOn && r.CanonicalOccupancy() >= n.congestionTh {
-				n.CongestionStalls++
-				continue
-			}
-			port := topo.NodePort(topo.NodeSlot(node))
-			if vc, ok := r.InjectionSpace(port, p.Size); ok {
-				pq.pop()
-				r.Inject(port, vc, p, now)
-				if n.schedOn {
-					n.wake(int32(r.ID))
-				}
-				n.Engine.AtInjection(r, p, now)
-				n.Stats.Injected++
-			}
-		}
-	}
-}
-
-// generateGroup is generateSerial's shard-phase twin, run by a pool worker
-// that has claimed group g: the same per-node sequence, but every observable
-// effect is buffered — packets leave the group's pool shard without an ID
-// (the barrier stamps IDs in global order), stats/digest/trace/job effects
-// become genRec entries, and counter deltas accumulate in the group scratch.
-// Injection side effects (router state, wake, AtInjection with the worker's
-// engine) are group-owned and applied immediately, exactly as the serial
-// loop would at this node's turn.
+// generateGroup generates and injects for every node of group g in ascending
+// node order. Every observable effect is buffered: packets leave the group's
+// pool without an ID (commitGenerate stamps IDs in global order),
+// stats/digest/trace/job effects become genRec entries, and counter deltas
+// accumulate in the group scratch. Injection side effects (router state,
+// wake, AtInjection with the walker's engine) are group-owned and applied
+// immediately.
 func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
 	topo := n.Topo
 	rng := n.trafficRNG[g]
@@ -1273,6 +1079,8 @@ func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
 		pq := &n.pending[node]
 		if dst, ok := n.gen.Next(rng, node, now); ok {
 			if n.deadNode != nil && n.deadNode[dst] {
+				// The destination is down; the source learns immediately
+				// (its NIC would): no packet is allocated, only a record.
 				sh.gen = append(sh.gen, genRec{node: int32(node), dst: int32(dst)})
 			} else if pq.len() >= n.Cfg.PendingCap {
 				n.gen.Retract(node)
@@ -1301,9 +1109,7 @@ func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
 			if vc, ok := r.InjectionSpace(port, p.Size); ok {
 				pq.pop()
 				r.Inject(port, vc, p, now)
-				if n.schedOn {
-					n.wake(int32(r.ID))
-				}
+				n.wake(int32(r.ID))
 				eng.AtInjection(r, p, now)
 				sh.injected++
 			}
@@ -1311,18 +1117,18 @@ func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
 	}
 }
 
-// commitGenerate is the serial barrier of the sharded generate phase: walk
+// commitGenerate closes the generate phase on the caller's goroutine: walk
 // groups in ascending order replaying each group's genRec entries in node
 // order — stamping packet IDs from the run-wide sequence and folding the
-// observable effects exactly as generateSerial interleaves them — then merge
-// the counter deltas.
+// observable effects — then merge the counter deltas.
 func (n *Network) commitGenerate(now int64) {
 	for g := 0; g < n.nGroups; g++ {
 		sh := &n.gs[g]
 		for i := range sh.gen {
 			rec := &sh.gen[i]
 			if rec.pkt == nil {
-				// Dead-destination drop (see generateSerial).
+				// Dead-destination drop: Generated and Dropped move together
+				// so conservation holds without a packet.
 				n.Stats.Generated++
 				n.Stats.Dropped++
 				n.Stats.NoteAffectedFlow(int(rec.node), int(rec.dst))
@@ -1361,75 +1167,17 @@ func (n *Network) commitGenerate(now int64) {
 	}
 }
 
-// putPacket recycles a terminal packet into its source group's pool shard,
-// keeping the free list (and the block-carve locality it preserves) with the
-// group that allocated the packet. Only ever called from serial contexts
-// (delivery folds, fault drops).
+// putPacket recycles a terminal packet into its source group's pool, keeping
+// the free list (and the block-carve locality it preserves) with the group
+// that allocated the packet. Caller's goroutine only (delivery folds, fault
+// drops).
 func (n *Network) putPacket(p *packet.Packet) {
 	n.poolG[p.SrcGroup].Put(p)
 }
 
-func (n *Network) commit(r *router.Router, g *router.Grant, now int64) {
-	p := g.Pkt
-	if n.digestOn {
-		n.fold(0, now, int64(r.ID), int64(g.InPort), int64(g.InVC),
-			int64(g.Req.Out), int64(g.Req.VC), int64(p.Src), int64(p.Dst), p.Born)
-		if len(n.grantLog) < n.logCap {
-			n.grantLog = append(n.grantLog, GrantEvent{
-				Cycle: now, Router: r.ID, InPort: g.InPort, InVC: g.InVC,
-				Out: g.Req.Out, VC: g.Req.VC,
-				Src: p.Src, Dst: p.Dst, Born: p.Born, Eject: g.Eject,
-			})
-		}
-	}
-	if n.traceEvery > 0 {
-		if tr, ok := n.traces[p.ID]; ok {
-			tr.Hops = append(tr.Hops, TraceHop{
-				Router: r.ID, Port: g.Req.Out, VC: g.Req.VC,
-				Escape: g.Req.Escape, Cycle: now,
-			})
-			if g.Eject {
-				tr.Done = true
-			}
-		}
-	}
-	if g.Eject {
-		n.wheel.Schedule(p.Size-1, event{kind: evDrainDeliver, r: int32(r.ID), port: int16(g.InPort), vc: int16(g.InVC)})
-	} else {
-		out := &r.Out[g.Req.Out]
-		n.wheel.Schedule(out.Latency, event{kind: evArrive, pkt: p, r: int32(out.Peer), port: int16(out.PeerPort), vc: int16(g.Req.VC)})
-		n.wheel.Schedule(p.Size-1, event{kind: evDrain, r: int32(r.ID), port: int16(g.InPort), vc: int16(g.InVC)})
-	}
-	n.Stats.AddUtilization(r.ID, g.Req.Out, p.Size)
-	if g.Req.SetGlobalMis {
-		n.Stats.GlobalMisroutes++
-	}
-	if g.Req.SetLocalMis {
-		n.Stats.LocalMisroutes++
-	}
-	if g.Req.EnterRing {
-		n.Stats.RingEnters++
-	}
-	if g.Req.ExitRing {
-		n.Stats.RingExits++
-	}
-	if g.Req.Escape && !g.Req.EnterRing {
-		n.Stats.RingHops++
-	}
-	if n.faultIdx > 0 && (g.Req.SetGlobalMis || g.Req.SetLocalMis || g.Req.EnterRing) &&
-		r.OutputDead(n.Topo.MinimalPort(r.ID, p.Dst)) {
-		// The packet left its minimal path while the minimal output here is
-		// dead: the fault, not ordinary congestion, forced the detour.
-		n.Stats.FaultReroutes++
-		n.Stats.NoteAffectedFlow(p.Src, p.Dst)
-	}
-}
-
-// commitSched is the wheel-insertion half of commit, runnable inside a shard
-// worker: the grant's future events go to the group outbox (sh != nil) or
-// the wheel directly. Splitting commit lets the sharded router stage emit
-// each group's insertions during the parallel phase and reduce the serial
-// barrier to outbox merging plus commitStats.
+// commitSched schedules a grant's future events: into the wheel directly
+// (sh == nil, the caller walking the groups) or into the group outbox a pool
+// worker hands in.
 func (n *Network) commitSched(r *router.Router, g *router.Grant, now int64, sh *groupScratch) {
 	p := g.Pkt
 	if g.Eject {
@@ -1441,10 +1189,9 @@ func (n *Network) commitSched(r *router.Router, g *router.Grant, now int64, sh *
 	}
 }
 
-// commitStats is the observable half of commit — digest, grant log, traces,
-// statistics, fault-reroute attribution — applied serially in ascending
-// router order at the shard barrier, exactly as the serial engine interleaves
-// them.
+// commitStats is the observable half of a grant — digest, grant log, traces,
+// statistics, fault-reroute attribution — applied on the caller's goroutine
+// in ascending router order.
 func (n *Network) commitStats(r *router.Router, g *router.Grant, now int64) {
 	p := g.Pkt
 	if n.digestOn {
@@ -1494,64 +1241,61 @@ func (n *Network) commitStats(r *router.Router, g *router.Grant, now int64) {
 	}
 }
 
-// groupList returns the iteration list of one group: its compacted active
-// list under the scheduler, or the group's full router range without it.
-func (n *Network) groupList(g int) []int32 {
-	if n.schedOn {
-		return n.activeG[g]
+// cycleGroup runs one group's router stage: compact the group's active list,
+// Cycle each awake router with the walker's engine and commit its grants. The
+// caller (sh == nil) commits both halves of a grant on the spot; a pool
+// worker schedules into its group's outbox and parks the grants in grantBuf
+// for commitGroup. Everything a worker writes — the group's active list, its
+// routers, their grantBuf rows, the outbox — is owned by this group.
+//
+// grantBuf rows alias the grant slices Cycle itself reuses across cycles;
+// they are never cleared, because commitGroup reads only the rows of routers
+// on this cycle's list, each freshly written here.
+func (n *Network) cycleGroup(g int, eng router.Engine, now int64, sh *groupScratch) {
+	if len(n.activeG[g]) == 0 {
+		return
 	}
-	lo := g * n.groupSize
-	hi := lo + n.groupSize
-	if hi > len(n.allIdx) {
-		hi = len(n.allIdx)
-	}
-	return n.allIdx[lo:hi]
-}
-
-// cycleGroup runs one group's router stage inside a shard worker: compact
-// the group's active list, Cycle each router with the worker's engine, and
-// emit the grants' wheel insertions into the group outbox. Everything
-// written — the group's active list, its routers, their grantBuf rows, the
-// outbox — is owned by this group's claim.
-func (n *Network) cycleGroup(g int, eng router.Engine, now int64) {
 	if n.schedOn {
-		if len(n.activeG[g]) == 0 {
-			return
-		}
 		n.compactGroup(g)
 	}
-	sh := &n.gs[g]
-	for _, i := range n.groupList(g) {
+	for _, i := range n.activeG[g] {
 		r := n.Routers[i]
 		grants := r.Cycle(eng, now)
-		n.grantBuf[i] = grants
+		if sh != nil {
+			n.grantBuf[i] = grants
+		}
 		for j := range grants {
 			n.commitSched(r, &grants[j], now, sh)
-		}
-	}
-}
-
-// cycleShard is the ShardByGroup router stage: the pool claims whole groups
-// (compute + per-group commitSched in parallel), then the barrier walks
-// groups in ascending order committing stats in router order and merging
-// each group's outbox — reproducing the serial engine's ascending-router
-// wheel-insertion and fold order exactly, for any worker count.
-func (n *Network) cycleShard(now int64) {
-	n.runShards(phaseCycle, now)
-	for g := 0; g < n.nGroups; g++ {
-		for _, i := range n.groupList(g) {
-			r := n.Routers[i]
-			grants := n.grantBuf[i]
-			for j := range grants {
+			if sh == nil {
 				n.commitStats(r, &grants[j], now)
 			}
 		}
-		sh := &n.gs[g]
-		for _, se := range sh.sched {
-			n.wheel.Schedule(int(se.delay), se.ev)
-		}
-		sh.sched = sh.sched[:0]
 	}
+}
+
+// commitGroup closes a pool-walked group's router stage on the caller's
+// goroutine: commit the grants' observable half in router order, then merge
+// the group's outbox into the wheel. Called for groups in ascending order,
+// this reproduces the caller's own ascending-router fold and wheel-insertion
+// order.
+func (n *Network) commitGroup(g int, now int64) {
+	for _, i := range n.activeG[g] {
+		r := n.Routers[i]
+		grants := n.grantBuf[i]
+		for j := range grants {
+			n.commitStats(r, &grants[j], now)
+		}
+	}
+	n.flushSched(g)
+}
+
+// flushSched merges group g's wheel-insertion outbox into the wheel.
+func (n *Network) flushSched(g int) {
+	sh := &n.gs[g]
+	for _, se := range sh.sched {
+		n.wheel.Schedule(int(se.delay), se.ev)
+	}
+	sh.sched = sh.sched[:0]
 }
 
 // FailRingEdge breaks escape ring `ring` at the outgoing edge of `router`

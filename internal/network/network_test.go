@@ -18,13 +18,26 @@ func testConfig(rt Routing) Config {
 	return cfg
 }
 
-func mustNet(t *testing.T, cfg Config) *Network {
+func mustNet(t testing.TB, cfg Config) *Network {
 	t.Helper()
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.Close)
+	return n
+}
+
+// setCutover overrides the auto-calibrated pool cutover: 1 sends every phase
+// with any work to the pool whatever the host's GOMAXPROCS, a value above the
+// router count keeps every phase on the caller. No effect without a pool.
+func (n *Network) setCutover(c int) { n.cutover = c }
+
+// mustPoolNet is mustNet with the pool forced on (setCutover(1)).
+func mustPoolNet(t testing.TB, cfg Config) *Network {
+	t.Helper()
+	n := mustNet(t, cfg)
+	n.setCutover(1)
 	return n
 }
 

@@ -11,9 +11,10 @@ import (
 
 // TestStepZeroAllocSteadyState pins the perf contract of the cycle loop: a
 // warmed-up Step performs no allocations — serial or pooled, scheduler on or
-// off. The parallel cases force ParallelCutover=1 so every non-empty cycle
-// dispatches to the pool (AllocsPerRun runs under GOMAXPROCS=1, where the
-// auto cutover would otherwise route low-load steps around it). Amortized
+// off, phase timing on or off. The pooled cases force the cutover to 1 so
+// every non-empty phase dispatches to the pool (AllocsPerRun runs under
+// GOMAXPROCS=1, where the auto cutover would otherwise keep every phase on
+// the caller). Amortized
 // growth of long-lived slices (source queues, the timing wheel) is allowed
 // for by a fractional tolerance, matching the "0 allocs/op" the committed
 // bench baseline reports.
@@ -22,21 +23,24 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		name    string
 		workers int
 		noSched bool
+		timed   bool
 	}{
-		{"serial/sched", 0, false},
-		{"serial/nosched", 0, true},
-		{"workers4/sched", 4, false},
-		{"workers4/nosched", 4, true},
+		{"serial/sched", 0, false, false},
+		{"serial/nosched", 0, true, false},
+		{"serial/timed", 0, false, true},
+		{"workers4/sched", 4, false, false},
+		{"workers4/nosched", 4, true, false},
+		{"workers4/timed", 4, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(2)
 			cfg.Workers = tc.workers
 			cfg.DisableActivitySched = tc.noSched
-			if tc.workers > 1 {
-				cfg.ParallelCutover = 1
+			n := mustPoolNet(t, cfg)
+			if tc.timed {
+				n.EnablePhaseTimings()
 			}
-			n := mustNet(t, cfg)
 			n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.4, cfg.PacketSize))
 			n.Run(3000) // steady state: pools, queues and the wheel at capacity
 			allocs := testing.AllocsPerRun(300, n.Step)
@@ -75,11 +79,7 @@ func TestPoolGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := DefaultConfig(2)
 	cfg.Workers = 8
-	cfg.ParallelCutover = 1
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := mustPoolNet(t, cfg)
 	n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.5, cfg.PacketSize))
 	n.Run(100) // exercise the pool, not just park/unpark
 	if got := runtime.NumGoroutine(); got < before+7 {
@@ -98,55 +98,90 @@ func TestPoolGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestParallelCutoverInvariance: the cutover decides only *where* a cycle's
-// compute runs, never what it computes — digests must match between a run
+// cutoverRun drives a loaded 4-worker h=2 network under the given cutover
+// (0 keeps the auto-calibrated one) and returns how many epochs the pool
+// served plus the grant digest.
+func cutoverRun(t *testing.T, cutover int, shard bool) (epochs, digest uint64, events int64) {
+	cfg := DefaultConfig(2)
+	cfg.Workers = 4
+	cfg.ShardByGroup = shard
+	n := mustNet(t, cfg)
+	if cutover > 0 {
+		n.setCutover(cutover)
+	}
+	n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, 2), 0.6, cfg.PacketSize))
+	n.EnableGrantDigest()
+	n.Run(600)
+	digest, events = n.GrantDigest()
+	return n.workerPool.epoch, digest, events // no Step in flight: the workers are parked
+}
+
+// TestParallelCutoverInvariance: the cutover decides only *who* walks a
+// phase's groups, never what they compute — digests must match between a run
 // that always dispatches to the pool (cutover 1), one that never does
 // (cutover above the router count), and the auto-calibrated default.
 func TestParallelCutoverInvariance(t *testing.T) {
-	run := func(cutover int) (uint64, int64) {
-		cfg := DefaultConfig(2)
-		cfg.Workers = 4
-		cfg.ParallelCutover = cutover
-		n := mustNet(t, cfg)
-		n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, 2), 0.6, cfg.PacketSize))
-		n.EnableGrantDigest()
-		n.Run(600)
-		d, c := n.GrantDigest()
-		return d, c
-	}
-	wantD, wantC := run(0)
+	_, wantD, wantC := cutoverRun(t, 0, false)
 	for _, cut := range []int{1, 10000} {
-		if d, c := run(cut); d != wantD || c != wantC {
+		if _, d, c := cutoverRun(t, cut, false); d != wantD || c != wantC {
 			t.Fatalf("cutover=%d: digest %016x (%d) != auto %016x (%d)", cut, d, c, wantD, wantC)
 		}
 	}
 }
 
 // TestCutoverRoutesShortLists instruments the dispatch decision itself: with
-// a cutover above the router count every Step must stay serial (the pool's
-// epoch never advances), and with cutover 1 a loaded network must dispatch.
+// a cutover above the router count every Step must stay on the caller (the
+// pool's epoch never advances), and with cutover 1 a loaded network must
+// dispatch — the same number of epochs whatever the ignored ShardByGroup
+// field says, with the same digest.
 func TestCutoverRoutesShortLists(t *testing.T) {
-	epoch := func(cutover int) uint64 {
-		cfg := DefaultConfig(2)
-		cfg.Workers = 4
-		cfg.ParallelCutover = cutover
-		n := mustNet(t, cfg)
-		n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.5, cfg.PacketSize))
-		n.Run(200)
-		n.workerPool.mu.Lock()
-		defer n.workerPool.mu.Unlock()
-		return n.workerPool.epoch
-	}
-	if got := epoch(10000); got != 0 {
+	if got, _, _ := cutoverRun(t, 10000, false); got != 0 {
 		t.Fatalf("cutover above router count still dispatched %d epochs to the pool", got)
 	}
-	if got := epoch(1); got == 0 {
+	plain, plainD, _ := cutoverRun(t, 1, false)
+	if plain == 0 {
 		t.Fatal("cutover=1 never dispatched a loaded network's cycle to the pool")
+	}
+	if shard, shardD, _ := cutoverRun(t, 1, true); shard != plain || shardD != plainD {
+		t.Fatalf("ShardByGroup changed the run: %d epochs digest %016x, want %d epochs digest %016x", shard, shardD, plain, plainD)
+	}
+}
+
+// TestStepAfterCloseRunsSerial: Close hands every later Step to the caller
+// (it used to leave Step dispatching to a pool nobody answers, a deadlock);
+// the closed network stays digest-identical to a twin that was never closed.
+func TestStepAfterCloseRunsSerial(t *testing.T) {
+	mk := func() *Network {
+		cfg := DefaultConfig(2)
+		cfg.Workers = 4
+		n := mustPoolNet(t, cfg)
+		n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, 2), 0.6, cfg.PacketSize))
+		n.EnableGrantDigest()
+		n.Run(200)
+		return n
+	}
+	closed, open := mk(), mk()
+	closed.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		closed.Run(200)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Step after Close did not return")
+	}
+	open.Run(200)
+	cd, cc := closed.GrantDigest()
+	od, oc := open.GrantDigest()
+	if cd != od || cc != oc {
+		t.Fatalf("closed network diverged: digest %016x (%d) != never-closed %016x (%d)", cd, cc, od, oc)
 	}
 }
 
 // BenchmarkPoolDispatch isolates the barrier itself: a quiescent parallel
-// network with ParallelCutover=1 and a single awake router pays one full
+// network with the cutover forced to 1 and a single awake router pays one full
 // dispatch+join round trip per Step with almost no compute to amortize it —
 // the number the cutover calibration is built on (compare against the
 // serial row).
@@ -159,12 +194,7 @@ func BenchmarkPoolDispatch(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := DefaultConfig(3)
 			cfg.Workers = workers
-			cfg.ParallelCutover = 1
-			n, err := New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer n.Close()
+			n := mustPoolNet(b, cfg)
 			n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.02, cfg.PacketSize))
 			n.Run(2000)
 			b.ReportAllocs()

@@ -33,7 +33,7 @@ import (
 //     continues the exact same run.
 //   - Path tracing: a diagnostics sink with per-packet allocation; Restore
 //     resets it to disabled.
-//   - The worker pool, activity scheduler and parallel cutover: wall-clock
+//   - The worker pool and activity scheduler: wall-clock
 //     machinery, rebuilt from the restoring network's own configuration. The
 //     snapshot config is compared after normalizing these fields away, so a
 //     snapshot taken at Workers=4 restores into a Workers=1 network (and any
@@ -97,11 +97,9 @@ func EngineDigest() uint64 {
 // else — topology, buffering, routing, faults, seed — must match exactly.
 func normalizeConfig(c Config) Config {
 	c.Workers = 0
-	c.ParallelCutover = 0
 	c.ShardByGroup = false
 	c.DisableActivitySched = false
 	c.DisableRouteCache = false
-	c.DisableShardedGenerate = false
 	return c
 }
 
@@ -609,16 +607,14 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 	// Rebuild the active set: wake exactly the routers holding routable work.
 	// This is a subset of the original run's awake set containing every
 	// behaviorally relevant router — extra awake routers run no-op Cycles and
-	// are dropped by compactActive, so the wake set never affects results
-	// (the conservative-wake contract).
-	for i := range n.awake {
-		n.awake[i] = false
-	}
-	for g := range n.activeG {
-		n.activeG[g] = n.activeG[g][:0]
-	}
-	n.activeFlat = n.activeFlat[:0]
+	// are dropped by compactGroup, so the wake set never affects results
+	// (the conservative-wake contract). With the scheduler off every router
+	// stays awake.
 	if n.schedOn {
+		clear(n.awake)
+		for g := range n.activeG {
+			n.activeG[g] = n.activeG[g][:0]
+		}
 		for _, r := range n.Routers {
 			if r.HasRoutableWork() {
 				n.wake(int32(r.ID))

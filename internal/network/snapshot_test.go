@@ -3,8 +3,10 @@ package network
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
+	"ofar/internal/simcore"
 	"ofar/internal/traffic"
 )
 
@@ -15,20 +17,13 @@ func snapCfg(workers int, noSched bool) Config {
 	cfg := DefaultConfig(2)
 	cfg.Seed = 7
 	cfg.Workers = workers
-	cfg.ParallelCutover = 1 // force the pool on every non-empty cycle
 	cfg.DisableActivitySched = noSched
 	return cfg
 }
 
 func snapNet(t *testing.T, cfg Config, load float64) *Network {
 	t.Helper()
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Workers > 1 {
-		t.Cleanup(n.Close)
-	}
+	n := mustPoolNet(t, cfg) // the pool, if any, takes every non-empty phase
 	n.EnableGrantDigest()
 	n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), load, cfg.PacketSize))
 	return n
@@ -147,12 +142,12 @@ func TestSnapshotCrossSetting(t *testing.T) {
 	}
 }
 
-// TestSnapshotAcrossSharding: ShardByGroup is a wall-clock setting like
-// Workers — normalized out of the snapshot's config identity — so a snapshot
-// taken under the sharded engine restores into a serial network (and vice
-// versa) bit-identically, snapshot image included. ParallelCutover=1 (from
-// snapCfg) forces the shard dispatch on every non-empty cycle, so the shard
-// side genuinely runs sharded even on a single-P host.
+// TestSnapshotAcrossSharding: Workers and the ignored ShardByGroup field are
+// normalized out of the snapshot's config identity, so a snapshot taken on a
+// pooled network restores into a pool-less one (and vice versa)
+// bit-identically, snapshot image included. snapNet forces the pool on every
+// non-empty phase, so the pooled side genuinely dispatches even on a
+// single-P host.
 func TestSnapshotAcrossSharding(t *testing.T) {
 	const warm, measure = 300, 300
 	shardCfg := snapCfg(4, false)
@@ -289,6 +284,8 @@ func TestForkIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fork2.Close)
+	fork1.setCutover(1)
+	fork2.setCutover(1)
 
 	// Drive the forks with different loads.
 	fork1.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(fork1.Topo), 0.1, cfg.PacketSize))
@@ -356,5 +353,19 @@ func TestRestoreRejects(t *testing.T) {
 	mis.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(mis.Topo), 0.6, other.PacketSize))
 	if err := mis.Restore(bytes.NewReader(snap)); err == nil {
 		t.Fatal("restore accepted a snapshot from a different configuration")
+	}
+
+	// An image written while Config still had ParallelCutover and
+	// DisableShardedGenerate carries both (always zero) in its header: it is
+	// refused as a configuration mismatch like any foreign header, and the
+	// caller re-warms — absence, never staleness.
+	d := simcore.NewDec(snap)
+	var old simcore.Enc
+	old.Raw(d.Raw(len(snapMagic) + 16)) // magic, version, engine digest
+	hdr := d.Bytes(maxSnapCfgJSON)
+	old.Bytes(append(hdr[:len(hdr)-1:len(hdr)-1], `,"ParallelCutover":0,"DisableShardedGenerate":false}`...))
+	old.Raw(d.Raw(d.Remaining()))
+	if err := fresh().Restore(bytes.NewReader(old.Data())); err == nil || !strings.Contains(err.Error(), "different configuration") {
+		t.Fatalf("image with pre-removal config keys: got %v, want the config-mismatch error", err)
 	}
 }

@@ -28,8 +28,8 @@ func (p *PhaseNanos) Add(o PhaseNanos) {
 }
 
 // EnablePhaseTimings turns on per-phase Step timing. Off by default: the
-// check costs one branch per Step, while the timed path pays a handful of
-// monotonic clock reads per cycle (~100 ns total — noise at h≥3 scale, but
+// check costs a branch per phase, while timing pays a handful of monotonic
+// clock reads per cycle (~100 ns total — noise at h≥3 scale, but
 // measurable against a 5 µs low-load h=3 step, which is why it is opt-in
 // rather than always-on). Timing never affects simulation results.
 func (n *Network) EnablePhaseTimings() { n.timingOn = true }
@@ -38,35 +38,12 @@ func (n *Network) EnablePhaseTimings() { n.timingOn = true }
 // EnablePhaseTimings was called).
 func (n *Network) PhaseTimings() PhaseNanos { return n.phaseNs }
 
-// stepTimed is Step with per-phase clock reads — same phases, same order,
-// same results (the phase functions are shared; only the laps differ).
-func (n *Network) stepTimed() {
-	now := n.now
-	t := time.Now()
-	if n.faultIdx < len(n.faults) {
-		n.applyDueFaults(now)
-	}
-	t = n.lap(&n.phaseNs.Faults, t)
-	if due := n.wheel.Advance(); len(due) > 0 {
-		n.processDue(due, now)
-	}
-	t = n.lap(&n.phaseNs.Events, t)
-	if n.gen != nil {
-		n.generate(now)
-	}
-	t = n.lap(&n.phaseNs.Generate, t)
-	if n.usePB {
-		n.publishPB(now)
-	}
-	t = n.lap(&n.phaseNs.PB, t)
-	n.routerStage(now)
-	n.lap(&n.phaseNs.Routers, t)
-	n.phaseNs.Cycles++
-	n.now++
-}
-
-// lap accumulates the time since t into *dst and returns the new lap start.
+// lap accumulates the time since t into *dst and returns the new lap start;
+// with timing off it does nothing.
 func (n *Network) lap(dst *int64, t time.Time) time.Time {
+	if !n.timingOn {
+		return t
+	}
 	u := time.Now()
 	*dst += u.Sub(t).Nanoseconds()
 	return u

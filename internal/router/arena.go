@@ -14,9 +14,9 @@ import "ofar/internal/packet"
 // a group share one slab (allocated router-major, port-major, so the
 // iteration order of Cycle and handle is a forward walk), all credit arrays
 // share another, and so on per type. A group's working set is therefore
-// cache- and TLB-dense, which is what makes the group the natural shard unit
-// for the sharded Step (see network.Config.ShardByGroup) and measurably
-// faster even for the serial engine at h=6 scale.
+// cache- and TLB-dense, which is what makes the group the natural ownership
+// unit of the Step pipeline (see network.Network.Step) and measurably faster
+// at h=6 scale even without a worker pool.
 //
 // Allocation is append-only: routers never free, and fault surgery only
 // rewrites in place. A nil *Arena is valid everywhere and falls back to

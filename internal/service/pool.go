@@ -11,11 +11,11 @@ import (
 //
 //   - Worker slots (sims): at most this many simulations execute at once.
 //   - CPU tokens (capacity = GOMAXPROCS): each running simulation holds as
-//     many tokens as its network's router-stage pool can actually engage —
-//     simWidth, the same min(Workers, groups) budget RunLoadSweepOpt uses —
-//     so the service never oversubscribes the machine beyond what
-//     Workers × ShardByGroup already claims. Serial (Workers ≤ 1) points
-//     hold one token each; a width-4 sharded point holds four.
+//     many tokens as its network's worker pool can actually engage —
+//     Config.PoolWidth, the same budget RunLoadSweepOpt uses — so the
+//     service never oversubscribes the machine beyond what Workers already
+//     claims. Workers ≤ 1 points hold one token each; a width-4 point
+//     holds four.
 //
 // Admission is reservation-based: a request reserves one slot per genuinely
 // new point (cache miss, no open flight) before anything is enqueued, and the

@@ -188,24 +188,3 @@ func pointKey(canonCfg []byte, pattern string, load float64, warmup, measure int
 	fmt.Fprintf(h, "|%s|%016x|%d|%d|%016x", pattern, math.Float64bits(load), warmup, measure, digest)
 	return h.Sum64()
 }
-
-// simWidth is the CPU claim of one simulated point: the same
-// min(Workers, groups) budget RunLoadSweepOpt charges per network, so the
-// service pool and the per-network router pools together never oversubscribe
-// GOMAXPROCS.
-func simWidth(cfg ofar.Config) int {
-	if cfg.Workers <= 1 {
-		return 1
-	}
-	w := cfg.Workers
-	if cfg.ShardByGroup {
-		groups := cfg.Groups
-		if groups == 0 {
-			groups = cfg.A*cfg.H + 1
-		}
-		if groups < w {
-			w = groups
-		}
-	}
-	return w
-}

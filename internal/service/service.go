@@ -329,7 +329,7 @@ func (s *Server) point(rs *reqState, res resolved, key uint64, index int) PointR
 			rerr error
 		)
 		done := make(chan struct{})
-		s.pool.Submit(simWidth(res.cfg), func() {
+		s.pool.Submit(res.cfg.PoolWidth(), func() {
 			defer close(done)
 			t0 := time.Now()
 			if res.jobs != nil {

@@ -114,10 +114,9 @@ func TestJobSetBitIdentityMatrix(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"workers4", func(c *Config) { c.Workers = 4 }},
-		{"shard4", func(c *Config) { c.Workers = 4; c.ShardByGroup = true }},
 		{"nosched", func(c *Config) { c.DisableActivitySched = true }},
 		{"nocache", func(c *Config) { c.DisableRouteCache = true }},
-		{"shard4-nosched", func(c *Config) { c.Workers = 4; c.ShardByGroup = true; c.DisableActivitySched = true }},
+		{"workers4-nosched", func(c *Config) { c.Workers = 4; c.DisableActivitySched = true }},
 	}
 	for _, v := range variants {
 		digest, res := run(v.mutate)
@@ -222,7 +221,6 @@ func TestJobStatsConservation(t *testing.T) {
 	}{
 		{"serial", nil},
 		{"workers4", func(c *Config) { c.Workers = 4 }},
-		{"shard4", func(c *Config) { c.Workers = 4; c.ShardByGroup = true }},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := DefaultConfig(2)
