@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race loc bench bench-json bench-h6 bench-h8 bench-compare golden-regen vet cover cover-check figures figures-h6 fuzz serve smoke-serve smoke-trace clean
+.PHONY: all build test test-short test-race loc bench bench-json bench-h6 bench-h8 bench-compare golden-regen vet cover cover-check figures figures-h6 fuzz serve smoke-serve smoke-trace smoke-cli clean
 
 all: build test
 
@@ -28,8 +28,8 @@ cover:
 # Non-test Go line counts (plain wc -l) of the packages ROADMAP items 2-3 set
 # their acceptance numbers on.
 loc:
-	@for d in internal/network internal/router . cmd; do \
-		printf '%-18s %6d\n' $$d $$(find $$d $$([ $$d = cmd ] || echo -maxdepth 1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	@for d in internal/network internal/router internal/service . cmd examples; do \
+		printf '%-18s %6d\n' $$d $$(find $$d $$([ $$d = cmd ] || [ $$d = examples ] || echo -maxdepth 1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
 
 # Coverage floor over the internal packages (the simulation engine). The
@@ -62,7 +62,7 @@ BENCH_TIMEOUT ?= 40m
 bench-json:
 	$(GO) test ./internal/network -run '^$$' -bench 'StepByLoad|StepPhases|NetworkStep|PoolDispatch|Snapshot' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -timeout $(BENCH_TIMEOUT) \
 		| $(GO) run ./cmd/benchjson -phases \
-		-note "Snapshot* rows are the checkpoint layer: encode/restore a warm h=3 image (~0.7 MB) in ~3 ms, full Fork ~9 ms — the fixed cost each warm-fork sweep point pays." \
+		-note "Snapshot* rows are the checkpoint layer: encode/restore a warm h=3 image (~0.7 MB) in ~3 ms, full Fork ~9 ms — library API only: sweep points measure their warm network in place and do not fork." \
 		-note "warm-cache sweep speedup: sweep -h 3 -points 5 -warmup 3000 -measure 1000 with -checkpoint/-restore dropped 1.43 s -> 0.53 s (~2.7x) on the second invocation, restoring all 5 points and skipping 15000 warmup cycles; CSV rows bit-identical (TestWarmCacheSweep)." \
 		-note "h6 rows are the full-scale regime (876 routers): no pool (serial) vs a 4-worker pool (shard4) through the auto cutover (on a single-P host the caller walks every phase of both; on multicore the shard4 rows dispatch whole groups to the pool, bit-identically — TestH6ShardedSmoke). The h=3 workersN rows go through the same group-stealing dispatch. The group-sharding PR cut the saturated (load=0.90) h=6 serial step from 6.84 ms (min of 3, pre-PR engine on this machine) to 4.35-4.9 ms (~1.5x on the min-fold) via per-group SoA arenas, block-carved packet allocation, the Cycle head/arbiter prefetch pass and the serial event-loop lookahead." \
 		-note "h8 rows are the stretch regime the sharded injection front-end opened (a=16, 129 groups, 2064 routers, 16512 nodes): load edges only, 500-cycle warm-up — a cost tracker, not the paper protocol. StepPhases rows carry the per-phase breakdown (see the phases map); the host block records the machine shape the numbers were taken on." \
@@ -101,7 +101,7 @@ bench-compare:
 
 # Regenerate every paper figure at laptop scale (h=3) with SVG charts.
 figures:
-	$(GO) run ./cmd/experiments -fig all -h 3 -points 8 -svg figures | tee experiments_h3.txt
+	$(GO) run ./cmd/experiments -fig all -h 3 -points 8 -svg figures
 
 # Paper-scale (h=6, 5256 nodes) headline figure; -workers engages the
 # group-stealing pool on multicore hosts (bit-identical results either way).
@@ -137,6 +137,33 @@ smoke-trace:
 	rep=$$(grep 'grant digest' $(or $(TMPDIR),/tmp)/smoke_replay.txt); \
 	echo "record: $$rec"; echo "replay: $$rep"; \
 	[ -n "$$rec" ] && [ "$$rec" = "$$rep" ] || { echo "trace replay digest mismatch"; exit 1; }
+
+# CLI smoke (h=2, seconds): the contracts the CLIs share with the library,
+# end to end. A sweep run twice against one -checkpoint/-restore directory
+# prints identical CSV and the second run restores every point; a
+# -dump-config file fed back through -config reproduces the flag run's -q
+# row; -workers 4 changes no byte of the report; and the report header shows
+# the effective configuration (no escape ring under -routing min).
+SMOKE := $(or $(TMPDIR),/tmp)/ofar-smoke-cli
+smoke-cli:
+	rm -rf $(SMOKE) && mkdir -p $(SMOKE)
+	$(GO) build -o $(SMOKE)/ ./cmd/ofarsim ./cmd/sweep
+	@cd $(SMOKE) && set -e; \
+	sw="./sweep -h 2 -routing OFAR -pattern ADV+1 -from 0.1 -to 0.5 -points 3 -warmup 500 -measure 1000 -checkpoint warm -restore warm"; \
+	$$sw > cold.csv 2> cold.log; $$sw > warm.csv 2> warm.log; cat warm.log; \
+	cmp cold.csv warm.csv; \
+	grep -q '3 point(s) restored (1500 warmup cycles skipped), 0 warmed' warm.log; \
+	sim="-pattern UN -load 0.3 -warmup 500 -measure 1000"; \
+	./ofarsim -h 2 -routing OFAR -seed 5 $$sim -q > flags.row; \
+	./ofarsim -h 2 -routing OFAR -seed 5 -dump-config > cfg.json; \
+	./ofarsim -config cfg.json $$sim -q > config.row; \
+	cmp flags.row config.row; \
+	./ofarsim -h 2 -routing OFAR $$sim > serial.txt; \
+	./ofarsim -h 2 -routing OFAR $$sim -workers 4 > pool.txt; \
+	cmp serial.txt pool.txt; \
+	./ofarsim -h 2 -routing min $$sim | tee min.txt | head -1; \
+	head -1 min.txt | grep -q 'escape ring: none'; \
+	echo "smoke-cli: ok"
 
 fuzz:
 	$(GO) test -fuzz FuzzTopologyInvariants -fuzztime 30s ./internal/topology

@@ -9,15 +9,15 @@ import (
 	"path/filepath"
 
 	"ofar/internal/network"
-	"ofar/internal/traffic"
 )
 
 // WarmState is a network that has finished its warm-up phase and is held as
-// a measurement parent: every Measure call forks it and runs the measurement
-// window on the fork, leaving the parent untouched. This turns the paper's
-// warm-then-measure methodology into "warm once, fork N times" — and because
-// a fork is bit-identical to the original, a measurement taken off a fork
-// equals the classic uninterrupted RunSteady run exactly.
+// a measurement parent: every Measure call forks it and runs the window on
+// the fork, leaving the parent untouched — the API for taking several windows
+// off one warm-up, each equal to the uninterrupted RunSteady run exactly. A
+// sweep point needs its warm state once and does not pay for a fork:
+// RunSweepPoint measures in place, as MeasureInPlace does for a state held
+// here.
 //
 // Warm states serialize: Snapshot writes the parent's full image, and
 // WarmFromSnapshot rebuilds a warm state from one without re-simulating the
@@ -25,7 +25,6 @@ import (
 // golden-trace digest and the normalized configuration, so a stale file can
 // never silently resume into changed physics — it just fails to restore.
 type WarmState struct {
-	cfg     Config
 	load    float64
 	pattern string
 	net     *network.Network
@@ -35,15 +34,7 @@ type WarmState struct {
 // pattern and load, and simulates the warm-up phase (with the latency
 // histogram enabled, exactly as RunSteady does). Close the result when done.
 func Warm(cfg Config, ps PatternSpec, load float64, warmup int) (*WarmState, error) {
-	n, err := network.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	pattern := ps.build(n.Topo)
-	n.SetGenerator(traffic.NewBernoulli(pattern, load, cfg.PacketSize))
-	n.Stats.EnableHistogram()
-	n.Run(warmup)
-	return &WarmState{cfg: cfg, load: load, pattern: pattern.Name(), net: n}, nil
+	return warmState(cfg, ps, load, warmup, nil)
 }
 
 // WarmFromSnapshot rebuilds a warm state from a snapshot written by
@@ -52,17 +43,15 @@ func Warm(cfg Config, ps PatternSpec, load float64, warmup int) (*WarmState, err
 // pattern and load re-create the identical traffic source, whose RNG
 // position the snapshot carries).
 func WarmFromSnapshot(cfg Config, ps PatternSpec, load float64, r io.Reader) (*WarmState, error) {
-	n, err := network.New(cfg)
+	return warmState(cfg, ps, load, 0, r)
+}
+
+func warmState(cfg Config, ps PatternSpec, load float64, warmup int, snap io.Reader) (*WarmState, error) {
+	n, pattern, err := bernoulliPoint(cfg, ps, load, warmup).warm(snap)
 	if err != nil {
 		return nil, err
 	}
-	pattern := ps.build(n.Topo)
-	n.SetGenerator(traffic.NewBernoulli(pattern, load, cfg.PacketSize))
-	if err := n.Restore(r); err != nil {
-		n.Close()
-		return nil, err
-	}
-	return &WarmState{cfg: cfg, load: load, pattern: pattern.Name(), net: n}, nil
+	return &WarmState{load: load, pattern: pattern, net: n}, nil
 }
 
 // Warmup returns the simulated cycle the warm state is parked at.
@@ -85,6 +74,13 @@ func (w *WarmState) Measure(measure int) (SteadyResult, error) {
 	}
 	defer n.Close()
 	return measureSteady(n, w.pattern, w.load, measure)
+}
+
+// MeasureInPlace runs one window on the warm network itself — no fork — with
+// the result Measure would give. It spends the warm state (the network moves
+// on), so it is for the last, or only, window.
+func (w *WarmState) MeasureInPlace(measure int) (SteadyResult, error) {
+	return measureSteady(w.net, w.pattern, w.load, measure)
 }
 
 // MeasureTimed is Measure with per-phase Step timing enabled on the fork,
@@ -112,66 +108,12 @@ func EngineDigest() uint64 { return network.EngineDigest() }
 
 // CanonicalConfigJSON returns the canonical identity of a configuration: its
 // JSON encoding with the wall-clock-only execution fields (Workers,
-// ShardByGroup, scheduler/cache toggles) normalized away. Two configurations that provably simulate bit-identically — differing only
-// in those fields — canonicalize to the same bytes, which is what lets the
-// warm-snapshot cache and the sweep service's result cache share entries
-// across execution settings.
+// ShardByGroup, scheduler/cache toggles) normalized away. Two configurations
+// that differ only in those fields provably simulate bit-identically and
+// canonicalize to the same bytes, which is what lets the warm-snapshot cache
+// and the sweep service's result cache share entries across execution
+// settings.
 func CanonicalConfigJSON(cfg Config) ([]byte, error) { return network.SnapshotConfigJSON(cfg) }
-
-// sweepPoint produces one sweep point through the warm-fork path, consulting
-// the options' warm cache. It reports whether the point's warmup was skipped
-// by a cache hit.
-func sweepPoint(cfg Config, ps PatternSpec, load float64, warmup, measure int, opt SweepOptions) (SteadyResult, bool, error) {
-	w, restored, err := warmFor(cfg, ps, load, warmup, opt)
-	if err != nil {
-		return SteadyResult{}, false, err
-	}
-	defer w.Close()
-	if opt.PhaseSink != nil {
-		res, ph, err := w.MeasureTimed(measure)
-		if err == nil {
-			opt.PhaseSink(ph)
-		}
-		return res, restored, err
-	}
-	res, err := w.Measure(measure)
-	return res, restored, err
-}
-
-// warmFor obtains the warm state for one sweep point: from the restore
-// directory when a usable snapshot exists there, otherwise by simulating the
-// warm-up (and checkpointing it when a checkpoint directory is set).
-func warmFor(cfg Config, ps PatternSpec, load float64, warmup int, opt SweepOptions) (*WarmState, bool, error) {
-	var name string
-	if opt.RestoreDir != "" || opt.CheckpointDir != "" {
-		var err error
-		if name, err = warmSnapshotName(cfg, ps, load, warmup); err != nil {
-			return nil, false, err
-		}
-	}
-	if opt.RestoreDir != "" {
-		if f, err := os.Open(filepath.Join(opt.RestoreDir, name)); err == nil {
-			w, rerr := WarmFromSnapshot(cfg, ps, load, f)
-			f.Close()
-			if rerr == nil {
-				return w, true, nil
-			}
-			// Stale or corrupt entry (different physics, truncated write):
-			// fall through and warm from cycle 0 like a cache miss.
-		}
-	}
-	w, err := Warm(cfg, ps, load, warmup)
-	if err != nil {
-		return nil, false, err
-	}
-	if opt.CheckpointDir != "" {
-		if err := writeWarmSnapshot(filepath.Join(opt.CheckpointDir, name), w); err != nil {
-			w.Close()
-			return nil, false, err
-		}
-	}
-	return w, false, nil
-}
 
 // warmSnapshotName derives the cache file name of a warm state from
 // everything that determines it: the snapshot-normalized configuration (so
@@ -188,10 +130,10 @@ func warmSnapshotName(cfg Config, ps PatternSpec, load float64, warmup int) (str
 	return fmt.Sprintf("warm-%016x.ofarsnap", h.Sum64()), nil
 }
 
-// writeWarmSnapshot persists a warm state atomically (temp file + rename), so
+// writeWarmSnapshot persists a warm network atomically (temp file + rename), so
 // concurrent sweep points — or concurrent sweep processes sharing a cache
 // directory — never observe a half-written snapshot.
-func writeWarmSnapshot(path string, w *WarmState) error {
+func writeWarmSnapshot(path string, n *network.Network) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
@@ -199,18 +141,15 @@ func writeWarmSnapshot(path string, w *WarmState) error {
 	if err != nil {
 		return err
 	}
-	if err := w.Snapshot(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	err = n.Snapshot(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
-		return err
 	}
-	return nil
+	return err
 }

@@ -2,9 +2,12 @@ package ofar
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func warmTestConfig() Config {
@@ -114,7 +117,7 @@ func TestWarmSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestWarmCacheSweep is the sweep acceptance test: a cached sweep reports the
-// same rows as the classic sweep, and a second invocation against the cache
+// same rows as per-point RunSteady, and a second invocation against the cache
 // re-simulates zero warmup cycles. A poisoned cache entry must degrade to a
 // plain warm-up, never to a wrong row.
 func TestWarmCacheSweep(t *testing.T) {
@@ -122,11 +125,14 @@ func TestWarmCacheSweep(t *testing.T) {
 	loads := []float64{0.1, 0.5, 0.8}
 	const warmup, measure = 250, 300
 	dir := t.TempDir()
-	opt := SweepOptions{Parallel: 2, CheckpointDir: dir, RestoreDir: dir}
+	opt := SweepOptions{CheckpointDir: dir, RestoreDir: dir}
 
-	classic, err := RunLoadSweep(cfg, Uniform(), loads, warmup, measure)
-	if err != nil {
-		t.Fatal(err)
+	classic := make([]SteadyResult, len(loads))
+	for i, l := range loads {
+		var err error
+		if classic[i], err = RunSteady(cfg, Uniform(), l, warmup, measure); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	first, st1, err := RunLoadSweepOpt(cfg, Uniform(), loads, warmup, measure, opt)
@@ -174,6 +180,123 @@ func TestWarmCacheSweep(t *testing.T) {
 		if third[i] != classic[i] {
 			t.Fatalf("load %.2f after cache poisoning: %+v != %+v", loads[i], third[i], classic[i])
 		}
+	}
+}
+
+// TestSweepPointInPlace pins the one path every sweep point takes: whether
+// the point warms from cycle 0, warms and writes its checkpoint (then measures
+// on the very network it snapshotted, route caches warm), or resumes that
+// checkpoint, the window runs in place and the row is RunSteady's, field for
+// field — across pool widths, with a fault schedule that straddles the
+// warm-up boundary, and with the phase sink on (called once, covering exactly
+// the window).
+func TestSweepPointInPlace(t *testing.T) {
+	const warmup, measure = 300, 400
+	for _, workers := range []int{0, 4} {
+		for _, faulted := range []bool{false, true} {
+			cfg := warmTestConfig()
+			cfg.Workers = workers
+			if faulted {
+				cfg.Faults = []Fault{
+					{Cycle: 150, Kind: FaultLink, Router: 0, Port: 5},
+					{Cycle: 350, Kind: FaultRouter, Router: 7},
+				}
+			}
+			want, err := RunSteady(cfg, Uniform(), 0.6, warmup, measure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, timed := range []bool{false, true} {
+				dir := t.TempDir()
+				for _, step := range []struct {
+					name     string
+					opt      SweepOptions
+					restored bool
+				}{
+					{"cold", SweepOptions{}, false},
+					{"cold+checkpoint", SweepOptions{CheckpointDir: dir}, false},
+					{"restored", SweepOptions{RestoreDir: dir}, true},
+				} {
+					var sunk []PhaseNanos
+					if timed {
+						step.opt.PhaseSink = func(ph PhaseNanos) { sunk = append(sunk, ph) }
+					}
+					got, restored, err := RunSweepPoint(cfg, Uniform(), 0.6, warmup, measure, step.opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					id := fmt.Sprintf("workers=%d faulted=%v timed=%v %s", workers, faulted, timed, step.name)
+					if got != want {
+						t.Errorf("%s: row diverged from RunSteady:\n got  %+v\n want %+v", id, got, want)
+					}
+					if restored != step.restored {
+						t.Errorf("%s: restored = %v, want %v", id, restored, step.restored)
+					}
+					if timed && (len(sunk) != 1 || sunk[0].Cycles != measure) {
+						t.Errorf("%s: phase sink got %+v, want one breakdown of %d cycles", id, sunk, measure)
+					}
+				}
+				if files, _ := os.ReadDir(dir); len(files) != 1 {
+					t.Errorf("checkpoint directory holds %d entries, want the one warm snapshot", len(files))
+				}
+			}
+		}
+	}
+}
+
+// TestSweepPointOwnsOnePool: a Workers=4 point runs on one network — one
+// resident pool while it lives (a forked measurement would hold two), none
+// once it returns.
+func TestSweepPointOwnsOnePool(t *testing.T) {
+	cfg := warmTestConfig()
+	cfg.Workers = 4
+	pool := cfg.PoolWidth() - 1 // goroutines a network parks besides its caller
+	before := runtime.NumGoroutine()
+	stop, done := make(chan struct{}), make(chan int)
+	go func() { // samples the goroutine count while the point runs
+		peak := 0
+		for {
+			select {
+			case <-stop:
+				done <- peak
+				return
+			default:
+				peak = max(peak, runtime.NumGoroutine())
+				runtime.Gosched()
+			}
+		}
+	}()
+	atSink := 0
+	opt := SweepOptions{CheckpointDir: t.TempDir(), PhaseSink: func(PhaseNanos) { atSink = runtime.NumGoroutine() }}
+	if _, _, err := RunSweepPoint(cfg, Uniform(), 0.6, 300, 2000, opt); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	peak := <-done
+	if want := before + 1 + pool; atSink != want || peak > want {
+		t.Errorf("goroutines: %d at the end of the window, peak %d, want %d (test + sampler + one pool of %d)", atSink, peak, want, pool)
+	}
+	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+		time.Sleep(time.Millisecond) // exiting workers are past Wait but may not be gone yet
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines left behind by a closed point", after-before)
+	}
+}
+
+// TestWarmSnapshotNamePinned holds the warm-cache file name of one fixed
+// point to the literal recorded at the commit before the sweep drivers were
+// folded into one point runner: a -restore directory (or sweepd warm dir)
+// written by an earlier build must keep hitting. The name does not depend on
+// the engine digest — a physics change makes the file fail to restore, not
+// change its name.
+func TestWarmSnapshotNamePinned(t *testing.T) {
+	name, err := warmSnapshotName(warmTestConfig(), Uniform(), 0.3, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "warm-2761de8e36cc3afc.ofarsnap"; name != want {
+		t.Fatalf("warm snapshot name %s, recorded %s — existing warm caches would miss", name, want)
 	}
 }
 

@@ -39,9 +39,8 @@ type scale struct {
 	restDir string // when non-empty, restore warm snapshots from here
 }
 
-// sweep runs one load sweep through the warm-fork driver, with the warm
-// cache when -checkpoint/-restore are set. Rows are bit-identical to the
-// classic per-point runs either way.
+// sweep runs one load sweep, with the warm cache when -checkpoint/-restore
+// are set. Rows are bit-identical to per-point RunSteady runs either way.
 func (sc scale) sweep(cfg ofar.Config, ps ofar.PatternSpec, loads []float64) ([]ofar.SteadyResult, error) {
 	rs, st, err := ofar.RunLoadSweepOpt(cfg, ps, loads, sc.warmup, sc.measure,
 		ofar.SweepOptions{CheckpointDir: sc.ckptDir, RestoreDir: sc.restDir})
@@ -261,14 +260,10 @@ func fig9m(sc scale, points int) {
 }
 
 func cfgFor(sc scale, rt ofar.Routing) ofar.Config {
-	cfg := ofar.DefaultConfig(sc.h)
+	cfg := ofar.DefaultConfig(sc.h).WithRouting(rt)
 	cfg.Seed = sc.seed
 	cfg.Workers = sc.workers
-	cfg.Routing = rt
 	cfg.Faults = sc.faults
-	if rt == ofar.MIN || rt == ofar.VAL || rt == ofar.PB || rt == ofar.UGAL {
-		cfg.Ring = ofar.RingNone
-	}
 	return cfg
 }
 

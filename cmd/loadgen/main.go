@@ -24,20 +24,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-type request struct {
-	H          int       `json:"h,omitempty"`
-	Routing    string    `json:"routing,omitempty"`
-	Pattern    string    `json:"pattern,omitempty"`
-	Seed       *uint64   `json:"seed,omitempty"`
-	Loads      []float64 `json:"loads"`
-	Warmup     int       `json:"warmup,omitempty"`
-	Measure    int       `json:"measure,omitempty"`
-	Jobs       string    `json:"jobs,omitempty"`
-	JobMap     string    `json:"job_map,omitempty"`
-	Background float64   `json:"background,omitempty"`
-}
+	"ofar"
+)
 
 type line struct {
 	Type      string  `json:"type"`
@@ -103,7 +92,7 @@ func main() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			req := request{H: *h, Routing: *routing, Pattern: *pattern, Loads: loads, Warmup: *warmup, Measure: *measure,
+			req := ofar.Experiment{H: *h, Routing: *routing, Pattern: *pattern, Loads: loads, Warmup: *warmup, Measure: *measure,
 				Jobs: *jobs, JobMap: *jobMap, Background: *bg}
 			if *jobs != "" {
 				req.Pattern = ""

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -23,7 +24,7 @@ func main() {
 	var (
 		h        = flag.Int("h", 3, "dragonfly parameter h (balanced: p=h, a=2h, max groups)")
 		groups   = flag.Int("groups", 0, "group count (0 = maximum size a*h+1)")
-		routing  = flag.String("routing", "OFAR", "routing mechanism: MIN, VAL, PB, UGAL-L, OFAR, OFAR-L")
+		routing  = flag.String("routing", "OFAR", "routing mechanism: MIN, VAL, PB, UGAL-L, PAR, OFAR, OFAR-L")
 		pattern  = flag.String("pattern", "UN", "traffic pattern: UN, ADV+<n>, MIX1, MIX2, MIX3")
 		load     = flag.Float64("load", 0.3, "offered load in phits/(node*cycle)")
 		warmup   = flag.Int("warmup", 3000, "warm-up cycles")
@@ -76,68 +77,57 @@ func main() {
 		}()
 	}
 
-	cfg := ofar.DefaultConfig(*h)
-	cfg.Groups = *groups
-	cfg.Seed = *seed
-	cfg.Routing = ofar.Routing(strings.ToUpper(*routing))
-	if cfg.Routing == ofar.PAR {
-		cfg.LocalVCs, cfg.InjVCs = 4, 4
+	// Flags → one Experiment → Resolve: the routing conventions, validation
+	// and pattern|jobs parsing are the resolver's. -load and the windows stay
+	// flags (-load doubles as the job scale; an explicit 0 means 0 cycles).
+	exp := ofar.Experiment{Jobs: *jobs, JobMap: *jobMap, Background: *bg}
+	if *jobs == "" {
+		exp.Pattern = *pattern
 	}
-	cfg.OFAR.NonMinFactor = *nonMin
-	cfg.OFAR.StaticNonMin = *static
-	cfg.OFAR.EscapeTimeout = *escapeTO
-	switch strings.ToLower(*ring) {
-	case "none":
-		cfg.Ring = ofar.RingNone
-	case "physical":
-		cfg.Ring = ofar.RingPhysical
-	case "embedded":
-		cfg.Ring = ofar.RingEmbedded
-	default:
-		fatal("unknown ring mode %q", *ring)
-	}
-	cfg.NumRings = *rings
-	if cfg.Routing == ofar.MIN || cfg.Routing == ofar.VAL ||
-		cfg.Routing == ofar.PB || cfg.Routing == ofar.UGAL ||
-		cfg.Routing == ofar.PAR {
-		cfg.Ring = ofar.RingNone // VC-ordered mechanisms need no escape ring
-	}
-
-	cfg.Workers = *workers
-
+	var base ofar.Config
 	if *confPath != "" {
-		loaded, err := ofar.LoadConfig(*confPath)
-		if err != nil {
-			fatal("%v", err)
-		}
-		cfg = loaded
-		// An explicit -workers flag overrides the file: it changes
-		// wall-clock time only, never results.
+		// The file is the whole network description; only an explicit
+		// -workers overrides it (wall-clock only, never results).
+		var err error
+		base, err = ofar.LoadConfig(*confPath)
+		check(err)
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "workers" {
-				cfg.Workers = *workers
+				base.Workers = *workers
 			}
 		})
+	} else {
+		base = ofar.DefaultConfig(*h)
+		base.Groups = *groups
+		base.Seed = *seed
+		base.OFAR.NonMinFactor = *nonMin
+		base.OFAR.StaticNonMin = *static
+		base.OFAR.EscapeTimeout = *escapeTO
+		mode, ok := map[string]ofar.RingMode{
+			"none": ofar.RingNone, "physical": ofar.RingPhysical, "embedded": ofar.RingEmbedded,
+		}[strings.ToLower(*ring)]
+		if !ok {
+			fatal("unknown ring mode %q", *ring)
+		}
+		base.Ring = mode
+		base.NumRings = *rings
+		base.Workers = *workers
+		exp.Routing = *routing
 	}
 	if *faults != "" {
 		fs, err := ofar.LoadFaults(*faults)
-		if err != nil {
-			fatal("%v", err)
-		}
-		cfg.Faults = fs
+		check(err)
+		base.Faults = fs
 	}
+	exp.Config = &base
+	r, err := exp.Resolve()
+	check(err)
+	cfg, ps := r.Config, r.Pattern
 	if *dumpConf {
 		data, err := ofar.ConfigToJSON(cfg)
-		if err != nil {
-			fatal("%v", err)
-		}
+		check(err)
 		fmt.Println(string(data))
 		return
-	}
-
-	ps, err := ofar.ParsePattern(*pattern, cfg.H)
-	if err != nil {
-		fatal("%v", err)
 	}
 
 	// Trace replay: re-inject a recorded stream through a fresh network. A
@@ -148,9 +138,7 @@ func main() {
 			fatal("-trace-in composes with none of -jobs, -checkpoint, -restore")
 		}
 		recs, engine, err := ofar.LoadTrace(*traceIn)
-		if err != nil {
-			fatal("%v", err)
-		}
+		check(err)
 		if engine != 0 && engine != ofar.EngineDigest() {
 			fmt.Fprintf(os.Stderr, "ofarsim: warning: trace written by engine %016x, this build is %016x — replay will not be bit-identical\n",
 				engine, ofar.EngineDigest())
@@ -174,22 +162,10 @@ func main() {
 	}
 
 	// Job-level workload: N concurrent jobs with per-job statistics.
-	if *jobs != "" {
+	if r.Jobs != nil {
 		if *ckpt != "" || *restore != "" {
 			fatal("-jobs does not compose with -checkpoint/-restore yet")
 		}
-		w, err := ofar.ParseWorkload(*jobs)
-		if err != nil {
-			fatal("%v", err)
-		}
-		switch strings.ToLower(*jobMap) {
-		case "linear":
-		case "random":
-			w.RandomMap = true
-		default:
-			fatal("unknown job mapping %q (linear, random)", *jobMap)
-		}
-		w.Background = *bg
 		// Jobs carry their own loads; -load is a scale factor on all of
 		// them, applied only when given explicitly (its 0.3 default is the
 		// single-pattern convention, not a sensible implicit job scaling).
@@ -205,12 +181,12 @@ func main() {
 		)
 		if *traceOut != "" {
 			var recs []ofar.TraceRecord
-			jr, recs, digest, err = ofar.RunJobsTraced(cfg, w, scale, *warmup, *measure)
+			jr, recs, digest, err = ofar.RunJobsTraced(cfg, *r.Jobs, scale, *warmup, *measure)
 			if err == nil {
 				err = ofar.SaveTrace(*traceOut, recs)
 			}
 		} else {
-			jr, err = ofar.RunJobs(cfg, w, scale, *warmup, *measure)
+			jr, err = ofar.RunJobs(cfg, *r.Jobs, scale, *warmup, *measure)
 		}
 		if err != nil {
 			fatal("simulation failed: %v", err)
@@ -259,45 +235,30 @@ func main() {
 			fatal("simulation failed: %v", err)
 		}
 	} else {
-		// Checkpoint/restore path: hold the warm state explicitly. A
-		// measurement off it is bit-identical to RunSteady above.
+		// Checkpoint/restore path: hold the warm state explicitly and
+		// measure on it in place — bit-identical to RunSteady above.
 		var w *ofar.WarmState
 		if *restore != "" {
-			f, err := os.Open(*restore)
-			if err != nil {
-				fatal("%v", err)
-			}
-			w, err = ofar.WarmFromSnapshot(cfg, ps, *load, f)
-			f.Close()
-			if err != nil {
+			data, err := os.ReadFile(*restore)
+			check(err)
+			if w, err = ofar.WarmFromSnapshot(cfg, ps, *load, bytes.NewReader(data)); err != nil {
 				fatal("restoring %s: %v", *restore, err)
 			}
-		} else {
-			var err error
-			w, err = ofar.Warm(cfg, ps, *load, *warmup)
-			if err != nil {
-				fatal("simulation failed: %v", err)
-			}
+		} else if w, err = ofar.Warm(cfg, ps, *load, *warmup); err != nil {
+			fatal("simulation failed: %v", err)
 		}
+		defer w.Close()
 		if *ckpt != "" {
-			f, err := os.Create(*ckpt)
-			if err != nil {
-				w.Close()
-				fatal("%v", err)
-			}
-			err = w.Snapshot(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
+			var img bytes.Buffer
+			err := w.Snapshot(&img)
+			if err == nil {
+				err = os.WriteFile(*ckpt, img.Bytes(), 0o644)
 			}
 			if err != nil {
-				w.Close()
 				fatal("writing checkpoint %s: %v", *ckpt, err)
 			}
 		}
-		var err error
-		res, err = w.Measure(*measure)
-		w.Close()
-		if err != nil {
+		if res, err = w.MeasureInPlace(*measure); err != nil {
 			fatal("simulation failed: %v", err)
 		}
 	}
@@ -310,12 +271,7 @@ func main() {
 		}
 		return
 	}
-	numGroups := cfg.Groups
-	if numGroups == 0 {
-		numGroups = cfg.A*cfg.H + 1
-	}
-	fmt.Printf("network       : h=%d (p=%d a=%d groups=%d, %d nodes), %s escape ring x%d\n",
-		*h, cfg.P, cfg.A, numGroups, cfg.P*cfg.A*numGroups, strings.ToLower(*ring), *rings)
+	fmt.Println(networkLine(cfg))
 	fmt.Printf("routing       : %s\n", res.Routing)
 	fmt.Printf("traffic       : %s at %.3f phits/(node*cycle)\n", res.Pattern, res.Load)
 	fmt.Printf("avg latency   : %.1f cycles (network %.1f, max %d)\n",
@@ -333,6 +289,28 @@ func main() {
 	if *traceOut != "" {
 		fmt.Printf("grant digest  : %016x\n", traceDigest)
 		fmt.Printf("trace written : %s\n", *traceOut)
+	}
+}
+
+// networkLine is the report's first line, printed from the effective
+// configuration — after -config and the routing conventions — never from
+// the flag values.
+func networkLine(cfg ofar.Config) string {
+	groups := cfg.Groups
+	if groups == 0 {
+		groups = cfg.A*cfg.H + 1
+	}
+	ring := "escape ring: none"
+	if cfg.Ring != ofar.RingNone {
+		ring = fmt.Sprintf("%v escape ring x%d", cfg.Ring, cfg.NumRings)
+	}
+	return fmt.Sprintf("network       : h=%d (p=%d a=%d groups=%d, %d nodes), %s",
+		cfg.H, cfg.P, cfg.A, groups, cfg.P*cfg.A*groups, ring)
+}
+
+func check(err error) {
+	if err != nil {
+		fatal("%v", err)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"ofar"
 )
@@ -18,7 +17,7 @@ import (
 func main() {
 	var (
 		h       = flag.Int("h", 3, "dragonfly parameter h")
-		routing = flag.String("routing", "OFAR", "routing mechanism")
+		routing = flag.String("routing", "OFAR", "routing mechanism: MIN, VAL, PB, UGAL-L, PAR, OFAR, OFAR-L")
 		pattern = flag.String("pattern", "UN", "traffic pattern: UN, ADV+<n>, MIX1..3")
 		from    = flag.Float64("from", 0.05, "first load point")
 		to      = flag.Float64("to", 1.0, "last load point")
@@ -37,30 +36,13 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := ofar.DefaultConfig(*h)
-	cfg.Seed = *seed
-	cfg.Workers = *workers
+	base := ofar.DefaultConfig(*h)
+	base.Seed = *seed
+	base.Workers = *workers
 	if *faults != "" {
 		fs, err := ofar.LoadFaults(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.Faults = fs
-	}
-	cfg.Routing = ofar.Routing(strings.ToUpper(*routing))
-	if cfg.Routing == ofar.PAR {
-		cfg.LocalVCs, cfg.InjVCs = 4, 4
-	}
-	if cfg.Routing == ofar.MIN || cfg.Routing == ofar.VAL ||
-		cfg.Routing == ofar.PB || cfg.Routing == ofar.UGAL ||
-		cfg.Routing == ofar.PAR {
-		cfg.Ring = ofar.RingNone
-	}
-	ps, err := ofar.ParsePattern(*pattern, *h)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
+		check(err)
+		base.Faults = fs
 	}
 	loads := make([]float64, *points)
 	for i := range loads {
@@ -70,33 +52,26 @@ func main() {
 			loads[i] = *from + (*to-*from)*float64(i)/float64(*points-1)
 		}
 	}
+	// The routing conventions, validation and pattern|jobs parsing are the
+	// resolver's; the windows stay flags so an explicit 0 means 0 cycles.
+	exp := ofar.Experiment{Config: &base, Routing: *routing, Loads: loads,
+		Jobs: *jobs, JobMap: *jobMap, Background: *bg}
+	if *jobs == "" {
+		exp.Pattern = *pattern
+	}
+	r, err := exp.Resolve()
+	check(err)
+	cfg, ps := r.Config, r.Pattern
 	// Job-level sweep: the load axis scales every job's load, and the CSV
 	// carries one row per (scale, job) so per-job curves plot directly.
-	if *jobs != "" {
-		w, err := ofar.ParseWorkload(*jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
-		}
-		switch strings.ToLower(*jobMap) {
-		case "linear":
-		case "random":
-			w.RandomMap = true
-		default:
-			fmt.Fprintf(os.Stderr, "sweep: unknown job mapping %q\n", *jobMap)
-			os.Exit(1)
-		}
-		w.Background = *bg
+	if r.Jobs != nil {
 		if *seeds > 1 || *ckpt != "" || *restore != "" {
 			fmt.Fprintln(os.Stderr, "sweep: -seeds/-checkpoint/-restore apply to pattern sweeps; ignoring")
 		}
 		fmt.Println("routing,job,nodes,scale,avg_latency,p50,p99,throughput,delivered,dropped")
-		for _, scale := range loads {
-			jr, err := ofar.RunJobs(cfg, w, scale, *warmup, *measure)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-				os.Exit(1)
-			}
+		for _, scale := range r.Loads {
+			jr, err := ofar.RunJobs(cfg, *r.Jobs, scale, *warmup, *measure)
+			check(err)
 			for _, j := range jr.Jobs {
 				fmt.Printf("%s,%s,%d,%.4f,%.2f,%.1f,%.1f,%.5f,%d,%d\n",
 					jr.Agg.Routing, j.Job, j.Nodes, scale, j.AvgLatency,
@@ -110,12 +85,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sweep: -checkpoint/-restore apply to single-seed sweeps; ignoring")
 		}
 		fmt.Println("routing,pattern,load,runs,lat_mean,lat_sd,thr_mean,thr_sd,escape_mean")
-		for _, load := range loads {
+		for _, load := range r.Loads {
 			rep, err := ofar.RunReplicated(cfg, ps, load, *warmup, *measure, *seeds)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-				os.Exit(1)
-			}
+			check(err)
 			fmt.Printf("%s,%s,%.4f,%d,%.2f,%.2f,%.5f,%.5f,%.5f\n",
 				cfg.Routing, ps.Name(), load, rep.Runs,
 				rep.AvgLatency.Mean, rep.AvgLatency.StdDev,
@@ -124,30 +96,32 @@ func main() {
 		}
 		return
 	}
-	opt := ofar.SweepOptions{Parallel: 1, CheckpointDir: *ckpt, RestoreDir: *restore}
-	var total ofar.SweepStats
+	opt := ofar.SweepOptions{CheckpointDir: *ckpt, RestoreDir: *restore}
+	restored := 0
 	fmt.Println("routing,pattern,load,avg_latency,net_latency,p50,p99,throughput,avg_hops,global_mis,local_mis,ring_enters,delivered,dropped,fault_reroutes")
-	for _, load := range loads {
-		// One point per call keeps the CSV streaming while every point
-		// still goes through the warm-fork path and the warm cache.
-		rs, st, err := ofar.RunLoadSweepOpt(cfg, ps, []float64{load}, *warmup, *measure, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
+	for _, load := range r.Loads {
+		// One point per call keeps the CSV streaming.
+		row, hit, err := ofar.RunSweepPoint(cfg, ps, load, *warmup, *measure, opt)
+		check(err)
+		if hit {
+			restored++
 		}
-		total.Warmed += st.Warmed
-		total.Restored += st.Restored
-		total.WarmupCyclesRun += st.WarmupCyclesRun
-		total.WarmupCyclesSkipped += st.WarmupCyclesSkipped
-		r := rs[0]
 		fmt.Printf("%s,%s,%.4f,%.2f,%.2f,%.1f,%.1f,%.5f,%.3f,%d,%d,%d,%d,%d,%d\n",
-			r.Routing, r.Pattern, r.Load, r.AvgLatency, r.AvgNetLatency,
-			r.P50Latency, r.P99Latency,
-			r.Throughput, r.AvgHops, r.GlobalMisroutes, r.LocalMisroutes,
-			r.RingEnters, r.Delivered, r.Dropped, r.FaultReroutes)
+			row.Routing, row.Pattern, row.Load, row.AvgLatency, row.AvgNetLatency,
+			row.P50Latency, row.P99Latency,
+			row.Throughput, row.AvgHops, row.GlobalMisroutes, row.LocalMisroutes,
+			row.RingEnters, row.Delivered, row.Dropped, row.FaultReroutes)
 	}
 	if *ckpt != "" || *restore != "" {
+		warmed := len(r.Loads) - restored
 		fmt.Fprintf(os.Stderr, "sweep: warm cache: %d point(s) restored (%d warmup cycles skipped), %d warmed (%d cycles)\n",
-			total.Restored, total.WarmupCyclesSkipped, total.Warmed, total.WarmupCyclesRun)
+			restored, restored**warmup, warmed, warmed**warmup)
+	}
+}
+
+func check(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(1)
 	}
 }

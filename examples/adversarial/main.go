@@ -29,11 +29,7 @@ func main() {
 	fmt.Printf("%-8s %12s %12s %14s %14s\n",
 		"routing", "saturation", "latency@0.1", "misroutes/pkt", "ring-use")
 	for _, rt := range []ofar.Routing{ofar.MIN, ofar.VAL, ofar.PB, ofar.OFARL, ofar.OFAR} {
-		cfg := base
-		cfg.Routing = rt
-		if rt != ofar.OFAR && rt != ofar.OFARL {
-			cfg.Ring = ofar.RingNone // VC-ordered baselines need no escape ring
-		}
+		cfg := base.WithRouting(rt) // VC-ordered baselines take no escape ring
 		sat, err := ofar.RunSteady(cfg, ofar.Adv(h), 1.0, 3000, 5000)
 		if err != nil {
 			log.Fatal(err)

@@ -27,11 +27,7 @@ func main() {
 	for _, ps := range patterns {
 		cycles := map[ofar.Routing]int64{}
 		for _, rt := range []ofar.Routing{ofar.PB, ofar.OFAR, ofar.OFARL} {
-			cfg := ofar.DefaultConfig(h)
-			cfg.Routing = rt
-			if rt == ofar.PB {
-				cfg.Ring = ofar.RingNone
-			}
+			cfg := ofar.DefaultConfig(h).WithRouting(rt)
 			res, err := ofar.RunBurst(cfg, ps, perNode, 50_000_000)
 			if err != nil {
 				log.Fatal(err)

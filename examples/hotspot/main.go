@@ -17,11 +17,7 @@ import (
 func main() {
 	const h = 3
 	for _, rt := range []ofar.Routing{ofar.VAL, ofar.OFAR} {
-		cfg := ofar.DefaultConfig(h)
-		cfg.Routing = rt
-		if rt == ofar.VAL {
-			cfg.Ring = ofar.RingNone
-		}
+		cfg := ofar.DefaultConfig(h).WithRouting(rt)
 		sim, err := ofar.NewSimulator(cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -20,11 +20,7 @@ func main() {
 
 	for _, rt := range []ofar.Routing{ofar.MIN, ofar.OFAR} {
 		for _, random := range []bool{false, true} {
-			cfg := ofar.DefaultConfig(h)
-			cfg.Routing = rt
-			if rt == ofar.MIN {
-				cfg.Ring = ofar.RingNone
-			}
+			cfg := ofar.DefaultConfig(h).WithRouting(rt)
 			ps := ofar.Stencil3D(7, 7, 6, random)
 			lat, err := ofar.RunSteady(cfg, ps, 0.3, 3000, 4000)
 			if err != nil {

@@ -32,11 +32,7 @@ func main() {
 		fmt.Printf("%-10s %10s %10s %10s\n", "cycle", "PB", "OFAR", "OFAR-L")
 		series := map[ofar.Routing]map[int64]float64{}
 		for _, rt := range []ofar.Routing{ofar.PB, ofar.OFAR, ofar.OFARL} {
-			cfg := ofar.DefaultConfig(h)
-			cfg.Routing = rt
-			if rt == ofar.PB {
-				cfg.Ring = ofar.RingNone
-			}
+			cfg := ofar.DefaultConfig(h).WithRouting(rt)
 			res, err := ofar.RunTransient(cfg, c.from, c.to, c.load, 4000, 3000, 4000, 250)
 			if err != nil {
 				log.Fatal(err)

@@ -1,7 +1,9 @@
 package ofar
 
 import (
+	"errors"
 	"math"
+	"path/filepath"
 	"runtime"
 	"sync"
 
@@ -45,22 +47,14 @@ type SteadyResult struct {
 // reach steady state, then measure cycles of measurement, and returns the
 // averages (paper §VI-A methodology).
 func RunSteady(cfg Config, ps PatternSpec, load float64, warmup, measure int) (SteadyResult, error) {
-	n, err := network.New(cfg)
-	if err != nil {
-		return SteadyResult{}, err
-	}
-	defer n.Close()
-	pattern := ps.build(n.Topo)
-	n.SetGenerator(traffic.NewBernoulli(pattern, load, cfg.PacketSize))
-	n.Stats.EnableHistogram()
-	n.Run(warmup)
-	return measureSteady(n, pattern.Name(), load, measure)
+	res, _, _, err := bernoulliPoint(cfg, ps, load, warmup).run(measure)
+	return res, err
 }
 
 // measureSteady runs the measurement window on an already-warm network and
-// collects the steady-state result. It is the shared tail of RunSteady and
-// WarmState.Measure: the two paths must stay field-for-field identical, which
-// is what lets a warm-fork sweep report the same rows as a classic one.
+// collects the steady-state result. It is the shared tail of every point and
+// of WarmState.Measure, which is what keeps a measurement off a fork
+// field-for-field identical to an uninterrupted run.
 func measureSteady(n *network.Network, pattern string, load float64, measure int) (SteadyResult, error) {
 	base := n.Stats
 	ringEnters0, gm0, lm0, rx0 := base.RingEnters, base.GlobalMisroutes, base.LocalMisroutes, base.RingExits
@@ -95,52 +89,8 @@ func measureSteady(n *network.Network, pattern string, load float64, measure int
 	return res, nil
 }
 
-// RunLoadSweep runs one steady-state point per load, reusing the
-// configuration. Each point warms a parent network once and measures on a
-// fork of it (see WarmState), which is bit-identical to the classic
-// warm-then-measure run and leaves the warm state reusable — pass a warm
-// cache via RunLoadSweepOpt to skip warmup entirely on later invocations.
-func RunLoadSweep(cfg Config, ps PatternSpec, loads []float64, warmup, measure int) ([]SteadyResult, error) {
-	out := make([]SteadyResult, 0, len(loads))
-	for _, l := range loads {
-		r, _, err := sweepPoint(cfg, ps, l, warmup, measure, SweepOptions{})
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// RunLoadSweepParallel runs the sweep points concurrently, one network per
-// point. Results are identical to RunLoadSweep: every point builds its own
-// network whose RNG streams derive only from cfg.Seed, so parallelism does
-// not perturb determinism — and neither does cfg.Workers, the intra-network
-// parallel router stage, which is bit-identical to the serial engine.
-//
-// The two levels compose, coarsely: workers bounds the sweep's concurrency
-// budget (≤ 0 uses GOMAXPROCS), and each concurrently simulated network
-// owns a resident pool of cfg.PoolWidth() workers. Dividing the caller's
-// budget by that width would over-throttle: pool workers are resident but
-// *parked* whenever the cutover leaves a phase to the Step caller, which is
-// the whole low-load half of a typical sweep, so a small explicit budget
-// (say 3, as the sweep tests pass) would pin the sweep to one network while
-// nearly every pool goroutine slept. The cap is therefore calibrated to the
-// machine: max(1, GOMAXPROCS/cfg.PoolWidth()) in-flight networks — the
-// honest bound for the steady state where every network is saturated and
-// every pool busy — further capped by an explicit caller budget only when
-// that budget is smaller.
-func RunLoadSweepParallel(cfg Config, ps PatternSpec, loads []float64, warmup, measure, workers int) ([]SteadyResult, error) {
-	out, _, err := RunLoadSweepOpt(cfg, ps, loads, warmup, measure, SweepOptions{Parallel: workers})
-	return out, err
-}
-
-// SweepOptions tunes the load-sweep driver beyond the classic signatures.
+// SweepOptions tunes the load-sweep driver.
 type SweepOptions struct {
-	// Parallel bounds the number of concurrently simulated points
-	// (RunLoadSweepParallel semantics; ≤ 0 derives the bound from
-	// GOMAXPROCS and cfg.Workers). RunLoadSweep uses a serial loop.
-	Parallel int
 	// CheckpointDir, when non-empty, receives one warm-state snapshot per
 	// sweep point, keyed by (normalized config, pattern, load, warmup).
 	CheckpointDir string
@@ -153,8 +103,8 @@ type SweepOptions struct {
 	// PhaseSink, when non-nil, turns on per-phase Step timing for each
 	// point's measurement window and receives the window's accumulated
 	// breakdown once per point. The sink must be safe for concurrent calls
-	// (parallel sweeps measure points concurrently). Timing never affects
-	// results — only where the wall-clock went (see network.PhaseNanos).
+	// (sweeps measure points concurrently). Timing never affects results —
+	// only where the wall-clock went (see network.PhaseNanos).
 	PhaseSink func(PhaseNanos)
 }
 
@@ -171,60 +121,62 @@ type SweepStats struct {
 	WarmupCyclesSkipped int64 // cycles the cache saved
 }
 
-// RunLoadSweepOpt is the load sweep with explicit options: concurrency and an
-// optional disk warm cache. Results are bit-identical to RunLoadSweep and to
-// the classic per-point RunSteady, whichever path each point takes — restored
-// warm state is the same state, byte for byte.
+// RunLoadSweepOpt runs one RunSweepPoint per load, concurrently. Every point
+// builds its own network whose RNG streams derive only from cfg.Seed, so rows
+// are bit-identical to per-point RunSteady however each point got its warm
+// state. max(1, GOMAXPROCS/cfg.PoolWidth()) networks are in flight: each owns
+// a resident pool of that width, all busy once the sweep is saturated.
 func RunLoadSweepOpt(cfg Config, ps PatternSpec, loads []float64, warmup, measure int, opt SweepOptions) ([]SteadyResult, SweepStats, error) {
-	workers := opt.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nets := workers
-	if width := cfg.PoolWidth(); width > 1 {
-		nets = min(workers, max(1, runtime.GOMAXPROCS(0)/width))
-	}
 	out := make([]SteadyResult, len(loads))
 	errs := make([]error, len(loads))
 	restored := make([]bool, len(loads))
-	sem := make(chan struct{}, nets)
+	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)/cfg.PoolWidth()))
 	var wg sync.WaitGroup
-	for i, l := range loads {
+	for i, load := range loads {
 		wg.Add(1)
-		go func(i int, load float64) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			out[i], restored[i], errs[i] = sweepPoint(cfg, ps, load, warmup, measure, opt)
-		}(i, l)
+			out[i], restored[i], errs[i] = RunSweepPoint(cfg, ps, load, warmup, measure, opt)
+		}()
 	}
 	wg.Wait()
-	var st SweepStats
+	st := SweepStats{Warmed: len(loads)}
 	for _, r := range restored {
 		if r {
 			st.Restored++
-			st.WarmupCyclesSkipped += int64(warmup)
-		} else {
-			st.Warmed++
-			st.WarmupCyclesRun += int64(warmup)
+			st.Warmed--
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return out, st, err
-		}
-	}
-	return out, st, nil
+	st.WarmupCyclesSkipped = int64(st.Restored) * int64(warmup)
+	st.WarmupCyclesRun = int64(st.Warmed) * int64(warmup)
+	return out, st, errors.Join(errs...)
 }
 
-// RunSweepPoint produces one steady-state sweep point through the warm-fork
-// path — exactly the per-point work of RunLoadSweepOpt, exposed for callers
-// that schedule points themselves (the sweep service's worker pool). The
-// returned flag reports whether the point's warm-up was skipped by a warm
-// snapshot from opt.RestoreDir. Results are bit-identical to RunLoadSweep,
-// RunLoadSweepOpt and the classic per-point RunSteady.
+// RunSweepPoint produces one sweep point: RunSteady plus the options' warm
+// cache and phase sink. A usable snapshot in opt.RestoreDir replaces the
+// warm-up simulation (the returned flag reports it); a point that did warm up
+// writes its snapshot to opt.CheckpointDir before measuring. Either way the
+// window runs on the warm network in place and the row is bit-identical to
+// RunSteady's — restored warm state is the same state, byte for byte.
 func RunSweepPoint(cfg Config, ps PatternSpec, load float64, warmup, measure int, opt SweepOptions) (SteadyResult, bool, error) {
-	return sweepPoint(cfg, ps, load, warmup, measure, opt)
+	p := bernoulliPoint(cfg, ps, load, warmup)
+	p.phaseSink = opt.PhaseSink
+	if opt.RestoreDir != "" || opt.CheckpointDir != "" {
+		name, err := warmSnapshotName(cfg, ps, load, warmup)
+		if err != nil {
+			return SteadyResult{}, false, err
+		}
+		if opt.RestoreDir != "" {
+			p.restore = filepath.Join(opt.RestoreDir, name)
+		}
+		if opt.CheckpointDir != "" {
+			p.checkpoint = filepath.Join(opt.CheckpointDir, name)
+		}
+	}
+	res, restored, _, err := p.run(measure)
+	return res, restored, err
 }
 
 // SaturationLoad estimates the saturation throughput of a configuration
@@ -356,17 +308,12 @@ func RunTransient(cfg Config, before, after PatternSpec, load float64, warmup, r
 	return res, nil
 }
 
-// DegradationPoint is one point of the fault-degradation curve: steady-state
-// performance with a given number of failed global links.
+// DegradationPoint is one point of the fault-degradation curve: the
+// steady-state result with a given number of failed global links (Dropped,
+// FaultReroutes and AffectedFlows are the fault transient's footprint).
 type DegradationPoint struct {
 	FailedLinks int
-	Throughput  float64 // accepted, phits/(node·cycle)
-	AvgLatency  float64
-	P99Latency  float64
-
-	Dropped       int64 // packets lost to the fault transient
-	FaultReroutes int64 // adaptive decisions forced by a dead minimal port
-	AffectedFlows int   // distinct (src,dst) pairs a fault touched
+	SteadyResult
 }
 
 // RunDegradation measures OFAR's graceful degradation: for each count in
@@ -386,30 +333,11 @@ func RunDegradation(cfg Config, ps PatternSpec, load float64, faultAt int64, max
 			}
 			c.Faults = faults
 		}
-		n, err := network.New(c)
+		r, err := RunSteady(c, ps, load, warmup, measure)
 		if err != nil {
 			return points, err
 		}
-		pattern := ps.build(n.Topo)
-		n.SetGenerator(traffic.NewBernoulli(pattern, load, c.PacketSize))
-		n.Stats.EnableHistogram()
-		n.Run(warmup)
-		n.Stats.StartMeasurement(n.Now())
-		n.Run(measure)
-		err = n.CheckConservation()
-		points = append(points, DegradationPoint{
-			FailedLinks:   count,
-			Throughput:    n.Stats.Throughput(n.Now()),
-			AvgLatency:    n.Stats.AvgLatency(),
-			P99Latency:    n.Stats.LatencyQuantile(0.99),
-			Dropped:       n.Stats.Dropped,
-			FaultReroutes: n.Stats.FaultReroutes,
-			AffectedFlows: n.Stats.AffectedFlows(),
-		})
-		n.Close()
-		if err != nil {
-			return points, err
-		}
+		points = append(points, DegradationPoint{count, r})
 	}
 	return points, nil
 }

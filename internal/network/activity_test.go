@@ -8,16 +8,8 @@ import (
 )
 
 // idleConfig returns a serial test configuration for one routing mechanism,
-// covering the VC requirements of every engine (PAR needs the extra
-// source-group hop VC).
-func idleConfig(rt Routing) Config {
-	cfg := testConfig(rt)
-	if rt == PAR {
-		cfg.Ring = RingNone
-		cfg.LocalVCs, cfg.InjVCs = 4, 4
-	}
-	return cfg
-}
+// covering the VC requirements of every engine (see Config.WithRouting).
+func idleConfig(rt Routing) Config { return testConfig(rt) }
 
 // requireIdlePurity calls Cycle directly on every router of a quiescent
 // network and requires the call to be side-effect-free: no grants, no RNG

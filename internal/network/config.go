@@ -245,6 +245,23 @@ func DefaultConfig(h int) Config {
 	}
 }
 
+// WithRouting returns c running mechanism rt under the VC conventions, which
+// live only here: the VC-ordered baselines take no escape ring, PAR's extra
+// source-group hop takes 4 local/injection VCs, OFAR/OFAR-L keep c's ring.
+func (c Config) WithRouting(rt Routing) Config {
+	c.Routing = rt
+	switch rt {
+	case PAR:
+		if c.LocalVCs < 4 || c.InjVCs < 4 {
+			c.LocalVCs, c.InjVCs = 4, 4
+		}
+		fallthrough
+	case MIN, VAL, PB, UGAL:
+		c.Ring = RingNone
+	}
+	return c
+}
+
 // numGroups resolves Groups (0 = the maximum size a·h+1).
 func (c *Config) numGroups() int {
 	if c.Groups == 0 {

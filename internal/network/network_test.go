@@ -1,6 +1,7 @@
 package network
 
 import (
+	"reflect"
 	"testing"
 
 	"ofar/internal/topology"
@@ -9,14 +10,7 @@ import (
 
 // testConfig returns a small h=2 network with paper-style parameters scaled
 // for test speed.
-func testConfig(rt Routing) Config {
-	cfg := DefaultConfig(2)
-	cfg.Routing = rt
-	if rt == MIN || rt == VAL || rt == PB || rt == UGAL {
-		cfg.Ring = RingNone
-	}
-	return cfg
-}
+func testConfig(rt Routing) Config { return DefaultConfig(2).WithRouting(rt) }
 
 func mustNet(t testing.TB, cfg Config) *Network {
 	t.Helper()
@@ -72,6 +66,44 @@ func TestConfigValidation(t *testing.T) {
 	cfg.OFAR.EscapeTimeout = -1
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("explicitly unprotected OFAR rejected: %v", err)
+	}
+}
+
+// TestWithRoutingConventions pins the one home of the VC-management
+// conventions: VC-ordered baselines lose the escape ring, PAR also gains its
+// fourth local/injection VC, OFAR and OFAR-L keep the ring they were given
+// (an explicit embedded ring included); the result validates, and applying
+// the convention twice changes nothing.
+func TestWithRoutingConventions(t *testing.T) {
+	for _, rt := range []Routing{MIN, VAL, PB, UGAL, PAR, OFAR, OFARL} {
+		base := DefaultConfig(2)
+		base.Ring, base.NumRings = RingEmbedded, 2
+		got := base.WithRouting(rt)
+		want := base
+		want.Routing = rt
+		switch rt {
+		case OFAR, OFARL:
+		case PAR:
+			want.LocalVCs, want.InjVCs = 4, 4
+			fallthrough
+		default:
+			want.Ring = RingNone
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %+v, want %+v", rt, got, want)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("%s: convention yields an invalid config: %v", rt, err)
+		}
+		if again := got.WithRouting(rt); !reflect.DeepEqual(again, got) {
+			t.Errorf("%s: not idempotent: %+v then %+v", rt, got, again)
+		}
+	}
+	// PAR keeps VC counts that already suffice.
+	wide := DefaultConfig(2)
+	wide.LocalVCs, wide.InjVCs = 5, 6
+	if got := wide.WithRouting(PAR); got.LocalVCs != 5 || got.InjVCs != 6 {
+		t.Errorf("PAR shrank sufficient VC counts to %d/%d", got.LocalVCs, got.InjVCs)
 	}
 }
 

@@ -70,11 +70,7 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	for _, tc := range cases {
 		name := string(tc.routing) + "/" + tc.traffic
 		t.Run(name, func(t *testing.T) {
-			base := DefaultConfig(3)
-			base.Routing = tc.routing
-			if tc.routing != OFAR && tc.routing != OFARL {
-				base.Ring = RingNone
-			}
+			base := DefaultConfig(3).WithRouting(tc.routing)
 			mk := func(workers int, noSched bool) *Network {
 				cfg := base
 				cfg.Workers = workers

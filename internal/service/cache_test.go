@@ -130,6 +130,39 @@ func TestPointKeyChangesWithEngineDigest(t *testing.T) {
 	}
 }
 
+// pinnedEngine is the EngineDigest() of the build the literal cache
+// identities below were recorded from: the commit before the request resolver
+// moved into ofar.Experiment. It enters the keys as an input, so the test
+// keeps holding after a deliberate physics change moves the live digest.
+const pinnedEngine = 0x157c630a8efe4df6
+
+// TestPointKeysPinned holds the cache identity of three fixed requests to
+// literals, not to self-agreement: a results directory written by an earlier
+// build must keep being served as hits, so no refactor of the resolver, its
+// defaults and conventions, or the canonical config JSON may move a key.
+func TestPointKeysPinned(t *testing.T) {
+	cfg := ofar.DefaultConfig(2)
+	cfg.Seed = 7
+	cases := []struct {
+		req  Request
+		want uint64
+	}{
+		{Request{H: 2, Routing: "min", Loads: []float64{0.1}}, 0x73a5975b0e60448b},
+		{Request{Config: &cfg, Routing: "PAR", Loads: []float64{0.2}, Warmup: 500, Measure: 700}, 0x4a752dd667754069},
+		{Request{H: 2, Jobs: "a2a:12@0.5,ring:12@0.2", JobMap: "random", Background: 0.05,
+			Loads: []float64{0.5}, Warmup: 200, Measure: 400}, 0x81e07c566c1b3463},
+	}
+	for i, c := range cases {
+		r, err := resolveBounded(c.req, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pointKey(r.Canon, r.PatternName(), r.Loads[0], r.Warmup, r.Measure, pinnedEngine); got != c.want {
+			t.Errorf("request %d: point key %016x, recorded %016x — existing result caches would miss", i, got, c.want)
+		}
+	}
+}
+
 func TestDiskCacheRejectsDifferentDigest(t *testing.T) {
 	dir := t.TempDir()
 	const key = uint64(7)

@@ -29,7 +29,7 @@ import (
 )
 
 // PointRunner computes one sweep point. The default is ofar.RunSweepPoint
-// (the warm-fork path RunLoadSweepOpt uses); tests substitute counting or
+// (the per-point work of RunLoadSweepOpt); tests substitute counting or
 // blocking runners.
 type PointRunner func(cfg ofar.Config, ps ofar.PatternSpec, load float64, warmup, measure int, opt ofar.SweepOptions) (ofar.SteadyResult, bool, error)
 
@@ -204,15 +204,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, errorResponse{Error: "parsing request: " + err.Error()})
 		return
 	}
-	res, err := resolveRequest(req, s.opts.MaxLoads)
+	res, err := resolveBounded(req, s.opts.MaxLoads)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 
-	keys := make([]uint64, len(res.loads))
-	for i, l := range res.loads {
-		keys[i] = pointKey(res.canon, res.patternName(), l, res.warmup, res.measure, s.digest)
+	keys := make([]uint64, len(res.Loads))
+	for i, l := range res.Loads {
+		keys[i] = pointKey(res.Canon, res.PatternName(), l, res.Warmup, res.Measure, s.digest)
 	}
 
 	// Admission: count the points that would create NEW work — not cached,
@@ -261,15 +261,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	start := time.Now()
-	lines := make(chan PointResponse, len(res.loads))
-	for i := range res.loads {
+	lines := make(chan PointResponse, len(res.Loads))
+	for i := range res.Loads {
 		go func(i int) {
 			lines <- s.point(rs, res, keys[i], i)
 		}(i)
 	}
 	var sum SummaryResponse
 	enc := json.NewEncoder(w)
-	for range res.loads {
+	for range res.Loads {
 		line := <-lines
 		sum.Points++
 		switch line.Source {
@@ -301,11 +301,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // admission-controlled pool. The returned line carries the result bytes
 // exactly as the simulation marshaled them, so identical points are
 // byte-identical across cache hits, coalesced waits and fresh computations.
-func (s *Server) point(rs *reqState, res resolved, key uint64, index int) PointResponse {
+func (s *Server) point(rs *reqState, res ofar.Resolved, key uint64, index int) PointResponse {
 	line := PointResponse{
 		Type:  "point",
 		Index: index,
-		Load:  res.loads[index],
+		Load:  res.Loads[index],
 		Key:   fmt.Sprintf("%016x", key),
 	}
 	start := time.Now()
@@ -317,10 +317,13 @@ func (s *Server) point(rs *reqState, res resolved, key uint64, index int) PointR
 		s.met.observePoint(time.Since(start))
 		return line
 	}
+	lateHit := false // set by this goroutine only: Do runs a leader's fn inline
 	data, shared, err := s.flights.Do(key, func() ([]byte, error) {
 		// Double-check under the flight: the leader may have completed
-		// between our cache probe and this flight opening.
+		// between our cache probe and this flight opening. That is a cache
+		// hit, and is reported as one — nothing was computed.
 		if data, ok := s.cache.Get(key); ok {
+			lateHit = true
 			return data, nil
 		}
 		rs.consume()
@@ -329,11 +332,11 @@ func (s *Server) point(rs *reqState, res resolved, key uint64, index int) PointR
 			rerr error
 		)
 		done := make(chan struct{})
-		s.pool.Submit(res.cfg.PoolWidth(), func() {
+		s.pool.Submit(res.Config.PoolWidth(), func() {
 			defer close(done)
 			t0 := time.Now()
-			if res.jobs != nil {
-				r, err := s.jobsRun(res.cfg, *res.jobs, res.loads[index], res.warmup, res.measure)
+			if res.Jobs != nil {
+				r, err := s.jobsRun(res.Config, *res.Jobs, res.Loads[index], res.Warmup, res.Measure)
 				s.met.observeSim(time.Since(t0))
 				if err != nil {
 					rerr = err
@@ -342,7 +345,7 @@ func (s *Server) point(rs *reqState, res resolved, key uint64, index int) PointR
 				out, rerr = json.Marshal(r)
 				return
 			}
-			r, restored, err := s.runner(res.cfg, res.ps, res.loads[index], res.warmup, res.measure, s.sweepOptions())
+			r, restored, err := s.runner(res.Config, res.Pattern, res.Loads[index], res.Warmup, res.Measure, s.sweepOptions())
 			s.met.observeSim(time.Since(t0))
 			if err != nil {
 				rerr = err
@@ -362,10 +365,14 @@ func (s *Server) point(rs *reqState, res resolved, key uint64, index int) PointR
 	})
 	line.ElapsedUS = time.Since(start).Microseconds()
 	s.met.observePoint(time.Since(start))
-	if shared {
+	switch {
+	case shared:
 		s.met.coalesced.Add(1)
 		line.Source = "coalesced"
-	} else {
+	case lateHit:
+		s.met.hits.Add(1)
+		line.Source = "cache"
+	default:
 		s.met.misses.Add(1)
 		line.Source = "computed"
 	}
@@ -378,14 +385,13 @@ func (s *Server) point(rs *reqState, res resolved, key uint64, index int) PointR
 	return line
 }
 
-// sweepOptions builds the per-point SweepOptions: serial within the point
-// (the pool provides cross-point concurrency); with a disk directory
-// configured, the shared warm-snapshot cache so long points warm once and
-// fork per load across requests; and the metrics phase sink, so /metrics
-// can report where the service's simulation seconds go per Step phase.
+// sweepOptions builds the per-point SweepOptions: with a disk directory
+// configured, the shared warm-snapshot cache, so a point warmed once is
+// resumed — not re-warmed — whenever a later request (another window, a
+// restarted server) needs it; and the metrics phase sink, so /metrics can
+// report where the service's simulation seconds go per Step phase.
 func (s *Server) sweepOptions() ofar.SweepOptions {
 	return ofar.SweepOptions{
-		Parallel:      1,
 		CheckpointDir: s.warmDir,
 		RestoreDir:    s.warmDir,
 		PhaseSink:     s.met.observePhases,

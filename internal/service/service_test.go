@@ -135,7 +135,7 @@ func TestServerSmoke(t *testing.T) {
 	}
 
 	// (c) Responses must be byte-identical to RunLoadSweepOpt run directly.
-	direct, _, err := ofar.RunLoadSweepOpt(cfg, ofar.Uniform(), loads, warmup, measure, ofar.SweepOptions{Parallel: 1})
+	direct, _, err := ofar.RunLoadSweepOpt(cfg, ofar.Uniform(), loads, warmup, measure, ofar.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

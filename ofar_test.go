@@ -107,25 +107,35 @@ func TestRunSteadyRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestRunLoadSweep(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.Routing = MIN
-	cfg.Ring = RingNone
-	loads := []float64{0.1, 0.3}
-	rs, err := RunLoadSweep(cfg, Uniform(), loads, 500, 1500)
+// TestRunLoadSweepOptMatchesRunSteady: the concurrent sweep is the per-point
+// RunSteady, row for row (every point builds its own network from cfg.Seed),
+// and its curve is sane below saturation.
+func TestRunLoadSweepOptMatchesRunSteady(t *testing.T) {
+	cfg := DefaultConfig(2).WithRouting(MIN)
+	loads := []float64{0.1, 0.2, 0.3}
+	rs, st, err := RunLoadSweepOpt(cfg, Uniform(), loads, 500, 1500, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 2 {
-		t.Fatalf("results: %d", len(rs))
+	if len(rs) != len(loads) || st.Warmed != len(loads) || st.Restored != 0 {
+		t.Fatalf("%d rows, stats %+v", len(rs), st)
 	}
-	if rs[0].Throughput >= rs[1].Throughput {
+	for i, l := range loads {
+		want, err := RunSteady(cfg, Uniform(), l, 500, 1500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs[i] != want {
+			t.Errorf("load %.1f: sweep row %+v, RunSteady %+v", l, rs[i], want)
+		}
+	}
+	if rs[0].Throughput >= rs[2].Throughput {
 		t.Errorf("throughput not increasing below saturation: %.3f vs %.3f",
-			rs[0].Throughput, rs[1].Throughput)
+			rs[0].Throughput, rs[2].Throughput)
 	}
-	if rs[0].AvgLatency > rs[1].AvgLatency {
+	if rs[0].AvgLatency > rs[2].AvgLatency {
 		t.Errorf("latency decreasing with load: %.1f vs %.1f",
-			rs[0].AvgLatency, rs[1].AvgLatency)
+			rs[0].AvgLatency, rs[2].AvgLatency)
 	}
 }
 
@@ -189,28 +199,6 @@ func TestSaturationLoad(t *testing.T) {
 	}
 	if sat < 0.3 || sat > 1.0 {
 		t.Errorf("UN saturation %.3f out of plausible range", sat)
-	}
-}
-
-// TestParallelSweepMatchesSerial: parallel execution must be bit-identical
-// to the serial sweep (deterministic per-point RNG derivation).
-func TestParallelSweepMatchesSerial(t *testing.T) {
-	cfg := DefaultConfig(2)
-	loads := []float64{0.1, 0.2, 0.3}
-	serial, err := RunLoadSweep(cfg, Adv(2), loads, 500, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunLoadSweepParallel(cfg, Adv(2), loads, 500, 1000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i].Delivered != parallel[i].Delivered ||
-			serial[i].AvgLatency != parallel[i].AvgLatency ||
-			serial[i].Throughput != parallel[i].Throughput {
-			t.Errorf("point %d differs: serial %+v vs parallel %+v", i, serial[i], parallel[i])
-		}
 	}
 }
 

@@ -7,14 +7,7 @@ import "testing"
 // full suite stays fast. The benchmark harness regenerates the figures at
 // full scale.
 
-func steadyCfg(rt Routing) Config {
-	cfg := DefaultConfig(3)
-	cfg.Routing = rt
-	if rt == MIN || rt == VAL || rt == PB || rt == UGAL {
-		cfg.Ring = RingNone
-	}
-	return cfg
-}
+func steadyCfg(rt Routing) Config { return DefaultConfig(3).WithRouting(rt) }
 
 // TestFig3Shape: under uniform traffic OFAR saturates no lower than MIN and
 // clearly above PB; latency at low load is competitive with MIN while PB

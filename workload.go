@@ -220,26 +220,15 @@ func RunJobsTraced(cfg Config, w Workload, scale float64, warmup, measure int) (
 	return res, rec.Records(), digest, err
 }
 
-func runJobs(cfg Config, w Workload, scale float64, warmup, measure int, rec *trace.Recorder) (JobsResult, uint64, error) {
-	n, err := network.New(cfg)
-	if err != nil {
-		return JobsResult{}, 0, err
-	}
-	defer n.Close()
-	gen, err := w.generator(n.Topo, cfg, scale)
-	if err != nil {
-		return JobsResult{}, 0, err
-	}
-	n.SetGenerator(gen)
-	n.Stats.EnableHistogram()
-	n.EnableGrantDigest()
-	if rec != nil {
-		n.SetTraceRecorder(rec)
-	}
-	n.Run(warmup)
-	agg, err := measureSteady(n, w.Name(), scale, measure)
-	res := JobsResult{Workload: w.Name(), Scale: scale, Agg: agg, Jobs: collectJobs(n)}
-	digest, _ := n.GrantDigest()
+func runJobs(cfg Config, w Workload, scale float64, warmup, measure int, rec *trace.Recorder) (res JobsResult, digest uint64, err error) {
+	res = JobsResult{Workload: w.Name(), Scale: scale}
+	p := &point{cfg: cfg, load: scale, warmup: warmup, digest: rec != nil, rec: rec,
+		source: func(n *network.Network) (traffic.Generator, string, error) {
+			gen, err := w.generator(n.Topo, cfg, scale)
+			return gen, res.Workload, err
+		},
+		collect: func(n *network.Network) { res.Jobs = collectJobs(n) }}
+	res.Agg, _, digest, err = p.run(measure)
 	return res, digest, err
 }
 
@@ -332,20 +321,10 @@ type TraceRecord = trace.Record
 // RunSteadyTraced is RunSteady with trace recording: it additionally returns
 // the generated-packet records and the run's grant digest.
 func RunSteadyTraced(cfg Config, ps PatternSpec, load float64, warmup, measure int) (SteadyResult, []TraceRecord, uint64, error) {
-	n, err := network.New(cfg)
-	if err != nil {
-		return SteadyResult{}, nil, 0, err
-	}
-	defer n.Close()
-	pattern := ps.build(n.Topo)
-	n.SetGenerator(traffic.NewBernoulli(pattern, load, cfg.PacketSize))
-	n.Stats.EnableHistogram()
-	n.EnableGrantDigest()
 	var rec trace.Recorder
-	n.SetTraceRecorder(&rec)
-	n.Run(warmup)
-	res, err := measureSteady(n, pattern.Name(), load, measure)
-	digest, _ := n.GrantDigest()
+	p := bernoulliPoint(cfg, ps, load, warmup)
+	p.digest, p.rec = true, &rec
+	res, _, digest, err := p.run(measure)
 	return res, rec.Records(), digest, err
 }
 
@@ -354,21 +333,15 @@ func RunSteadyTraced(cfg Config, ps PatternSpec, load float64, warmup, measure i
 // recorded by RunSteadyTraced/RunJobsTraced on the same Config reproduces
 // the original run's grant digest bit-identically.
 func ReplayTrace(cfg Config, recs []TraceRecord, warmup, measure int) (SteadyResult, uint64, error) {
-	n, err := network.New(cfg)
-	if err != nil {
-		return SteadyResult{}, 0, err
-	}
-	defer n.Close()
-	gen, err := traffic.NewTraceReplay(recs, n.Topo.Nodes)
-	if err != nil {
-		return SteadyResult{}, 0, err
-	}
-	n.SetGenerator(gen)
-	n.Stats.EnableHistogram()
-	n.EnableGrantDigest()
-	n.Run(warmup)
-	res, err := measureSteady(n, gen.Name(), 0, measure)
-	digest, _ := n.GrantDigest()
+	p := &point{cfg: cfg, warmup: warmup, digest: true,
+		source: func(n *network.Network) (traffic.Generator, string, error) {
+			gen, err := traffic.NewTraceReplay(recs, n.Topo.Nodes)
+			if err != nil {
+				return nil, "", err
+			}
+			return gen, gen.Name(), nil
+		}}
+	res, _, digest, err := p.run(measure)
 	return res, digest, err
 }
 
