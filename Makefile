@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race loc bench bench-json bench-h6 bench-h8 bench-compare golden-regen vet cover cover-check figures figures-h6 fuzz serve smoke-serve smoke-trace smoke-cli clean
+.PHONY: all build test test-short test-race loc footprint bench bench-json bench-h6 bench-h8 bench-compare golden-regen vet cover cover-check figures figures-h6 fuzz serve smoke-serve smoke-trace smoke-cli clean
 
 all: build test
 
@@ -28,9 +28,15 @@ cover:
 # Non-test Go line counts (plain wc -l) of the packages ROADMAP items 2-3 set
 # their acceptance numbers on.
 loc:
-	@for d in internal/network internal/router internal/service . cmd examples; do \
+	@for d in internal/network internal/router internal/simcore internal/service . cmd examples; do \
 		printf '%-18s %6d\n' $$d $$(find $$d $$([ $$d = cmd ] || [ $$d = examples ] || echo -maxdepth 1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
+
+# What a constructed network costs: arena state, heap after New and warm
+# snapshot size at h=2/3/6/8 (the table in docs/ARCHITECTURE.md, "Memory
+# follows ownership"). The test also bounds the heap at h=3 and h=6.
+footprint:
+	$(GO) test ./internal/network -run '^TestConstructFootprint$$' -count=1 -v
 
 # Coverage floor over the internal packages (the simulation engine). The
 # floor is the measured total at the time the gate was added, rounded down —

@@ -1,0 +1,241 @@
+package network
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"ofar/internal/router"
+	"ofar/internal/simcore"
+	"ofar/internal/traffic"
+)
+
+// TestArenaExactFit pins the sizing pass to what construction consumes: over
+// every radix × ring layout × routing family Validate accepts, each group
+// arena ends New with nothing left over (slack) and nothing served by plain
+// make (spill) — router.ArenaSize.Add and NewInto/EnableRouteCache agree to
+// the element.
+func TestArenaExactFit(t *testing.T) {
+	hs := []int{2, 3, 6}
+	if testing.Short() {
+		hs = hs[:2]
+	}
+	rings := []struct {
+		name string
+		mode RingMode
+		n    int
+	}{{"none", RingNone, 0}, {"physical1", RingPhysical, 1}, {"physical2", RingPhysical, 2}, {"embedded", RingEmbedded, 1}}
+	for _, h := range hs {
+		for _, rg := range rings {
+			for _, rt := range []Routing{MIN, PB, PAR, OFAR} {
+				cfg := DefaultConfig(h).WithRouting(rt)
+				cfg.Ring, cfg.NumRings = rg.mode, rg.n
+				if cfg.Validate() != nil {
+					continue // OFAR needs its ring
+				}
+				n := mustNet(t, cfg)
+				for g, a := range n.arenas {
+					if a.Slack != 0 || a.Spill != 0 {
+						t.Errorf("h=%d ring=%s %s group %d: slack %d spill %d, want 0 0",
+							h, rg.name, rt, g, a.Slack, a.Spill)
+						break
+					}
+				}
+				n.Close()
+			}
+		}
+	}
+}
+
+// memDelta runs f and returns, in MB, the live heap it left behind and
+// everything it allocated on the way.
+func memDelta(f func()) (live, allocated float64) {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	allocated = float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20)
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	return (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / (1 << 20), allocated
+}
+
+// arenaBytes is the memory the slabs of one group arena occupy.
+func arenaBytes(sz router.ArenaSize) int {
+	return 8*(sz.Ints+sz.Int64s+sz.Uint64s+sz.PacketSlots) + 4*sz.Int32s + sz.Int8s +
+		sz.VCBuffers*int(unsafe.Sizeof(router.VCBuffer{})) + sz.Requests*int(unsafe.Sizeof(router.Request{})) +
+		sz.LRSs*int(unsafe.Sizeof(router.LRS{})) + sz.InPorts*int(unsafe.Sizeof(router.InPort{})) +
+		sz.OutPorts*int(unsafe.Sizeof(router.OutPort{}))
+}
+
+// TestConstructFootprint bounds what a constructed network holds — h=3 within
+// 4 MB (19.3 under fixed-size arena chunks), h=6 within 36 MB (83.7) — and
+// prints the footprint table docs/ARCHITECTURE.md quotes (`make footprint`):
+// the arenas' state, the heap after New, and a warm snapshot (UN at load 0.3,
+// cycle 1,000).
+func TestConstructFootprint(t *testing.T) {
+	bound := map[int]float64{3: 4, 6: 36}
+	hs := []int{2, 3, 6, 8}
+	if testing.Short() {
+		hs = hs[:2]
+	}
+	t.Logf("%2s %8s %9s %11s %12s", "h", "routers", "state MB", "heap MB", "snapshot MB")
+	for _, h := range hs {
+		cfg := DefaultConfig(h)
+		if h == 8 {
+			cfg.A = 16 // the stretch build (TestH8ShardedSmoke)
+		}
+		var n *Network
+		heap, _ := memDelta(func() { n = mustNet(t, cfg) })
+		state := 0
+		for _, a := range n.arenas {
+			state += arenaBytes(a.Size)
+		}
+		n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.3, cfg.PacketSize))
+		n.Run(1000)
+		snap := snapshotBytes(t, n)
+		t.Logf("%2d %8d %9.1f %11.1f %12.1f", h, len(n.Routers), float64(state)/(1<<20), heap, float64(len(snap))/(1<<20))
+		if max, ok := bound[h]; ok && heap > max {
+			t.Errorf("h=%d: New holds %.1f MB, want ≤ %.0f", h, heap, max)
+		}
+		n.Close()
+	}
+}
+
+// TestVCQueuesStayOnArena drives ADV+3 at load 1.0 on h=3 for 3,000 cycles —
+// local VCs that never fully empty — and requires every VC queue to still be
+// the ring NewInto carved: a queue that outgrew it would have moved to the
+// heap with a different size (1,836 of 3,762 did before the queues were rings).
+func TestVCQueuesStayOnArena(t *testing.T) {
+	cfg := DefaultConfig(3)
+	n := mustNet(t, cfg)
+	defer n.Close()
+	n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, 3), 1.0, cfg.PacketSize))
+	n.Run(3000)
+	total, off := 0, 0
+	for _, r := range n.Routers {
+		for i := range r.In {
+			for vc := range r.In[i].VCs {
+				b := &r.In[i].VCs[vc]
+				total++
+				if b.QueueSlots() != b.Capacity/cfg.PacketSize+1 {
+					off++
+				}
+			}
+		}
+	}
+	if off != 0 {
+		t.Fatalf("%d of %d VC queues left the arena", off, total)
+	}
+	for g, a := range n.arenas {
+		if a.Spill != 0 {
+			t.Fatalf("group %d arena spilled %d elements while running", g, a.Spill)
+		}
+	}
+}
+
+// TestRestoreAllocs pins the restore path's allocation count — one image
+// buffer, one packet block, a handful of small slices; 2,277 when every
+// packet was its own object behind a map — and that restoring twice into one
+// network (the reused wheel, the re-initialised rings) lands exactly where a
+// fresh restore does, now and 200 cycles on.
+func TestRestoreAllocs(t *testing.T) {
+	cfg := DefaultConfig(3)
+	cfg.Seed = 7
+	build := func() *Network {
+		n := mustNet(t, cfg)
+		n.EnableGrantDigest()
+		n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.3, cfg.PacketSize))
+		return n
+	}
+	src := build()
+	src.Run(500)
+	snap := snapshotBytes(t, src)
+	src.Close()
+
+	restore := func(n *Network) {
+		if err := n.Restore(bytes.NewReader(snap)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twice, fresh := build(), build()
+	defer twice.Close()
+	defer fresh.Close()
+	restore(twice)
+	twice.Run(137) // leave the first restore's state well behind
+	if allocs := testing.AllocsPerRun(5, func() { restore(twice) }); allocs > 100 {
+		t.Errorf("Restore of a warm h=3 image: %.0f allocs, want ≤ 100", allocs)
+	}
+	restore(fresh)
+	expectSameState(t, "second restore", twice, fresh)
+	twice.Run(200)
+	fresh.Run(200)
+	expectSameState(t, "200 cycles after a second restore", twice, fresh)
+}
+
+// TestRestoreBoundsPacketBlock: the packet block is sized by the bytes
+// actually present, not by the count field in front of them. An image with a
+// valid header and checksum whose payload claims 2^20 packets in 100 bytes is
+// rejected before anything near 2^20 packets is allocated.
+func TestRestoreBoundsPacketBlock(t *testing.T) {
+	n := snapNet(t, snapCfg(1, false), 0.6)
+	img := hostilePacketCount(t, n)
+	var err error
+	_, allocated := memDelta(func() { err = n.Restore(bytes.NewReader(img)) })
+	if err == nil {
+		t.Fatal("Restore accepted an image whose packet table is longer than its payload")
+	}
+	if allocated > 1 {
+		t.Fatalf("rejecting the image allocated %.1f MB, want < 1", allocated)
+	}
+}
+
+// hostilePacketCount returns an image for n's configuration that passes
+// every header check and carries the real payload of a cold network up to the
+// packet table, then a count of 2^20 packets and zero padding to 100 bytes
+// past it.
+func hostilePacketCount(t testing.TB, n *Network) []byte {
+	t.Helper()
+	var cold, marker simcore.Enc
+	n.encodePayload(&cold)
+	// A cold network has no packets: find its empty table by what surrounds
+	// the zero count — the pending-queue section (a queue count, a zero
+	// length per queue) and the ring count behind it.
+	marker.Int(0)
+	marker.Int(len(n.pending))
+	marker.Raw(make([]byte, 8*len(n.pending)))
+	marker.Int(len(n.Rings))
+	table := bytes.Index(cold.Data(), marker.Data())
+	if table < 0 {
+		t.Fatal("packet table not found in a cold payload")
+	}
+	var payload simcore.Enc
+	payload.Raw(cold.Data()[:table])
+	payload.Int(1 << 20)
+	payload.Raw(make([]byte, 100))
+	cfgJSON, err := SnapshotConfigJSON(n.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img simcore.Enc
+	img.Raw([]byte(snapMagic))
+	img.U64(SnapshotVersion)
+	img.U64(EngineDigest())
+	img.Bytes(cfgJSON)
+	img.U64(simcore.Checksum64(payload.Data()))
+	img.Bytes(payload.Data())
+	return img.Data()
+}
+
+// TestSnapPacketBytes keeps the constant Restore divides by equal to what
+// encodePacket writes.
+func TestSnapPacketBytes(t *testing.T) {
+	n := snapNet(t, snapCfg(1, false), 0.6)
+	var e simcore.Enc
+	encodePacket(&e, n.pool.Get())
+	if len(e.Data()) != snapPacketBytes {
+		t.Fatalf("encodePacket writes %d bytes, snapPacketBytes = %d", len(e.Data()), snapPacketBytes)
+	}
+}

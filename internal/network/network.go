@@ -98,6 +98,9 @@ type Network struct {
 
 	wheel *simcore.Wheel[event]
 
+	// arenas[g] backs every slice of group g's routers (router.Arena).
+	arenas []*router.Arena
+
 	// Packet allocation is split between a run-wide ID authority and
 	// per-group memory shards: pool owns the ID sequence (and the
 	// Outstanding counter snapshots carry), while poolG[g] owns the free
@@ -354,17 +357,17 @@ func New(cfg Config) (*Network, error) {
 	}
 
 	// Routers are constructed group by group into contiguous []Router slabs,
-	// each group's slices carved from a private arena: one dragonfly group —
-	// the ownership unit of the Step pipeline — then occupies a contiguous,
-	// cache-dense region instead of ~a·(2+ports·(4+vcs)) scattered heap
-	// objects.
-	n.Routers = make([]*router.Router, topo.Routers)
-	routerSlab := make([]router.Router, topo.Routers)
-	groupArena := make([]*router.Arena, topo.G)
-	for g := range groupArena {
-		groupArena[g] = router.NewArena()
-	}
-	for r := 0; r < topo.Routers; r++ {
+	// each group's slices carved from a private arena sized to exactly what
+	// its routers carve: one dragonfly group — the ownership unit of the Step
+	// pipeline — then occupies a contiguous, cache-dense region instead of
+	// ~a·(2+ports·(4+vcs)) scattered heap objects, and not a byte more.
+	//
+	// An engine that can report its Route read sets lets the routers memoize
+	// decisions (Validate guarantees ≤ 64 ports). PAR mutates packet headers
+	// mid-Route and stays uncached.
+	_, cacheable := n.Engine.(router.CacheableEngine)
+	cacheOn := cacheable && !cfg.DisableRouteCache
+	params := func(r int) router.Params {
 		ports := make([]router.PortSpec, nPorts)
 		for port := 0; port < topo.RouterPorts; port++ {
 			kind, peer, peerPort := topo.Peer(r, port)
@@ -420,8 +423,7 @@ func New(cfg Config) (*Network, error) {
 		if n.usePB {
 			pb = boards[topo.GroupOf(r)]
 		}
-		n.Routers[r] = &routerSlab[r]
-		router.NewInto(n.Routers[r], router.Params{
+		return router.Params{
 			ID:          r,
 			Topo:        topo,
 			PktSize:     cfg.PacketSize,
@@ -431,17 +433,31 @@ func New(cfg Config) (*Network, error) {
 			RingOuts:    ringOuts,
 			PB:          pb,
 			PBThreshold: cfg.Adaptive.PBThreshold,
-			Arena:       groupArena[topo.GroupOf(r)],
-		})
+		}
 	}
-	if !cfg.DisableRouteCache {
-		if _, ok := n.Engine.(router.CacheableEngine); ok {
-			// The engine can report its Route read sets, so the routers can
-			// memoize decisions (Validate guarantees ≤ 64 ports). PAR mutates
-			// packet headers mid-Route and stays uncached.
-			for _, rt := range n.Routers {
-				rt.EnableRouteCache()
-			}
+	n.Routers = make([]*router.Router, topo.Routers)
+	routerSlab := make([]router.Router, topo.Routers)
+	n.arenas = make([]*router.Arena, topo.G)
+	group := make([]router.Params, topo.A)
+	for g := range n.arenas {
+		var size router.ArenaSize
+		for i := range group {
+			group[i] = params(g*topo.A + i)
+			size.Add(group[i], cacheOn)
+		}
+		n.arenas[g] = router.NewArena(size)
+		for i := range group {
+			r := g*topo.A + i
+			group[i].Arena = n.arenas[g]
+			n.Routers[r] = &routerSlab[r]
+			router.NewInto(n.Routers[r], group[i])
+		}
+	}
+	if cacheOn {
+		// A second pass, so the cache arrays sit behind every router's
+		// construction-time arrays in the group's slabs.
+		for _, rt := range n.Routers {
+			rt.EnableRouteCache()
 		}
 	}
 

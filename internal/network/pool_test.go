@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -24,28 +25,53 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		workers int
 		noSched bool
 		timed   bool
+		h6      bool
 	}{
-		{"serial/sched", 0, false, false},
-		{"serial/nosched", 0, true, false},
-		{"serial/timed", 0, false, true},
-		{"workers4/sched", 4, false, false},
-		{"workers4/nosched", 4, true, false},
-		{"workers4/timed", 4, false, true},
+		{"serial/sched", 0, false, false, false},
+		{"serial/nosched", 0, true, false, false},
+		{"serial/timed", 0, false, true, false},
+		{"workers4/sched", 4, false, false, false},
+		{"workers4/nosched", 4, true, false, false},
+		{"workers4/timed", 4, false, true, false},
+		// The paper's scale (ROADMAP 1(d)): UN at load 0.3, warmed 2,000
+		// cycles, then snapshotted and restored in place — the window the
+		// benchmark measures, which used to re-grow a rebuilt wheel (~1
+		// alloc and ~40 KB a cycle). Non-short: the warm-up is ~2 s a case.
+		{name: "h6/serial", h6: true},
+		{name: "h6/workers4", workers: 4, h6: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig(2)
+			h, load, warm := 2, 0.4, 3000
+			if tc.h6 {
+				if testing.Short() {
+					t.Skip("h=6 warm-up in -short")
+				}
+				h, load, warm = 6, 0.3, 2000
+			}
+			cfg := DefaultConfig(h)
 			cfg.Workers = tc.workers
 			cfg.DisableActivitySched = tc.noSched
 			n := mustPoolNet(t, cfg)
 			if tc.timed {
 				n.EnablePhaseTimings()
 			}
-			n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.4, cfg.PacketSize))
-			n.Run(3000) // steady state: pools, queues and the wheel at capacity
+			n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), load, cfg.PacketSize))
+			n.Run(warm) // steady state: pools, queues and the wheel at capacity
+			if h == 6 {
+				if err := n.Restore(bytes.NewReader(snapshotBytes(t, n))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
 			allocs := testing.AllocsPerRun(300, n.Step)
+			runtime.ReadMemStats(&m1)
 			if allocs > 0.02 {
 				t.Fatalf("steady-state Step allocates: %.3f allocs/op, want 0", allocs)
+			}
+			if b := (m1.TotalAlloc - m0.TotalAlloc) / 301; b > 4096 {
+				t.Fatalf("steady-state Step allocates %d B/cycle, want amortized growth only (≤ 4096)", b)
 			}
 		})
 	}

@@ -2,9 +2,11 @@ package network
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -122,15 +124,17 @@ func (n *Network) Snapshot(w io.Writer) error {
 	n.encodePayload(&payload)
 	data := payload.Data()
 
-	var out simcore.Enc
-	out.Raw([]byte(snapMagic))
-	out.U64(SnapshotVersion)
-	out.U64(EngineDigest())
-	out.Bytes(cfgJSON)
-	out.U64(simcore.Checksum64(data))
-	out.Bytes(data)
-	if _, err := w.Write(out.Data()); err != nil {
-		return fmt.Errorf("network: snapshot write: %w", err)
+	var hdr simcore.Enc
+	hdr.Raw([]byte(snapMagic))
+	hdr.U64(SnapshotVersion)
+	hdr.U64(EngineDigest())
+	hdr.Bytes(cfgJSON)
+	hdr.U64(simcore.Checksum64(data))
+	hdr.Int(len(data)) // with data behind it: the payload as a byte string
+	for _, b := range [][]byte{hdr.Data(), data} {
+		if _, err := w.Write(b); err != nil {
+			return fmt.Errorf("network: snapshot write: %w", err)
+		}
 	}
 	return nil
 }
@@ -144,7 +148,16 @@ func (n *Network) Snapshot(w io.Writer) error {
 // never a panic. If Restore returns an error after the checksum passed, the
 // network's state is unspecified: discard it.
 func (n *Network) Restore(r io.Reader) error {
-	raw, err := io.ReadAll(r)
+	var raw []byte
+	var err error
+	if l, ok := r.(interface{ Len() int }); ok {
+		// bytes.Reader, bytes.Buffer: one buffer of exactly the image's size
+		// instead of ReadAll's doubling.
+		raw = make([]byte, l.Len())
+		_, err = io.ReadFull(r, raw)
+	} else {
+		raw, err = io.ReadAll(r)
+	}
 	if err != nil {
 		return fmt.Errorf("network: restore read: %w", err)
 	}
@@ -190,14 +203,15 @@ func (n *Network) Restore(r io.Reader) error {
 // network: its own routers, buffers, event wheel, RNG streams positioned
 // identically, and (when configured) its own worker pool. The clone and the
 // original can be stepped independently without sharing any mutable state.
+// The state travels as a bare snapshot payload: the header's identity checks
+// (format, physics, configuration, checksum) have nothing to catch inside
+// one process.
 // Stateless traffic sources are shared (their Next reads only immutable
 // pattern state); stateful ones must implement traffic.CloneableGenerator.
 // Networks with Workers > 1 own goroutines: Close the fork when done.
 func (n *Network) Fork() (*Network, error) {
-	var buf bytes.Buffer
-	if err := n.Snapshot(&buf); err != nil {
-		return nil, fmt.Errorf("network: fork: %w", err)
-	}
+	var payload simcore.Enc
+	n.encodePayload(&payload)
 	m, err := New(n.Cfg)
 	if err != nil {
 		return nil, fmt.Errorf("network: fork rebuild: %w", err)
@@ -212,7 +226,7 @@ func (n *Network) Fork() (*Network, error) {
 	default:
 		m.SetGenerator(n.gen)
 	}
-	if err := m.Restore(&buf); err != nil {
+	if err := m.decodePayload(simcore.NewDec(payload.Data())); err != nil {
 		m.Close()
 		return nil, fmt.Errorf("network: fork: %w", err)
 	}
@@ -236,6 +250,38 @@ func (n *Network) groupBoards() []*router.FlagBoard {
 }
 
 func (n *Network) encodePayload(e *simcore.Enc) {
+	// Deduplicated packet table, sorted by ID for deterministic bytes. A
+	// committed packet can be referenced twice — by the draining buffer that
+	// still holds it and by its in-flight arrival event — and must decode to
+	// one object, which is why buffers and events store IDs into this table.
+	pkts := make([]*packet.Packet, 0, n.BufferedPackets()+n.PendingPackets()+n.wheel.Pending())
+	add := func(p *packet.Packet) { pkts = append(pkts, p) }
+	for _, r := range n.Routers {
+		r.ForEachPacket(add)
+	}
+	for i := range n.pending {
+		pq := &n.pending[i]
+		for _, p := range pq.q[pq.head:] {
+			add(p)
+		}
+	}
+	n.wheel.ForEach(func(ev event) {
+		if ev.kind == evArrive {
+			add(ev.pkt)
+		}
+	})
+	slices.SortFunc(pkts, func(a, b *packet.Packet) int { return cmp.Compare(a.ID, b.ID) })
+	pkts = slices.Compact(pkts)
+
+	// Presize to the image: one router's encoding stands for all of them
+	// (they differ by a few VCs and their queued IDs), a packet costs its
+	// record plus up to two 8-byte references, an event 49 bytes. A miss only
+	// means append grows the buffer.
+	var probe simcore.Enc
+	n.Routers[0].EncodeState(&probe)
+	e.Grow(len(n.Routers)*len(probe.Data())*21/20 + len(pkts)*(snapPacketBytes+16) +
+		n.wheel.Pending()*49 + len(n.pending)*8 + len(n.grantLog)*73 + 64<<10)
+
 	e.I64(n.now)
 	e.Int(n.inFlight)
 	e.I64(n.CongestionStalls)
@@ -287,33 +333,9 @@ func (n *Network) encodePayload(e *simcore.Enc) {
 
 	n.Stats.EncodeState(e)
 
-	// Deduplicated packet table, sorted by ID for deterministic bytes. A
-	// committed packet can be referenced twice — by the draining buffer that
-	// still holds it and by its in-flight arrival event — and must decode to
-	// one object, which is why buffers and events store IDs into this table.
-	table := make(map[packet.ID]*packet.Packet)
-	for _, r := range n.Routers {
-		r.ForEachPacket(func(p *packet.Packet) { table[p.ID] = p })
-	}
-	for i := range n.pending {
-		pq := &n.pending[i]
-		for j := pq.head; j < len(pq.q); j++ {
-			table[pq.q[j].ID] = pq.q[j]
-		}
-	}
-	n.wheel.ForEach(func(ev event) {
-		if ev.kind == evArrive {
-			table[ev.pkt.ID] = ev.pkt
-		}
-	})
-	ids := make([]packet.ID, 0, len(table))
-	for id := range table {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.Int(len(ids))
-	for _, id := range ids {
-		encodePacket(e, table[id])
+	e.Int(len(pkts))
+	for _, p := range pkts {
+		encodePacket(e, p)
 	}
 
 	e.Int(len(n.pending))
@@ -453,11 +475,17 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	table := make(map[uint64]*packet.Packet, min(nPkts, 4096))
+	if nPkts > d.Remaining()/snapPacketBytes {
+		// Bound the block by the input, not by a header field.
+		d.Fail("truncated input: %d packets need %d bytes, have %d", nPkts, nPkts*snapPacketBytes, d.Remaining())
+		return d.Err()
+	}
+	// One contiguous block in ID order; IDs are strictly increasing, so the
+	// block is its own ID→packet table.
+	pkts := make([]packet.Packet, nPkts)
 	var prevID uint64
-	for i := 0; i < nPkts; i++ {
-		p := new(packet.Packet)
-		id := n.decodePacket(d, p)
+	for i := range pkts {
+		id := n.decodePacket(d, &pkts[i])
 		if d.Err() != nil {
 			return d.Err()
 		}
@@ -470,11 +498,11 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 			return d.Err()
 		}
 		prevID = id
-		table[id] = p
 	}
 	lookup := func(id uint64) (*packet.Packet, error) {
-		if p, ok := table[id]; ok {
-			return p, nil
+		i := sort.Search(len(pkts), func(i int) bool { return uint64(pkts[i].ID) >= id })
+		if i < len(pkts) && uint64(pkts[i].ID) == id {
+			return &pkts[i], nil
 		}
 		return nil, fmt.Errorf("unknown packet ID %d", id)
 	}
@@ -530,7 +558,10 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 		}
 	}
 
-	wheel := simcore.NewWheel[event](n.wheel.Horizon())
+	// The wheel is emptied and refilled in place: its buckets keep the
+	// capacity they grew, so the window after a Restore does not re-grow them.
+	wheel := n.wheel
+	wheel.Reset()
 	nEv := d.Len(maxSnapEvents)
 	if d.Err() != nil {
 		return d.Err()
@@ -601,7 +632,6 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 	n.pool.SetOutstanding(outstanding)
 	n.digestOn, n.digest, n.digestCount = digestOn, digest, digestCount
 	n.logCap, n.grantLog = logCap, grantLog
-	n.wheel = wheel
 	n.traceEvery, n.traces = 0, nil
 
 	// Rebuild the active set: wake exactly the routers holding routable work.
@@ -623,6 +653,10 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 	}
 	return nil
 }
+
+// snapPacketBytes is the fixed size of one encodePacket record: 19 64-bit
+// fields and 3 flag bytes.
+const snapPacketBytes = 19*8 + 3
 
 func encodePacket(e *simcore.Enc, p *packet.Packet) {
 	e.U64(uint64(p.ID))

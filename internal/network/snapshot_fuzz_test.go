@@ -15,7 +15,8 @@ import (
 // stepping the restored network must preserve packet conservation.
 //
 // The seed corpus holds real snapshots — cold, warm, and warm-with-faults —
-// so mutations explore the format's interior, not just the magic check.
+// and one well-formed hostile image, so mutations explore the format's
+// interior, not just the magic check.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	cfg := DefaultConfig(2)
 	cfg.Seed = 5
@@ -41,6 +42,13 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(seed(0, false))
 	f.Add(seed(150, false))
 	f.Add(seed(150, true)) // config mismatch vs the target: exercises rejection
+	// Valid header and checksum, a packet count far beyond the payload: the
+	// decoder must size its packet block by the bytes present.
+	cold, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hostilePacketCount(f, cold))
 	f.Add([]byte("OFARSNAP"))
 	f.Add([]byte{})
 

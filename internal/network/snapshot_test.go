@@ -369,3 +369,20 @@ func TestRestoreRejects(t *testing.T) {
 		t.Fatalf("image with pre-removal config keys: got %v, want the config-mismatch error", err)
 	}
 }
+
+// TestSnapshotBytesPinned holds the image format still: the FNV of a warm
+// h=2 OFAR snapshot and of a PB one (flag boards, no ring) equal literals
+// recorded from the build before the encoder was presized and the VC queues
+// became rings, so neither change moved a byte.
+func TestSnapshotBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		rt   Routing
+		want uint64
+	}{{OFAR, 0x3702330e385aebf1}, {PB, 0xf910ecb4802ad3f2}} {
+		n := snapNet(t, snapCfg(1, false).WithRouting(c.rt), 0.6)
+		n.Run(400)
+		if got := simcore.Checksum64(snapshotBytes(t, n)); got != c.want {
+			t.Errorf("%s: snapshot FNV %#016x, pinned %#016x", c.rt, got, c.want)
+		}
+	}
+}

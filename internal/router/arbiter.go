@@ -9,11 +9,11 @@ type LRS struct {
 }
 
 // InitLRS sizes the arbiter for n requesters.
-func (a *LRS) InitLRS(n int) { a.initLRS(nil, n) }
+func (a *LRS) InitLRS(n int) { a.initLRS(new(Arena), n) }
 
-// initLRS sizes the arbiter with its timestamp row carved from ar (nil falls
-// back to make): a router's arbiter state then lives in one group slab
-// instead of 2·ports tiny heap slices.
+// initLRS sizes the arbiter with its timestamp row carved from ar: a
+// router's arbiter state then lives in one group slab instead of 2·ports
+// tiny heap slices.
 func (a *LRS) initLRS(ar *Arena, n int) {
 	a.lastServed = ar.Int64s(n)
 	for i := range a.lastServed {

@@ -18,131 +18,107 @@ import "ofar/internal/packet"
 // unit of the Step pipeline (see network.Network.Step) and measurably faster
 // at h=6 scale even without a worker pool.
 //
-// Allocation is append-only: routers never free, and fault surgery only
-// rewrites in place. A nil *Arena is valid everywhere and falls back to
-// plain make, so tests constructing bare routers need no arena.
+// Allocation is append-only and exact-fit: the network sums what a group's
+// routers will carve (ArenaSize.Add mirrors NewInto and EnableRouteCache),
+// NewArena allocates each typed slab once at exactly that size, and
+// construction consumes it to the last element. Routers never free, and
+// fault surgery only rewrites in place. The zero Arena is valid and spills
+// every request to plain make: bare test routers (Params.Arena nil) get one.
 type Arena struct {
-	ints slab[int]
-	i8   slab[int8]
-	i32  slab[int32]
-	i64  slab[int64]
-	u64  slab[uint64]
-	vcs  slab[VCBuffer]
-	reqs slab[Request]
-	lrs  slab[LRS]
-	inP  slab[InPort]
-	outP slab[OutPort]
-	pkts slab[*packet.Packet]
+	ints []int
+	i8   []int8
+	i32  []int32
+	i64  []int64
+	u64  []uint64
+	vcs  []VCBuffer
+	reqs []Request
+	lrs  []LRS
+	inP  []InPort
+	outP []OutPort
+	pkts []*packet.Packet
+
+	// Size is what NewArena allocated; Slack counts the elements not carved
+	// (yet), Spill those requested beyond a slab and served off-arena by plain
+	// make. Diagnostics: construction ends with both at zero.
+	Size         ArenaSize
+	Slack, Spill int
 }
 
-// NewArena returns an empty arena; slabs are carved lazily per type.
-func NewArena() *Arena { return &Arena{} }
+// ArenaSize is the element count of each typed slab of one group's arena.
+type ArenaSize struct {
+	Ints, Int8s, Int32s, Int64s, Uint64s                      int
+	VCBuffers, Requests, LRSs, InPorts, OutPorts, PacketSlots int
+}
 
-// slab is one type's bump region. alloc carves a capacity-capped slice of n
-// elements (so a stray append can never clobber a neighbor: growth beyond
-// the cap reallocates onto the heap, which is correct, just off-arena).
-type slab[T any] struct{ buf []T }
+// Add counts what NewInto(p) — and EnableRouteCache, when cache is set —
+// carve for one router. It must stay the exact mirror of those two
+// (TestArenaExactFit pins zero slack and zero spill after construction).
+func (s *ArenaSize) Add(p Params, cache bool) {
+	n := len(p.Ports)
+	s.InPorts += n
+	s.OutPorts += n
+	s.LRSs += 2 * n
+	s.Int32s += 2*n + 1 + len(p.RingOuts)
+	s.Uint64s += 2 * n
+	s.Int64s += n * n // output arbiters: one row of n per port
+	for _, ps := range p.Ports {
+		s.VCBuffers += len(ps.InCaps)
+		s.Requests += len(ps.InCaps)
+		s.Int64s += len(ps.InCaps)
+		s.Ints += 2 * len(ps.OutCaps)
+		s.Int8s += len(ps.OutCaps)
+		for _, c := range ps.InCaps {
+			s.PacketSlots += queueSlots(c, p.PktSize)
+		}
+	}
+	if cache {
+		s.Uint64s += 3 * n
+		s.Int64s += n
+	}
+}
 
-func (s *slab[T]) alloc(n, chunk int) []T {
+// NewArena allocates every slab once, at exactly the given size.
+func NewArena(sz ArenaSize) *Arena {
+	return &Arena{
+		Size: sz,
+		ints: make([]int, sz.Ints), i8: make([]int8, sz.Int8s), i32: make([]int32, sz.Int32s),
+		i64: make([]int64, sz.Int64s), u64: make([]uint64, sz.Uint64s),
+		vcs: make([]VCBuffer, sz.VCBuffers), reqs: make([]Request, sz.Requests),
+		lrs: make([]LRS, sz.LRSs), inP: make([]InPort, sz.InPorts), outP: make([]OutPort, sz.OutPorts),
+		pkts: make([]*packet.Packet, sz.PacketSlots),
+		Slack: sz.Ints + sz.Int8s + sz.Int32s + sz.Int64s + sz.Uint64s + sz.VCBuffers +
+			sz.Requests + sz.LRSs + sz.InPorts + sz.OutPorts + sz.PacketSlots,
+	}
+}
+
+// carve bumps n elements off one slab, capacity-capped (so a stray append
+// can never clobber a neighbor: growth beyond the cap reallocates onto the
+// heap). A request beyond what is left is served by make — correct, just
+// off-arena — and counted as spill.
+func carve[T any](a *Arena, slab *[]T, n int) []T {
 	if n <= 0 {
 		return nil
 	}
-	if len(s.buf) < n {
-		if chunk < n {
-			chunk = n
-		}
-		s.buf = make([]T, chunk)
+	if len(*slab) < n {
+		a.Spill += n
+		return make([]T, n)
 	}
-	out := s.buf[:n:n]
-	s.buf = s.buf[n:]
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	a.Slack -= n
 	return out
 }
 
-// Per-type chunk sizes: large enough that one group of the big regimes —
-// h=6 (12 routers × 25 ports) and the h=8 stretch build (16 routers × 32
-// ports, 512 ports per group) — fits each type in one or two chunks, small
-// enough that tiny test topologies waste little (waste is bounded by one
-// chunk tail per type per group).
-const (
-	chunkScalar = 8192
-	chunkStruct = 2048
-	chunkPkts   = 16384
-)
+func (a *Arena) Ints(n int) []int           { return carve(a, &a.ints, n) }
+func (a *Arena) Int8s(n int) []int8         { return carve(a, &a.i8, n) }
+func (a *Arena) Int32s(n int) []int32       { return carve(a, &a.i32, n) }
+func (a *Arena) Int64s(n int) []int64       { return carve(a, &a.i64, n) }
+func (a *Arena) Uint64s(n int) []uint64     { return carve(a, &a.u64, n) }
+func (a *Arena) VCBuffers(n int) []VCBuffer { return carve(a, &a.vcs, n) }
+func (a *Arena) Requests(n int) []Request   { return carve(a, &a.reqs, n) }
+func (a *Arena) LRSs(n int) []LRS           { return carve(a, &a.lrs, n) }
+func (a *Arena) InPorts(n int) []InPort     { return carve(a, &a.inP, n) }
+func (a *Arena) OutPorts(n int) []OutPort   { return carve(a, &a.outP, n) }
 
-func (a *Arena) Ints(n int) []int {
-	if a == nil {
-		return make([]int, n)
-	}
-	return a.ints.alloc(n, chunkScalar)
-}
-
-func (a *Arena) Int8s(n int) []int8 {
-	if a == nil {
-		return make([]int8, n)
-	}
-	return a.i8.alloc(n, chunkScalar)
-}
-
-func (a *Arena) Int32s(n int) []int32 {
-	if a == nil {
-		return make([]int32, n)
-	}
-	return a.i32.alloc(n, chunkScalar)
-}
-
-func (a *Arena) Int64s(n int) []int64 {
-	if a == nil {
-		return make([]int64, n)
-	}
-	return a.i64.alloc(n, chunkScalar)
-}
-
-func (a *Arena) Uint64s(n int) []uint64 {
-	if a == nil {
-		return make([]uint64, n)
-	}
-	return a.u64.alloc(n, chunkScalar)
-}
-
-func (a *Arena) VCBuffers(n int) []VCBuffer {
-	if a == nil {
-		return make([]VCBuffer, n)
-	}
-	return a.vcs.alloc(n, chunkStruct)
-}
-
-func (a *Arena) Requests(n int) []Request {
-	if a == nil {
-		return make([]Request, n)
-	}
-	return a.reqs.alloc(n, chunkStruct)
-}
-
-func (a *Arena) LRSs(n int) []LRS {
-	if a == nil {
-		return make([]LRS, n)
-	}
-	return a.lrs.alloc(n, chunkStruct)
-}
-
-func (a *Arena) InPorts(n int) []InPort {
-	if a == nil {
-		return make([]InPort, n)
-	}
-	return a.inP.alloc(n, chunkStruct)
-}
-
-func (a *Arena) OutPorts(n int) []OutPort {
-	if a == nil {
-		return make([]OutPort, n)
-	}
-	return a.outP.alloc(n, chunkStruct)
-}
-
-// PacketSlots carves a zero-length, capacity-n queue backing array.
-func (a *Arena) PacketSlots(n int) []*packet.Packet {
-	if a == nil {
-		return make([]*packet.Packet, 0, n)
-	}
-	return a.pkts.alloc(n, chunkPkts)[:0]
-}
+// PacketSlots carves the n-slot ring of one VC queue.
+func (a *Arena) PacketSlots(n int) []*packet.Packet { return carve(a, &a.pkts, n) }

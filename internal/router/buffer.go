@@ -22,15 +22,19 @@ type VCBuffer struct {
 	// Escape marks the buffer as part of the escape subnetwork (a ring
 	// port's VC or an embedded escape VC); Ring identifies which ring
 	// (-1 for canonical buffers).
-	Escape bool
-	Ring   int8
+	Escape   bool
+	Ring     int8
+	draining bool // packed with the flags above: the struct stays 88 bytes
 
 	Capacity int // phits
 
+	// q is a fixed-capacity ring carved from the group arena: n packets
+	// starting at slot head, wrapping at len(q). Credit flow control keeps n
+	// below len(q) (see queueSlots), so the queue never leaves its slab.
 	q        []*packet.Packet
-	head     int // index of the logical head within q
+	head     int
+	n        int
 	occupied int // phits
-	draining bool
 
 	// Route-cache entry for the current head packet (see Router.Cycle).
 	// Valid while cValid is set AND now < cExpire AND cMask (the decision's
@@ -59,15 +63,36 @@ func (b *VCBuffer) Init(capacity int, ring int) {
 	b.Capacity = capacity
 	b.Escape = ring >= 0
 	b.Ring = int8(ring)
-	b.q = b.q[:0]
-	b.head = 0
+	clear(b.q)
+	b.head, b.n = 0, 0
 	b.occupied = 0
 	b.draining = false
 	b.invalidateCache()
 }
 
+// queueSlots is the ring size of a VC of the given capacity: the packets
+// that fit plus one slot of margin.
+func queueSlots(capacity, pktSize int) int {
+	if pktSize <= 0 {
+		return 2
+	}
+	return capacity/pktSize + 1
+}
+
 // Len returns the number of queued packets.
-func (b *VCBuffer) Len() int { return len(b.q) - b.head }
+func (b *VCBuffer) Len() int { return b.n }
+
+// QueueSlots returns the ring's slot count: what NewInto carved, unless the
+// queue ever grew off the arena. Test and diagnostics hook.
+func (b *VCBuffer) QueueSlots() int { return len(b.q) }
+
+// slot returns the ring index of the j-th queued packet (0 = head).
+func (b *VCBuffer) slot(j int) int {
+	if j += b.head; j >= len(b.q) {
+		j -= len(b.q)
+	}
+	return j
+}
 
 // Occupied returns the occupied phits.
 func (b *VCBuffer) Occupied() int { return b.occupied }
@@ -78,7 +103,7 @@ func (b *VCBuffer) Free() int { return b.Capacity - b.occupied }
 // Head returns the head packet, or nil. The head is not routable while the
 // buffer is draining a previous grant.
 func (b *VCBuffer) Head() *packet.Packet {
-	if b.Len() == 0 {
+	if b.n == 0 {
 		return nil
 	}
 	return b.q[b.head]
@@ -95,10 +120,20 @@ func (b *VCBuffer) Push(p *packet.Packet) {
 	if p.Size > b.Free() {
 		panic("router: VC buffer overflow (credit accounting bug)")
 	}
-	if b.Len() == 0 {
+	if b.n == 0 {
 		b.invalidateCache() // the pushed packet becomes the head
 	}
-	b.q = append(b.q, p)
+	if b.n == len(b.q) {
+		// Genuinely full: only a buffer built without NewInto's sizing (a bare
+		// test buffer, a hostile snapshot) gets here. Unroll onto the heap.
+		grown := make([]*packet.Packet, 2*b.n+2)
+		for j := range b.n {
+			grown[j] = b.q[b.slot(j)]
+		}
+		b.q, b.head = grown, 0
+	}
+	b.q[b.slot(b.n)] = p
+	b.n++
 	b.occupied += p.Size
 }
 
@@ -107,31 +142,28 @@ func (b *VCBuffer) Push(p *packet.Packet) {
 // FinishDrain), calling visit for each removed packet. Used when a router
 // fails: its buffered traffic is lost and must be accounted explicitly.
 func (b *VCBuffer) DropQueued(visit func(*packet.Packet)) {
-	if b.Len() == 0 {
+	if b.n == 0 {
 		return
 	}
 	b.invalidateCache()
-	start := b.head
+	keep := 0
 	if b.draining {
-		start++ // the in-flight head survives until its FinishDrain
+		keep = 1 // the in-flight head survives until its FinishDrain
 	}
-	for i := start; i < len(b.q); i++ {
+	for j := keep; j < b.n; j++ {
+		i := b.slot(j)
 		p := b.q[i]
 		b.occupied -= p.Size
 		b.q[i] = nil
 		visit(p)
 	}
-	b.q = b.q[:start]
-	if start == b.head && b.head > 0 {
-		b.q = b.q[:0]
-		b.head = 0
-	}
+	b.n = keep
 }
 
 // BeginDrain marks the head as granted; it stays at the head (consuming
 // space) until FinishDrain.
 func (b *VCBuffer) BeginDrain() {
-	if b.Len() == 0 || b.draining {
+	if b.n == 0 || b.draining {
 		panic("router: BeginDrain on empty or draining buffer")
 	}
 	b.draining = true
@@ -144,18 +176,10 @@ func (b *VCBuffer) FinishDrain() *packet.Packet {
 	}
 	p := b.q[b.head]
 	b.q[b.head] = nil
-	b.head++
-	if b.head == len(b.q) { // reset slice to reuse storage
-		b.q = b.q[:0]
-		b.head = 0
-	} else if b.head > 32 && b.head*2 >= len(b.q) {
-		n := copy(b.q, b.q[b.head:])
-		for i := n; i < len(b.q); i++ {
-			b.q[i] = nil
-		}
-		b.q = b.q[:n]
+	if b.head++; b.head == len(b.q) {
 		b.head = 0
 	}
+	b.n--
 	b.occupied -= p.Size
 	b.draining = false
 	b.invalidateCache() // whatever queued behind p is the new head

@@ -118,11 +118,15 @@ func TestVCBufferFIFOQuick(t *testing.T) {
 	}
 }
 
-func TestVCBufferCompaction(t *testing.T) {
+// TestVCBufferRing covers the two regimes of the queue ring. A bare buffer
+// (no carved slots) grows on demand and keeps FIFO order across growth and
+// wrap-around. A buffer carved the way NewInto carves it — Capacity/PktSize+1
+// slots — that never fully empties stays in exactly those slots however far
+// its head walks, which is what keeps VC queues on the group arena.
+func TestVCBufferRing(t *testing.T) {
 	var pool packet.Pool
 	var b VCBuffer
 	b.Init(1<<20, -1)
-	// Interleave enough pushes and drains to force the head-compaction path.
 	var live []*packet.Packet
 	for i := 0; i < 500; i++ {
 		p := mkPkt(&pool, 2)
@@ -145,6 +149,50 @@ func TestVCBufferCompaction(t *testing.T) {
 	}
 	if b.Len() != 0 || b.Occupied() != 0 {
 		t.Error("buffer not empty after full drain")
+	}
+
+	slots := queueSlots(32, 8)
+	ar := NewArena(ArenaSize{PacketSlots: slots})
+	var c VCBuffer
+	c.q = ar.PacketSlots(slots)
+	c.Init(32, -1)
+	home := &c.q[0]
+	for i := 0; i < 1000; i++ {
+		for c.Free() >= 8 && (c.Len() < 2 || i%3 == 0) {
+			p := mkPkt(&pool, 8)
+			c.Push(p)
+			live = append(live, p)
+		}
+		c.BeginDrain()
+		if got := c.FinishDrain(); got != live[0] {
+			t.Fatalf("round %d: wrong packet", i)
+		}
+		if live = live[1:]; c.Len() != len(live) || c.Len() == 0 {
+			t.Fatalf("round %d: %d queued, want %d (never empty)", i, c.Len(), len(live))
+		}
+	}
+	if &c.q[0] != home || c.QueueSlots() != slots || ar.Spill != 0 {
+		t.Fatalf("queue left its %d carved slots (now %d, spill %d)", slots, c.QueueSlots(), ar.Spill)
+	}
+	// A wrapped queue with a draining head drops exactly the packets behind it.
+	for c.Free() >= 8 {
+		p := mkPkt(&pool, 8)
+		c.Push(p)
+		live = append(live, p)
+	}
+	c.BeginDrain()
+	var dropped []*packet.Packet
+	c.DropQueued(func(p *packet.Packet) { dropped = append(dropped, p) })
+	if len(dropped) != len(live)-1 || c.Len() != 1 || c.Occupied() != 8 {
+		t.Fatalf("dropped %d of %d, %d left", len(dropped), len(live), c.Len())
+	}
+	for i, p := range dropped {
+		if p != live[i+1] {
+			t.Fatalf("drop %d out of FIFO order", i)
+		}
+	}
+	if got := c.FinishDrain(); got != live[0] || c.Len() != 0 {
+		t.Fatal("draining head did not survive DropQueued")
 	}
 }
 
@@ -217,7 +265,7 @@ func TestFlagBoardZeroDelay(t *testing.T) {
 
 func TestOutPortCredits(t *testing.T) {
 	var op OutPort
-	op.initOut(nil, []int{16, 16, 8}, []int8{-1, -1, 0})
+	op.initOut(new(Arena), []int{16, 16, 8}, []int{-1, -1, 0})
 	if op.NumVCs() != 3 {
 		t.Fatal("vc count")
 	}
@@ -248,7 +296,7 @@ func TestOutPortCredits(t *testing.T) {
 
 func TestBestVCSelection(t *testing.T) {
 	var op OutPort
-	op.initOut(nil, []int{16, 16, 8}, []int8{-1, -1, 1})
+	op.initOut(new(Arena), []int{16, 16, 8}, []int{-1, -1, 1})
 	op.Take(0, 12)
 	vc, ok := op.bestCanonicalVC(8)
 	if !ok || vc != 1 {

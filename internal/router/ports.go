@@ -65,18 +65,21 @@ type OutPort struct {
 }
 
 // initOut sets up the credit state. caps lists per-VC capacities; escRing
-// tags escape VCs (-1 = canonical). The persistent per-VC arrays are carved
-// from ar (nil = heap).
-func (op *OutPort) initOut(ar *Arena, caps []int, escRing []int8) {
+// tags escape VCs (-1 = canonical; nil = all canonical). The persistent
+// per-VC arrays are carved from ar.
+func (op *OutPort) initOut(ar *Arena, caps, escRing []int) {
 	op.credits = ar.Ints(len(caps))
 	copy(op.credits, caps)
 	op.vcCap = ar.Ints(len(caps))
 	copy(op.vcCap, caps)
-	op.escRing = ar.Int8s(len(escRing))
-	copy(op.escRing, escRing)
+	op.escRing = ar.Int8s(len(caps))
 	op.canCap, op.canCredits = 0, 0
 	for vc, c := range caps {
-		if escRing[vc] < 0 {
+		op.escRing[vc] = -1
+		if escRing != nil {
+			op.escRing[vc] = int8(escRing[vc])
+		}
+		if op.escRing[vc] < 0 {
 			op.canCap += c
 			op.canCredits += c
 		}

@@ -158,7 +158,7 @@ type Router struct {
 	allOut  uint64
 
 	// arena backs late slice allocations (EnableRouteCache) with the same
-	// group slab the constructor used; nil for bare test routers.
+	// group slab the constructor used.
 	arena *Arena
 
 	// prefetchSink absorbs the head-prefetch pass's reads (see Cycle) so the
@@ -181,6 +181,9 @@ func New(p Params) *Router {
 // allocations in iteration order.
 func NewInto(r *Router, p Params) {
 	ar := p.Arena
+	if ar == nil {
+		ar = new(Arena)
+	}
 	*r = Router{
 		ID:          p.ID,
 		Group:       p.Topo.GroupOf(p.ID),
@@ -220,15 +223,7 @@ func NewInto(r *Router, p Params) {
 				ring = ps.InRing[vc]
 			}
 			buf := &in.VCs[vc]
-			// Pre-carve the queue backing at the worst-case live length
-			// (Capacity/PktSize packets plus the compaction-deferred popped
-			// prefix, which FinishDrain bounds at one more live length): the
-			// steady state then never appends past the arena cap.
-			maxPkts := 1
-			if p.PktSize > 0 {
-				maxPkts = ps.InCaps[vc]/p.PktSize + 1
-			}
-			buf.q = ar.PacketSlots(2*maxPkts + 2)
+			buf.q = ar.PacketSlots(queueSlots(ps.InCaps[vc], p.PktSize))
 			buf.Init(ps.InCaps[vc], ring)
 			if ring < 0 {
 				r.capPhits += ps.InCaps[vc]
@@ -241,14 +236,7 @@ func NewInto(r *Router, p Params) {
 			out.Peer, out.PeerPort = -1, -1
 		}
 		out.Latency = ps.Latency
-		ringTags := make([]int8, len(ps.OutCaps))
-		for vc := range ringTags {
-			ringTags[vc] = -1
-			if ps.OutRing != nil {
-				ringTags[vc] = int8(ps.OutRing[vc])
-			}
-		}
-		out.initOut(ar, ps.OutCaps, ringTags)
+		out.initOut(ar, ps.OutCaps, ps.OutRing)
 		r.inArb[i].initLRS(ar, len(ps.InCaps))
 		r.outArb[i].initLRS(ar, n)
 		total += len(ps.InCaps)

@@ -396,7 +396,7 @@ func TestRouterAccessors(t *testing.T) {
 
 func TestVCCapAndEscapeRingAccessors(t *testing.T) {
 	var op OutPort
-	op.initOut(nil, []int{16, 8}, []int8{-1, 1})
+	op.initOut(new(Arena), []int{16, 8}, []int{-1, 1})
 	if op.VCCap(0) != 16 || op.VCCap(1) != 8 {
 		t.Error("VCCap")
 	}

@@ -38,8 +38,8 @@ func (r *Router) ForEachPacket(f func(*packet.Packet)) {
 	for i := range r.In {
 		for vc := range r.In[i].VCs {
 			buf := &r.In[i].VCs[vc]
-			for j := buf.head; j < len(buf.q); j++ {
-				f(buf.q[j])
+			for j := range buf.n {
+				f(buf.q[buf.slot(j)])
 			}
 		}
 	}
@@ -71,8 +71,8 @@ func (r *Router) EncodeState(e *simcore.Enc) {
 		for vc := range inp.VCs {
 			buf := &inp.VCs[vc]
 			e.Int(buf.Len())
-			for j := buf.head; j < len(buf.q); j++ {
-				e.U64(uint64(buf.q[j].ID))
+			for j := range buf.n {
+				e.U64(uint64(buf.q[buf.slot(j)].ID))
 			}
 			e.Bool(buf.draining)
 		}
@@ -155,9 +155,7 @@ func (r *Router) DecodeState(d *simcore.Dec, pkt func(id uint64) (*packet.Packet
 			if d.Err() != nil {
 				return d.Err()
 			}
-			buf.q = buf.q[:0]
-			buf.head = 0
-			buf.occupied = 0
+			buf.Init(buf.Capacity, int(buf.Ring))
 			for j := 0; j < nq; j++ {
 				p, err := pkt(d.U64())
 				if d.Err() != nil {
@@ -171,18 +169,16 @@ func (r *Router) DecodeState(d *simcore.Dec, pkt func(id uint64) (*packet.Packet
 					d.Fail("router %d port %d vc %d overflows capacity %d", r.ID, i, vc, buf.Capacity)
 					return d.Err()
 				}
-				buf.q = append(buf.q, p)
-				buf.occupied += p.Size
+				buf.Push(p)
 			}
 			buf.draining = d.Bool()
-			if d.Err() == nil && buf.draining && len(buf.q) == 0 {
+			if d.Err() == nil && buf.draining && buf.n == 0 {
 				d.Fail("router %d port %d vc %d draining while empty", r.ID, i, vc)
 			}
-			buf.invalidateCache()
 			if !buf.Escape {
 				r.occPhits += buf.occupied
 			}
-			if len(buf.q) > 0 && !buf.draining {
+			if buf.n > 0 && !buf.draining {
 				r.readyVCs++
 				inp.ready |= 1 << uint(vc)
 			}

@@ -3,6 +3,7 @@ package simcore
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Enc and Dec are the little-endian binary codec behind simulator snapshots.
@@ -27,6 +28,10 @@ type Enc struct {
 
 // Data returns the encoded bytes.
 func (e *Enc) Data() []byte { return e.b }
+
+// Grow makes room for n more bytes, so a writer that knows its size pays one
+// allocation instead of append's doubling.
+func (e *Enc) Grow(n int) { e.b = slices.Grow(e.b, n) }
 
 // U64 appends one unsigned 64-bit value, little endian.
 func (e *Enc) U64(v uint64) {

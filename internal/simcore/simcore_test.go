@@ -263,3 +263,82 @@ func TestWheelCounts(t *testing.T) {
 		t.Fatalf("pending=%d now=%d", w.Pending(), w.Now())
 	}
 }
+
+// TestWheelReset: a wheel that has been run, Reset and re-filled delivers
+// exactly what a new wheel filled the same way does, cycle for cycle; the
+// buckets keep the capacity they grew to (so a refill allocates nothing);
+// and no event scheduled before the Reset stays reachable through a backing
+// array.
+func TestWheelReset(t *testing.T) {
+	type sched struct{ delay, id int }
+	cases := []struct {
+		name     string
+		horizon  int
+		before   []sched // scheduled into the wheel that gets Reset
+		advances int     // Advance calls before the Reset
+		after    []sched // scheduled after the Reset / into the new wheel
+	}{
+		{"unused wheel", 5, nil, 0, []sched{{0, 1}, {3, 2}, {5, 3}}},
+		{"pending events dropped", 5, []sched{{0, 9}, {2, 8}, {5, 7}}, 1, []sched{{1, 1}, {1, 2}, {4, 3}}},
+		{"mid-rotation, same slots", 3, []sched{{1, 9}, {3, 8}}, 2, []sched{{0, 1}, {3, 2}, {0, 3}, {2, 4}}},
+		{"refill to empty", 4, []sched{{2, 9}}, 7, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			vals := make([]int, 16)
+			ptr := func(id int) *int { vals[id] = id; return &vals[id] }
+			used, fresh := NewWheel[*int](tc.horizon), NewWheel[*int](tc.horizon)
+			for _, s := range tc.before {
+				used.Schedule(s.delay, ptr(s.id))
+			}
+			for i := 0; i < tc.advances; i++ {
+				used.Advance()
+			}
+			used.Reset()
+			if used.Now() != 0 || used.Pending() != 0 {
+				t.Fatalf("after Reset: now %d, %d pending", used.Now(), used.Pending())
+			}
+			for i, slot := range used.slots {
+				for j, ev := range slot[:cap(slot)] {
+					if ev != nil {
+						t.Fatalf("slot %d[%d] still holds event %d", i, j, *ev)
+					}
+				}
+			}
+			for j, ev := range used.due[:cap(used.due)] {
+				if ev != nil {
+					t.Fatalf("due[%d] still holds event %d", j, *ev)
+				}
+			}
+			for _, s := range tc.after {
+				used.Schedule(s.delay, ptr(s.id))
+				fresh.Schedule(s.delay, ptr(s.id))
+			}
+			for c := 0; c <= 2*tc.horizon+2; c++ {
+				a, b := used.Advance(), fresh.Advance()
+				if len(a) != len(b) {
+					t.Fatalf("cycle %d: %d events, a new wheel delivers %d", c, len(a), len(b))
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("cycle %d event %d: %d, a new wheel delivers %d", c, i, *a[i], *b[i])
+					}
+				}
+			}
+		})
+	}
+
+	w := NewWheel[int](4)
+	for i := 0; i < 64; i++ {
+		w.Schedule(i%5, i)
+	}
+	refill := func() {
+		w.Reset()
+		for i := 0; i < 64; i++ {
+			w.Schedule(i%5, i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, refill); allocs != 0 {
+		t.Fatalf("refilling a Reset wheel allocates %.0f times: bucket capacity was not kept", allocs)
+	}
+}

@@ -20,6 +20,19 @@ func NewWheel[T any](horizon int) *Wheel[T] {
 	return &Wheel[T]{slots: make([][]T, horizon+1)}
 }
 
+// Reset empties the wheel and rewinds it to cycle 0, exactly as NewWheel
+// leaves it, except that every bucket keeps its capacity. The whole of each
+// backing array is zeroed, so no old event stays reachable.
+func (w *Wheel[T]) Reset() {
+	for i, slot := range w.slots {
+		clear(slot[:cap(slot)])
+		w.slots[i] = slot[:0]
+	}
+	clear(w.due[:cap(w.due)])
+	w.due = w.due[:0]
+	w.now, w.count = 0, 0
+}
+
 // Schedule places ev at delay cycles in the future. delay must be in
 // [0, horizon]; delay 0 means "deliverable at the next Advance".
 func (w *Wheel[T]) Schedule(delay int, ev T) {

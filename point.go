@@ -1,6 +1,7 @@
 package ofar
 
 import (
+	"bytes"
 	"io"
 	"os"
 
@@ -77,11 +78,10 @@ func (p *point) run(measure int) (res SteadyResult, restored bool, digest uint64
 		name string
 	)
 	if p.restore != "" {
-		if f, oerr := os.Open(p.restore); oerr == nil {
+		if img, rerr := os.ReadFile(p.restore); rerr == nil {
 			// A stale or corrupt entry (other physics, a truncated
 			// write) is a cache miss: warm from cycle 0 below.
-			n, name, err = p.warm(f)
-			f.Close()
+			n, name, err = p.warm(bytes.NewReader(img))
 			restored = err == nil
 		}
 	}
