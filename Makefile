@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race loc footprint bench bench-json bench-h6 bench-h8 bench-compare golden-regen vet cover cover-check figures figures-h6 fuzz serve smoke-serve smoke-trace smoke-cli clean
+.PHONY: all build test test-short test-race loc footprint bench golden-regen vet cover cover-check figures figures-h6 fuzz serve smoke-serve smoke-trace smoke-cli clean
 
 all: build test
 
@@ -49,44 +49,10 @@ cover-check:
 	echo "internal/... coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk "BEGIN {exit !($$total >= $(COVER_FLOOR))}" || { echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
+# The repository's benchmark: every workload, timed then traced (see
+# bench/README.md). Writes under bench/out/.
 bench:
-	$(GO) test -bench . -benchmem .
-
-# Machine-readable Step benchmarks (name, ns/op, allocs/op) across the load
-# range, scheduler on/off, without a pool and with 4 and 8 workers, plus the
-# isolated pool-dispatch barrier cost — the tracked perf baseline of the
-# activity scheduler and the worker pool. -count 3 with benchjson's
-# min-fold absorbs shared-machine noise (single runs swing ±10%). Compare
-# against the committed BENCH_step.json.
-BENCH_TIME ?= 1s
-BENCH_COUNT ?= 3
-# The full matrix at default settings runs well past go test's 10-minute
-# default; a timeout mid-pipe truncates the JSON silently (benchjson drops
-# the panic dump as non-bench lines), so give the binary explicit headroom.
-BENCH_TIMEOUT ?= 40m
-
-bench-json:
-	$(GO) test ./internal/network -run '^$$' -bench 'StepByLoad|StepPhases|NetworkStep|PoolDispatch|Snapshot' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -timeout $(BENCH_TIMEOUT) \
-		| $(GO) run ./cmd/benchjson -phases \
-		-note "Snapshot* rows are the checkpoint layer: encode/restore a warm h=3 image (~0.7 MB) in ~3 ms, full Fork ~9 ms — library API only: sweep points measure their warm network in place and do not fork." \
-		-note "warm-cache sweep speedup: sweep -h 3 -points 5 -warmup 3000 -measure 1000 with -checkpoint/-restore dropped 1.43 s -> 0.53 s (~2.7x) on the second invocation, restoring all 5 points and skipping 15000 warmup cycles; CSV rows bit-identical (TestWarmCacheSweep)." \
-		-note "h6 rows are the full-scale regime (876 routers): no pool (serial) vs a 4-worker pool (shard4) through the auto cutover (on a single-P host the caller walks every phase of both; on multicore the shard4 rows dispatch whole groups to the pool, bit-identically — TestH6ShardedSmoke). The h=3 workersN rows go through the same group-stealing dispatch. The group-sharding PR cut the saturated (load=0.90) h=6 serial step from 6.84 ms (min of 3, pre-PR engine on this machine) to 4.35-4.9 ms (~1.5x on the min-fold) via per-group SoA arenas, block-carved packet allocation, the Cycle head/arbiter prefetch pass and the serial event-loop lookahead." \
-		-note "h8 rows are the stretch regime the sharded injection front-end opened (a=16, 129 groups, 2064 routers, 16512 nodes): load edges only, 500-cycle warm-up — a cost tracker, not the paper protocol. StepPhases rows carry the per-phase breakdown (see the phases map); the host block records the machine shape the numbers were taken on." \
-		-note "injection-shard no-regression check: interleaved same-day A/B of the pre-shard engine vs this one on h6/load=0.90/serial (8 samples each, 1s benchtime) gave old min 4.78 ms / new min 4.87 ms with overlapping spreads and a slightly better new-engine mean — parity within this box's ±8% noise; bytes/op rose ~2 KB from the per-group packet pools (allocs/op unchanged at 6)." \
-		> BENCH_step.json
-	@cat BENCH_step.json
-
-# Full-scale h=6 Step rows only (876 routers; no pool vs a 4-worker pool):
-# the default figure regime. Warm-up dominates (2000 full-size cycles per
-# row).
-bench-h6:
-	$(GO) test ./internal/network -run '^$$' -bench 'StepByLoad/h6' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -timeout $(BENCH_TIMEOUT)
-
-# Stretch-regime h=8 Step rows (a=16, 129 groups, 2064 routers, 16512 nodes;
-# no pool vs a 4-worker pool). Load edges only — see BenchmarkStepByLoad for
-# why.
-bench-h8:
-	$(GO) test ./internal/network -run '^$$' -bench 'StepByLoad/h8' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -timeout $(BENCH_TIMEOUT)
+	$(GO) run ./bench -all
 
 # Rebuild every golden trace fixture (testdata/golden_*.json) from the
 # serial reference engine. Run after a deliberate physics change — e.g. a
@@ -95,15 +61,6 @@ bench-h8:
 # between engines fails even while regenerating.
 golden-regen:
 	$(GO) test ./internal/network -run TestGoldenTrace -update-golden -count=1
-
-# Informational perf diff against the committed baseline: rerun the tracked
-# Step benchmarks to a temp file and print per-row ns/op deltas versus
-# BENCH_step.json. Never gates a build — timing on shared machines is
-# advisory (override BENCH_TIME/BENCH_COUNT for a quicker, noisier pass).
-bench-compare:
-	$(GO) test ./internal/network -run '^$$' -bench 'StepByLoad|StepPhases|NetworkStep|PoolDispatch|Snapshot' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -timeout $(BENCH_TIMEOUT) \
-		| $(GO) run ./cmd/benchjson -phases > $(or $(TMPDIR),/tmp)/bench_fresh.json
-	$(GO) run ./cmd/benchcmp BENCH_step.json $(or $(TMPDIR),/tmp)/bench_fresh.json
 
 # Regenerate every paper figure at laptop scale (h=3) with SVG charts.
 figures:
@@ -178,5 +135,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRouteCache -fuzztime 30s .
 	$(GO) test -fuzz FuzzTraceRoundTrip -fuzztime 20s ./internal/trace
 
+# Removes untracked build output only — figures/ holds committed SVGs.
 clean:
-	rm -rf figures test_output.txt bench_output.txt
+	rm -rf .bench_build bench/out test_output.txt bench_output.txt
+	rm -f $(notdir $(wildcard cmd/*))

@@ -108,16 +108,16 @@ func EngineDigest() uint64 { return network.EngineDigest() }
 
 // CanonicalConfigJSON returns the canonical identity of a configuration: its
 // JSON encoding with the wall-clock-only execution fields (Workers,
-// ShardByGroup, scheduler/cache toggles) normalized away. Two configurations
-// that differ only in those fields provably simulate bit-identically and
-// canonicalize to the same bytes, which is what lets the warm-snapshot cache
-// and the sweep service's result cache share entries across execution
-// settings.
+// DisableRouteCache) and the ignored ones normalized away (see
+// network.SnapshotConfigJSON). Two configurations that differ only in those
+// fields simulate bit-identically and canonicalize to the same bytes, which
+// is what lets the warm-snapshot cache and the sweep service's result cache
+// share entries across execution settings.
 func CanonicalConfigJSON(cfg Config) ([]byte, error) { return network.SnapshotConfigJSON(cfg) }
 
 // warmSnapshotName derives the cache file name of a warm state from
 // everything that determines it: the snapshot-normalized configuration (so
-// worker/scheduler/cache settings share entries, as they share snapshots),
+// worker/cache settings share entries, as they share snapshots),
 // the pattern, the load and the warm-up length.
 func warmSnapshotName(cfg Config, ps PatternSpec, load float64, warmup int) (string, error) {
 	cj, err := network.SnapshotConfigJSON(cfg)

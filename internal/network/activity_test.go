@@ -15,8 +15,10 @@ func idleConfig(rt Routing) Config { return testConfig(rt) }
 // network and requires the call to be side-effect-free: no grants, no RNG
 // draws, no arbiter LRS movement, no buffer/credit/occupancy change (all
 // folded into Router.StateFingerprint), and untouched run statistics. This
-// is the load-bearing contract of the activity scheduler: a skipped router
-// must behave exactly as if it had been cycled.
+// is the contract of Cycle's early return. The returned slice must be empty
+// even when the router's last working Cycle left grants in its reused slice:
+// a pool worker parks that return value in grantBuf for every router of its
+// group, idle ones included, and commitGroup commits whatever it finds there.
 func requireIdlePurity(t *testing.T, n *Network) {
 	t.Helper()
 	gen, inj, del := n.Stats.Generated, n.Stats.Injected, n.Stats.Delivered
@@ -28,7 +30,7 @@ func requireIdlePurity(t *testing.T, n *Network) {
 		before := r.StateFingerprint()
 		for i := 0; i < 3; i++ {
 			if grants := r.Cycle(n.Engine, n.Now()+int64(i)); len(grants) != 0 {
-				t.Fatalf("router %d: idle Cycle produced %d grants", r.ID, len(grants))
+				t.Fatalf("router %d: idle Cycle returned %d (stale) grants", r.ID, len(grants))
 			}
 		}
 		if after := r.StateFingerprint(); after != before {
@@ -64,9 +66,9 @@ func TestIdleCycleIsPure(t *testing.T) {
 	}
 }
 
-// TestActiveSetTracksLoad watches the scheduler's active set directly: a
-// quiescent network schedules no routers, traffic wakes them, and draining
-// puts every router back to sleep.
+// TestActiveSetTracksLoad watches the ActiveRouters scan: a quiescent network
+// has no router with routable work, traffic gives some of them work, and
+// draining leaves none.
 func TestActiveSetTracksLoad(t *testing.T) {
 	cfg := testConfig(OFAR)
 	n := mustNet(t, cfg)
@@ -76,14 +78,14 @@ func TestActiveSetTracksLoad(t *testing.T) {
 	n.SetGenerator(traffic.NewBurst(traffic.NewUniform(n.Topo), 2, n.Topo.Nodes))
 	n.Run(5)
 	if got := n.ActiveRouters(); got == 0 {
-		t.Fatal("no routers awake with a burst in flight")
+		t.Fatal("no routers active with a burst in flight")
 	}
 	if !n.RunUntilDrained(200000) {
 		t.Fatalf("burst not drained: %d/%d", n.Stats.Delivered, n.Stats.Generated)
 	}
 	n.Run(cfg.GlobalLatency + cfg.PacketSize + 2)
 	if got := n.ActiveRouters(); got != 0 {
-		t.Fatalf("%d routers still awake after draining, want 0", got)
+		t.Fatalf("%d routers still active after draining, want 0", got)
 	}
 	for _, r := range n.Routers {
 		if r.RoutableVCs() != 0 {
@@ -97,8 +99,8 @@ func TestActiveSetTracksLoad(t *testing.T) {
 
 // TestReadyVCCounterMatchesBuffers cross-checks the incrementally tracked
 // routable-head counter against a from-scratch scan of the buffers, in the
-// middle of a loaded run — the counter is the scheduler's wake predicate,
-// so a drift would mean skipped work.
+// middle of a loaded run — the counter gates Cycle's early return, so a
+// drift would mean skipped work.
 func TestReadyVCCounterMatchesBuffers(t *testing.T) {
 	cfg := testConfig(OFAR)
 	n := mustNet(t, cfg)
@@ -132,49 +134,40 @@ func TestReadyVCCounterMatchesBuffers(t *testing.T) {
 	}
 }
 
-// BenchmarkStepByLoad is the per-cycle cost tracker for the activity
-// scheduler and the worker pool: h=3 cycle cost across the load range of
-// the paper's latency/throughput sweeps (most sweep points sit below
-// saturation, where the scheduler skips the bulk of the routers), with the
-// scheduler on and off, without a pool and with 4 and 8 pool workers. The
-// pooled rows exercise the cutover exactly as production runs do: low-load
-// phases stay on the caller, saturated ones dispatch to the pool.
-// `make bench-json` records the numbers in BENCH_step.json.
+// BenchmarkStepByLoad is the in-package per-cycle cost tracker: h=3 cycle
+// cost across the load range of the paper's latency/throughput sweeps (most
+// sweep points sit below saturation, where most routers are idle), without a
+// pool and with 4 and 8 pool workers. The pooled rows go through the cutover
+// exactly as production runs do. For working measurements only — the numbers
+// that count come from bench/.
 func BenchmarkStepByLoad(b *testing.B) {
 	for _, load := range []float64{0.05, 0.2, 0.5, 0.9, 0.99} {
 		for _, workers := range []int{0, 4, 8} {
-			for _, sched := range []bool{true, false} {
-				wname := "serial"
-				if workers > 0 {
-					wname = fmt.Sprintf("workers%d", workers)
-				}
-				sname := "sched"
-				if !sched {
-					sname = "nosched"
-				}
-				b.Run(fmt.Sprintf("load=%.2f/%s/%s", load, wname, sname), func(b *testing.B) {
-					cfg := DefaultConfig(3)
-					cfg.Workers = workers
-					cfg.DisableActivitySched = !sched
-					n := mustNet(b, cfg)
-					n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), load, cfg.PacketSize))
-					n.Run(2000) // reach steady state before measuring
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						n.Step()
-					}
-				})
+			wname := "serial"
+			if workers > 0 {
+				wname = fmt.Sprintf("workers%d", workers)
 			}
+			b.Run(fmt.Sprintf("load=%.2f/%s", load, wname), func(b *testing.B) {
+				cfg := DefaultConfig(3)
+				cfg.Workers = workers
+				n := mustNet(b, cfg)
+				n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), load, cfg.PacketSize))
+				n.Run(2000) // reach steady state before measuring
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					n.Step()
+				}
+			})
 		}
 	}
 
 	// Full-scale h=6 rows (876 routers, 5256 nodes): the routine figure
-	// regime (see EXPERIMENTS.md). No pool vs a 4-worker pool (the row names
-	// "serial"/"shard4" are what BENCH_step.json tracks), across the
-	// low/mid/saturated loads the paper's sweeps hit; the shard4 rows go
-	// through the auto cutover, so on a single-P host they measure the caller
-	// walking every phase exactly as a production run would.
+	// regime (see EXPERIMENTS.md). No pool ("serial") vs a 4-worker pool
+	// ("shard4"), across the low/mid/saturated loads the paper's sweeps hit;
+	// the shard4 rows go through the auto cutover, so on a single-P host they
+	// measure the caller walking every phase exactly as a production run
+	// would.
 	//
 	// Stretch-regime h=8 rows (a=16, 129 groups, 2064 routers, 16512 nodes):
 	// only the edges of the load range — an h=8 warm-up alone costs hundreds
@@ -212,15 +205,14 @@ func BenchmarkStepByLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkStepPhases is the per-phase cost breakdown behind `benchjson
-// -phases`: the h=6 system with EnablePhaseTimings on, reporting each Step
-// phase (fault application, event delivery, generation/injection, PB
-// publication, router stage) as a custom <phase>-ns/op metric next to the
-// whole-step ns/op. It is a separate benchmark rather than extra rows in
-// StepByLoad so the timing branch's clock reads never contaminate the
-// long-tracked StepByLoad baselines. The serial-vs-shard4 pair (no pool vs
-// 4 workers) shows what the pool buys per phase: the generate-ns share must
-// drop under shard4 while ns/op does not regress.
+// BenchmarkStepPhases is the per-phase cost breakdown: the h=6 system with
+// EnablePhaseTimings on, reporting each Step phase (fault application, event
+// delivery, generation/injection, PB publication, router stage) as a custom
+// <phase>-ns/op metric next to the whole-step ns/op. It is a separate
+// benchmark rather than extra rows in StepByLoad so the timing branch's clock
+// reads never contaminate the StepByLoad rows. The serial-vs-shard4 pair (no
+// pool vs 4 workers) shows what the pool buys per phase: the generate-ns
+// share must drop under shard4 while ns/op does not regress.
 func BenchmarkStepPhases(b *testing.B) {
 	if testing.Short() {
 		b.Skip("phase breakdown warms up 2000 full-size h=6 cycles per row")

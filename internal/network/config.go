@@ -66,8 +66,7 @@ const (
 
 // Fault is one scheduled failure. Faults apply at the top of the cycle
 // `Cycle`, before event delivery and routing, on every execution mode —
-// which is what keeps a faulted run bit-identical across worker counts and
-// scheduler settings.
+// which is what keeps a faulted run bit-identical across worker counts.
 type Fault struct {
 	Cycle  int64     `json:"cycle"`
 	Kind   FaultKind `json:"kind"`
@@ -176,18 +175,16 @@ type Config struct {
 	// Workers) only because callers still assign it.
 	ShardByGroup bool
 
-	// DisableActivitySched turns off the active-set router scheduler and
-	// reverts Step to visiting every router every cycle. The scheduler skips
-	// only routers whose Cycle is provably a no-op (no routable buffer
-	// head), so results are bit-identical either way; this escape hatch
-	// exists for differential testing and benchmarking, not correctness.
+	// DisableActivitySched is ignored: Step visits every router every cycle
+	// and an idle router's Cycle returns at once. The field is retained
+	// (normalized out of snapshot identity) only because bench/ assigns it.
 	DisableActivitySched bool
 
 	// DisableRouteCache turns off the epoch-invalidated route memoization in
 	// every router (see router.CacheableEngine). The cache only replays
 	// decisions whose inputs provably did not change, so results are
-	// bit-identical either way; like DisableActivitySched, this escape hatch
-	// exists for differential testing and benchmarking, not correctness.
+	// bit-identical either way; this escape hatch exists for differential
+	// testing and benchmarking, not correctness.
 	DisableRouteCache bool
 
 	// Faults is the deterministic failure schedule: each entry kills a link

@@ -11,8 +11,8 @@ import (
 
 // Fault injection. Faults are applied serially at the top of Step, before
 // event delivery and before any router runs — the one point in the cycle
-// that is identical across worker counts and scheduler settings, which is
-// what keeps faulted runs bit-identical in every execution mode.
+// that is identical across worker counts, which is what keeps faulted runs
+// bit-identical in every execution mode.
 //
 // Teardown contract (see docs/ARCHITECTURE.md):
 //

@@ -203,8 +203,7 @@ func TestCreditConservationAfterLinkFault(t *testing.T) {
 
 // TestFaultsBitIdentical is the determinism contract under faults: a run
 // with a mixed link+router schedule must produce identical per-cycle grant
-// digests, drop counts and reroute counts for Workers ∈ {1,4,8} with the
-// activity scheduler on or off.
+// digests, drop counts and reroute counts for Workers ∈ {0,1,4,8}.
 func TestFaultsBitIdentical(t *testing.T) {
 	cycles := 2500
 	if testing.Short() {
@@ -223,24 +222,20 @@ func TestFaultsBitIdentical(t *testing.T) {
 		{Cycle: 450, Kind: FaultRouter, Router: onRing},
 	}
 
-	mk := func(workers int, noSched bool) *Network {
+	mk := func(workers int) *Network {
 		cfg := base
 		cfg.Workers = workers
-		cfg.DisableActivitySched = noSched
 		n := mustNet(t, cfg)
 		n.SetGenerator(genFor(n, "uniform", 0.5))
 		n.EnableGrantDigest()
 		n.Stats.StartMeasurement(0)
 		return n
 	}
-	ref := mk(0, true)
+	ref := mk(0)
 	variants := map[string]*Network{
-		"workers1+sched":   mk(1, false),
-		"workers1+nosched": mk(1, true),
-		"workers4+sched":   mk(4, false),
-		"workers4+nosched": mk(4, true),
-		"workers8+sched":   mk(8, false),
-		"workers8+nosched": mk(8, true),
+		"workers1": mk(1),
+		"workers4": mk(4),
+		"workers8": mk(8),
 	}
 
 	stepCompare(t, ref, variants, cycles)

@@ -180,7 +180,7 @@ func TestRestoreAllocs(t *testing.T) {
 // valid header and checksum whose payload claims 2^20 packets in 100 bytes is
 // rejected before anything near 2^20 packets is allocated.
 func TestRestoreBoundsPacketBlock(t *testing.T) {
-	n := snapNet(t, snapCfg(1, false), 0.6)
+	n := snapNet(t, snapCfg(1), 0.6)
 	img := hostilePacketCount(t, n)
 	var err error
 	_, allocated := memDelta(func() { err = n.Restore(bytes.NewReader(img)) })
@@ -232,7 +232,7 @@ func hostilePacketCount(t testing.TB, n *Network) []byte {
 // TestSnapPacketBytes keeps the constant Restore divides by equal to what
 // encodePacket writes.
 func TestSnapPacketBytes(t *testing.T) {
-	n := snapNet(t, snapCfg(1, false), 0.6)
+	n := snapNet(t, snapCfg(1), 0.6)
 	var e simcore.Enc
 	encodePacket(&e, n.pool.Get())
 	if len(e.Data()) != snapPacketBytes {

@@ -49,19 +49,20 @@ type goldenSpec struct {
 // one network, the rest in a freshly built network restored from its
 // snapshot — the document must come out identical, which pins the
 // checkpoint layer to the same golden contract as the engines.
-func goldenRun(t *testing.T, spec goldenSpec, workers int, noSched, noCache bool, snapAt int) []byte {
+func goldenRun(t *testing.T, spec goldenSpec, workers int, noCache bool, snapAt int) []byte {
 	t.Helper()
 	cfg := DefaultConfig(spec.h)
 	cfg.Seed = 12345
 	cfg.Workers = workers
-	cfg.DisableActivitySched = noSched
 	cfg.DisableRouteCache = noCache
 	cfg.Faults = spec.faults
 	attach := func(n *Network) {
 		n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), spec.load, cfg.PacketSize))
 	}
 	// The pool is forced on for every non-empty phase so the golden contract
-	// covers it even on a single-P host.
+	// covers it even on a single-P host — including commitGroup reading the
+	// grantBuf row of every router, idle ones too (a stale row would re-commit
+	// old grants and move the digest, most visibly in the low-load golden).
 	n := mustPoolNet(t, cfg)
 	attach(n)
 	n.EnableGrantLog(goldenHead)
@@ -135,13 +136,13 @@ func goldenSerialize(t *testing.T, n *Network, cfg Config, spec goldenSpec) []by
 }
 
 // checkGolden compares every engine variant's serialized run — walked by the
-// caller or the pool, scheduler off, route cache off, and mid-run
-// snapshot/restore round trips — against the golden file, rewriting the file
-// first when -update-golden is set (only the serial scheduler-on variant
-// rewrites, so a divergence between variants still fails).
+// caller or the pool, route cache off, and mid-run snapshot/restore round
+// trips — against the golden file, rewriting the file first when
+// -update-golden is set (only the serial variant rewrites, so a divergence
+// between variants still fails).
 func checkGolden(t *testing.T, path string, spec goldenSpec) {
 	t.Helper()
-	base := goldenRun(t, spec, 0, false, false, 0)
+	base := goldenRun(t, spec, 0, false, 0)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -158,23 +159,20 @@ func checkGolden(t *testing.T, path string, spec goldenSpec) {
 	variants := []struct {
 		name    string
 		workers int
-		noSched bool
 		noCache bool
 		snapAt  int
 	}{
 		{name: "serial"},
-		{name: "serial-nosched", noSched: true},
 		{name: "serial-nocache", noCache: true},
 		{name: "workers4", workers: 4},
-		{name: "workers4-nosched", workers: 4, noSched: true},
 		{name: "workers8-nocache", workers: 8, noCache: true},
 		{name: "snapshot-restore", snapAt: spec.cycles / 2},
 		{name: "snapshot-restore-workers4", workers: 4, snapAt: spec.cycles / 2},
 	}
 	for _, v := range variants {
 		got := base
-		if v.workers != 0 || v.noSched || v.noCache || v.snapAt != 0 {
-			got = goldenRun(t, spec, v.workers, v.noSched, v.noCache, v.snapAt)
+		if v.workers != 0 || v.noCache || v.snapAt != 0 {
+			got = goldenRun(t, spec, v.workers, v.noCache, v.snapAt)
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s diverged from %s (len %d vs %d) — a behavioral change; "+
@@ -190,11 +188,11 @@ func checkGolden(t *testing.T, path string, spec goldenSpec) {
 // TestGoldenTraceH3 is the golden-trace regression gate: the first 2000
 // cycles of grant/delivery events of a fixed-seed h=3 OFAR run, serialized
 // to testdata/golden_h3.json, must match byte for byte — for the serial
-// engine, the parallel engine, both with the activity scheduler or route
-// cache disabled, and a run restored mid-window from a snapshot. It guards
-// future refactors of the router stage, the allocator, the scheduler's skip
-// logic, the RNG derivation order, the timing wheel and the checkpoint
-// layer, not just the change that introduced it. Regenerate deliberately
+// engine, the parallel engine, either with the route cache disabled, and a
+// run restored mid-window from a snapshot. It guards future refactors of the
+// router stage, the allocator, the idle-router early return, the RNG
+// derivation order, the timing wheel and the checkpoint layer, not just the
+// change that introduced it. Regenerate deliberately
 // with `go test ./internal/network -run TestGoldenTrace -update-golden`.
 func TestGoldenTraceH3(t *testing.T) {
 	if testing.Short() {
@@ -204,11 +202,11 @@ func TestGoldenTraceH3(t *testing.T) {
 		goldenSpec{h: 3, cycles: 2000, load: 0.2})
 }
 
-// TestGoldenTraceH3LowLoad pins the same contract in the regime the
-// activity scheduler was built for: at 5% load the overwhelming majority of
-// router-cycles are idle, so nearly every Step exercises the skip path, and
-// any router skipped when it still had observable work would shift grants
-// or deliveries and break byte-equality here.
+// TestGoldenTraceH3LowLoad pins the same contract where idle routers
+// dominate: at 5% load the overwhelming majority of router-cycles take
+// Cycle's early return, and any router that returned early while it still had
+// observable work would shift grants or deliveries and break byte-equality
+// here.
 func TestGoldenTraceH3LowLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden trace runs 2000 full-size h=3 cycles per engine variant")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"time"
 
 	"ofar/internal/core"
@@ -147,19 +146,6 @@ type Network struct {
 	grantBuf   [][]router.Grant
 	workerPool *stepPool
 	cutover    int
-
-	// Active-set scheduler (on unless Config.DisableActivitySched): only
-	// routers that can possibly produce a grant or observable side effect
-	// run Cycle. A router is awake while it holds a routable buffer head;
-	// handle (arrivals, drain completions) and generate (injections) wake
-	// routers, and compactGroup drops the ones whose work has drained.
-	// The active set is kept per dragonfly group and sorted, so walking the
-	// groups in order visits routers in ascending index (routers are numbered
-	// group-major). With the scheduler off every router is permanently awake
-	// and the lists are never compacted.
-	schedOn bool
-	awake   []bool    // router is on its group's active list
-	activeG [][]int32 // per-group awake router ids (sorted by compactGroup)
 
 	// Per-group state of the pipeline. dueG holds per-group indices into the
 	// cycle's due list and fxKind/fxPkt the per-index deferred effects (both
@@ -482,16 +468,8 @@ func New(cfg Config) (*Network, error) {
 	n.groupSize = topo.A
 	n.groupNodes = topo.P * topo.A
 	n.poolG = make([]packet.Pool, topo.G)
-	n.activeG = make([][]int32, topo.G)
 	n.dueG = make([][]int32, topo.G)
 	n.gs = make([]groupScratch, topo.G)
-	n.awake = make([]bool, topo.Routers)
-	n.schedOn = !cfg.DisableActivitySched
-	if !n.schedOn {
-		for r := range n.awake {
-			n.wake(int32(r))
-		}
-	}
 	if len(cfg.Faults) > 0 {
 		if err := n.prepareFaults(cfg.Faults); err != nil {
 			return nil, err
@@ -516,11 +494,11 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// autoCutover picks the amount of work (awake routers, due events) below
-// which a Workers > 1 network walks a phase on the caller's goroutine,
-// calibrated from the machine and the worker count rather than measured at
-// runtime (a measurement would make wall-clock behavior depend on warm-up
-// noise; the formula keeps it reproducible). Two regimes:
+// autoCutover picks the amount of work (routers, due events) below which a
+// Workers > 1 network walks a phase on the caller's goroutine, calibrated
+// from the machine and the worker count rather than measured at runtime (a
+// measurement would make wall-clock behavior depend on warm-up noise; the
+// formula keeps it reproducible). Two regimes:
 //
 //   - GOMAXPROCS == 1: a pool dispatch can never win — the caller computes
 //     every group itself and then pays goroutine switches just to join the
@@ -529,14 +507,12 @@ func New(cfg Config) (*Network, error) {
 //     exercised regardless override the cutover after construction.)
 //
 //   - multicore: a pool dispatch (wake + steal + join) costs a handful of
-//     microseconds; one awake router's compute phase costs ~1–2 µs
+//     microseconds; one working router's compute phase costs ~1–2 µs
 //     (saturated h=3: ~170 µs over 114 routers). Splitting across w workers
-//     saves (1−1/w) of the compute, so the break-even list length is
-//     barrier / (cost·(1−1/w)) ≈ a few routers per worker; below it the
+//     saves (1−1/w) of the compute, so the break-even amount of work is
+//     barrier / (cost·(1−1/w)) ≈ a few units per worker; below it the
 //     barrier is pure loss. 6·workers keeps a comfortable margin above
-//     break-even without delaying the crossover past the loads where
-//     parallelism starts paying (the BENCH_step.json sweep is the
-//     calibration record).
+//     break-even.
 //
 // The cutover moves wall-clock time only; results are bit-identical on
 // every machine either way.
@@ -548,9 +524,10 @@ func autoCutover(workers int) int {
 }
 
 // pooled reports whether a phase with the given amount of work is stolen by
-// the pool rather than walked by the caller. Phases without a per-cycle work
-// count (generate, PB) pass the router count: they go to the pool unless the
-// cutover pins the whole network to the caller.
+// the pool rather than walked by the caller. The event phase passes its due
+// count; the phases that visit every router or node every cycle (generate,
+// PB, routers) pass the router count: they go to the pool unless the network
+// is tiny or the cutover pins it to the caller.
 func (n *Network) pooled(work int) bool {
 	return n.workerPool != nil && work >= n.cutover
 }
@@ -590,12 +567,11 @@ func (n *Network) Now() int64 { return n.now }
 
 // Step advances the simulation one cycle through the group-partitioned
 // pipeline: apply due faults, deliver due events, generate and inject
-// traffic, publish PB flags, then run routing and switch allocation on the
-// routers that can do work this cycle (all of them when the activity
-// scheduler is disabled). Each phase works group by group; the only fork is
-// who walks the groups — the pool (Config.Workers > 1 and enough work, see
-// pooled) or the caller in ascending order — and every effect on shared
-// state is committed by the caller in a fixed order, so results are
+// traffic, publish PB flags, then run routing and switch allocation on every
+// router (an idle one returns at once). Each phase works group by group; the
+// only fork is who walks the groups — the pool (Config.Workers > 1 and enough
+// work, see pooled) or the caller in ascending order — and every effect on
+// shared state is committed by the caller in a fixed order, so results are
 // bit-identical either way (docs/ARCHITECTURE.md, "The Step pipeline").
 func (n *Network) Step() {
 	now := n.now
@@ -627,16 +603,9 @@ func (n *Network) Step() {
 
 // routerStage runs the routing/allocation phase of one cycle: cycleGroup for
 // every group, which commits as it goes when the caller walks and leaves the
-// commit to an ordered commitGroup pass when the pool does. The pool decision
-// uses the pre-compaction active count (a superset of the post-compaction
-// lists, so it is conservative) because compaction itself is part of
-// cycleGroup.
+// commit to an ordered commitGroup pass when the pool does.
 func (n *Network) routerStage(now int64) {
-	act := n.ActiveRouters()
-	if act == 0 {
-		return
-	}
-	if !n.pooled(act) {
+	if !n.pooled(len(n.Routers)) {
 		for g := 0; g < n.nGroups; g++ {
 			n.cycleGroup(g, n.Engine, now, nil)
 		}
@@ -735,49 +704,17 @@ func (n *Network) sched(sh *groupScratch, delay int, ev event) {
 	}
 }
 
-// wake puts a router on its group's active list (idempotent, and a no-op
-// with the scheduler off, where every router is awake from construction).
-// Callers are the three places that can create routable work: handle
-// (arrivals and drain completions) and generate (injections). Waking
-// conservatively is always safe — an awake router with no routable head runs
-// a no-op Cycle and is dropped by the next compactGroup — whereas a missed
-// wake would silently freeze the router's traffic, so every candidate event
-// wakes its router.
-func (n *Network) wake(r int32) {
-	if !n.awake[r] {
-		n.awake[r] = true
-		g := r / int32(n.groupSize)
-		n.activeG[g] = append(n.activeG[g], r)
-	}
-}
-
-// ActiveRouters reports how many routers are currently on the activity
-// scheduler's active lists (every router when the scheduler is disabled).
-// This is the work count the router stage holds against the pool cutover;
-// exposed for diagnostics and calibration.
+// ActiveRouters reports how many routers hold a routable buffer head right
+// now — the ones whose next Cycle does any work. A diagnostic scan, not on
+// the Step path.
 func (n *Network) ActiveRouters() int {
 	total := 0
-	for g := range n.activeG {
-		total += len(n.activeG[g])
-	}
-	return total
-}
-
-// compactGroup drops routers with no routable buffer head from one group's
-// active list and sorts the survivors by router index. Touches only
-// group-owned state (the group's list and its routers' awake flags), so
-// pool workers compact their claimed groups concurrently.
-func (n *Network) compactGroup(g int) {
-	keep := n.activeG[g][:0]
-	for _, id := range n.activeG[g] {
-		if n.Routers[id].HasRoutableWork() {
-			keep = append(keep, id)
-		} else {
-			n.awake[id] = false
+	for _, r := range n.Routers {
+		if r.HasRoutableWork() {
+			total++
 		}
 	}
-	slices.Sort(keep)
-	n.activeG[g] = keep
+	return total
 }
 
 // publishPB refreshes the group flag boards, group by group — on the pool
@@ -799,21 +736,13 @@ func (n *Network) publishPB(now int64) {
 
 // publishPBGroup republishes one group's flag board. The boards store
 // transitions, so only routers whose global-port occupancy moved since their
-// last publish (PBDirty) need to recompute; the full sweep of the
-// scheduler-disabled path produces identical reader-visible flags.
+// last publish (PBDirty) need to recompute.
 func (n *Network) publishPBGroup(g int, now int64) {
 	lo := g * n.groupSize
-	hi := lo + n.groupSize
-	if n.schedOn {
-		for r := lo; r < hi; r++ {
-			if rt := n.Routers[r]; rt.PBDirty() {
-				rt.UpdatePBFlags(now)
-			}
+	for _, rt := range n.Routers[lo : lo+n.groupSize] {
+		if rt.PBDirty() {
+			rt.UpdatePBFlags(now)
 		}
-		return
-	}
-	for r := lo; r < hi; r++ {
-		n.Routers[r].UpdatePBFlags(now)
 	}
 }
 
@@ -938,12 +867,11 @@ func (n *Network) fold(vs ...int64) {
 }
 
 // handle processes one due event. Everything it mutates directly is owned by
-// the event's group: the target router (every event targets exactly one),
-// and that group's awake/activeG entries. Whatever is shared goes through
-// sh: the caller walking the due list in order passes nil and wheel
-// insertions, the in-flight counter and observable effects apply inline; a
-// pool worker passes its group's scratch and they wait for the barrier in
-// processDue.
+// the event's group: the target router (every event targets exactly one).
+// Whatever is shared goes through sh: the caller walking the due list in
+// order passes nil and wheel insertions, the in-flight counter and observable
+// effects apply inline; a pool worker passes its group's scratch and they
+// wait for the barrier in processDue.
 func (n *Network) handle(ev event, idx int, now int64, sh *groupScratch) {
 	switch ev.kind {
 	case evArrive:
@@ -968,14 +896,9 @@ func (n *Network) handle(ev event, idx int, now int64, sh *groupScratch) {
 			return
 		}
 		n.Routers[ev.r].Arrive(int(ev.port), int(ev.vc), ev.pkt)
-		n.wake(ev.r)
 	case evDrain, evDrainDeliver:
 		r := n.Routers[ev.r]
 		p, upR, upP := r.FinishDrain(int(ev.port), int(ev.vc))
-		// The drain's end frees the input port and promotes any packet queued
-		// behind the drained head; credits (evCredit) need no wake because
-		// they cannot create a routable head on a router that has none.
-		n.wake(ev.r)
 		if ev.kind == evDrain {
 			// The packet has fully left this buffer and is now only on the
 			// link (its arrival event is pending); with link latencies ≥
@@ -1080,7 +1003,7 @@ func (n *Network) generate(now int64) {
 // pool without an ID (commitGenerate stamps IDs in global order),
 // stats/digest/trace/job effects become genRec entries, and counter deltas
 // accumulate in the group scratch. Injection side effects (router state,
-// wake, AtInjection with the walker's engine) are group-owned and applied
+// AtInjection with the walker's engine) are group-owned and applied
 // immediately.
 func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
 	topo := n.Topo
@@ -1125,7 +1048,6 @@ func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
 			if vc, ok := r.InjectionSpace(port, p.Size); ok {
 				pq.pop()
 				r.Inject(port, vc, p, now)
-				n.wake(int32(r.ID))
 				eng.AtInjection(r, p, now)
 				sh.injected++
 			}
@@ -1257,24 +1179,20 @@ func (n *Network) commitStats(r *router.Router, g *router.Grant, now int64) {
 	}
 }
 
-// cycleGroup runs one group's router stage: compact the group's active list,
-// Cycle each awake router with the walker's engine and commit its grants. The
-// caller (sh == nil) commits both halves of a grant on the spot; a pool
-// worker schedules into its group's outbox and parks the grants in grantBuf
-// for commitGroup. Everything a worker writes — the group's active list, its
-// routers, their grantBuf rows, the outbox — is owned by this group.
+// cycleGroup runs one group's router stage: Cycle each of the group's routers
+// with the walker's engine and commit its grants. The caller (sh == nil)
+// commits both halves of a grant on the spot; a pool worker schedules into
+// its group's outbox and parks the grants in grantBuf for commitGroup.
+// Everything a worker writes — the group's routers, their grantBuf rows, the
+// outbox — is owned by this group.
 //
 // grantBuf rows alias the grant slices Cycle itself reuses across cycles;
-// they are never cleared, because commitGroup reads only the rows of routers
-// on this cycle's list, each freshly written here.
+// they are never cleared, because every router of the group writes its row
+// here each cycle (an idle router's Cycle returns an empty list) before
+// commitGroup reads it.
 func (n *Network) cycleGroup(g int, eng router.Engine, now int64, sh *groupScratch) {
-	if len(n.activeG[g]) == 0 {
-		return
-	}
-	if n.schedOn {
-		n.compactGroup(g)
-	}
-	for _, i := range n.activeG[g] {
+	lo := g * n.groupSize
+	for i := lo; i < lo+n.groupSize; i++ {
 		r := n.Routers[i]
 		grants := r.Cycle(eng, now)
 		if sh != nil {
@@ -1295,7 +1213,8 @@ func (n *Network) cycleGroup(g int, eng router.Engine, now int64, sh *groupScrat
 // this reproduces the caller's own ascending-router fold and wheel-insertion
 // order.
 func (n *Network) commitGroup(g int, now int64) {
-	for _, i := range n.activeG[g] {
+	lo := g * n.groupSize
+	for i := lo; i < lo+n.groupSize; i++ {
 		r := n.Routers[i]
 		grants := n.grantBuf[i]
 		for j := range grants {

@@ -44,11 +44,10 @@ func stepCompare(t *testing.T, ref *Network, variants map[string]*Network, cycle
 	}
 }
 
-// TestParallelEngineMatchesSerial is the equivalence contract of the pool,
-// the activity scheduler and phase timing: for every traffic pattern and
-// mechanism tried, a Workers=4 run — with the active-set scheduler on or
-// off — and a run with EnablePhaseTimings on must be bit-identical to the
-// caller-walked scheduler-disabled run: same per-cycle grant sequences, same per-packet
+// TestParallelEngineMatchesSerial is the equivalence contract of the pool
+// and phase timing: for every traffic pattern and mechanism tried, a
+// Workers=4 run and a run with EnablePhaseTimings on must be bit-identical to
+// the caller-walked run: same per-cycle grant sequences, same per-packet
 // latencies (both folded into the digest), same statistics, and a conserved
 // packet population on every side.
 func TestParallelEngineMatchesSerial(t *testing.T) {
@@ -63,7 +62,7 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	}{
 		{OFAR, "uniform", 0.8},     // saturating: misroutes, ring entries, RNG draws
 		{OFAR, "adversarial", 0.5}, // ADV+h: global misroutes and escape pressure
-		{OFAR, "burst", 0},         // closed-loop drain: active set shrinks to zero
+		{OFAR, "burst", 0},         // closed-loop drain: every router ends up idle
 		{PB, "adversarial", 0.4},   // flag boards published before the compute phase
 		{VAL, "uniform", 0.6},      // injection-time RNG draws
 	}
@@ -71,22 +70,19 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 		name := string(tc.routing) + "/" + tc.traffic
 		t.Run(name, func(t *testing.T) {
 			base := DefaultConfig(3).WithRouting(tc.routing)
-			mk := func(workers int, noSched bool) *Network {
+			mk := func(workers int) *Network {
 				cfg := base
 				cfg.Workers = workers
-				cfg.DisableActivitySched = noSched
 				n := mustNet(t, cfg)
 				n.SetGenerator(genFor(n, tc.traffic, tc.load))
 				n.EnableGrantDigest()
 				n.Stats.StartMeasurement(0)
 				return n
 			}
-			ref := mk(0, true) // no pool, every router every cycle
+			ref := mk(0) // no pool
 			variants := map[string]*Network{
-				"serial+sched":     mk(0, false),
-				"serial+timed":     mk(0, false),
-				"workers4+nosched": mk(4, true),
-				"workers4+sched":   mk(4, false),
+				"serial+timed": mk(0),
+				"workers4":     mk(4),
 			}
 			variants["serial+timed"].EnablePhaseTimings()
 
@@ -125,20 +121,18 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 }
 
 // TestWorkerCountInvariance: the digest must not depend on *how many*
-// workers split the groups, nor on whether the activity scheduler prunes
-// the iteration to the awake set, nor on whether routers memoize routing
-// decisions (the full workers × scheduler × route-cache matrix). Pooled rows
-// force the cutover to 1 so the pool genuinely dispatches on every non-empty
-// phase even on a single-P host.
+// workers split the groups, nor on whether routers memoize routing decisions
+// (the full workers × route-cache matrix). Pooled rows force the cutover to 1
+// so the pool genuinely dispatches on every non-empty phase even on a
+// single-P host.
 func TestWorkerCountInvariance(t *testing.T) {
 	cycles := 800
 	if testing.Short() {
 		cycles = 300
 	}
-	run := func(workers int, noSched, noCache bool) (uint64, int64) {
+	run := func(workers int, noCache bool) (uint64, int64) {
 		cfg := DefaultConfig(2)
 		cfg.Workers = workers
-		cfg.DisableActivitySched = noSched
 		cfg.DisableRouteCache = noCache
 		n := mustPoolNet(t, cfg)
 		n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, 2), 0.6, cfg.PacketSize))
@@ -147,15 +141,13 @@ func TestWorkerCountInvariance(t *testing.T) {
 		d, c := n.GrantDigest()
 		return d, c
 	}
-	wantD, wantC := run(0, true, false)
+	wantD, wantC := run(0, false)
 	for _, noCache := range []bool{false, true} {
-		for _, noSched := range []bool{false, true} {
-			for _, w := range []int{0, 1, 4, 8, 64} { // 64 > group count: clamped
-				d, c := run(w, noSched, noCache)
-				if d != wantD || c != wantC {
-					t.Fatalf("workers=%d noSched=%v noCache=%v: digest %016x (%d) != reference %016x (%d)",
-						w, noSched, noCache, d, c, wantD, wantC)
-				}
+		for _, w := range []int{0, 1, 4, 8, 64} { // 64 > group count: clamped
+			d, c := run(w, noCache)
+			if d != wantD || c != wantC {
+				t.Fatalf("workers=%d noCache=%v: digest %016x (%d) != reference %016x (%d)",
+					w, noCache, d, c, wantD, wantC)
 			}
 		}
 	}

@@ -35,11 +35,11 @@ import (
 //     continues the exact same run.
 //   - Path tracing: a diagnostics sink with per-packet allocation; Restore
 //     resets it to disabled.
-//   - The worker pool and activity scheduler: wall-clock
-//     machinery, rebuilt from the restoring network's own configuration. The
-//     snapshot config is compared after normalizing these fields away, so a
-//     snapshot taken at Workers=4 restores into a Workers=1 network (and any
-//     other combination) with identical results.
+//   - The worker pool: wall-clock machinery, rebuilt from the restoring
+//     network's own configuration. The snapshot config is compared after
+//     normalizing the execution fields away, so a snapshot taken at Workers=4
+//     restores into a Workers=1 network (and any other combination) with
+//     identical results.
 //
 // The header carries the engine's golden-trace digest (EngineDigest): a
 // snapshot written by a build with different simulation physics fails fast
@@ -94,9 +94,10 @@ func EngineDigest() uint64 {
 }
 
 // normalizeConfig zeroes the fields that change wall-clock execution but not
-// simulated physics, so snapshots restore across worker counts, scheduler
-// and route-cache settings (all proven bit-identical elsewhere). Everything
-// else — topology, buffering, routing, faults, seed — must match exactly.
+// simulated physics, so snapshots restore across worker counts and
+// route-cache settings (proven bit-identical elsewhere), and the two ignored
+// fields kept for bench/. Everything else — topology, buffering, routing,
+// faults, seed — must match exactly.
 func normalizeConfig(c Config) Config {
 	c.Workers = 0
 	c.ShardByGroup = false
@@ -633,24 +634,6 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 	n.digestOn, n.digest, n.digestCount = digestOn, digest, digestCount
 	n.logCap, n.grantLog = logCap, grantLog
 	n.traceEvery, n.traces = 0, nil
-
-	// Rebuild the active set: wake exactly the routers holding routable work.
-	// This is a subset of the original run's awake set containing every
-	// behaviorally relevant router — extra awake routers run no-op Cycles and
-	// are dropped by compactGroup, so the wake set never affects results
-	// (the conservative-wake contract). With the scheduler off every router
-	// stays awake.
-	if n.schedOn {
-		clear(n.awake)
-		for g := range n.activeG {
-			n.activeG[g] = n.activeG[g][:0]
-		}
-		for _, r := range n.Routers {
-			if r.HasRoutableWork() {
-				n.wake(int32(r.ID))
-			}
-		}
-	}
 	return nil
 }
 

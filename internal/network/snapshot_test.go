@@ -13,11 +13,10 @@ import (
 // snapCfg is the small h=2 system the snapshot tests run on: 36 routers,
 // 72 nodes, OFAR with a physical escape ring — every subsystem the snapshot
 // must carry (rings, escape VCs, PB boards are exercised separately).
-func snapCfg(workers int, noSched bool) Config {
+func snapCfg(workers int) Config {
 	cfg := DefaultConfig(2)
 	cfg.Seed = 7
 	cfg.Workers = workers
-	cfg.DisableActivitySched = noSched
 	return cfg
 }
 
@@ -60,10 +59,11 @@ func expectSameState(t *testing.T, label string, a, b *Network) {
 }
 
 // TestSnapshotDifferential is the restore-equality matrix: for each load ×
-// worker count × scheduler setting, running K cycles, snapshotting and
-// running M more must be bit-identical to restoring that snapshot into a
-// fresh network and running the same M cycles — per-router fingerprints,
-// grant digests and statistics all included.
+// worker count, running K cycles, snapshotting and running M more must be
+// bit-identical to restoring that snapshot into a fresh network and running
+// the same M cycles — per-router fingerprints, grant digests and statistics
+// all included. (The subtest names end in "_sched" from when the matrix had a
+// scheduler dimension; kept so test IDs stay stable.)
 func TestSnapshotDifferential(t *testing.T) {
 	const warm, measure = 300, 300
 	loads := []float64{0.05, 0.6, 0.9}
@@ -73,27 +73,21 @@ func TestSnapshotDifferential(t *testing.T) {
 	}
 	for _, load := range loads {
 		for _, workers := range workerCounts {
-			for _, noSched := range []bool{false, true} {
-				cfg := snapCfg(workers, noSched)
-				sched := "sched"
-				if noSched {
-					sched = "nosched"
-				}
-				name := fmt.Sprintf("load%.2f_w%d_%s", load, workers, sched)
-				t.Run(name, func(t *testing.T) {
-					orig := snapNet(t, cfg, load)
-					orig.Run(warm)
-					snap := snapshotBytes(t, orig)
-					orig.Run(measure)
+			cfg := snapCfg(workers)
+			name := fmt.Sprintf("load%.2f_w%d_sched", load, workers)
+			t.Run(name, func(t *testing.T) {
+				orig := snapNet(t, cfg, load)
+				orig.Run(warm)
+				snap := snapshotBytes(t, orig)
+				orig.Run(measure)
 
-					restored := snapNet(t, cfg, load)
-					if err := restored.Restore(bytes.NewReader(snap)); err != nil {
-						t.Fatal(err)
-					}
-					restored.Run(measure)
-					expectSameState(t, name, orig, restored)
-				})
-			}
+				restored := snapNet(t, cfg, load)
+				if err := restored.Restore(bytes.NewReader(snap)); err != nil {
+					t.Fatal(err)
+				}
+				restored.Run(measure)
+				expectSameState(t, name, orig, restored)
+			})
 		}
 	}
 }
@@ -101,7 +95,7 @@ func TestSnapshotDifferential(t *testing.T) {
 // TestSnapshotIsPure proves taking a snapshot perturbs nothing: a run that
 // snapshots mid-flight ends bit-identical to one that never did.
 func TestSnapshotIsPure(t *testing.T) {
-	cfg := snapCfg(1, false)
+	cfg := snapCfg(1)
 	a := snapNet(t, cfg, 0.6)
 	a.Run(200)
 	_ = snapshotBytes(t, a) // side-effect-free by contract
@@ -113,21 +107,21 @@ func TestSnapshotIsPure(t *testing.T) {
 }
 
 // TestSnapshotCrossSetting restores a snapshot taken under one execution
-// configuration (parallel, scheduler on, cache on) into networks built with
+// configuration (parallel, cache on) into networks built with
 // different wall-clock settings: results must stay bit-identical, because
 // those settings are normalized out of the snapshot's config identity.
 func TestSnapshotCrossSetting(t *testing.T) {
 	const warm, measure = 300, 300
-	src := snapCfg(4, false)
+	src := snapCfg(4)
 	orig := snapNet(t, src, 0.6)
 	orig.Run(warm)
 	snap := snapshotBytes(t, orig)
 	orig.Run(measure)
 
 	variants := []Config{
-		snapCfg(1, true), // serial, scheduler off
+		snapCfg(1), // serial
 		func() Config {
-			c := snapCfg(1, false)
+			c := snapCfg(1)
 			c.DisableRouteCache = true
 			return c
 		}(),
@@ -150,9 +144,9 @@ func TestSnapshotCrossSetting(t *testing.T) {
 // single-P host.
 func TestSnapshotAcrossSharding(t *testing.T) {
 	const warm, measure = 300, 300
-	shardCfg := snapCfg(4, false)
+	shardCfg := snapCfg(4)
 	shardCfg.ShardByGroup = true
-	serialCfg := snapCfg(1, false)
+	serialCfg := snapCfg(1)
 
 	for _, dir := range []struct {
 		name     string
@@ -182,7 +176,7 @@ func TestSnapshotAcrossSharding(t *testing.T) {
 // packets) and another fault after it (the restored fault cursor must fire
 // it on time).
 func TestSnapshotWithFaults(t *testing.T) {
-	cfg := snapCfg(1, false)
+	cfg := snapCfg(1)
 	cfg.Faults = []Fault{
 		{Cycle: 100, Kind: FaultRouter, Router: 5},
 		{Cycle: 450, Kind: FaultLink, Router: 11, Port: cfg.P},
@@ -209,7 +203,7 @@ func TestSnapshotWithFaults(t *testing.T) {
 // TestSnapshotBurstGenerator proves stateful generator progress restores:
 // a burst source's per-node budgets continue exactly where they stopped.
 func TestSnapshotBurstGenerator(t *testing.T) {
-	cfg := snapCfg(1, false)
+	cfg := snapCfg(1)
 	mkGen := func(n *Network) *traffic.Burst {
 		return traffic.NewBurst(traffic.NewUniform(n.Topo), 4, n.Topo.Nodes)
 	}
@@ -239,7 +233,7 @@ func TestSnapshotBurstGenerator(t *testing.T) {
 // TestSnapshotGrantLogRestores proves the grant log and its cap carry over,
 // enabling golden-trace comparisons across a snapshot boundary.
 func TestSnapshotGrantLogRestores(t *testing.T) {
-	cfg := snapCfg(1, false)
+	cfg := snapCfg(1)
 	orig := snapNet(t, cfg, 0.6)
 	orig.EnableGrantLog(64)
 	orig.Run(150)
@@ -269,7 +263,7 @@ func TestSnapshotGrantLogRestores(t *testing.T) {
 // -race in CI with Workers > 1, which would catch any shared-slice aliasing
 // as a data race too.
 func TestForkIndependence(t *testing.T) {
-	cfg := snapCfg(4, false)
+	cfg := snapCfg(4)
 	parent := snapNet(t, cfg, 0.6)
 	parent.Run(300)
 	parentBefore := snapshotBytes(t, parent)
@@ -315,7 +309,7 @@ func TestForkIndependence(t *testing.T) {
 // version, flipped payload bits, truncation, config mismatch and trailing
 // garbage must all error out without panicking.
 func TestRestoreRejects(t *testing.T) {
-	cfg := snapCfg(1, false)
+	cfg := snapCfg(1)
 	orig := snapNet(t, cfg, 0.6)
 	orig.Run(120)
 	snap := snapshotBytes(t, orig)
@@ -344,7 +338,7 @@ func TestRestoreRejects(t *testing.T) {
 	expectErr("empty", nil)
 	expectErr("trailing garbage", append(append([]byte(nil), snap...), 0xEE))
 
-	other := snapCfg(1, false)
+	other := snapCfg(1)
 	other.Seed = 99
 	mis, err := New(other)
 	if err != nil {
@@ -379,7 +373,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		rt   Routing
 		want uint64
 	}{{OFAR, 0x3702330e385aebf1}, {PB, 0xf910ecb4802ad3f2}} {
-		n := snapNet(t, snapCfg(1, false).WithRouting(c.rt), 0.6)
+		n := snapNet(t, snapCfg(1).WithRouting(c.rt), 0.6)
 		n.Run(400)
 		if got := simcore.Checksum64(snapshotBytes(t, n)); got != c.want {
 			t.Errorf("%s: snapshot FNV %#016x, pinned %#016x", c.rt, got, c.want)

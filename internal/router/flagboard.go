@@ -45,7 +45,7 @@ func NewFlagBoard(links, delay int) *FlagBoard {
 
 // Set publishes the flag of one link as computed at cycle now. The value is
 // assumed constant since the previous Set of the same link, so owners may
-// (and, with the activity scheduler, do) skip publishing while the flag is
+// (and do, see Router.PBDirty) skip publishing while the flag is
 // unchanged. Publishes must be monotone in now. Setting the current value
 // again is a no-op.
 func (fb *FlagBoard) Set(now int64, link int, v bool) {

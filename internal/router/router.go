@@ -82,12 +82,11 @@ type Router struct {
 
 	// readyVCs counts input VCs holding a routable head: non-empty and not
 	// draining. It is maintained incrementally by Arrive/Inject/commit/
-	// FinishDrain and is the network activity scheduler's wake predicate —
-	// when it is zero, Cycle provably has no side effects (no engine.Route
-	// call, no RNG draw, no arbiter movement, no header writes), so the
-	// router may be skipped without perturbing the simulation. readyPorts is
-	// the port-level projection (bit ip set iff In[ip].ready != 0), kept at
-	// the same sites, so Cycle iterates only ports that can hold work.
+	// FinishDrain; when it is zero Cycle returns at once, touching nothing
+	// (no engine.Route call, no RNG draw, no arbiter movement, no header
+	// writes). readyPorts is the port-level projection (bit ip set iff
+	// In[ip].ready != 0), kept at the same sites, so Cycle iterates only
+	// ports that can hold work.
 	readyVCs   int
 	readyPorts uint64
 
@@ -125,11 +124,11 @@ type Router struct {
 	// intersects the window. Live cache entries are re-validated every Cycle
 	// (an entry's VC has its ready bit set by definition), with two gaps
 	// both covered: a busy input port's entries are skipped for the busy
-	// span, so the skipped windows accumulate in pendingDirty[ip]; a
-	// sleeping router runs no Cycle at all, so dirty itself accumulates
-	// until the next wake captures the union. rngDraws counts RandInt calls:
-	// a decision that consumed randomness is never cached, which is what
-	// makes replaying a cached decision deterministic.
+	// span, so the skipped windows accumulate in pendingDirty[ip]; an idle
+	// router's Cycle returns before the drain, so dirty itself accumulates
+	// until its next working Cycle captures the union. rngDraws counts
+	// RandInt calls: a decision that consumed randomness is never cached,
+	// which is what makes replaying a cached decision deterministic.
 	cacheOn      bool
 	dirty        uint64
 	pendingDirty []uint64
@@ -350,8 +349,7 @@ func (r *Router) OutputDead(port int) bool {
 // DropBuffered discards every packet buffered in this router's input VCs,
 // except heads that already won allocation and are draining (their phits are
 // on the crossbar; the pending FinishDrain completes them). Routable heads
-// that are dropped decrement the activity counter. Used when the whole
-// router fails.
+// that are dropped decrement readyVCs. Used when the whole router fails.
 func (r *Router) DropBuffered(visit func(*packet.Packet)) {
 	for i := range r.In {
 		for vc := range r.In[i].VCs {
@@ -534,14 +532,13 @@ func (r *Router) Inject(port, vc int, p *packet.Packet, now int64) {
 }
 
 // HasRoutableWork reports whether any input VC holds a routable head (non-
-// empty, not draining). When false, Cycle is a guaranteed no-op — it calls
-// no engine, draws no randomness and moves no arbiter state — which is the
-// contract that lets the network's activity scheduler skip this router
-// without changing results (see TestIdleCycleIsPure).
+// empty, not draining). When false, Cycle returns at once — it calls no
+// engine, draws no randomness and moves no arbiter state (see
+// TestIdleCycleIsPure).
 func (r *Router) HasRoutableWork() bool { return r.readyVCs > 0 }
 
 // RoutableVCs returns the number of input VCs with a routable head (test
-// and diagnostics hook for the activity-tracking counter).
+// and diagnostics hook for the readyVCs counter).
 func (r *Router) RoutableVCs() int { return r.readyVCs }
 
 // CanonicalOccupancy returns the fraction of this router's canonical input
@@ -596,11 +593,11 @@ func (r *Router) CheckCredits(routers []*Router, inFlight func(router, port, vc 
 // mutate — the private RNG stream, the arbiter LRS memories, buffer contents
 // and drain state, port serialization deadlines and the occupancy counters —
 // into one FNV-1a hash. Tests compare fingerprints across a Cycle call on an
-// idle router to prove the call had no side effects (the contract the
-// network's activity scheduler relies on). The request scratch slots and the
-// grants slice are deliberately excluded: both are reset at the top of every
-// Cycle before being read, so stale contents are unobservable. The route
-// cache (per-buffer entries, dirty/pendingDirty masks, nextFree, rngDraws) is
+// idle router to prove the call had no side effects (the contract of Cycle's
+// early return). The request scratch slots and the grants slice are
+// deliberately excluded: both are reset at the top of every working Cycle
+// before being read, so stale contents are unobservable. The route cache
+// (per-buffer entries, dirty/pendingDirty masks, nextFree, rngDraws) is
 // excluded too:
 // it is pure memoization of values recomputable from the fingerprinted state,
 // and excluding it is what makes cache-on and cache-off runs — which are
@@ -670,7 +667,14 @@ func (r *Router) StateFingerprint() uint64 {
 // implies the head is the same packet that was evaluated when the entry was
 // created, at which point BlockedSince was already set (it only resets when
 // the packet wins allocation and drains, which invalidates the entry).
+//
+// A router with no routable head returns an empty grant list without touching
+// any state: credits that arrive meanwhile accumulate in dirty, and busy-timer
+// expiries are picked up by the nextFree scan of the next working Cycle.
 func (r *Router) Cycle(engine Engine, now int64) []Grant {
+	if r.readyVCs == 0 {
+		return r.grants[:0]
+	}
 	var window uint64 // output ports dirtied since the last formation pass
 	if r.cacheOn {
 		if now >= r.nextFree {

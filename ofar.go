@@ -148,8 +148,8 @@ func (s *Simulator) Network() *network.Network { return s.net }
 func (s *Simulator) Snapshot(w io.Writer) error { return s.net.Snapshot(w) }
 
 // Restore overwrites the simulator's state from a snapshot. The simulator
-// must be built from the same configuration (modulo worker/scheduler/cache
-// settings, which change wall-clock only) by the same simulation physics;
+// must be built from the same configuration (modulo worker/cache settings,
+// which change wall-clock only) by the same simulation physics;
 // corrupt input returns an error without panicking.
 func (s *Simulator) Restore(r io.Reader) error { return s.net.Restore(r) }
 

@@ -90,8 +90,7 @@ func TestWorkloadNamePinsKnobs(t *testing.T) {
 }
 
 // TestJobSetBitIdentityMatrix: a job-set run produces the same grant digest
-// under every engine variant — worker pool, group sharding, activity
-// scheduler and route cache on or off.
+// under every engine variant — worker pool and route cache on or off.
 func TestJobSetBitIdentityMatrix(t *testing.T) {
 	w := testWorkload(t)
 	run := func(mutate func(*Config)) (uint64, JobsResult) {
@@ -114,9 +113,7 @@ func TestJobSetBitIdentityMatrix(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"workers4", func(c *Config) { c.Workers = 4 }},
-		{"nosched", func(c *Config) { c.DisableActivitySched = true }},
 		{"nocache", func(c *Config) { c.DisableRouteCache = true }},
-		{"workers4-nosched", func(c *Config) { c.Workers = 4; c.DisableActivitySched = true }},
 	}
 	for _, v := range variants {
 		digest, res := run(v.mutate)
