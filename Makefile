@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race loc footprint bench golden-regen vet cover cover-check figures figures-h6 fuzz serve smoke-serve smoke-trace smoke-cli clean
+.PHONY: all build test test-short test-race loc loc-check footprint bench golden-regen vet cover cover-check figures figures-h6 fuzz serve smoke-serve smoke-trace smoke-cli clean
 
 all: build test
 
@@ -26,11 +26,24 @@ cover:
 	$(GO) test -short -cover ./...
 
 # Non-test Go line counts (plain wc -l) of the packages ROADMAP items 2-3 set
-# their acceptance numbers on.
+# their acceptance numbers on. LOC_COUNT counts directory $$d of the shell.
+LOC_COUNT = find $$d $$([ $$d = cmd ] || [ $$d = examples ] || echo -maxdepth 1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+
 loc:
 	@for d in internal/network internal/router internal/simcore internal/service . cmd examples; do \
-		printf '%-18s %6d\n' $$d $$(find $$d $$([ $$d = cmd ] || [ $$d = examples ] || echo -maxdepth 1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+		printf '%-18s %6d\n' $$d $$($(LOC_COUNT)); \
 	done
+
+# Line budget of the engine (ROADMAP item 1: "non-test lines not up"): the
+# internal/network + internal/router sum may not exceed the ceiling, which is
+# the measured sum at the time the gate was added — lower it when a deletion
+# lands, never raise it to make a PR pass.
+LOC_CEILING ?= 4889
+
+loc-check: loc
+	@sum=0; for d in internal/network internal/router; do sum=$$((sum + $$($(LOC_COUNT)))); done; \
+	echo "internal/network + internal/router: $$sum non-test lines (ceiling $(LOC_CEILING))"; \
+	[ $$sum -le $(LOC_CEILING) ] || { echo "engine grew past the $(LOC_CEILING)-line ceiling"; exit 1; }
 
 # What a constructed network costs: arena state, heap after New and warm
 # snapshot size at h=2/3/6/8 (the table in docs/ARCHITECTURE.md, "Memory

@@ -251,7 +251,18 @@ func TestSweepPointOwnsOnePool(t *testing.T) {
 	cfg := warmTestConfig()
 	cfg.Workers = 4
 	pool := cfg.PoolWidth() - 1 // goroutines a network parks besides its caller
+	// Settle the baseline: a goroutine of the previous test can be past its
+	// Wait but not yet gone, and counting it makes every want below one too
+	// high. Take the count once it reads the same across five 1 ms sleeps.
 	before := runtime.NumGoroutine()
+	for same, i := 0, 0; same < 5 && i < 200; i++ {
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n == before {
+			same++
+		} else {
+			before, same = n, 0
+		}
+	}
 	stop, done := make(chan struct{}), make(chan int)
 	go func() { // samples the goroutine count while the point runs
 		peak := 0

@@ -157,7 +157,6 @@ type Network struct {
 	curDue    []event // the due list being processed (pool workers read it)
 	fxKind    []uint8
 	fxPkt     []*packet.Packet
-	evSink    int64 // write-only prefetch sink of the caller's event loop
 	gs        []groupScratch
 
 	// Grant digest (tests): FNV-1a fold of every committed grant and every
@@ -636,25 +635,9 @@ func (n *Network) routerStage(now int64) {
 //     digest, stat or future decision can observe the shuffle.
 func (n *Network) processDue(due []event, now int64) {
 	if !n.pooled(len(due)) {
-		// The lookahead touch warms the port state of an event a few slots
-		// ahead: due-order jumps between routers, so each event's first
-		// dereference is otherwise a serial cache miss. Reads of exported
-		// quiescent fields only — nothing observable moves.
-		const look = 8
-		sink := int64(0)
 		for i := range due {
-			if i+look < len(due) {
-				nx := &due[i+look]
-				r := n.Routers[nx.r]
-				inp := &r.In[nx.port]
-				sink += int64(inp.UpPort) + int64(r.Out[nx.port].Latency)
-				if int(nx.vc) < len(inp.VCs) {
-					sink += int64(inp.VCs[nx.vc].Ring)
-				}
-			}
 			n.handle(due[i], i, now, nil)
 		}
-		n.evSink = sink
 		return
 	}
 	for g := range n.dueG {

@@ -72,8 +72,7 @@ func (s *ArenaSize) Add(p Params, cache bool) {
 		}
 	}
 	if cache {
-		s.Uint64s += 3 * n
-		s.Int64s += n
+		s.Uint64s += n
 	}
 }
 

@@ -72,7 +72,7 @@ func TestRouteCacheStableBlockedHead(t *testing.T) {
 // TestRouteCacheBusyTransitions: the allocation loser is re-evaluated once
 // after the winner's commit (the commit bumps the output's epoch), caches its
 // blocked result while the port serializes, and is re-evaluated again when
-// the busy deadline expires (the nextFree scan bumps the epoch).
+// the busy deadline expires (expireBusy dirties the port).
 func TestRouteCacheBusyTransitions(t *testing.T) {
 	r := testRouter(t, 1)
 	r.EnableRouteCache()
@@ -106,6 +106,53 @@ func TestRouteCacheBusyTransitions(t *testing.T) {
 	// loser is re-evaluated and granted.
 	if grants := r.Cycle(eng, 8); len(grants) != 1 || eng.calls != 4 {
 		t.Fatalf("cycle 8: %d grants, %d calls; want the freed port re-evaluated and granted", len(grants), eng.calls)
+	}
+}
+
+// TestRouteCacheBanksWindowOfBusyInput: an invalidation that lands while the
+// entry's input port is serializing another VC's packet is not lost. Two VCs
+// of input port 0 hold heads whose decisions read output 2 (full, so both
+// detour to output 1); one wins and port 0 is busy for 8 cycles, during which
+// formRequests skips the loser's entry. A credit refund on output 2 at cycle
+// 3 is drained into that cycle's window — the only window that ever carries
+// it — so it must be banked in pendingDirty: at cycle 8, the first with port
+// 0 free, the loser is re-evaluated exactly once and takes output 2.
+func TestRouteCacheBanksWindowOfBusyInput(t *testing.T) {
+	r := testRouter(t, 2)
+	r.EnableRouteCache()
+	var pool packet.Pool
+	eng := &cacheScriptEngine{
+		route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
+			if rt.VCFits(2, 0, p.Size) {
+				return Request{Out: 2, VC: 0}, true
+			}
+			return Request{Out: 1, VC: 0}, true
+		},
+		deps: port2Deps,
+	}
+	r.Out[2].Take(0, 64) // output 2 VC 0 has no credits
+	push(r, 0, 0, &pool)
+	push(r, 0, 1, &pool)
+	if g := r.Cycle(eng, 0); len(g) != 1 || g[0].Req.Out != 1 || eng.calls != 2 {
+		t.Fatalf("cycle 0: grants %+v, %d calls; want one detour grant from 2 evaluations", g, eng.calls)
+	}
+	for now := int64(1); now < 8; now++ {
+		if now == 3 {
+			r.AddCredit(2, 0, 8)
+		}
+		if g := r.Cycle(eng, now); len(g) != 0 {
+			t.Fatalf("cycle %d: unexpected grant while input port 0 serializes", now)
+		}
+	}
+	if eng.calls != 2 {
+		t.Fatalf("busy input port evaluated %d times during its span, want 0 (calls=2)", eng.calls-2)
+	}
+	g := r.Cycle(eng, 8)
+	if eng.calls != 3 {
+		t.Fatalf("cycle 8: calls=%d, want 3: the refund of cycle 3 must invalidate the loser's entry exactly once", eng.calls)
+	}
+	if len(g) != 1 || g[0].InVC != 1 || g[0].Req.Out != 2 {
+		t.Fatalf("cycle 8: grants %+v; want the loser (VC 1) granted output 2, not a replay of the stale detour", g)
 	}
 }
 

@@ -117,9 +117,9 @@ type Router struct {
 	// Route-cache state (EnableRouteCache). dirty accumulates a bit per
 	// output port whose engine-visible state changed since the last
 	// formation pass captured it: credits taken (commit) or refunded
-	// (AddCredit), busy→free expiry (the nextFree scan at the top of Cycle),
-	// link death (FailOutput), ring-edge removal (FailRing) and structural
-	// credit surgery (NoteOutMutated). Cycle drains dirty into the cycle's
+	// (AddCredit), busy→free expiry (expireBusy), link death (FailOutput),
+	// ring-edge removal (FailRing) and structural credit surgery
+	// (NoteOutMutated). Cycle drains dirty into the cycle's
 	// invalidation window; a cached decision is stale iff its read-set mask
 	// intersects the window. Live cache entries are re-validated every Cycle
 	// (an entry's VC has its ready bit set by definition), with two gaps
@@ -135,35 +135,16 @@ type Router struct {
 	nextFree     int64 // earliest future busy→free transition; MaxInt64 if none
 	rngDraws     uint64
 
-	// Port-level formation memo, layered on the per-VC entries: when every
-	// ready VC of an input port holds a valid cache entry, the port's whole
-	// formation outcome (its request mask) is stored together with the OR of
-	// the entries' read sets (portDep), the min of their expiries (portExp)
-	// and a formed bit. A later cycle whose dirty window misses portDep, with
-	// no head change on the port (headChanged) and no expiry reached, replays
-	// the stored mask without touching a single buffer — each per-VC check
-	// would have hit with the same outcome, so replay ≡ recompute.
-	formed      uint64
-	headChanged uint64
-	portDep     []uint64
-	portExp     []int64
-	portReqM    []uint64
-
 	// outBusy mirrors "Out[o].busyUntil > now" under cacheOn: commit sets a
-	// port's bit, the nextFree expiry scan clears crossed bits. It lets the
-	// scan walk only busy ports and turns the allocator's available-output
-	// rebuild into a complement (allOut is the all-ports mask).
+	// port's bit, expireBusy clears crossed bits. It lets that scan walk only
+	// busy ports and turns the allocator's available-output rebuild into a
+	// complement (allOut is the all-ports mask).
 	outBusy uint64
 	allOut  uint64
 
 	// arena backs late slice allocations (EnableRouteCache) with the same
 	// group slab the constructor used.
 	arena *Arena
-
-	// prefetchSink absorbs the head-prefetch pass's reads (see Cycle) so the
-	// compiler cannot elide them. Write-only scratch: never read, never
-	// fingerprinted, never serialized.
-	prefetchSink int64
 }
 
 // New builds a router from its parameter block.
@@ -258,21 +239,18 @@ func (r *Router) RandInt(n int) int {
 	return r.rng.Intn(n)
 }
 
-// EnableRouteCache turns on dirty-mask-invalidated route memoization. The
-// network calls it once, after construction, when the routing engine
-// implements CacheableEngine and the config allows caching. Runs are
-// bit-identical with the cache on or off (see TestRouteCacheDifferential);
-// the cache only skips recomputation of decisions whose inputs provably did
-// not change.
+// EnableRouteCache turns on dirty-mask-invalidated route memoization: one
+// entry per input VC (see formRequests). The network calls it once, after
+// construction, when the routing engine implements CacheableEngine and the
+// config allows caching. Runs are bit-identical with the cache on or off (see
+// TestRouteCacheDifferential); the cache only skips recomputation of
+// decisions whose inputs provably did not change.
 func (r *Router) EnableRouteCache() {
 	if len(r.Out) > 64 {
 		panic("router: route cache requires <= 64 ports (enforced by config validation)")
 	}
 	r.cacheOn = true
 	r.pendingDirty = r.arena.Uint64s(len(r.In))
-	r.portDep = r.arena.Uint64s(len(r.In))
-	r.portExp = r.arena.Int64s(len(r.In))
-	r.portReqM = r.arena.Uint64s(len(r.In))
 	r.allOut = ^uint64(0) >> uint(64-len(r.Out))
 	r.nextFree = math.MaxInt64
 }
@@ -367,7 +345,6 @@ func (r *Router) DropBuffered(visit func(*packet.Packet)) {
 		if r.In[i].ready == 0 {
 			r.readyPorts &^= 1 << uint(i)
 		}
-		r.headChanged |= 1 << uint(i)
 	}
 }
 
@@ -451,7 +428,6 @@ func (r *Router) Arrive(port, vc int, p *packet.Packet) {
 		r.readyVCs++ // empty → head becomes routable
 		inp.ready |= 1 << uint(vc)
 		r.readyPorts |= 1 << uint(port)
-		r.headChanged |= 1 << uint(port)
 	}
 	buf.Push(p)
 	if !buf.Escape {
@@ -483,7 +459,6 @@ func (r *Router) FinishDrain(port, vc int) (p *packet.Packet, upRouter, upPort i
 		r.readyVCs++ // the queued packet behind the drained head is now routable
 		inp.ready |= 1 << uint(vc)
 		r.readyPorts |= 1 << uint(port)
-		r.headChanged |= 1 << uint(port)
 	}
 	if !buf.Escape {
 		r.occPhits -= p.Size
@@ -525,7 +500,6 @@ func (r *Router) Inject(port, vc int, p *packet.Packet, now int64) {
 		r.readyVCs++
 		inp.ready |= 1 << uint(vc)
 		r.readyPorts |= 1 << uint(port)
-		r.headChanged |= 1 << uint(port)
 	}
 	buf.Push(p)
 	r.occPhits += p.Size
@@ -594,12 +568,12 @@ func (r *Router) CheckCredits(routers []*Router, inFlight func(router, port, vc 
 // and drain state, port serialization deadlines and the occupancy counters —
 // into one FNV-1a hash. Tests compare fingerprints across a Cycle call on an
 // idle router to prove the call had no side effects (the contract of Cycle's
-// early return). The request scratch slots and the grants slice are
-// deliberately excluded: both are reset at the top of every working Cycle
-// before being read, so stale contents are unobservable. The route cache
-// (per-buffer entries, dirty/pendingDirty masks, nextFree, rngDraws) is
-// excluded too:
-// it is pure memoization of values recomputable from the fingerprinted state,
+// early return). The request scratch and the grants slice are deliberately
+// excluded: a reqs slot is read only under a reqMask bit formRequests set
+// this cycle and grants is truncated before allocate appends, so stale
+// contents are unobservable. The route cache (per-buffer entries, the
+// dirty/pendingDirty masks, nextFree/outBusy, rngDraws) is excluded too: it
+// is pure memoization of values recomputable from the fingerprinted state,
 // and excluding it is what makes cache-on and cache-off runs — which are
 // bit-identical by construction — report identical fingerprints.
 func (r *Router) StateFingerprint() uint64 {
@@ -656,158 +630,105 @@ func (r *Router) StateFingerprint() uint64 {
 
 // --- per-cycle routing + switch allocation -----------------------------------
 
-// Cycle runs routing decisions for all routable buffer heads and performs
-// the iterative separable switch allocation, committing the winners. It
-// returns the cycle's grants; the returned slice is reused next cycle.
-//
-// With the route cache enabled, a buffer head whose cached decision is still
-// valid (read-set mask disjoint from the cycle's dirty window, expiry not
-// reached) skips the engine entirely —
-// including the Head() dereference and the BlockedSince stamp: a valid entry
-// implies the head is the same packet that was evaluated when the entry was
-// created, at which point BlockedSince was already set (it only resets when
-// the packet wins allocation and drains, which invalidates the entry).
+// Cycle is one cycle of the paper's router pipeline (§V): every routable
+// buffer head gets a routing decision — revisited each cycle while the head
+// stays blocked — and the iterative separable allocator matches the requests
+// to free outputs, committing the winners. It returns the cycle's grants; the
+// returned slice is reused next cycle.
 //
 // A router with no routable head returns an empty grant list without touching
 // any state: credits that arrive meanwhile accumulate in dirty, and busy-timer
-// expiries are picked up by the nextFree scan of the next working Cycle.
+// expiries are picked up by expireBusy at the next working Cycle.
+//
+// With the route cache on, the cycle's invalidation window is the set of
+// output ports whose engine-visible state changed since the previous working
+// Cycle: dirty, drained here, after expireBusy has added the ports that
+// crossed busy→free. The cache-off reference path presents an empty window
+// and consults no entry.
 func (r *Router) Cycle(engine Engine, now int64) []Grant {
 	if r.readyVCs == 0 {
 		return r.grants[:0]
 	}
-	var window uint64 // output ports dirtied since the last formation pass
+	var window uint64
 	if r.cacheOn {
 		if now >= r.nextFree {
-			// One or more output ports crossed busy→free since the last scan;
-			// mark them dirty (cached decisions that saw them busy are stale)
-			// and find the next future transition. Commits keep nextFree a
-			// lower bound on unexpired deadlines and outBusy a superset of
-			// the busy ports, so no transition is ever missed.
-			newNext := int64(math.MaxInt64)
-			for m := r.outBusy; m != 0; m &= m - 1 {
-				o := bits.TrailingZeros64(m)
-				if bu := r.Out[o].busyUntil; bu > now {
-					if bu < newNext {
-						newNext = bu
-					}
-				} else {
-					r.dirty |= 1 << uint(o)
-					r.outBusy &^= 1 << uint(o)
-				}
-			}
-			r.nextFree = newNext
+			r.expireBusy(now)
 		}
 		window = r.dirty
 		r.dirty = 0
 	}
 	r.grants = r.grants[:0]
+	if inPend := r.formRequests(engine, now, window); inPend != 0 {
+		r.allocate(inPend, now)
+	}
+	return r.grants
+}
+
+// expireBusy marks the output ports that crossed busy→free since the last
+// scan dirty (cached decisions that saw them busy are stale), clears them
+// from outBusy and finds the next future transition. Commits keep nextFree a
+// lower bound on unexpired deadlines and outBusy a superset of the busy
+// ports, so no transition is ever missed and, once this has run for a cycle,
+// outBusy is exact for it.
+func (r *Router) expireBusy(now int64) {
+	newNext := int64(math.MaxInt64)
+	for m := r.outBusy; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros64(m)
+		if bu := r.Out[o].busyUntil; bu > now {
+			if bu < newNext {
+				newNext = bu
+			}
+		} else {
+			r.dirty |= 1 << uint(o)
+			r.outBusy &^= 1 << uint(o)
+		}
+	}
+	r.nextFree = newNext
+}
+
+// formRequests is the routing stage: for the ready heads of every input port
+// that is not serializing a packet it fills reqs/reqMask and returns the mask
+// of input ports holding at least one request.
+//
+// A head is routed by engine.Route unless its buffer holds a valid cache
+// entry — cValid, expiry not reached, read set disjoint from the window — in
+// which case the request still in its reqs slot is replayed and the engine,
+// the Head() dereference and the BlockedSince stamp are all skipped. A valid
+// entry implies the same head: every change of head (a push onto an empty
+// buffer, FinishDrain, a fault drop) invalidates it, so BlockedSince was
+// stamped when the entry was made. A decision that drew randomness is never
+// stored.
+//
+// A busy input port is not validated, so the window it skips is banked in
+// pendingDirty and joins the window of its first free cycle: an entry is
+// always checked against every invalidation since it was last checked.
+func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend uint64) {
 	var ce CacheableEngine
 	if r.cacheOn {
 		ce = engine.(CacheableEngine)
 	}
-	if r.readyVCs > 2 {
-		// Head-prefetch pass: touch the head packet of every ready VC that the
-		// main loop below will actually dereference (same skip predicates,
-		// evaluated read-only — pendingDirty is peeked, not consumed). The
-		// main loop's head loads are dependent chains (port → buffer → q →
-		// packet) into pool-recycled packets scattered across the heap, and at
-		// saturation they are the single largest stall in the simulator; the
-		// touches here are independent loads the CPU can overlap, so the main
-		// loop re-walks warm cache lines. Reads only — decisions, RNG streams
-		// and all digests are untouched; the sink write defeats dead-code
-		// elimination.
-		sink := int64(0)
-		for pm := r.readyPorts; pm != 0; pm &= pm - 1 {
-			ip := bits.TrailingZeros64(pm)
-			inp := &r.In[ip]
-			if inp.Busy(now) {
-				continue
-			}
-			// The allocator reads this port's input-arbiter timestamps
-			// whether its requests are routed fresh or replayed; touch the
-			// row now so the LRS scans walk a warm line.
-			if arb := r.inArb[ip].lastServed; len(arb) > 0 {
-				sink += arb[0]
-			}
-			if r.cacheOn {
-				d := window | r.pendingDirty[ip]
-				fbit := uint64(1) << uint(ip)
-				if r.formed&fbit != 0 && r.headChanged&fbit == 0 &&
-					r.portDep[ip]&d == 0 && now < r.portExp[ip] {
-					continue
-				}
-				for m := inp.ready; m != 0; m &= m - 1 {
-					vc := bits.TrailingZeros64(m)
-					buf := &inp.VCs[vc]
-					if buf.cValid && now < buf.cExpire && buf.cMask&d == 0 {
-						continue
-					}
-					sink += buf.q[buf.head].BlockedSince
-					if buf.cMin >= 0 {
-						// The engine's first read is the head's minimal output
-						// (occupancy, busy state, credits); its header line is
-						// another independent load worth overlapping.
-						sink += int64(r.Out[buf.cMin].canCredits)
-					}
-				}
-			} else {
-				for m := inp.ready; m != 0; m &= m - 1 {
-					vc := bits.TrailingZeros64(m)
-					buf := &inp.VCs[vc]
-					sink += buf.q[buf.head].BlockedSince
-					if buf.cMin >= 0 {
-						sink += int64(r.Out[buf.cMin].canCredits)
-					}
-				}
-			}
-		}
-		r.prefetchSink = sink
-	}
-	var inPend uint64 // input ports with pending (unmatched) requests
 	for pm := r.readyPorts; pm != 0; pm &= pm - 1 {
 		ip := bits.TrailingZeros64(pm)
 		inp := &r.In[ip]
 		if inp.Busy(now) {
 			if r.cacheOn {
-				// This port's live entries miss the current window; bank it
-				// so their next validation sees every skipped invalidation.
 				r.pendingDirty[ip] |= window
 			}
 			continue
 		}
 		d := window
-		fbit := uint64(1) << uint(ip)
-		if r.cacheOn {
-			if r.pendingDirty[ip] != 0 {
-				d |= r.pendingDirty[ip]
-				r.pendingDirty[ip] = 0
-			}
-			if r.formed&fbit != 0 && r.headChanged&fbit == 0 &&
-				r.portDep[ip]&d == 0 && now < r.portExp[ip] {
-				// Whole-port replay: every ready VC would hit with the same
-				// outcome, so the stored request mask is the loop's result.
-				if m := r.portReqM[ip]; m != 0 {
-					r.reqMask[ip] = m
-					inPend |= fbit
-				}
-				continue
-			}
-			r.headChanged &^= fbit
+		if r.cacheOn && r.pendingDirty[ip] != 0 {
+			d |= r.pendingDirty[ip]
+			r.pendingDirty[ip] = 0
 		}
 		base := int(r.vcBase[ip])
-		var reqM, depOr uint64
-		minExp := int64(math.MaxInt64)
-		cacheable := r.cacheOn
+		var reqM uint64
 		for m := inp.ready; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros64(m)
 			buf := &inp.VCs[vc]
 			if r.cacheOn && buf.cValid && now < buf.cExpire && buf.cMask&d == 0 {
 				if buf.cOK { // replay: the reqs slot still holds the request
 					reqM |= 1 << uint(vc)
-				}
-				depOr |= buf.cMask
-				if buf.cExpire < minExp {
-					minExp = buf.cExpire
 				}
 				continue
 			}
@@ -830,15 +751,10 @@ func (r *Router) Cycle(engine Engine, now int64) []Grant {
 					buf.cExpire = expire
 					buf.cOK = ok
 					buf.cValid = true
-					depOr |= mask
-					if expire < minExp {
-						minExp = expire
-					}
 				} else {
 					// The decision consumed randomness; replaying it would
 					// skip the draws and desynchronize the RNG stream.
 					buf.cValid = false
-					cacheable = false
 				}
 			}
 			if ok {
@@ -846,27 +762,26 @@ func (r *Router) Cycle(engine Engine, now int64) []Grant {
 				reqM |= 1 << uint(vc)
 			}
 		}
-		if cacheable {
-			r.formed |= fbit
-			r.portDep[ip] = depOr
-			r.portExp[ip] = minExp
-			r.portReqM[ip] = reqM
-		} else {
-			r.formed &^= fbit
-		}
 		if reqM != 0 {
 			r.reqMask[ip] = reqM
 			inPend |= 1 << uint(ip)
 		}
 	}
-	if inPend == 0 {
-		return r.grants
-	}
+	return inPend
+}
 
-	// outAvail starts as the non-busy outputs and loses each granted port,
-	// which is exactly the old matchedOut ∪ Busy skip set: port busy state
-	// only changes mid-cycle through grants. Under cacheOn the expiry scan
-	// above has made outBusy exact for this cycle, so the rebuild is a
+// allocate is the iterative separable switch allocator over the requests
+// formRequests left in reqs/reqMask for the input ports in inPend; each winner
+// is committed as it is granted. Commit order equals first-touch order:
+// touchedOut lists outputs in the order the ascending input-port walk first
+// nominated them, and within an output the candidate mask is read in
+// ascending bit order. That order is physics — commits move credits and busy
+// state the later iterations read, and the grant list is folded into every
+// digest in sequence — so neither walk may be reordered.
+func (r *Router) allocate(inPend uint64, now int64) {
+	// outAvail starts as the non-busy outputs and loses each granted port:
+	// port busy state only changes mid-cycle through grants. Under cacheOn
+	// outBusy is exact for this cycle (see expireBusy), so the rebuild is a
 	// complement.
 	var outAvail uint64
 	if r.cacheOn {
@@ -913,10 +828,7 @@ func (r *Router) Cycle(engine Engine, now int64) []Grant {
 			break
 		}
 		// Output arbitration: each free output grants its least-recently-
-		// served requesting input. touchedOut preserves first-touch order
-		// (== the old candidate-list creation order), and ascending-bit
-		// iteration of the candidate mask matches the old append order, so
-		// grants commit in the exact same sequence.
+		// served requesting input.
 		granted := false
 		for _, out32 := range r.touchedOut {
 			op := int(out32)
@@ -949,7 +861,6 @@ func (r *Router) Cycle(engine Engine, now int64) []Grant {
 			break
 		}
 	}
-	return r.grants
 }
 
 // commit applies one allocation winner: the buffer starts draining, ports

@@ -8,8 +8,9 @@ import (
 	"ofar/internal/topology"
 )
 
-// BenchmarkCycleIdle measures the per-cycle cost of scanning a router whose
-// buffers are empty — the dominant cost in lightly loaded simulations.
+// BenchmarkCycleIdle measures Cycle on a router with no routable head: the
+// readyVCs test and return on its first line, which the network pays for
+// every router every cycle (it walks them all).
 func BenchmarkCycleIdle(b *testing.B) {
 	r := benchRouter(b, 25, 3)
 	eng := scriptEngine{route: func(*Router, InCtx, *packet.Packet, int64) (Request, bool) {

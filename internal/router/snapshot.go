@@ -235,10 +235,8 @@ func (r *Router) DecodeState(d *simcore.Dec, pkt func(id uint64) (*packet.Packet
 	}
 	if r.cacheOn {
 		// Cold restart of the memoization layer: no cached decisions, every
-		// port treated as head-changed and every output as dirty, busy view
-		// rebuilt from the restored serialization deadlines.
-		r.formed = 0
-		r.headChanged = ^uint64(0) >> uint(64-len(r.In))
+		// output dirty, busy view rebuilt from the restored serialization
+		// deadlines.
 		r.dirty = r.allOut
 		for i := range r.pendingDirty {
 			r.pendingDirty[i] = 0
