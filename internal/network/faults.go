@@ -173,6 +173,7 @@ func (n *Network) failRouter(w int, now int64) {
 		for pq.len() > 0 {
 			n.dropPacket(pq.pop(), now)
 		}
+		n.gs[node/n.groupNodes].setPend(node%n.groupNodes, false)
 	}
 }
 

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"testing"
 
 	"ofar/internal/traffic"
@@ -136,7 +137,10 @@ func TestConservationUnderRandomFaults(t *testing.T) {
 			continue
 		}
 		n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.3, cfg.PacketSize))
-		n.Run(4000)
+		for c := 0; c < 4000; c++ {
+			n.Step()
+			checkPendBits(t, "random faults", n)
+		}
 		if err := n.CheckConservation(); err != nil {
 			t.Errorf("seed %d (faults %+v): %v", seed, cfg.Faults, err)
 		}
@@ -175,5 +179,77 @@ func TestRingEnterExitBalance(t *testing.T) {
 	if diff > onRing+int64(n.InFlightPackets()) {
 		t.Errorf("ring accounting: enters-exits=%d but only %d riders + %d in flight",
 			diff, onRing, n.InFlightPackets())
+	}
+}
+
+// checkPendBits asserts the injection front-end's derived state: bit i of
+// group g's bitset is set exactly when pending[g·groupNodes+i] holds a packet,
+// and no bit beyond the group's nodes is ever set.
+func checkPendBits(t testing.TB, label string, n *Network) {
+	t.Helper()
+	for g := range n.gs {
+		for i := 0; i < 64*len(n.gs[g].pend); i++ {
+			set := n.gs[g].pend[i>>6]>>uint(i&63)&1 == 1
+			want := i < n.groupNodes && n.pending[g*n.groupNodes+i].len() > 0
+			if set != want {
+				t.Fatalf("%s: cycle %d group %d node slot %d: pend bit %v, queue non-empty %v",
+					label, n.now, g, i, set, want)
+			}
+		}
+	}
+}
+
+// TestPendBitsTrackQueues steps networks whose source queues fill, back up
+// against PendingCap, drain and are dropped by a router fault, and checks the
+// bitset against the queues after every cycle, after Restore and after Fork.
+func TestPendBitsTrackQueues(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		load    float64
+		workers int
+	}{{"low", 0.05, 1}, {"overload", 1.0, 1}, {"overload_pool", 1.0, 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := snapCfg(tc.workers)
+			cfg.PendingCap = 3
+			cfg.Faults = []Fault{{Cycle: 400, Kind: FaultRouter, Router: 5}}
+			n := mustPoolNet(t, cfg)
+			n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, n.Topo.H), tc.load, cfg.PacketSize))
+			var snap []byte
+			for c := 0; c < 800; c++ {
+				if c == 399 {
+					if tc.load == 1.0 && n.pending[n.Topo.NodeAt(5, 0)].len() == 0 {
+						t.Fatal("the dying router's sources hold no pending packets: the fault drop is not exercised")
+					}
+					snap = snapshotBytes(t, n)
+				}
+				n.Step()
+				checkPendBits(t, "step", n)
+			}
+			if tc.load == 1.0 && n.Stats.SourceBlocked == 0 {
+				t.Fatal("PendingCap never reached: the retract path is not exercised")
+			}
+
+			// Restore into a network whose own bits are stale in both
+			// directions (it ran a different load to a different cycle).
+			m := mustPoolNet(t, cfg)
+			m.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(m.Topo, m.Topo.H), tc.load, cfg.PacketSize))
+			m.Run(450)
+			if err := m.Restore(bytes.NewReader(snap)); err != nil {
+				t.Fatal(err)
+			}
+			checkPendBits(t, "restore", m)
+			f, err := m.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(f.Close)
+			checkPendBits(t, "fork", f)
+			for c := 0; c < 100; c++ { // across the router fault again
+				m.Step()
+				f.Step()
+				checkPendBits(t, "restored step", m)
+				checkPendBits(t, "forked step", f)
+			}
+		})
 	}
 }

@@ -3,8 +3,10 @@ package network
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"time"
+	"unsafe"
 
 	"ofar/internal/core"
 	"ofar/internal/packet"
@@ -68,12 +70,18 @@ type genRec struct {
 	dst  int32
 }
 
-// groupScratch is one group's channel to the shared state: the
+// groupScratch is one group's channel to the shared state — the
 // wheel-insertion outbox, the generate-phase outbox and the counter deltas
-// its phases accumulate while the shared counters are off limits. Padded to
-// cache-line multiples so adjacent groups written by different workers never
-// false-share.
+// its phases accumulate while the shared counters are off limits — plus its
+// injection front-end state, padded to whole cache lines so adjacent groups
+// written by different workers never false-share. The pad is derived from the
+// fields, and leads: a zero-length last field would itself be padded.
 type groupScratch struct {
+	_ [(64 - unsafe.Sizeof(groupState{})%64) % 64]byte
+	groupState
+}
+
+type groupState struct {
 	sched    []schedEv
 	gen      []genRec
 	inFlight int
@@ -83,7 +91,10 @@ type groupScratch struct {
 	blocked    int64
 	injected   int64
 	congStalls int64
-	_          [128 - 8*10]byte
+	// This cycle's draw, and the pending-occupancy bitset: bit i set ⇔
+	// pending[g·groupNodes+i] is non-empty (derived, never serialized).
+	hits []traffic.Hit
+	pend []uint64
 }
 
 // Network is one fully assembled simulated system.
@@ -202,16 +213,8 @@ type pqueue struct {
 	head int
 }
 
-func (p *pqueue) len() int { return len(p.q) - p.head }
-func (p *pqueue) push(x *packet.Packet) {
-	p.q = append(p.q, x)
-}
-func (p *pqueue) peek() *packet.Packet {
-	if p.len() == 0 {
-		return nil
-	}
-	return p.q[p.head]
-}
+func (p *pqueue) len() int              { return len(p.q) - p.head }
+func (p *pqueue) push(x *packet.Packet) { p.q = append(p.q, x) }
 func (p *pqueue) pop() *packet.Packet {
 	x := p.q[p.head]
 	p.q[p.head] = nil
@@ -220,9 +223,7 @@ func (p *pqueue) pop() *packet.Packet {
 		p.q, p.head = p.q[:0], 0
 	} else if p.head > 64 && p.head*2 >= len(p.q) {
 		n := copy(p.q, p.q[p.head:])
-		for i := n; i < len(p.q); i++ {
-			p.q[i] = nil
-		}
+		clear(p.q[n:])
 		p.q, p.head = p.q[:n], 0
 	}
 	return x
@@ -469,6 +470,9 @@ func New(cfg Config) (*Network, error) {
 	n.poolG = make([]packet.Pool, topo.G)
 	n.dueG = make([][]int32, topo.G)
 	n.gs = make([]groupScratch, topo.G)
+	for g := range n.gs {
+		n.gs[g].pend = make([]uint64, (n.groupNodes+63)/64)
+	}
 	if len(cfg.Faults) > 0 {
 		if err := n.prepareFaults(cfg.Faults); err != nil {
 			return nil, err
@@ -736,10 +740,10 @@ func (n *Network) Run(cycles int) {
 	}
 }
 
-// Drained reports whether the generator is exhausted and every generated
-// packet was delivered or explicitly dropped by a fault.
+// Drained reports whether the generator is exhausted (or none is attached)
+// and every generated packet was delivered or explicitly dropped by a fault.
 func (n *Network) Drained() bool {
-	return n.gen.Done() && n.Stats.Generated == n.Stats.Delivered+n.Stats.Dropped
+	return (n.gen == nil || n.gen.Done()) && n.Stats.Generated == n.Stats.Delivered+n.Stats.Dropped
 }
 
 // RunUntilDrained steps until the generator is exhausted and every packet
@@ -836,14 +840,26 @@ const (
 	fnvPrime  uint64 = 1099511628211
 )
 
+// fnvPow[k] is fnvPrime^k: folding k zero bytes multiplies the hash by it.
+var fnvPow = func() (t [9]uint64) {
+	t[0] = 1
+	for k := 1; k < len(t); k++ {
+		t[k] = t[k-1] * fnvPrime
+	}
+	return t
+}()
+
+// fold folds each value's eight little-endian bytes into the digest; the zero
+// bytes above the last significant one go in as one multiplication.
 func (n *Network) fold(vs ...int64) {
 	h := n.digest
 	for _, v := range vs {
-		x := uint64(v)
-		for i := 0; i < 8; i++ {
+		k := 8
+		for x := uint64(v); x != 0; x >>= 8 {
 			h = (h ^ (x & 0xff)) * fnvPrime
-			x >>= 8
+			k--
 		}
+		h *= fnvPow[k]
 	}
 	n.digest = h
 	n.digestCount++
@@ -988,40 +1004,65 @@ func (n *Network) generate(now int64) {
 // accumulate in the group scratch. Injection side effects (router state,
 // AtInjection with the walker's engine) are group-owned and applied
 // immediately.
+//
+// Three passes — draw, queue, inject — equal the per-node interleaving
+// because none reads what a later one writes for another node: drawing
+// touches only the group's traffic stream and generator state no Retract
+// feeds back into (the Generator contract); queueing reads the node's own
+// pending length, which nobody else's injection moves, and allocates from the
+// group pool in the same node order; injection touches pending queues,
+// routers and the router RNG in the same ascending node order — a node with
+// an empty queue did nothing there, which is all the bitset skips.
 func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
 	topo := n.Topo
 	rng := n.trafficRNG[g]
 	sh := &n.gs[g]
 	lo := g * n.groupNodes
 	hi := lo + n.groupNodes
-	for node := lo; node < hi; node++ {
-		if n.deadNode != nil && n.deadNode[node] {
-			continue // dead sources neither draw traffic nor inject
-		}
-		pq := &n.pending[node]
-		if dst, ok := n.gen.Next(rng, node, now); ok {
-			if n.deadNode != nil && n.deadNode[dst] {
-				// The destination is down; the source learns immediately
-				// (its NIC would): no packet is allocated, only a record.
-				sh.gen = append(sh.gen, genRec{node: int32(node), dst: int32(dst)})
-			} else if pq.len() >= n.Cfg.PendingCap {
-				n.gen.Retract(node)
-				sh.blocked++
-			} else {
-				p := n.poolG[g].GetBlank()
-				p.Size = n.Cfg.PacketSize
-				p.Src, p.Dst = node, dst
-				p.SrcGroup = g
-				p.DstGroup = topo.GroupOfNode(dst)
-				p.Born = now
-				if n.jobOf != nil {
-					p.Job = n.jobOf[node]
-				}
-				pq.push(p)
-				sh.gen = append(sh.gen, genRec{pkt: p, node: int32(node), dst: int32(dst)})
+
+	// Draw (the source's ranged kernel if it has one, else the Next loop).
+	sh.hits = sh.hits[:0]
+	for a, b := lo, hi; a < hi; a = b + 1 {
+		if n.deadNode != nil { // [a, b): a run of live sources; dead ones draw nothing
+			for b = a; b < hi && !n.deadNode[b]; b++ {
 			}
 		}
-		if p := pq.peek(); p != nil {
+		sh.hits = traffic.DrawRange(n.gen, rng, a, b, now, sh.hits)
+	}
+
+	// Queue.
+	for _, h := range sh.hits {
+		node, dst := int(h.Node), int(h.Dst)
+		pq := &n.pending[node]
+		if n.deadNode != nil && n.deadNode[dst] {
+			// The destination is down; the source learns immediately
+			// (its NIC would): no packet is allocated, only a record.
+			sh.gen = append(sh.gen, genRec{node: h.Node, dst: h.Dst})
+		} else if pq.len() >= n.Cfg.PendingCap {
+			n.gen.Retract(node)
+			sh.blocked++
+		} else {
+			p := n.poolG[g].GetBlank()
+			p.Size = n.Cfg.PacketSize
+			p.Src, p.Dst = node, dst
+			p.SrcGroup = g
+			p.DstGroup = topo.GroupOfNode(dst)
+			p.Born = now
+			if n.jobOf != nil {
+				p.Job = n.jobOf[node]
+			}
+			pq.push(p)
+			sh.setPend(node-lo, true)
+			sh.gen = append(sh.gen, genRec{pkt: p, node: h.Node, dst: h.Dst})
+		}
+	}
+
+	// Inject: sources with a packet waiting (never dead: failRouter drops its queue).
+	for w := range sh.pend {
+		for word := sh.pend[w]; word != 0; word &= word - 1 {
+			node := lo + w<<6 + bits.TrailingZeros64(word)
+			pq := &n.pending[node]
+			p := pq.q[pq.head]
 			r := n.Routers[topo.RouterOf(node)]
 			if n.congestionOn && r.CanonicalOccupancy() >= n.congestionTh {
 				sh.congStalls++
@@ -1030,11 +1071,21 @@ func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
 			port := topo.NodePort(topo.NodeSlot(node))
 			if vc, ok := r.InjectionSpace(port, p.Size); ok {
 				pq.pop()
+				sh.setPend(node-lo, pq.len() > 0)
 				r.Inject(port, vc, p, now)
 				eng.AtInjection(r, p, now)
 				sh.injected++
 			}
 		}
+	}
+}
+
+// setPend records whether the pending queue of the group's i-th node is
+// non-empty: the one writer of pend, called wherever a queue is pushed,
+// popped, dropped or decoded.
+func (s *groupState) setPend(i int, on bool) {
+	if s.pend[i>>6] &^= 1 << uint(i&63); on {
+		s.pend[i>>6] |= 1 << uint(i&63)
 	}
 }
 

@@ -531,6 +531,7 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 		if d.Err() != nil {
 			return d.Err()
 		}
+		n.gs[node/n.groupNodes].setPend(node%n.groupNodes, cnt > 0)
 	}
 
 	if nr := d.Len(maxSnapRings); d.Err() == nil && nr != len(n.Rings) {

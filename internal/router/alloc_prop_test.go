@@ -275,3 +275,88 @@ func TestAllocatorRandomizedMatching(t *testing.T) {
 		checkMatching(t, tab, grants)
 	}
 }
+
+// lrsPick is the reference least-recently-served choice — the eligible
+// requester with the oldest grant, the lower index on a tie, -1 when nobody is
+// eligible. The allocator inlines this scan over bitsets twice (input and
+// output arbitration); TestAllocatorMatchesLRSModel holds it to this model.
+func lrsPick(a *LRS, eligible func(i int) bool) int {
+	best := -1
+	var bestT int64
+	for i := range a.lastServed {
+		if !eligible(i) {
+			continue
+		}
+		if best == -1 || a.lastServed[i] < bestT {
+			best = i
+			bestT = a.lastServed[i]
+		}
+	}
+	return best
+}
+
+// TestAllocatorMatchesLRSModel drives each of the allocator's two arbiters
+// alone — several inputs contending for one output, and several VCs of one
+// input bound for distinct outputs — with a random set of requesters per
+// round, and requires the grant lrsPick predicts from the arbiter's memory.
+func TestAllocatorMatchesLRSModel(t *testing.T) {
+	const width, rounds = 5, 600
+	for _, stage := range []string{"output_arbiter", "input_arbiter"} {
+		t.Run(stage, func(t *testing.T) {
+			byOutput := stage == "output_arbiter"
+			// Output stage: inputs 0..width-1 (one VC) all request port width.
+			// Input stage: VC v of port 0 requests port 1+v.
+			vcs := width
+			if byOutput {
+				vcs = 1
+			}
+			r := propRouter(t, width+1, vcs, 1)
+			slot := func(i int) (port, vc int) {
+				if byOutput {
+					return i, 0
+				}
+				return 0, i
+			}
+			eng := scriptEngine{route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
+				if byOutput {
+					return Request{Out: width}, in.Port < width
+				}
+				return Request{Out: 1 + in.VC}, in.Port == 0
+			}}
+			arb := &r.inArb[0]
+			if byOutput {
+				arb = &r.outArb[width]
+			}
+			rng := simcore.NewRNG(0x125)
+			var pool packet.Pool
+			granted := 0
+			for now := int64(0); now < rounds*int64(r.PktSize); now += int64(r.PktSize) {
+				for i := 0; i < width; i++ {
+					if port, vc := slot(i); r.In[port].VCs[vc].Len() == 0 && rng.Bernoulli(0.5) {
+						push(r, port, vc, &pool)
+					}
+				}
+				want := lrsPick(arb, func(i int) bool {
+					port, vc := slot(i)
+					return i < width && r.In[port].VCs[vc].Len() > 0
+				})
+				grants := r.Cycle(eng, now)
+				got := -1
+				if len(grants) == 1 {
+					got = grants[0].InPort
+					if !byOutput {
+						got = grants[0].InVC
+					}
+					granted++
+				}
+				if len(grants) > 1 || got != want {
+					t.Fatalf("cycle %d: allocator granted %+v, LRS model picks requester %d", now, grants, want)
+				}
+				drainDue(r, now+int64(r.PktSize)-1) // the grant has streamed out by the next round
+			}
+			if granted < rounds/2 {
+				t.Fatalf("only %d grants in %d rounds", granted, rounds)
+			}
+		})
+	}
+}

@@ -198,12 +198,12 @@ func TestVCBufferRing(t *testing.T) {
 
 func TestLRSFairness(t *testing.T) {
 	var a LRS
-	a.InitLRS(3)
+	a.initLRS(new(Arena), 3)
 	all := func(int) bool { return true }
 	order := []int{}
 	now := int64(0)
 	for i := 0; i < 6; i++ {
-		pick := a.Pick(all)
+		pick := lrsPick(&a, all)
 		a.Grant(pick, now)
 		now++
 		order = append(order, pick)
@@ -222,17 +222,17 @@ func TestLRSFairness(t *testing.T) {
 
 func TestLRSEligibility(t *testing.T) {
 	var a LRS
-	a.InitLRS(4)
-	if got := a.Pick(func(i int) bool { return i == 2 }); got != 2 {
+	a.initLRS(new(Arena), 4)
+	if got := lrsPick(&a, func(i int) bool { return i == 2 }); got != 2 {
 		t.Errorf("pick=%d", got)
 	}
-	if got := a.Pick(func(int) bool { return false }); got != -1 {
+	if got := lrsPick(&a, func(int) bool { return false }); got != -1 {
 		t.Errorf("pick on empty=%d", got)
 	}
 	// After serving 0 and 1, the least recently served eligible of {0,1} is 0.
 	a.Grant(0, 10)
 	a.Grant(1, 11)
-	if got := a.Pick(func(i int) bool { return i < 2 }); got != 0 {
+	if got := lrsPick(&a, func(i int) bool { return i < 2 }); got != 0 {
 		t.Errorf("LRS pick=%d want 0", got)
 	}
 }
@@ -298,20 +298,11 @@ func TestBestVCSelection(t *testing.T) {
 	var op OutPort
 	op.initOut(new(Arena), []int{16, 16, 8}, []int{-1, -1, 1})
 	op.Take(0, 12)
-	vc, ok := op.bestCanonicalVC(8)
-	if !ok || vc != 1 {
-		t.Errorf("bestCanonicalVC=%d,%v", vc, ok)
-	}
 	evc, ok := op.bestEscapeVC(1)
 	if !ok || evc != 2 {
 		t.Errorf("bestEscapeVC=%d,%v", evc, ok)
 	}
 	if _, ok := op.bestEscapeVC(0); ok {
 		t.Error("found escape VC for wrong ring")
-	}
-	op.Take(1, 16)
-	op.Take(0, 4) // vc0 empty of credits now (16-12-4)
-	if _, ok := op.bestCanonicalVC(8); ok {
-		t.Error("bestCanonicalVC with no credits")
 	}
 }

@@ -155,21 +155,6 @@ func (op *OutPort) Refund(vc, size int) {
 	}
 }
 
-// bestCanonicalVC returns the canonical VC with the most credits that fits
-// size phits.
-func (op *OutPort) bestCanonicalVC(size int) (int, bool) {
-	best, bestCr := -1, -1
-	for vc := range op.credits {
-		if op.escRing[vc] >= 0 {
-			continue
-		}
-		if cr := op.credits[vc]; cr >= size && cr > bestCr {
-			best, bestCr = vc, cr
-		}
-	}
-	return best, best >= 0
-}
-
 // bestEscapeVC returns the VC of the given escape ring with the most
 // credits (no size requirement; bubble checks are the caller's business).
 func (op *OutPort) bestEscapeVC(ring int) (int, bool) {

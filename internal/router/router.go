@@ -270,28 +270,6 @@ func (r *Router) OutBusy(port int, now int64) bool { return r.Out[port].Busy(now
 // OutOcc returns the canonical occupancy fraction of the downstream buffer.
 func (r *Router) OutOcc(port int) float64 { return r.Out[port].Occupancy() }
 
-// OutOccVC returns the occupancy fraction of one downstream VC.
-func (r *Router) OutOccVC(port, vc int) float64 {
-	op := &r.Out[port]
-	if cap := op.VCCap(vc); cap > 0 {
-		return 1 - float64(op.Credits(vc))/float64(cap)
-	}
-	return 0
-}
-
-// Avail reports whether output `port` can accept a packet of `size` phits
-// right now, returning the canonical VC to use (the one with most credits).
-func (r *Router) Avail(port, size int, now int64) (int, bool) {
-	op := &r.Out[port]
-	if op.Kind == topology.PortNone || op.Busy(now) {
-		return -1, false
-	}
-	if op.Kind == topology.PortNode {
-		return 0, true // ejection has no credit constraint
-	}
-	return op.bestCanonicalVC(size)
-}
-
 // VCFits reports whether a specific downstream VC has credits for size phits
 // (ejection ports always fit). Dead ports never fit: frozen credits would
 // otherwise keep looking available forever.

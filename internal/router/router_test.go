@@ -369,14 +369,8 @@ func TestRouterAccessors(t *testing.T) {
 		t.Error("fresh port occupied")
 	}
 	r.Out[1].Take(0, 32)
-	if got := r.OutOccVC(1, 0); got != 0.5 {
-		t.Errorf("OutOccVC=%f want 0.5", got)
-	}
 	if got := r.OutOcc(1); got != 0.25 {
 		t.Errorf("OutOcc=%f want 0.25 (aggregate of 2 VCs)", got)
-	}
-	if vc, ok := r.Avail(1, 8, 0); !ok || vc != 1 {
-		t.Errorf("Avail=(%d,%v)", vc, ok)
 	}
 	if !r.VCFits(1, 1, 8) || r.VCFits(1, 0, 33) {
 		t.Error("VCFits wrong")

@@ -238,9 +238,7 @@ func (r *Router) DecodeState(d *simcore.Dec, pkt func(id uint64) (*packet.Packet
 		// output dirty, busy view rebuilt from the restored serialization
 		// deadlines.
 		r.dirty = r.allOut
-		for i := range r.pendingDirty {
-			r.pendingDirty[i] = 0
-		}
+		clear(r.pendingDirty)
 		r.rngDraws = 0
 		r.outBusy = 0
 		r.nextFree = math.MaxInt64

@@ -4,7 +4,11 @@
 // cycles without a priority queue.
 package simcore
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded through splitmix64). Every stochastic component of
@@ -83,12 +87,12 @@ func (r *RNG) Intn(n int) int {
 	// Lemire's multiply-shift rejection method.
 	un := uint64(n)
 	x := r.Uint64()
-	hi, lo := mul64(x, un)
+	hi, lo := bits.Mul64(x, un)
 	if lo < un {
 		threshold := (-un) % un
 		for lo < threshold {
 			x = r.Uint64()
-			hi, lo = mul64(x, un)
+			hi, lo = bits.Mul64(x, un)
 		}
 	}
 	return int(hi)
@@ -110,16 +114,47 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo*bHi + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aHi * bLo
-	hi = aHi*bHi + w2 + (w1 >> 32)
-	lo = a * b
-	return
+// BernoulliThreshold returns the integer form of a Bernoulli(p) trial:
+// Float64() < p ⇔ Uint64()>>11 < t with t = ceil(p·2^53), because the 53-bit
+// draw k and p·2^53 are both exact in float64 and k < x ⇔ k < ceil(x) for an
+// integer k. draws is false in the cases where Bernoulli consumes no draw at
+// all: p ≤ 0 (never, t = 0) and p ≥ 1 (always, t = 2^53). A NaN p draws and
+// never succeeds, as in Bernoulli.
+func BernoulliThreshold(p float64) (t uint64, draws bool) {
+	switch {
+	case p <= 0:
+		return 0, false
+	case p >= 1:
+		return 1 << 53, false
+	case p != p:
+		return 0, true
+	}
+	return uint64(math.Ceil(p * (1 << 53))), true
+}
+
+// ScanBelow consumes draws until one satisfies Uint64()>>11 < t or max have
+// been consumed, and returns how many it consumed and whether the last one
+// satisfied the test. It leaves the generator exactly where n Uint64 calls
+// would: with t from BernoulliThreshold it is n consecutive Bernoulli(p)
+// trials stopping at the first success, with the xoshiro state held in
+// registers instead of being loaded and stored per trial.
+func (r *RNG) ScanBelow(t uint64, max int) (n int, hit bool) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for n < max {
+		u := rotl(s1*5, 7) * 9
+		x := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= x
+		s3 = rotl(s3, 45)
+		n++
+		if u>>11 < t {
+			hit = true
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return n, hit
 }

@@ -115,6 +115,13 @@ func (m *Mix) Dest(rng *simcore.RNG, src int) int {
 // per group, each with its own stream), but only for generators that opt in
 // via GroupLocalGenerator; everything else runs the serial per-group loop
 // with identical draws, so results do not depend on which path executed.
+//
+// Retract ordering: the network draws for a whole group before it queues any
+// of the group's packets, so Retract(node) may arrive after Next was called
+// for later nodes of the same group and cycle (never after the node's own
+// next Next). Next must therefore not read what Retract writes for another
+// node — true of every shipped source: budgets and cursors are per node, and
+// the shared progress counters are only incremented and decremented.
 type Generator interface {
 	Name() string
 	Next(rng *simcore.RNG, node int, now int64) (dst int, ok bool)
@@ -163,6 +170,60 @@ type GroupLocalGenerator interface {
 	GroupLocal()
 }
 
+// Hit is one generated packet of a NextRange call: the source node and the
+// destination Next would have returned for it.
+type Hit struct {
+	Node, Dst int32
+}
+
+// RangeGenerator is implemented by sources that can answer a whole run of
+// consecutive nodes at once. NextRange appends to hits one Hit per node of
+// [lo, hi) for which Next(rng, node, now) would return ok, in ascending node
+// order, and leaves rng and the generator exactly as that loop of Next calls
+// would — Next stays the contract and the reference; NextRange is the same
+// draws without the per-node call chain.
+type RangeGenerator interface {
+	Generator
+	NextRange(rng *simcore.RNG, lo, hi int, now int64, hits []Hit) []Hit
+}
+
+// DrawRange appends the hits of nodes [lo, hi) for one cycle: g's NextRange
+// when it has one, the per-node Next loop — the reference, and the path of
+// every source with per-node state — otherwise.
+func DrawRange(g Generator, rng *simcore.RNG, lo, hi int, now int64, hits []Hit) []Hit {
+	if rg, ok := g.(RangeGenerator); ok {
+		return rg.NextRange(rng, lo, hi, now, hits)
+	}
+	for node := lo; node < hi; node++ {
+		if dst, ok := g.Next(rng, node, now); ok {
+			hits = append(hits, Hit{Node: int32(node), Dst: int32(dst)})
+		}
+	}
+	return hits
+}
+
+// bernoulliRange is NextRange for a memoryless source: one Bernoulli(prob)
+// trial per node of [lo, hi) in ascending order, a destination draw from
+// pattern right after each success. The trials between two successes are one
+// ScanBelow.
+func bernoulliRange(rng *simcore.RNG, prob float64, pattern Pattern, lo, hi int, hits []Hit) []Hit {
+	t, draws := simcore.BernoulliThreshold(prob)
+	if !draws && t == 0 {
+		return hits // prob ≤ 0: nobody generates, nobody draws
+	}
+	for node := lo; node < hi; node++ {
+		if draws { // otherwise prob ≥ 1: every node generates, none draws
+			n, hit := rng.ScanBelow(t, hi-node)
+			if !hit {
+				break
+			}
+			node += n - 1
+		}
+		hits = append(hits, Hit{Node: int32(node), Dst: int32(pattern.Dest(rng, node))})
+	}
+	return hits
+}
+
 // JobAware is implemented by generators that partition the sources into
 // jobs (JobSet). The network uses it to tag every generated packet with its
 // source's job slot and to size the per-job statistics, so experiments can
@@ -208,6 +269,11 @@ func (b *Bernoulli) Next(rng *simcore.RNG, node int, _ int64) (int, bool) {
 	return b.pattern.Dest(rng, node), true
 }
 
+// NextRange implements RangeGenerator.
+func (b *Bernoulli) NextRange(rng *simcore.RNG, lo, hi int, _ int64, hits []Hit) []Hit {
+	return bernoulliRange(rng, b.prob, b.pattern, lo, hi, hits)
+}
+
 // Retract implements Generator; open-loop sources drop the packet.
 func (b *Bernoulli) Retract(int) {}
 
@@ -246,6 +312,15 @@ func (t *Transient) Next(rng *simcore.RNG, node int, now int64) (int, bool) {
 		p = t.after
 	}
 	return p.Dest(rng, node), true
+}
+
+// NextRange implements RangeGenerator.
+func (t *Transient) NextRange(rng *simcore.RNG, lo, hi int, now int64, hits []Hit) []Hit {
+	p := t.before
+	if now >= t.switchAt {
+		p = t.after
+	}
+	return bernoulliRange(rng, t.prob, p, lo, hi, hits)
 }
 
 // Retract implements Generator.
