@@ -21,6 +21,7 @@ import (
 )
 
 func main() {
+	pol := ofar.DefaultOFARConfig()
 	var (
 		h        = flag.Int("h", 3, "dragonfly parameter h (balanced: p=h, a=2h, max groups)")
 		groups   = flag.Int("groups", 0, "group count (0 = maximum size a*h+1)")
@@ -32,11 +33,11 @@ func main() {
 		ring     = flag.String("ring", "physical", "escape ring: none, physical, embedded")
 		rings    = flag.Int("rings", 1, "number of escape rings")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		nonMin   = flag.Float64("nonmin-factor", 0.9, "OFAR variable threshold factor")
-		static   = flag.Float64("static-th", -1, "OFAR static non-minimal threshold (<0 = variable policy)")
-		escapeTO = flag.Int("escape-timeout", 32, "blocked cycles before requesting the escape ring")
+		nonMin   = flag.Float64("nonmin-factor", pol.NonMinFactor, "OFAR variable threshold factor")
+		static   = flag.Float64("static-th", pol.StaticNonMin, "OFAR static non-minimal threshold (<0 = the paper's §V variable policy: Th_min 0, Th_non-min = nonmin-factor·Q_min)")
+		escapeTO = flag.Int("escape-timeout", pol.EscapeTimeout, "blocked cycles before requesting the escape ring")
 		faults   = flag.String("faults", "", "fault schedule: a JSON file of Fault objects, or inline like link@5000:12:7,router@20000:3")
-		workers  = flag.Int("workers", 0, "intra-cycle workers: a persistent pool steals whole dragonfly groups each phase (0/1 = no pool; results are bit-identical)")
+		workers  = flag.Int("workers", 0, "intra-cycle workers: a persistent pool steals whole dragonfly groups each window (0/1 = no pool; results are bit-identical)")
 		ckpt     = flag.String("checkpoint", "", "write the post-warmup network snapshot to this file (resume later with -restore)")
 		restore  = flag.String("restore", "", "resume from a warm snapshot file instead of simulating warmup (same config and physics required; results are bit-identical)")
 		jobs     = flag.String("jobs", "", "job-level workload instead of -pattern: kind:size@load[,...] with kinds stencil (size XxYxZ), a2a, ring, ps; -load scales every job")
@@ -51,6 +52,8 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
 	)
 	flag.Parse()
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -91,18 +94,14 @@ func main() {
 		var err error
 		base, err = ofar.LoadConfig(*confPath)
 		check(err)
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workers" {
-				base.Workers = *workers
-			}
-		})
+		if given["workers"] {
+			base.Workers = *workers
+		}
 	} else {
 		base = ofar.DefaultConfig(*h)
 		base.Groups = *groups
 		base.Seed = *seed
-		base.OFAR.NonMinFactor = *nonMin
-		base.OFAR.StaticNonMin = *static
-		base.OFAR.EscapeTimeout = *escapeTO
+		base.OFAR = ofarPolicy(given, *nonMin, *static, *escapeTO)
 		mode, ok := map[string]ofar.RingMode{
 			"none": ofar.RingNone, "physical": ofar.RingPhysical, "embedded": ofar.RingEmbedded,
 		}[strings.ToLower(*ring)]
@@ -170,11 +169,9 @@ func main() {
 		// them, applied only when given explicitly (its 0.3 default is the
 		// single-pattern convention, not a sensible implicit job scaling).
 		scale := 1.0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "load" {
-				scale = *load
-			}
-		})
+		if given["load"] {
+			scale = *load
+		}
 		var (
 			jr     ofar.JobsResult
 			digest uint64
@@ -290,6 +287,29 @@ func main() {
 		fmt.Printf("grant digest  : %016x\n", traceDigest)
 		fmt.Printf("trace written : %s\n", *traceOut)
 	}
+}
+
+// ofarPolicy is the OFAR tuning the policy flags select. Flags left unset
+// keep the library default (ofar.DefaultOFARConfig, what sweep and sweepd
+// run); an explicit -static-th below 0 selects the paper's §V variable policy
+// in full (ofar.DefaultOFARVariableConfig), one at or above 0 a static
+// threshold; -nonmin-factor and -escape-timeout set their own fields.
+func ofarPolicy(given map[string]bool, nonMin, static float64, escapeTO int) ofar.OFARConfig {
+	c := ofar.DefaultOFARConfig()
+	if given["static-th"] {
+		if static < 0 {
+			c = ofar.DefaultOFARVariableConfig()
+		} else {
+			c.StaticNonMin = static
+		}
+	}
+	if given["nonmin-factor"] {
+		c.NonMinFactor = nonMin
+	}
+	if given["escape-timeout"] {
+		c.EscapeTimeout = escapeTO
+	}
+	return c
 }
 
 // networkLine is the report's first line, printed from the effective

@@ -6,6 +6,46 @@ import (
 	"ofar"
 )
 
+// TestOFARPolicyFlags pins which OFAR tuning the policy flags select: none
+// given is the library default that sweep and sweepd run — DefaultConfig(h)
+// itself — and an explicit negative -static-th is the paper's §V variable
+// policy in full, not a hybrid of the two.
+func TestOFARPolicyFlags(t *testing.T) {
+	variable := ofar.DefaultOFARVariableConfig()
+	static := ofar.DefaultOFARConfig()
+	static.StaticNonMin = 0.5
+	tuned := variable
+	tuned.NonMinFactor, tuned.EscapeTimeout = 0.8, 64
+	cases := []struct {
+		name  string
+		given []string
+		want  ofar.OFARConfig
+	}{
+		{"no policy flags", nil, ofar.DefaultConfig(3).OFAR},
+		{"-static-th -1", []string{"static-th"}, variable},
+		{"-static-th 0.5", []string{"static-th"}, static},
+		{"variable, factor and timeout", []string{"static-th", "nonmin-factor", "escape-timeout"}, tuned},
+	}
+	for _, c := range cases {
+		given := map[string]bool{}
+		for _, f := range c.given {
+			given[f] = true
+		}
+		th := -1.0
+		if c.want.StaticNonMin >= 0 {
+			th = c.want.StaticNonMin
+		}
+		if got := ofarPolicy(given, c.want.NonMinFactor, th, c.want.EscapeTimeout); got != c.want {
+			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
+		}
+	}
+	for _, h := range []int{2, 3, 6} {
+		if got := ofarPolicy(nil, 0, 0, 0); got != ofar.DefaultConfig(h).OFAR {
+			t.Errorf("h=%d: no policy flags resolve %+v, DefaultConfig(h) has %+v", h, got, ofar.DefaultConfig(h).OFAR)
+		}
+	}
+}
+
 // TestNetworkLine pins the report header to the effective configuration: the
 // routing conventions and a -config file must show, flag defaults must not.
 func TestNetworkLine(t *testing.T) {

@@ -108,7 +108,7 @@ type SweepOptions struct {
 	PhaseSink func(PhaseNanos)
 }
 
-// PhaseNanos re-exports the engine's per-phase Step timing breakdown for
+// PhaseNanos re-exports the engine's per-phase timing breakdown for
 // sweep callers (sweepd's /metrics gauges are the main consumer).
 type PhaseNanos = network.PhaseNanos
 

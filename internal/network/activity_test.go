@@ -17,8 +17,7 @@ func idleConfig(rt Routing) Config { return testConfig(rt) }
 // folded into Router.StateFingerprint), and untouched run statistics. This
 // is the contract of Cycle's early return. The returned slice must be empty
 // even when the router's last working Cycle left grants in its reused slice:
-// a pool worker parks that return value in grantBuf for every router of its
-// group, idle ones included, and commitGroup commits whatever it finds there.
+// the router stage commits whatever it returns, idle routers included.
 func requireIdlePurity(t *testing.T, n *Network) {
 	t.Helper()
 	gen, inj, del := n.Stats.Generated, n.Stats.Injected, n.Stats.Delivered
@@ -206,7 +205,7 @@ func BenchmarkStepByLoad(b *testing.B) {
 }
 
 // BenchmarkStepPhases is the per-phase cost breakdown: the h=6 system with
-// EnablePhaseTimings on, reporting each Step phase (fault application, event
+// EnablePhaseTimings on, reporting each phase (fault application, event
 // delivery, generation/injection, PB publication, router stage) as a custom
 // <phase>-ns/op metric next to the whole-step ns/op. It is a separate
 // benchmark rather than extra rows in StepByLoad so the timing branch's clock

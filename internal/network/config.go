@@ -154,18 +154,17 @@ type Config struct {
 	OFAR     core.Config
 	Adaptive routing.AdaptiveConfig
 
-	// Workers sets the intra-cycle parallelism of Step. Every phase of a
-	// cycle (events, generation, PB flags, routing + allocation) works
-	// dragonfly group by dragonfly group; with Workers > 1 a persistent pool
-	// (the Step caller plus PoolWidth()−1 goroutines parked between cycles)
-	// steals whole groups whenever a phase has enough work to pay for the
-	// barrier, and the caller walks them in order otherwise. Everything a
-	// group's phase does to shared state — timing-wheel insertions,
-	// deliveries, statistics — is buffered per group and committed by the
-	// caller in fixed (group, router, due index) order, every stochastic
-	// draw comes from a per-router or per-group RNG stream, and engine
-	// clones are behaviorally identical, so results are bit-identical for
-	// any worker count. 0 or 1 never starts a pool; negative values are
+	// Workers sets the parallelism of Run. Run advances in lookahead
+	// windows, each dragonfly group walking every cycle of a window on its
+	// own; with Workers > 1 a persistent pool (the Run caller plus
+	// PoolWidth()−1 goroutines parked between windows) steals whole groups
+	// unless the network is too small to pay for the barrier, and the caller
+	// walks them in order otherwise. Everything a group does to shared state
+	// — timing-wheel insertions, deliveries, statistics — is logged per group
+	// and merged by the caller in a fixed (cycle, phase, group) order, every
+	// stochastic draw comes from a per-router or per-group RNG stream, and
+	// engine clones are behaviorally identical, so results are bit-identical
+	// for any worker count. 0 or 1 never starts a pool; negative values are
 	// rejected. Networks built with Workers > 1 own goroutines: call
 	// Network.Close when done with them.
 	Workers int
@@ -175,7 +174,7 @@ type Config struct {
 	// Workers) only because callers still assign it.
 	ShardByGroup bool
 
-	// DisableActivitySched is ignored: Step visits every router every cycle
+	// DisableActivitySched is ignored: Run visits every router every cycle
 	// and an idle router's Cycle returns at once. The field is retained
 	// (normalized out of snapshot identity) only because bench/ assigns it.
 	DisableActivitySched bool
@@ -215,8 +214,10 @@ type CongestionConfig struct {
 // maximum-size dragonfly with the given h: p = h, a = 2h, 8-phit packets,
 // 10/100-cycle local/global latencies, 32/256-phit FIFOs, 3 local and
 // injection VCs, 2 global VCs, a physical escape ring with the same VC
-// counts, 3 allocator iterations, and OFAR's variable misroute threshold
-// Th_min = 0, Th_non-min = 0.9·Q_min.
+// counts and 3 allocator iterations. OFAR runs the repository's default
+// tuning, core.DefaultConfig (the §IV-B static policy: Th_min = 100 %,
+// Th_non-min = 40 %); core.VariablePolicyConfig is the paper's §V variable
+// policy (Th_min = 0, Th_non-min = 0.9·Q_min).
 func DefaultConfig(h int) Config {
 	return Config{
 		P: h, A: 2 * h, H: h, Groups: 0,
@@ -268,7 +269,7 @@ func (c *Config) numGroups() int {
 }
 
 // PoolWidth is the number of workers a network built from c can keep busy
-// (Step caller included): whole groups are the stealing unit, so a pool
+// (Run caller included): whole groups are the stealing unit, so a pool
 // wider than the group count would park goroutines that never claim work.
 // 1 means no pool. This is the per-network CPU claim sweep drivers budget
 // against GOMAXPROCS.

@@ -9,10 +9,10 @@ import (
 	"ofar/internal/topology"
 )
 
-// Fault injection. Faults are applied serially at the top of Step, before
-// event delivery and before any router runs — the one point in the cycle
-// that is identical across worker counts, which is what keeps faulted runs
-// bit-identical in every execution mode.
+// Fault injection. Faults are applied serially at the top of a window,
+// before event delivery and before any router runs — the one point in the
+// cycle that is identical across worker counts and window lengths, which is
+// what keeps faulted runs bit-identical in every execution mode.
 //
 // Teardown contract (see docs/ARCHITECTURE.md):
 //
@@ -74,7 +74,7 @@ func (n *Network) prepareFaults(faults []Fault) error {
 }
 
 // applyDueFaults fires every fault whose cycle has come. Called at the top
-// of Step.
+// of each window, which never extends past the next fault.
 func (n *Network) applyDueFaults(now int64) {
 	for n.faultIdx < len(n.faults) && n.faults[n.faultIdx].Cycle <= now {
 		f := n.faults[n.faultIdx]
@@ -85,6 +85,7 @@ func (n *Network) applyDueFaults(now int64) {
 		case FaultRouter:
 			n.failRouter(f.Router, now)
 		}
+		n.deriveLookahead()
 	}
 }
 

@@ -59,10 +59,9 @@ func goldenRun(t *testing.T, spec goldenSpec, workers int, noCache bool, snapAt 
 	attach := func(n *Network) {
 		n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), spec.load, cfg.PacketSize))
 	}
-	// The pool is forced on for every non-empty phase so the golden contract
-	// covers it even on a single-P host — including commitGroup reading the
-	// grantBuf row of every router, idle ones too (a stale row would re-commit
-	// old grants and move the digest, most visibly in the low-load golden).
+	// The pool is forced on for every window so the golden contract covers it
+	// even on a single-P host. Run walks lookahead windows, so the goldens
+	// also pin the window merge's serial order.
 	n := mustPoolNet(t, cfg)
 	attach(n)
 	n.EnableGrantLog(goldenHead)

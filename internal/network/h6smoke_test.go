@@ -36,3 +36,40 @@ func TestH6ShardedSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestH6WindowedSmoke is the CI gate for the lookahead windows at full
+// scale: 200 cycles of the h=6 system in Run(20) chunks — twenty-cycle
+// windows, the benchmark's own call — walked by the caller and stolen by a
+// 4-worker pool (cutover forced to 1), against a reference stepped one cycle
+// at a time, grant digests compared after every chunk.
+func TestH6WindowedSmoke(t *testing.T) {
+	const cycles, chunk = 200, 20
+	mk := func(workers int) *Network {
+		cfg := DefaultConfig(6)
+		cfg.Workers = workers
+		n := mustPoolNet(t, cfg)
+		n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, 6), 0.5, cfg.PacketSize))
+		n.EnableGrantDigest()
+		return n
+	}
+	ref, caller, pool := mk(1), mk(1), mk(4)
+	for c := chunk; c <= cycles; c += chunk {
+		for ref.Now() < int64(c) {
+			ref.Step()
+		}
+		caller.Run(chunk)
+		pool.Run(chunk)
+		rd, rc := ref.GrantDigest()
+		for name, n := range map[string]*Network{"caller": caller, "pool4": pool} {
+			if d, dc := n.GrantDigest(); d != rd || dc != rc {
+				t.Fatalf("cycle %d: %s digest %016x (%d events), per-cycle reference %016x (%d events)", c, name, d, dc, rd, rc)
+			}
+		}
+	}
+	if ref.Stats.Delivered == 0 {
+		t.Fatal("nothing delivered in the smoke window")
+	}
+	if err := pool.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+}

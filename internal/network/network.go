@@ -1,11 +1,12 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
-	"time"
+	"slices"
 	"unsafe"
 
 	"ofar/internal/core"
@@ -37,32 +38,27 @@ type event struct {
 	kind  evKind
 }
 
-// schedEv is one deferred wheel insertion: a pool worker appends these to
-// its group's outbox instead of touching the shared timing wheel, and the
-// caller merges the outboxes in ascending group order at the barrier —
-// which, for router-stage insertions, is ascending router order (routers are
-// numbered group-major), exactly the order the caller inserts them in when
-// it walks the groups itself; event-phase insertions are credit events only,
-// whose in-slot order is unobservable (credits commute and fold nothing).
+// schedEv is an outbox entry: an event for the shared wheel and the window
+// cycle it fires at (the group's marks say which cycle and phase made it).
 type schedEv struct {
-	ev    event
-	delay int32
+	ev event
+	at int32
 }
 
-// Observable handle effects. The caller applies them inline when it walks
-// the due list itself; pool workers record them per due-event index and the
-// barrier applies them in ascending index order — the same order, regardless
-// of which worker processed which group. fxNone slots are skipped.
-const (
-	fxNone uint8 = iota
-	fxDeliver
-	fxDrop
-)
+// fxRec is a delivery or fault drop waiting for the merge, with its index in
+// the cycle's wheel slot. A cycle's deliveries were all scheduled by one
+// router stage, so ascending group is their due order; drops (one-cycle
+// windows only, see Run) are put back in due order by idx.
+type fxRec struct {
+	pkt  *packet.Packet
+	idx  int32
+	drop bool
+}
 
 // genRec is one deferred generation event: a packet created by generateGroup
 // (pkt != nil, ID not yet assigned) or a dead-destination drop that consumed
-// a destination draw without allocating (pkt == nil). commitGenerate replays
-// these in ascending (group, node) order to stamp IDs and fold the observable
+// a destination draw without allocating (pkt == nil). The merge replays these
+// in ascending (group, node) order to stamp IDs and fold the observable
 // effects, whoever walked the groups.
 type genRec struct {
 	pkt  *packet.Packet
@@ -70,27 +66,54 @@ type genRec struct {
 	dst  int32
 }
 
-// groupScratch is one group's channel to the shared state — the
-// wheel-insertion outbox, the generate-phase outbox and the counter deltas
-// its phases accumulate while the shared counters are off limits — plus its
-// injection front-end state, padded to whole cache lines so adjacent groups
-// written by different workers never false-share. The pad is derived from the
-// fields, and leads: a zero-length last field would itself be padded.
+// grantRec is the observable half of one grant, as values: logged only while
+// the digest, path tracing or fault attribution needs it (see Run). detour
+// marks a misroute or ring entry, what fault attribution inspects.
+type grantRec struct {
+	born                  int64
+	r, src, dst           int32
+	inPort, inVC, out, vc uint8
+	eject, escape, detour bool
+}
+
+// mark holds the lengths of a group's pre list and logs when one window
+// cycle began — cycle k of the window owns [marks[k], marks[k+1]) — and, for
+// the outbox, when its router stage began: the events phase of cycle k
+// inserted out[marks[k].out:marks[k].outR], its router stage the rest.
+type mark struct{ pre, fx, gen, gr, out, outR int32 }
+
+// tally is a group's counter deltas, plain sums the merge adds up.
+type tally struct {
+	inFlight                                             int
+	blocked, injected, congStalls                        int64
+	globalMis, localMis, ringEnters, ringExits, ringHops int64
+}
+
+// groupScratch is one group's window state — its event ring, the logs and
+// outbox the merge reads, its counter deltas — and its injection front-end
+// state, padded to whole cache lines so adjacent groups written by different
+// workers never false-share. The pad is derived from the fields, and leads:
+// a zero-length last field would itself be padded.
 type groupScratch struct {
 	_ [(64 - unsafe.Sizeof(groupState{})%64) % 64]byte
 	groupState
 }
 
 type groupState struct {
-	sched    []schedEv
-	gen      []genRec
-	inFlight int
-	// Generate-phase counter deltas, merged into the run counters at the
-	// barrier (their serial interleaving per node is unobservable — only the
-	// running Generated count is, and genRec replay reproduces it exactly).
-	blocked    int64
-	injected   int64
-	congStalls int64
+	// ring holds the events the group schedules for itself that fall due
+	// inside the window, by cycle modulo its length (a power of two above
+	// every delay inside a group); pre the slot indices of the shared wheel's
+	// events for the group, window cycle by window cycle.
+	ring  [][]event
+	pre   []int32
+	marks []mark
+	out   []schedEv
+	fx    []fxRec
+	gen   []genRec
+	grs   []grantRec
+	grPkt []*packet.Packet // the grants' packets, while path tracing
+	tally
+	ph PhaseNanos // laps of the sampled cycles (see clock)
 	// This cycle's draw, and the pending-occupancy bitset: bit i set ⇔
 	// pending[g·groupNodes+i] is non-empty (derived, never serialized).
 	hits []traffic.Hit
@@ -147,28 +170,27 @@ type Network struct {
 
 	// Who walks the groups. With Config.Workers > 1 the network owns a
 	// persistent worker pool (see pool.go) of `workers` participants with
-	// per-worker engines (clones when the engine carries scratch state) and
-	// the per-router grant buffers workers fill for the caller's commit; a
-	// phase goes to the pool when it has at least `cutover` units of work
+	// per-worker engines (clones when the engine carries scratch state); a
+	// window goes to the pool when the network has at least `cutover` routers
 	// (see pooled) and is walked by the caller otherwise. workerPool is nil
 	// on Workers <= 1 networks and after Close.
 	workers    int
 	workerEng  []router.Engine
-	grantBuf   [][]router.Grant
 	workerPool *stepPool
 	cutover    int
 
-	// Per-group state of the pipeline. dueG holds per-group indices into the
-	// cycle's due list and fxKind/fxPkt the per-index deferred effects (both
-	// used only when the pool runs the event phase); gs carries each group's
-	// outboxes.
-	nGroups   int
-	groupSize int // routers per group (Topo.A)
-	dueG      [][]int32
-	curDue    []event // the due list being processed (pool workers read it)
-	fxKind    []uint8
-	fxPkt     []*packet.Packet
+	// Lookahead windows (Run): lookahead caps a window at the shortest
+	// latency between groups; win is the current window's length, logGrants
+	// whether its grants are logged for the merge. gs is the per-group state.
+	groupSize int     // routers per group (Topo.A)
+	groupOf   []int32 // router → group
+	lookahead int
+	win       int
+	logGrants bool
 	gs        []groupScratch
+	slots     [][]event       // the shared wheel's slots of the window's cycles
+	fxBuf     []fxRec         // one cycle's effects, gathered by the merge
+	busy      []*groupScratch // the groups with records in a merged cycle
 
 	// Grant digest (tests): FNV-1a fold of every committed grant and every
 	// delivery, for cheap bit-equivalence checks between engines.
@@ -201,11 +223,12 @@ type Network struct {
 	// blocked an injection.
 	CongestionStalls int64
 
-	// Per-phase Step timing (EnablePhaseTimings): wall-clock nanoseconds
-	// accumulated per Step phase. Off by default — the flag costs a branch
-	// per phase; when on, each Step pays a handful of clock reads.
+	// Per-phase timing (EnablePhaseTimings): wall-clock nanoseconds
+	// accumulated per phase, and the laps of the sampled cycles that split
+	// each window's wall time among the phases (see clock).
 	timingOn bool
 	phaseNs  PhaseNanos
+	laps     PhaseNanos
 }
 
 type pqueue struct {
@@ -344,9 +367,10 @@ func New(cfg Config) (*Network, error) {
 
 	// Routers are constructed group by group into contiguous []Router slabs,
 	// each group's slices carved from a private arena sized to exactly what
-	// its routers carve: one dragonfly group — the ownership unit of the Step
-	// pipeline — then occupies a contiguous, cache-dense region instead of
-	// ~a·(2+ports·(4+vcs)) scattered heap objects, and not a byte more.
+	// its routers carve: one dragonfly group — the ownership unit of the
+	// lookahead windows — then occupies a contiguous, cache-dense region
+	// instead of ~a·(2+ports·(4+vcs)) scattered heap objects, and not a byte
+	// more.
 	//
 	// An engine that can report its Route read sets lets the routers memoize
 	// decisions (Validate guarantees ≤ 64 ports). PAR mutates packet headers
@@ -464,23 +488,30 @@ func New(cfg Config) (*Network, error) {
 			n.congestionTh = 0.7
 		}
 	}
-	n.nGroups = topo.G
 	n.groupSize = topo.A
 	n.groupNodes = topo.P * topo.A
 	n.poolG = make([]packet.Pool, topo.G)
-	n.dueG = make([][]int32, topo.G)
 	n.gs = make([]groupScratch, topo.G)
+	n.slots = make([][]event, n.wheel.Horizon())
+	n.groupOf = make([]int32, topo.Routers)
+	for r := range n.groupOf {
+		n.groupOf[r] = int32(topo.GroupOf(r))
+	}
 	for g := range n.gs {
-		n.gs[g].pend = make([]uint64, (n.groupNodes+63)/64)
+		s := &n.gs[g]
+		s.pend = make([]uint64, (n.groupNodes+63)/64)
+		// Within a group only local links and drains schedule.
+		s.ring = make([][]event, 1<<bits.Len(uint(max(cfg.LocalLatency, cfg.PacketSize)+1)))
+		s.marks = make([]mark, n.wheel.Horizon()+1)
 	}
 	if len(cfg.Faults) > 0 {
 		if err := n.prepareFaults(cfg.Faults); err != nil {
 			return nil, err
 		}
 	}
+	n.deriveLookahead()
 	n.workers = cfg.PoolWidth()
 	if n.workers > 1 {
-		n.grantBuf = make([][]router.Grant, topo.Routers)
 		n.workerEng = make([]router.Engine, n.workers)
 		n.workerEng[0] = n.Engine
 		for w := 1; w < n.workers; w++ {
@@ -497,28 +528,18 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// autoCutover picks the amount of work (routers, due events) below which a
-// Workers > 1 network walks a phase on the caller's goroutine, calibrated
-// from the machine and the worker count rather than measured at runtime (a
-// measurement would make wall-clock behavior depend on warm-up noise; the
-// formula keeps it reproducible). Two regimes:
-//
-//   - GOMAXPROCS == 1: a pool dispatch can never win — the caller computes
-//     every group itself and then pays goroutine switches just to join the
-//     parked workers — so the cutover is pinned above any possible work count
-//     and the caller walks every phase. (In-package tests that need the pool
-//     exercised regardless override the cutover after construction.)
-//
-//   - multicore: a pool dispatch (wake + steal + join) costs a handful of
-//     microseconds; one working router's compute phase costs ~1–2 µs
-//     (saturated h=3: ~170 µs over 114 routers). Splitting across w workers
-//     saves (1−1/w) of the compute, so the break-even amount of work is
-//     barrier / (cost·(1−1/w)) ≈ a few units per worker; below it the
-//     barrier is pure loss. 6·workers keeps a comfortable margin above
-//     break-even.
-//
-// The cutover moves wall-clock time only; results are bit-identical on
-// every machine either way.
+// autoCutover picks the router count below which a Workers > 1 network
+// walks its windows on the caller's goroutine, from the machine and the
+// worker count rather than a runtime measurement (which would make
+// wall-clock behavior depend on warm-up noise). With GOMAXPROCS == 1 a pool
+// dispatch can never win — the caller computes every group and then pays
+// goroutine switches to join the parked workers — so the cutover is pinned
+// above any router count (in-package tests that need the pool override it
+// after construction). On multicore a dispatch (wake + steal + join) costs a
+// few microseconds and one working router-cycle ~1–2 µs, so splitting across
+// w workers breaks even at a few routers per worker even for a one-cycle
+// window; 6·workers keeps a comfortable margin. The cutover moves wall-clock
+// time only; results are bit-identical either way.
 func autoCutover(workers int) int {
 	if runtime.GOMAXPROCS(0) < 2 {
 		return math.MaxInt32
@@ -526,13 +547,11 @@ func autoCutover(workers int) int {
 	return 6 * workers
 }
 
-// pooled reports whether a phase with the given amount of work is stolen by
-// the pool rather than walked by the caller. The event phase passes its due
-// count; the phases that visit every router or node every cycle (generate,
-// PB, routers) pass the router count: they go to the pool unless the network
-// is tiny or the cutover pins it to the caller.
-func (n *Network) pooled(work int) bool {
-	return n.workerPool != nil && work >= n.cutover
+// pooled reports whether the pool steals the window's groups: not on a tiny
+// network or one the cutover pins to the caller, and never under a source
+// that is not group-local (traffic.GroupLocalGenerator).
+func (n *Network) pooled() bool {
+	return n.workerPool != nil && len(n.Routers) >= n.cutover && (n.gen == nil || n.genLocal)
 }
 
 // SetGenerator attaches the traffic source. A job-aware source additionally
@@ -568,132 +587,155 @@ func (n *Network) Generator() traffic.Generator { return n.gen }
 // Now returns the current cycle.
 func (n *Network) Now() int64 { return n.now }
 
-// Step advances the simulation one cycle through the group-partitioned
-// pipeline: apply due faults, deliver due events, generate and inject
-// traffic, publish PB flags, then run routing and switch allocation on every
-// router (an idle one returns at once). Each phase works group by group; the
-// only fork is who walks the groups — the pool (Config.Workers > 1 and enough
-// work, see pooled) or the caller in ascending order — and every effect on
-// shared state is committed by the caller in a fixed order, so results are
-// bit-identical either way (docs/ARCHITECTURE.md, "The Step pipeline").
-func (n *Network) Step() {
-	now := n.now
-	var t time.Time
+// Step advances the simulation one cycle: Run(1).
+func (n *Network) Step() { n.Run(1) }
+
+// Run advances the simulation by the given number of cycles in lookahead
+// windows (docs/ARCHITECTURE.md, "Lookahead windows"). Groups meet only over
+// links of at least lookahead cycles, so for that long no group sees what
+// another does: each group — walked by the caller or stolen by the pool —
+// runs every cycle of the window while its state is cache-hot, and the merge
+// commits everything shared in the serial order of one cycle at a time. A
+// window ends at the next scheduled fault, and is one cycle long while a
+// router is dead or under a source that is not group-local.
+func (n *Network) Run(cycles int) {
+	for cycles > 0 {
+		cycles -= n.window(cycles)
+	}
+}
+
+// window runs one window of at most left cycles and returns its length.
+func (n *Network) window(left int) int {
+	var t int64
 	if n.timingOn {
-		t = time.Now()
-		n.phaseNs.Cycles++
+		t = ticks()
 	}
 	if n.faultIdx < len(n.faults) {
-		n.applyDueFaults(now)
+		n.applyDueFaults(n.now)
 	}
-	t = n.lap(&n.phaseNs.Faults, t)
-	if due := n.wheel.Advance(); len(due) > 0 {
-		n.processDue(due, now)
+	t = lap(&n.phaseNs.Faults, t)
+	w := min(left, n.lookahead)
+	if n.faultIdx < len(n.faults) {
+		w = min(w, int(n.faults[n.faultIdx].Cycle-n.now))
 	}
-	t = n.lap(&n.phaseNs.Events, t)
-	if n.gen != nil {
-		n.generate(now)
+	if n.gen != nil && !n.genLocal {
+		w = 1
 	}
-	t = n.lap(&n.phaseNs.Generate, t)
-	if n.usePB {
-		n.publishPB(now)
-	}
-	t = n.lap(&n.phaseNs.PB, t)
-	n.routerStage(now)
-	n.lap(&n.phaseNs.Routers, t)
-	n.now++
-}
+	n.win, n.logGrants = w, n.digestOn || n.traceEvery > 0 || n.faultIdx > 0
 
-// routerStage runs the routing/allocation phase of one cycle: cycleGroup for
-// every group, which commits as it goes when the caller walks and leaves the
-// commit to an ordered commitGroup pass when the pool does.
-func (n *Network) routerStage(now int64) {
-	if !n.pooled(len(n.Routers)) {
-		for g := 0; g < n.nGroups; g++ {
-			n.cycleGroup(g, n.Engine, now, nil)
+	// Split the shared wheel's events due in the window by target group.
+	for k := 0; k <= w; k++ {
+		for g := range n.gs {
+			n.gs[g].marks[k].pre = int32(len(n.gs[g].pre))
 		}
-		return
-	}
-	n.runShards(phaseCycle, now)
-	for g := 0; g < n.nGroups; g++ {
-		n.commitGroup(g, now)
-	}
-}
-
-// processDue runs the event phase over one cycle's due list. The caller
-// handles the events itself in ascending due order with every effect inline;
-// the pool partitions the list by target group, handles each group's share
-// concurrently and leaves the shared effects to a barrier here. The two agree
-// because:
-//
-//   - Router mutations commute across groups: an event targets exactly one
-//     router (arrivals and drains touch input buffers, credits touch output
-//     ports), and same-router events touch disjoint (port, VC) state.
-//   - Observable effects (delivery folds and stats, fault drops) are not
-//     applied in processing order: they are recorded per due index and
-//     applied in ascending index order afterwards — the caller's inline
-//     order.
-//   - Handle-phase wheel insertions are credit events only; their in-slot
-//     order differs between the two walks, but credits fold nothing and
-//     AddCredit is commutative (a sum plus idempotent dirty bits), so no
-//     digest, stat or future decision can observe the shuffle.
-func (n *Network) processDue(due []event, now int64) {
-	if !n.pooled(len(due)) {
-		for i := range due {
-			n.handle(due[i], i, now, nil)
+		if k < w {
+			n.slots[k] = n.wheel.Peek(k)
+			for i, ev := range n.slots[k] {
+				s := &n.gs[n.groupOf[ev.r]]
+				s.pre = append(s.pre, int32(i))
+			}
 		}
-		return
 	}
-	for g := range n.dueG {
-		n.dueG[g] = n.dueG[g][:0]
-	}
-	gsz := int32(n.groupSize)
-	for i := range due {
-		g := due[i].r / gsz
-		n.dueG[g] = append(n.dueG[g], int32(i))
-	}
-	if cap(n.fxKind) < len(due) {
-		n.fxKind = make([]uint8, len(due))
-		n.fxPkt = make([]*packet.Packet, len(due))
+	if n.pooled() {
+		n.runShards()
 	} else {
-		n.fxKind = n.fxKind[:len(due)]
-		clear(n.fxKind)
-		n.fxPkt = n.fxPkt[:len(due)]
-	}
-	n.curDue = due
-	n.runShards(phaseHandle, now)
-	n.curDue = nil
-	// Merge the group outboxes in ascending group order: wheel insertions
-	// (credit refunds) and in-flight deltas.
-	for g := range n.gs {
-		n.flushSched(g)
-		n.inFlight += n.gs[g].inFlight
-		n.gs[g].inFlight = 0
-	}
-	// Apply deferred effects in original due order (see above).
-	for i, k := range n.fxKind {
-		if k != fxNone {
-			p := n.fxPkt[i]
-			n.fxPkt[i] = nil
-			n.applyEffect(k, p, now)
+		for g := range n.gs {
+			n.runGroup(g, n.Engine)
 		}
+	}
+	n.merge()
+	if n.timingOn {
+		n.spreadLaps(t, w)
+	}
+	return w
+}
+
+// runGroup walks group g through the window with the walker's engine: each
+// cycle its events (the shared wheel's, then its own), generation, PB flags
+// and router stage. Everything it writes is owned by the group — its
+// routers, queues, traffic stream, packet pool and scratch — except the
+// utilization counters of its own routers' ports.
+func (n *Network) runGroup(g int, eng router.Engine) {
+	s := &n.gs[g]
+	for k := 0; k <= n.win; k++ {
+		m := &s.marks[k]
+		m.fx, m.gen, m.gr, m.out = int32(len(s.fx)), int32(len(s.gen)), int32(len(s.grs)), int32(len(s.out))
+		if k == n.win {
+			return
+		}
+		now := n.now + int64(k)
+		t := n.clock(now)
+		slot := n.slots[k]
+		for _, i := range s.pre[s.marks[k].pre:s.marks[k+1].pre] {
+			n.handle(s, g, k, slot[i], i, now)
+		}
+		r := now & int64(len(s.ring)-1)
+		if own := s.ring[r]; len(own) > 0 {
+			for _, ev := range own {
+				n.handle(s, g, k, ev, -1, now)
+			}
+			s.ring[r] = reset(own)
+		}
+		t = lap(&s.ph.Events, t)
+		if n.gen != nil {
+			n.generateGroup(g, eng, now)
+			t = lap(&s.ph.Generate, t)
+		}
+		if n.usePB {
+			n.publishPBGroup(g, now)
+			t = lap(&s.ph.PB, t)
+		}
+		m.outR = int32(len(s.out))
+		n.cycleGroup(s, g, k, eng, now)
+		lap(&s.ph.Routers, t)
 	}
 }
 
-// sched inserts a wheel event directly (sh == nil: the caller is walking)
-// or into the group's outbox (a pool worker, for which the shared wheel is
-// off limits until the barrier).
-func (n *Network) sched(sh *groupScratch, delay int, ev event) {
-	if sh == nil {
-		n.wheel.Schedule(delay, ev)
+// reset empties a reused slice, dropping the references it held.
+func reset[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+// sched files a wheel insertion group g makes at window cycle k: into the
+// group's ring when it falls due inside the window at one of the group's
+// routers (nothing crossing groups can), else into the outbox.
+func (n *Network) sched(s *groupScratch, g, k, delay int, ev event) {
+	if at := k + 1 + delay; at < n.win && int(n.groupOf[ev.r]) == g {
+		r := (n.now + int64(at)) & int64(len(s.ring)-1)
+		s.ring[r] = append(s.ring[r], ev)
 	} else {
-		sh.sched = append(sh.sched, schedEv{ev: ev, delay: int32(delay)})
+		s.out = append(s.out, schedEv{ev: ev, at: int32(at)})
+	}
+}
+
+// deriveLookahead sets the window cap from the live wiring: the smallest
+// latency of any link joining two groups (a credit sent at cycle s with
+// delay L−1 fires at s+L, an arrival at s+1+L), within the wheel horizon —
+// or 1 while a router is dead, or a link inside a group outgrows the group
+// rings (only a restored image can wire one). Called wherever the wiring or
+// liveness can change: New, fault application and Restore.
+func (n *Network) deriveLookahead() {
+	n.lookahead = n.wheel.Horizon()
+	for _, r := range n.Routers {
+		for i := range r.Out {
+			switch op := &r.Out[i]; {
+			case op.Peer < 0:
+			case op.Peer/n.groupSize != r.ID/n.groupSize:
+				n.lookahead = min(n.lookahead, op.Latency)
+			case op.Latency+2 > len(n.gs[0].ring):
+				n.lookahead = 1
+			}
+		}
+	}
+	if n.lookahead < 1 || slices.Contains(n.deadRouter, true) {
+		n.lookahead = 1
 	}
 }
 
 // ActiveRouters reports how many routers hold a routable buffer head right
 // now — the ones whose next Cycle does any work. A diagnostic scan, not on
-// the Step path.
+// the Run path.
 func (n *Network) ActiveRouters() int {
 	total := 0
 	for _, r := range n.Routers {
@@ -702,23 +744,6 @@ func (n *Network) ActiveRouters() int {
 		}
 	}
 	return total
-}
-
-// publishPB refreshes the group flag boards, group by group — on the pool
-// whenever the cutover does not pin the network to the caller (the dirty
-// scan is O(routers) every cycle, so the decision is static). A group's
-// board is written only by that group's routers (UpdatePBFlags sets the
-// router's own link flags), each router writes disjoint flag indices, and
-// nothing reads any board during this phase — so the walk needs no outbox
-// and no barrier merge.
-func (n *Network) publishPB(now int64) {
-	if n.pooled(len(n.Routers)) {
-		n.runShards(phasePB, now)
-		return
-	}
-	for g := 0; g < n.nGroups; g++ {
-		n.publishPBGroup(g, now)
-	}
 }
 
 // publishPBGroup republishes one group's flag board. The boards store
@@ -730,13 +755,6 @@ func (n *Network) publishPBGroup(g int, now int64) {
 		if rt.PBDirty() {
 			rt.UpdatePBFlags(now)
 		}
-	}
-}
-
-// Run advances the simulation by the given number of cycles.
-func (n *Network) Run(cycles int) {
-	for i := 0; i < cycles; i++ {
-		n.Step()
 	}
 }
 
@@ -865,21 +883,20 @@ func (n *Network) fold(vs ...int64) {
 	n.digestCount++
 }
 
-// handle processes one due event. Everything it mutates directly is owned by
-// the event's group: the target router (every event targets exactly one).
-// Whatever is shared goes through sh: the caller walking the due list in
-// order passes nil and wheel insertions, the in-flight counter and observable
-// effects apply inline; a pool worker passes its group's scratch and they
-// wait for the barrier in processDue.
-func (n *Network) handle(ev event, idx int, now int64, sh *groupScratch) {
+// handle processes one due event of group g at window cycle k; idx is its
+// index in the shared wheel's slot (-1 for the group's ring). Everything
+// it mutates directly is owned by the group: the target router (every event
+// targets exactly one). Wheel insertions go through sched, the in-flight
+// count into the tally, deliveries and drops into the effect log.
+func (n *Network) handle(s *groupScratch, g, k int, ev event, idx int32, now int64) {
 	switch ev.kind {
 	case evArrive:
-		n.addInFlight(sh, -1)
+		s.inFlight--
 		if n.deadRouter != nil && n.deadRouter[ev.r] {
 			// The packet was launched before the router died; the link
 			// delivered it into a void. No credit refund: the upstream port
 			// is dead and its counters are frozen.
-			n.effect(sh, idx, fxDrop, ev.pkt, now)
+			s.fx = append(s.fx, fxRec{pkt: ev.pkt, idx: idx, drop: true})
 			return
 		}
 		if n.deadNode != nil && n.deadNode[ev.pkt.Dst] {
@@ -887,11 +904,10 @@ func (n *Network) handle(ev event, idx int, now int64, sh *groupScratch) {
 			// here rather than let it chase an unreachable ejection port —
 			// with a synthesized refund, since the buffer space it reserved
 			// on this live router is never consumed.
-			up := &n.Routers[ev.r].In[ev.port]
-			if up.UpRouter >= 0 {
-				n.sched(sh, 0, event{kind: evCredit, r: int32(up.UpRouter), port: int16(up.UpPort), vc: ev.vc, phits: int32(ev.pkt.Size)})
+			if up := &n.Routers[ev.r].In[ev.port]; up.UpRouter >= 0 {
+				n.sched(s, g, k, 0, event{kind: evCredit, r: int32(up.UpRouter), port: int16(up.UpPort), vc: ev.vc, phits: int32(ev.pkt.Size)})
 			}
-			n.effect(sh, idx, fxDrop, ev.pkt, now)
+			s.fx = append(s.fx, fxRec{pkt: ev.pkt, idx: idx, drop: true})
 			return
 		}
 		n.Routers[ev.r].Arrive(int(ev.port), int(ev.vc), ev.pkt)
@@ -903,7 +919,7 @@ func (n *Network) handle(ev event, idx int, now int64, sh *groupScratch) {
 			// link (its arrival event is pending); with link latencies ≥
 			// packetSize-1 — true for all shipped configurations — this
 			// keeps the conservation accounting exact.
-			n.addInFlight(sh, 1)
+			s.inFlight++
 		}
 		if upR >= 0 && (n.deadRouter == nil || !n.deadRouter[ev.r]) {
 			// Dead routers return no credits: their upstream ports are dead
@@ -911,95 +927,20 @@ func (n *Network) handle(ev event, idx int, now int64, sh *groupScratch) {
 			// whose counters were re-derived against the new downstream
 			// buffer and must not absorb refunds for the old one.
 			lat := n.Routers[upR].Out[upP].Latency
-			n.sched(sh, lat-1, event{kind: evCredit, r: int32(upR), port: int16(upP), vc: ev.vc, phits: int32(p.Size)})
+			n.sched(s, g, k, lat-1, event{kind: evCredit, r: int32(upR), port: int16(upP), vc: ev.vc, phits: int32(p.Size)})
 		}
 		if ev.kind == evDrainDeliver {
 			p.Done = now
-			n.effect(sh, idx, fxDeliver, p, now)
+			s.fx = append(s.fx, fxRec{pkt: p, idx: idx})
 		}
 	case evCredit:
 		n.Routers[ev.r].AddCredit(int(ev.port), int(ev.vc), int(ev.phits))
 	}
 }
 
-// addInFlight moves the on-link packet count: directly, or as a group delta
-// merged at the barrier.
-func (n *Network) addInFlight(sh *groupScratch, d int) {
-	if sh == nil {
-		n.inFlight += d
-	} else {
-		sh.inFlight += d
-	}
-}
-
-// effect applies one observable handle effect now (sh == nil) or records it
-// under its due index for the barrier to apply in due order.
-func (n *Network) effect(sh *groupScratch, idx int, kind uint8, p *packet.Packet, now int64) {
-	if sh == nil {
-		n.applyEffect(kind, p, now)
-	} else {
-		n.fxKind[idx], n.fxPkt[idx] = kind, p
-	}
-}
-
-// applyEffect folds one delivery or fault drop into the digest and the
-// statistics and recycles the packet. Caller's goroutine only.
-func (n *Network) applyEffect(kind uint8, p *packet.Packet, now int64) {
-	if kind == fxDrop {
-		n.dropPacket(p, now)
-		return
-	}
-	if n.digestOn {
-		// Folding (identity, latency) pins per-packet delivery times, not
-		// just the grant sequence.
-		n.fold(1, now, int64(p.Src), int64(p.Dst), p.Born, p.Injected)
-	}
-	n.Stats.OnDeliver(p.Born, p.Injected, now, p.TotalHops, p.RingHops)
-	if p.Job >= 0 {
-		n.Stats.JobDelivered(int(p.Job), now-p.Born)
-	}
-	n.putPacket(p)
-}
-
-// generate runs the injection front-end for one cycle: generateGroup over
-// every group, then commitGenerate. The pool takes the groups when the
-// source is group-local and the cutover does not pin the network to the
-// caller (every node is probed every cycle, so there is no per-cycle work
-// count to compare — the decision is static); otherwise the caller walks
-// them in ascending order. Either way the same draws come from the same
-// per-group streams, because:
-//
-//   - Per-node work is group-local: Next/Retract draw from the group's own
-//     stream (and, for GroupLocalGenerator sources, touch only per-node or
-//     commutative-atomic generator state), the pending queue and the
-//     injection router belong to the node's own group, and packets come from
-//     the group's own pool. Nothing one group does can change what another
-//     group generates or injects this cycle.
-//   - Observable effects are not applied in processing order: packet IDs,
-//     Stats counters, digest folds, trace-recorder appends and job
-//     accounting are recorded per group (genRec) and replayed by
-//     commitGenerate in ascending (group, node) order, including the running
-//     Generated count the path-trace sampler reads.
-//   - The remaining counters (SourceBlocked, Injected, CongestionStalls) are
-//     plain sums with no intermediate observer, so per-group accumulation
-//     plus an ordered merge is invisible.
-//
-// Generators without the GroupLocalGenerator marker (Burst, JobSet — shared
-// plain-int progress counters) are always walked by the caller.
-func (n *Network) generate(now int64) {
-	if n.genLocal && n.pooled(len(n.Routers)) {
-		n.runShards(phaseGenerate, now)
-	} else {
-		for g := 0; g < n.nGroups; g++ {
-			n.generateGroup(g, n.Engine, now)
-		}
-	}
-	n.commitGenerate(now)
-}
-
 // generateGroup generates and injects for every node of group g in ascending
 // node order. Every observable effect is buffered: packets leave the group's
-// pool without an ID (commitGenerate stamps IDs in global order),
+// pool without an ID (the merge stamps IDs in global order),
 // stats/digest/trace/job effects become genRec entries, and counter deltas
 // accumulate in the group scratch. Injection side effects (router state,
 // AtInjection with the walker's engine) are group-owned and applied
@@ -1089,182 +1030,222 @@ func (s *groupState) setPend(i int, on bool) {
 	}
 }
 
-// commitGenerate closes the generate phase on the caller's goroutine: walk
-// groups in ascending order replaying each group's genRec entries in node
-// order — stamping packet IDs from the run-wide sequence and folding the
-// observable effects — then merge the counter deltas.
-func (n *Network) commitGenerate(now int64) {
-	for g := 0; g < n.nGroups; g++ {
-		sh := &n.gs[g]
-		for i := range sh.gen {
-			rec := &sh.gen[i]
-			if rec.pkt == nil {
-				// Dead-destination drop: Generated and Dropped move together
-				// so conservation holds without a packet.
-				n.Stats.Generated++
-				n.Stats.Dropped++
-				n.Stats.NoteAffectedFlow(int(rec.node), int(rec.dst))
-				if n.jobOf != nil {
-					j := int(n.jobOf[rec.node])
-					n.Stats.JobGenerated(j)
-					n.Stats.JobDropped(j)
-				}
-				if n.rec != nil {
-					n.rec.Add(now, int(rec.node), int(rec.dst), n.Cfg.PacketSize)
-				}
-				if n.digestOn {
-					n.fold(2, now, int64(rec.node), int64(rec.dst), now)
-				}
+// cycleGroup runs one group's router stage: Cycle each of its routers with
+// the walker's engine, schedule each grant's events, count it, and log its
+// observable half when the merge needs it.
+func (n *Network) cycleGroup(s *groupScratch, g, k int, eng router.Engine, now int64) {
+	lo := g * n.groupSize
+	for _, r := range n.Routers[lo : lo+n.groupSize] {
+		grants := r.Cycle(eng, now)
+		for j := range grants {
+			gr := &grants[j]
+			p, req := gr.Pkt, &gr.Req
+			if gr.Eject {
+				n.sched(s, g, k, p.Size-1, event{kind: evDrainDeliver, r: int32(r.ID), port: int16(gr.InPort), vc: int16(gr.InVC)})
+			} else {
+				out := &r.Out[req.Out]
+				n.sched(s, g, k, out.Latency, event{kind: evArrive, pkt: p, r: int32(out.Peer), port: int16(out.PeerPort), vc: int16(req.VC)})
+				n.sched(s, g, k, p.Size-1, event{kind: evDrain, r: int32(r.ID), port: int16(gr.InPort), vc: int16(gr.InVC)})
+			}
+			n.Stats.AddUtilization(r.ID, req.Out, p.Size)
+			if req.SetGlobalMis {
+				s.globalMis++
+			}
+			if req.SetLocalMis {
+				s.localMis++
+			}
+			if req.EnterRing {
+				s.ringEnters++
+			}
+			if req.ExitRing {
+				s.ringExits++
+			}
+			if req.Escape && !req.EnterRing {
+				s.ringHops++
+			}
+			if !n.logGrants {
 				continue
 			}
-			p := rec.pkt
-			p.ID = n.pool.NextID()
-			rec.pkt = nil
-			if n.jobOf != nil {
-				n.Stats.JobGenerated(int(p.Job))
+			s.grs = append(s.grs, grantRec{born: p.Born, r: int32(r.ID), src: int32(p.Src), dst: int32(p.Dst),
+				inPort: uint8(gr.InPort), inVC: uint8(gr.InVC), out: uint8(req.Out), vc: uint8(req.VC),
+				eject: gr.Eject, escape: req.Escape, detour: req.SetGlobalMis || req.SetLocalMis || req.EnterRing})
+			if n.traceEvery > 0 {
+				s.grPkt = append(s.grPkt, p)
 			}
-			if n.rec != nil {
-				n.rec.Add(now, int(rec.node), int(rec.dst), n.Cfg.PacketSize)
-			}
-			if n.traceEvery > 0 && n.Stats.Generated%int64(n.traceEvery) == 0 {
-				n.traces[p.ID] = &Trace{Src: int(rec.node), Dst: int(rec.dst)}
-			}
-			n.Stats.Generated++
 		}
-		sh.gen = sh.gen[:0]
-		n.Stats.SourceBlocked += sh.blocked
-		n.Stats.Injected += sh.injected
-		n.CongestionStalls += sh.congStalls
-		sh.blocked, sh.injected, sh.congStalls = 0, 0, 0
+	}
+}
+
+// merge closes the window on the caller's goroutine, one cycle at a time in
+// the serial order of a single cycle, each step in ascending group order:
+// deliveries and drops, generation records, grants, then the cycle's wheel
+// insertions — the events phase's before the router stage's, the order a
+// cycle-at-a-time run appends them to the wheel's slots. Then the counter
+// deltas are added, and the logs cleared for the next window, references
+// included.
+func (n *Network) merge() {
+	w := n.win
+	n.wheel.Skip(w)
+	clear(n.slots[:w])
+	for k := 0; k < w; k++ {
+		now := n.now + int64(k)
+		t := n.clock(now)
+		// One pass gathers the cycle's effects and the groups with records.
+		fx, busy := n.fxBuf[:0], n.busy[:0]
+		for g := range n.gs {
+			s := &n.gs[g]
+			a, b := &s.marks[k], &s.marks[k+1]
+			if a.fx < b.fx {
+				fx = append(fx, s.fx[a.fx:b.fx]...)
+			}
+			if a.gen < b.gen || a.gr < b.gr || a.out < b.out {
+				busy = append(busy, s)
+			}
+		}
+		n.mergeEffects(fx, now)
+		t = lap(&n.laps.Events, t)
+		for _, s := range busy {
+			for i := s.marks[k].gen; i < s.marks[k+1].gen; i++ {
+				n.commitGen(&s.gen[i], now)
+			}
+		}
+		t = lap(&n.laps.Generate, t)
+		for _, s := range busy {
+			for i := s.marks[k].gr; i < s.marks[k+1].gr; i++ {
+				n.commitGrant(s, i, now)
+			}
+		}
+		for _, s := range busy {
+			for _, e := range s.out[s.marks[k].out:s.marks[k].outR] {
+				n.wheel.Schedule(int(e.at)-w, e.ev)
+			}
+		}
+		for _, s := range busy {
+			for _, e := range s.out[s.marks[k].outR:s.marks[k+1].out] {
+				n.wheel.Schedule(int(e.at)-w, e.ev)
+			}
+		}
+		lap(&n.laps.Routers, t)
+		n.fxBuf, n.busy = reset(fx), reset(busy)
+	}
+	st := n.Stats
+	for g := range n.gs {
+		s := &n.gs[g]
+		n.inFlight += s.inFlight
+		n.CongestionStalls += s.congStalls
+		st.SourceBlocked += s.blocked
+		st.Injected += s.injected
+		st.GlobalMisroutes += s.globalMis
+		st.LocalMisroutes += s.localMis
+		st.RingEnters += s.ringEnters
+		st.RingExits += s.ringExits
+		st.RingHops += s.ringHops
+		s.tally = tally{}
+		s.out, s.fx, s.gen, s.grPkt = reset(s.out), reset(s.fx), reset(s.gen), reset(s.grPkt)
+		s.pre, s.grs = s.pre[:0], s.grs[:0]
+	}
+	n.now += int64(w)
+}
+
+// mergeEffects folds one cycle's deliveries and drops, gathered in group
+// order, into the digest and the statistics in due order, and recycles the
+// packets.
+func (n *Network) mergeEffects(fx []fxRec, now int64) {
+	if slices.ContainsFunc(fx, func(e fxRec) bool { return e.drop }) {
+		slices.SortFunc(fx, func(a, b fxRec) int { return cmp.Compare(a.idx, b.idx) })
+	}
+	for _, e := range fx {
+		p := e.pkt
+		if e.drop {
+			n.dropPacket(p, now)
+			continue
+		}
+		if n.digestOn {
+			// Folding (identity, latency) pins per-packet delivery times, not
+			// just the grant sequence.
+			n.fold(1, now, int64(p.Src), int64(p.Dst), p.Born, p.Injected)
+		}
+		n.Stats.OnDeliver(p.Born, p.Injected, now, p.TotalHops, p.RingHops)
+		if p.Job >= 0 {
+			n.Stats.JobDelivered(int(p.Job), now-p.Born)
+		}
+		n.putPacket(p)
+	}
+}
+
+// commitGen replays one generation record: stamp the packet's ID from the
+// run-wide sequence and fold the observable effects.
+func (n *Network) commitGen(rec *genRec, now int64) {
+	if n.rec != nil {
+		n.rec.Add(now, int(rec.node), int(rec.dst), n.Cfg.PacketSize)
+	}
+	p := rec.pkt
+	if p == nil {
+		// Dead-destination drop: Generated and Dropped move together so
+		// conservation holds without a packet.
+		n.Stats.Generated++
+		n.Stats.Dropped++
+		n.Stats.NoteAffectedFlow(int(rec.node), int(rec.dst))
+		if n.jobOf != nil {
+			j := int(n.jobOf[rec.node])
+			n.Stats.JobGenerated(j)
+			n.Stats.JobDropped(j)
+		}
+		if n.digestOn {
+			n.fold(2, now, int64(rec.node), int64(rec.dst), now)
+		}
+		return
+	}
+	p.ID = n.pool.NextID()
+	if n.jobOf != nil {
+		n.Stats.JobGenerated(int(p.Job))
+	}
+	if n.traceEvery > 0 && n.Stats.Generated%int64(n.traceEvery) == 0 {
+		n.traces[p.ID] = &Trace{Src: int(rec.node), Dst: int(rec.dst)}
+	}
+	n.Stats.Generated++
+}
+
+// commitGrant applies the observable half of group s's i-th logged grant:
+// digest, grant log, traces and fault-reroute attribution.
+func (n *Network) commitGrant(s *groupScratch, i int32, now int64) {
+	g := &s.grs[i]
+	if n.digestOn {
+		n.fold(0, now, int64(g.r), int64(g.inPort), int64(g.inVC),
+			int64(g.out), int64(g.vc), int64(g.src), int64(g.dst), g.born)
+		if len(n.grantLog) < n.logCap {
+			n.grantLog = append(n.grantLog, GrantEvent{
+				Cycle: now, Router: int(g.r), InPort: int(g.inPort), InVC: int(g.inVC),
+				Out: int(g.out), VC: int(g.vc),
+				Src: int(g.src), Dst: int(g.dst), Born: g.born, Eject: g.eject,
+			})
+		}
+	}
+	if n.traceEvery > 0 {
+		if tr, ok := n.traces[s.grPkt[i].ID]; ok {
+			tr.Hops = append(tr.Hops, TraceHop{
+				Router: int(g.r), Port: int(g.out), VC: int(g.vc),
+				Escape: g.escape, Cycle: now,
+			})
+			if g.eject {
+				tr.Done = true
+			}
+		}
+	}
+	if n.faultIdx > 0 && g.detour && n.Routers[g.r].OutputDead(n.Topo.MinimalPort(int(g.r), int(g.dst))) {
+		// The packet left its minimal path while the minimal output here is
+		// dead: the fault, not ordinary congestion, forced the detour.
+		n.Stats.FaultReroutes++
+		n.Stats.NoteAffectedFlow(int(g.src), int(g.dst))
 	}
 }
 
 // putPacket recycles a terminal packet into its source group's pool, keeping
 // the free list (and the block-carve locality it preserves) with the group
-// that allocated the packet. Caller's goroutine only (delivery folds, fault
-// drops).
+// that allocated the packet. Caller's goroutine only, at the merge: until
+// then the window's logs may still point at the packet.
 func (n *Network) putPacket(p *packet.Packet) {
 	n.poolG[p.SrcGroup].Put(p)
-}
-
-// commitSched schedules a grant's future events: into the wheel directly
-// (sh == nil, the caller walking the groups) or into the group outbox a pool
-// worker hands in.
-func (n *Network) commitSched(r *router.Router, g *router.Grant, now int64, sh *groupScratch) {
-	p := g.Pkt
-	if g.Eject {
-		n.sched(sh, p.Size-1, event{kind: evDrainDeliver, r: int32(r.ID), port: int16(g.InPort), vc: int16(g.InVC)})
-	} else {
-		out := &r.Out[g.Req.Out]
-		n.sched(sh, out.Latency, event{kind: evArrive, pkt: p, r: int32(out.Peer), port: int16(out.PeerPort), vc: int16(g.Req.VC)})
-		n.sched(sh, p.Size-1, event{kind: evDrain, r: int32(r.ID), port: int16(g.InPort), vc: int16(g.InVC)})
-	}
-}
-
-// commitStats is the observable half of a grant — digest, grant log, traces,
-// statistics, fault-reroute attribution — applied on the caller's goroutine
-// in ascending router order.
-func (n *Network) commitStats(r *router.Router, g *router.Grant, now int64) {
-	p := g.Pkt
-	if n.digestOn {
-		n.fold(0, now, int64(r.ID), int64(g.InPort), int64(g.InVC),
-			int64(g.Req.Out), int64(g.Req.VC), int64(p.Src), int64(p.Dst), p.Born)
-		if len(n.grantLog) < n.logCap {
-			n.grantLog = append(n.grantLog, GrantEvent{
-				Cycle: now, Router: r.ID, InPort: g.InPort, InVC: g.InVC,
-				Out: g.Req.Out, VC: g.Req.VC,
-				Src: p.Src, Dst: p.Dst, Born: p.Born, Eject: g.Eject,
-			})
-		}
-	}
-	if n.traceEvery > 0 {
-		if tr, ok := n.traces[p.ID]; ok {
-			tr.Hops = append(tr.Hops, TraceHop{
-				Router: r.ID, Port: g.Req.Out, VC: g.Req.VC,
-				Escape: g.Req.Escape, Cycle: now,
-			})
-			if g.Eject {
-				tr.Done = true
-			}
-		}
-	}
-	n.Stats.AddUtilization(r.ID, g.Req.Out, p.Size)
-	if g.Req.SetGlobalMis {
-		n.Stats.GlobalMisroutes++
-	}
-	if g.Req.SetLocalMis {
-		n.Stats.LocalMisroutes++
-	}
-	if g.Req.EnterRing {
-		n.Stats.RingEnters++
-	}
-	if g.Req.ExitRing {
-		n.Stats.RingExits++
-	}
-	if g.Req.Escape && !g.Req.EnterRing {
-		n.Stats.RingHops++
-	}
-	if n.faultIdx > 0 && (g.Req.SetGlobalMis || g.Req.SetLocalMis || g.Req.EnterRing) &&
-		r.OutputDead(n.Topo.MinimalPort(r.ID, p.Dst)) {
-		// The packet left its minimal path while the minimal output here is
-		// dead: the fault, not ordinary congestion, forced the detour.
-		n.Stats.FaultReroutes++
-		n.Stats.NoteAffectedFlow(p.Src, p.Dst)
-	}
-}
-
-// cycleGroup runs one group's router stage: Cycle each of the group's routers
-// with the walker's engine and commit its grants. The caller (sh == nil)
-// commits both halves of a grant on the spot; a pool worker schedules into
-// its group's outbox and parks the grants in grantBuf for commitGroup.
-// Everything a worker writes — the group's routers, their grantBuf rows, the
-// outbox — is owned by this group.
-//
-// grantBuf rows alias the grant slices Cycle itself reuses across cycles;
-// they are never cleared, because every router of the group writes its row
-// here each cycle (an idle router's Cycle returns an empty list) before
-// commitGroup reads it.
-func (n *Network) cycleGroup(g int, eng router.Engine, now int64, sh *groupScratch) {
-	lo := g * n.groupSize
-	for i := lo; i < lo+n.groupSize; i++ {
-		r := n.Routers[i]
-		grants := r.Cycle(eng, now)
-		if sh != nil {
-			n.grantBuf[i] = grants
-		}
-		for j := range grants {
-			n.commitSched(r, &grants[j], now, sh)
-			if sh == nil {
-				n.commitStats(r, &grants[j], now)
-			}
-		}
-	}
-}
-
-// commitGroup closes a pool-walked group's router stage on the caller's
-// goroutine: commit the grants' observable half in router order, then merge
-// the group's outbox into the wheel. Called for groups in ascending order,
-// this reproduces the caller's own ascending-router fold and wheel-insertion
-// order.
-func (n *Network) commitGroup(g int, now int64) {
-	lo := g * n.groupSize
-	for i := lo; i < lo+n.groupSize; i++ {
-		r := n.Routers[i]
-		grants := n.grantBuf[i]
-		for j := range grants {
-			n.commitStats(r, &grants[j], now)
-		}
-	}
-	n.flushSched(g)
-}
-
-// flushSched merges group g's wheel-insertion outbox into the wheel.
-func (n *Network) flushSched(g int) {
-	sh := &n.gs[g]
-	for _, se := range sh.sched {
-		n.wheel.Schedule(int(se.delay), se.ev)
-	}
-	sh.sched = sh.sched[:0]
 }
 
 // FailRingEdge breaks escape ring `ring` at the outgoing edge of `router`

@@ -250,27 +250,33 @@ func (n *Network) groupBoards() []*router.FlagBoard {
 	return boards
 }
 
+// forEachPacket visits every reference the simulation state holds to a
+// packet — router buffers, source queues, in-flight arrivals. A draining
+// packet is visited twice: by its buffer and by its arrival event.
+func (n *Network) forEachPacket(f func(*packet.Packet)) {
+	for _, r := range n.Routers {
+		r.ForEachPacket(f)
+	}
+	for i := range n.pending {
+		pq := &n.pending[i]
+		for _, p := range pq.q[pq.head:] {
+			f(p)
+		}
+	}
+	n.wheel.ForEach(func(ev event) {
+		if ev.kind == evArrive {
+			f(ev.pkt)
+		}
+	})
+}
+
 func (n *Network) encodePayload(e *simcore.Enc) {
 	// Deduplicated packet table, sorted by ID for deterministic bytes. A
 	// committed packet can be referenced twice — by the draining buffer that
 	// still holds it and by its in-flight arrival event — and must decode to
 	// one object, which is why buffers and events store IDs into this table.
 	pkts := make([]*packet.Packet, 0, n.BufferedPackets()+n.PendingPackets()+n.wheel.Pending())
-	add := func(p *packet.Packet) { pkts = append(pkts, p) }
-	for _, r := range n.Routers {
-		r.ForEachPacket(add)
-	}
-	for i := range n.pending {
-		pq := &n.pending[i]
-		for _, p := range pq.q[pq.head:] {
-			add(p)
-		}
-	}
-	n.wheel.ForEach(func(ev event) {
-		if ev.kind == evArrive {
-			add(ev.pkt)
-		}
-	})
+	n.forEachPacket(func(p *packet.Packet) { pkts = append(pkts, p) })
 	slices.SortFunc(pkts, func(a, b *packet.Packet) int { return cmp.Compare(a.ID, b.ID) })
 	pkts = slices.Compact(pkts)
 
@@ -481,15 +487,26 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 		d.Fail("truncated input: %d packets need %d bytes, have %d", nPkts, nPkts*snapPacketBytes, d.Remaining())
 		return d.Err()
 	}
-	// One contiguous block in ID order; IDs are strictly increasing, so the
-	// block is its own ID→packet table.
-	pkts := make([]packet.Packet, nPkts)
+	// The outgoing state's packets go back to their pools (a packet held twice
+	// once: the first visit clears its ID) and the image's packets reuse them,
+	// so a Restore loop keeps one packet population, not a block per Restore.
+	n.forEachPacket(func(p *packet.Packet) {
+		if p.ID != 0 {
+			p.ID = 0
+			n.putPacket(p)
+		}
+	})
+	// In ID order, strictly increasing: the table is its own ID→packet index.
+	pkts := make([]*packet.Packet, nPkts)
 	var prevID uint64
 	for i := range pkts {
-		id := n.decodePacket(d, &pkts[i])
+		var p packet.Packet
+		id := n.decodePacket(d, &p)
 		if d.Err() != nil {
 			return d.Err()
 		}
+		pkts[i] = n.poolG[p.SrcGroup].GetBlank()
+		*pkts[i] = p
 		if id <= prevID {
 			d.Fail("packet IDs not strictly increasing at %d", id)
 			return d.Err()
@@ -503,7 +520,7 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 	lookup := func(id uint64) (*packet.Packet, error) {
 		i := sort.Search(len(pkts), func(i int) bool { return uint64(pkts[i].ID) >= id })
 		if i < len(pkts) && uint64(pkts[i].ID) == id {
-			return &pkts[i], nil
+			return pkts[i], nil
 		}
 		return nil, fmt.Errorf("unknown packet ID %d", id)
 	}
@@ -635,6 +652,7 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 	n.digestOn, n.digest, n.digestCount = digestOn, digest, digestCount
 	n.logCap, n.grantLog = logCap, grantLog
 	n.traceEvery, n.traces = 0, nil
+	n.deriveLookahead()
 	return nil
 }
 

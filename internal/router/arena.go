@@ -15,8 +15,8 @@ import "ofar/internal/packet"
 // iteration order of Cycle and handle is a forward walk), all credit arrays
 // share another, and so on per type. A group's working set is therefore
 // cache- and TLB-dense, which is what makes the group the natural ownership
-// unit of the Step pipeline (see network.Network.Step) and measurably faster
-// at h=6 scale even without a worker pool.
+// unit of the network's lookahead windows (see network.Network.Run), which
+// walk one group for many cycles while this state stays cache-hot.
 //
 // Allocation is append-only and exact-fit: the network sums what a group's
 // routers will carve (ArenaSize.Add mirrors NewInto and EnableRouteCache),

@@ -389,7 +389,7 @@ func (s *Server) point(rs *reqState, res ofar.Resolved, key uint64, index int) P
 // configured, the shared warm-snapshot cache, so a point warmed once is
 // resumed — not re-warmed — whenever a later request (another window, a
 // restarted server) needs it; and the metrics phase sink, so /metrics can
-// report where the service's simulation seconds go per Step phase.
+// report where the service's simulation seconds go per phase.
 func (s *Server) sweepOptions() ofar.SweepOptions {
 	return ofar.SweepOptions{
 		CheckpointDir: s.warmDir,

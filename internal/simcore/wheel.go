@@ -72,6 +72,27 @@ func (w *Wheel[T]) Advance() []T {
 	return w.due
 }
 
+// Peek returns the events due k cycles from now (0 = the next Advance), in
+// delivery order, without removing them: the slot itself, valid until the
+// wheel is next mutated. k must be below the horizon.
+func (w *Wheel[T]) Peek(k int) []T {
+	return w.slots[(int(w.now)+k)%len(w.slots)]
+}
+
+// Skip moves the wheel k cycles forward, discarding the events due in them
+// (the caller consumed them through Peek). Each emptied slot keeps its
+// capacity and drops its references.
+func (w *Wheel[T]) Skip(k int) {
+	for ; k > 0; k-- {
+		idx := int(w.now) % len(w.slots)
+		slot := w.slots[idx]
+		clear(slot)
+		w.slots[idx] = slot[:0]
+		w.count -= len(slot)
+		w.now++
+	}
+}
+
 // ForEach visits every scheduled-but-undelivered event in an unspecified
 // order. It exists for rare structural surgery (fault injection inspects
 // in-flight traffic on a dying link); do not mutate the wheel during the

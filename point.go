@@ -25,7 +25,7 @@ type point struct {
 	rec        *trace.Recorder        // record every generated packet
 	restore    string                 // warm-snapshot file to resume from, when usable
 	checkpoint string                 // file for the warm snapshot, when warmed here
-	phaseSink  func(PhaseNanos)       // receives the window's Step phase timing
+	phaseSink  func(PhaseNanos)       // receives the window's phase timing
 	collect    func(*network.Network) // reads further rows off the measured network
 }
 
