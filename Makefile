@@ -26,11 +26,12 @@ cover:
 	$(GO) test -short -cover ./...
 
 # Non-test Go line counts (plain wc -l) of the packages ROADMAP items 2-3 set
-# their acceptance numbers on. LOC_COUNT counts directory $$d of the shell.
+# their acceptance numbers on (cmd/experiments also counts inside cmd).
+# LOC_COUNT counts directory $$d of the shell.
 LOC_COUNT = find $$d $$([ $$d = cmd ] || [ $$d = examples ] || echo -maxdepth 1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 loc:
-	@for d in internal/network internal/router internal/simcore internal/service . cmd examples; do \
+	@for d in internal/network internal/router internal/simcore internal/service . cmd cmd/experiments examples; do \
 		printf '%-18s %6d\n' $$d $$($(LOC_COUNT)); \
 	done
 

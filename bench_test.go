@@ -8,183 +8,28 @@ import (
 	"ofar/internal/traffic"
 )
 
-// Benchmarks regenerate each figure of the paper's evaluation at bench
-// scale (h=2 unless noted: 72 nodes, short windows) and report the figure's
-// metric via b.ReportMetric, so `go test -bench .` doubles as a quick
-// regeneration of every table/figure. cmd/experiments produces the full
-// series at h=3/h=6.
+// Ablation and engine micro-benchmarks at bench scale (h=2 unless noted:
+// 72 nodes, short windows). The paper's figures are declared once, in
+// PaperFigures: the shape tests check them and cmd/experiments prints them.
 
 const (
 	benchWarm = 1500
 	benchMeas = 2500
 )
 
-func benchCfg(rt Routing, h int) Config {
-	cfg := DefaultConfig(h)
-	cfg.Routing = rt
-	if rt == MIN || rt == VAL || rt == PB || rt == UGAL {
-		cfg.Ring = RingNone
-	}
-	return cfg
-}
-
-// BenchmarkFig2b: VAL saturation for a benign and a pathological offset.
-func BenchmarkFig2b(b *testing.B) {
-	for _, off := range []int{1, 2} { // h=2: ADV+2 is the ADV+h worst case
-		b.Run(fmt.Sprintf("ADV+%d", off), func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				r, err := RunSteady(benchCfg(VAL, 2), Adv(off), 1.0, benchWarm, benchMeas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				thr = r.Throughput
-			}
-			b.ReportMetric(thr, "phits/node/cycle")
-		})
-	}
-}
-
-func benchSteady(b *testing.B, rt Routing, ps PatternSpec, load float64) {
+// benchThroughput runs one saturated point per iteration and reports its
+// accepted throughput.
+func benchThroughput(b *testing.B, cfg Config, ps PatternSpec) {
 	b.Helper()
-	var lat, thr float64
+	var thr float64
 	for i := 0; i < b.N; i++ {
-		r, err := RunSteady(benchCfg(rt, 2), ps, load, benchWarm, benchMeas)
+		r, err := RunSteady(cfg, ps, 1.0, benchWarm, benchMeas)
 		if err != nil {
 			b.Fatal(err)
 		}
-		lat, thr = r.AvgLatency, r.Throughput
+		thr = r.Throughput
 	}
-	b.ReportMetric(lat, "cycles-latency")
 	b.ReportMetric(thr, "phits/node/cycle")
-}
-
-// BenchmarkFig3: uniform traffic — latency at 0.2 load and saturation
-// throughput for each mechanism.
-func BenchmarkFig3(b *testing.B) {
-	for _, rt := range []Routing{MIN, PB, OFAR, OFARL} {
-		b.Run(string(rt)+"/load0.2", func(b *testing.B) { benchSteady(b, rt, Uniform(), 0.2) })
-		b.Run(string(rt)+"/saturation", func(b *testing.B) { benchSteady(b, rt, Uniform(), 1.0) })
-	}
-}
-
-// BenchmarkFig4: ADV+2.
-func BenchmarkFig4(b *testing.B) {
-	for _, rt := range []Routing{VAL, PB, OFAR, OFARL} {
-		b.Run(string(rt), func(b *testing.B) { benchSteady(b, rt, Adv(2), 1.0) })
-	}
-}
-
-// BenchmarkFig5: ADV+h (h=3 here so that ADV+h and ADV+2 differ, matching
-// the paper's distinction between Figs. 4 and 5).
-func BenchmarkFig5(b *testing.B) {
-	for _, rt := range []Routing{VAL, PB, OFAR, OFARL} {
-		b.Run(string(rt), func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				r, err := RunSteady(benchCfg(rt, 3), Adv(3), 1.0, benchWarm, benchMeas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				thr = r.Throughput
-			}
-			b.ReportMetric(thr, "phits/node/cycle")
-		})
-	}
-}
-
-// BenchmarkFig6: transient adaptation — the latency penalty right after the
-// UN→ADV+2 switch (mean of the first 500 post-switch cycles).
-func BenchmarkFig6(b *testing.B) {
-	for _, rt := range []Routing{PB, OFAR, OFARL} {
-		b.Run(string(rt), func(b *testing.B) {
-			var penalty float64
-			for i := 0; i < b.N; i++ {
-				res, err := RunTransient(benchCfg(rt, 2), Uniform(), Adv(2), 0.14,
-					benchWarm, 1500, 2500, 100)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var sum float64
-				var n int
-				for _, p := range res.Points {
-					if p.Cycle >= 0 && p.Cycle < 500 {
-						sum += p.MeanLatency
-						n++
-					}
-				}
-				if n > 0 {
-					penalty = sum / float64(n)
-				}
-			}
-			b.ReportMetric(penalty, "cycles-post-switch")
-		})
-	}
-}
-
-// BenchmarkFig7: burst consumption time per mechanism on MIX1.
-func BenchmarkFig7(b *testing.B) {
-	for _, rt := range []Routing{PB, OFAR, OFARL} {
-		b.Run(string(rt), func(b *testing.B) {
-			var cycles float64
-			for i := 0; i < b.N; i++ {
-				res, err := RunBurst(benchCfg(rt, 2), PaperMixes(2)[0], 50, 10_000_000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Drained {
-					b.Fatal("burst not drained")
-				}
-				cycles = float64(res.Cycles)
-			}
-			b.ReportMetric(cycles, "cycles-to-drain")
-		})
-	}
-}
-
-// BenchmarkFig8: OFAR with physical vs embedded escape ring.
-func BenchmarkFig8(b *testing.B) {
-	for _, mode := range []RingMode{RingPhysical, RingEmbedded} {
-		b.Run(mode.String(), func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(OFAR, 2)
-				cfg.Ring = mode
-				r, err := RunSteady(cfg, Adv(2), 1.0, benchWarm, benchMeas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				thr = r.Throughput
-			}
-			b.ReportMetric(thr, "phits/node/cycle")
-		})
-	}
-}
-
-// BenchmarkFig9: full vs reduced VC configuration under adversarial load.
-func BenchmarkFig9(b *testing.B) {
-	for _, reduced := range []bool{false, true} {
-		name := "fullVC"
-		if reduced {
-			name = "reducedVC"
-		}
-		b.Run(name, func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(OFAR, 2)
-				cfg.Ring = RingEmbedded
-				if reduced {
-					cfg.LocalVCs, cfg.GlobalVCs, cfg.InjVCs = 2, 1, 2
-				}
-				r, err := RunSteady(cfg, Adv(2), 1.0, benchWarm, benchMeas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				thr = r.Throughput
-			}
-			b.ReportMetric(thr, "phits/node/cycle")
-		})
-	}
 }
 
 // --- ablation benches (DESIGN.md §7) ----------------------------------------
@@ -194,33 +39,17 @@ func BenchmarkFig9(b *testing.B) {
 func BenchmarkAblationThreshold(b *testing.B) {
 	for _, static := range []float64{0.2, 0.4, 0.8} {
 		b.Run(fmt.Sprintf("static%.1f", static), func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(OFAR, 2)
-				cfg.OFAR.StaticNonMin = static
-				r, err := RunSteady(cfg, Adv(2), 1.0, benchWarm, benchMeas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				thr = r.Throughput
-			}
-			b.ReportMetric(thr, "phits/node/cycle")
+			cfg := DefaultConfig(2).WithRouting(OFAR)
+			cfg.OFAR.StaticNonMin = static
+			benchThroughput(b, cfg, Adv(2))
 		})
 	}
 	for _, factor := range []float64{0.5, 0.9, 1.0} {
 		b.Run(fmt.Sprintf("variable%.1f", factor), func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(OFAR, 2)
-				cfg.OFAR = DefaultOFARVariableConfig()
-				cfg.OFAR.NonMinFactor = factor
-				r, err := RunSteady(cfg, Adv(2), 1.0, benchWarm, benchMeas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				thr = r.Throughput
-			}
-			b.ReportMetric(thr, "phits/node/cycle")
+			cfg := DefaultConfig(2).WithRouting(OFAR)
+			cfg.OFAR = DefaultOFARVariableConfig()
+			cfg.OFAR.NonMinFactor = factor
+			benchThroughput(b, cfg, Adv(2))
 		})
 	}
 }
@@ -230,17 +59,9 @@ func BenchmarkAblationThreshold(b *testing.B) {
 func BenchmarkAblationEscapeTimeout(b *testing.B) {
 	for _, to := range []int{0, 32, 256} {
 		b.Run(fmt.Sprintf("timeout%d", to), func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(OFAR, 2)
-				cfg.OFAR.EscapeTimeout = to
-				r, err := RunSteady(cfg, Adv(2), 1.0, benchWarm, benchMeas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				thr = r.Throughput
-			}
-			b.ReportMetric(thr, "phits/node/cycle")
+			cfg := DefaultConfig(2).WithRouting(OFAR)
+			cfg.OFAR.EscapeTimeout = to
+			benchThroughput(b, cfg, Adv(2))
 		})
 	}
 }
@@ -249,18 +70,10 @@ func BenchmarkAblationEscapeTimeout(b *testing.B) {
 func BenchmarkAblationMultiRing(b *testing.B) {
 	for _, k := range []int{1, 2} {
 		b.Run(fmt.Sprintf("rings%d", k), func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(OFAR, 2)
-				cfg.Ring = RingEmbedded
-				cfg.NumRings = k
-				r, err := RunSteady(cfg, Adv(2), 1.0, benchWarm, benchMeas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				thr = r.Throughput
-			}
-			b.ReportMetric(thr, "phits/node/cycle")
+			cfg := DefaultConfig(2).WithRouting(OFAR)
+			cfg.Ring = RingEmbedded
+			cfg.NumRings = k
+			benchThroughput(b, cfg, Adv(2))
 		})
 	}
 }
@@ -350,17 +163,9 @@ func BenchmarkAblationSelection(b *testing.B) {
 			name = "leastOccupied"
 		}
 		b.Run(name, func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(OFAR, 3)
-				cfg.OFAR.LeastOccupied = least
-				r, err := RunSteady(cfg, Adv(3), 1.0, benchWarm, benchMeas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				thr = r.Throughput
-			}
-			b.ReportMetric(thr, "phits/node/cycle")
+			cfg := DefaultConfig(3).WithRouting(OFAR)
+			cfg.OFAR.LeastOccupied = least
+			benchThroughput(b, cfg, Adv(3))
 		})
 	}
 }
@@ -371,17 +176,9 @@ func BenchmarkAblationSelection(b *testing.B) {
 func BenchmarkAblationAllocIters(b *testing.B) {
 	for _, iters := range []int{1, 3} {
 		b.Run(fmt.Sprintf("iters%d", iters), func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(OFAR, 2)
-				cfg.AllocIters = iters
-				r, err := RunSteady(cfg, Uniform(), 1.0, benchWarm, benchMeas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				thr = r.Throughput
-			}
-			b.ReportMetric(thr, "phits/node/cycle")
+			cfg := DefaultConfig(2).WithRouting(OFAR)
+			cfg.AllocIters = iters
+			benchThroughput(b, cfg, Uniform())
 		})
 	}
 }
@@ -400,19 +197,11 @@ func BenchmarkAblationPolicy(b *testing.B) {
 				name = c.name + "/variable"
 			}
 			b.Run(name, func(b *testing.B) {
-				var thr float64
-				for i := 0; i < b.N; i++ {
-					cfg := benchCfg(OFAR, 2)
-					if variable {
-						cfg.OFAR = DefaultOFARVariableConfig()
-					}
-					r, err := RunSteady(cfg, c.ps, 1.0, benchWarm, benchMeas)
-					if err != nil {
-						b.Fatal(err)
-					}
-					thr = r.Throughput
+				cfg := DefaultConfig(2).WithRouting(OFAR)
+				if variable {
+					cfg.OFAR = DefaultOFARVariableConfig()
 				}
-				b.ReportMetric(thr, "phits/node/cycle")
+				benchThroughput(b, cfg, c.ps)
 			})
 		}
 	}

@@ -27,15 +27,6 @@ func ConfigFromJSON(data []byte) (Config, error) {
 	return cfg, nil
 }
 
-// SaveConfig writes a configuration file.
-func SaveConfig(cfg Config, path string) error {
-	data, err := ConfigToJSON(cfg)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // LoadConfig reads and validates a configuration file.
 func LoadConfig(path string) (Config, error) {
 	data, err := os.ReadFile(path)

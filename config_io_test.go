@@ -59,7 +59,11 @@ func TestConfigFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cfg.json")
 	cfg := DefaultConfig(2)
-	if err := SaveConfig(cfg, path); err != nil {
+	data, err := ConfigToJSON(cfg) // the JSON ofarsim -dump-config prints
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadConfig(path)

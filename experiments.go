@@ -179,18 +179,6 @@ func RunSweepPoint(cfg Config, ps PatternSpec, load float64, warmup, measure int
 	return res, restored, err
 }
 
-// SaturationLoad estimates the saturation throughput of a configuration
-// under a pattern: it offers full load (1.0) and reports the accepted
-// throughput, which is the standard way the paper's throughput plateaus
-// (Figs. 3b/4b/5b) are read.
-func SaturationLoad(cfg Config, ps PatternSpec, warmup, measure int) (float64, error) {
-	r, err := RunSteady(cfg, ps, 1.0, warmup, measure)
-	if err != nil {
-		return 0, err
-	}
-	return r.Throughput, nil
-}
-
 // ReplicatedResult aggregates one metric across seeds.
 type ReplicatedResult struct {
 	Runs           int

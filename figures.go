@@ -1,0 +1,129 @@
+package ofar
+
+import "fmt"
+
+// Figure is one figure or table of the paper's evaluation (§III, §VI–§VII),
+// or one of the repository's extensions of it. PaperFigures declares each
+// once; the experiments command prints them and the shape tests check them.
+type Figure struct {
+	ID        string // the experiments -fig name
+	Title     string
+	Extension bool    // beyond the paper: not part of -fig all
+	Panels    []Panel // none for the stencil grid and the job sets, sized to the network
+	Series    []Series
+}
+
+// Panel is one traffic pattern of a figure and its load: the top of the load
+// axis of a sweep, or the offered load of a single point (none for a burst).
+type Panel struct {
+	Pattern string // ParsePattern syntax
+	To      string // transients (Fig. 6): the pattern switched to
+	Load    float64
+}
+
+// Series is one labelled curve of a figure, drawn on every panel: an
+// Experiment naming its routing and, for a variant of the paper's
+// configuration (escape ring, VC counts, congestion management), its Config.
+// The panel supplies the pattern and the load; callers supply the windows.
+type Series struct {
+	Label string
+	Experiment
+}
+
+// PaperFigures returns every figure on the balanced dragonfly with parameter
+// h, the paper's first and the extensions last.
+func PaperFigures(h int) []Figure {
+	advH := fmt.Sprintf("ADV+%d", h)
+	routings := func(rts ...Routing) []Series {
+		s := make([]Series, len(rts))
+		for i, rt := range rts {
+			s[i] = Series{Label: string(rt), Experiment: Experiment{H: h, Routing: string(rt)}}
+		}
+		return s
+	}
+	ofarOn := func(label string, variant func(*Config)) Series {
+		cfg := DefaultConfig(h)
+		variant(&cfg)
+		return Series{Label: label, Experiment: Experiment{Config: &cfg, Routing: string(OFAR)}}
+	}
+	embedded := func(c *Config) { c.Ring = RingEmbedded }
+	reducedVCs := func(c *Config) { embedded(c); c.LocalVCs, c.GlobalVCs, c.InjVCs = 2, 1, 2 }
+	throttle := func(on bool) func(*Config) {
+		return func(c *Config) { reducedVCs(c); c.Congestion.Enabled, c.Congestion.Threshold = on, 0.5 }
+	}
+	offsets := make([]Panel, 2*h*h) // every other group of the 2h²+1
+	for i := range offsets {
+		offsets[i] = Panel{Pattern: fmt.Sprintf("ADV+%d", i+1), Load: 1}
+	}
+	// The interference job set: a near-cubic stencil and an all-to-all on a
+	// quarter of the nodes each, a ring on another quarter, a parameter-server
+	// fan-in on an eighth, light uniform background on the rest; each routing
+	// runs it with linear and with random task mapping.
+	nodes := 2 * h * h * (2*h*h + 1)
+	grid := cubicDims(nodes / 4)
+	jobs := fmt.Sprintf("stencil:%dx%dx%d@0.3,a2a:%d@0.5,ring:%d@0.2,ps:%d@0.4",
+		grid[0], grid[1], grid[2], nodes/4, nodes/4, max(nodes/8, 3))
+	var jobSeries []Series
+	for _, rt := range []Routing{MIN, OFAR} {
+		for _, m := range []string{"linear", "random"} {
+			jobSeries = append(jobSeries, Series{Label: string(rt) + " " + m,
+				Experiment: Experiment{H: h, Routing: string(rt), Jobs: jobs, JobMap: m, Background: 0.1}})
+		}
+	}
+	return []Figure{
+		{ID: "bounds", Title: "§III analytic bounds vs simulation",
+			Panels: []Panel{{Pattern: advH, Load: 1}}, Series: routings(MIN, VAL)},
+		{ID: "fig2b", Title: "Fig. 2b — VAL throughput vs adversarial offset",
+			Panels: offsets, Series: routings(VAL)},
+		{ID: "fig3", Title: "Fig. 3 — uniform traffic (UN)",
+			Panels: []Panel{{Pattern: "UN", Load: 1}}, Series: routings(MIN, PB, OFAR, OFARL)},
+		{ID: "fig4", Title: "Fig. 4 — adversarial ADV+2",
+			Panels: []Panel{{Pattern: "ADV+2", Load: 0.6}}, Series: routings(VAL, PB, OFAR, OFARL)},
+		{ID: "fig5", Title: fmt.Sprintf("Fig. 5 — adversarial %s (ADV+h)", advH),
+			Panels: []Panel{{Pattern: advH, Load: 0.6}}, Series: routings(VAL, PB, OFAR, OFARL)},
+		{ID: "fig6", Title: "Fig. 6 — transient adaptation (latency by send cycle)",
+			Panels: []Panel{{"UN", "ADV+2", 0.14}, {"ADV+2", "UN", 0.14}, {"ADV+2", advH, 0.12}},
+			Series: routings(PB, OFAR, OFARL)},
+		{ID: "fig7", Title: "Fig. 7 — burst consumption, normalized to PB",
+			Panels: []Panel{{Pattern: "UN"}, {Pattern: "ADV+2"}, {Pattern: advH}, {Pattern: "MIX1"}, {Pattern: "MIX2"}, {Pattern: "MIX3"}},
+			Series: routings(PB, OFAR, OFARL)},
+		{ID: "fig8", Title: "Fig. 8 — physical vs embedded escape ring (OFAR)",
+			Panels: []Panel{{Pattern: "UN", Load: 1}, {Pattern: "ADV+2", Load: 0.6}},
+			Series: []Series{ofarOn("physical", func(c *Config) { c.Ring = RingPhysical }), ofarOn("embedded", embedded)}},
+		{ID: "fig9", Title: "Fig. 9 — reduced VCs (2 local / 1 global, embedded ring)",
+			Panels: []Panel{{Pattern: "UN", Load: 1}, {Pattern: "ADV+2", Load: 0.6}, {Pattern: advH, Load: 0.6}},
+			Series: []Series{ofarOn("3L/2G VCs", embedded), ofarOn("2L/1G VCs", reducedVCs)}},
+
+		{ID: "stencil", Title: "Extension — 3-D stencil halo exchange, mapping × routing", Extension: true,
+			Series: routings(MIN, OFAR)},
+		{ID: "fig9m", Title: "Extension — Fig. 9 scenario with injection-throttling congestion management", Extension: true,
+			Panels: []Panel{{Pattern: advH, Load: 0.6}},
+			Series: []Series{ofarOn("unmanaged", throttle(false)), ofarOn("managed", throttle(true))}},
+		{ID: "degradation", Title: "Extension — graceful degradation under global-link faults (OFAR)", Extension: true,
+			Panels: []Panel{{Pattern: "UN", Load: 0.3}}, Series: routings(OFAR)},
+		{ID: "interference", Title: "Extension — job interference, p99 slowdown = shared / alone", Extension: true,
+			Series: jobSeries},
+	}
+}
+
+// cubicDims picks the near-cubic x≤y≤z grid with the most cells ≤ n.
+func cubicDims(n int) [3]int {
+	best, bestV := [3]int{1, 1, 2}, 2
+	for x := 1; x*x*x <= n; x++ {
+		for y := x; x*y*y <= n; y++ {
+			z := n / (x * y)
+			if z < y {
+				continue
+			}
+			v := x * y * z
+			if v > n {
+				continue
+			}
+			// Same cell count: prefer the more cubic grid.
+			if v > bestV || (v == bestV && z-x < best[2]-best[0]) {
+				best, bestV = [3]int{x, y, z}, v
+			}
+		}
+	}
+	return best
+}

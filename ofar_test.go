@@ -109,10 +109,11 @@ func TestRunSteadyRejectsBadConfig(t *testing.T) {
 
 // TestRunLoadSweepOptMatchesRunSteady: the concurrent sweep is the per-point
 // RunSteady, row for row (every point builds its own network from cfg.Seed),
-// and its curve is sane below saturation.
+// its curve is sane below saturation, and offered load 1.0 reads a plausible
+// saturation throughput.
 func TestRunLoadSweepOptMatchesRunSteady(t *testing.T) {
 	cfg := DefaultConfig(2).WithRouting(MIN)
-	loads := []float64{0.1, 0.2, 0.3}
+	loads := []float64{0.1, 0.2, 0.3, 1.0}
 	rs, st, err := RunLoadSweepOpt(cfg, Uniform(), loads, 500, 1500, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +137,9 @@ func TestRunLoadSweepOptMatchesRunSteady(t *testing.T) {
 	if rs[0].AvgLatency > rs[2].AvgLatency {
 		t.Errorf("latency decreasing with load: %.1f vs %.1f",
 			rs[0].AvgLatency, rs[2].AvgLatency)
+	}
+	if sat := rs[3].Throughput; sat < 0.3 || sat > 1.0 {
+		t.Errorf("UN saturation %.3f out of plausible range", sat)
 	}
 }
 
@@ -186,19 +190,6 @@ func TestRunBurstDrains(t *testing.T) {
 	}
 	if res.Cycles <= 0 {
 		t.Error("no cycles elapsed")
-	}
-}
-
-func TestSaturationLoad(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.Routing = MIN
-	cfg.Ring = RingNone
-	sat, err := SaturationLoad(cfg, Uniform(), 1000, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sat < 0.3 || sat > 1.0 {
-		t.Errorf("UN saturation %.3f out of plausible range", sat)
 	}
 }
 

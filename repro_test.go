@@ -1,13 +1,64 @@
 package ofar
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"ofar/internal/topology"
+)
 
 // Reproduction shape tests: these assert the qualitative results of the
 // paper's evaluation section at a reduced scale (h=3: 342 nodes) so the
-// full suite stays fast. The benchmark harness regenerates the figures at
-// full scale.
+// full suite stays fast. Every run is a series of PaperFigures, resolved
+// through Experiment.Resolve as cmd/experiments resolves it; only the loads
+// and windows are the tests' own.
 
-func steadyCfg(rt Routing) Config { return DefaultConfig(3).WithRouting(rt) }
+// figure returns the figure id of PaperFigures(h).
+func figure(t *testing.T, h int, id string) Figure {
+	t.Helper()
+	for _, f := range PaperFigures(h) {
+		if f.ID == id {
+			return f
+		}
+	}
+	t.Fatalf("no figure %q", id)
+	return Figure{}
+}
+
+// series returns the series of f with the given label.
+func series(t *testing.T, f Figure, label string) Series {
+	t.Helper()
+	for _, s := range f.Series {
+		if s.Label == label {
+			return s
+		}
+	}
+	t.Fatalf("%s has no series %q", f.ID, label)
+	return Series{}
+}
+
+// resolve returns the configuration and pattern of series s on pattern.
+func resolve(t *testing.T, s Series, pattern string) (Config, PatternSpec) {
+	t.Helper()
+	e := s.Experiment
+	e.Pattern = pattern
+	r, err := e.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Config, r.Pattern
+}
+
+// steady runs series s on pattern at one offered load.
+func steady(t *testing.T, s Series, pattern string, load float64) SteadyResult {
+	t.Helper()
+	cfg, ps := resolve(t, s, pattern)
+	r, err := RunSteady(cfg, ps, load, 2000, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 // TestFig3Shape: under uniform traffic OFAR saturates no lower than MIN and
 // clearly above PB; latency at low load is competitive with MIN while PB
@@ -16,20 +67,14 @@ func TestFig3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reproduction shapes need full runs")
 	}
+	f := figure(t, 3, "fig3")
 	sat := map[Routing]float64{}
 	lat := map[Routing]float64{}
-	for _, rt := range []Routing{MIN, PB, OFAR, OFARL} {
-		s, err := RunSteady(steadyCfg(rt), Uniform(), 1.0, 2000, 3000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sat[rt] = s.Throughput
-		l, err := RunSteady(steadyCfg(rt), Uniform(), 0.1, 2000, 3000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lat[rt] = l.AvgLatency
-		t.Logf("%-7s UN: saturation %.3f, latency@0.1 %.1f", rt, s.Throughput, l.AvgLatency)
+	for _, s := range f.Series {
+		rt := Routing(s.Routing)
+		sat[rt] = steady(t, s, f.Panels[0].Pattern, 1.0).Throughput
+		lat[rt] = steady(t, s, f.Panels[0].Pattern, 0.1).AvgLatency
+		t.Logf("%-7s UN: saturation %.3f, latency@0.1 %.1f", rt, sat[rt], lat[rt])
 	}
 	if sat[OFAR] < sat[MIN]-0.02 {
 		t.Errorf("OFAR saturation %.3f below MIN %.3f", sat[OFAR], sat[MIN])
@@ -50,14 +95,12 @@ func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reproduction shapes need full runs")
 	}
+	f := figure(t, 3, "fig4")
 	sat := map[Routing]float64{}
-	for _, rt := range []Routing{VAL, PB, OFAR, OFARL} {
-		s, err := RunSteady(steadyCfg(rt), Adv(2), 1.0, 2000, 3000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sat[rt] = s.Throughput
-		t.Logf("%-7s ADV+2: saturation %.3f", rt, s.Throughput)
+	for _, s := range f.Series {
+		rt := Routing(s.Routing)
+		sat[rt] = steady(t, s, f.Panels[0].Pattern, 1.0).Throughput
+		t.Logf("%-7s ADV+2: saturation %.3f", rt, sat[rt])
 	}
 	if sat[OFAR] <= sat[PB] || sat[OFAR] <= sat[VAL] {
 		t.Errorf("OFAR %.3f must beat PB %.3f and VAL %.3f on ADV+2",
@@ -76,15 +119,13 @@ func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reproduction shapes need full runs")
 	}
-	h := 3
+	f := figure(t, 3, "fig5")
+	runs := append([]Series{series(t, figure(t, 3, "bounds"), string(MIN))}, f.Series...)
 	sat := map[Routing]float64{}
-	for _, rt := range []Routing{MIN, VAL, PB, OFAR, OFARL} {
-		s, err := RunSteady(steadyCfg(rt), Adv(h), 1.0, 2000, 3000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sat[rt] = s.Throughput
-		t.Logf("%-7s ADV+h: saturation %.3f", rt, s.Throughput)
+	for _, s := range runs {
+		rt := Routing(s.Routing)
+		sat[rt] = steady(t, s, f.Panels[0].Pattern, 1.0).Throughput
+		t.Logf("%-7s ADV+h: saturation %.3f", rt, sat[rt])
 	}
 	// MIN collapses to ~1/(a·p) (single global link for the whole group).
 	if sat[MIN] > 0.1 {
@@ -108,21 +149,21 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reproduction shapes need full runs")
 	}
-	h := 3
-	patterns := append([]PatternSpec{Uniform(), Adv(2), Adv(h)}, PaperMixes(h)...)
+	f := figure(t, 3, "fig7")
+	burst := func(label, pattern string) BurstResult {
+		cfg, ps := resolve(t, series(t, f, label), pattern)
+		r, err := RunBurst(cfg, ps, 40, 3_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 	var ofarFaster, total int
 	var ratioSum float64
-	for _, ps := range patterns {
-		pb, err := RunBurst(steadyCfg(PB), ps, 40, 3_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		of, err := RunBurst(steadyCfg(OFAR), ps, 40, 3_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, p := range f.Panels {
+		pb, of := burst(string(PB), p.Pattern), burst(string(OFAR), p.Pattern)
 		if !pb.Drained || !of.Drained {
-			t.Fatalf("%s: burst not drained (pb=%v ofar=%v)", ps.Name(), pb.Drained, of.Drained)
+			t.Fatalf("%s: burst not drained (pb=%v ofar=%v)", p.Pattern, pb.Drained, of.Drained)
 		}
 		ratio := float64(of.Cycles) / float64(pb.Cycles)
 		ratioSum += ratio
@@ -130,7 +171,7 @@ func TestFig7Shape(t *testing.T) {
 		if of.Cycles < pb.Cycles {
 			ofarFaster++
 		}
-		t.Logf("%-6s burst: OFAR %d vs PB %d cycles (ratio %.2f)", ps.Name(), of.Cycles, pb.Cycles, ratio)
+		t.Logf("%-6s burst: OFAR %d vs PB %d cycles (ratio %.2f)", p.Pattern, of.Cycles, pb.Cycles, ratio)
 	}
 	if ofarFaster < total-1 {
 		t.Errorf("OFAR faster on only %d/%d patterns", ofarFaster, total)
@@ -146,21 +187,14 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reproduction shapes need full runs")
 	}
-	run := func(mode RingMode) (float64, float64) {
-		cfg := steadyCfg(OFAR)
-		cfg.Ring = mode
-		s, err := RunSteady(cfg, Adv(2), 1.0, 2000, 3000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := RunSteady(cfg, Adv(2), 0.2, 2000, 3000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.Throughput, l.AvgLatency
+	f := figure(t, 3, "fig8")
+	adv := f.Panels[1].Pattern // ADV+2
+	run := func(label string) (float64, float64) {
+		s := series(t, f, label)
+		return steady(t, s, adv, 1.0).Throughput, steady(t, s, adv, 0.2).AvgLatency
 	}
-	satP, latP := run(RingPhysical)
-	satE, latE := run(RingEmbedded)
+	satP, latP := run("physical")
+	satE, latE := run("embedded")
 	t.Logf("physical: sat %.3f lat %.1f; embedded: sat %.3f lat %.1f", satP, latP, satE, latE)
 	if d := satP - satE; d > 0.05 || d < -0.05 {
 		t.Errorf("ring realizations differ in throughput: %.3f vs %.3f", satP, satE)
@@ -177,14 +211,8 @@ func TestFig2bShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reproduction shapes need full runs")
 	}
-	cfg := steadyCfg(VAL)
-	at := func(n int) float64 {
-		s, err := RunSteady(cfg, Adv(n), 1.0, 2000, 3000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.Throughput
-	}
+	f := figure(t, 3, "fig2b")
+	at := func(n int) float64 { return steady(t, f.Series[0], f.Panels[n-1].Pattern, 1.0).Throughput }
 	t1, t3, t6 := at(1), at(3), at(6)
 	t.Logf("VAL ADV+1 %.3f, ADV+3 %.3f, ADV+6 %.3f", t1, t3, t6)
 	if t3 >= t1 || t6 >= t1 {
@@ -201,20 +229,26 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reproduction shapes need full runs")
 	}
-	early := func(rt Routing, from, to PatternSpec, load float64) (earlyLat, lateLat float64) {
-		res, err := RunTransient(steadyCfg(rt), from, to, load, 4000, 3000, 4000, 200)
+	f := figure(t, 3, "fig6")
+	early := func(s Series, p Panel) (earlyLat, lateLat float64) {
+		cfg, from := resolve(t, s, p.Pattern)
+		to, err := ParsePattern(p.To, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunTransient(cfg, from, to, p.Load, 4000, 3000, 4000, 200)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var eSum, lSum float64
 		var eN, lN int
-		for _, p := range res.Points {
-			if p.Cycle >= 0 && p.Cycle < 600 {
-				eSum += p.MeanLatency
+		for _, pt := range res.Points {
+			if pt.Cycle >= 0 && pt.Cycle < 600 {
+				eSum += pt.MeanLatency
 				eN++
 			}
-			if p.Cycle >= 2000 && p.Cycle <= 3000 {
-				lSum += p.MeanLatency
+			if pt.Cycle >= 2000 && pt.Cycle <= 3000 {
+				lSum += pt.MeanLatency
 				lN++
 			}
 		}
@@ -225,25 +259,70 @@ func TestFig6Shape(t *testing.T) {
 	}
 
 	// UN -> ADV+2: OFAR settles immediately (early within 15% of late).
-	e, l := early(OFAR, Uniform(), Adv(2), 0.14)
+	ofarSeries := series(t, f, string(OFAR))
+	e, l := early(ofarSeries, f.Panels[0])
 	t.Logf("OFAR UN->ADV2: early %.1f late %.1f", e, l)
 	if e > 1.15*l+10 {
 		t.Errorf("OFAR adapted slowly: early %.1f vs late %.1f", e, l)
 	}
 
 	// ADV+2 -> UN: instant for every mechanism (the paper's easy case).
-	for _, rt := range []Routing{PB, OFAR, OFARL} {
-		e, l := early(rt, Adv(2), Uniform(), 0.14)
-		t.Logf("%s ADV2->UN: early %.1f late %.1f", rt, e, l)
+	for _, s := range f.Series {
+		e, l := early(s, f.Panels[1])
+		t.Logf("%s ADV2->UN: early %.1f late %.1f", s.Label, e, l)
 		if e > 1.15*l+10 {
-			t.Errorf("%s did not converge instantly on ADV->UN: %.1f vs %.1f", rt, e, l)
+			t.Errorf("%s did not converge instantly on ADV->UN: %.1f vs %.1f", s.Label, e, l)
 		}
 	}
 
 	// ADV+2 -> ADV+h at 0.12 (the paper's hard case): OFAR stays flat.
-	e, l = early(OFAR, Adv(2), Adv(3), 0.12)
+	e, l = early(ofarSeries, f.Panels[2])
 	t.Logf("OFAR ADV2->ADVh: early %.1f late %.1f", e, l)
 	if e > 1.2*l+10 {
 		t.Errorf("OFAR adapted slowly on ADV2->ADVh: %.1f vs %.1f", e, l)
+	}
+}
+
+// TestSectionIIICeilings: no saturated run beats the §III analytic ceiling of
+// its routing by more than a finite-window slack. MIN is held to the one
+// global link joining two groups, 1/(a·p); VAL to its ADV+n local-link cap or
+// the 0.5 global-link bound, whichever is lower. A run above its ceiling is a
+// flow-control or link-bandwidth bug that no determinism test can see. The
+// runs are the bounds and fig2b series: MIN and VAL on every offset at h=2;
+// VAL on offsets 1, h and 2h² and MIN on ADV+h at h=3.
+func TestSectionIIICeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reproduction shapes need full runs")
+	}
+	const slack = 0.05 // packets straddling the window edges
+	for _, h := range []int{2, 3} {
+		bounds, fig2b := figure(t, h, "bounds"), figure(t, h, "fig2b")
+		minRt, valRt := series(t, bounds, string(MIN)), series(t, fig2b, string(VAL))
+		d, err := topology.NewBalanced(h) // the network DefaultConfig(h) builds
+		if err != nil {
+			t.Fatal(err)
+		}
+		below := func(s Series, p Panel, ceiling float64) {
+			thr := steady(t, s, p.Pattern, p.Load).Throughput
+			t.Logf("h=%d %-4s %-6s saturation %.4f, ceiling %.4f", h, s.Label, p.Pattern, thr, ceiling)
+			if thr > ceiling*(1+slack) {
+				t.Errorf("h=%d %s %s: saturation %.4f above the §III ceiling %.4f", h, s.Label, p.Pattern, thr, ceiling)
+			}
+		}
+		valOn, minOn := fig2b.Panels, fig2b.Panels
+		if h == 3 {
+			valOn = []Panel{fig2b.Panels[0], fig2b.Panels[h-1], fig2b.Panels[2*h*h-1]}
+			minOn = bounds.Panels
+		}
+		for _, p := range valOn {
+			var n int
+			if _, err := fmt.Sscanf(p.Pattern, "ADV+%d", &n); err != nil {
+				t.Fatal(err)
+			}
+			below(valRt, p, min(d.AdvValiantLocalCap(n), 0.5))
+		}
+		for _, p := range minOn {
+			below(minRt, p, d.MinGlobalWorstCaseThroughput())
+		}
 	}
 }
