@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race loc loc-check footprint bench bench-pairs golden-regen vet cover cover-check figures figures-h6 fuzz serve smoke-serve smoke-trace smoke-cli clean
+.PHONY: all build test test-short test-race loc loc-check api api-check footprint bench bench-pairs golden-regen vet cover cover-check figures figures-h6 fuzz serve smoke-serve smoke-trace smoke-cli clean
 
 all: build test
 
@@ -45,6 +45,15 @@ loc-check: loc
 	@sum=0; for d in internal/network internal/router; do sum=$$((sum + $$($(LOC_COUNT)))); done; \
 	echo "internal/network + internal/router: $$sum non-test lines (ceiling $(LOC_CEILING))"; \
 	[ $$sum -le $(LOC_CEILING) ] || { echo "engine grew past the $(LOC_CEILING)-line ceiling"; exit 1; }
+
+# The root package's exported API, pinned the way Go pins its own: api.txt
+# is `go doc -all .`. After a deliberate API change run `make api` and review
+# the diff; api-check (CI) fails while the two disagree.
+api:
+	$(GO) doc -all . > api.txt
+
+api-check:
+	@$(GO) doc -all . | diff -u api.txt - || { echo "the exported API differs from api.txt (make api regenerates it)"; exit 1; }
 
 # What a constructed network costs: arena state, heap after New and warm
 # snapshot size at h=2/3/6/8 (the table in docs/ARCHITECTURE.md, "Memory
@@ -146,10 +155,12 @@ smoke-trace:
 
 # CLI smoke (h=2, seconds): the contracts the CLIs share with the library,
 # end to end. A sweep run twice against one -checkpoint/-restore directory
-# prints identical CSV and the second run restores every point; a
-# -dump-config file fed back through -config reproduces the flag run's -q
-# row; -workers 4 changes no byte of the report; and the report header shows
-# the effective configuration (no escape ring under -routing min).
+# prints identical CSV and the second run restores every point; an ofarsim
+# job-set point checkpointed into a directory and then restored from it
+# prints the identical report, the second run restoring it; a -dump-config
+# file fed back through -config reproduces the flag run's -q row; -workers 4
+# changes no byte of the report; and the report header shows the effective
+# configuration (no escape ring under -routing min).
 SMOKE := $(or $(TMPDIR),/tmp)/ofar-smoke-cli
 smoke-cli:
 	rm -rf $(SMOKE) && mkdir -p $(SMOKE)
@@ -159,6 +170,11 @@ smoke-cli:
 	$$sw > cold.csv 2> cold.log; $$sw > warm.csv 2> warm.log; cat warm.log; \
 	cmp cold.csv warm.csv; \
 	grep -q '3 point(s) restored (1500 warmup cycles skipped), 0 warmed' warm.log; \
+	job="-h 2 -jobs a2a:12@0.5,ring:12@0.2 -load 0.8 -warmup 500 -measure 1000"; \
+	./ofarsim $$job -checkpoint jobwarm > jobs_cold.txt 2> jobs_cold.log; \
+	./ofarsim $$job -restore jobwarm > jobs_warm.txt 2> jobs_warm.log; cat jobs_warm.log; \
+	cmp jobs_cold.txt jobs_warm.txt; \
+	grep -q '1 point(s) restored (500 warmup cycles skipped), 0 warmed' jobs_warm.log; \
 	sim="-pattern UN -load 0.3 -warmup 500 -measure 1000"; \
 	./ofarsim -h 2 -routing OFAR -seed 5 $$sim -q > flags.row; \
 	./ofarsim -h 2 -routing OFAR -seed 5 -dump-config > cfg.json; \

@@ -15,9 +15,8 @@ import (
 // a measurement parent: every Measure call forks it and runs the window on
 // the fork, leaving the parent untouched — the API for taking several windows
 // off one warm-up, each equal to the uninterrupted RunSteady run exactly. A
-// sweep point needs its warm state once and does not pay for a fork:
-// RunSweepPoint measures in place, as MeasureInPlace does for a state held
-// here.
+// point needs its warm state once and does not pay for a fork: Resolved.Run
+// measures in place, and its warm cache is these snapshots on disk.
 //
 // Warm states serialize: Snapshot writes the parent's full image, and
 // WarmFromSnapshot rebuilds a warm state from one without re-simulating the
@@ -47,7 +46,7 @@ func WarmFromSnapshot(cfg Config, ps PatternSpec, load float64, r io.Reader) (*W
 }
 
 func warmState(cfg Config, ps PatternSpec, load float64, warmup int, snap io.Reader) (*WarmState, error) {
-	n, pattern, err := bernoulliPoint(cfg, ps, load, warmup).warm(snap)
+	n, pattern, err := Resolved{Config: cfg, Pattern: ps, Warmup: warmup}.point(load).warm(snap)
 	if err != nil {
 		return nil, err
 	}
@@ -74,13 +73,6 @@ func (w *WarmState) Measure(measure int) (SteadyResult, error) {
 	}
 	defer n.Close()
 	return measureSteady(n, w.pattern, w.load, measure)
-}
-
-// MeasureInPlace runs one window on the warm network itself — no fork — with
-// the result Measure would give. It spends the warm state (the network moves
-// on), so it is for the last, or only, window.
-func (w *WarmState) MeasureInPlace(measure int) (SteadyResult, error) {
-	return measureSteady(w.net, w.pattern, w.load, measure)
 }
 
 // MeasureTimed is Measure with per-phase Step timing enabled on the fork,
@@ -118,15 +110,15 @@ func CanonicalConfigJSON(cfg Config) ([]byte, error) { return network.SnapshotCo
 // warmSnapshotName derives the cache file name of a warm state from
 // everything that determines it: the snapshot-normalized configuration (so
 // worker/cache settings share entries, as they share snapshots),
-// the pattern, the load and the warm-up length.
-func warmSnapshotName(cfg Config, ps PatternSpec, load float64, warmup int) (string, error) {
+// the pattern (Resolved.PatternName), the load and the warm-up length.
+func warmSnapshotName(cfg Config, pattern string, load float64, warmup int) (string, error) {
 	cj, err := network.SnapshotConfigJSON(cfg)
 	if err != nil {
 		return "", err
 	}
 	h := fnv.New64a()
 	h.Write(cj)
-	fmt.Fprintf(h, "|%s|%016x|%d", ps.Name(), math.Float64bits(load), warmup)
+	fmt.Fprintf(h, "|%s|%016x|%d", pattern, math.Float64bits(load), warmup)
 	return fmt.Sprintf("warm-%016x.ofarsnap", h.Sum64()), nil
 }
 

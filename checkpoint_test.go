@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -162,7 +163,7 @@ func TestWarmCacheSweep(t *testing.T) {
 
 	// Poison one entry: the sweep must fall back to warming and still
 	// produce the identical row.
-	name, err := warmSnapshotName(cfg, Uniform(), loads[0], warmup)
+	name, err := warmSnapshotName(cfg, Uniform().Name(), loads[0], warmup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,61 +184,73 @@ func TestWarmCacheSweep(t *testing.T) {
 	}
 }
 
-// TestSweepPointInPlace pins the one path every sweep point takes: whether
-// the point warms from cycle 0, warms and writes its checkpoint (then measures
-// on the very network it snapshotted, route caches warm), or resumes that
-// checkpoint, the window runs in place and the row is RunSteady's, field for
-// field — across pool widths, with a fault schedule that straddles the
-// warm-up boundary, and with the phase sink on (called once, covering exactly
-// the window).
+// TestSweepPointInPlace pins the one path every point takes: whether the
+// point warms from cycle 0, warms and writes its checkpoint (then measures on
+// the very network it snapshotted, route caches warm), or resumes that
+// checkpoint, the window runs in place and the row — for a job set, the
+// aggregate and every per-job row — is the cold point's, which for a pattern
+// is RunSteady's, field for field. Across pool widths, with a fault schedule
+// that straddles the warm-up boundary, and with the phase sink on (called
+// once, covering exactly the window).
 func TestSweepPointInPlace(t *testing.T) {
 	const warmup, measure = 300, 400
+	jobs := testWorkload(t)
 	for _, workers := range []int{0, 4} {
 		for _, faulted := range []bool{false, true} {
-			cfg := warmTestConfig()
-			cfg.Workers = workers
-			if faulted {
-				cfg.Faults = []Fault{
-					{Cycle: 150, Kind: FaultLink, Router: 0, Port: 5},
-					{Cycle: 350, Kind: FaultRouter, Router: 7},
-				}
-			}
-			want, err := RunSteady(cfg, Uniform(), 0.6, warmup, measure)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, timed := range []bool{false, true} {
-				dir := t.TempDir()
-				for _, step := range []struct {
-					name     string
-					opt      SweepOptions
-					restored bool
-				}{
-					{"cold", SweepOptions{}, false},
-					{"cold+checkpoint", SweepOptions{CheckpointDir: dir}, false},
-					{"restored", SweepOptions{RestoreDir: dir}, true},
-				} {
-					var sunk []PhaseNanos
-					if timed {
-						step.opt.PhaseSink = func(ph PhaseNanos) { sunk = append(sunk, ph) }
-					}
-					got, restored, err := RunSweepPoint(cfg, Uniform(), 0.6, warmup, measure, step.opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					id := fmt.Sprintf("workers=%d faulted=%v timed=%v %s", workers, faulted, timed, step.name)
-					if got != want {
-						t.Errorf("%s: row diverged from RunSteady:\n got  %+v\n want %+v", id, got, want)
-					}
-					if restored != step.restored {
-						t.Errorf("%s: restored = %v, want %v", id, restored, step.restored)
-					}
-					if timed && (len(sunk) != 1 || sunk[0].Cycles != measure) {
-						t.Errorf("%s: phase sink got %+v, want one breakdown of %d cycles", id, sunk, measure)
+			for _, w := range []*Workload{nil, &jobs} {
+				cfg := warmTestConfig()
+				cfg.Workers = workers
+				if faulted {
+					cfg.Faults = []Fault{
+						{Cycle: 150, Kind: FaultLink, Router: 0, Port: 5},
+						{Cycle: 350, Kind: FaultRouter, Router: 7},
 					}
 				}
-				if files, _ := os.ReadDir(dir); len(files) != 1 {
-					t.Errorf("checkpoint directory holds %d entries, want the one warm snapshot", len(files))
+				r := Resolved{Config: cfg, Pattern: Uniform(), Jobs: w, Warmup: warmup, Measure: measure}
+				want, err := r.Run(0.6, SweepOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w == nil {
+					if classic, err := RunSteady(cfg, Uniform(), 0.6, warmup, measure); err != nil || classic != want.SteadyResult {
+						t.Fatalf("cold point %+v, RunSteady %+v (%v)", want.SteadyResult, classic, err)
+					}
+				} else if len(want.Jobs) != len(w.Jobs)+1 {
+					t.Fatalf("job-set point carries %d job rows, want %d", len(want.Jobs), len(w.Jobs)+1)
+				}
+				for _, timed := range []bool{false, true} {
+					dir := t.TempDir()
+					for _, step := range []struct {
+						name     string
+						opt      SweepOptions
+						restored bool
+					}{
+						{"cold", SweepOptions{}, false},
+						{"cold+checkpoint", SweepOptions{CheckpointDir: dir}, false},
+						{"restored", SweepOptions{RestoreDir: dir}, true},
+					} {
+						var sunk []PhaseNanos
+						if timed {
+							step.opt.PhaseSink = func(ph PhaseNanos) { sunk = append(sunk, ph) }
+						}
+						got, err := r.Run(0.6, step.opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						id := fmt.Sprintf("workers=%d faulted=%v jobs=%v timed=%v %s", workers, faulted, w != nil, timed, step.name)
+						if got.SteadyResult != want.SteadyResult || !slices.Equal(got.Jobs, want.Jobs) {
+							t.Errorf("%s: row diverged from the cold point:\n got  %+v %+v\n want %+v %+v", id, got.SteadyResult, got.Jobs, want.SteadyResult, want.Jobs)
+						}
+						if got.Restored != step.restored {
+							t.Errorf("%s: restored = %v, want %v", id, got.Restored, step.restored)
+						}
+						if timed && (len(sunk) != 1 || sunk[0].Cycles != measure) {
+							t.Errorf("%s: phase sink got %+v, want one breakdown of %d cycles", id, sunk, measure)
+						}
+					}
+					if files, _ := os.ReadDir(dir); len(files) != 1 {
+						t.Errorf("checkpoint directory holds %d entries, want the one warm snapshot", len(files))
+					}
 				}
 			}
 		}
@@ -279,7 +292,7 @@ func TestSweepPointOwnsOnePool(t *testing.T) {
 	}()
 	atSink := 0
 	opt := SweepOptions{CheckpointDir: t.TempDir(), PhaseSink: func(PhaseNanos) { atSink = runtime.NumGoroutine() }}
-	if _, _, err := RunSweepPoint(cfg, Uniform(), 0.6, 300, 2000, opt); err != nil {
+	if _, err := (Resolved{Config: cfg, Pattern: Uniform(), Warmup: 300, Measure: 2000}).Run(0.6, opt); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
@@ -302,7 +315,7 @@ func TestSweepPointOwnsOnePool(t *testing.T) {
 // the engine digest — a physics change makes the file fail to restore, not
 // change its name.
 func TestWarmSnapshotNamePinned(t *testing.T) {
-	name, err := warmSnapshotName(warmTestConfig(), Uniform(), 0.3, 1000)
+	name, err := warmSnapshotName(warmTestConfig(), Uniform().Name(), 0.3, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -357,7 +357,9 @@ func fig7(sc *scale, f ofar.Figure) {
 // stencil reproduces the repository's §III application-workload table:
 // each series × {linear, random} task mapping on a 3-D halo exchange.
 func stencil(sc *scale, f ofar.Figure) {
-	dims := bestStencilDims(sc.h)
+	d, err := topology.NewBalanced(sc.h) // the network of DefaultConfig(h)
+	check(err)
+	dims := ofar.CubicDims(d.Nodes)
 	sc.printf("task grid: %dx%dx%d\n", dims[0], dims[1], dims[2])
 	sc.printf("%-10s %-10s %12s %12s\n", "routing", "mapping", "latency@0.3", "saturation")
 	for _, s := range f.Series {
@@ -395,25 +397,6 @@ func interference(sc *scale, f ofar.Figure) {
 		}
 		sc.printf("%-10s %-10s %-44s%s\n", s.Routing, s.JobMap, shared, slow)
 	}
-}
-
-// bestStencilDims picks a near-cubic grid filling most of the network.
-func bestStencilDims(h int) [3]int {
-	nodes := h * 2 * h * (2*h*h + 1)
-	best := [3]int{1, 1, 1}
-	bestV := 0
-	for x := 2; x*x*x <= nodes*2; x++ {
-		for y := x; x*y*y <= nodes*2; y++ {
-			z := nodes / (x * y)
-			if z < 2 {
-				continue
-			}
-			if v := x * y * z; v <= nodes && v > bestV {
-				best, bestV = [3]int{x, y, z}, v
-			}
-		}
-	}
-	return best
 }
 
 // degradation measures graceful degradation: OFAR on uniform traffic with

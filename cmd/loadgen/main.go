@@ -16,9 +16,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -159,23 +160,13 @@ func main() {
 	wg.Wait()
 	wall := time.Since(start)
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	quantile := func(q float64) time.Duration {
-		if len(latencies) == 0 {
-			return 0
-		}
-		i := int(q * float64(len(latencies)))
-		if i >= len(latencies) {
-			i = len(latencies) - 1
-		}
-		return latencies[i]
-	}
+	slices.Sort(latencies)
 	fmt.Printf("loadgen: %d requests (%d ok, %d shed/429 of which %d gave up after %d attempts, %d failed) in %v\n",
 		*n, len(latencies), shed.Load(), gaveUp.Load(), max(*retries, 1), failed.Load(), wall.Round(time.Millisecond))
 	if len(latencies) > 0 {
 		fmt.Printf("  request latency: min %v  p50 %v  p99 %v  max %v\n",
-			latencies[0].Round(time.Microsecond), quantile(0.5).Round(time.Microsecond),
-			quantile(0.99).Round(time.Microsecond), latencies[len(latencies)-1].Round(time.Microsecond))
+			latencies[0].Round(time.Microsecond), quantile(latencies, 0.5).Round(time.Microsecond),
+			quantile(latencies, 0.99).Round(time.Microsecond), latencies[len(latencies)-1].Round(time.Microsecond))
 	}
 	fmt.Printf("  points: cache=%d computed=%d coalesced=%d errors=%d\n",
 		sources["cache"], sources["computed"], sources["coalesced"], pointErrs.Load())
@@ -188,6 +179,16 @@ func main() {
 			fmt.Println("  " + sc.Text())
 		}
 	}
+}
+
+// quantile is the nearest-rank q-quantile of sorted, the ceil(q·n)-th order
+// statistic (the rule sweepd's /metrics quantiles use); 0 when empty.
+func quantile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[min(max(i, 0), len(sorted)-1)]
 }
 
 // retryDelay extracts the server's requested backoff from a 429 response:

@@ -1,10 +1,107 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"ofar"
 )
+
+var update = flag.Bool("update-golden", false, "rewrite testdata/*.golden from this build")
+
+// Every case runs at h=2 in milliseconds: a saturating ADV+1 point and a
+// two-job set with background traffic.
+var (
+	h2     = []string{"-h", "2", "-warmup", "300", "-measure", "500"}
+	adv1   = "-pattern ADV+1 -load 0.4"
+	jobSet = "-jobs a2a:12@0.5,ring:12@0.2 -bg 0.05 -load 0.8"
+)
+
+// ofarsim runs the command at h2 plus args, with DIR in args standing for
+// dir, and returns stdout (dir written back as DIR) and stderr.
+func ofarsim(t *testing.T, dir, args string) (string, string) {
+	t.Helper()
+	argv := append(slices.Clone(h2), strings.Fields(strings.ReplaceAll(args, "DIR", dir))...)
+	var out, errOut bytes.Buffer
+	if err := run(argv, &out, &errOut); err != nil {
+		t.Fatalf("ofarsim %s: %v\n%s", args, err, errOut.String())
+	}
+	return strings.ReplaceAll(out.String(), dir, "DIR"), errOut.String()
+}
+
+// golden compares got with testdata/name.golden, or rewrites the file under
+// -update-golden.
+func golden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s:\n%s", path, got)
+	}
+}
+
+// TestGolden: every shape of the report prints what testdata pins. Pattern
+// and job-set points, recordings and replays share one point call, so these
+// files are what shows a change to it moved no output.
+func TestGolden(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct{ name, args string }{
+		{"report", adv1},
+		{"q", adv1 + " -q"},
+		{"jobs", jobSet},
+		{"jobs_q", jobSet + " -q"},
+		{"trace_out", adv1 + " -trace-out DIR/run.trace"},
+		{"trace_in", "-trace-in DIR/run.trace"}, // replays trace_out's recording
+		{"jobs_trace_out", jobSet + " -trace-out DIR/jobs.trace"},
+		{"dump_config", "-routing PAR -dump-config"},
+		{"warmup0", adv1 + " -warmup 0"}, // 0 means no warm-up, not the default
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out, _ := ofarsim(t, dir, c.args)
+			golden(t, c.name, out)
+		})
+	}
+}
+
+// TestWarmCache: -checkpoint and -restore take one warm-cache directory.
+// Run twice against it, a point — pattern or job set — prints its golden
+// both times and the second run restores instead of warming. The warm-up
+// length is part of the entry's name, so -warmup 0 misses; a recording warms
+// from cycle 0 even with the entry there, and its trace still replays to its
+// digest.
+func TestWarmCache(t *testing.T) {
+	dir := t.TempDir()
+	cache := " -checkpoint DIR/warm -restore DIR/warm"
+	for _, c := range []struct{ golden, args, note string }{
+		{"report", adv1 + cache, "0 point(s) restored"},
+		{"report", adv1 + cache, "1 point(s) restored (300 warmup cycles skipped), 0 warmed"},
+		{"warmup0", adv1 + cache + " -warmup 0", "0 point(s) restored"},
+		{"jobs", jobSet + cache, "0 point(s) restored"},
+		{"jobs", jobSet + cache, "1 point(s) restored"},
+		{"trace_out", adv1 + cache + " -trace-out DIR/run.trace", "0 point(s) restored"},
+		{"trace_in", "-trace-in DIR/run.trace", ""},
+	} {
+		out, note := ofarsim(t, dir, c.args)
+		golden(t, c.golden, out)
+		if !strings.Contains(note, c.note) {
+			t.Errorf("ofarsim %s: stderr %q, want %q", c.args, note, c.note)
+		}
+	}
+}
 
 // TestOFARPolicyFlags pins which OFAR tuning the policy flags select: none
 // given is the library default that sweep and sweepd run — DefaultConfig(h)

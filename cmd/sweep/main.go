@@ -7,42 +7,58 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ofar"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and streams the sweep's CSV to stdout, one row per point
+// (per job for job sets) as it completes; notes go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		h       = flag.Int("h", 3, "dragonfly parameter h")
-		routing = flag.String("routing", "OFAR", "routing mechanism: MIN, VAL, PB, UGAL-L, PAR, OFAR, OFAR-L")
-		pattern = flag.String("pattern", "UN", "traffic pattern: UN, ADV+<n>, MIX1..3")
-		from    = flag.Float64("from", 0.05, "first load point")
-		to      = flag.Float64("to", 1.0, "last load point")
-		points  = flag.Int("points", 10, "number of load points")
-		warmup  = flag.Int("warmup", 3000, "warm-up cycles")
-		measure = flag.Int("measure", 5000, "measurement cycles")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		seeds   = flag.Int("seeds", 1, "replicate each point across this many seeds (mean±sd output)")
-		workers = flag.Int("workers", 0, "pool workers per network, stealing whole dragonfly groups (0/1 = no pool; bit-identical results)")
-		faults  = flag.String("faults", "", "fault schedule: a JSON file of Fault objects, or inline like link@5000:12:7")
-		ckpt    = flag.String("checkpoint", "", "directory to write per-point warm snapshots into (reuse with -restore; single-seed sweeps)")
-		restore = flag.String("restore", "", "directory of warm snapshots: points found there skip warmup, bit-identically (stale entries re-warm)")
-		jobs    = flag.String("jobs", "", "job-level workload instead of -pattern: kind:size@load[,...]; the load axis becomes a scale factor on every job")
-		jobMap  = flag.String("jobmap", "linear", "job placement: linear or random")
-		bg      = flag.Float64("bg", 0, "uniform background load on nodes no job occupies")
+		h       = fs.Int("h", 3, "dragonfly parameter h")
+		routing = fs.String("routing", "OFAR", "routing mechanism: MIN, VAL, PB, UGAL-L, PAR, OFAR, OFAR-L")
+		pattern = fs.String("pattern", "UN", "traffic pattern: UN, ADV+<n>, MIX1..3")
+		from    = fs.Float64("from", 0.05, "first load point")
+		to      = fs.Float64("to", 1.0, "last load point")
+		points  = fs.Int("points", 10, "number of load points")
+		warmup  = fs.Int("warmup", 3000, "warm-up cycles")
+		measure = fs.Int("measure", 5000, "measurement cycles")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		seeds   = fs.Int("seeds", 1, "replicate each point across this many seeds (mean±sd output; pattern sweeps)")
+		workers = fs.Int("workers", 0, "pool workers per network, stealing whole dragonfly groups (0/1 = no pool; bit-identical results)")
+		faults  = fs.String("faults", "", "fault schedule: a JSON file of Fault objects, or inline like link@5000:12:7")
+		ckpt    = fs.String("checkpoint", "", "directory to write per-point warm snapshots into (reuse with -restore; single-seed sweeps)")
+		restore = fs.String("restore", "", "directory of warm snapshots: points found there skip warmup, bit-identically (stale entries re-warm)")
+		jobs    = fs.String("jobs", "", "job-level workload instead of -pattern: kind:size@load[,...]; the load axis becomes a scale factor on every job")
+		jobMap  = fs.String("jobmap", "linear", "job placement: linear or random")
+		bg      = fs.Float64("bg", 0, "uniform background load on nodes no job occupies")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	base := ofar.DefaultConfig(*h)
 	base.Seed = *seed
 	base.Workers = *workers
 	if *faults != "" {
-		fs, err := ofar.LoadFaults(*faults)
-		check(err)
-		base.Faults = fs
+		var err error
+		if base.Faults, err = ofar.LoadFaults(*faults); err != nil {
+			return err
+		}
 	}
 	loads := make([]float64, *points)
 	for i := range loads {
@@ -60,68 +76,66 @@ func main() {
 		exp.Pattern = *pattern
 	}
 	r, err := exp.Resolve()
-	check(err)
-	cfg, ps := r.Config, r.Pattern
-	// Job-level sweep: the load axis scales every job's load, and the CSV
-	// carries one row per (scale, job) so per-job curves plot directly.
-	if r.Jobs != nil {
-		if *seeds > 1 || *ckpt != "" || *restore != "" {
-			fmt.Fprintln(os.Stderr, "sweep: -seeds/-checkpoint/-restore apply to pattern sweeps; ignoring")
-		}
-		fmt.Println("routing,job,nodes,scale,avg_latency,p50,p99,throughput,delivered,dropped")
-		for _, scale := range r.Loads {
-			jr, err := ofar.RunJobs(cfg, *r.Jobs, scale, *warmup, *measure)
-			check(err)
-			for _, j := range jr.Jobs {
-				fmt.Printf("%s,%s,%d,%.4f,%.2f,%.1f,%.1f,%.5f,%d,%d\n",
-					jr.Agg.Routing, j.Job, j.Nodes, scale, j.AvgLatency,
-					j.P50Latency, j.P99Latency, j.Throughput, j.Delivered, j.Dropped)
-			}
-		}
-		return
+	if err != nil {
+		return err
 	}
-	if *seeds > 1 {
+	r.Warmup, r.Measure = *warmup, *measure
+	if *seeds > 1 && r.Jobs == nil {
 		if *ckpt != "" || *restore != "" {
-			fmt.Fprintln(os.Stderr, "sweep: -checkpoint/-restore apply to single-seed sweeps; ignoring")
+			fmt.Fprintln(stderr, "sweep: -checkpoint/-restore apply to single-seed sweeps; ignoring")
 		}
-		fmt.Println("routing,pattern,load,runs,lat_mean,lat_sd,thr_mean,thr_sd,escape_mean")
+		fmt.Fprintln(stdout, "routing,pattern,load,runs,lat_mean,lat_sd,thr_mean,thr_sd,escape_mean")
 		for _, load := range r.Loads {
-			rep, err := ofar.RunReplicated(cfg, ps, load, *warmup, *measure, *seeds)
-			check(err)
-			fmt.Printf("%s,%s,%.4f,%d,%.2f,%.2f,%.5f,%.5f,%.5f\n",
-				cfg.Routing, ps.Name(), load, rep.Runs,
+			rep, err := ofar.RunReplicated(r.Config, r.Pattern, load, r.Warmup, r.Measure, *seeds)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "%s,%s,%.4f,%d,%.2f,%.2f,%.5f,%.5f,%.5f\n",
+				r.Config.Routing, r.Pattern.Name(), load, rep.Runs,
 				rep.AvgLatency.Mean, rep.AvgLatency.StdDev,
 				rep.Throughput.Mean, rep.Throughput.StdDev,
 				rep.EscapeFraction.Mean)
 		}
-		return
+		return nil
+	}
+	if *seeds > 1 {
+		fmt.Fprintln(stderr, "sweep: -seeds applies to pattern sweeps; ignoring")
+	}
+	// A job-set sweep scales every job's load along the load axis, and the
+	// CSV carries one row per (scale, job) so per-job curves plot directly.
+	if r.Jobs != nil {
+		fmt.Fprintln(stdout, "routing,job,nodes,scale,avg_latency,p50,p99,throughput,delivered,dropped")
+	} else {
+		fmt.Fprintln(stdout, "routing,pattern,load,avg_latency,net_latency,p50,p99,throughput,avg_hops,global_mis,local_mis,ring_enters,delivered,dropped,fault_reroutes")
 	}
 	opt := ofar.SweepOptions{CheckpointDir: *ckpt, RestoreDir: *restore}
 	restored := 0
-	fmt.Println("routing,pattern,load,avg_latency,net_latency,p50,p99,throughput,avg_hops,global_mis,local_mis,ring_enters,delivered,dropped,fault_reroutes")
 	for _, load := range r.Loads {
 		// One point per call keeps the CSV streaming.
-		row, hit, err := ofar.RunSweepPoint(cfg, ps, load, *warmup, *measure, opt)
-		check(err)
-		if hit {
+		row, err := r.Run(load, opt)
+		if err != nil {
+			return err
+		}
+		if row.Restored {
 			restored++
 		}
-		fmt.Printf("%s,%s,%.4f,%.2f,%.2f,%.1f,%.1f,%.5f,%.3f,%d,%d,%d,%d,%d,%d\n",
-			row.Routing, row.Pattern, row.Load, row.AvgLatency, row.AvgNetLatency,
-			row.P50Latency, row.P99Latency,
-			row.Throughput, row.AvgHops, row.GlobalMisroutes, row.LocalMisroutes,
-			row.RingEnters, row.Delivered, row.Dropped, row.FaultReroutes)
+		for _, j := range row.Jobs {
+			fmt.Fprintf(stdout, "%s,%s,%d,%.4f,%.2f,%.1f,%.1f,%.5f,%d,%d\n",
+				row.Routing, j.Job, j.Nodes, load, j.AvgLatency,
+				j.P50Latency, j.P99Latency, j.Throughput, j.Delivered, j.Dropped)
+		}
+		if r.Jobs == nil {
+			fmt.Fprintf(stdout, "%s,%s,%.4f,%.2f,%.2f,%.1f,%.1f,%.5f,%.3f,%d,%d,%d,%d,%d,%d\n",
+				row.Routing, row.Pattern, row.Load, row.AvgLatency, row.AvgNetLatency,
+				row.P50Latency, row.P99Latency,
+				row.Throughput, row.AvgHops, row.GlobalMisroutes, row.LocalMisroutes,
+				row.RingEnters, row.Delivered, row.Dropped, row.FaultReroutes)
+		}
 	}
 	if *ckpt != "" || *restore != "" {
 		warmed := len(r.Loads) - restored
-		fmt.Fprintf(os.Stderr, "sweep: warm cache: %d point(s) restored (%d warmup cycles skipped), %d warmed (%d cycles)\n",
-			restored, restored**warmup, warmed, warmed**warmup)
+		fmt.Fprintf(stderr, "sweep: warm cache: %d point(s) restored (%d warmup cycles skipped), %d warmed (%d cycles)\n",
+			restored, restored*r.Warmup, warmed, warmed*r.Warmup)
 	}
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -57,7 +57,7 @@ type Resolved struct {
 
 // PatternName returns the cache-key pattern component: the workload's
 // canonical name for job-set experiments, the pattern label otherwise.
-func (r *Resolved) PatternName() string {
+func (r Resolved) PatternName() string {
 	if r.Jobs != nil {
 		return r.Jobs.Name()
 	}

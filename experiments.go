@@ -3,7 +3,6 @@ package ofar
 import (
 	"errors"
 	"math"
-	"path/filepath"
 	"runtime"
 	"sync"
 
@@ -45,10 +44,10 @@ type SteadyResult struct {
 
 // RunSteady simulates an open-loop Bernoulli workload: warmup cycles to
 // reach steady state, then measure cycles of measurement, and returns the
-// averages (paper §VI-A methodology).
+// averages (paper §VI-A methodology). It is Resolved.Run without options.
 func RunSteady(cfg Config, ps PatternSpec, load float64, warmup, measure int) (SteadyResult, error) {
-	res, _, _, err := bernoulliPoint(cfg, ps, load, warmup).run(measure)
-	return res, err
+	res, err := Resolved{Config: cfg, Pattern: ps, Warmup: warmup, Measure: measure}.Run(load, SweepOptions{})
+	return res.SteadyResult, err
 }
 
 // measureSteady runs the measurement window on an already-warm network and
@@ -89,10 +88,10 @@ func measureSteady(n *network.Network, pattern string, load float64, measure int
 	return res, nil
 }
 
-// SweepOptions tunes the load-sweep driver.
+// SweepOptions tunes one point (Resolved.Run) or every point of a sweep.
 type SweepOptions struct {
 	// CheckpointDir, when non-empty, receives one warm-state snapshot per
-	// sweep point, keyed by (normalized config, pattern, load, warmup).
+	// point, keyed by (normalized config, pattern, load, warmup).
 	CheckpointDir string
 	// RestoreDir, when non-empty, is searched for those snapshots first: a
 	// hit skips the point's warmup entirely, a miss (or a stale/corrupt
@@ -106,6 +105,11 @@ type SweepOptions struct {
 	// (sweeps measure points concurrently). Timing never affects results —
 	// only where the wall-clock went (see network.PhaseNanos).
 	PhaseSink func(PhaseNanos)
+	// Record keeps every generated packet (PointResult.Trace) and the run's
+	// grant digest (PointResult.Digest), which ReplayTrace of that trace
+	// reproduces. A recording point ignores RestoreDir — its trace must start
+	// at cycle 0 — but still writes its checkpoint.
+	Record bool
 }
 
 // PhaseNanos re-exports the engine's per-phase timing breakdown for
@@ -121,15 +125,15 @@ type SweepStats struct {
 	WarmupCyclesSkipped int64 // cycles the cache saved
 }
 
-// RunLoadSweepOpt runs one RunSweepPoint per load, concurrently. Every point
+// RunLoadSweepOpt runs one Resolved.Run per load, concurrently. Every point
 // builds its own network whose RNG streams derive only from cfg.Seed, so rows
 // are bit-identical to per-point RunSteady however each point got its warm
 // state. max(1, GOMAXPROCS/cfg.PoolWidth()) networks are in flight: each owns
 // a resident pool of that width, all busy once the sweep is saturated.
 func RunLoadSweepOpt(cfg Config, ps PatternSpec, loads []float64, warmup, measure int, opt SweepOptions) ([]SteadyResult, SweepStats, error) {
-	out := make([]SteadyResult, len(loads))
+	r := Resolved{Config: cfg, Pattern: ps, Warmup: warmup, Measure: measure}
+	points := make([]PointResult, len(loads))
 	errs := make([]error, len(loads))
-	restored := make([]bool, len(loads))
 	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)/cfg.PoolWidth()))
 	var wg sync.WaitGroup
 	for i, load := range loads {
@@ -138,13 +142,15 @@ func RunLoadSweepOpt(cfg Config, ps PatternSpec, loads []float64, warmup, measur
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			out[i], restored[i], errs[i] = RunSweepPoint(cfg, ps, load, warmup, measure, opt)
+			points[i], errs[i] = r.Run(load, opt)
 		}()
 	}
 	wg.Wait()
+	out := make([]SteadyResult, len(loads))
 	st := SweepStats{Warmed: len(loads)}
-	for _, r := range restored {
-		if r {
+	for i, p := range points {
+		out[i] = p.SteadyResult
+		if p.Restored {
 			st.Restored++
 			st.Warmed--
 		}
@@ -152,31 +158,6 @@ func RunLoadSweepOpt(cfg Config, ps PatternSpec, loads []float64, warmup, measur
 	st.WarmupCyclesSkipped = int64(st.Restored) * int64(warmup)
 	st.WarmupCyclesRun = int64(st.Warmed) * int64(warmup)
 	return out, st, errors.Join(errs...)
-}
-
-// RunSweepPoint produces one sweep point: RunSteady plus the options' warm
-// cache and phase sink. A usable snapshot in opt.RestoreDir replaces the
-// warm-up simulation (the returned flag reports it); a point that did warm up
-// writes its snapshot to opt.CheckpointDir before measuring. Either way the
-// window runs on the warm network in place and the row is bit-identical to
-// RunSteady's — restored warm state is the same state, byte for byte.
-func RunSweepPoint(cfg Config, ps PatternSpec, load float64, warmup, measure int, opt SweepOptions) (SteadyResult, bool, error) {
-	p := bernoulliPoint(cfg, ps, load, warmup)
-	p.phaseSink = opt.PhaseSink
-	if opt.RestoreDir != "" || opt.CheckpointDir != "" {
-		name, err := warmSnapshotName(cfg, ps, load, warmup)
-		if err != nil {
-			return SteadyResult{}, false, err
-		}
-		if opt.RestoreDir != "" {
-			p.restore = filepath.Join(opt.RestoreDir, name)
-		}
-		if opt.CheckpointDir != "" {
-			p.checkpoint = filepath.Join(opt.CheckpointDir, name)
-		}
-	}
-	res, restored, _, err := p.run(measure)
-	return res, restored, err
 }
 
 // ReplicatedResult aggregates one metric across seeds.

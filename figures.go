@@ -60,7 +60,7 @@ func PaperFigures(h int) []Figure {
 	// fan-in on an eighth, light uniform background on the rest; each routing
 	// runs it with linear and with random task mapping.
 	nodes := 2 * h * h * (2*h*h + 1)
-	grid := cubicDims(nodes / 4)
+	grid := CubicDims(nodes / 4)
 	jobs := fmt.Sprintf("stencil:%dx%dx%d@0.3,a2a:%d@0.5,ring:%d@0.2,ps:%d@0.4",
 		grid[0], grid[1], grid[2], nodes/4, nodes/4, max(nodes/8, 3))
 	var jobSeries []Series
@@ -106,8 +106,10 @@ func PaperFigures(h int) []Figure {
 	}
 }
 
-// cubicDims picks the near-cubic x≤y≤z grid with the most cells ≤ n.
-func cubicDims(n int) [3]int {
+// CubicDims picks the near-cubic x≤y≤z grid with the most cells ≤ n: the
+// task grid of the stencil figure (all nodes) and of the interference job
+// set's stencil (a quarter of them).
+func CubicDims(n int) [3]int {
 	best, bestV := [3]int{1, 1, 2}, 2
 	for x := 1; x*x*x <= n; x++ {
 		for y := x; x*y*y <= n; y++ {

@@ -25,6 +25,7 @@ type metrics struct {
 	misses    atomic.Int64 // points that led a simulation
 	coalesced atomic.Int64 // points that joined an in-flight simulation
 	errored   atomic.Int64 // points whose simulation failed
+	panicked  atomic.Int64 // simulations that panicked (each also fails its points)
 	restored  atomic.Int64 // simulations that skipped warm-up via a warm snapshot
 
 	mu        sync.Mutex
@@ -135,6 +136,7 @@ func (m *metrics) writeTo(w http.ResponseWriter, pool *simPool, cache *resultCac
 	fmt.Fprintf(w, "sweepd_cache_misses_total %d\n", misses)
 	fmt.Fprintf(w, "sweepd_points_coalesced_total %d\n", m.coalesced.Load())
 	fmt.Fprintf(w, "sweepd_points_errored_total %d\n", m.errored.Load())
+	fmt.Fprintf(w, "sweepd_sim_panics_total %d\n", m.panicked.Load())
 	fmt.Fprintf(w, "sweepd_warm_restores_total %d\n", m.restored.Load())
 	fmt.Fprintf(w, "sweepd_cache_hit_rate %.4f\n", hitRate)
 	fmt.Fprintf(w, "sweepd_cache_entries %d\n", cache.Len())

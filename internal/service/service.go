@@ -28,14 +28,10 @@ import (
 	"ofar/internal/network"
 )
 
-// PointRunner computes one sweep point. The default is ofar.RunSweepPoint
-// (the per-point work of RunLoadSweepOpt); tests substitute counting or
-// blocking runners.
-type PointRunner func(cfg ofar.Config, ps ofar.PatternSpec, load float64, warmup, measure int, opt ofar.SweepOptions) (ofar.SteadyResult, bool, error)
-
-// JobsRunner computes one job-set point (per-job statistics included). The
-// default is ofar.RunJobs; tests substitute counting runners.
-type JobsRunner func(cfg ofar.Config, w ofar.Workload, scale float64, warmup, measure int) (ofar.JobsResult, error)
+// PointRunner computes one point of a resolved experiment, pattern or job
+// set. The default is ofar.Resolved.Run; tests substitute counting, blocking
+// or panicking runners.
+type PointRunner func(r ofar.Resolved, load float64, opt ofar.SweepOptions) (ofar.PointResult, error)
 
 // Options configures a Server. Zero values pick sensible defaults.
 type Options struct {
@@ -58,8 +54,6 @@ type Options struct {
 	MaxLoads int
 	// Runner substitutes the simulation function (tests).
 	Runner PointRunner
-	// JobsRunnerFn substitutes the job-set simulation function (tests).
-	JobsRunnerFn JobsRunner
 }
 
 // Server is the sweep service. It implements http.Handler with three
@@ -74,7 +68,6 @@ type Server struct {
 	mux     *http.ServeMux
 	warmDir string
 	runner  PointRunner
-	jobsRun JobsRunner
 }
 
 // New assembles a server. Close it when done to stop the worker pool.
@@ -98,11 +91,7 @@ func New(opts Options) (*Server, error) {
 		runner: opts.Runner,
 	}
 	if s.runner == nil {
-		s.runner = ofar.RunSweepPoint
-	}
-	s.jobsRun = opts.JobsRunnerFn
-	if s.jobsRun == nil {
-		s.jobsRun = ofar.RunJobs
+		s.runner = ofar.Resolved.Run
 	}
 	resultsDir := ""
 	if opts.DiskDir != "" {
@@ -334,27 +323,29 @@ func (s *Server) point(rs *reqState, res ofar.Resolved, key uint64, index int) P
 		done := make(chan struct{})
 		s.pool.Submit(res.Config.PoolWidth(), func() {
 			defer close(done)
-			t0 := time.Now()
-			if res.Jobs != nil {
-				r, err := s.jobsRun(res.Config, *res.Jobs, res.Loads[index], res.Warmup, res.Measure)
-				s.met.observeSim(time.Since(t0))
-				if err != nil {
-					rerr = err
-					return
+			// A panicking simulation fails its point, not the server: the
+			// worker returns, so its pool tokens are released.
+			defer func() {
+				if p := recover(); p != nil {
+					s.met.panicked.Add(1)
+					rerr = fmt.Errorf("simulation panicked: %v", p)
 				}
-				out, rerr = json.Marshal(r)
-				return
-			}
-			r, restored, err := s.runner(res.Config, res.Pattern, res.Loads[index], res.Warmup, res.Measure, s.sweepOptions())
+			}()
+			t0 := time.Now()
+			pr, err := s.runner(res, res.Loads[index], s.sweepOptions())
 			s.met.observeSim(time.Since(t0))
 			if err != nil {
 				rerr = err
 				return
 			}
-			if restored {
+			if pr.Restored {
 				s.met.restored.Add(1)
 			}
-			out, rerr = json.Marshal(r)
+			var reply any = pr.SteadyResult
+			if res.Jobs != nil {
+				reply = ofar.JobsResult{Workload: res.PatternName(), Scale: res.Loads[index], Agg: pr.SteadyResult, Jobs: pr.Jobs}
+			}
+			out, rerr = json.Marshal(reply)
 		})
 		<-done
 		if rerr != nil {
@@ -386,10 +377,10 @@ func (s *Server) point(rs *reqState, res ofar.Resolved, key uint64, index int) P
 }
 
 // sweepOptions builds the per-point SweepOptions: with a disk directory
-// configured, the shared warm-snapshot cache, so a point warmed once is
-// resumed — not re-warmed — whenever a later request (another window, a
-// restarted server) needs it; and the metrics phase sink, so /metrics can
-// report where the service's simulation seconds go per phase.
+// configured, the shared warm-snapshot cache, so a point — pattern or job
+// set — warmed once is resumed, not re-warmed, whenever a later request
+// (another window, a restarted server) needs it; and the metrics phase sink,
+// so /metrics can report where the service's simulation seconds go per phase.
 func (s *Server) sweepOptions() ofar.SweepOptions {
 	return ofar.SweepOptions{
 		CheckpointDir: s.warmDir,

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,9 +98,9 @@ func postSweep(t *testing.T, url string, req Request) sweepResponse {
 }
 
 func countingRunner(calls *atomic.Int64) PointRunner {
-	return func(cfg ofar.Config, ps ofar.PatternSpec, load float64, warmup, measure int, opt ofar.SweepOptions) (ofar.SteadyResult, bool, error) {
+	return func(r ofar.Resolved, load float64, opt ofar.SweepOptions) (ofar.PointResult, error) {
 		calls.Add(1)
-		return ofar.RunSweepPoint(cfg, ps, load, warmup, measure, opt)
+		return r.Run(load, opt)
 	}
 }
 
@@ -245,10 +247,10 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 func TestOverloadSheds429(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 8)
-	blockingRunner := func(cfg ofar.Config, ps ofar.PatternSpec, load float64, warmup, measure int, opt ofar.SweepOptions) (ofar.SteadyResult, bool, error) {
+	blockingRunner := func(r ofar.Resolved, load float64, opt ofar.SweepOptions) (ofar.PointResult, error) {
 		started <- struct{}{}
 		<-block
-		return ofar.SteadyResult{Routing: cfg.Routing, Pattern: ps.Name(), Load: load}, false, nil
+		return ofar.PointResult{SteadyResult: ofar.SteadyResult{Routing: r.Config.Routing, Pattern: r.PatternName(), Load: load}}, nil
 	}
 	srv, ts := startServer(t, Options{Sims: 1, MaxQueue: 1, CacheEntries: 8, Runner: blockingRunner})
 
@@ -447,11 +449,7 @@ func TestServerShorthandRequest(t *testing.T) {
 // request is served from cache without re-simulating.
 func TestServerJobsRequest(t *testing.T) {
 	var calls atomic.Int64
-	stub := func(cfg ofar.Config, w ofar.Workload, scale float64, warmup, measure int) (ofar.JobsResult, error) {
-		calls.Add(1)
-		return ofar.RunJobs(cfg, w, scale, warmup, measure)
-	}
-	_, ts := startServer(t, Options{Sims: 2, MaxQueue: 8, JobsRunnerFn: stub})
+	_, ts := startServer(t, Options{Sims: 2, MaxQueue: 8, Runner: countingRunner(&calls)})
 	req := Request{
 		H:       2,
 		Jobs:    "a2a:12@0.5,ring:12@0.2",
@@ -523,5 +521,136 @@ func TestServerJobsRequest(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("jobs+pattern: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestPanickingSimulation: a simulation that panics fails its point, not the
+// server. Every request waiting on the flight gets the error line, the panic
+// is counted in /metrics, no pool token leaks, and the next request is
+// served.
+func TestPanickingSimulation(t *testing.T) {
+	release := make(chan struct{})
+	var calls atomic.Int64
+	runner := func(r ofar.Resolved, load float64, opt ofar.SweepOptions) (ofar.PointResult, error) {
+		if load == 0.1 {
+			calls.Add(1)
+			<-release
+			panic("boom")
+		}
+		return r.Run(load, opt)
+	}
+	srv, ts := startServer(t, Options{Sims: 2, MaxQueue: 16, Runner: runner})
+	cfg := testConfig()
+	req := Request{Config: &cfg, Loads: []float64{0.1}, Warmup: 200, Measure: 200}
+
+	const n = 4
+	var wg sync.WaitGroup
+	replies := make([]sweepResponse, n)
+	for i := range replies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replies[i] = postSweep(t, ts.URL, req)
+		}()
+	}
+	// Hold the leader inside the runner until every request is being served
+	// and the others have had time to join its flight. The assertions below
+	// hold either way: a request that misses the flight opens its own, which
+	// panics too.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.met.requests.Load() < n || calls.Load() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("requests never reached the runner")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+
+	for i, r := range replies {
+		if r.status != http.StatusOK || len(r.points) != 1 {
+			t.Fatalf("request %d: HTTP %d, %d points: %s", i, r.status, len(r.points), r.raw)
+		}
+		if p := r.points[0]; !strings.Contains(p.Error, "simulation panicked: boom") || p.Result != nil {
+			t.Errorf("request %d (%s): error %q, result %s; want the panic as the point's error", i, p.Source, p.Error, p.Result)
+		}
+		if r.summary.Errors != 1 {
+			t.Errorf("request %d: summary counts %d errors, want 1", i, r.summary.Errors)
+		}
+	}
+	if got := srv.met.panicked.Load(); got != calls.Load() || got < 1 {
+		t.Errorf("panics counted %d, runner panicked %d times", got, calls.Load())
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("sweepd_sim_panics_total %d\n", calls.Load()); !strings.Contains(string(text), want) {
+		t.Errorf("/metrics lacks %q:\n%s", want, text)
+	}
+
+	// The workers returned their tokens and the server still simulates.
+	next := postSweep(t, ts.URL, Request{Config: &cfg, Loads: []float64{0.2}, Warmup: 200, Measure: 200})
+	if next.status != http.StatusOK || len(next.points) != 1 || next.points[0].Error != "" || next.points[0].Source != "computed" {
+		t.Fatalf("request after the panic: HTTP %d %+v", next.status, next.points)
+	}
+	// A worker hands its point over before it returns its tokens, so give
+	// the last one a moment to finish.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.pool.mu.Lock()
+		tokens, capacity, inflight, depth := srv.pool.tokens, srv.pool.capacity, srv.pool.inflight, srv.pool.reserved+srv.pool.queued
+		srv.pool.mu.Unlock()
+		if tokens == capacity && inflight == 0 && depth == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool after the panic: %d of %d tokens free, %d in flight, depth %d", tokens, capacity, inflight, depth)
+		}
+	}
+}
+
+// TestDiskWarmCacheJobPoints: job-set points share the disk warm cache. A
+// second server on the same directory, with the results gone, restores every
+// job point's warm state instead of warming, and replies byte for byte what
+// the first server computed cold.
+func TestDiskWarmCacheJobPoints(t *testing.T) {
+	dir := t.TempDir()
+	req := Request{H: 2, Jobs: "a2a:12@0.5,ring:12@0.2", Background: 0.05, Loads: []float64{0.5, 1.0}, Warmup: 300, Measure: 400}
+	serve := func() (sweepResponse, int64) {
+		srv, err := New(Options{DiskDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		defer func() { ts.Close(); srv.Close() }()
+		r := postSweep(t, ts.URL, req)
+		if r.status != http.StatusOK || len(r.points) != len(req.Loads) {
+			t.Fatalf("HTTP %d, %d points: %s", r.status, len(r.points), r.raw)
+		}
+		for _, p := range r.points {
+			if p.Error != "" || p.Source != "computed" {
+				t.Fatalf("point %d: source %q, error %q", p.Index, p.Source, p.Error)
+			}
+		}
+		return r, srv.met.restored.Load()
+	}
+	cold, restored := serve()
+	if restored != 0 {
+		t.Fatalf("cold server restored %d points", restored)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "results")); err != nil {
+		t.Fatal(err)
+	}
+	warm, restored := serve()
+	if restored != int64(len(req.Loads)) {
+		t.Errorf("second server restored %d job points, want %d", restored, len(req.Loads))
+	}
+	for _, p := range warm.points {
+		if want := cold.points[indexOf(t, cold.points, p.Index)].Result; !bytes.Equal(p.Result, want) {
+			t.Errorf("point %d: restored reply differs from the cold one:\n restored %s\n cold     %s", p.Index, p.Result, want)
+		}
 	}
 }

@@ -76,19 +76,6 @@ func Permutation(seed uint64) PatternSpec {
 	return PatternSpec{kind: patternPerm, label: fmt.Sprintf("PERM(%d)", seed), seed: seed}
 }
 
-// BitComplement returns the classic bit-complement permutation.
-func BitComplement() PatternSpec { return PatternSpec{kind: patternBitComp, label: "BITCOMP"} }
-
-// BitReverse returns the classic bit-reverse permutation.
-func BitReverse() PatternSpec { return PatternSpec{kind: patternBitRev, label: "BITREV"} }
-
-// Shuffle returns the perfect-shuffle permutation.
-func Shuffle() PatternSpec { return PatternSpec{kind: patternShuffle, label: "SHUFFLE"} }
-
-// Tornado returns the group-level tornado pattern (ADV with near-half
-// group offset).
-func Tornado() PatternSpec { return PatternSpec{kind: patternTornado, label: "TORNADO"} }
-
 // MixOf returns a weighted mixture of patterns, as used by the burst
 // experiments (§VI-C: MIX1 = 80% UN, 10% ADV+1, 10% ADV+h, etc.).
 func MixOf(label string, components ...MixComponent) PatternSpec {
@@ -137,7 +124,9 @@ func (ps PatternSpec) build(d *topology.Dragonfly) traffic.Pattern {
 
 // ParsePattern parses a textual pattern name — "UN", "ADV+<n>", "MIX1",
 // "MIX2", "MIX3" — as used by the command-line tools. The h parameter
-// selects the adversarial component of the MIX patterns (ADV+h).
+// selects the adversarial component of the MIX patterns (ADV+h). It also
+// names the classic permutations BITCOMP, BITREV, SHUFFLE, TORNADO (ADV with
+// a near-half group offset) and PERM (Permutation(h+1)).
 func ParsePattern(s string, h int) (PatternSpec, error) {
 	up := strings.ToUpper(strings.TrimSpace(s))
 	switch {
@@ -152,13 +141,13 @@ func ParsePattern(s string, h int) (PatternSpec, error) {
 	case up == "MIX1", up == "MIX2", up == "MIX3":
 		return PaperMixes(h)[up[3]-'1'], nil
 	case up == "BITCOMP":
-		return BitComplement(), nil
+		return PatternSpec{kind: patternBitComp, label: "BITCOMP"}, nil
 	case up == "BITREV":
-		return BitReverse(), nil
+		return PatternSpec{kind: patternBitRev, label: "BITREV"}, nil
 	case up == "SHUFFLE":
-		return Shuffle(), nil
+		return PatternSpec{kind: patternShuffle, label: "SHUFFLE"}, nil
 	case up == "TORNADO":
-		return Tornado(), nil
+		return PatternSpec{kind: patternTornado, label: "TORNADO"}, nil
 	case strings.HasPrefix(up, "PERM"):
 		return Permutation(uint64(h) + 1), nil
 	}

@@ -4,16 +4,58 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"path/filepath"
 
 	"ofar/internal/network"
 	"ofar/internal/trace"
 	"ofar/internal/traffic"
 )
 
-// point is one steady-state experiment point, the paper's §VI-A procedure:
-// assemble the network, warm it up (or resume a warm snapshot), measure one
-// window on it, close it. Every steady-state driver in this package is a
-// point with its own traffic source and observers; run is the only place the
+// PointResult is one measured point of an experiment: the steady-state row
+// plus what the point's SweepOptions asked for. For a job set the embedded
+// row is the aggregate, its Pattern the workload's canonical name and its
+// Load the scale.
+type PointResult struct {
+	SteadyResult
+	Jobs     []JobResult   // per-job rows of a job-set point (the background slot included)
+	Restored bool          // the warm state came from SweepOptions.RestoreDir
+	Digest   uint64        // grant digest of the whole run, when recording
+	Trace    []TraceRecord // every generated packet, when recording
+}
+
+// Run measures one point of the experiment, the paper's §VI-A procedure:
+// r.Warmup cycles of warm-up (or a usable warm snapshot from opt.RestoreDir
+// instead), then one r.Measure-cycle window on the warm network itself. load
+// is the offered load of a pattern experiment and the scale factor on every
+// job (and the background) of a job set. With opt.CheckpointDir set, a point
+// that warmed writes its snapshot there before measuring; the file name pins
+// (configuration, pattern, load, warm-up), so a stale or missing entry just
+// warms again. The row is the same however the warm state was reached.
+func (r Resolved) Run(load float64, opt SweepOptions) (PointResult, error) {
+	p := r.point(load)
+	p.phaseSink = opt.PhaseSink
+	if opt.Record {
+		p.digest, p.rec = true, &trace.Recorder{}
+	}
+	if opt.RestoreDir != "" || opt.CheckpointDir != "" {
+		name, err := warmSnapshotName(r.Config, r.PatternName(), load, r.Warmup)
+		if err != nil {
+			return PointResult{}, err
+		}
+		// A recording never restores: its trace must start at cycle 0.
+		if opt.RestoreDir != "" && !opt.Record {
+			p.restore = filepath.Join(opt.RestoreDir, name)
+		}
+		if opt.CheckpointDir != "" {
+			p.checkpoint = filepath.Join(opt.CheckpointDir, name)
+		}
+	}
+	return p.run(r.Measure)
+}
+
+// point is one steady-state experiment point: assemble the network, warm it
+// up (or resume a warm snapshot), measure one window on it, close it.
+// Resolved.Run, Warm and ReplayTrace build one; run is the only place the
 // procedure is written down.
 type point struct {
 	cfg    Config
@@ -21,21 +63,29 @@ type point struct {
 	load   float64 // the sweep-axis value the result reports
 	warmup int
 
-	digest     bool                   // fold every grant into a digest
-	rec        *trace.Recorder        // record every generated packet
-	restore    string                 // warm-snapshot file to resume from, when usable
-	checkpoint string                 // file for the warm snapshot, when warmed here
-	phaseSink  func(PhaseNanos)       // receives the window's phase timing
-	collect    func(*network.Network) // reads further rows off the measured network
+	digest     bool             // fold every grant into a digest
+	rec        *trace.Recorder  // record every generated packet
+	restore    string           // warm-snapshot file to resume from, when usable
+	checkpoint string           // file for the warm snapshot, when warmed here
+	phaseSink  func(PhaseNanos) // receives the window's phase timing
 }
 
-// bernoulliPoint is the classic point: an open-loop Bernoulli source.
-func bernoulliPoint(cfg Config, ps PatternSpec, load float64, warmup int) *point {
-	return &point{cfg: cfg, load: load, warmup: warmup,
-		source: func(n *network.Network) (traffic.Generator, string, error) {
-			pattern := ps.build(n.Topo)
-			return traffic.NewBernoulli(pattern, load, cfg.PacketSize), pattern.Name(), nil
-		}}
+// point is r's point at load: an open-loop Bernoulli source for a pattern,
+// the job set with every load scaled by load otherwise.
+func (r Resolved) point(load float64) *point {
+	p := &point{cfg: r.Config, load: load, warmup: r.Warmup}
+	if w := r.Jobs; w != nil {
+		p.source = func(n *network.Network) (traffic.Generator, string, error) {
+			gen, err := w.generator(n.Topo, r.Config, load)
+			return gen, w.Name(), err
+		}
+	} else {
+		p.source = func(n *network.Network) (traffic.Generator, string, error) {
+			pattern := r.Pattern.build(n.Topo)
+			return traffic.NewBernoulli(pattern, load, r.Config.PacketSize), pattern.Name(), nil
+		}
+	}
+	return p
 }
 
 // warm returns the network parked at the end of warm-up with the source and
@@ -70,9 +120,8 @@ func (p *point) warm(snap io.Reader) (*network.Network, string, error) {
 }
 
 // run executes the point. The window is measured on the warm network itself:
-// a point needs its warm state once, so nothing is forked. It reports whether
-// the restore file replaced the warm-up, and the grant digest when on.
-func (p *point) run(measure int) (res SteadyResult, restored bool, digest uint64, err error) {
+// a point needs its warm state once, so nothing is forked.
+func (p *point) run(measure int) (res PointResult, err error) {
 	var (
 		n    *network.Network
 		name string
@@ -82,30 +131,35 @@ func (p *point) run(measure int) (res SteadyResult, restored bool, digest uint64
 			// A stale or corrupt entry (other physics, a truncated
 			// write) is a cache miss: warm from cycle 0 below.
 			n, name, err = p.warm(bytes.NewReader(img))
-			restored = err == nil
+			res.Restored = err == nil
 		}
 	}
-	if !restored {
+	if !res.Restored {
 		if n, name, err = p.warm(nil); err == nil && p.checkpoint != "" {
 			if err = writeWarmSnapshot(p.checkpoint, n); err != nil {
 				n.Close()
 			}
 		}
 		if err != nil {
-			return res, false, 0, err
+			return res, err
 		}
 	}
 	defer n.Close()
 	if p.phaseSink != nil {
 		n.EnablePhaseTimings()
 	}
-	res, err = measureSteady(n, name, p.load, measure)
+	res.SteadyResult, err = measureSteady(n, name, p.load, measure)
 	if err == nil && p.phaseSink != nil {
 		p.phaseSink(n.PhaseTimings())
 	}
-	if p.collect != nil {
-		p.collect(n)
+	if n.Stats.Jobs() > 0 {
+		res.Jobs = collectJobs(n)
 	}
-	digest, _ = n.GrantDigest()
-	return res, restored, digest, err
+	if p.digest {
+		res.Digest, _ = n.GrantDigest()
+	}
+	if p.rec != nil {
+		res.Trace = p.rec.Records()
+	}
+	return res, err
 }

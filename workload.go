@@ -16,10 +16,10 @@ import (
 // Job-level workloads: instead of one homogeneous synthetic pattern, a
 // Workload places N concurrent application jobs (stencil halo exchange,
 // all-to-all phases, ring allreduce, parameter-server fan-in) onto node
-// ranges, each with its own offered load and lifetime. The drivers below run
-// them with per-job statistics, record/replay packet traces, and measure
-// inter-job interference (shared-run slowdown versus each job running
-// alone).
+// ranges, each with its own offered load and lifetime. Resolved.Run measures
+// one with per-job statistics and can record its packet trace; the functions
+// below replay traces and measure inter-job interference (shared-run
+// slowdown versus each job running alone).
 
 // JobSpec describes one job of a workload at the API surface. Kind is one of
 // "stencil", "a2a", "ring", "ps". Tasks is the node count; stencil jobs give
@@ -202,36 +202,6 @@ type JobsResult struct {
 	Jobs     []JobResult  `json:"jobs"`
 }
 
-// RunJobs measures a job-level workload: warmup cycles, then a measurement
-// window, with per-job latency histograms and conservation checked both in
-// aggregate and per job. scale multiplies every job's load (and the
-// background), making it the sweep axis.
-func RunJobs(cfg Config, w Workload, scale float64, warmup, measure int) (JobsResult, error) {
-	res, _, err := runJobs(cfg, w, scale, warmup, measure, nil)
-	return res, err
-}
-
-// RunJobsTraced is RunJobs with trace recording: it additionally returns
-// every generated packet as trace records and the run's grant digest, which
-// a replay of those records reproduces bit-identically.
-func RunJobsTraced(cfg Config, w Workload, scale float64, warmup, measure int) (JobsResult, []TraceRecord, uint64, error) {
-	var rec trace.Recorder
-	res, digest, err := runJobs(cfg, w, scale, warmup, measure, &rec)
-	return res, rec.Records(), digest, err
-}
-
-func runJobs(cfg Config, w Workload, scale float64, warmup, measure int, rec *trace.Recorder) (res JobsResult, digest uint64, err error) {
-	res = JobsResult{Workload: w.Name(), Scale: scale}
-	p := &point{cfg: cfg, load: scale, warmup: warmup, digest: rec != nil, rec: rec,
-		source: func(n *network.Network) (traffic.Generator, string, error) {
-			gen, err := w.generator(n.Topo, cfg, scale)
-			return gen, res.Workload, err
-		},
-		collect: func(n *network.Network) { res.Jobs = collectJobs(n) }}
-	res.Agg, _, digest, err = p.run(measure)
-	return res, digest, err
-}
-
 // collectJobs reads the per-job rows off a measured network.
 func collectJobs(n *network.Network) []JobResult {
 	now := n.Now()
@@ -279,7 +249,11 @@ type InterferenceResult struct {
 // and each job's slowdown is the ratio of its shared to alone latencies.
 // The background slot, having no alone baseline of interest, is skipped.
 func RunInterference(cfg Config, w Workload, scale float64, warmup, measure int) (InterferenceResult, error) {
-	shared, err := RunJobs(cfg, w, scale, warmup, measure)
+	run := func(w Workload) (JobsResult, error) {
+		p, err := Resolved{Config: cfg, Jobs: &w, Warmup: warmup, Measure: measure}.Run(scale, SweepOptions{})
+		return JobsResult{Workload: w.Name(), Scale: scale, Agg: p.SteadyResult, Jobs: p.Jobs}, err
+	}
+	shared, err := run(w)
 	if err != nil {
 		return InterferenceResult{}, err
 	}
@@ -293,7 +267,7 @@ func RunInterference(cfg Config, w Workload, scale float64, warmup, measure int)
 				alone.Jobs[k].Load = 0
 			}
 		}
-		ar, err := RunJobs(cfg, alone, scale, warmup, measure)
+		ar, err := run(alone)
 		if err != nil {
 			return res, err
 		}
@@ -318,20 +292,10 @@ func RunInterference(cfg Config, w Workload, scale float64, warmup, measure int)
 // TraceRecord is one generated packet of a trace (see internal/trace).
 type TraceRecord = trace.Record
 
-// RunSteadyTraced is RunSteady with trace recording: it additionally returns
-// the generated-packet records and the run's grant digest.
-func RunSteadyTraced(cfg Config, ps PatternSpec, load float64, warmup, measure int) (SteadyResult, []TraceRecord, uint64, error) {
-	var rec trace.Recorder
-	p := bernoulliPoint(cfg, ps, load, warmup)
-	p.digest, p.rec = true, &rec
-	res, _, digest, err := p.run(measure)
-	return res, rec.Records(), digest, err
-}
-
 // ReplayTrace re-injects a recorded (or external) trace through a fresh
 // network and measures it with the standard steady-state window. A trace
-// recorded by RunSteadyTraced/RunJobsTraced on the same Config reproduces
-// the original run's grant digest bit-identically.
+// recorded by Resolved.Run (SweepOptions.Record) on the same Config
+// reproduces the original run's grant digest bit-identically.
 func ReplayTrace(cfg Config, recs []TraceRecord, warmup, measure int) (SteadyResult, uint64, error) {
 	p := &point{cfg: cfg, warmup: warmup, digest: true,
 		source: func(n *network.Network) (traffic.Generator, string, error) {
@@ -341,8 +305,8 @@ func ReplayTrace(cfg Config, recs []TraceRecord, warmup, measure int) (SteadyRes
 			}
 			return gen, gen.Name(), nil
 		}}
-	res, _, digest, err := p.run(measure)
-	return res, digest, err
+	res, err := p.run(measure)
+	return res.SteadyResult, res.Digest, err
 }
 
 // SaveTrace writes records to path in the versioned binary format, stamped

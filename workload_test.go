@@ -93,16 +93,13 @@ func TestWorkloadNamePinsKnobs(t *testing.T) {
 // under every engine variant — worker pool and route cache on or off.
 func TestJobSetBitIdentityMatrix(t *testing.T) {
 	w := testWorkload(t)
-	run := func(mutate func(*Config)) (uint64, JobsResult) {
+	run := func(mutate func(*Config)) (uint64, PointResult) {
 		cfg := DefaultConfig(2)
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		res, _, digest, err := RunJobsTraced(cfg, w, 1.0, 400, 800)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return digest, res
+		res := record(t, Resolved{Config: cfg, Jobs: &w, Warmup: 400, Measure: 800}, 1.0, SweepOptions{})
+		return res.Digest, res
 	}
 	baseDigest, baseRes := run(nil)
 	if baseDigest == 0 {
@@ -120,8 +117,8 @@ func TestJobSetBitIdentityMatrix(t *testing.T) {
 		if digest != baseDigest {
 			t.Errorf("%s: grant digest %016x differs from serial %016x", v.name, digest, baseDigest)
 		}
-		if res.Agg.Delivered != baseRes.Agg.Delivered {
-			t.Errorf("%s: delivered %d differs from serial %d", v.name, res.Agg.Delivered, baseRes.Agg.Delivered)
+		if res.Delivered != baseRes.Delivered {
+			t.Errorf("%s: delivered %d differs from serial %d", v.name, res.Delivered, baseRes.Delivered)
 		}
 		for j := range res.Jobs {
 			if res.Jobs[j] != baseRes.Jobs[j] {
@@ -131,29 +128,43 @@ func TestJobSetBitIdentityMatrix(t *testing.T) {
 	}
 }
 
+// record runs r's point at load with recording on, failing the test on an
+// error or an empty trace.
+func record(t *testing.T, r Resolved, load float64, opt SweepOptions) PointResult {
+	t.Helper()
+	opt.Record = true
+	res, err := r.Run(load, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Trace) == 0 || res.Digest == 0 {
+		t.Fatalf("recording returned %d trace records, digest %016x", len(res.Trace), res.Digest)
+	}
+	return res
+}
+
 // TestTraceRecordReplayDigest: replaying a recorded trace through a fresh
 // network reproduces the recording run's grant digest bit-identically — for
-// a synthetic pattern, for a job set, and under a fault schedule.
+// a synthetic pattern, for a job set, under a fault schedule, and for a
+// recording pointed at a populated warm cache, which must warm from cycle 0
+// instead of restoring (and still write its checkpoint).
 func TestTraceRecordReplayDigest(t *testing.T) {
+	replay := func(t *testing.T, cfg Config, res PointResult) {
+		t.Helper()
+		rres, rdigest, err := ReplayTrace(cfg, res.Trace, 400, 800)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rdigest != res.Digest {
+			t.Errorf("replay digest %016x, recorded %016x", rdigest, res.Digest)
+		}
+		if rres.Delivered != res.Delivered || rres.Dropped != res.Dropped || rres.AvgLatency != res.AvgLatency {
+			t.Errorf("replay stats differ: %+v vs %+v", rres, res.SteadyResult)
+		}
+	}
 	t.Run("pattern", func(t *testing.T) {
 		cfg := DefaultConfig(2)
-		res, recs, digest, err := RunSteadyTraced(cfg, Adv(2), 0.4, 400, 800)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) == 0 {
-			t.Fatal("no trace records")
-		}
-		rres, rdigest, err := ReplayTrace(cfg, recs, 400, 800)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rdigest != digest {
-			t.Errorf("replay digest %016x, recorded %016x", rdigest, digest)
-		}
-		if rres.Delivered != res.Delivered || rres.AvgLatency != res.AvgLatency {
-			t.Errorf("replay stats differ: %+v vs %+v", rres, res)
-		}
+		replay(t, cfg, record(t, Resolved{Config: cfg, Pattern: Adv(2), Warmup: 400, Measure: 800}, 0.4, SweepOptions{}))
 	})
 	t.Run("jobs-faulted", func(t *testing.T) {
 		cfg := DefaultConfig(2)
@@ -162,30 +173,35 @@ func TestTraceRecordReplayDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Faults = fs
-		res, recs, digest, err := RunJobsTraced(cfg, testWorkload(t), 1.0, 400, 800)
+		w := testWorkload(t)
+		replay(t, cfg, record(t, Resolved{Config: cfg, Jobs: &w, Warmup: 400, Measure: 800}, 1.0, SweepOptions{}))
+	})
+	t.Run("restore-dir", func(t *testing.T) {
+		cfg := DefaultConfig(2)
+		r := Resolved{Config: cfg, Pattern: Adv(2), Warmup: 400, Measure: 800}
+		dir := t.TempDir()
+		cache := SweepOptions{CheckpointDir: dir, RestoreDir: dir}
+		cold, err := r.Run(0.4, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rres, rdigest, err := ReplayTrace(cfg, recs, 400, 800)
-		if err != nil {
-			t.Fatal(err)
+		res := record(t, r, 0.4, cache)
+		if res.Restored {
+			t.Fatal("a recording restored its warm state; its trace would miss the warm-up")
 		}
-		if rdigest != digest {
-			t.Errorf("replay digest %016x, recorded %016x", rdigest, digest)
+		if res.SteadyResult != cold.SteadyResult {
+			t.Errorf("recorded row %+v, cold row %+v", res.SteadyResult, cold.SteadyResult)
 		}
-		if rres.Delivered != res.Agg.Delivered || rres.Dropped != res.Agg.Dropped {
-			t.Errorf("replay delivered/dropped %d/%d, recorded %d/%d",
-				rres.Delivered, rres.Dropped, res.Agg.Delivered, res.Agg.Dropped)
+		replay(t, cfg, res)
+		// The checkpoint the recording rewrote still restores to the same row.
+		if again, err := r.Run(0.4, cache); err != nil || !again.Restored || again.SteadyResult != cold.SteadyResult {
+			t.Errorf("restore after the recording: restored=%v err=%v, row %+v, want %+v", again.Restored, err, again.SteadyResult, cold.SteadyResult)
 		}
 	})
 }
 
 func TestTraceSaveLoadRoundTrip(t *testing.T) {
-	cfg := DefaultConfig(2)
-	_, recs, _, err := RunSteadyTraced(cfg, Uniform(), 0.3, 100, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := record(t, Resolved{Config: DefaultConfig(2), Pattern: Uniform(), Warmup: 100, Measure: 200}, 0.3, SweepOptions{}).Trace
 	path := filepath.Join(t.TempDir(), "t.trace")
 	if err := SaveTrace(path, recs); err != nil {
 		t.Fatal(err)
