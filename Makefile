@@ -133,9 +133,11 @@ serve:
 # Service smoke: the end-to-end server tests — cold sweep matches
 # RunLoadSweepOpt byte-for-byte, repeated request is served from cache with
 # no simulation, concurrent identical requests coalesce onto one simulation,
-# overload sheds 429.
+# overload sheds 429, cached lines reach the client before a miss completes,
+# a disconnected client frees its handler, failed disk writes are counted
+# and survived, and the appended NDJSON lines equal json.Encoder's.
 smoke-serve:
-	$(GO) test -run 'TestServer|TestConcurrentIdentical|TestOverload|TestDiskPersistence' -v ./internal/service
+	$(GO) test -run 'TestServer|TestConcurrentIdentical|TestOverload|TestDiskPersistence|TestPointLineMatchesEncoder' -v ./internal/service
 
 # Trace record/replay smoke: record a run's generated packets with ofarsim
 # -trace-out, replay the file with -trace-in, and require the two grant
@@ -193,6 +195,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParallelConservation -fuzztime 30s .
 	$(GO) test -fuzz FuzzRouteCache -fuzztime 30s .
 	$(GO) test -fuzz FuzzTraceRoundTrip -fuzztime 20s ./internal/trace
+	$(GO) test -fuzz FuzzExperimentDecode -fuzztime 20s ./internal/service
 
 # Removes untracked build output only — figures/ holds committed SVGs.
 clean:

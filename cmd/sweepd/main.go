@@ -8,8 +8,9 @@
 //	curl -s localhost:8080/sweep -d '{"h":3,"routing":"OFAR","pattern":"ADV+3",
 //	  "loads":[0.1,0.3,0.5],"warmup":3000,"measure":5000}'
 //
-// The response is NDJSON: one line per point as it completes (source:
-// "cache", "computed" or "coalesced"), then a summary line. /metrics exposes
+// The response is NDJSON: first every cached point (source "cache"), then
+// each miss as it completes ("computed", or "coalesced" when it joined another
+// request's simulation), then a summary line. /metrics exposes
 // hit rate, queue depth, in-flight simulations and point-latency quantiles;
 // /healthz reports the engine digest. Overload answers 429 + Retry-After
 // instead of queueing without bound.
@@ -64,8 +65,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	eff := srv.Options() // the counts the server runs with, defaults applied
 	log.Printf("sweepd: listening on %s (engine %016x, sims=%d of GOMAXPROCS=%d, queue=%d, cache=%d, disk=%q)",
-		*addr, srv.EngineDigest(), max(*sims, 1), runtime.GOMAXPROCS(0), *queue, *cacheN, *disk)
+		*addr, srv.EngineDigest(), eff.Sims, runtime.GOMAXPROCS(0), eff.MaxQueue, eff.CacheEntries, *disk)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // resultCache is the determinism-backed result store: an in-memory LRU over
@@ -30,6 +32,8 @@ type resultCache struct {
 
 	dir    string // "" = memory only
 	digest uint64 // this build's engine digest; disk entries must match
+
+	diskWriteErrors atomic.Int64 // persists that failed (served from memory only)
 }
 
 type cacheEntry struct {
@@ -119,9 +123,12 @@ func (c *resultCache) add(key uint64, data []byte, persist bool) {
 	}
 	c.mu.Unlock()
 	if persist && c.dir != "" {
-		// Best-effort: a failed persist degrades to memory-only for this
-		// entry; the result itself was already computed and is being served.
-		_ = c.writeDisk(key, data)
+		// A failed persist degrades to memory-only for this entry; the result
+		// itself was already computed and is being served. It is counted
+		// (sweepd_disk_write_errors_total), not returned.
+		if err := c.writeDisk(key, data); err != nil {
+			c.diskWriteErrors.Add(1)
+		}
 	}
 }
 
@@ -148,7 +155,16 @@ func (c *resultCache) loadDisk(key uint64) ([]byte, bool) {
 	if env.Digest != fmt.Sprintf("%016x", c.digest) || len(env.Result) == 0 {
 		return nil, false // written by different physics: never serve it
 	}
-	return env.Result, true
+	// Cached bytes are served verbatim by appendPointLine, so they must be in
+	// json.Encoder form: compact (an indented entry would break the NDJSON
+	// framing) and HTML-escaped. What writeDisk wrote already is; this pays
+	// once per fault-in for anything that is not.
+	var compact, escaped bytes.Buffer
+	if err := json.Compact(&compact, env.Result); err != nil {
+		return nil, false
+	}
+	json.HTMLEscape(&escaped, compact.Bytes())
+	return escaped.Bytes(), true
 }
 
 func (c *resultCache) writeDisk(key uint64, data []byte) error {

@@ -2,6 +2,9 @@ package service
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -87,6 +90,21 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
+// pointKey is the per-load formula pointKeys replaced, kept as its
+// reference: FNV-1a over the canonical config and
+// "|pattern|loadbits|warmup|measure|digest", hashed from scratch per point.
+func pointKey(canonCfg []byte, pattern string, load float64, warmup, measure int, digest uint64) uint64 {
+	h := fnv.New64a()
+	h.Write(canonCfg)
+	fmt.Fprintf(h, "|%s|%016x|%d|%d|%016x", pattern, math.Float64bits(load), warmup, measure, digest)
+	return h.Sum64()
+}
+
+// keyOf is the production key of one point given as its components.
+func keyOf(canon []byte, pattern ofar.PatternSpec, load float64, warmup, measure int, digest uint64) uint64 {
+	return pointKeys(ofar.Resolved{Pattern: pattern, Canon: canon, Loads: []float64{load}, Warmup: warmup, Measure: measure}, digest)[0]
+}
+
 func TestPointKeyChangesWithEngineDigest(t *testing.T) {
 	cfg := ofar.DefaultConfig(2)
 	canon, err := ofar.CanonicalConfigJSON(cfg)
@@ -94,8 +112,9 @@ func TestPointKeyChangesWithEngineDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := ofar.EngineDigest()
-	k1 := pointKey(canon, "UN", 0.5, 1000, 2000, d)
-	k2 := pointKey(canon, "UN", 0.5, 1000, 2000, d+1)
+	un := ofar.Uniform()
+	k1 := keyOf(canon, un, 0.5, 1000, 2000, d)
+	k2 := keyOf(canon, un, 0.5, 1000, 2000, d+1)
 	if k1 == k2 {
 		t.Fatal("a different engine digest must produce a different cache key — a physics change would serve stale results")
 	}
@@ -109,23 +128,23 @@ func TestPointKeyChangesWithEngineDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k3 := pointKey(canonPar, "UN", 0.5, 1000, 2000, d); k3 != k1 {
+	if k3 := keyOf(canonPar, un, 0.5, 1000, 2000, d); k3 != k1 {
 		t.Error("execution-only config fields leaked into the cache key")
 	}
 	// Physics-relevant knobs must move the key.
 	seeded := cfg
 	seeded.Seed++
 	canonSeed, _ := ofar.CanonicalConfigJSON(seeded)
-	if pointKey(canonSeed, "UN", 0.5, 1000, 2000, d) == k1 {
+	if keyOf(canonSeed, un, 0.5, 1000, 2000, d) == k1 {
 		t.Error("seed change did not move the cache key")
 	}
-	if pointKey(canon, "UN", 0.5000001, 1000, 2000, d) == k1 {
+	if keyOf(canon, un, 0.5000001, 1000, 2000, d) == k1 {
 		t.Error("load change did not move the cache key")
 	}
-	if pointKey(canon, "ADV+2", 0.5, 1000, 2000, d) == k1 {
+	if keyOf(canon, ofar.Adv(2), 0.5, 1000, 2000, d) == k1 {
 		t.Error("pattern change did not move the cache key")
 	}
-	if pointKey(canon, "UN", 0.5, 1000, 2001, d) == k1 {
+	if keyOf(canon, un, 0.5, 1000, 2001, d) == k1 {
 		t.Error("measurement-window change did not move the cache key")
 	}
 }
@@ -139,7 +158,8 @@ const pinnedEngine = 0x157c630a8efe4df6
 // TestPointKeysPinned holds the cache identity of three fixed requests to
 // literals, not to self-agreement: a results directory written by an earlier
 // build must keep being served as hits, so no refactor of the resolver, its
-// defaults and conventions, or the canonical config JSON may move a key.
+// defaults and conventions, the canonical config JSON or the key hashing may
+// move a key.
 func TestPointKeysPinned(t *testing.T) {
 	cfg := ofar.DefaultConfig(2)
 	cfg.Seed = 7
@@ -157,7 +177,7 @@ func TestPointKeysPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := pointKey(r.Canon, r.PatternName(), r.Loads[0], r.Warmup, r.Measure, pinnedEngine); got != c.want {
+		if got := pointKeys(r, pinnedEngine)[0]; got != c.want {
 			t.Errorf("request %d: point key %016x, recorded %016x — existing result caches would miss", i, got, c.want)
 		}
 	}

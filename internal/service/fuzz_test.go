@@ -1,0 +1,50 @@
+package service
+
+import (
+	"bytes"
+	"math"
+	"testing"
+)
+
+// FuzzExperimentDecode feeds raw /sweep bodies through the handler's decode
+// and the service caps. Nothing may panic; every accepted request's keys must
+// equal the per-load reference formula; and a point line with the fuzzed
+// load and error text must be exactly what json.Encoder writes.
+func FuzzExperimentDecode(f *testing.F) {
+	for _, body := range []string{
+		`{"h":2,"loads":[0.1]}`,
+		`{"h":2,"routing":"min","pattern":"ADV+1","loads":[0.1,0.3,0.1],"warmup":300,"measure":300}`,
+		`{"h":3,"routing":"OFAR","pattern":"UN","seed":7007,"loads":[0.1,0.3,0.5],"warmup":1000,"measure":2000}`,
+		`{"config":{"P":2,"A":4,"H":2,"Workers":4},"routing":"PAR","loads":[0.2],"warmup":500,"measure":700}`,
+		`{"h":2,"jobs":"a2a:12@0.5,ring:12@0.2","jobmap":"random","background":0.05,"loads":[0.5,1],"warmup":200,"measure":400}`,
+		`{"h":2,"pattern":"MIX2","loads":[1e-7,2]}`,
+		`{"h":9,"loads":[0.1]}`,
+		`{"h":2,"loads":[-0.5]}`,
+		`{"h":`,
+		``,
+	} {
+		f.Add([]byte(body), 0.3, "simulation panicked: <boom> & \"more\"")
+	}
+	f.Add([]byte(`{"h":2,"loads":[0.1]}`), 1e-7, "\x00\xff ")
+	f.Fuzz(func(t *testing.T, body []byte, load float64, msg string) {
+		if res, err := decodeRequest(bytes.NewReader(body), 64); err == nil {
+			const digest = 0x157c630a8efe4df6
+			keys := pointKeys(res, digest)
+			if len(keys) != len(res.Loads) {
+				t.Fatalf("%d keys for %d loads", len(keys), len(res.Loads))
+			}
+			for i, l := range res.Loads {
+				if want := pointKey(res.Canon, res.PatternName(), l, res.Warmup, res.Measure, digest); keys[i] != want {
+					t.Fatalf("load %d (%v): key %016x, per-load formula %016x", i, l, keys[i], want)
+				}
+			}
+		}
+		if math.IsNaN(load) || math.IsInf(load, 0) {
+			return // json.Encoder refuses these; loads are validated to (0, 2]
+		}
+		p := PointResponse{Type: "point", Index: len(body), Load: load, Key: "00000000000000ff", Source: "computed", ElapsedUS: int64(len(msg)), Error: msg}
+		if got, want := appendPointLine(nil, &p), encoderLine(t, p); !bytes.Equal(got, want) {
+			t.Fatalf("appendPointLine\n got  %q\n want %q", got, want)
+		}
+	})
+}

@@ -138,6 +138,7 @@ func (m *metrics) writeTo(w http.ResponseWriter, pool *simPool, cache *resultCac
 	fmt.Fprintf(w, "sweepd_points_errored_total %d\n", m.errored.Load())
 	fmt.Fprintf(w, "sweepd_sim_panics_total %d\n", m.panicked.Load())
 	fmt.Fprintf(w, "sweepd_warm_restores_total %d\n", m.restored.Load())
+	fmt.Fprintf(w, "sweepd_disk_write_errors_total %d\n", cache.diskWriteErrors.Load())
 	fmt.Fprintf(w, "sweepd_cache_hit_rate %.4f\n", hitRate)
 	fmt.Fprintf(w, "sweepd_cache_entries %d\n", cache.Len())
 	fmt.Fprintf(w, "sweepd_queue_depth %d\n", pool.Depth())

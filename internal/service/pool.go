@@ -20,7 +20,8 @@ import (
 // Admission is reservation-based: a request reserves one slot per genuinely
 // new point (cache miss, no open flight) before anything is enqueued, and the
 // reservation is either consumed by the singleflight leader's Submit or
-// released when the request finishes. Once reserved + queued would exceed
+// released when the request's handler returns — at its end, or as soon as
+// its client disconnects. Once reserved + queued would exceed
 // MaxQueue — or the projected wait would blow the configured latency bound —
 // Admit refuses and the request is shed with 429 + Retry-After instead of
 // queueing without bound.
@@ -105,8 +106,7 @@ func (p *simPool) estimateLocked(depth int, pointCost time.Duration) time.Durati
 	return time.Duration(waves) * pointCost
 }
 
-// Release returns unused reservations (clamped — racing leaders may have
-// consumed more than this request reserved).
+// Release returns a request's unused reservations.
 func (p *simPool) Release(n int) {
 	p.mu.Lock()
 	p.reserved -= n
@@ -116,11 +116,11 @@ func (p *simPool) Release(n int) {
 	p.mu.Unlock()
 }
 
-// Submit converts one reservation into a queued job and eventually runs it
-// on a pool worker holding `width` CPU tokens.
-func (p *simPool) Submit(width int, run func()) {
+// Submit queues a job — converting one reservation, when the caller holds
+// one — and eventually runs it on a pool worker holding `width` CPU tokens.
+func (p *simPool) Submit(width int, reserved bool, run func()) {
 	p.mu.Lock()
-	if p.reserved > 0 {
+	if reserved && p.reserved > 0 {
 		p.reserved--
 	}
 	p.queued++

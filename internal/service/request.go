@@ -1,8 +1,9 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"io"
 	"math"
 
 	"ofar"
@@ -20,6 +21,16 @@ const (
 	// maxWorkers bounds the per-network pool width a request may demand.
 	maxWorkers = 64
 )
+
+// decodeRequest parses a sweep body and resolves it under the service's caps.
+// Every error it returns is the client's (400).
+func decodeRequest(body io.Reader, maxLoads int) (ofar.Resolved, error) {
+	var req Request
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return ofar.Resolved{}, fmt.Errorf("parsing request: %w", err)
+	}
+	return resolveBounded(req, maxLoads)
+}
 
 // resolveBounded resolves a request and applies the service's caps:
 // Experiment.Resolve accepts anything the simulator can run, a shared server
@@ -59,14 +70,34 @@ func resolveBounded(req Request, maxLoads int) (ofar.Resolved, error) {
 	return r, nil
 }
 
-// pointKey is the cache identity of one sweep point: FNV-1a over the
-// canonical (execution-normalized) config JSON, the pattern, the exact load
-// bits, the warm-up and measurement windows, and the engine digest. Folding
-// the digest in means a build whose physics changed computes disjoint keys —
-// a stale result is unreachable, not merely detectable.
-func pointKey(canonCfg []byte, pattern string, load float64, warmup, measure int, digest uint64) uint64 {
-	h := fnv.New64a()
-	h.Write(canonCfg)
-	fmt.Fprintf(h, "|%s|%016x|%d|%d|%016x", pattern, math.Float64bits(load), warmup, measure, digest)
-	return h.Sum64()
+// pointKeys returns the cache identity of every sweep point of res: FNV-1a
+// over the canonical (execution-normalized) config JSON, then
+// "|pattern|loadbits|warmup|measure|digest" with the exact load bits and the
+// digest as 16 hex digits. Folding the digest in means a build whose physics
+// changed computes disjoint keys — a stale result is unreachable, not merely
+// detectable. FNV-1a is a running fold, so the config is hashed once and only
+// the per-load suffix is hashed per point.
+func pointKeys(res ofar.Resolved, digest uint64) []uint64 {
+	prefix := fnv1a(fnv1a(fnvOffset64, res.Canon), fmt.Appendf(nil, "|%s|", res.PatternName()))
+	tail := fmt.Appendf(nil, "|%d|%d|%016x", res.Warmup, res.Measure, digest)
+	keys := make([]uint64, len(res.Loads))
+	var hex [16]byte
+	for i, l := range res.Loads {
+		keys[i] = fnv1a(fnv1a(prefix, appendHex16(hex[:0], math.Float64bits(l))), tail)
+	}
+	return keys
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds p into the FNV-1a state h (hash/fnv's New64a, continued).
+func fnv1a(h uint64, p []byte) uint64 {
+	for _, c := range p {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
 }

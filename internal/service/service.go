@@ -9,7 +9,8 @@
 // simulation) and run on a bounded worker pool that composes with the
 // engine's own parallelism budget; an admission gate sheds load with 429 +
 // Retry-After once the queue would blow the configured latency bound.
-// Per-point results stream to the client as NDJSON lines as they complete.
+// A reply is NDJSON: every cached point at once, in one write, then each
+// miss as it completes, then a summary line.
 package service
 
 import (
@@ -61,6 +62,7 @@ type Options struct {
 type Server struct {
 	opts    Options
 	digest  uint64
+	engine  string // digest as 16 hex digits, for the summary line
 	cache   *resultCache
 	flights flightGroup
 	pool    *simPool
@@ -90,6 +92,7 @@ func New(opts Options) (*Server, error) {
 		met:    newMetrics(),
 		runner: opts.Runner,
 	}
+	s.engine = fmt.Sprintf("%016x", s.digest)
 	if s.runner == nil {
 		s.runner = ofar.Resolved.Run
 	}
@@ -113,6 +116,10 @@ func New(opts Options) (*Server, error) {
 // Close stops the worker pool after the queue drains. Call only once no
 // requests are in flight (e.g. after http.Server.Shutdown).
 func (s *Server) Close() { s.pool.Close() }
+
+// Options returns the options the server runs with: those New was given,
+// with every zero value replaced by its default.
+func (s *Server) Options() Options { return s.opts }
 
 // EngineDigest returns the physics fingerprint baked into every cache key.
 func (s *Server) EngineDigest() uint64 { return s.digest }
@@ -164,14 +171,22 @@ type errorResponse struct {
 
 // reqState tracks one request's reservations so unused ones are returned.
 type reqState struct {
-	reserved int64 // pool slots this request reserved and has not yet used
+	reserved atomic.Int64 // pool slots this request reserved and has not yet used
 }
 
-// consume uses one of the request's reservations if any remain; the pool
-// clamps over-consumption from racing leaders.
-func (rs *reqState) consume() {
-	if atomic.AddInt64(&rs.reserved, -1) < 0 {
-		atomic.AddInt64(&rs.reserved, 1)
+// take uses one of the request's reservations, reporting whether one was
+// left: a leader whose request reserved nothing for its point (the point
+// looked cached or in flight at admission), or whose handler has already
+// returned the rest, runs unreserved.
+func (rs *reqState) take() bool {
+	for {
+		n := rs.reserved.Load()
+		if n <= 0 {
+			return false
+		}
+		if rs.reserved.CompareAndSwap(n, n-1) {
+			return true
+		}
 	}
 }
 
@@ -187,22 +202,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST a sweep request"})
 		return
 	}
-	var req Request
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, errorResponse{Error: "parsing request: " + err.Error()})
-		return
-	}
-	res, err := resolveBounded(req, s.opts.MaxLoads)
+	res, err := decodeRequest(http.MaxBytesReader(w, r.Body, 1<<20), s.opts.MaxLoads)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-
-	keys := make([]uint64, len(res.Loads))
-	for i, l := range res.Loads {
-		keys[i] = pointKey(res.Canon, res.PatternName(), l, res.Warmup, res.Measure, s.digest)
-	}
+	keys := pointKeys(res, s.digest)
 
 	// Admission: count the points that would create NEW work — not cached,
 	// not already in flight, not duplicated within this request — and
@@ -234,78 +239,103 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		rs.reserved = int64(newWork)
+		rs.reserved.Store(int64(newWork))
 	}
 	defer func() {
-		if n := atomic.LoadInt64(&rs.reserved); n > 0 {
+		if n := rs.reserved.Swap(0); n > 0 {
 			s.pool.Release(int(n))
 		}
 	}()
 	s.met.requests.Add(1)
 
-	// Stream points as they complete. Each point runs in its own goroutine
-	// (cache hits return instantly; misses wait on the pool), and the
-	// response is one NDJSON line per point plus a final summary.
+	// Lookup pass: every cache hit becomes a line in buf on this goroutine;
+	// only a miss gets a goroutine (singleflight → pool), whose line comes
+	// back on `lines`. buf is written out — and flushed, so the client has
+	// every line so far — only right before the handler blocks on a miss, so
+	// cached lines stream first and an all-hit reply is a single write.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	start := time.Now()
-	lines := make(chan PointResponse, len(res.Loads))
-	for i := range res.Loads {
-		go func(i int) {
-			lines <- s.point(rs, res, keys[i], i)
-		}(i)
+	var (
+		sum     SummaryResponse
+		buf     []byte
+		lines   chan PointResponse // room for every miss: a sender never blocks on a handler that returned early
+		pending int
+	)
+	for i, key := range keys {
+		t0 := time.Now()
+		data, ok := s.cache.Get(key)
+		if !ok {
+			if lines == nil {
+				lines = make(chan PointResponse, len(keys)-i)
+			}
+			pending++
+			go func() { lines <- s.point(rs, res, key, i, t0) }()
+			continue
+		}
+		d := time.Since(t0)
+		s.met.hits.Add(1)
+		s.met.observePoint(d)
+		line := newPointResponse(res, key, i)
+		line.Source, line.Result, line.ElapsedUS = "cache", data, d.Microseconds()
+		buf = sum.append(buf, &line)
 	}
-	var sum SummaryResponse
-	enc := json.NewEncoder(w)
-	for range res.Loads {
-		line := <-lines
-		sum.Points++
-		switch line.Source {
-		case "cache":
-			sum.CacheHits++
-		case "computed":
-			sum.Computed++
-		case "coalesced":
-			sum.Coalesced++
+	for ; pending > 0; pending-- {
+		var line PointResponse
+		select {
+		case line = <-lines:
+		default:
+			if _, err := w.Write(buf); err != nil {
+				return // the client is gone; open flights still fill the cache
+			}
+			buf = buf[:0]
+			if flusher != nil {
+				flusher.Flush()
+			}
+			select {
+			case line = <-lines:
+			case <-r.Context().Done():
+				return
+			}
 		}
-		if line.Error != "" {
-			sum.Errors++
-		}
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		buf = sum.append(buf, &line)
 	}
 	sum.Type = "summary"
 	sum.ElapsedUS = time.Since(start).Microseconds()
-	sum.Engine = fmt.Sprintf("%016x", s.digest)
-	enc.Encode(sum)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	sum.Engine = s.engine
+	w.Write(appendSummaryLine(buf, &sum))
 }
 
-// point produces one sweep point: result cache, then singleflight, then the
-// admission-controlled pool. The returned line carries the result bytes
-// exactly as the simulation marshaled them, so identical points are
-// byte-identical across cache hits, coalesced waits and fresh computations.
-func (s *Server) point(rs *reqState, res ofar.Resolved, key uint64, index int) PointResponse {
-	line := PointResponse{
-		Type:  "point",
-		Index: index,
-		Load:  res.Loads[index],
-		Key:   fmt.Sprintf("%016x", key),
+// append counts line into the summary and appends it to buf.
+func (sum *SummaryResponse) append(buf []byte, line *PointResponse) []byte {
+	sum.Points++
+	switch line.Source {
+	case "cache":
+		sum.CacheHits++
+	case "computed":
+		sum.Computed++
+	case "coalesced":
+		sum.Coalesced++
 	}
-	start := time.Now()
-	if data, ok := s.cache.Get(key); ok {
-		s.met.hits.Add(1)
-		line.Source = "cache"
-		line.Result = data
-		line.ElapsedUS = time.Since(start).Microseconds()
-		s.met.observePoint(time.Since(start))
-		return line
+	if line.Error != "" {
+		sum.Errors++
 	}
+	return appendPointLine(buf, line)
+}
+
+func newPointResponse(res ofar.Resolved, key uint64, index int) PointResponse {
+	return PointResponse{Type: "point", Index: index, Load: res.Loads[index], Key: string(appendHex16(nil, key))}
+}
+
+// point computes one sweep point the lookup pass missed: singleflight, then
+// the admission-controlled pool. start is when its lookup began, so the
+// line's elapsed_us covers lookup, queueing and simulation. The returned line
+// carries the result bytes exactly as the simulation marshaled them, so
+// identical points are byte-identical across cache hits, coalesced waits and
+// fresh computations.
+func (s *Server) point(rs *reqState, res ofar.Resolved, key uint64, index int, start time.Time) PointResponse {
+	line := newPointResponse(res, key, index)
 	lateHit := false // set by this goroutine only: Do runs a leader's fn inline
 	data, shared, err := s.flights.Do(key, func() ([]byte, error) {
 		// Double-check under the flight: the leader may have completed
@@ -315,13 +345,12 @@ func (s *Server) point(rs *reqState, res ofar.Resolved, key uint64, index int) P
 			lateHit = true
 			return data, nil
 		}
-		rs.consume()
 		var (
 			out  []byte
 			rerr error
 		)
 		done := make(chan struct{})
-		s.pool.Submit(res.Config.PoolWidth(), func() {
+		s.pool.Submit(res.Config.PoolWidth(), rs.take(), func() {
 			defer close(done)
 			// A panicking simulation fails its point, not the server: the
 			// worker returns, so its pool tokens are released.

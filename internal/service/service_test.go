@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -378,6 +379,7 @@ func TestMetricsAndHealthz(t *testing.T) {
 		"sweepd_step_phase_seconds_total{phase=\"generate\"}",
 		"sweepd_step_phase_seconds_total{phase=\"routers\"}",
 		"sweepd_step_phase_cycles_total",
+		"sweepd_disk_write_errors_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
@@ -652,5 +654,201 @@ func TestDiskWarmCacheJobPoints(t *testing.T) {
 		if want := cold.points[indexOf(t, cold.points, p.Index)].Result; !bytes.Equal(p.Result, want) {
 			t.Errorf("point %d: restored reply differs from the cold one:\n restored %s\n cold     %s", p.Index, p.Result, want)
 		}
+	}
+}
+
+// fakeResult is what a stand-in runner returns for a point: cheap, and
+// distinct per load.
+func fakeResult(r ofar.Resolved, load float64) ofar.PointResult {
+	return ofar.PointResult{SteadyResult: ofar.SteadyResult{Routing: r.Config.Routing, Pattern: r.PatternName(), Load: load}}
+}
+
+// TestServerStreamsCachedLinesFirst: in a request that mixes a cached point
+// with a miss, the client reads the cached line while the miss is still
+// simulating — the handler writes and flushes what it has before it blocks.
+func TestServerStreamsCachedLinesFirst(t *testing.T) {
+	release := make(chan struct{})
+	runner := func(r ofar.Resolved, load float64, opt ofar.SweepOptions) (ofar.PointResult, error) {
+		if load == 0.2 {
+			<-release
+		}
+		return fakeResult(r, load), nil
+	}
+	_, ts := startServer(t, Options{Sims: 2, MaxQueue: 8, Runner: runner})
+	cfg := testConfig()
+	warm := postSweep(t, ts.URL, Request{Config: &cfg, Loads: []float64{0.1}, Warmup: 100, Measure: 100})
+	if warm.status != http.StatusOK || len(warm.points) != 1 {
+		t.Fatalf("filling the cache: HTTP %d: %s", warm.status, warm.raw)
+	}
+
+	body, _ := json.Marshal(Request{Config: &cfg, Loads: []float64{0.2, 0.1}, Warmup: 100, Measure: 100})
+	first := make(chan []byte, 1)
+	rest := make(chan []byte, 1)
+	go func() {
+		defer close(rest)
+		resp, err := http.Post(ts.URL+"/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			close(first)
+			return
+		}
+		defer resp.Body.Close()
+		br := bufio.NewReader(resp.Body)
+		line, _ := br.ReadBytes('\n')
+		first <- line
+		all, _ := io.ReadAll(br)
+		rest <- all
+	}()
+	var line []byte
+	select {
+	case line = <-first:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("no line reached the client while the miss was simulating")
+	}
+	var p PointResponse
+	if err := json.Unmarshal(line, &p); err != nil || p.Index != 1 || p.Source != "cache" {
+		close(release)
+		t.Fatalf("first line %q (%v), want the cached point 1", line, err)
+	}
+	if !bytes.Equal(p.Result, warm.points[0].Result) {
+		t.Errorf("cached line carries %s, want %s", p.Result, warm.points[0].Result)
+	}
+	close(release)
+	tail := string(<-rest)
+	if !strings.Contains(tail, `"index":0,`) || !strings.Contains(tail, `"source":"computed"`) || !strings.Contains(tail, `"cache_hits":1,"computed":1,`) {
+		t.Errorf("rest of the reply lacks the computed point or the summary:\n%s", tail)
+	}
+}
+
+// TestServerClientDisconnect: a client that gives up while its misses are
+// simulating frees its handler at once; the simulations already running
+// finish and fill the cache, so the identical request is then served from it
+// without simulating again, and the pool ends idle with no reservation kept.
+func TestServerClientDisconnect(t *testing.T) {
+	release := make(chan struct{})
+	var calls atomic.Int64
+	runner := func(r ofar.Resolved, load float64, opt ofar.SweepOptions) (ofar.PointResult, error) {
+		calls.Add(1)
+		<-release
+		return fakeResult(r, load), nil
+	}
+	srv, err := New(Options{Sims: 2, MaxQueue: 8, Runner: runner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	returned := make(chan struct{}, 4)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		if r.URL.Path == "/sweep" {
+			returned <- struct{}{}
+		}
+	}))
+	released := false
+	t.Cleanup(func() {
+		if !released {
+			close(release)
+		}
+		ts.Close()
+		srv.Close()
+	})
+
+	cfg := testConfig()
+	req := Request{Config: &cfg, Loads: []float64{0.1, 0.2}, Warmup: 100, Measure: 100}
+	body, _ := json.Marshal(req)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/sweep", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.DefaultClient.Do(httpReq); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); calls.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("runner reached %d times, want 2", calls.Load())
+		}
+	}
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("handler still waiting 1s after its client cancelled")
+	}
+	<-done
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("runner called %d times before release, want 2", got)
+	}
+
+	close(release)
+	released = true
+	for deadline := time.Now().Add(5 * time.Second); srv.cache.Len() < 2 || srv.pool.Depth()+srv.pool.Inflight() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after release: %d cached, depth %d, in flight %d", srv.cache.Len(), srv.pool.Depth(), srv.pool.Inflight())
+		}
+	}
+	again := postSweep(t, ts.URL, req)
+	if again.status != http.StatusOK || again.summary.CacheHits != 2 {
+		t.Fatalf("identical request after the disconnect: HTTP %d, summary %+v", again.status, again.summary)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Errorf("identical request re-simulated: runner called %d times, want 2", got)
+	}
+}
+
+// TestServerDiskWriteFailures: when the results directory cannot be written,
+// every point is still computed and served correctly, and each failed
+// persist is counted in /metrics.
+func TestServerDiskWriteFailures(t *testing.T) {
+	dir := t.TempDir()
+	var calls atomic.Int64
+	_, ts := startServer(t, Options{DiskDir: dir, Runner: countingRunner(&calls)})
+	// A regular file where the directory was: writes fail even as root.
+	results := filepath.Join(dir, "results")
+	if err := os.RemoveAll(results); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(results, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := testConfig()
+	req := Request{Config: &cfg, Loads: []float64{0.1, 0.25}, Warmup: 300, Measure: 200}
+	r := postSweep(t, ts.URL, req)
+	if r.status != http.StatusOK || len(r.points) != 2 || r.summary.Computed != 2 || r.summary.Errors != 0 {
+		t.Fatalf("HTTP %d, summary %+v: %s", r.status, r.summary, r.raw)
+	}
+	res, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range r.points {
+		pr, err := res.Run(p.Load, ofar.SweepOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(pr.SteadyResult)
+		if !bytes.Equal(p.Result, want) {
+			t.Errorf("point %d:\n served %s\n direct %s", p.Index, p.Result, want)
+		}
+	}
+	if again := postSweep(t, ts.URL, req); again.summary.CacheHits != 2 || calls.Load() != 2 {
+		t.Errorf("repeat: summary %+v after %d simulations; the memory cache should serve it", again.summary, calls.Load())
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("sweepd_disk_write_errors_total %d\n", calls.Load()); !strings.Contains(string(text), want) {
+		t.Errorf("/metrics lacks %q:\n%s", want, text)
 	}
 }
