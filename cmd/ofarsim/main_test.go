@@ -143,6 +143,36 @@ func TestOFARPolicyFlags(t *testing.T) {
 	}
 }
 
+// TestBadOFARPolicy: an OFAR policy with no usable non-minimal threshold, from
+// a -config file or from the policy flags, is a configuration error that run
+// returns (main prints it and exits 1) before anything is simulated — not a
+// panic.
+func TestBadOFARPolicy(t *testing.T) {
+	bad := ofar.DefaultConfig(2)
+	bad.OFAR.NonMinFactor, bad.OFAR.StaticNonMin = 0, -1
+	data, err := ofar.ConfigToJSON(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-config", path},
+		{"-h", "2", "-nonmin-factor", "0", "-static-th", "-1"},
+	} {
+		var out, errOut bytes.Buffer
+		err := run(append(args, "-warmup", "100", "-measure", "100"), &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), "no usable non-minimal threshold") {
+			t.Errorf("ofarsim %v: error %v, want the policy rejected", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("ofarsim %v printed a report:\n%s", args, out.String())
+		}
+	}
+}
+
 // TestNetworkLine pins the report header to the effective configuration: the
 // routing conventions and a -config file must show, flag defaults must not.
 func TestNetworkLine(t *testing.T) {

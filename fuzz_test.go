@@ -111,19 +111,22 @@ func FuzzFaultSchedule(f *testing.F) {
 }
 
 // FuzzRouteCache is the fuzz companion of the route-memoization oracle: for
-// every accepted load × fault schedule, an h=2 OFAR run with the route cache
-// enabled must emit the exact grant digest of the identical run with
+// every routing × accepted load × fault schedule, an h=2 run with the route
+// cache enabled must emit the exact grant digest of the identical run with
 // DisableRouteCache, and both must conserve packets. The fault dimension
 // matters: link and router kills under fuzzed timing exercise the epoch-bump
 // teardown paths (FailOutput, ring splicing, credit refunds on dead ports)
 // that a pure traffic fuzz never reaches.
 func FuzzRouteCache(f *testing.F) {
-	f.Add(uint64(1), 0.3, "")
-	f.Add(uint64(9), 0.9, "link@100:0:2")
-	f.Add(uint64(5), 0.6, "link@10:0:5,router@50:3")
-	f.Add(uint64(12), 1.0, "link@0:0:2,router@0:0")
-	f.Add(uint64(77), 0.5, "link@10:0:5,link@10:5:2,router@200:7,router@201:8")
-	f.Fuzz(func(t *testing.T, seed uint64, load float64, spec string) {
+	routings := []Routing{MIN, VAL, PB, UGAL, PAR, OFAR, OFARL}
+	f.Add(uint64(1), 0.3, "", byte(4))
+	f.Add(uint64(9), 0.9, "link@100:0:2", byte(5))
+	f.Add(uint64(5), 0.6, "link@10:0:5,router@50:3", byte(0))
+	f.Add(uint64(12), 1.0, "link@0:0:2,router@0:0", byte(2))
+	f.Add(uint64(77), 0.5, "link@10:0:5,link@10:5:2,router@200:7,router@201:8", byte(6))
+	f.Add(uint64(3), 0.8, "", byte(1))
+	f.Add(uint64(4), 0.7, "link@50:1:6", byte(3))
+	f.Fuzz(func(t *testing.T, seed uint64, load float64, spec string, rtb byte) {
 		if math.IsNaN(load) || load < 0 || load > 1 {
 			return
 		}
@@ -136,7 +139,8 @@ func FuzzRouteCache(f *testing.F) {
 				return // past the run horizon: proves nothing
 			}
 		}
-		cfg := DefaultConfig(2)
+		rt := routings[int(rtb)%len(routings)]
+		cfg := DefaultConfig(2).WithRouting(rt)
 		cfg.Seed = seed
 		cfg.Faults = fs
 		if err := cfg.Validate(); err != nil {
@@ -155,7 +159,7 @@ func FuzzRouteCache(f *testing.F) {
 			sim.SetTraffic(ps, load)
 			sim.Run(500)
 			if err := sim.Network().CheckConservation(); err != nil {
-				t.Fatalf("noCache=%v seed=%d load=%v spec=%q: %v", noCache, seed, load, spec, err)
+				t.Fatalf("%s noCache=%v seed=%d load=%v spec=%q: %v", rt, noCache, seed, load, spec, err)
 			}
 			d, n := sim.Network().GrantDigest()
 			return d, n
@@ -163,8 +167,8 @@ func FuzzRouteCache(f *testing.F) {
 		onD, onN := run(false)
 		offD, offN := run(true)
 		if onD != offD || onN != offN {
-			t.Fatalf("seed=%d load=%v spec=%q: cache-on digest %016x (%d events) != cache-off %016x (%d events)",
-				seed, load, spec, onD, onN, offD, offN)
+			t.Fatalf("%s seed=%d load=%v spec=%q: cache-on digest %016x (%d events) != cache-off %016x (%d events)",
+				rt, seed, load, spec, onD, onN, offD, offN)
 		}
 	})
 }

@@ -99,70 +99,50 @@ func VariablePolicyConfig() Config {
 	return cfg
 }
 
-// OFAR is the routing engine. One instance serves a whole network when the
-// cycle loop is serial; the parallel engine gives each worker its own clone
-// (CloneForWorker) because of the scratch candidate buffer.
+// Validate reports a policy with no usable non-minimal threshold: a negative
+// StaticNonMin selects the variable policy, which needs NonMinFactor > 0.
+func (c Config) Validate() error {
+	if c.NonMinFactor <= 0 && c.StaticNonMin < 0 {
+		return fmt.Errorf("no usable non-minimal threshold: NonMinFactor %v with StaticNonMin %v (a negative StaticNonMin selects the variable policy, which needs NonMinFactor > 0)",
+			c.NonMinFactor, c.StaticNonMin)
+	}
+	return nil
+}
+
+// OFAR is the routing engine. It is stateless: one instance serves every
+// router and every pool worker, and each Route call records what it read on
+// the router it routes (router.Router.NoteRead and friends).
 type OFAR struct {
 	cfg  Config
 	d    *topology.Dragonfly
 	name string
-
-	cand []int // scratch: misroute candidate ports
-
-	// Dep recording for the router's route cache (router.CacheableEngine):
-	// Route accumulates the output ports it reads in depMask and the first
-	// cycle its decision could change through time alone in depExpire;
-	// depMin is the per-head minimal-port anchor. RouteDeps reports them.
-	// Per-call scratch like cand, so per-worker clones keep it race-free.
-	depMask   uint64
-	depExpire int64
-	depMin    int32
 }
-
-// dep records that the current Route call read output port `port`.
-func (e *OFAR) dep(port int) { e.depMask |= 1 << uint(port) }
 
 // minPort resolves the minimal output port for the head packet, using the
 // router's cached per-head hint to skip the topology lookup when possible,
-// and records it as the RouteDeps anchor.
+// and records it as the head's anchor.
 func (e *OFAR) minPort(rt *router.Router, in router.InCtx, p *packet.Packet) int {
-	if in.MinHint >= 0 {
-		e.depMin = in.MinHint
-		return int(in.MinHint)
+	min := int(in.MinHint)
+	if min < 0 {
+		min = e.d.MinimalPort(rt.ID, p.Dst)
 	}
-	min := e.d.MinimalPort(rt.ID, p.Dst)
-	e.depMin = int32(min)
+	rt.NoteAnchor(min)
 	return min
 }
 
-// RouteDeps implements router.CacheableEngine: it reports the read set the
-// immediately preceding Route call recorded. Each worker has its own clone
-// (CloneForWorker), so the Route → RouteDeps pairing cannot interleave.
-func (e *OFAR) RouteDeps(*router.Router, router.InCtx, *packet.Packet, int64) (uint64, int64, int32) {
-	return e.depMask, e.depExpire, e.depMin
-}
-
-// New builds an OFAR engine for a topology. With cfg.LocalMisroute == false
-// the engine is the OFAR-L model.
+// New builds an OFAR engine for a topology from a validated config (see
+// Config.Validate). With cfg.LocalMisroute == false the engine is the OFAR-L
+// model.
 func New(d *topology.Dragonfly, cfg Config) *OFAR {
 	name := "OFAR"
 	if !cfg.LocalMisroute {
 		name = "OFAR-L"
 	}
-	if cfg.NonMinFactor <= 0 && cfg.StaticNonMin < 0 {
-		panic(fmt.Sprintf("core: OFAR config has no usable non-minimal threshold: %+v", cfg))
-	}
-	return &OFAR{cfg: cfg, d: d, name: name, cand: make([]int, 0, d.RouterPorts)}
+	return &OFAR{cfg: cfg, d: d, name: name}
 }
 
 // Name implements router.Engine.
 func (e *OFAR) Name() string { return e.name }
-
-// CloneForWorker implements router.ConcurrentCloner: the candidate scratch
-// buffer is the engine's only mutable state and it is rebuilt on every Route
-// call, so a fresh instance with the same config and topology is
-// decision-for-decision identical to the original.
-func (e *OFAR) CloneForWorker() router.Engine { return New(e.d, e.cfg) }
 
 // AtInjection implements router.Engine. OFAR takes no decision at injection
 // time — that is the point of the mechanism.
@@ -186,10 +166,7 @@ func chooseVC(rt *router.Router, port int, p *packet.Packet, now int64) (int, bo
 	if op.Kind == topology.PortNone || op.Busy(now) {
 		return -1, false
 	}
-	vc := p.GlobalHops
-	if n := op.NumVCs(); vc >= n {
-		vc = n - 1
-	}
+	vc := op.ClassVC(p.GlobalHops)
 	if op.EscapeRing(vc) >= 0 || op.Credits(vc) < p.Size {
 		return -1, false
 	}
@@ -198,13 +175,13 @@ func chooseVC(rt *router.Router, port int, p *packet.Packet, now int64) (int, bo
 
 // Route implements router.Engine (paper §IV-A/B).
 func (e *OFAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
-	e.depMask, e.depExpire = 0, math.MaxInt64
+	rt.NoteExpiry(math.MaxInt64)
 	if in.Escape {
 		return e.routeOnRing(rt, in, p, now)
 	}
 	size := p.Size
 	min := e.minPort(rt, in, p)
-	e.dep(min)
+	rt.NoteRead(min)
 	if vc, ok := chooseVC(rt, min, p, now); ok {
 		return router.Request{Out: min, VC: vc}, true
 	}
@@ -248,10 +225,10 @@ func (e *OFAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now i
 			if ring, port, vc, ok := e.pickRing(rt, 2*size, now); ok {
 				return router.Request{Out: port, VC: vc, Escape: true, EnterRing: true, Ring: int8(ring)}, true
 			}
-		} else if x := p.BlockedSince + int64(e.cfg.EscapeTimeout); x < e.depExpire {
+		} else {
 			// Not blocked long enough yet: the decision flips by time alone
 			// when the threshold is crossed, so the cache must expire there.
-			e.depExpire = x
+			rt.NoteExpiry(p.BlockedSince + int64(e.cfg.EscapeTimeout))
 		}
 	}
 	return router.Request{}, false
@@ -266,14 +243,14 @@ func (e *OFAR) routeOnRing(rt *router.Router, in router.InCtx, p *packet.Packet,
 	// Ejection at the destination router is always permitted regardless of
 	// the exit budget; otherwise the packet could never leave the network.
 	if p.RingExits < e.cfg.MaxRingExits || minKind == topology.PortNode {
-		e.dep(min)
+		rt.NoteRead(min)
 		if vc, ok := chooseVC(rt, min, p, now); ok {
 			return router.Request{Out: min, VC: vc, ExitRing: true}, true
 		}
 	}
 	port, vc, credits, ok := rt.RingOut(in.Ring)
 	if ok {
-		e.dep(port) // a dead ring edge (ok == false) never heals; no dep
+		rt.NoteRead(port) // a dead ring edge (ok == false) never heals; no read
 		if credits >= p.Size && !rt.OutBusy(port, now) {
 			return router.Request{Out: port, VC: vc, Escape: true, Ring: int8(in.Ring)}, true
 		}
@@ -339,12 +316,13 @@ func (e *OFAR) misroute(rt *router.Router, in router.InCtx, p *packet.Packet, mi
 // least-occupied) avoids synchronized convergence of many inputs on the
 // same output (§IV-B).
 func (e *OFAR) pickAmong(rt *router.Router, base, count, exclude int, th float64, strict bool, p *packet.Packet, now int64) (router.Request, bool) {
-	e.cand = e.cand[:0]
+	var cand [64]uint8 // candidate ports; config validation caps the radix at 64
+	nc := 0
 	for port := base; port < base+count; port++ {
 		if port == exclude {
 			continue
 		}
-		e.dep(port)
+		rt.NoteRead(port)
 		if rt.OutBusy(port, now) {
 			continue
 		}
@@ -363,22 +341,23 @@ func (e *OFAR) pickAmong(rt *router.Router, base, count, exclude int, th float64
 		if rt.Out[port].Credits(vc) < 2*p.Size {
 			continue
 		}
-		e.cand = append(e.cand, port)
+		cand[nc] = uint8(port)
+		nc++
 	}
-	if len(e.cand) == 0 {
+	if nc == 0 {
 		return router.Request{}, false
 	}
 	var port int
 	if e.cfg.LeastOccupied {
-		port = e.cand[0]
+		port = int(cand[0])
 		best := occFor(rt, port, p)
-		for _, c := range e.cand[1:] {
-			if occ := occFor(rt, c, p); occ < best {
-				port, best = c, occ
+		for _, c := range cand[1:nc] {
+			if occ := occFor(rt, int(c), p); occ < best {
+				port, best = int(c), occ
 			}
 		}
 	} else {
-		port = e.cand[rt.RandInt(len(e.cand))]
+		port = int(cand[rt.RandInt(nc)])
 	}
 	vc, _ := chooseVC(rt, port, p, now)
 	return router.Request{Out: port, VC: vc}, true
@@ -390,14 +369,7 @@ func (e *OFAR) pickAmong(rt *router.Router, base, count, exclude int, th float64
 // consults credits (not Busy) when deciding to divert.
 func vcFits(rt *router.Router, port int, p *packet.Packet) bool {
 	op := &rt.Out[port]
-	if op.Dead() {
-		return false
-	}
-	vc := p.GlobalHops
-	if n := op.NumVCs(); vc >= n {
-		vc = n - 1
-	}
-	return op.Credits(vc) >= p.Size
+	return !op.Dead() && op.Credits(op.ClassVC(p.GlobalHops)) >= p.Size
 }
 
 // occFor returns the occupancy fraction used in threshold comparisons: the
@@ -420,9 +392,9 @@ func (e *OFAR) pickRing(rt *router.Router, needed int, now int64) (ring, port, v
 	for j := 0; j < rt.NumRings(); j++ {
 		pj, vj, cr, okj := rt.RingOut(j)
 		if !okj {
-			continue // a failed ring edge never heals; no dep
+			continue // a failed ring edge never heals; no read
 		}
-		e.dep(pj)
+		rt.NoteRead(pj)
 		if cr < needed || rt.OutBusy(pj, now) {
 			continue
 		}

@@ -408,14 +408,18 @@ func TestVariablePolicyConfig(t *testing.T) {
 	}
 }
 
+// TestOFARConfigValidation: a policy with neither a static threshold nor a
+// positive variable factor is an error, not a panic; either threshold alone
+// is enough.
 func TestOFARConfigValidation(t *testing.T) {
-	d, _ := topology.New(2, 4, 2, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for threshold-less config")
+	if err := (Config{NonMinFactor: 0, StaticNonMin: -1}).Validate(); err == nil {
+		t.Error("threshold-less config accepted")
+	}
+	for _, c := range []Config{DefaultConfig(), VariablePolicyConfig(), {NonMinFactor: 0, StaticNonMin: 0}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", c, err)
 		}
-	}()
-	New(d, Config{NonMinFactor: 0, StaticNonMin: -1})
+	}
 }
 
 // TestOFARVariablePolicyStrictness: under the §V variable policy, a busy

@@ -163,10 +163,11 @@ type Config struct {
 	// — timing-wheel insertions, deliveries, statistics — is logged per group
 	// and merged by the caller in a fixed (cycle, phase, group) order, every
 	// stochastic draw comes from a per-router or per-group RNG stream, and
-	// engine clones are behaviorally identical, so results are bit-identical
-	// for any worker count. 0 or 1 never starts a pool; negative values are
-	// rejected. Networks built with Workers > 1 own goroutines: call
-	// Network.Close when done with them.
+	// routing engines are stateless (a Route call records its read set on
+	// the group-owned router), so results are bit-identical for any worker
+	// count. 0 or 1 never starts a pool; negative values are rejected.
+	// Networks built with Workers > 1 own goroutines: call Network.Close
+	// when done with them.
 	Workers int
 
 	// ShardByGroup is ignored: Workers > 1 always partitions the cycle by
@@ -179,8 +180,8 @@ type Config struct {
 	// (normalized out of snapshot identity) only because bench/ assigns it.
 	DisableActivitySched bool
 
-	// DisableRouteCache turns off the epoch-invalidated route memoization in
-	// every router (see router.CacheableEngine). The cache only replays
+	// DisableRouteCache turns off the dirty-mask-invalidated route memoization
+	// in every router (see router.Router.NoteRead). The cache only replays
 	// decisions whose inputs provably did not change, so results are
 	// bit-identical either way; this escape hatch exists for differential
 	// testing and benchmarking, not correctness.
@@ -300,33 +301,25 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: worker count must be ≥ 0 (0 = no pool)")
 	}
 	// The router's allocator and route cache keep per-port request/match/
-	// epoch state in single uint64 bitsets, so both the port count and the
-	// per-port VC count are capped at 64. Far beyond the paper's radices
+	// read-set state in single uint64 bitsets, so both the port count and
+	// the per-port VC count are capped at 64. Far beyond the paper's radices
 	// (h=6 ⇒ 23 ports), but guard it explicitly.
-	{
-		nPorts := c.P + c.A - 1 + c.H
-		if c.Ring == RingPhysical {
-			nPorts += c.NumRings
-		}
-		if nPorts > 64 {
-			return fmt.Errorf("network: router radix %d exceeds 64 ports (allocator bitset limit)", nPorts)
-		}
-		maxVCs := c.LocalVCs
-		if c.GlobalVCs > maxVCs {
-			maxVCs = c.GlobalVCs
-		}
-		if c.InjVCs > maxVCs {
-			maxVCs = c.InjVCs
-		}
-		if c.Ring == RingPhysical && c.RingVCs > maxVCs {
-			maxVCs = c.RingVCs
-		}
-		if c.Ring == RingEmbedded {
-			maxVCs += c.NumRings // embedded rings add escape VCs to canonical links
-		}
-		if maxVCs > 64 {
-			return fmt.Errorf("network: %d VCs on one port exceeds 64 (allocator bitset limit)", maxVCs)
-		}
+	nPorts := c.P + c.A - 1 + c.H
+	if c.Ring == RingPhysical {
+		nPorts += c.NumRings
+	}
+	if nPorts > 64 {
+		return fmt.Errorf("network: router radix %d exceeds 64 ports (allocator bitset limit)", nPorts)
+	}
+	maxVCs := max(c.LocalVCs, c.GlobalVCs, c.InjVCs)
+	if c.Ring == RingPhysical {
+		maxVCs = max(maxVCs, c.RingVCs)
+	}
+	if c.Ring == RingEmbedded {
+		maxVCs += c.NumRings // embedded rings add escape VCs to canonical links
+	}
+	if maxVCs > 64 {
+		return fmt.Errorf("network: %d VCs on one port exceeds 64 (allocator bitset limit)", maxVCs)
 	}
 	if c.Ring != RingNone {
 		if c.NumRings < 1 {
@@ -344,10 +337,6 @@ func (c *Config) Validate() error {
 	}
 	if len(c.Faults) > 0 {
 		routers := c.numGroups() * c.A
-		nPorts := c.P + c.A - 1 + c.H
-		if c.Ring == RingPhysical {
-			nPorts += c.NumRings
-		}
 		for i, f := range c.Faults {
 			switch {
 			case f.Cycle < 0:
@@ -369,6 +358,9 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("network: PAR needs 4 local/injection VCs for its extra source-group hop (have %d/%d)", c.LocalVCs, c.InjVCs)
 		}
 	case OFAR, OFARL:
+		if err := c.OFAR.Validate(); err != nil {
+			return fmt.Errorf("network: %s: %w", c.Routing, err)
+		}
 		if c.Ring == RingNone && c.OFAR.EscapeTimeout >= 0 {
 			return fmt.Errorf("network: %s requires an escape ring (or EscapeTimeout < 0 to explicitly run unprotected)", c.Routing)
 		}

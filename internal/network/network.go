@@ -169,13 +169,12 @@ type Network struct {
 	deadNode   []bool
 
 	// Who walks the groups. With Config.Workers > 1 the network owns a
-	// persistent worker pool (see pool.go) of `workers` participants with
-	// per-worker engines (clones when the engine carries scratch state); a
-	// window goes to the pool when the network has at least `cutover` routers
-	// (see pooled) and is walked by the caller otherwise. workerPool is nil
-	// on Workers <= 1 networks and after Close.
+	// persistent worker pool (see pool.go) of `workers` participants, all
+	// sharing the stateless Engine; a window goes to the pool when the
+	// network has at least `cutover` routers (see pooled) and is walked by
+	// the caller otherwise. workerPool is nil on Workers <= 1 networks and
+	// after Close.
 	workers    int
-	workerEng  []router.Engine
 	workerPool *stepPool
 	cutover    int
 
@@ -372,11 +371,11 @@ func New(cfg Config) (*Network, error) {
 	// instead of ~a·(2+ports·(4+vcs)) scattered heap objects, and not a byte
 	// more.
 	//
-	// An engine that can report its Route read sets lets the routers memoize
-	// decisions (Validate guarantees ≤ 64 ports). PAR mutates packet headers
-	// mid-Route and stays uncached.
-	_, cacheable := n.Engine.(router.CacheableEngine)
-	cacheOn := cacheable && !cfg.DisableRouteCache
+	// Every engine records its Route read sets on the router, so the routers
+	// memoize decisions unless the config says not to (Validate guarantees
+	// ≤ 64 ports). A call that notes no expiry — every PAR call — is never
+	// replayed.
+	cacheOn := !cfg.DisableRouteCache
 	params := func(r int) router.Params {
 		ports := make([]router.PortSpec, nPorts)
 		for port := 0; port < topo.RouterPorts; port++ {
@@ -512,16 +511,6 @@ func New(cfg Config) (*Network, error) {
 	n.deriveLookahead()
 	n.workers = cfg.PoolWidth()
 	if n.workers > 1 {
-		n.workerEng = make([]router.Engine, n.workers)
-		n.workerEng[0] = n.Engine
-		for w := 1; w < n.workers; w++ {
-			if c, ok := n.Engine.(router.ConcurrentCloner); ok {
-				n.workerEng[w] = c.CloneForWorker()
-			} else {
-				// Stateless engines (all baselines) are shared.
-				n.workerEng[w] = n.Engine
-			}
-		}
 		n.cutover = autoCutover(n.workers)
 		n.startPool(n.workers)
 	}
@@ -640,7 +629,7 @@ func (n *Network) window(left int) int {
 		n.runShards()
 	} else {
 		for g := range n.gs {
-			n.runGroup(g, n.Engine)
+			n.runGroup(g)
 		}
 	}
 	n.merge()
@@ -650,12 +639,12 @@ func (n *Network) window(left int) int {
 	return w
 }
 
-// runGroup walks group g through the window with the walker's engine: each
-// cycle its events (the shared wheel's, then its own), generation, PB flags
-// and router stage. Everything it writes is owned by the group — its
-// routers, queues, traffic stream, packet pool and scratch — except the
-// utilization counters of its own routers' ports.
-func (n *Network) runGroup(g int, eng router.Engine) {
+// runGroup walks group g through the window: each cycle its events (the
+// shared wheel's, then its own), generation, PB flags and router stage.
+// Everything it writes is owned by the group — its routers, queues, traffic
+// stream, packet pool and scratch — except the utilization counters of its
+// own routers' ports.
+func (n *Network) runGroup(g int) {
 	s := &n.gs[g]
 	for k := 0; k <= n.win; k++ {
 		m := &s.marks[k]
@@ -678,7 +667,7 @@ func (n *Network) runGroup(g int, eng router.Engine) {
 		}
 		t = lap(&s.ph.Events, t)
 		if n.gen != nil {
-			n.generateGroup(g, eng, now)
+			n.generateGroup(g, now)
 			t = lap(&s.ph.Generate, t)
 		}
 		if n.usePB {
@@ -686,7 +675,7 @@ func (n *Network) runGroup(g int, eng router.Engine) {
 			t = lap(&s.ph.PB, t)
 		}
 		m.outR = int32(len(s.out))
-		n.cycleGroup(s, g, k, eng, now)
+		n.cycleGroup(s, g, k, now)
 		lap(&s.ph.Routers, t)
 	}
 }
@@ -954,7 +943,7 @@ func (n *Network) handle(s *groupScratch, g, k int, ev event, idx int32, now int
 // group pool in the same node order; injection touches pending queues,
 // routers and the router RNG in the same ascending node order — a node with
 // an empty queue did nothing there, which is all the bitset skips.
-func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
+func (n *Network) generateGroup(g int, now int64) {
 	topo := n.Topo
 	rng := n.trafficRNG[g]
 	sh := &n.gs[g]
@@ -1014,7 +1003,7 @@ func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
 				pq.pop()
 				sh.setPend(node-lo, pq.len() > 0)
 				r.Inject(port, vc, p, now)
-				eng.AtInjection(r, p, now)
+				n.Engine.AtInjection(r, p, now)
 				sh.injected++
 			}
 		}
@@ -1030,13 +1019,13 @@ func (s *groupState) setPend(i int, on bool) {
 	}
 }
 
-// cycleGroup runs one group's router stage: Cycle each of its routers with
-// the walker's engine, schedule each grant's events, count it, and log its
-// observable half when the merge needs it.
-func (n *Network) cycleGroup(s *groupScratch, g, k int, eng router.Engine, now int64) {
+// cycleGroup runs one group's router stage: Cycle each of its routers,
+// schedule each grant's events, count it, and log its observable half when
+// the merge needs it.
+func (n *Network) cycleGroup(s *groupScratch, g, k int, now int64) {
 	lo := g * n.groupSize
 	for _, r := range n.Routers[lo : lo+n.groupSize] {
-		grants := r.Cycle(eng, now)
+		grants := r.Cycle(n.Engine, now)
 		for j := range grants {
 			gr := &grants[j]
 			p, req := gr.Pkt, &gr.Req

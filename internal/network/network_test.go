@@ -48,6 +48,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Ring = RingPhysical; c.NumRings = 0 },
 		func(c *Config) { c.Ring = RingPhysical; c.RingBuf = 8 }, // < 2 packets
 		func(c *Config) { c.Routing = OFAR; c.Ring = RingNone },
+		func(c *Config) { c.OFAR.NonMinFactor, c.OFAR.StaticNonMin = 0, -1 },                     // no misroute threshold
+		func(c *Config) { c.Routing = OFARL; c.OFAR.NonMinFactor, c.OFAR.StaticNonMin = -1, -1 }, // nor for OFAR-L
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig(2)

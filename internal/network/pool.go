@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-
-	"ofar/internal/router"
 )
 
 // stepPool is the persistent worker pool that walks the groups of a window
@@ -26,10 +24,10 @@ import (
 //     bumps the epoch under the dispatch mutex and broadcasts; the window is
 //     already published in the network. Nothing is allocated.
 //  2. steal    — every participant claims whole groups via an atomic cursor
-//     and walks each with its own engine. Which worker takes which group is
-//     unobservable: a walk writes only group-owned state and the group's
-//     logs, and engine clones are behaviorally identical
-//     (router.ConcurrentCloner).
+//     and walks each. Which worker takes which group is unobservable: a walk
+//     writes only group-owned state and the group's logs, and the routing
+//     engine is stateless (a Route call records its read set on the
+//     group-owned router), so every worker shares n.Engine.
 //  3. join     — each parked worker decrements pending when the cursor runs
 //     dry; the last one records the epoch in doneEpoch and signals. The
 //     caller spins briefly, yields, then parks on the completion cond, and
@@ -58,8 +56,7 @@ type stepPool struct {
 }
 
 // startPool creates the pool and parks workers−1 goroutines on it. Worker 0
-// is the Run caller (it uses the primary engine, n.Engine == workerEng[0]);
-// goroutines w = 1..workers−1 use their per-worker engine clones.
+// is the Run caller; goroutines w = 1..workers−1 are the rest.
 func (n *Network) startPool(workers int) {
 	p := &stepPool{}
 	p.cond.L = &p.mu
@@ -79,7 +76,6 @@ func (n *Network) poolWorker(p *stepPool, w int) {
 	// profile samples of parked and computing pool workers show up under
 	// pool_worker=<w>.
 	pprof.Do(context.Background(), pprof.Labels("pool_worker", strconv.Itoa(w)), func(context.Context) {
-		eng := n.workerEng[w]
 		var seen uint64
 		for {
 			p.mu.Lock()
@@ -93,7 +89,7 @@ func (n *Network) poolWorker(p *stepPool, w int) {
 			seen = p.epoch
 			p.mu.Unlock()
 
-			n.groupShare(p, eng)
+			n.groupShare(p)
 
 			if p.pending.Add(-1) == 0 {
 				p.doneMu.Lock()
@@ -109,13 +105,13 @@ func (n *Network) poolWorker(p *stepPool, w int) {
 // walks each through the window. There are only G claims per window, so
 // cursor contention is negligible, and groups are the unit of ownership —
 // nothing finer is safe, nothing coarser balances.
-func (n *Network) groupShare(p *stepPool, eng router.Engine) {
+func (n *Network) groupShare(p *stepPool) {
 	for {
 		k := p.cursor.Add(1) - 1
 		if k >= int64(len(n.gs)) {
 			return
 		}
-		n.runGroup(int(k), eng)
+		n.runGroup(int(k))
 	}
 }
 
@@ -133,7 +129,7 @@ func (n *Network) runShards() {
 	p.mu.Unlock()
 	p.cond.Broadcast()
 
-	n.groupShare(p, n.Engine)
+	n.groupShare(p)
 	p.join(epoch)
 }
 

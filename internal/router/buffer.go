@@ -37,24 +37,23 @@ type VCBuffer struct {
 	occupied int // phits
 
 	// Route-cache entry for the current head packet (see Router.Cycle).
-	// Valid while cValid is set AND now < cExpire AND cMask (the decision's
-	// output-port read set) is disjoint from the dirty window the router
-	// presents at validation time. The cached Request itself lives in the
-	// router's reqs slot for this buffer (only a re-evaluation of this
-	// buffer overwrites it). cMin caches the engine's per-head anchor port
-	// (InCtx.MinHint) and survives dirty invalidation: it depends only on
-	// the head's identity, so only head replacement resets it.
+	// Valid while now < cExpire AND cMask (the decision's output-port read
+	// set) is disjoint from the dirty window the router presents at
+	// validation time; cExpire 0 marks no entry. The cached Request itself
+	// lives in the router's reqs slot for this buffer (only a re-evaluation
+	// of this buffer overwrites it). cMin caches the engine's per-head anchor
+	// port (InCtx.MinHint) and survives dirty invalidation: it depends only
+	// on the head's identity, so only head replacement resets it.
 	cMask   uint64
 	cExpire int64
 	cMin    int32
 	cOK     bool // the cached outcome: Route returned (request, true)
-	cValid  bool
 }
 
 // invalidateCache forgets the route-cache entry and the per-head anchor
 // hint. Called whenever the head packet changes identity.
 func (b *VCBuffer) invalidateCache() {
-	b.cValid = false
+	b.cExpire = 0
 	b.cMin = -1
 }
 

@@ -31,9 +31,9 @@ type InCtx struct {
 	Escape   bool // the buffer is an escape-ring channel
 	Ring     int  // escape ring index (-1 for canonical buffers)
 
-	// MinHint, when ≥ 0, is the engine's own per-head anchor port (the
-	// minPort value a previous RouteDeps reported for this exact head
-	// packet), cached by the router so the engine can skip recomputing the
+	// MinHint, when ≥ 0, is the engine's own per-head anchor port (the port
+	// a previous Route call on this exact head packet passed to NoteAnchor),
+	// cached by the router so the engine can skip recomputing the
 	// topology lookup. -1 when unknown. Purely an accelerator: the hinted
 	// value equals what the engine would compute, so decisions are
 	// identical with or without it.
@@ -49,6 +49,13 @@ type InCtx struct {
 // routable head-of-buffer packet ("the routing decision is revisited every
 // cycle as long as the packet remains in the queue head", §V); it returns
 // false when the packet must wait.
+//
+// Engines are stateless: one instance serves every router and every pool
+// worker. What a Route call read is recorded on the router being routed
+// (NoteRead, NoteExpiry, NoteAnchor) — routers are group-owned, so the
+// record is race-free — and the router's route cache replays the decision
+// while nothing recorded has changed. A call that notes no expiry is never
+// replayed.
 type Engine interface {
 	Name() string
 
@@ -58,47 +65,6 @@ type Engine interface {
 
 	// Route proposes an output for the head packet of the given input VC.
 	Route(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool)
-}
-
-// CacheableEngine is implemented by engines whose Route is a pure function
-// of (a) the head packet's header, (b) the current cycle, and (c) the state
-// of this router's output ports — credits, busy/dead status and escape-ring
-// reachability — and that can report exactly which ports a Route call read.
-// Such engines are eligible for the router's epoch-invalidated route cache:
-// the router memoizes the decision per buffer head and revalidates it with
-// per-port epoch counters instead of re-running Route every cycle.
-//
-// RouteDeps must be called immediately after Route with the same arguments
-// and reports that call's read set:
-//
-//   - mask: bit i set iff Route read any state of output port i. The router
-//     guarantees ≤ 64 output ports when it enables caching.
-//   - expire: the first cycle at which the decision could change through
-//     the passage of time alone (e.g. a blocked-cycles threshold being
-//     crossed); math.MaxInt64 when the decision is time-independent. Port
-//     busy deadlines need NOT be folded in — the router tracks busy→free
-//     transitions itself.
-//   - minPort: a per-head stable value (OFAR's minimal port, the baselines'
-//     committed next output) the router may hand back as InCtx.MinHint for
-//     later calls on the same head.
-//
-// Decisions that consumed randomness are never cached (the router watches
-// its RNG draw counter), so RouteDeps need not describe them precisely —
-// only the read set leading to the draw.
-type CacheableEngine interface {
-	Engine
-	RouteDeps(rt *Router, in InCtx, p *packet.Packet, now int64) (mask uint64, expire int64, minPort int32)
-}
-
-// ConcurrentCloner is implemented by engines that keep per-call scratch
-// state (candidate buffers and the like) and therefore cannot be shared
-// between worker goroutines of the parallel network engine. CloneForWorker
-// returns an engine that behaves identically to the receiver — routing
-// decisions must not depend on which clone computes them, or parallel runs
-// would diverge from serial ones. Engines without mutable state need not
-// implement the interface; they are shared across workers as-is.
-type ConcurrentCloner interface {
-	CloneForWorker() Engine
 }
 
 // Grant reports one committed crossbar transfer of a cycle.

@@ -120,6 +120,18 @@ func (op *OutPort) Credits(vc int) int { return op.credits[vc] }
 // VCCap returns the capacity of one downstream VC.
 func (op *OutPort) VCCap(vc int) int { return op.vcCap[vc] }
 
+// ClassVC is the hop-class VC rule every engine shares: the downstream VC is
+// the number of hops already taken, clamped to the port's VC count, and
+// ejection uses VC 0. The baselines and OFAR count global hops (locals
+// 0,1,2; globals 0,1); PAR counts local hops on local ports, which is why it
+// provisions a fourth local VC.
+func (op *OutPort) ClassVC(hops int) int {
+	if op.Kind == topology.PortNode {
+		return 0
+	}
+	return min(hops, len(op.credits)-1)
+}
+
 // EscapeRing returns the escape-ring index of a VC, or -1 for canonical VCs.
 func (op *OutPort) EscapeRing(vc int) int { return int(op.escRing[vc]) }
 

@@ -7,14 +7,15 @@ import (
 	"ofar/internal/packet"
 )
 
-// cacheScriptEngine is a scriptable CacheableEngine that counts Route calls
-// and records the MinHint each call received, so tests can pin exactly when
-// the route cache recomputes versus replays.
+// cacheScriptEngine is a scriptable engine that counts Route calls and
+// records the MinHint each call received, so tests can pin exactly when the
+// route cache recomputes versus replays. Every call records its read set
+// through deps before deciding.
 type cacheScriptEngine struct {
 	calls int
 	hints []int32
 	route func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool)
-	deps  func(rt *Router, in InCtx, p *packet.Packet, now int64) (uint64, int64, int32)
+	deps  func(rt *Router, now int64)
 }
 
 func (e *cacheScriptEngine) Name() string                               { return "cache-script" }
@@ -22,16 +23,16 @@ func (e *cacheScriptEngine) AtInjection(*Router, *packet.Packet, int64) {}
 func (e *cacheScriptEngine) Route(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
 	e.calls++
 	e.hints = append(e.hints, in.MinHint)
+	e.deps(rt, now)
 	return e.route(rt, in, p, now)
 }
-func (e *cacheScriptEngine) RouteDeps(rt *Router, in InCtx, p *packet.Packet, now int64) (uint64, int64, int32) {
-	return e.deps(rt, in, p, now)
-}
 
-// port2Deps reports a read set of output port 2 only, no time dependence,
+// port2Deps records a read set of output port 2 only, no time dependence,
 // with port 2 as the per-head anchor.
-func port2Deps(*Router, InCtx, *packet.Packet, int64) (uint64, int64, int32) {
-	return 1 << 2, math.MaxInt64, 2
+func port2Deps(rt *Router, _ int64) {
+	rt.NoteRead(2)
+	rt.NoteExpiry(math.MaxInt64)
+	rt.NoteAnchor(2)
 }
 
 // TestRouteCacheStableBlockedHead: a blocked head whose read set does not
@@ -220,8 +221,9 @@ func TestRouteCacheExpiry(t *testing.T) {
 	var pool packet.Pool
 	eng := &cacheScriptEngine{
 		route: func(*Router, InCtx, *packet.Packet, int64) (Request, bool) { return Request{}, false },
-		deps: func(_ *Router, _ InCtx, _ *packet.Packet, now int64) (uint64, int64, int32) {
-			return 1 << 2, now + 3, 2
+		deps: func(rt *Router, now int64) {
+			port2Deps(rt, now)
+			rt.NoteExpiry(now + 3)
 		},
 	}
 	push(r, 0, 0, &pool)
@@ -253,5 +255,25 @@ func TestRouteCacheFailOutputInvalidates(t *testing.T) {
 	r.Cycle(eng, 2)
 	if eng.calls != 2 {
 		t.Fatalf("FailOutput on a read port triggered %d evaluations, want a re-evaluation (calls=2)", eng.calls)
+	}
+}
+
+// TestRouteCacheNoExpiryNeverReplayed: a call that records reads but notes
+// no expiry is recomputed every cycle, however stable its read set — the
+// rule that keeps PAR, whose calls note none, uncached.
+func TestRouteCacheNoExpiryNeverReplayed(t *testing.T) {
+	r := testRouter(t, 1)
+	r.EnableRouteCache()
+	var pool packet.Pool
+	eng := &cacheScriptEngine{
+		route: func(*Router, InCtx, *packet.Packet, int64) (Request, bool) { return Request{}, false },
+		deps:  func(rt *Router, _ int64) { rt.NoteRead(2) },
+	}
+	push(r, 0, 0, &pool)
+	for now := int64(0); now < 4; now++ {
+		r.Cycle(eng, now)
+	}
+	if eng.calls != 4 {
+		t.Fatalf("expiry-less decision evaluated %d times over 4 cycles, want 4", eng.calls)
 	}
 }

@@ -142,9 +142,24 @@ type Router struct {
 	outBusy uint64
 	allOut  uint64
 
+	// rs is the read set of the engine.Route call in progress: formRequests
+	// resets it before every call and, with the cache on, stores it as the
+	// head's entry afterwards.
+	rs readSet
+
 	// arena backs late slice allocations (EnableRouteCache) with the same
 	// group slab the constructor used.
 	arena *Arena
+}
+
+// readSet is what one Route call recorded through NoteRead, NoteExpiry and
+// NoteAnchor: the output ports it read, the first cycle its decision may
+// change by time alone (0, never replayed, until the engine notes one) and
+// the per-head anchor port (-1 for none).
+type readSet struct {
+	mask   uint64
+	expire int64
+	anchor int32
 }
 
 // New builds a router from its parameter block.
@@ -239,12 +254,29 @@ func (r *Router) RandInt(n int) int {
 	return r.rng.Intn(n)
 }
 
+// NoteRead records that the Route call in progress read output port port's
+// state: credits, busy or dead status, escape-ring reachability. A cached
+// decision is replayed only while no port it read has changed.
+func (r *Router) NoteRead(port int) { r.rs.mask |= 1 << uint(port) }
+
+// NoteExpiry makes the Route call in progress replayable until cycle
+// (exclusive): the first cycle its decision may change by time alone, e.g. a
+// blocked-cycles threshold being crossed, or math.MaxInt64 when time cannot
+// change it. Busy deadlines need not be folded in; the router tracks
+// busy→free transitions itself. A call that notes no expiry is never
+// replayed, so an engine opts into the cache call by call.
+func (r *Router) NoteExpiry(cycle int64) { r.rs.expire = cycle }
+
+// NoteAnchor records a port that is fixed for the head being routed (OFAR's
+// minimal port, a baseline's committed output); later calls on the same head
+// receive it as InCtx.MinHint.
+func (r *Router) NoteAnchor(port int) { r.rs.anchor = int32(port) }
+
 // EnableRouteCache turns on dirty-mask-invalidated route memoization: one
 // entry per input VC (see formRequests). The network calls it once, after
-// construction, when the routing engine implements CacheableEngine and the
-// config allows caching. Runs are bit-identical with the cache on or off (see
-// TestRouteCacheDifferential); the cache only skips recomputation of
-// decisions whose inputs provably did not change.
+// construction, unless the config disables caching. Runs are bit-identical
+// with the cache on or off (see TestRouteCacheDifferential); the cache only
+// skips recomputation of decisions whose inputs provably did not change.
 func (r *Router) EnableRouteCache() {
 	if len(r.Out) > 64 {
 		panic("router: route cache requires <= 64 ports (enforced by config validation)")
@@ -669,22 +701,19 @@ func (r *Router) expireBusy(now int64) {
 // of input ports holding at least one request.
 //
 // A head is routed by engine.Route unless its buffer holds a valid cache
-// entry — cValid, expiry not reached, read set disjoint from the window — in
-// which case the request still in its reqs slot is replayed and the engine,
-// the Head() dereference and the BlockedSince stamp are all skipped. A valid
-// entry implies the same head: every change of head (a push onto an empty
-// buffer, FinishDrain, a fault drop) invalidates it, so BlockedSince was
-// stamped when the entry was made. A decision that drew randomness is never
-// stored.
+// entry — expiry not reached, read set disjoint from the window — in which
+// case the request still in its reqs slot is replayed and the engine, the
+// Head() dereference and the BlockedSince stamp are all skipped. The entry is
+// the read set the Route call recorded on the router (rs). A valid entry
+// implies the same head: every change of head (a push onto an empty buffer,
+// FinishDrain, a fault drop) invalidates it, so BlockedSince was stamped when
+// the entry was made. A decision that noted no expiry or drew randomness is
+// never replayed.
 //
 // A busy input port is not validated, so the window it skips is banked in
 // pendingDirty and joins the window of its first free cycle: an entry is
 // always checked against every invalidation since it was last checked.
 func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend uint64) {
-	var ce CacheableEngine
-	if r.cacheOn {
-		ce = engine.(CacheableEngine)
-	}
 	for pm := r.readyPorts; pm != 0; pm &= pm - 1 {
 		ip := bits.TrailingZeros64(pm)
 		inp := &r.In[ip]
@@ -704,7 +733,7 @@ func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend u
 		for m := inp.ready; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros64(m)
 			buf := &inp.VCs[vc]
-			if r.cacheOn && buf.cValid && now < buf.cExpire && buf.cMask&d == 0 {
+			if r.cacheOn && now < buf.cExpire && buf.cMask&d == 0 {
 				if buf.cOK { // replay: the reqs slot still holds the request
 					reqM |= 1 << uint(vc)
 				}
@@ -719,20 +748,16 @@ func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend u
 				Escape: buf.Escape, Ring: int(buf.Ring),
 				MinHint: buf.cMin,
 			}
+			r.rs = readSet{anchor: -1}
 			rngBefore := r.rngDraws
 			req, ok := engine.Route(r, in, p, now)
 			if r.cacheOn {
-				mask, expire, minPort := ce.RouteDeps(r, in, p, now)
-				buf.cMin = minPort // per-head anchor; survives invalidation
-				if r.rngDraws == rngBefore {
-					buf.cMask = mask
-					buf.cExpire = expire
-					buf.cOK = ok
-					buf.cValid = true
-				} else {
+				buf.cMin = r.rs.anchor // per-head anchor; survives invalidation
+				buf.cMask, buf.cExpire, buf.cOK = r.rs.mask, r.rs.expire, ok
+				if r.rngDraws != rngBefore {
 					// The decision consumed randomness; replaying it would
 					// skip the draws and desynchronize the RNG stream.
-					buf.cValid = false
+					buf.cExpire = 0
 				}
 			}
 			if ok {

@@ -84,15 +84,10 @@ func (e *UGAL) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
 	}
 }
 
-// Route implements router.Engine.
+// Route implements router.Engine. UGAL's adaptivity lives entirely in
+// AtInjection; in transit it is a fixed-path engine.
 func (e *UGAL) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
 	return routeFixed(e.d, rt, in, p, now)
-}
-
-// RouteDeps implements router.CacheableEngine (UGAL's adaptivity lives
-// entirely in AtInjection; in transit it is a fixed-path engine).
-func (e *UGAL) RouteDeps(rt *router.Router, in router.InCtx, p *packet.Packet, _ int64) (uint64, int64, int32) {
-	return fixedDeps(e.d, rt, in, p)
 }
 
 // PB is the Piggybacking mechanism (Jiang et al., ISCA 2009): UGAL-L
@@ -139,14 +134,9 @@ func (e *PB) AtInjection(rt *router.Router, p *packet.Packet, now int64) {
 	}
 }
 
-// Route implements router.Engine.
+// Route implements router.Engine. PB reads its congestion flags only at
+// injection time, never here, so the delayed FlagBoard view is in no read
+// set — in transit PB is a fixed-path engine.
 func (e *PB) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
 	return routeFixed(e.d, rt, in, p, now)
-}
-
-// RouteDeps implements router.CacheableEngine. PB reads its congestion
-// flags only at injection time, never in Route, so the delayed FlagBoard
-// view needs no epoch coverage — in transit PB is a fixed-path engine.
-func (e *PB) RouteDeps(rt *router.Router, in router.InCtx, p *packet.Packet, _ int64) (uint64, int64, int32) {
-	return fixedDeps(e.d, rt, in, p)
 }

@@ -44,7 +44,9 @@ func (e *PAR) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
 // Route implements router.Engine. While the packet is still in its source
 // group and committed to the minimal path, the decision is revisited with
 // the local queue state of the *current* router; switching to Valiant
-// mid-group is what distinguishes PAR from UGAL/PB.
+// mid-group is what distinguishes PAR from UGAL/PB. It notes no expiry, so
+// the route cache never replays it: the decision reads queue state it does
+// not record and may rewrite the header.
 func (e *PAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
 	if in.Kind == topology.PortLocal && // re-evaluation point: after a local hop
 		rt.Group == p.SrcGroup &&
@@ -60,28 +62,20 @@ func (e *PAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now in
 	if rt.OutBusy(out, now) {
 		return router.Request{}, false
 	}
-	vc := e.vcFor(e.d.PortKindOf(out), p, rt.Out[out].NumVCs())
+	vc := rt.Out[out].ClassVC(parHops(rt.Out[out].Kind, p))
 	if !rt.VCFits(out, vc, p.Size) {
 		return router.Request{}, false
 	}
 	return router.Request{Out: out, VC: vc}, true
 }
 
-// vcFor is PAR's ascending discipline: local hops consume one VC each in
-// order (the extra source-group hop is why PAR needs 4 local VCs), globals
-// use the shared 2-VC global order.
-func (e *PAR) vcFor(kind topology.PortKind, p *packet.Packet, numVCs int) int {
-	if kind == topology.PortNode {
-		return 0
+// parHops is the hop count PAR's ascending discipline classes a hop on a
+// port of the given kind by: local hops consume one VC each in order (the
+// extra source-group hop is why PAR needs 4 local VCs), globals use the
+// shared 2-VC global order.
+func parHops(kind topology.PortKind, p *packet.Packet) int {
+	if kind == topology.PortLocal {
+		return p.LocalHops
 	}
-	var vc int
-	if kind == topology.PortGlobal {
-		vc = p.GlobalHops
-	} else {
-		vc = p.LocalHops
-	}
-	if vc >= numVCs {
-		vc = numVCs - 1
-	}
-	return vc
+	return p.GlobalHops
 }

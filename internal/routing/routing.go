@@ -14,20 +14,6 @@ import (
 	"ofar/internal/topology"
 )
 
-// vcFor returns the deadlock-free VC for the next hop under the ascending
-// VC discipline: every hop uses VC index = number of global hops already
-// taken (locals: 0,1,2; globals: 0,1). Ejection uses VC 0.
-func vcFor(kind topology.PortKind, p *packet.Packet, numVCs int) int {
-	if kind == topology.PortNode {
-		return 0
-	}
-	vc := p.GlobalHops
-	if vc >= numVCs {
-		vc = numVCs - 1
-	}
-	return vc
-}
-
 // nextOut returns the output port on the committed path of a baseline
 // packet: toward the Valiant intermediate group while one is pending,
 // minimal afterwards.
@@ -38,40 +24,28 @@ func nextOut(d *topology.Dragonfly, r int, p *packet.Packet) int {
 	return d.MinimalPort(r, p.Dst)
 }
 
-// fixedOut resolves the committed output port of a baseline packet, using
-// the router's cached per-head hint (router.InCtx.MinHint) to skip the
-// topology lookup when available. The hint is safe because everything
-// nextOut reads — the packet's Valiant state and this router's group — is
-// fixed while the packet sits at a buffer head.
-func fixedOut(d *topology.Dragonfly, rt *router.Router, in router.InCtx, p *packet.Packet) int {
-	if in.MinHint >= 0 {
-		return int(in.MinHint)
-	}
-	return nextOut(d, rt.ID, p)
-}
-
 // routeFixed implements Route for every baseline: follow the committed path,
-// wait when the required port/VC cannot accept the packet.
+// wait when the required port/VC cannot accept the packet. The decision
+// reads only the committed port and time cannot change it. The port is also
+// the per-head anchor: everything nextOut reads — the packet's Valiant state
+// and this router's group — is fixed while the packet sits at a buffer head,
+// so the router's hint (router.InCtx.MinHint) skips the topology lookup.
 func routeFixed(d *topology.Dragonfly, rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
-	out := fixedOut(d, rt, in, p)
+	out := int(in.MinHint)
+	if out < 0 {
+		out = nextOut(d, rt.ID, p)
+	}
+	rt.NoteRead(out)
+	rt.NoteExpiry(math.MaxInt64)
+	rt.NoteAnchor(out)
 	if rt.OutBusy(out, now) {
 		return router.Request{}, false
 	}
-	vc := vcFor(d.PortKindOf(out), p, rt.Out[out].NumVCs())
+	vc := rt.Out[out].ClassVC(p.GlobalHops)
 	if !rt.VCFits(out, vc, p.Size) {
 		return router.Request{}, false
 	}
 	return router.Request{Out: out, VC: vc}, true
-}
-
-// fixedDeps implements router.CacheableEngine's RouteDeps for the fixed-path
-// baselines. The engines are stateless and shared across pool workers, so
-// rather than recording reads during Route they re-derive them here: the
-// only output port routeFixed consults is the committed one, the decision is
-// time-independent, and the committed port doubles as the per-head anchor.
-func fixedDeps(d *topology.Dragonfly, rt *router.Router, in router.InCtx, p *packet.Packet) (uint64, int64, int32) {
-	out := fixedOut(d, rt, in, p)
-	return 1 << uint(out), math.MaxInt64, int32(out)
 }
 
 // pickIntermediate selects a random intermediate group different from both
@@ -119,11 +93,6 @@ func (e *Minimal) Route(rt *router.Router, in router.InCtx, p *packet.Packet, no
 	return routeFixed(e.d, rt, in, p, now)
 }
 
-// RouteDeps implements router.CacheableEngine.
-func (e *Minimal) RouteDeps(rt *router.Router, in router.InCtx, p *packet.Packet, _ int64) (uint64, int64, int32) {
-	return fixedDeps(e.d, rt, in, p)
-}
-
 // Valiant is the VAL mechanism: every packet visits a random intermediate
 // group before traveling minimally to its destination.
 type Valiant struct{ d *topology.Dragonfly }
@@ -142,9 +111,4 @@ func (e *Valiant) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
 // Route implements router.Engine.
 func (e *Valiant) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
 	return routeFixed(e.d, rt, in, p, now)
-}
-
-// RouteDeps implements router.CacheableEngine.
-func (e *Valiant) RouteDeps(rt *router.Router, in router.InCtx, p *packet.Packet, _ int64) (uint64, int64, int32) {
-	return fixedDeps(e.d, rt, in, p)
 }

@@ -49,9 +49,21 @@ func newPkt(d *topology.Dragonfly, src, dst int) *packet.Packet {
 	return p
 }
 
+// outPort returns a lone output port of the given kind with numVCs
+// downstream VCs of 32 phits.
+func outPort(kind topology.PortKind, numVCs int) *router.OutPort {
+	d, _ := topology.New(2, 4, 2, 0)
+	caps := make([]int, numVCs)
+	for i := range caps {
+		caps[i] = 32
+	}
+	rt := router.New(router.Params{Topo: d, PktSize: 8, Ports: []router.PortSpec{{Kind: kind, OutCaps: caps}}})
+	return &rt.Out[0]
+}
+
+// TestVCForDiscipline: the baselines' ascending VC order through the shared
+// rule — the VC is the global hops taken, clamped; ejection uses VC 0.
 func TestVCForDiscipline(t *testing.T) {
-	p := &packet.Packet{}
-	p.Reset()
 	cases := []struct {
 		kind   topology.PortKind
 		ghops  int
@@ -67,9 +79,8 @@ func TestVCForDiscipline(t *testing.T) {
 		{topology.PortNode, 2, 1, 0},
 	}
 	for _, c := range cases {
-		p.GlobalHops = c.ghops
-		if got := vcFor(c.kind, p, c.numVCs); got != c.wantVC {
-			t.Errorf("vcFor(%v, ghops=%d) = %d, want %d", c.kind, c.ghops, got, c.wantVC)
+		if got := outPort(c.kind, c.numVCs).ClassVC(c.ghops); got != c.wantVC {
+			t.Errorf("ClassVC(%v, ghops=%d) = %d, want %d", c.kind, c.ghops, got, c.wantVC)
 		}
 	}
 }
@@ -342,18 +353,20 @@ func TestPARNoDivertAfterGlobalHop(t *testing.T) {
 
 func TestPARVCDiscipline(t *testing.T) {
 	d, _ := topology.New(2, 4, 2, 0)
-	e := NewPAR(d, DefaultAdaptiveConfig())
 	p := newPkt(d, 0, d.Nodes-1)
+	vcFor := func(kind topology.PortKind, numVCs int) int {
+		return outPort(kind, numVCs).ClassVC(parHops(kind, p))
+	}
 	p.LocalHops = 1
-	if vc := e.vcFor(topology.PortLocal, p, 4); vc != 1 {
+	if vc := vcFor(topology.PortLocal, 4); vc != 1 {
 		t.Errorf("second local hop vc=%d want 1", vc)
 	}
 	p.LocalHops = 3
-	if vc := e.vcFor(topology.PortLocal, p, 4); vc != 3 {
+	if vc := vcFor(topology.PortLocal, 4); vc != 3 {
 		t.Errorf("fourth local hop vc=%d want 3", vc)
 	}
 	p.GlobalHops = 1
-	if vc := e.vcFor(topology.PortGlobal, p, 2); vc != 1 {
+	if vc := vcFor(topology.PortGlobal, 2); vc != 1 {
 		t.Errorf("second global hop vc=%d want 1", vc)
 	}
 }

@@ -424,6 +424,31 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestBadOFARPolicyRejected: an OFAR policy with no usable non-minimal
+// threshold is the client's error — 400 with the reason — and never reaches
+// a simulation, so no panic is counted.
+func TestBadOFARPolicyRejected(t *testing.T) {
+	srv, ts := startServer(t, Options{})
+	cfg := testConfig()
+	cfg.OFAR.NonMinFactor, cfg.OFAR.StaticNonMin = 0, -1
+	body, err := json.Marshal(Request{Config: &cfg, Loads: []float64{0.1}, Warmup: 100, Measure: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(reply), "no usable non-minimal threshold") {
+		t.Errorf("HTTP %d %s; want 400 naming the policy error", resp.StatusCode, reply)
+	}
+	if got := srv.met.panicked.Load(); got != 0 {
+		t.Errorf("sim_panics %d, want 0", got)
+	}
+}
+
 // TestServerShorthandRequest exercises the h/routing/pattern shorthand the
 // CLI and curl examples use, including the baseline ring-drop convention.
 func TestServerShorthandRequest(t *testing.T) {
