@@ -334,13 +334,13 @@ func RunBurst(cfg Config, ps PatternSpec, perNode, maxCycles int) (BurstResult, 
 	defer n.Close()
 	pattern := ps.build(n.Topo)
 	n.SetGenerator(traffic.NewBurst(pattern, perNode, n.Topo.Nodes))
-	drained := n.RunUntilDrained(maxCycles)
+	cycles, drained := n.RunUntilDrained(maxCycles)
 	res := BurstResult{
 		Routing:   cfg.Routing,
 		Pattern:   pattern.Name(),
 		PerNode:   perNode,
 		Packets:   n.Stats.Delivered,
-		Cycles:    n.Now(),
+		Cycles:    cycles,
 		Drained:   drained,
 		RingUse:   n.Stats.RingEnters,
 		GlobalMis: n.Stats.GlobalMisroutes,

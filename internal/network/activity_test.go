@@ -55,7 +55,7 @@ func TestIdleCycleIsPure(t *testing.T) {
 			requireIdlePurity(t, n)
 
 			n.SetGenerator(traffic.NewBurst(traffic.NewUniform(n.Topo), 3, n.Topo.Nodes))
-			if !n.RunUntilDrained(200000) {
+			if _, ok := n.RunUntilDrained(200000); !ok {
 				t.Fatalf("burst not drained: %d/%d", n.Stats.Delivered, n.Stats.Generated)
 			}
 			// Let straggler credit events land so the network is quiescent.
@@ -79,7 +79,7 @@ func TestActiveSetTracksLoad(t *testing.T) {
 	if got := n.ActiveRouters(); got == 0 {
 		t.Fatal("no routers active with a burst in flight")
 	}
-	if !n.RunUntilDrained(200000) {
+	if _, ok := n.RunUntilDrained(200000); !ok {
 		t.Fatalf("burst not drained: %d/%d", n.Stats.Delivered, n.Stats.Generated)
 	}
 	n.Run(cfg.GlobalLatency + cfg.PacketSize + 2)

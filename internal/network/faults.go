@@ -242,6 +242,7 @@ func (n *Network) spliceRing(j, w int) {
 // packet returns to the pool.
 func (n *Network) dropPacket(p *packet.Packet, now int64) {
 	n.Stats.Dropped++
+	n.settled = now
 	n.Stats.NoteAffectedFlow(p.Src, p.Dst)
 	if p.Job >= 0 {
 		n.Stats.JobDropped(int(p.Job))

@@ -9,8 +9,8 @@ import (
 	"ofar/internal/traffic"
 )
 
-// perNodeOnly hides a source's NextRange (and its GroupLocal marker), leaving
-// the per-node contract: the network must then draw through Next.
+// perNodeOnly hides a source's NextRange, leaving the per-node contract: the
+// network must then draw through Next.
 type perNodeOnly struct{ traffic.Generator }
 
 // TestRangedDrawMatchesPerNodeDraw: a network drawing through NextRange and
@@ -108,11 +108,26 @@ func TestDrainedWithoutGenerator(t *testing.T) {
 	if !n.Drained() {
 		t.Fatal("fresh network without a generator is not drained")
 	}
-	if !n.RunUntilDrained(10) || n.Now() != 0 {
-		t.Fatalf("RunUntilDrained stepped a drained network to cycle %d", n.Now())
+	if at, ok := n.RunUntilDrained(10); !ok || at != 0 || n.Now() != 0 {
+		t.Fatalf("RunUntilDrained stepped a drained network to cycle %d (drain cycle %d)", n.Now(), at)
 	}
 	n.Stats.Generated++ // an outstanding packet
 	if n.Drained() {
 		t.Fatal("network with an outstanding packet reports drained")
+	}
+}
+
+// TestRunUntilDrainedOnDrainedBurst: a burst drains at or before the cycle
+// its last window ran to; asked again, the drained network does not step and
+// reports the cycle it stands at.
+func TestRunUntilDrainedOnDrainedBurst(t *testing.T) {
+	n := mustNet(t, testConfig(OFAR))
+	n.SetGenerator(traffic.NewBurst(traffic.NewUniform(n.Topo), 2, n.Topo.Nodes))
+	if at, ok := n.RunUntilDrained(200000); !ok || at > n.Now() {
+		t.Fatalf("drained=%v at cycle %d, network at %d", ok, at, n.Now())
+	}
+	now := n.Now()
+	if at, ok := n.RunUntilDrained(200000); !ok || at != now || n.Now() != now {
+		t.Fatalf("drained network: RunUntilDrained stepped from %d to %d (drain cycle %d)", now, n.Now(), at)
 	}
 }

@@ -150,11 +150,11 @@ type Network struct {
 	trafficRNG []*simcore.RNG
 	pending    []pqueue
 	gen        traffic.Generator
-	genLocal   bool // generator implements traffic.GroupLocalGenerator
-	groupNodes int  // nodes per group (Topo.P * Topo.A)
+	groupNodes int // nodes per group (Topo.P * Topo.A)
 	now        int64
 	usePB      bool
 	inFlight   int
+	settled    int64 // cycle of the last delivery or drop (see RunUntilDrained)
 
 	congestionOn bool
 	congestionTh float64
@@ -470,14 +470,7 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 
-	horizon := cfg.GlobalLatency
-	if cfg.LocalLatency > horizon {
-		horizon = cfg.LocalLatency
-	}
-	if cfg.PacketSize > horizon {
-		horizon = cfg.PacketSize
-	}
-	n.wheel = simcore.NewWheel[event](horizon + 2)
+	n.wheel = simcore.NewWheel[event](max(cfg.GlobalLatency, cfg.LocalLatency, cfg.PacketSize) + 2)
 	n.pending = make([]pqueue, topo.Nodes)
 	n.Stats = stats.NewRun(topo.Nodes, cfg.PacketSize)
 	if cfg.Congestion.Enabled {
@@ -537,10 +530,9 @@ func autoCutover(workers int) int {
 }
 
 // pooled reports whether the pool steals the window's groups: not on a tiny
-// network or one the cutover pins to the caller, and never under a source
-// that is not group-local (traffic.GroupLocalGenerator).
+// network or one the cutover pins to the caller.
 func (n *Network) pooled() bool {
-	return n.workerPool != nil && len(n.Routers) >= n.cutover && (n.gen == nil || n.genLocal)
+	return n.workerPool != nil && len(n.Routers) >= n.cutover
 }
 
 // SetGenerator attaches the traffic source. A job-aware source additionally
@@ -548,7 +540,6 @@ func (n *Network) pooled() bool {
 // every generated packet; attaching a plain generator clears both.
 func (n *Network) SetGenerator(g traffic.Generator) {
 	n.gen = g
-	_, n.genLocal = g.(traffic.GroupLocalGenerator)
 	n.jobOf = nil
 	if ja, ok := g.(traffic.JobAware); ok {
 		n.jobOf = make([]int32, n.Topo.Nodes)
@@ -586,7 +577,7 @@ func (n *Network) Step() { n.Run(1) }
 // runs every cycle of the window while its state is cache-hot, and the merge
 // commits everything shared in the serial order of one cycle at a time. A
 // window ends at the next scheduled fault, and is one cycle long while a
-// router is dead or under a source that is not group-local.
+// router is dead.
 func (n *Network) Run(cycles int) {
 	for cycles > 0 {
 		cycles -= n.window(cycles)
@@ -606,9 +597,6 @@ func (n *Network) window(left int) int {
 	w := min(left, n.lookahead)
 	if n.faultIdx < len(n.faults) {
 		w = min(w, int(n.faults[n.faultIdx].Cycle-n.now))
-	}
-	if n.gen != nil && !n.genLocal {
-		w = 1
 	}
 	n.win, n.logGrants = w, n.digestOn || n.traceEvery > 0 || n.faultIdx > 0
 
@@ -753,16 +741,21 @@ func (n *Network) Drained() bool {
 	return (n.gen == nil || n.gen.Done()) && n.Stats.Generated == n.Stats.Delivered+n.Stats.Dropped
 }
 
-// RunUntilDrained steps until the generator is exhausted and every packet
-// has been delivered, or maxCycles elapse. It returns true when drained.
-func (n *Network) RunUntilDrained(maxCycles int) bool {
-	for i := 0; i < maxCycles; i++ {
-		if n.Drained() {
-			return true
+// RunUntilDrained runs windows until the source is exhausted and every
+// packet delivered or dropped, or maxCycles elapse. It returns the drain
+// cycle — where stepping a cycle at a time stops: one past the last delivery
+// or drop (docs/ARCHITECTURE.md, "Running to the drain") — and true, or the
+// cycle reached and false.
+func (n *Network) RunUntilDrained(maxCycles int) (int64, bool) {
+	end, at := n.now+int64(maxCycles), n.now
+	for !n.Drained() {
+		if n.now >= end {
+			return n.now, false
 		}
-		n.Step()
+		n.window(int(end - n.now))
+		at = n.settled + 1
 	}
-	return n.Drained()
+	return at, true
 }
 
 // Trace is the recorded journey of one packet.
@@ -1155,6 +1148,7 @@ func (n *Network) mergeEffects(fx []fxRec, now int64) {
 			n.fold(1, now, int64(p.Src), int64(p.Dst), p.Born, p.Injected)
 		}
 		n.Stats.OnDeliver(p.Born, p.Injected, now, p.TotalHops, p.RingHops)
+		n.settled = now
 		if p.Job >= 0 {
 			n.Stats.JobDelivered(int(p.Job), now-p.Born)
 		}
@@ -1174,6 +1168,7 @@ func (n *Network) commitGen(rec *genRec, now int64) {
 		// conservation holds without a packet.
 		n.Stats.Generated++
 		n.Stats.Dropped++
+		n.settled = now
 		n.Stats.NoteAffectedFlow(int(rec.node), int(rec.dst))
 		if n.jobOf != nil {
 			j := int(n.jobOf[rec.node])

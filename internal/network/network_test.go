@@ -140,7 +140,7 @@ func TestDeliveryToCorrectNode(t *testing.T) {
 	cfg := testConfig(OFAR)
 	n := mustNet(t, cfg)
 	n.SetGenerator(traffic.NewBurst(traffic.NewAdv(n.Topo, 1), 5, n.Topo.Nodes))
-	if !n.RunUntilDrained(200000) {
+	if _, ok := n.RunUntilDrained(200000); !ok {
 		t.Fatalf("burst not drained: %d/%d", n.Stats.Delivered, n.Stats.Generated)
 	}
 	if err := n.CheckConservation(); err != nil {

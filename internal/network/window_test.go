@@ -90,8 +90,9 @@ func checkWindowsMatchStep(t *testing.T, c windowCase, chunks []int) {
 // field and the snapshot image. The matrix is h ∈ {2, 3, 6} × all seven
 // routings × loads {0.05, 0.5, 0.9}; -short keeps h=2, which still walks the
 // pool's window path under the race detector. The extra cases take the
-// windows through faults, one-cycle windows (Burst and JobSet sources),
-// partial and embedded-ring networks and every observer.
+// windows through faults (one-cycle windows after a router dies), Burst and
+// JobSet sources (full windows, on the caller and on the pool), partial and
+// embedded-ring networks and every observer.
 func TestRunWindowsMatchStep(t *testing.T) {
 	L := DefaultConfig(2).GlobalLatency
 	chunks := []int{1, 7, L - 1, L, L + 1, 500}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,6 +21,30 @@ const (
 	maxCycles = 10_000_000
 	// maxWorkers bounds the per-network pool width a request may demand.
 	maxWorkers = 64
+
+	// The size caps bound what network.New allocates for a request's config:
+	// an out-of-memory is fatal, beyond the reach of the per-point recover.
+	// Each sits far above every shipped configuration.
+	//
+	// maxRadix bounds the per-router counts (nodes, routers per group, global
+	// links, rings, VCs per port), as Validate bounds the radix, before any
+	// product of them is formed.
+	maxRadix = 64
+	// maxRouters is the h=8 default's router count, the largest the h
+	// shorthand builds.
+	maxRouters = 2064
+	// maxBufPhits bounds every VC FIFO, and with it the packet size: 16× the
+	// paper's deepest FIFO (256-phit global).
+	maxBufPhits = 4096
+	// maxLatency bounds both link latencies, from which the event wheel and
+	// every group's window ring and marks are sized: 40× the paper's
+	// 100-cycle global links.
+	maxLatency = 4096
+	// maxQueueSlots bounds the packet slots the routers carve for their VC
+	// queues (a FIFO of B phits holds B/PacketSize+1), counted as if every
+	// port had the most VCs and the deepest FIFO: 3× the h=8 default with two
+	// embedded rings (10.6M).
+	maxQueueSlots = 1 << 25
 )
 
 // decodeRequest parses a sweep body and resolves it under the service's caps.
@@ -64,10 +89,34 @@ func resolveBounded(req Request, maxLoads int) (ofar.Resolved, error) {
 	if r.Warmup < 0 || r.Measure < 1 {
 		return r, fmt.Errorf("warmup/measure must be ≥ 0 / ≥ 1")
 	}
-	if r.Warmup+r.Measure > maxCycles {
-		return r, fmt.Errorf("warmup+measure %d exceeds the service cap %d cycles", r.Warmup+r.Measure, maxCycles)
+	if r.Warmup > maxCycles || r.Measure > maxCycles-r.Warmup { // the sum may overflow
+		return r, fmt.Errorf("warmup %d + measure %d exceeds the service cap %d cycles", r.Warmup, r.Measure, maxCycles)
 	}
-	return r, nil
+	return r, boundSize(&r.Config)
+}
+
+// boundSize applies the size caps to a validated config.
+func boundSize(c *ofar.Config) error {
+	if max(c.P, c.A, c.H, c.NumRings, c.LocalVCs, c.GlobalVCs, c.InjVCs, c.RingVCs) > maxRadix {
+		return fmt.Errorf("p/a/h, ring and VC counts are capped at %d", maxRadix)
+	}
+	routers := cmp.Or(c.Groups, c.A*c.H+1) * c.A
+	if routers > maxRouters {
+		return fmt.Errorf("%d routers exceed the service cap %d", routers, maxRouters)
+	}
+	buf := max(c.LocalBuf, c.GlobalBuf, c.InjBuf, c.RingBuf)
+	if buf > maxBufPhits {
+		return fmt.Errorf("a %d-phit FIFO exceeds the service cap %d phits", buf, maxBufPhits)
+	}
+	if lat := max(c.LocalLatency, c.GlobalLatency); lat > maxLatency {
+		return fmt.Errorf("a %d-cycle link exceeds the service cap %d cycles", lat, maxLatency)
+	}
+	ports := c.P + c.A - 1 + c.H + c.NumRings
+	vcs := max(c.LocalVCs, c.GlobalVCs, c.InjVCs, c.RingVCs) + c.NumRings
+	if slots := routers * ports * vcs * (buf/c.PacketSize + 1); slots > maxQueueSlots {
+		return fmt.Errorf("%d VC queue slots exceed the service cap %d", slots, maxQueueSlots)
+	}
+	return nil
 }
 
 // pointKeys returns the cache identity of every sweep point of res: FNV-1a

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -399,14 +400,34 @@ func TestRequestValidation(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
+	// config is the body of a one-load request on the h=2 default with edit
+	// applied: each edit alone passes Validate.
+	config := func(edit func(c *ofar.Config)) string {
+		cfg := ofar.DefaultConfig(2)
+		edit(&cfg)
+		body, err := json.Marshal(Request{Config: &cfg, Loads: []float64{0.1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
 	cases := map[string]string{
-		"no loads":        `{"h":2}`,
-		"bad pattern":     `{"h":2,"loads":[0.1],"pattern":"NOPE"}`,
-		"bad load":        `{"h":2,"loads":[-0.5]}`,
-		"bad json":        `{"h":`,
-		"bad routing":     `{"h":2,"loads":[0.1],"routing":"WAT"}`,
-		"huge window":     `{"h":2,"loads":[0.1],"warmup":9000000,"measure":9000000}`,
-		"workers too big": `{"config":{"P":2,"A":4,"H":2,"Workers":999},"loads":[0.1]}`,
+		"no loads":           `{"h":2}`,
+		"bad pattern":        `{"h":2,"loads":[0.1],"pattern":"NOPE"}`,
+		"bad load":           `{"h":2,"loads":[-0.5]}`,
+		"bad json":           `{"h":`,
+		"bad routing":        `{"h":2,"loads":[0.1],"routing":"WAT"}`,
+		"huge window":        `{"h":2,"loads":[0.1],"warmup":9000000,"measure":9000000}`,
+		"window overflows":   `{"h":2,"loads":[0.1],"warmup":9223372036854775807,"measure":1}`,
+		"workers too big":    `{"config":{"P":2,"A":4,"H":2,"Workers":999},"loads":[0.1]}`,
+		"huge global FIFO":   config(func(c *ofar.Config) { c.GlobalBuf = 1 << 40 }),
+		"huge local latency": config(func(c *ofar.Config) { c.LocalLatency = 1 << 40 }),
+		"too many routers":   config(func(c *ofar.Config) { c.P, c.A, c.H = 1, 16, 40 }),
+		"ring count wraps":   config(func(c *ofar.Config) { c.NumRings = math.MaxInt }),
+		"too many slots": config(func(c *ofar.Config) {
+			*c = ofar.DefaultConfig(8)
+			c.PacketSize, c.LocalBuf, c.GlobalBuf, c.InjBuf = 1, 4096, 4096, 4096
+		}),
 	}
 	for name, body := range cases {
 		if code := post(body); code != http.StatusBadRequest {
@@ -421,6 +442,24 @@ func TestRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /sweep: HTTP %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestSizeCapsAdmitShippedConfigs: the size caps reject no shipped
+// configuration — every h shorthand under every routing, nor the h=8 default
+// with two embedded rings, the largest queue-slot count among them.
+func TestSizeCapsAdmitShippedConfigs(t *testing.T) {
+	for h := 1; h <= 8; h++ {
+		for _, rt := range []string{"MIN", "VAL", "PB", "UGAL-L", "PAR", "OFAR", "OFAR-L"} {
+			if _, err := resolveBounded(Request{H: h, Routing: rt, Loads: []float64{0.1}}, 1); err != nil {
+				t.Errorf("h=%d %s: %v", h, rt, err)
+			}
+		}
+	}
+	cfg := ofar.DefaultConfig(8)
+	cfg.Ring, cfg.NumRings = ofar.RingEmbedded, 2
+	if _, err := resolveBounded(Request{Config: &cfg, Loads: []float64{0.1}}, 1); err != nil {
+		t.Errorf("h=8, two embedded rings: %v", err)
 	}
 }
 

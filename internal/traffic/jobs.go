@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"ofar/internal/simcore"
 	"ofar/internal/topology"
@@ -86,7 +87,10 @@ type JobSet struct {
 	names   []string
 	uniform *Uniform
 
-	emitted []int64 // slot -> packets emitted (mutable progress state)
+	// emitted is slot -> packets emitted, the mutable progress state. Nodes of
+	// one slot sit in many groups, which the network walks concurrently, so
+	// the counters are commutative atomics, read only between windows.
+	emitted []atomic.Int64
 }
 
 // NewJobSet places the jobs onto the topology. Jobs are placed in order:
@@ -137,7 +141,7 @@ func NewJobSet(d *topology.Dragonfly, cfg JobSetConfig) (*JobSet, error) {
 		prob:    make([]float64, slots),
 		names:   make([]string, slots),
 		uniform: NewUniform(d),
-		emitted: make([]int64, slots),
+		emitted: make([]atomic.Int64, slots),
 	}
 	for n := range s.jobOf {
 		s.jobOf[n] = -1
@@ -227,7 +231,7 @@ func (s *JobSet) Next(rng *simcore.RNG, node int, now int64) (int, bool) {
 	if !rng.Bernoulli(s.prob[j]) {
 		return 0, false
 	}
-	s.emitted[j]++
+	s.emitted[j].Add(1)
 	return s.dest(rng, j, node), true
 }
 
@@ -284,7 +288,7 @@ func (s *JobSet) dest(rng *simcore.RNG, j, node int) int {
 // progress state never counts a packet the network refused.
 func (s *JobSet) Retract(node int) {
 	if j := s.jobOf[node]; j >= 0 {
-		s.emitted[j]--
+		s.emitted[j].Add(-1)
 	}
 }
 
@@ -320,7 +324,8 @@ func (s *JobSet) JobNodes(j int) int {
 func (s *JobSet) EncodeState(e *simcore.Enc) {
 	e.Int(len(s.emitted))
 	total := int64(0)
-	for _, v := range s.emitted {
+	for i := range s.emitted {
+		v := s.emitted[i].Load()
 		e.I64(v)
 		total += v
 	}
@@ -345,7 +350,7 @@ func (s *JobSet) DecodeState(d *simcore.Dec) error {
 		if d.Err() == nil && v < 0 {
 			d.Fail("job slot %d emitted %d < 0", i, v)
 		}
-		s.emitted[i] = v
+		s.emitted[i].Store(v)
 		sum += v
 	}
 	if total := d.I64(); d.Err() == nil && total != sum {
@@ -358,9 +363,12 @@ func (s *JobSet) DecodeState(d *simcore.Dec) error {
 // immutable placement tables but owns its progress counters.
 func (s *JobSet) CloneGenerator() Generator {
 	c := *s
-	c.emitted = append([]int64(nil), s.emitted...)
+	c.emitted = make([]atomic.Int64, len(s.emitted))
+	for i := range s.emitted {
+		c.emitted[i].Store(s.emitted[i].Load())
+	}
 	return &c
 }
 
 // Emitted returns how many packets job slot j has generated so far.
-func (s *JobSet) Emitted(j int) int64 { return s.emitted[j] }
+func (s *JobSet) Emitted(j int) int64 { return s.emitted[j].Load() }

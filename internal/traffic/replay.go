@@ -99,10 +99,6 @@ func (r *TraceReplay) Retract(node int) {
 // been injected.
 func (r *TraceReplay) Done() bool { return atomic.LoadInt64(&r.remaining) == 0 }
 
-// GroupLocal implements GroupLocalGenerator: the cursors are per-node and
-// the remaining count is a commutative atomic.
-func (r *TraceReplay) GroupLocal() {}
-
 // Total returns the number of records in the trace.
 func (r *TraceReplay) Total() int { return r.total }
 

@@ -109,19 +109,20 @@ func (m *Mix) Dest(rng *simcore.RNG, src int) int {
 //
 // Stream discipline: the rng passed to Next is a per-dragonfly-group stream
 // derived deterministically from the run seed — every node of group g draws
-// from stream g, in ascending node order within a cycle. The contract stays
-// per-node; generators never see which stream they are handed. The network
-// may call Next for nodes of *different* groups concurrently (one goroutine
-// per group, each with its own stream), but only for generators that opt in
-// via GroupLocalGenerator; everything else runs the serial per-group loop
-// with identical draws, so results do not depend on which path executed.
+// from stream g, in ascending node order within a cycle. The network calls
+// Next and Retract for nodes of *different* groups concurrently (one
+// goroutine per group, each with its own stream), and lets a group run up to
+// a lookahead window ahead of the others. Every source therefore keeps
+// per-node state (budgets, cursors) or commutative counters read only
+// between windows (Done, EncodeState, accessors). Generators never see which
+// stream or goroutine they are handed, and results do not depend on who
+// walked which group.
 //
 // Retract ordering: the network draws for a whole group before it queues any
 // of the group's packets, so Retract(node) may arrive after Next was called
 // for later nodes of the same group and cycle (never after the node's own
 // next Next). Next must therefore not read what Retract writes for another
-// node — true of every shipped source: budgets and cursors are per node, and
-// the shared progress counters are only incremented and decremented.
+// node, which per-node state and counters unread within a window guarantee.
 type Generator interface {
 	Name() string
 	Next(rng *simcore.RNG, node int, now int64) (dst int, ok bool)
@@ -129,12 +130,13 @@ type Generator interface {
 	// only generators with a finite budget need to do anything.
 	Retract(node int)
 	// Done reports whether the generator has produced everything it ever
-	// will (always false for open-loop sources).
+	// will (always false for open-loop sources). Only generating makes it
+	// true, never time alone: a drain is dated by its last delivery.
 	Done() bool
 }
 
 // StatefulGenerator is implemented by generators that carry mutable progress
-// state (currently only Burst). Network snapshots include the state so a
+// state (Burst, JobSet, TraceReplay). Network snapshots include the state so a
 // restored run resumes the source exactly where it stopped; generators not
 // implementing this are stateless by contract — calling Next mutates nothing
 // but the RNG, which the network snapshots separately.
@@ -151,23 +153,6 @@ type StatefulGenerator interface {
 type CloneableGenerator interface {
 	Generator
 	CloneGenerator() Generator
-}
-
-// GroupLocalGenerator marks generators whose Next/Retract calls for one node
-// touch no state shared with nodes of any other dragonfly group — either
-// purely per-node state (cursors, budgets indexed by node) or commutative
-// atomics read only at quiescence. The network shards its injection
-// front-end by group only for generators carrying this marker; a concurrent
-// Next is then a data-race-free reordering whose observable effects the
-// commit barrier replays in serial (group, node) order. Burst and JobSet do
-// NOT qualify: their shared progress counters (`emitted`) are plain ints
-// mutated on every Next, so they keep the serial per-group loop — which
-// draws from the identical per-group streams, keeping results bit-identical
-// across the two paths.
-type GroupLocalGenerator interface {
-	Generator
-	// GroupLocal is a marker; implementations do nothing.
-	GroupLocal()
 }
 
 // Hit is one generated packet of a NextRange call: the source node and the
@@ -280,10 +265,6 @@ func (b *Bernoulli) Retract(int) {}
 // Done implements Generator.
 func (b *Bernoulli) Done() bool { return false }
 
-// GroupLocal implements GroupLocalGenerator: Next mutates nothing but the
-// caller-owned RNG.
-func (b *Bernoulli) GroupLocal() {}
-
 // Transient switches patterns (and optionally load) at a given cycle,
 // reproducing the §VI-B transient experiments.
 type Transient struct {
@@ -329,18 +310,13 @@ func (t *Transient) Retract(int) {}
 // Done implements Generator.
 func (t *Transient) Done() bool { return false }
 
-// GroupLocal implements GroupLocalGenerator: Next mutates nothing but the
-// caller-owned RNG.
-func (t *Transient) GroupLocal() {}
-
 // Burst gives every node a fixed budget of packets injected as fast as the
 // network accepts them (§VI-C: synchronized post-barrier communication).
 type Burst struct {
 	pattern Pattern
 	perNode int
-	sent    []int
+	sent    []int // per node: its budget used so far
 	total   int
-	emitted int
 }
 
 // NewBurst builds a burst source of perNode packets for each of nodes nodes.
@@ -357,28 +333,34 @@ func (b *Burst) Next(rng *simcore.RNG, node int, _ int64) (int, bool) {
 		return 0, false
 	}
 	b.sent[node]++
-	b.emitted++
 	return b.pattern.Dest(rng, node), true
 }
 
 // Retract implements Generator: the budget is restored so the packet is
 // regenerated on a later cycle.
-func (b *Burst) Retract(node int) {
-	b.sent[node]--
-	b.emitted--
-}
+func (b *Burst) Retract(node int) { b.sent[node]-- }
 
 // Done implements Generator.
-func (b *Burst) Done() bool { return b.emitted >= b.total }
+func (b *Burst) Done() bool { return b.emitted() >= b.total }
+
+// emitted is the burst's progress, Σ sent.
+func (b *Burst) emitted() int {
+	sum := 0
+	for _, s := range b.sent {
+		sum += s
+	}
+	return sum
+}
 
 // Total returns the overall packet budget of the burst.
 func (b *Burst) Total() int { return b.total }
 
-// EncodeState implements StatefulGenerator: the per-node sent counters and
-// the emitted total are the burst's entire mutable state.
+// EncodeState implements StatefulGenerator: the per-node sent counters are
+// the burst's entire mutable state, preceded by their sum for the decode-time
+// cross-check.
 func (b *Burst) EncodeState(e *simcore.Enc) {
 	e.Int(b.perNode)
-	e.Int(b.emitted)
+	e.Int(b.emitted())
 	e.Int(len(b.sent))
 	for _, s := range b.sent {
 		e.Int(s)
@@ -405,16 +387,12 @@ func (b *Burst) DecodeState(d *simcore.Dec) error {
 		b.sent[i] = s
 		sum += s
 	}
-	if d.Err() == nil && (emitted < 0 || emitted > b.total) {
-		d.Fail("burst emitted %d outside [0,%d]", emitted, b.total)
-	}
 	// The per-node counters and the emitted total are redundant views of the
 	// same progress; a snapshot where they disagree is corrupt even when each
-	// value is individually in range (Done() would fire early or never).
+	// value is individually in range.
 	if d.Err() == nil && emitted != sum {
 		d.Fail("burst emitted %d != sum of per-node sent %d", emitted, sum)
 	}
-	b.emitted = emitted
 	return d.Err()
 }
 

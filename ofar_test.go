@@ -1,9 +1,13 @@
 package ofar
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"ofar/internal/network"
+	"ofar/internal/traffic"
 )
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
@@ -190,6 +194,93 @@ func TestRunBurstDrains(t *testing.T) {
 	}
 	if res.Cycles <= 0 {
 		t.Error("no cycles elapsed")
+	}
+}
+
+// steppedBurst is RunBurst's reference: the same burst stepped a cycle at a
+// time until the first cycle boundary at which the network is drained, or
+// maxCycles. It also returns the cycle by which the source had run dry (-1:
+// never).
+func steppedBurst(t *testing.T, cfg Config, ps PatternSpec, perNode, maxCycles int) (BurstResult, int64) {
+	t.Helper()
+	cfg.Workers = 1
+	n, err := network.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := ps.build(n.Topo)
+	src := traffic.NewBurst(pattern, perNode, n.Topo.Nodes)
+	n.SetGenerator(src)
+	dry := int64(-1)
+	for i := 0; i < maxCycles && !n.Drained(); i++ {
+		n.Step()
+		if dry < 0 && src.Done() {
+			dry = n.Now()
+		}
+	}
+	return BurstResult{
+		Routing: cfg.Routing, Pattern: pattern.Name(), PerNode: perNode,
+		Packets: n.Stats.Delivered, Cycles: n.Now(), Drained: n.Drained(),
+		RingUse: n.Stats.RingEnters, GlobalMis: n.Stats.GlobalMisroutes, LocalMis: n.Stats.LocalMisroutes,
+	}, dry
+}
+
+// TestRunBurstMatchesStepped: RunBurst runs lookahead windows (on the caller
+// and on a 4-worker pool) yet reports what stepping a cycle at a time until
+// the drain reports, field for field — the drain cycle as Cycles, not the
+// end of the window it fell in. Also when the source runs dry and the network
+// drains inside one window, when maxCycles cuts the run short (at a window
+// boundary and inside a window), and on a burst drained before it starts.
+func TestRunBurstMatchesStepped(t *testing.T) {
+	type burstCase struct {
+		name               string
+		cfg                Config
+		ps                 PatternSpec
+		perNode, maxCyc    int
+		drained, oneWindow bool
+	}
+	var cases []burstCase
+	for _, h := range []int{2, 3} {
+		for _, rt := range []Routing{MIN, PB, OFAR} {
+			for _, ps := range []PatternSpec{Uniform(), Adv(h)} {
+				cases = append(cases, burstCase{name: fmt.Sprintf("h%d/%s/%s", h, rt, ps.Name()),
+					cfg: DefaultConfig(h).WithRouting(rt), ps: ps, perNode: 24 / h, maxCyc: 1_000_000, drained: true})
+			}
+		}
+	}
+	oneGroup := DefaultConfig(2)
+	oneGroup.Groups = 1
+	cases = append(cases,
+		burstCase{name: "one-window", cfg: oneGroup, ps: Uniform(), perNode: 2, maxCyc: 1_000_000, drained: true, oneWindow: true},
+		burstCase{name: "one-packet", cfg: DefaultConfig(2), ps: Uniform(), perNode: 1, maxCyc: 1_000_000, drained: true},
+		burstCase{name: "cut-at-window-end", cfg: DefaultConfig(2), ps: Adv(2), perNode: 20, maxCyc: 200},
+		burstCase{name: "cut-mid-window", cfg: DefaultConfig(2), ps: Adv(2), perNode: 20, maxCyc: 237},
+		burstCase{name: "drained-at-start", cfg: DefaultConfig(2), ps: Uniform(), perNode: 0, maxCyc: 1_000_000, drained: true},
+	)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, dry := steppedBurst(t, c.cfg, c.ps, c.perNode, c.maxCyc)
+			if want.Drained != c.drained {
+				t.Fatalf("stepped reference drained=%v at cycle %d, want %v", want.Drained, want.Cycles, c.drained)
+			}
+			// Windows are at least GlobalLatency long (the shortest link
+			// between groups, or the wheel horizon without one), so both
+			// events before it share the first window.
+			if c.oneWindow && (dry < 0 || want.Cycles >= int64(c.cfg.GlobalLatency)) {
+				t.Fatalf("source dry at %d, drained at %d: not inside the first window", dry, want.Cycles)
+			}
+			for _, workers := range []int{1, 4} {
+				cfg := c.cfg
+				cfg.Workers = workers
+				got, err := RunBurst(cfg, c.ps, c.perNode, c.maxCyc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("workers=%d:\n got  %+v\n want %+v", workers, got, want)
+				}
+			}
+		})
 	}
 }
 
