@@ -31,7 +31,7 @@ cover:
 LOC_COUNT = find $$d $$([ $$d = cmd ] || [ $$d = examples ] || echo -maxdepth 1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 loc:
-	@for d in internal/network internal/router internal/routing internal/core internal/simcore internal/traffic internal/service . cmd cmd/experiments examples; do \
+	@for d in internal/network internal/router internal/routing internal/core internal/simcore internal/stats internal/topology internal/traffic internal/service . cmd cmd/experiments examples; do \
 		printf '%-18s %6d\n' $$d $$($(LOC_COUNT)); \
 	done
 
@@ -39,7 +39,7 @@ loc:
 # internal/network + internal/router sum may not exceed the ceiling, which is
 # the measured sum at the time the gate was added — lower it when a deletion
 # lands, never raise it to make a PR pass.
-LOC_CEILING ?= 4858
+LOC_CEILING ?= 4671
 
 loc-check: loc
 	@sum=0; for d in internal/network internal/router; do sum=$$((sum + $$($(LOC_COUNT)))); done; \
@@ -189,13 +189,20 @@ smoke-cli:
 	head -1 min.txt | grep -q 'escape ring: none'; \
 	echo "smoke-cli: ok"
 
+# Every fuzz target, as package:Target — the one list `make fuzz` and CI's
+# "Fuzz smoke" run. Go takes one -fuzz target per invocation, so each gets
+# FUZZTIME of exploration on its own (CI passes FUZZTIME=10s).
+FUZZ_TARGETS = .:FuzzParsePattern .:FuzzParallelConservation .:FuzzFaultSchedule \
+	.:FuzzRouteCache .:FuzzConfigFromJSON ./internal/topology:FuzzTopologyInvariants \
+	./internal/network:FuzzSnapshotRoundTrip ./internal/trace:FuzzTraceRoundTrip \
+	./internal/service:FuzzExperimentDecode
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test -fuzz FuzzTopologyInvariants -fuzztime 30s ./internal/topology
-	$(GO) test -fuzz FuzzParsePattern -fuzztime 20s .
-	$(GO) test -fuzz FuzzParallelConservation -fuzztime 30s .
-	$(GO) test -fuzz FuzzRouteCache -fuzztime 30s .
-	$(GO) test -fuzz FuzzTraceRoundTrip -fuzztime 20s ./internal/trace
-	$(GO) test -fuzz FuzzExperimentDecode -fuzztime 20s ./internal/service
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "$${t#*:} ($${t%%:*}, $(FUZZTIME))"; \
+		$(GO) test -run=NONE -fuzz="^$${t#*:}\$$" -fuzztime=$(FUZZTIME) $${t%%:*}; \
+	done
 
 # Removes untracked build output only — figures/ holds committed SVGs.
 clean:

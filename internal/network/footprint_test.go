@@ -199,7 +199,7 @@ func TestRestoreBoundsPacketBlock(t *testing.T) {
 func hostilePacketCount(t testing.TB, n *Network) []byte {
 	t.Helper()
 	var cold, marker simcore.Enc
-	n.encodePayload(&cold)
+	n.state(simcore.Encoder(&cold))
 	// A cold network has no packets: find its empty table by what surrounds
 	// the zero count — the pending-queue section (a queue count, a zero
 	// length per queue) and the ring count behind it.
@@ -230,12 +230,12 @@ func hostilePacketCount(t testing.TB, n *Network) []byte {
 }
 
 // TestSnapPacketBytes keeps the constant Restore divides by equal to what
-// encodePacket writes.
+// the packet walk writes.
 func TestSnapPacketBytes(t *testing.T) {
 	n := snapNet(t, snapCfg(1), 0.6)
 	var e simcore.Enc
-	encodePacket(&e, n.pool.Get())
+	n.packetState(simcore.Encoder(&e), n.pool.Get())
 	if len(e.Data()) != snapPacketBytes {
-		t.Fatalf("encodePacket writes %d bytes, snapPacketBytes = %d", len(e.Data()), snapPacketBytes)
+		t.Fatalf("the packet walk writes %d bytes, snapPacketBytes = %d", len(e.Data()), snapPacketBytes)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"ofar/internal/packet"
 	"ofar/internal/router"
 	"ofar/internal/simcore"
-	"ofar/internal/topology"
 	"ofar/internal/traffic"
 )
 
@@ -49,7 +48,8 @@ const (
 	snapMagic = "OFARSNAP"
 
 	// SnapshotVersion identifies the payload layout. Any change to the
-	// encode/decode pairs below must bump it; Restore rejects other versions.
+	// State walks (state below and the walks it calls) must bump it; Restore
+	// rejects other versions.
 	// Version 2 added the packet Job tag and the per-job statistics section.
 	// Version 3 replaced the single traffic RNG state with one state per
 	// dragonfly group (the sharded injection front-end's per-group streams).
@@ -61,7 +61,6 @@ const (
 	maxSnapLog     = 1 << 24
 	maxSnapGenName = 1 << 12
 	maxSnapQueue   = 1 << 24
-	maxSnapRings   = 1 << 16
 )
 
 var (
@@ -121,9 +120,7 @@ func (n *Network) Snapshot(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("network: snapshot config: %w", err)
 	}
-	var payload simcore.Enc
-	n.encodePayload(&payload)
-	data := payload.Data()
+	data := n.encode()
 
 	var hdr simcore.Enc
 	hdr.Raw([]byte(snapMagic))
@@ -194,7 +191,7 @@ func (n *Network) Restore(r io.Reader) error {
 	if d.Remaining() != 0 {
 		return fmt.Errorf("network: %d trailing bytes after snapshot", d.Remaining())
 	}
-	if err := n.decodePayload(simcore.NewDec(payload)); err != nil {
+	if err := n.state(simcore.Decoder(simcore.NewDec(payload))); err != nil {
 		return fmt.Errorf("network: restore: %w", err)
 	}
 	return nil
@@ -211,8 +208,7 @@ func (n *Network) Restore(r io.Reader) error {
 // pattern state); stateful ones must implement traffic.CloneableGenerator.
 // Networks with Workers > 1 own goroutines: Close the fork when done.
 func (n *Network) Fork() (*Network, error) {
-	var payload simcore.Enc
-	n.encodePayload(&payload)
+	payload := n.encode()
 	m, err := New(n.Cfg)
 	if err != nil {
 		return nil, fmt.Errorf("network: fork rebuild: %w", err)
@@ -227,7 +223,7 @@ func (n *Network) Fork() (*Network, error) {
 	default:
 		m.SetGenerator(n.gen)
 	}
-	if err := m.decodePayload(simcore.NewDec(payload.Data())); err != nil {
+	if err := m.state(simcore.Decoder(simcore.NewDec(payload))); err != nil {
 		m.Close()
 		return nil, fmt.Errorf("network: fork: %w", err)
 	}
@@ -270,469 +266,384 @@ func (n *Network) forEachPacket(f func(*packet.Packet)) {
 	})
 }
 
-func (n *Network) encodePayload(e *simcore.Enc) {
-	// Deduplicated packet table, sorted by ID for deterministic bytes. A
-	// committed packet can be referenced twice — by the draining buffer that
-	// still holds it and by its in-flight arrival event — and must decode to
-	// one object, which is why buffers and events store IDs into this table.
+// packetTable returns every packet the state holds, once each, sorted by ID
+// for deterministic bytes. A committed packet can be referenced twice — by
+// the draining buffer that still holds it and by its in-flight arrival event
+// — and must decode to one object, which is why buffers, queues and events
+// store IDs into this table.
+func (n *Network) packetTable() []*packet.Packet {
 	pkts := make([]*packet.Packet, 0, n.BufferedPackets()+n.PendingPackets()+n.wheel.Pending())
 	n.forEachPacket(func(p *packet.Packet) { pkts = append(pkts, p) })
 	slices.SortFunc(pkts, func(a, b *packet.Packet) int { return cmp.Compare(a.ID, b.ID) })
-	pkts = slices.Compact(pkts)
-
-	// Presize to the image: one router's encoding stands for all of them
-	// (they differ by a few VCs and their queued IDs), a packet costs its
-	// record plus up to two 8-byte references, an event 49 bytes. A miss only
-	// means append grows the buffer.
-	var probe simcore.Enc
-	n.Routers[0].EncodeState(&probe)
-	e.Grow(len(n.Routers)*len(probe.Data())*21/20 + len(pkts)*(snapPacketBytes+16) +
-		n.wheel.Pending()*49 + len(n.pending)*8 + len(n.grantLog)*73 + 64<<10)
-
-	e.I64(n.now)
-	e.Int(n.inFlight)
-	e.I64(n.CongestionStalls)
-	e.Int(n.faultIdx)
-	e.Bool(n.deadRouter != nil)
-	if n.deadRouter != nil {
-		for _, b := range n.deadRouter {
-			e.Bool(b)
-		}
-		for _, b := range n.deadNode {
-			e.Bool(b)
-		}
-	}
-	for _, rng := range n.trafficRNG {
-		for _, s := range rng.State() {
-			e.U64(s)
-		}
-	}
-	e.U64(n.pool.Outstanding())
-
-	e.Bool(n.digestOn)
-	e.U64(n.digest)
-	e.I64(n.digestCount)
-	e.Int(n.logCap)
-	e.Int(len(n.grantLog))
-	for i := range n.grantLog {
-		g := &n.grantLog[i]
-		e.I64(g.Cycle)
-		e.Int(g.Router)
-		e.Int(g.InPort)
-		e.Int(g.InVC)
-		e.Int(g.Out)
-		e.Int(g.VC)
-		e.Int(g.Src)
-		e.Int(g.Dst)
-		e.I64(g.Born)
-		e.Bool(g.Eject)
-	}
-
-	e.Bool(n.gen != nil)
-	if n.gen != nil {
-		e.Bytes([]byte(n.gen.Name()))
-		sg, stateful := n.gen.(traffic.StatefulGenerator)
-		e.Bool(stateful)
-		if stateful {
-			sg.EncodeState(e)
-		}
-	}
-
-	n.Stats.EncodeState(e)
-
-	e.Int(len(pkts))
-	for _, p := range pkts {
-		encodePacket(e, p)
-	}
-
-	e.Int(len(n.pending))
-	for i := range n.pending {
-		pq := &n.pending[i]
-		e.Int(pq.len())
-		for j := pq.head; j < len(pq.q); j++ {
-			e.U64(uint64(pq.q[j].ID))
-		}
-	}
-
-	e.Int(len(n.Rings))
-	for _, rg := range n.Rings {
-		rg.EncodeState(e)
-	}
-
-	for _, r := range n.Routers {
-		r.EncodeState(e)
-	}
-
-	for _, b := range n.groupBoards() {
-		b.EncodeState(e)
-	}
-
-	e.Int(n.wheel.Pending())
-	n.wheel.ForEachDelay(func(delay int, ev event) {
-		e.Int(delay)
-		e.U8(uint8(ev.kind))
-		e.I64(int64(ev.r))
-		e.I64(int64(ev.port))
-		e.I64(int64(ev.vc))
-		e.I64(int64(ev.phits))
-		if ev.kind == evArrive {
-			e.U64(uint64(ev.pkt.ID))
-		}
-	})
+	return slices.Compact(pkts)
 }
 
-func (n *Network) decodePayload(d *simcore.Dec) error {
-	now := d.I64()
-	if d.Err() == nil && now < 0 {
-		d.Fail("negative cycle %d", now)
-	}
-	inFlight := d.Int()
-	congestionStalls := d.I64()
-	faultIdx := d.Int()
-	if d.Err() == nil && (faultIdx < 0 || faultIdx > len(n.faults)) {
-		d.Fail("fault cursor %d outside [0,%d]", faultIdx, len(n.faults))
-	}
-	hasMasks := d.Bool()
-	if d.Err() == nil && hasMasks != (n.deadRouter != nil) {
-		d.Fail("fault liveness masks present=%v, network configured=%v", hasMasks, n.deadRouter != nil)
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if hasMasks {
-		for i := range n.deadRouter {
-			n.deadRouter[i] = d.Bool()
-		}
-		for i := range n.deadNode {
-			n.deadNode[i] = d.Bool()
-		}
-	}
-	for g := range n.trafficRNG {
-		var st [4]uint64
-		for i := range st {
-			st[i] = d.U64()
-		}
-		if d.Err() == nil {
-			if err := n.trafficRNG[g].SetState(st); err != nil {
-				d.Fail("traffic rng group %d: %v", g, err)
-			}
-		}
-	}
-	outstanding := d.U64()
+// encode returns the snapshot payload: the state walk, encoding.
+func (n *Network) encode() []byte {
+	var e simcore.Enc
+	n.state(simcore.Encoder(&e)) // encoding never fails
+	return e.Data()
+}
 
-	digestOn := d.Bool()
-	digest := d.U64()
-	digestCount := d.I64()
-	logCap := d.Len(maxSnapLog)
-	nLog := d.Len(maxSnapLog)
-	if d.Err() == nil && nLog > logCap {
-		d.Fail("grant log holds %d events beyond its cap %d", nLog, logCap)
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	var grantLog []GrantEvent
-	if logCap > 0 {
-		grantLog = make([]GrantEvent, 0, min(nLog, 1024))
-	}
-	for i := 0; i < nLog; i++ {
-		var g GrantEvent
-		g.Cycle = d.I64()
-		g.Router = d.Int()
-		g.InPort = d.Int()
-		g.InVC = d.Int()
-		g.Out = d.Int()
-		g.VC = d.Int()
-		g.Src = d.Int()
-		g.Dst = d.Int()
-		g.Born = d.I64()
-		g.Eject = d.Bool()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		grantLog = append(grantLog, g)
+// state is the snapshot payload, walked in one fixed order: Snapshot and Fork
+// encode it, Restore and Fork decode it. Decoding validates every index
+// against this network and rebuilds the derived state; on an error the
+// network's state is unspecified.
+func (n *Network) state(c *simcore.Codec) error {
+	dec := c.Decoding()
+	var pkts []*packet.Packet
+	if !dec {
+		// Presize to the image: one router's encoding stands for all of them
+		// (they differ by a few VCs and their queued IDs), a packet costs its
+		// record plus up to two 8-byte references, an event 49 bytes. A miss
+		// only means append grows the buffer.
+		pkts = n.packetTable()
+		var probe simcore.Enc
+		n.Routers[0].State(simcore.Encoder(&probe), nil, n.now)
+		c.Grow(len(n.Routers)*len(probe.Data())*21/20 + len(pkts)*(snapPacketBytes+16) +
+			n.wheel.Pending()*49 + len(n.pending)*8 + len(n.grantLog)*snapGrantBytes + 64<<10)
 	}
 
-	if hasGen := d.Bool(); hasGen {
-		name := string(d.Bytes(maxSnapGenName))
-		stateful := d.Bool()
-		if d.Err() != nil {
-			return d.Err()
+	simcore.Int(c, &n.now)
+	simcore.Int(c, &n.inFlight)
+	simcore.Int(c, &n.CongestionStalls)
+	simcore.Int(c, &n.faultIdx)
+	if dec && (n.now < 0 || n.faultIdx < 0 || n.faultIdx > len(n.faults)) {
+		c.Fail("cycle %d, fault cursor %d outside [0,%d]", n.now, n.faultIdx, len(n.faults))
+	}
+	masks := n.deadRouter != nil
+	c.Bool(&masks)
+	if dec && masks != (n.deadRouter != nil) {
+		c.Fail("fault liveness masks present=%v, network configured=%v", masks, n.deadRouter != nil)
+	}
+	if err := c.Err(); err != nil {
+		return err
+	}
+	for i := range n.deadRouter {
+		c.Bool(&n.deadRouter[i])
+	}
+	for i := range n.deadNode {
+		c.Bool(&n.deadNode[i])
+	}
+	for _, rng := range n.trafficRNG {
+		c.RNG(rng)
+	}
+	outstanding := n.pool.Outstanding()
+	c.U64(&outstanding)
+	if dec {
+		n.pool.SetOutstanding(outstanding)
+	}
+
+	c.Bool(&n.digestOn)
+	c.U64(&n.digest)
+	simcore.Int(c, &n.digestCount)
+	simcore.Int(c, &n.logCap)
+	nLog := c.Len(len(n.grantLog), maxSnapLog)
+	if dec {
+		if n.logCap < 0 || n.logCap > maxSnapLog || nLog > n.logCap || nLog > c.Remaining()/snapGrantBytes {
+			c.Fail("grant log of %d events, cap %d outside [0,%d] or past the input", nLog, n.logCap, maxSnapLog)
+			return c.Err()
 		}
+		n.grantLog = nil
+		if n.logCap > 0 {
+			n.grantLog = make([]GrantEvent, nLog)
+		}
+	}
+	for i := range nLog {
+		g := &n.grantLog[i]
+		simcore.Int(c, &g.Cycle)
+		simcore.Int(c, &g.Router)
+		simcore.Int(c, &g.InPort)
+		simcore.Int(c, &g.InVC)
+		simcore.Int(c, &g.Out)
+		simcore.Int(c, &g.VC)
+		simcore.Int(c, &g.Src)
+		simcore.Int(c, &g.Dst)
+		simcore.Int(c, &g.Born)
+		c.Bool(&g.Eject)
+	}
+
+	hasGen := n.gen != nil
+	c.Bool(&hasGen)
+	if hasGen {
+		var name string
+		if n.gen != nil {
+			name = n.gen.Name()
+		}
+		sg, stateful := n.gen.(traffic.StatefulGenerator)
+		ours, oursStateful := name, stateful
+		c.String(&name, maxSnapGenName)
+		c.Bool(&stateful)
+		// A stateless source has nothing to restore. The caller is
+		// responsible for attaching an equivalent generator (its draws come
+		// from trafficRNG, which is serialized, so an identical source
+		// reproduces the run).
 		if stateful {
-			sg, ok := n.gen.(traffic.StatefulGenerator)
-			if !ok || n.gen.Name() != name {
-				d.Fail("snapshot carries state for generator %q; attach the same generator before Restore", name)
-				return d.Err()
+			if dec && c.Err() == nil && (!oursStateful || name != ours) {
+				c.Fail("snapshot carries state for generator %q; attach the same generator before Restore", name)
 			}
-			if err := sg.DecodeState(d); err != nil {
+			if err := c.Err(); err != nil {
+				return err
+			}
+			if err := sg.State(c); err != nil {
 				return err
 			}
 		}
-		// Stateless source: nothing to restore. The caller is responsible for
-		// attaching an equivalent generator (its draws come from trafficRNG,
-		// which is serialized, so an identical source reproduces the run).
 	}
 
-	if err := n.Stats.DecodeState(d); err != nil {
+	if err := n.Stats.State(c); err != nil {
 		return err
 	}
-
-	nPkts := d.Len(maxSnapPackets)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if nPkts > d.Remaining()/snapPacketBytes {
-		// Bound the block by the input, not by a header field.
-		d.Fail("truncated input: %d packets need %d bytes, have %d", nPkts, nPkts*snapPacketBytes, d.Remaining())
-		return d.Err()
-	}
-	// The outgoing state's packets go back to their pools (a packet held twice
-	// once: the first visit clears its ID) and the image's packets reuse them,
-	// so a Restore loop keeps one packet population, not a block per Restore.
-	n.forEachPacket(func(p *packet.Packet) {
-		if p.ID != 0 {
-			p.ID = 0
-			n.putPacket(p)
+	if dec {
+		widest := 0
+		for _, r := range n.Routers {
+			widest = max(widest, len(r.Out))
 		}
-	})
+		if !n.Stats.UtilizationFits(len(n.Routers), widest) {
+			c.Fail("utilization counters do not cover %d routers of %d ports", len(n.Routers), widest)
+			return c.Err()
+		}
+	}
+
+	np := c.Len(len(pkts), maxSnapPackets)
+	if dec {
+		if c.Err() == nil && np > c.Remaining()/snapPacketBytes {
+			// Bound the block by the input, not by a header field.
+			c.Fail("truncated input: %d packets need %d bytes, have %d", np, np*snapPacketBytes, c.Remaining())
+		}
+		if err := c.Err(); err != nil {
+			return err
+		}
+		// The outgoing state's packets go back to their pools (a packet held
+		// twice once: the first visit clears its ID) and the image's packets
+		// reuse them, so a Restore loop keeps one packet population, not a
+		// block per Restore.
+		n.forEachPacket(func(p *packet.Packet) {
+			if p.ID != 0 {
+				p.ID = 0
+				n.putPacket(p)
+			}
+		})
+		pkts = make([]*packet.Packet, np)
+	}
 	// In ID order, strictly increasing: the table is its own ID→packet index.
-	pkts := make([]*packet.Packet, nPkts)
-	var prevID uint64
+	var in packet.Packet
 	for i := range pkts {
-		var p packet.Packet
-		id := n.decodePacket(d, &p)
-		if d.Err() != nil {
-			return d.Err()
+		p := pkts[i]
+		if dec {
+			p = &in
+		}
+		n.packetState(c, p)
+		if !dec {
+			continue
+		}
+		if err := c.Err(); err != nil {
+			return err
+		}
+		if i > 0 && p.ID <= pkts[i-1].ID || uint64(p.ID) > outstanding {
+			c.Fail("packet ID %d out of order or beyond the pool's %d handed-out IDs", p.ID, outstanding)
+			return c.Err()
 		}
 		pkts[i] = n.poolG[p.SrcGroup].GetBlank()
-		*pkts[i] = p
-		if id <= prevID {
-			d.Fail("packet IDs not strictly increasing at %d", id)
-			return d.Err()
-		}
-		if id > outstanding {
-			d.Fail("packet ID %d beyond the pool's %d handed-out IDs", id, outstanding)
-			return d.Err()
-		}
-		prevID = id
+		*pkts[i] = *p
 	}
-	lookup := func(id uint64) (*packet.Packet, error) {
-		i := sort.Search(len(pkts), func(i int) bool { return uint64(pkts[i].ID) >= id })
-		if i < len(pkts) && uint64(pkts[i].ID) == id {
-			return pkts[i], nil
+	var lookup func(packet.ID) *packet.Packet
+	if dec {
+		lookup = func(id packet.ID) *packet.Packet {
+			i := sort.Search(len(pkts), func(i int) bool { return pkts[i].ID >= id })
+			if i < len(pkts) && pkts[i].ID == id {
+				return pkts[i]
+			}
+			return nil
 		}
-		return nil, fmt.Errorf("unknown packet ID %d", id)
 	}
 
-	if np := d.Len(maxSnapPackets); d.Err() == nil && np != len(n.pending) {
-		d.Fail("pending queues for %d nodes, network has %d", np, len(n.pending))
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
+	c.Shape(len(n.pending), "pending queues")
 	for node := range n.pending {
 		pq := &n.pending[node]
-		pq.q = pq.q[:0]
-		pq.head = 0
-		cnt := d.Len(maxSnapQueue)
-		for j := 0; j < cnt && d.Err() == nil; j++ {
-			p, err := lookup(d.U64())
-			if d.Err() == nil && err != nil {
-				d.Fail("pending[%d]: %v", node, err)
+		cnt := c.Len(pq.len(), maxSnapQueue)
+		if dec {
+			pq.q, pq.head = pq.q[:0], 0
+		}
+		for j := range cnt {
+			var p *packet.Packet
+			if !dec {
+				p = pq.q[pq.head+j]
 			}
-			if d.Err() == nil {
+			packet.Ref(c, &p, lookup)
+			if dec {
+				if err := c.Err(); err != nil {
+					return err
+				}
 				pq.q = append(pq.q, p)
 			}
 		}
-		if d.Err() != nil {
-			return d.Err()
+		if dec {
+			n.gs[node/n.groupNodes].setPend(node%n.groupNodes, cnt > 0)
 		}
-		n.gs[node/n.groupNodes].setPend(node%n.groupNodes, cnt > 0)
 	}
 
-	if nr := d.Len(maxSnapRings); d.Err() == nil && nr != len(n.Rings) {
-		d.Fail("snapshot has %d rings, network has %d", nr, len(n.Rings))
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	for j := range n.Rings {
-		rg, err := topology.DecodeRing(d, n.Topo.Routers)
-		if err != nil {
+	c.Shape(len(n.Rings), "rings")
+	for _, rg := range n.Rings {
+		if err := rg.State(c); err != nil {
 			return err
 		}
-		n.Rings[j] = rg
 	}
 
 	for _, r := range n.Routers {
-		if err := r.DecodeState(d, lookup, now); err != nil {
+		if err := r.State(c, lookup, n.now); err != nil {
+			return err
+		}
+	}
+	if dec {
+		if err := n.checkWiring(c); err != nil {
 			return err
 		}
 	}
 
 	for _, b := range n.groupBoards() {
-		if err := b.DecodeState(d); err != nil {
+		if err := b.State(c); err != nil {
 			return err
 		}
 	}
 
+	nEv := c.Len(n.wheel.Pending(), maxSnapEvents)
+	if !dec {
+		n.wheel.ForEachDelay(func(delay int, ev event) { n.eventState(c, &delay, &ev, nil) })
+		return nil
+	}
 	// The wheel is emptied and refilled in place: its buckets keep the
 	// capacity they grew, so the window after a Restore does not re-grow them.
-	wheel := n.wheel
-	wheel.Reset()
-	nEv := d.Len(maxSnapEvents)
-	if d.Err() != nil {
-		return d.Err()
+	n.wheel.Reset()
+	for range nEv {
+		var delay int
+		var ev event
+		if err := n.eventState(c, &delay, &ev, lookup); err != nil {
+			return err
+		}
+		n.wheel.Schedule(delay, ev)
 	}
-	for i := 0; i < nEv; i++ {
-		delay := d.Int()
-		kind := evKind(d.U8())
-		rr := d.I64()
-		port := d.I64()
-		vc := d.I64()
-		phits := d.I64()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if delay < 0 || delay > wheel.Horizon() {
-			d.Fail("event delay %d outside wheel horizon %d", delay, wheel.Horizon())
-			return d.Err()
-		}
-		if kind > evCredit {
-			d.Fail("unknown event kind %d", kind)
-			return d.Err()
-		}
-		if rr < 0 || rr >= int64(len(n.Routers)) {
-			d.Fail("event router %d out of range", rr)
-			return d.Err()
-		}
-		rt := n.Routers[rr]
-		if port < 0 || port >= int64(len(rt.In)) {
-			d.Fail("event port %d out of range on router %d", port, rr)
-			return d.Err()
-		}
-		maxVC := len(rt.In[port].VCs)
-		if kind == evCredit {
-			maxVC = rt.Out[port].NumVCs()
-		}
-		if vc < 0 || vc >= int64(maxVC) {
-			d.Fail("event vc %d out of range on router %d port %d", vc, rr, port)
-			return d.Err()
-		}
-		if phits < 0 || phits > int64(n.Cfg.PacketSize) {
-			d.Fail("event phits %d out of range", phits)
-			return d.Err()
-		}
-		ev := event{kind: kind, r: int32(rr), port: int16(port), vc: int16(vc), phits: int32(phits)}
-		if kind == evArrive {
-			p, err := lookup(d.U64())
-			if d.Err() != nil {
-				return d.Err()
-			}
-			if err != nil {
-				d.Fail("event: %v", err)
-				return d.Err()
-			}
-			ev.pkt = p
-		}
-		wheel.Schedule(delay, ev)
+	if c.Err() == nil && c.Remaining() != 0 {
+		c.Fail("%d trailing payload bytes", c.Remaining())
 	}
-	if d.Remaining() != 0 {
-		d.Fail("%d trailing payload bytes", d.Remaining())
-		return d.Err()
-	}
-
-	// Everything decoded and validated; commit the staged scalars.
-	n.now = now
-	n.inFlight = inFlight
-	n.CongestionStalls = congestionStalls
-	n.faultIdx = faultIdx
-	n.pool.SetOutstanding(outstanding)
-	n.digestOn, n.digest, n.digestCount = digestOn, digest, digestCount
-	n.logCap, n.grantLog = logCap, grantLog
 	n.traceEvery, n.traces = 0, nil
 	n.deriveLookahead()
-	return nil
+	return c.Err()
 }
 
-// snapPacketBytes is the fixed size of one encodePacket record: 19 64-bit
-// fields and 3 flag bytes.
-const snapPacketBytes = 19*8 + 3
-
-func encodePacket(e *simcore.Enc, p *packet.Packet) {
-	e.U64(uint64(p.ID))
-	e.Int(p.Size)
-	e.Int(p.Dst)
-	e.Int(p.SrcGroup)
-	e.Int(p.DstGroup)
-	e.Int(p.ValiantGroup)
-	e.I64(p.BlockedSince)
-	e.Bool(p.GlobalMisrouted)
-	e.Bool(p.LocalMisrouted)
-	e.Bool(p.OnRing)
-	e.I64(int64(p.Ring))
-	e.Int(p.LocalHops)
-	e.Int(p.GlobalHops)
-	e.Int(p.Src)
-	e.Int(p.MisrouteGroup)
-	e.Int(p.TotalHops)
-	e.Int(p.RingExits)
-	e.Int(p.RingHops)
-	e.I64(int64(p.Job))
-	e.I64(p.Born)
-	e.I64(p.Injected)
-	e.I64(p.Done)
-}
-
-// decodePacket fills p from d and returns the packet's ID (0 on decode
-// error). Field ranges are validated against this network's topology.
-func (n *Network) decodePacket(d *simcore.Dec, p *packet.Packet) uint64 {
-	id := d.U64()
-	p.ID = packet.ID(id)
-	p.Size = d.Int()
-	p.Dst = d.Int()
-	p.SrcGroup = d.Int()
-	p.DstGroup = d.Int()
-	p.ValiantGroup = d.Int()
-	p.BlockedSince = d.I64()
-	p.GlobalMisrouted = d.Bool()
-	p.LocalMisrouted = d.Bool()
-	p.OnRing = d.Bool()
-	ring := d.I64()
-	p.LocalHops = d.Int()
-	p.GlobalHops = d.Int()
-	p.Src = d.Int()
-	p.MisrouteGroup = d.Int()
-	p.TotalHops = d.Int()
-	p.RingExits = d.Int()
-	p.RingHops = d.Int()
-	job := d.I64()
-	p.Born = d.I64()
-	p.Injected = d.I64()
-	p.Done = d.I64()
-	if d.Err() != nil {
-		return 0
+// checkWiring fails c unless every restored link names a router and port
+// the network has, or is unwired (-1, -1): the windows index routers and
+// ports by these fields.
+func (n *Network) checkWiring(c *simcore.Codec) error {
+	fits := func(r, port int, in bool) bool {
+		if r < 0 || r >= len(n.Routers) {
+			return r == -1 && port == -1
+		}
+		ports := len(n.Routers[r].Out)
+		if in {
+			ports = len(n.Routers[r].In)
+		}
+		return port >= 0 && port < ports
 	}
-	switch {
+	for _, r := range n.Routers {
+		for i, op := range r.Out {
+			if !fits(op.Peer, op.PeerPort, true) {
+				c.Fail("router %d output %d wired to router %d input %d", r.ID, i, op.Peer, op.PeerPort)
+			}
+		}
+		for i, ip := range r.In {
+			if !fits(ip.UpRouter, ip.UpPort, false) {
+				c.Fail("router %d input %d fed from router %d output %d", r.ID, i, ip.UpRouter, ip.UpPort)
+			}
+		}
+	}
+	return c.Err()
+}
+
+// eventState visits one wheel event due delay cycles from now; an arrival
+// carries its packet by ID. Decoding validates every index against this
+// network (the cases run in order, so each may index by the ones before).
+func (n *Network) eventState(c *simcore.Codec, delay *int, ev *event, lookup func(packet.ID) *packet.Packet) error {
+	simcore.Int(c, delay)
+	c.U8((*uint8)(&ev.kind))
+	simcore.Int(c, &ev.r)
+	simcore.Int(c, &ev.port)
+	simcore.Int(c, &ev.vc)
+	simcore.Int(c, &ev.phits)
+	if c.Decoding() && c.Err() == nil {
+		switch r, port := int(ev.r), int(ev.port); {
+		case *delay < 0 || *delay > n.wheel.Horizon():
+			c.Fail("event delay %d outside wheel horizon %d", *delay, n.wheel.Horizon())
+		case ev.kind > evCredit:
+			c.Fail("unknown event kind %d", ev.kind)
+		case r < 0 || r >= len(n.Routers):
+			c.Fail("event router %d out of range", r)
+		case port < 0 || port >= len(n.Routers[r].In):
+			c.Fail("event port %d out of range on router %d", port, r)
+		case ev.vc < 0 || ev.kind != evCredit && int(ev.vc) >= len(n.Routers[r].In[port].VCs) ||
+			ev.kind == evCredit && int(ev.vc) >= n.Routers[r].Out[port].NumVCs():
+			c.Fail("event vc %d out of range on router %d port %d", ev.vc, r, port)
+		case ev.phits < 0 || int(ev.phits) > n.Cfg.PacketSize:
+			c.Fail("event phits %d out of range", ev.phits)
+		}
+	}
+	if ev.kind == evArrive && c.Err() == nil {
+		packet.Ref(c, &ev.pkt, lookup)
+	}
+	return c.Err()
+}
+
+// snapPacketBytes is the fixed size of one packet record, 19 64-bit fields
+// and 3 flag bytes; snapGrantBytes that of one grant-log event, 9 and 1.
+const (
+	snapPacketBytes = 19*8 + 3
+	snapGrantBytes  = 9*8 + 1
+)
+
+// packetState visits one packet record. Decoding validates its fields
+// against this network's topology.
+func (n *Network) packetState(c *simcore.Codec, p *packet.Packet) {
+	c.U64((*uint64)(&p.ID))
+	simcore.Int(c, &p.Size)
+	simcore.Int(c, &p.Dst)
+	simcore.Int(c, &p.SrcGroup)
+	simcore.Int(c, &p.DstGroup)
+	simcore.Int(c, &p.ValiantGroup)
+	simcore.Int(c, &p.BlockedSince)
+	c.Bool(&p.GlobalMisrouted)
+	c.Bool(&p.LocalMisrouted)
+	c.Bool(&p.OnRing)
+	simcore.Int(c, &p.Ring)
+	simcore.Int(c, &p.LocalHops)
+	simcore.Int(c, &p.GlobalHops)
+	simcore.Int(c, &p.Src)
+	simcore.Int(c, &p.MisrouteGroup)
+	simcore.Int(c, &p.TotalHops)
+	simcore.Int(c, &p.RingExits)
+	simcore.Int(c, &p.RingHops)
+	simcore.Int(c, &p.Job)
+	simcore.Int(c, &p.Born)
+	simcore.Int(c, &p.Injected)
+	simcore.Int(c, &p.Done)
+	if !c.Decoding() || c.Err() != nil {
+		return
+	}
+	switch id := p.ID; {
 	case id == 0:
-		d.Fail("packet ID 0 (IDs start at 1)")
+		c.Fail("packet ID 0 (IDs start at 1)")
 	case p.Size != n.Cfg.PacketSize:
-		d.Fail("packet %d size %d != configured %d", id, p.Size, n.Cfg.PacketSize)
+		c.Fail("packet %d size %d != configured %d", id, p.Size, n.Cfg.PacketSize)
 	case p.Src < 0 || p.Src >= n.Topo.Nodes || p.Dst < 0 || p.Dst >= n.Topo.Nodes:
-		d.Fail("packet %d endpoints %d→%d outside [0,%d)", id, p.Src, p.Dst, n.Topo.Nodes)
+		c.Fail("packet %d endpoints %d→%d outside [0,%d)", id, p.Src, p.Dst, n.Topo.Nodes)
 	case p.SrcGroup < 0 || p.SrcGroup >= n.Topo.G || p.DstGroup < 0 || p.DstGroup >= n.Topo.G:
-		d.Fail("packet %d group fields out of range", id)
+		c.Fail("packet %d group fields out of range", id)
 	case p.ValiantGroup < -1 || p.ValiantGroup >= n.Topo.G || p.MisrouteGroup < -1 || p.MisrouteGroup >= n.Topo.G:
-		d.Fail("packet %d intermediate-group fields out of range", id)
-	case ring < -1 || ring > 127:
-		d.Fail("packet %d ring %d outside int8", id, ring)
-	case job < -1 || job >= int64(n.Stats.Jobs()):
+		c.Fail("packet %d intermediate-group fields out of range", id)
+	case p.Ring < -1:
+		c.Fail("packet %d ring %d below -1", id, p.Ring)
+	case p.Job < -1 || int(p.Job) >= n.Stats.Jobs():
 		// -1 (untagged) is always valid; a tagged packet needs its slot to
 		// exist in the attached generator's job table.
-		d.Fail("packet %d job slot %d outside the %d enabled slots", id, job, n.Stats.Jobs())
+		c.Fail("packet %d job slot %d outside the %d enabled slots", id, p.Job, n.Stats.Jobs())
 	}
-	p.Ring = int8(ring)
-	p.Job = int32(job)
-	return id
 }

@@ -14,14 +14,14 @@ import (
 // reproduce a restorable image with identical router fingerprints, and
 // stepping the restored network must preserve packet conservation.
 //
-// The seed corpus holds real snapshots — cold, warm, and warm-with-faults —
-// and one well-formed hostile image, so mutations explore the format's
-// interior, not just the magic check.
+// The seed corpus holds real snapshots — cold, warm, warm-with-faults and
+// warm with every observer on — and well-formed hostile images, so mutations
+// explore the format's interior, not just the magic check.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	cfg := DefaultConfig(2)
 	cfg.Seed = 5
 
-	seed := func(cycles int, withFault bool) []byte {
+	warm := func(withFault bool, setup func(*Network)) *Network {
 		c := cfg
 		if withFault {
 			c.Faults = []Fault{{Cycle: 60, Kind: FaultRouter, Router: 3}}
@@ -32,16 +32,31 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 		n.EnableGrantDigest()
 		n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.6, c.PacketSize))
-		n.Run(cycles)
-		var buf bytes.Buffer
-		if err := n.Snapshot(&buf); err != nil {
-			f.Fatal(err)
+		if setup != nil {
+			setup(n)
 		}
-		return buf.Bytes()
+		return n
 	}
-	f.Add(seed(0, false))
-	f.Add(seed(150, false))
-	f.Add(seed(150, true)) // config mismatch vs the target: exercises rejection
+	seed := func(cycles int, withFault bool, setup func(*Network)) []byte {
+		n := warm(withFault, setup)
+		n.Run(cycles)
+		return snapshotBytes(f, n)
+	}
+	f.Add(seed(0, false, nil))
+	f.Add(seed(150, false, nil))
+	f.Add(seed(150, true, nil)) // config mismatch vs the target: exercises rejection
+	f.Add(seed(150, false, func(n *Network) {
+		n.EnableGrantLog(64)
+		n.Stats.EnableSeries(50)
+		n.Stats.EnableHistogram()
+		n.Stats.EnableUtilization(len(n.Routers), len(n.Routers[0].Out))
+		n.Stats.StartMeasurement(0)
+	}))
+	// Checksum-valid state that does not fit the network.
+	f.Add(hostileUtilization(f, warm(false, nil)))
+	f.Add(hostileWiring(f, warm(false, nil), func(n *Network) {
+		n.Routers[4].Out[n.Topo.LocalPortBase()].Peer = 1 << 20
+	}))
 	// Valid header and checksum, a packet count far beyond the payload: the
 	// decoder must size its packet block by the bytes present.
 	cold, err := New(cfg)

@@ -8,6 +8,8 @@
 // Size cycles to cross a link or a crossbar port.
 package packet
 
+import "ofar/internal/simcore"
+
 // ID uniquely identifies a packet within one simulation run.
 type ID uint64
 
@@ -18,7 +20,8 @@ type ID uint64
 // engine's per-cycle read set (consulted for every blocked buffer head at
 // saturation), packed so they share the packet's first cache lines. The
 // trailing fields are written once per hop or once per lifetime. Reordering
-// is semantics-neutral — nothing reflects over or serializes this struct.
+// is semantics-neutral — nothing reflects over this struct, and the snapshot
+// walk visits its fields by name.
 type Packet struct {
 	ID   ID
 	Size int // size in phits
@@ -182,3 +185,19 @@ func (pl *Pool) Outstanding() uint64 { return uint64(pl.next) }
 // generated from here on continue the original ID sequence (IDs are unique
 // for the lifetime of a run; traces and snapshot dedup rely on that).
 func (pl *Pool) SetOutstanding(n uint64) { pl.next = ID(n) }
+
+// Ref visits a reference to a packet by the packet's ID in a snapshot walk:
+// encoding writes (*p).ID, decoding reads an ID and resolves it through
+// lookup, which returns nil for an ID it does not know.
+func Ref(c *simcore.Codec, p **Packet, lookup func(ID) *Packet) {
+	var id ID
+	if !c.Decoding() {
+		id = (*p).ID
+	}
+	c.U64((*uint64)(&id))
+	if c.Decoding() && c.Err() == nil {
+		if *p = lookup(id); *p == nil {
+			c.Fail("unknown packet ID %d", id)
+		}
+	}
+}

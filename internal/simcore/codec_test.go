@@ -114,6 +114,104 @@ func TestCodecValidation(t *testing.T) {
 	})
 }
 
+// codecRecord is a small value with one walk, the shape every snapshotted
+// type follows.
+type codecRecord struct {
+	a    int
+	b    int8
+	c    int32
+	u    uint64
+	f    float64
+	ok   bool
+	name string
+	xs   []int64
+	fix  [3]int16
+}
+
+func (r *codecRecord) state(c *Codec) {
+	Int(c, &r.a)
+	Int(c, &r.b)
+	Int(c, &r.c)
+	c.U64(&r.u)
+	c.F64(&r.f)
+	c.Bool(&r.ok)
+	c.String(&r.name, 16)
+	n := c.Len(len(r.xs), 64)
+	if c.Decoding() {
+		r.xs = make([]int64, n)
+	}
+	for i := range r.xs {
+		Int(c, &r.xs[i])
+	}
+	c.Shape(len(r.fix), "fix")
+	for i := range r.fix {
+		Int(c, &r.fix[i])
+	}
+}
+
+// TestCodecWalk: one walk encodes a value in Enc's format (every integer as
+// 64 bits) and decodes it back; decoding fails a value that overflows its
+// field, a shape that differs from the target's, and a count larger than
+// the input left.
+func TestCodecWalk(t *testing.T) {
+	in := codecRecord{a: -5, b: -2, c: 1 << 30, u: 1 << 63, f: math.Pi, ok: true, name: "burst", xs: []int64{3, -4}, fix: [3]int16{7, 8, 9}}
+	var e Enc
+	in.state(Encoder(&e))
+	var want Enc
+	want.I64(-5)
+	want.I64(-2)
+	want.I64(1 << 30)
+	want.U64(1 << 63)
+	want.F64(math.Pi)
+	want.Bool(true)
+	want.Bytes([]byte("burst"))
+	want.Int(2)
+	want.I64(3)
+	want.I64(-4)
+	want.Int(3)
+	for _, v := range []int64{7, 8, 9} {
+		want.I64(v)
+	}
+	if string(e.Data()) != string(want.Data()) {
+		t.Fatalf("walk encoded % x, want % x", e.Data(), want.Data())
+	}
+	var out codecRecord
+	c := Decoder(NewDec(e.Data()))
+	out.state(c)
+	if err := c.Err(); err != nil || c.Remaining() != 0 {
+		t.Fatalf("decode: %v, %d bytes left", err, c.Remaining())
+	}
+	if out.a != in.a || out.b != in.b || out.c != in.c || out.u != in.u || out.f != in.f ||
+		out.ok != in.ok || out.name != in.name || len(out.xs) != 2 || out.xs[1] != -4 || out.fix != in.fix {
+		t.Fatalf("decoded %+v, want %+v", out, in)
+	}
+
+	// Offsets into the 110-byte image: b at 8, the fix shape at 78.
+	for name, patch := range map[string][2]int64{
+		"int8 overflow": {8, 128},
+		"shape":         {78, 4},
+	} {
+		var b Enc
+		b.Raw(e.Data()[:patch[0]])
+		b.I64(patch[1])
+		b.Raw(e.Data()[patch[0]+8:])
+		c := Decoder(NewDec(b.Data()))
+		new(codecRecord).state(c)
+		if c.Err() == nil {
+			t.Errorf("%s: decoded cleanly", name)
+		}
+	}
+
+	// A count within max but beyond the bytes left fails at once, before any
+	// element is read or allocated.
+	var short Enc
+	short.Int(60)
+	short.Raw(make([]byte, 48))
+	if c := Decoder(NewDec(short.Data())); c.Len(0, 64) != 0 || c.Err() == nil {
+		t.Error("a count past the input was accepted")
+	}
+}
+
 func TestRNGSetState(t *testing.T) {
 	r := NewRNG(7)
 	r.Uint64()

@@ -92,10 +92,10 @@ func TestJobStatsSnapshotRoundTrip(t *testing.T) {
 	r.JobGenerated(2)
 
 	var e simcore.Enc
-	r.EncodeState(&e)
+	r.State(simcore.Encoder(&e))
 
 	fresh := jobRun()
-	if err := fresh.DecodeState(simcore.NewDec(e.Data())); err != nil {
+	if err := fresh.State(simcore.Decoder(simcore.NewDec(e.Data()))); err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < r.Jobs(); j++ {
@@ -119,23 +119,23 @@ func TestJobStatsSnapshotRoundTrip(t *testing.T) {
 func TestJobStatsSnapshotRejectsMismatch(t *testing.T) {
 	r := jobRun()
 	var e simcore.Enc
-	r.EncodeState(&e)
+	r.State(simcore.Encoder(&e))
 
 	// Fewer slots than the snapshot carries.
 	small := NewRun(20, 8)
 	small.EnableJobs([]string{"a"}, []int{8})
-	if err := small.DecodeState(simcore.NewDec(e.Data())); err == nil {
+	if err := small.State(simcore.Decoder(simcore.NewDec(e.Data()))); err == nil {
 		t.Error("slot-count mismatch decoded cleanly")
 	}
 	// Same count, different job names.
 	renamed := NewRun(20, 8)
 	renamed.EnableJobs([]string{"a", "b", "other"}, []int{8, 8, 4})
-	if err := renamed.DecodeState(simcore.NewDec(e.Data())); err == nil {
+	if err := renamed.State(simcore.Decoder(simcore.NewDec(e.Data()))); err == nil {
 		t.Error("job-name mismatch decoded cleanly")
 	}
 	// No job accounting at all.
 	plain := NewRun(20, 8)
-	if err := plain.DecodeState(simcore.NewDec(e.Data())); err == nil {
+	if err := plain.State(simcore.Decoder(simcore.NewDec(e.Data()))); err == nil {
 		t.Error("job snapshot decoded into a job-less run")
 	}
 }

@@ -17,222 +17,165 @@ const (
 	maxSeriesBuckets = 1 << 28
 	maxHistBuckets   = 1 << 16
 	maxUtilCounters  = 1 << 28
-	maxJobSlots      = 1 << 20
 )
 
-// EncodeState appends the full statistics state to e.
-func (r *Run) EncodeState(e *simcore.Enc) {
-	e.Int(r.Nodes)
-	e.Int(r.PacketSize)
-	e.I64(r.Generated)
-	e.I64(r.SourceBlocked)
-	e.I64(r.Injected)
-	e.I64(r.Delivered)
-	e.I64(r.GlobalMisroutes)
-	e.I64(r.LocalMisroutes)
-	e.I64(r.RingEnters)
-	e.I64(r.RingExits)
-	e.I64(r.RingHops)
-	e.I64(r.Dropped)
-	e.I64(r.FaultReroutes)
+// State walks the full statistics state. Decoding works in place (callers
+// hold the *Run pointer across a restore). Nodes/PacketSize must match the
+// sink being restored into, and so must the per-job slots, which the
+// attached generator sizes before the restore reaches this section: a
+// mismatch means the snapshot belongs to a different network or workload
+// and is rejected.
+func (r *Run) State(c *simcore.Codec) error {
+	dec := c.Decoding()
+	c.Shape(r.Nodes, "stats nodes")
+	c.Shape(r.PacketSize, "stats packet size")
+	simcore.Int(c, &r.Generated)
+	simcore.Int(c, &r.SourceBlocked)
+	simcore.Int(c, &r.Injected)
+	simcore.Int(c, &r.Delivered)
+	simcore.Int(c, &r.GlobalMisroutes)
+	simcore.Int(c, &r.LocalMisroutes)
+	simcore.Int(c, &r.RingEnters)
+	simcore.Int(c, &r.RingExits)
+	simcore.Int(c, &r.RingHops)
+	simcore.Int(c, &r.Dropped)
+	simcore.Int(c, &r.FaultReroutes)
 
-	keys := make([]uint64, 0, len(r.affected))
-	for k := range r.affected {
-		keys = append(keys, k)
+	var keys []uint64
+	if !dec {
+		keys = make([]uint64, 0, len(r.affected))
+		for k := range r.affected {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
 	}
-	slices.Sort(keys)
-	e.Int(len(keys))
-	for _, k := range keys {
-		e.U64(k)
+	nAff := c.Len(len(keys), maxAffectedFlows)
+	if dec {
+		r.affected = nil
+		if nAff > 0 {
+			r.affected = make(map[uint64]struct{}, nAff)
+		}
 	}
-
-	e.Bool(r.measuring)
-	e.I64(r.measureStart)
-	e.I64(r.mDelivered)
-	e.F64(r.mLatSum)
-	e.I64(r.mLatCount)
-	e.F64(r.mNetLatSum)
-	e.I64(r.mHopsSum)
-	e.I64(r.mLatMax)
-	e.Int(r.mHopsMax)
-	e.Int(r.mCanHopsMax)
-
-	e.Bool(r.series != nil)
-	if r.series != nil {
-		r.series.encodeState(e)
-	}
-	e.Bool(r.hist != nil)
-	if r.hist != nil {
-		r.hist.encodeState(e)
-	}
-	e.Bool(r.util != nil)
-	if r.util != nil {
-		e.Int(r.ports)
-		e.Int(len(r.util))
-		for _, v := range r.util {
-			e.I64(v)
+	for i := range nAff {
+		var k uint64
+		if !dec {
+			k = keys[i]
+		}
+		c.U64(&k)
+		if dec {
+			r.affected[k] = struct{}{}
 		}
 	}
 
-	e.Int(len(r.jobs))
+	c.Bool(&r.measuring)
+	simcore.Int(c, &r.measureStart)
+	simcore.Int(c, &r.mDelivered)
+	c.F64(&r.mLatSum)
+	simcore.Int(c, &r.mLatCount)
+	c.F64(&r.mNetLatSum)
+	simcore.Int(c, &r.mHopsSum)
+	simcore.Int(c, &r.mLatMax)
+	simcore.Int(c, &r.mHopsMax)
+	simcore.Int(c, &r.mCanHopsMax)
+
+	if present(c, &r.series) {
+		r.series.state(c)
+	}
+	if present(c, &r.hist) {
+		r.hist.state(c)
+	}
+	hasUtil := r.util != nil
+	c.Bool(&hasUtil)
+	if dec {
+		r.util, r.ports = nil, 0
+	}
+	if hasUtil {
+		simcore.Int(c, &r.ports)
+		n := c.Len(len(r.util), maxUtilCounters)
+		if dec {
+			r.util = make([]int64, n)
+		}
+		for i := range r.util {
+			simcore.Int(c, &r.util[i])
+		}
+	}
+
+	c.Shape(len(r.jobs), "job slots")
 	for i := range r.jobs {
 		s := &r.jobs[i]
-		e.Bytes([]byte(s.Name))
-		e.Int(s.Nodes)
-		e.I64(s.Generated)
-		e.I64(s.Delivered)
-		e.I64(s.Dropped)
-		e.I64(s.mDelivered)
-		e.F64(s.mLatSum)
-		s.hist.encodeState(e)
+		name := s.Name
+		c.String(&name, 1<<16)
+		if dec && name != s.Name {
+			c.Fail("job slot %d named %q, sink has %q", i, name, s.Name)
+		}
+		simcore.Int(c, &s.Nodes)
+		simcore.Int(c, &s.Generated)
+		simcore.Int(c, &s.Delivered)
+		simcore.Int(c, &s.Dropped)
+		simcore.Int(c, &s.mDelivered)
+		c.F64(&s.mLatSum)
+		if dec && (s.Nodes < 0 || s.Generated < 0 || s.Delivered < 0 || s.Dropped < 0 || s.Delivered+s.Dropped > s.Generated) {
+			c.Fail("job slot %d counters gen=%d del=%d drop=%d inconsistent", i, s.Generated, s.Delivered, s.Dropped)
+		}
+		if dec {
+			s.hist = &Histogram{}
+		}
+		s.hist.state(c)
 	}
+	return c.Err()
 }
 
-// DecodeState overwrites the statistics state from d, in place (callers hold
-// the *Run pointer across a restore). Nodes/PacketSize must match the sink
-// being restored into; a mismatch means the snapshot belongs to a different
-// network and is rejected.
-func (r *Run) DecodeState(d *simcore.Dec) error {
-	nodes, pktSize := d.Int(), d.Int()
-	if d.Err() == nil && (nodes != r.Nodes || pktSize != r.PacketSize) {
-		d.Fail("stats sized for %d nodes/%d-phit packets, have %d/%d", nodes, pktSize, r.Nodes, r.PacketSize)
-	}
-	r.Generated = d.I64()
-	r.SourceBlocked = d.I64()
-	r.Injected = d.I64()
-	r.Delivered = d.I64()
-	r.GlobalMisroutes = d.I64()
-	r.LocalMisroutes = d.I64()
-	r.RingEnters = d.I64()
-	r.RingExits = d.I64()
-	r.RingHops = d.I64()
-	r.Dropped = d.I64()
-	r.FaultReroutes = d.I64()
-
-	nAff := d.Len(maxAffectedFlows)
-	r.affected = nil
-	if nAff > 0 {
-		r.affected = make(map[uint64]struct{}, nAff)
-		for i := 0; i < nAff && d.Err() == nil; i++ {
-			r.affected[d.U64()] = struct{}{}
-		}
-	}
-
-	r.measuring = d.Bool()
-	r.measureStart = d.I64()
-	r.mDelivered = d.I64()
-	r.mLatSum = d.F64()
-	r.mLatCount = d.I64()
-	r.mNetLatSum = d.F64()
-	r.mHopsSum = d.I64()
-	r.mLatMax = d.I64()
-	r.mHopsMax = d.Int()
-	r.mCanHopsMax = d.Int()
-
-	r.series = nil
-	if d.Bool() {
-		r.series = &Series{}
-		r.series.decodeState(d)
-	}
-	r.hist = nil
-	if d.Bool() {
-		r.hist = &Histogram{}
-		r.hist.decodeState(d)
-	}
-	r.util = nil
-	r.ports = 0
-	if d.Bool() {
-		r.ports = d.Int()
-		n := d.Len(maxUtilCounters)
-		if d.Err() == nil {
-			r.util = make([]int64, n)
-			for i := range r.util {
-				r.util[i] = d.I64()
-			}
-		}
-	}
-
-	// Per-job slots are sized by the attached generator before the restore
-	// reaches the statistics section, so shape mismatches mean the snapshot
-	// was taken under a different workload and must be rejected.
-	nJobs := d.Len(maxJobSlots)
-	if d.Err() == nil && nJobs != len(r.jobs) {
-		d.Fail("stats carry %d job slots, sink has %d", nJobs, len(r.jobs))
-	}
-	for i := 0; i < nJobs && d.Err() == nil; i++ {
-		s := &r.jobs[i]
-		name := string(d.Bytes(1 << 16))
-		if d.Err() == nil && name != s.Name {
-			d.Fail("job slot %d named %q, sink has %q", i, name, s.Name)
-		}
-		s.Nodes = d.Int()
-		s.Generated = d.I64()
-		s.Delivered = d.I64()
-		s.Dropped = d.I64()
-		s.mDelivered = d.I64()
-		s.mLatSum = d.F64()
-		if d.Err() == nil && (s.Nodes < 0 || s.Generated < 0 || s.Delivered < 0 || s.Dropped < 0 || s.Delivered+s.Dropped > s.Generated) {
-			d.Fail("job slot %d counters gen=%d del=%d drop=%d inconsistent", i, s.Generated, s.Delivered, s.Dropped)
-		}
-		s.hist = &Histogram{}
-		s.hist.decodeState(d)
-	}
-	return d.Err()
+// UtilizationFits reports whether the utilization counters, when enabled,
+// hold routers rows of at least ports ports each — what AddUtilization
+// indexes for a network of routers routers whose widest has ports outputs.
+func (r *Run) UtilizationFits(routers, ports int) bool {
+	return r.util == nil || r.ports >= ports && len(r.util) == routers*r.ports
 }
 
-func (s *Series) encodeState(e *simcore.Enc) {
-	e.Int(s.bucket)
-	e.Int(len(s.sum))
+// present visits whether the optional sink *p is on; decoding replaces *p
+// with nil or a fresh zero sink for the sink's own walk to fill.
+func present[T any](c *simcore.Codec, p **T) bool {
+	on := *p != nil
+	c.Bool(&on)
+	if c.Decoding() {
+		*p = nil
+		if on {
+			*p = new(T)
+		}
+	}
+	return on
+}
+
+func (s *Series) state(c *simcore.Codec) {
+	simcore.Int(c, &s.bucket)
+	if c.Decoding() && s.bucket < 1 {
+		c.Fail("series bucket width %d < 1", s.bucket)
+	}
+	n := c.Len(len(s.sum), maxSeriesBuckets)
+	if c.Decoding() {
+		s.sum = make([]float64, n)
+		s.count = make([]int64, n)
+	}
 	for i := range s.sum {
-		e.F64(s.sum[i])
-		e.I64(s.count[i])
+		c.F64(&s.sum[i])
+		simcore.Int(c, &s.count[i])
 	}
 }
 
-func (s *Series) decodeState(d *simcore.Dec) {
-	s.bucket = d.Int()
-	if d.Err() == nil && s.bucket < 1 {
-		d.Fail("series bucket width %d < 1", s.bucket)
+func (h *Histogram) state(c *simcore.Codec) {
+	c.F64(&h.base)
+	if c.Decoding() && !(h.base > 0) {
+		c.Fail("histogram base %v not positive", h.base)
 	}
-	n := d.Len(maxSeriesBuckets)
-	if d.Err() != nil {
-		return
+	simcore.Int(c, &h.count)
+	c.F64(&h.sum)
+	c.F64(&h.min)
+	c.F64(&h.max)
+	n := c.Len(len(h.buckets), maxHistBuckets)
+	if c.Decoding() {
+		h.buckets = make([]int64, n)
 	}
-	s.sum = make([]float64, n)
-	s.count = make([]int64, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		s.sum[i] = d.F64()
-		s.count[i] = d.I64()
-	}
-}
-
-func (h *Histogram) encodeState(e *simcore.Enc) {
-	e.F64(h.base)
-	e.I64(h.count)
-	e.F64(h.sum)
-	e.F64(h.min)
-	e.F64(h.max)
-	e.Int(len(h.buckets))
-	for _, c := range h.buckets {
-		e.I64(c)
-	}
-}
-
-func (h *Histogram) decodeState(d *simcore.Dec) {
-	h.base = d.F64()
-	if d.Err() == nil && !(h.base > 0) {
-		d.Fail("histogram base %v not positive", h.base)
-	}
-	h.count = d.I64()
-	h.sum = d.F64()
-	h.min = d.F64()
-	h.max = d.F64()
-	n := d.Len(maxHistBuckets)
-	if d.Err() != nil {
-		return
-	}
-	h.buckets = make([]int64, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		h.buckets[i] = d.I64()
+	for i := range h.buckets {
+		simcore.Int(c, &h.buckets[i])
 	}
 }

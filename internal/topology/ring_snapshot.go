@@ -11,67 +11,40 @@ import (
 
 const maxRingRouters = 1 << 22
 
-// EncodeState appends the full ring state to e, including the derived
-// per-router maps (which after a splice are no longer a pure function of
-// Order: spliced-out routers hold -1 sentinels and splice edges can have no
-// embedded port).
-func (rg *Ring) EncodeState(e *simcore.Enc) {
-	e.Int(rg.Offset)
-	e.Int(len(rg.Order))
-	for _, r := range rg.Order {
-		e.Int(r)
+// State walks the full ring state, including the derived per-router maps
+// (which after a splice are no longer a pure function of Order: spliced-out
+// routers hold -1 sentinels and splice edges can have no embedded port).
+// Decoding overwrites the ring in place; its maps are sized to the network's
+// router count, which the image must match. Structural bounds are validated
+// (every index inside the router range, Order no longer than the maps);
+// deeper invariants are the snapshot writer's responsibility and are
+// protected by the payload checksum.
+func (rg *Ring) State(c *simcore.Codec) error {
+	routers := len(rg.next)
+	simcore.Int(c, &rg.Offset)
+	nOrder := c.Len(len(rg.Order), maxRingRouters)
+	if c.Decoding() {
+		if nOrder > routers {
+			c.Fail("ring order of %d routers, network has %d", nOrder, routers)
+			return c.Err()
+		}
+		rg.Order = make([]int, nOrder)
 	}
-	e.Int(len(rg.next))
-	for i := range rg.next {
-		e.I64(int64(rg.next[i]))
-		e.I64(int64(rg.pos[i]))
-		e.I64(int64(rg.port[i]))
-		e.Bool(rg.glob[i])
-	}
-}
-
-// DecodeRing reads one ring for a network of `routers` routers. Structural
-// bounds are validated (every index inside the router range, Order no longer
-// than the maps); deeper invariants are the snapshot writer's responsibility
-// and are protected by the payload checksum.
-func DecodeRing(d *simcore.Dec, routers int) (*Ring, error) {
-	rg := &Ring{Offset: d.Int()}
-	nOrder := d.Len(maxRingRouters)
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	rg.Order = make([]int, nOrder)
 	for i := range rg.Order {
-		rg.Order[i] = d.Int()
-		if d.Err() == nil && (rg.Order[i] < 0 || rg.Order[i] >= routers) {
-			d.Fail("ring order entry %d outside [0,%d)", rg.Order[i], routers)
+		simcore.Int(c, &rg.Order[i])
+		if r := rg.Order[i]; c.Decoding() && (r < 0 || r >= routers) {
+			c.Fail("ring order entry %d outside [0,%d)", r, routers)
 		}
 	}
-	n := d.Len(maxRingRouters)
-	if d.Err() == nil && (n != routers || nOrder > n) {
-		d.Fail("ring maps sized %d, network has %d routers (order %d)", n, routers, nOrder)
-	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	rg.next = make([]int32, n)
-	rg.pos = make([]int32, n)
-	rg.port = make([]int32, n)
-	rg.glob = make([]bool, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		rg.next[i] = int32(d.I64())
-		rg.pos[i] = int32(d.I64())
-		rg.port[i] = int32(d.I64())
-		rg.glob[i] = d.Bool()
-		if d.Err() == nil {
-			if int(rg.next[i]) >= routers || rg.next[i] < -1 ||
-				int(rg.pos[i]) >= n || rg.pos[i] < -1 {
-				d.Fail("ring map entry %d out of range", i)
-			}
+	c.Shape(routers, "ring maps")
+	for i := range rg.next {
+		simcore.Int(c, &rg.next[i])
+		simcore.Int(c, &rg.pos[i])
+		simcore.Int(c, &rg.port[i])
+		c.Bool(&rg.glob[i])
+		if c.Decoding() && (rg.next[i] < -1 || int(rg.next[i]) >= routers || rg.pos[i] < -1 || int(rg.pos[i]) >= routers) {
+			c.Fail("ring map entry %d out of range", i)
 		}
 	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	return rg, nil
+	return c.Err()
 }

@@ -318,45 +318,32 @@ func (s *JobSet) JobNodes(j int) int {
 	return count
 }
 
-// EncodeState implements StatefulGenerator: the per-slot emitted counters
-// are the job set's entire mutable state, plus their redundant total for the
-// decode-time consistency cross-check.
-func (s *JobSet) EncodeState(e *simcore.Enc) {
-	e.Int(len(s.emitted))
-	total := int64(0)
-	for i := range s.emitted {
-		v := s.emitted[i].Load()
-		e.I64(v)
-		total += v
-	}
-	e.I64(total)
-}
-
-// DecodeState implements StatefulGenerator. The slot count must match the
+// State implements StatefulGenerator: the per-slot emitted counters are the
+// job set's entire mutable state, plus their redundant total for the
+// decode-time consistency cross-check. The slot count must match the
 // attached generator, every counter must be non-negative, and the stored
 // total must equal their sum (the Burst lesson: individually-in-range values
 // can still be mutually inconsistent).
-func (s *JobSet) DecodeState(d *simcore.Dec) error {
-	n := d.Len(1 << 20)
-	if d.Err() == nil && n != len(s.emitted) {
-		d.Fail("job set has %d slots, snapshot carries %d", len(s.emitted), n)
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
+func (s *JobSet) State(c *simcore.Codec) error {
+	c.Shape(len(s.emitted), "job set slots")
 	sum := int64(0)
 	for i := range s.emitted {
-		v := d.I64()
-		if d.Err() == nil && v < 0 {
-			d.Fail("job slot %d emitted %d < 0", i, v)
+		v := s.emitted[i].Load()
+		simcore.Int(c, &v)
+		if c.Decoding() {
+			if v < 0 {
+				c.Fail("job slot %d emitted %d < 0", i, v)
+			}
+			s.emitted[i].Store(v)
 		}
-		s.emitted[i].Store(v)
 		sum += v
 	}
-	if total := d.I64(); d.Err() == nil && total != sum {
-		d.Fail("job set emitted total %d != sum of slots %d", total, sum)
+	total := sum
+	simcore.Int(c, &total)
+	if c.Decoding() && c.Err() == nil && total != sum {
+		c.Fail("job set emitted total %d != sum of slots %d", total, sum)
 	}
-	return d.Err()
+	return c.Err()
 }
 
 // CloneGenerator implements CloneableGenerator: the clone shares the

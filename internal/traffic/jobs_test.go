@@ -255,12 +255,12 @@ func TestJobSetStateRoundTripAndFailures(t *testing.T) {
 		s.Next(rng, i%d.Nodes, 50)
 	}
 	var e simcore.Enc
-	s.EncodeState(&e)
+	s.State(simcore.Encoder(&e))
 	fresh, err := NewJobSet(d, jobSetConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.DecodeState(simcore.NewDec(e.Data())); err != nil {
+	if err := fresh.State(simcore.Decoder(simcore.NewDec(e.Data()))); err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < s.NumJobs(); j++ {
@@ -276,7 +276,7 @@ func TestJobSetStateRoundTripAndFailures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := target.DecodeState(simcore.NewDec(e.Data())); err == nil {
+		if err := target.State(simcore.Decoder(simcore.NewDec(e.Data()))); err == nil {
 			t.Errorf("%s: decoded cleanly, want error", name)
 		}
 	}
@@ -321,7 +321,7 @@ func TestBurstDecodeRejectsInconsistentTotal(t *testing.T) {
 	for i := 0; i < d.Nodes; i++ {
 		e.Int(0) // all counters zero — sum is 0, not 8
 	}
-	if err := b.DecodeState(simcore.NewDec(e.Data())); err == nil {
+	if err := b.State(simcore.Decoder(simcore.NewDec(e.Data()))); err == nil {
 		t.Fatal("inconsistent burst state decoded cleanly, want error")
 	}
 }

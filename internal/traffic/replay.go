@@ -102,45 +102,25 @@ func (r *TraceReplay) Done() bool { return atomic.LoadInt64(&r.remaining) == 0 }
 // Total returns the number of records in the trace.
 func (r *TraceReplay) Total() int { return r.total }
 
-// EncodeState implements StatefulGenerator: the per-node cursors plus the
-// redundant remaining count for the decode-time cross-check.
-func (r *TraceReplay) EncodeState(e *simcore.Enc) {
-	e.Int(len(r.cursor))
-	for _, c := range r.cursor {
-		e.Int(c)
-	}
-	e.Int(int(r.remaining))
-}
-
-// DecodeState implements StatefulGenerator. Each cursor must lie within its
-// node's record list and the stored remaining count must equal the records
-// the cursors have not yet passed.
-func (r *TraceReplay) DecodeState(d *simcore.Dec) error {
-	n := d.Len(1 << 26)
-	if d.Err() == nil && n != len(r.cursor) {
-		d.Fail("trace replay has %d nodes, snapshot carries %d", len(r.cursor), n)
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
+// State implements StatefulGenerator: the per-node cursors plus the
+// redundant remaining count for the decode-time cross-check. Each cursor
+// must lie within its node's record list and the stored remaining count must
+// equal the records the cursors have not yet passed.
+func (r *TraceReplay) State(c *simcore.Codec) error {
+	c.Shape(len(r.cursor), "trace replay nodes")
 	injected := 0
 	for i := range r.cursor {
-		c := d.Int()
-		if d.Err() == nil && (c < 0 || c > len(r.perNode[i])) {
-			d.Fail("trace cursor[%d]=%d outside [0,%d]", i, c, len(r.perNode[i]))
+		simcore.Int(c, &r.cursor[i])
+		if cur := r.cursor[i]; c.Decoding() && (cur < 0 || cur > len(r.perNode[i])) {
+			c.Fail("trace cursor[%d]=%d outside [0,%d]", i, cur, len(r.perNode[i]))
 		}
-		r.cursor[i] = c
-		injected += c
+		injected += r.cursor[i]
 	}
-	remaining := d.Int()
-	if d.Err() == nil && remaining != r.total-injected {
-		d.Fail("trace remaining %d != %d records - %d injected", remaining, r.total, injected)
+	simcore.Int(c, &r.remaining)
+	if c.Decoding() && c.Err() == nil && r.remaining != int64(r.total-injected) {
+		c.Fail("trace remaining %d != %d records - %d injected", r.remaining, r.total, injected)
 	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	r.remaining = int64(remaining)
-	return nil
+	return c.Err()
 }
 
 // CloneGenerator implements CloneableGenerator: the clone shares the

@@ -114,7 +114,7 @@ func (m *Mix) Dest(rng *simcore.RNG, src int) int {
 // goroutine per group, each with its own stream), and lets a group run up to
 // a lookahead window ahead of the others. Every source therefore keeps
 // per-node state (budgets, cursors) or commutative counters read only
-// between windows (Done, EncodeState, accessors). Generators never see which
+// between windows (Done, State, accessors). Generators never see which
 // stream or goroutine they are handed, and results do not depend on who
 // walked which group.
 //
@@ -142,8 +142,13 @@ type Generator interface {
 // but the RNG, which the network snapshots separately.
 type StatefulGenerator interface {
 	Generator
-	EncodeState(e *simcore.Enc)
-	DecodeState(d *simcore.Dec) error
+	// State walks the progress state in one fixed field order (see
+	// simcore.Codec): encoding writes it and changes nothing, decoding
+	// overwrites it and fails on what cannot belong to this generator — a
+	// different geometry, or counters that disagree with each other. The
+	// network calls it between windows only, once the image has named this
+	// generator.
+	State(c *simcore.Codec) error
 }
 
 // CloneableGenerator is implemented by stateful generators that can produce
@@ -355,45 +360,33 @@ func (b *Burst) emitted() int {
 // Total returns the overall packet budget of the burst.
 func (b *Burst) Total() int { return b.total }
 
-// EncodeState implements StatefulGenerator: the per-node sent counters are
-// the burst's entire mutable state, preceded by their sum for the decode-time
-// cross-check.
-func (b *Burst) EncodeState(e *simcore.Enc) {
-	e.Int(b.perNode)
-	e.Int(b.emitted())
-	e.Int(len(b.sent))
-	for _, s := range b.sent {
-		e.Int(s)
-	}
-}
-
-// DecodeState implements StatefulGenerator. The burst geometry (nodes,
-// per-node budget) must match the generator being restored into.
-func (b *Burst) DecodeState(d *simcore.Dec) error {
-	perNode, emitted := d.Int(), d.Int()
-	n := d.Len(1 << 26)
-	if d.Err() == nil && (perNode != b.perNode || n != len(b.sent)) {
-		d.Fail("burst geometry %d×%d, have %d×%d", n, perNode, len(b.sent), b.perNode)
-	}
-	if d.Err() != nil {
-		return d.Err()
+// State implements StatefulGenerator: the per-node sent counters are the
+// burst's entire mutable state, preceded by their sum for the decode-time
+// cross-check. The burst geometry (nodes, per-node budget) must match the
+// generator being restored into.
+func (b *Burst) State(c *simcore.Codec) error {
+	perNode, emitted := b.perNode, b.emitted()
+	simcore.Int(c, &perNode)
+	simcore.Int(c, &emitted)
+	c.Shape(len(b.sent), "burst nodes")
+	if c.Decoding() && perNode != b.perNode {
+		c.Fail("burst budget %d per node, have %d", perNode, b.perNode)
 	}
 	sum := 0
 	for i := range b.sent {
-		s := d.Int()
-		if d.Err() == nil && (s < 0 || s > b.perNode) {
-			d.Fail("burst sent[%d]=%d outside [0,%d]", i, s, b.perNode)
+		simcore.Int(c, &b.sent[i])
+		if s := b.sent[i]; c.Decoding() && (s < 0 || s > b.perNode) {
+			c.Fail("burst sent[%d]=%d outside [0,%d]", i, s, b.perNode)
 		}
-		b.sent[i] = s
-		sum += s
+		sum += b.sent[i]
 	}
 	// The per-node counters and the emitted total are redundant views of the
 	// same progress; a snapshot where they disagree is corrupt even when each
 	// value is individually in range.
-	if d.Err() == nil && emitted != sum {
-		d.Fail("burst emitted %d != sum of per-node sent %d", emitted, sum)
+	if c.Decoding() && c.Err() == nil && emitted != sum {
+		c.Fail("burst emitted %d != sum of per-node sent %d", emitted, sum)
 	}
-	return d.Err()
+	return c.Err()
 }
 
 // CloneGenerator implements CloneableGenerator: the clone shares the
