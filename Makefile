@@ -194,8 +194,8 @@ smoke-cli:
 # FUZZTIME of exploration on its own (CI passes FUZZTIME=10s).
 FUZZ_TARGETS = .:FuzzParsePattern .:FuzzParallelConservation .:FuzzFaultSchedule \
 	.:FuzzRouteCache .:FuzzConfigFromJSON ./internal/topology:FuzzTopologyInvariants \
-	./internal/network:FuzzSnapshotRoundTrip ./internal/trace:FuzzTraceRoundTrip \
-	./internal/service:FuzzExperimentDecode
+	./internal/network:FuzzSnapshotRoundTrip ./internal/simcore:FuzzCodecDecode \
+	./internal/trace:FuzzTraceRoundTrip ./internal/service:FuzzExperimentDecode
 FUZZTIME ?= 30s
 
 fuzz:

@@ -2,10 +2,13 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
+	"ofar/internal/packet"
 	"ofar/internal/router"
 	"ofar/internal/simcore"
 	"ofar/internal/traffic"
@@ -72,11 +75,13 @@ func arenaBytes(sz router.ArenaSize) int {
 
 // TestConstructFootprint bounds what a constructed network holds — h=3 within
 // 4 MB (19.3 under fixed-size arena chunks), h=6 within 36 MB (83.7) — and
+// its warm snapshot (UN at load 0.3, cycle 1,000): a third of what the image
+// took with every integer 8 bytes wide, 0.7 MB at h=3 and 13.4 MB at h=6. It
 // prints the footprint table docs/ARCHITECTURE.md quotes (`make footprint`):
-// the arenas' state, the heap after New, and a warm snapshot (UN at load 0.3,
-// cycle 1,000).
+// the arenas' state, the heap after New, and the warm snapshot.
 func TestConstructFootprint(t *testing.T) {
 	bound := map[int]float64{3: 4, 6: 36}
+	snapBound := map[int]float64{3: 0.7 / 3, 6: 13.4 / 3}
 	hs := []int{2, 3, 6, 8}
 	if testing.Short() {
 		hs = hs[:2]
@@ -96,9 +101,13 @@ func TestConstructFootprint(t *testing.T) {
 		n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.3, cfg.PacketSize))
 		n.Run(1000)
 		snap := snapshotBytes(t, n)
-		t.Logf("%2d %8d %9.1f %11.1f %12.1f", h, len(n.Routers), float64(state)/(1<<20), heap, float64(len(snap))/(1<<20))
+		snapMB := float64(len(snap)) / (1 << 20)
+		t.Logf("%2d %8d %9.1f %11.1f %12.2f", h, len(n.Routers), float64(state)/(1<<20), heap, snapMB)
 		if max, ok := bound[h]; ok && heap > max {
 			t.Errorf("h=%d: New holds %.1f MB, want ≤ %.0f", h, heap, max)
+		}
+		if max, ok := snapBound[h]; ok && snapMB > max {
+			t.Errorf("h=%d: the warm snapshot takes %.2f MB, want ≤ %.2f", h, snapMB, max)
 		}
 		n.Close()
 	}
@@ -178,10 +187,12 @@ func TestRestoreAllocs(t *testing.T) {
 // TestRestoreBoundsPacketBlock: the packet block is sized by the bytes
 // actually present, not by the count field in front of them. An image with a
 // valid header and checksum whose payload claims 2^20 packets in 100 bytes is
-// rejected before anything near 2^20 packets is allocated.
+// rejected before anything near 2^20 packets is allocated, and so is one
+// whose count fits the bytes left but not that many of the smallest packet
+// record.
 func TestRestoreBoundsPacketBlock(t *testing.T) {
 	n := snapNet(t, snapCfg(1), 0.6)
-	img := hostilePacketCount(t, n)
+	img := hostilePacketCount(t, n, 1<<20, 100)
 	var err error
 	_, allocated := memDelta(func() { err = n.Restore(bytes.NewReader(img)) })
 	if err == nil {
@@ -190,31 +201,35 @@ func TestRestoreBoundsPacketBlock(t *testing.T) {
 	if allocated > 1 {
 		t.Fatalf("rejecting the image allocated %.1f MB, want < 1", allocated)
 	}
+	const pad = 4096
+	err = n.Restore(bytes.NewReader(hostilePacketCount(t, n, pad/snapPacketMin+1, pad)))
+	if err == nil || !strings.Contains(err.Error(), "truncated input") {
+		t.Fatalf("%d packets in %d bytes: %v, want the truncated-input error", pad/snapPacketMin+1, pad, err)
+	}
 }
 
 // hostilePacketCount returns an image for n's configuration that passes
 // every header check and carries the real payload of a cold network up to the
-// packet table, then a count of 2^20 packets and zero padding to 100 bytes
-// past it.
-func hostilePacketCount(t testing.TB, n *Network) []byte {
+// packet table, then a count of packets and pad zero bytes past it.
+func hostilePacketCount(t testing.TB, n *Network, count int64, pad int) []byte {
 	t.Helper()
 	var cold, marker simcore.Enc
 	n.state(simcore.Encoder(&cold))
 	// A cold network has no packets: find its empty table by what surrounds
-	// the zero count — the pending-queue section (a queue count, a zero
-	// length per queue) and the ring count behind it.
-	marker.Int(0)
-	marker.Int(len(n.pending))
-	marker.Raw(make([]byte, 8*len(n.pending)))
-	marker.Int(len(n.Rings))
+	// the zero count — the pending-queue section (a queue count, a one-byte
+	// zero length per queue) and the ring count behind it.
+	marker.Varint(0)
+	marker.Varint(int64(len(n.pending)))
+	marker.Raw(make([]byte, len(n.pending)))
+	marker.Varint(int64(len(n.Rings)))
 	table := bytes.Index(cold.Data(), marker.Data())
 	if table < 0 {
 		t.Fatal("packet table not found in a cold payload")
 	}
 	var payload simcore.Enc
 	payload.Raw(cold.Data()[:table])
-	payload.Int(1 << 20)
-	payload.Raw(make([]byte, 100))
+	payload.Varint(count)
+	payload.Raw(make([]byte, pad))
 	cfgJSON, err := SnapshotConfigJSON(n.Cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -229,13 +244,30 @@ func hostilePacketCount(t testing.TB, n *Network) []byte {
 	return img.Data()
 }
 
-// TestSnapPacketBytes keeps the constant Restore divides by equal to what
-// the packet walk writes.
+// TestSnapPacketBytes bounds what the packet walk writes: the smallest
+// record — a zero-valued packet one ID past the record before it — is the
+// snapPacketMin Restore divides by, and every packet of a warm network takes
+// between that and the widest record, 19 ten-byte varints and 3 flag bytes.
 func TestSnapPacketBytes(t *testing.T) {
 	n := snapNet(t, snapCfg(1), 0.6)
 	var e simcore.Enc
-	n.packetState(simcore.Encoder(&e), n.pool.Get())
-	if len(e.Data()) != snapPacketBytes {
-		t.Fatalf("the packet walk writes %d bytes, snapPacketBytes = %d", len(e.Data()), snapPacketBytes)
+	n.packetState(simcore.Encoder(&e), &packet.Packet{ID: 1}, 0)
+	if len(e.Data()) != snapPacketMin {
+		t.Fatalf("the smallest packet record takes %d bytes, snapPacketMin = %d", len(e.Data()), snapPacketMin)
+	}
+	n.Run(300)
+	const widest = 19*binary.MaxVarintLen64 + 3
+	tab := n.packetTable()
+	if len(tab.Pkts) == 0 {
+		t.Fatal("no packets in flight")
+	}
+	prev := packet.ID(0)
+	for _, p := range tab.Pkts {
+		var e simcore.Enc
+		n.packetState(simcore.Encoder(&e), p, prev)
+		if l := len(e.Data()); l < snapPacketMin || l > widest {
+			t.Fatalf("packet %d's record takes %d bytes, outside [%d,%d]", p.ID, l, snapPacketMin, widest)
+		}
+		prev = p.ID
 	}
 }

@@ -2,12 +2,9 @@ package network
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
-	"sort"
 	"sync"
 
 	"ofar/internal/packet"
@@ -53,7 +50,9 @@ const (
 	// Version 2 added the packet Job tag and the per-job statistics section.
 	// Version 3 replaced the single traffic RNG state with one state per
 	// dragonfly group (the sharded injection front-end's per-group streams).
-	SnapshotVersion = 3
+	// Version 4 stores integers as varints, packet IDs as deltas and packet
+	// references as positions in the packet table.
+	SnapshotVersion = 4
 
 	maxSnapCfgJSON = 1 << 20
 	maxSnapPackets = 1 << 26
@@ -270,12 +269,11 @@ func (n *Network) forEachPacket(f func(*packet.Packet)) {
 // for deterministic bytes. A committed packet can be referenced twice — by
 // the draining buffer that still holds it and by its in-flight arrival event
 // — and must decode to one object, which is why buffers, queues and events
-// store IDs into this table.
-func (n *Network) packetTable() []*packet.Packet {
+// store positions in this table.
+func (n *Network) packetTable() *packet.Table {
 	pkts := make([]*packet.Packet, 0, n.BufferedPackets()+n.PendingPackets()+n.wheel.Pending())
 	n.forEachPacket(func(p *packet.Packet) { pkts = append(pkts, p) })
-	slices.SortFunc(pkts, func(a, b *packet.Packet) int { return cmp.Compare(a.ID, b.ID) })
-	return slices.Compact(pkts)
+	return packet.NewTable(pkts)
 }
 
 // encode returns the snapshot payload: the state walk, encoding.
@@ -291,17 +289,10 @@ func (n *Network) encode() []byte {
 // network's state is unspecified.
 func (n *Network) state(c *simcore.Codec) error {
 	dec := c.Decoding()
-	var pkts []*packet.Packet
+	tab := new(packet.Table)
 	if !dec {
-		// Presize to the image: one router's encoding stands for all of them
-		// (they differ by a few VCs and their queued IDs), a packet costs its
-		// record plus up to two 8-byte references, an event 49 bytes. A miss
-		// only means append grows the buffer.
-		pkts = n.packetTable()
-		var probe simcore.Enc
-		n.Routers[0].State(simcore.Encoder(&probe), nil, n.now)
-		c.Grow(len(n.Routers)*len(probe.Data())*21/20 + len(pkts)*(snapPacketBytes+16) +
-			n.wheel.Pending()*49 + len(n.pending)*8 + len(n.grantLog)*snapGrantBytes + 64<<10)
+		tab = n.packetTable()
+		c.Grow(n.imageSize(tab))
 	}
 
 	simcore.Int(c, &n.now)
@@ -338,10 +329,11 @@ func (n *Network) state(c *simcore.Codec) error {
 	c.U64(&n.digest)
 	simcore.Int(c, &n.digestCount)
 	simcore.Int(c, &n.logCap)
-	nLog := c.Len(len(n.grantLog), maxSnapLog)
+	nLog := c.Records(len(n.grantLog), maxSnapLog, snapGrantMin)
 	if dec {
-		if n.logCap < 0 || n.logCap > maxSnapLog || nLog > n.logCap || nLog > c.Remaining()/snapGrantBytes {
-			c.Fail("grant log of %d events, cap %d outside [0,%d] or past the input", nLog, n.logCap, maxSnapLog)
+		// Fail keeps an earlier error, which c.Err then returns.
+		if c.Err() != nil || n.logCap < 0 || n.logCap > maxSnapLog || nLog > n.logCap {
+			c.Fail("grant log of %d events, cap %d outside [0,%d]", nLog, n.logCap, maxSnapLog)
 			return c.Err()
 		}
 		n.grantLog = nil
@@ -405,12 +397,9 @@ func (n *Network) state(c *simcore.Codec) error {
 		}
 	}
 
-	np := c.Len(len(pkts), maxSnapPackets)
+	// Bound the block by the input, not by a header field.
+	np := c.Records(len(tab.Pkts), maxSnapPackets, snapPacketMin)
 	if dec {
-		if c.Err() == nil && np > c.Remaining()/snapPacketBytes {
-			// Bound the block by the input, not by a header field.
-			c.Fail("truncated input: %d packets need %d bytes, have %d", np, np*snapPacketBytes, c.Remaining())
-		}
 		if err := c.Err(); err != nil {
 			return err
 		}
@@ -424,38 +413,22 @@ func (n *Network) state(c *simcore.Codec) error {
 				n.putPacket(p)
 			}
 		})
-		pkts = make([]*packet.Packet, np)
+		tab.Pkts = make([]*packet.Packet, np)
 	}
-	// In ID order, strictly increasing: the table is its own ID→packet index.
 	var in packet.Packet
-	for i := range pkts {
-		p := pkts[i]
+	var prev packet.ID
+	for i, p := range tab.Pkts {
 		if dec {
 			p = &in
 		}
-		n.packetState(c, p)
-		if !dec {
-			continue
-		}
-		if err := c.Err(); err != nil {
-			return err
-		}
-		if i > 0 && p.ID <= pkts[i-1].ID || uint64(p.ID) > outstanding {
-			c.Fail("packet ID %d out of order or beyond the pool's %d handed-out IDs", p.ID, outstanding)
-			return c.Err()
-		}
-		pkts[i] = n.poolG[p.SrcGroup].GetBlank()
-		*pkts[i] = *p
-	}
-	var lookup func(packet.ID) *packet.Packet
-	if dec {
-		lookup = func(id packet.ID) *packet.Packet {
-			i := sort.Search(len(pkts), func(i int) bool { return pkts[i].ID >= id })
-			if i < len(pkts) && pkts[i].ID == id {
-				return pkts[i]
+		if n.packetState(c, p, prev); dec {
+			if err := c.Err(); err != nil {
+				return err
 			}
-			return nil
+			tab.Pkts[i] = n.poolG[p.SrcGroup].GetBlank()
+			*tab.Pkts[i] = *p
 		}
+		prev = p.ID
 	}
 
 	c.Shape(len(n.pending), "pending queues")
@@ -470,11 +443,7 @@ func (n *Network) state(c *simcore.Codec) error {
 			if !dec {
 				p = pq.q[pq.head+j]
 			}
-			packet.Ref(c, &p, lookup)
-			if dec {
-				if err := c.Err(); err != nil {
-					return err
-				}
+			if tab.Ref(c, &p); dec && p != nil { // nil: a bad reference, latched in c
 				pq.q = append(pq.q, p)
 			}
 		}
@@ -491,7 +460,7 @@ func (n *Network) state(c *simcore.Codec) error {
 	}
 
 	for _, r := range n.Routers {
-		if err := r.State(c, lookup, n.now); err != nil {
+		if err := r.State(c, tab, n.now); err != nil {
 			return err
 		}
 	}
@@ -509,7 +478,7 @@ func (n *Network) state(c *simcore.Codec) error {
 
 	nEv := c.Len(n.wheel.Pending(), maxSnapEvents)
 	if !dec {
-		n.wheel.ForEachDelay(func(delay int, ev event) { n.eventState(c, &delay, &ev, nil) })
+		n.wheel.ForEachDelay(func(delay int, ev event) { n.eventState(c, &delay, &ev, tab) })
 		return nil
 	}
 	// The wheel is emptied and refilled in place: its buckets keep the
@@ -518,7 +487,7 @@ func (n *Network) state(c *simcore.Codec) error {
 	for range nEv {
 		var delay int
 		var ev event
-		if err := n.eventState(c, &delay, &ev, lookup); err != nil {
+		if err := n.eventState(c, &delay, &ev, tab); err != nil {
 			return err
 		}
 		n.wheel.Schedule(delay, ev)
@@ -561,9 +530,10 @@ func (n *Network) checkWiring(c *simcore.Codec) error {
 }
 
 // eventState visits one wheel event due delay cycles from now; an arrival
-// carries its packet by ID. Decoding validates every index against this
-// network (the cases run in order, so each may index by the ones before).
-func (n *Network) eventState(c *simcore.Codec, delay *int, ev *event, lookup func(packet.ID) *packet.Packet) error {
+// carries its packet as a reference into tab. Decoding validates every index
+// against this network (the cases run in order, so each may index by the
+// ones before).
+func (n *Network) eventState(c *simcore.Codec, delay *int, ev *event, tab *packet.Table) error {
 	simcore.Int(c, delay)
 	c.U8((*uint8)(&ev.kind))
 	simcore.Int(c, &ev.r)
@@ -588,22 +558,53 @@ func (n *Network) eventState(c *simcore.Codec, delay *int, ev *event, lookup fun
 		}
 	}
 	if ev.kind == evArrive && c.Err() == nil {
-		packet.Ref(c, &ev.pkt, lookup)
+		tab.Ref(c, &ev.pkt)
 	}
 	return c.Err()
 }
 
-// snapPacketBytes is the fixed size of one packet record, 19 64-bit fields
-// and 3 flag bytes; snapGrantBytes that of one grant-log event, 9 and 1.
+// snapPacketMin is the smallest packet record, 19 one-byte varints and 3
+// flag bytes; snapGrantMin the smallest grant-log event, 9 and 1. Decoding
+// bounds a count by them before it allocates.
 const (
-	snapPacketBytes = 19*8 + 3
-	snapGrantBytes  = 9*8 + 1
+	snapPacketMin = 19 + 3
+	snapGrantMin  = 9 + 1
 )
 
-// packetState visits one packet record. Decoding validates its fields
-// against this network's topology.
-func (n *Network) packetState(c *simcore.Codec, p *packet.Packet) {
-	c.U64((*uint64)(&p.ID))
+// imageSize estimates the payload from a probe: router 0 for every router,
+// the newest packet's record for every packet and a reference to it for
+// every queued injection, an arrival at the wheel's horizon for every event,
+// and 64 KB for the rest (statistics, a grant log). A miss only means append
+// grows the buffer.
+func (n *Network) imageSize(tab *packet.Table) int {
+	var e simcore.Enc
+	c, size := simcore.Encoder(&e), len(n.pending)+64<<10
+	probe := func(count int, visit func()) {
+		at := len(e.Data())
+		visit()
+		size += count * (len(e.Data()) - at)
+	}
+	probe(len(n.Routers)*21/20, func() { n.Routers[0].State(c, tab, n.now) })
+	ev, delay := event{kind: evCredit, r: int32(len(n.Routers) - 1), phits: int32(n.Cfg.PacketSize)}, n.wheel.Horizon()
+	if np := len(tab.Pkts); np > 0 {
+		ev.kind, ev.pkt = evArrive, tab.Pkts[np-1]
+		probe(np, func() { n.packetState(c, ev.pkt, ev.pkt.ID-1) })
+		probe(n.PendingPackets(), func() { tab.Ref(c, &ev.pkt) })
+	}
+	probe(n.wheel.Pending(), func() { n.eventState(c, &delay, &ev, tab) })
+	return size
+}
+
+// packetState visits one packet record, its ID as the delta from prev, the
+// record's before it in the table. Decoding validates its fields against
+// this network's topology, and its ID against prev and the pool's
+// handed-out IDs (restored before the table).
+func (n *Network) packetState(c *simcore.Codec, p *packet.Packet, prev packet.ID) {
+	delta := uint64(p.ID - prev)
+	c.Uvarint(&delta)
+	if c.Decoding() {
+		p.ID = prev + packet.ID(delta)
+	}
 	simcore.Int(c, &p.Size)
 	simcore.Int(c, &p.Dst)
 	simcore.Int(c, &p.SrcGroup)
@@ -629,8 +630,8 @@ func (n *Network) packetState(c *simcore.Codec, p *packet.Packet) {
 		return
 	}
 	switch id := p.ID; {
-	case id == 0:
-		c.Fail("packet ID 0 (IDs start at 1)")
+	case id <= prev || uint64(id) > n.pool.Outstanding():
+		c.Fail("packet ID %d outside (%d,%d]: out of order or never handed out", id, prev, n.pool.Outstanding())
 	case p.Size != n.Cfg.PacketSize:
 		c.Fail("packet %d size %d != configured %d", id, p.Size, n.Cfg.PacketSize)
 	case p.Src < 0 || p.Src >= n.Topo.Nodes || p.Dst < 0 || p.Dst >= n.Topo.Nodes:

@@ -63,7 +63,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(hostilePacketCount(f, cold))
+	f.Add(hostilePacketCount(f, cold, 1<<20, 100))
 	f.Add([]byte("OFARSNAP"))
 	f.Add([]byte{})
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ofar/internal/packet"
 	"ofar/internal/simcore"
 	"ofar/internal/trace"
 	"ofar/internal/traffic"
@@ -366,6 +367,21 @@ func TestRestoreRejects(t *testing.T) {
 		n.Routers[4].In[n.Topo.LocalPortBase()].UpPort = 1 << 20
 	}))
 
+	// A packet ID the pool never handed out, and one not above the record
+	// before it (a zero ID delta).
+	stray := snapNet(t, cfg, 0.6)
+	stray.Run(120)
+	tab := stray.packetTable()
+	tab.Pkts[len(tab.Pkts)-1].ID = packet.ID(stray.pool.Outstanding() + 1)
+	expectErr("packet ID never handed out", snapshotBytes(t, stray))
+	p := tab.Pkts[0]
+	var rec simcore.Enc
+	stray.packetState(simcore.Encoder(&rec), p, p.ID)
+	c := simcore.Decoder(simcore.NewDec(rec.Data()))
+	if stray.packetState(c, new(packet.Packet), p.ID); c.Err() == nil {
+		t.Fatal("a packet record with a zero ID delta decoded")
+	}
+
 	// An image written while Config still had ParallelCutover and
 	// DisableShardedGenerate carries both (always zero) in its header: it is
 	// refused as a configuration mismatch like any foreign header, and the
@@ -399,29 +415,29 @@ func hostileWiring(t testing.TB, n *Network, rewire func(*Network)) []byte {
 
 // TestSnapshotBytesPinned holds the image format still: the FNV of a warm
 // h=2 snapshot equals a literal recorded from an earlier build, for every
-// section a snapshot can carry. The OFAR and PB literals predate the
-// presized encoder and the VC-queue rings; the others were recorded from the
-// build before the encode/decode pairs became one walk per type. Each case
-// also checks that the state it is there for is really in the image.
+// section a snapshot can carry. Every literal was recorded at format version
+// 4 (varint fields, packet IDs as deltas, packet references as table
+// positions). Each case also checks that the state it is there for is really
+// in the image.
 func TestSnapshotBytesPinned(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		want uint64
 		run  func(t *testing.T) *Network
 	}{
-		{"OFAR", 0x3702330e385aebf1, func(t *testing.T) *Network {
+		{"OFAR", 0xd24b5fdb7266ed99, func(t *testing.T) *Network {
 			n := snapNet(t, snapCfg(1).WithRouting(OFAR), 0.6)
 			n.Run(400)
 			return n
 		}},
-		{"PB", 0xf910ecb4802ad3f2, func(t *testing.T) *Network {
+		{"PB", 0x95179e4fab1e80ca, func(t *testing.T) *Network {
 			n := snapNet(t, snapCfg(1).WithRouting(PB), 0.6)
 			n.Run(400)
 			return n
 		}},
 		// Liveness masks, a physical ring spliced around the dead router,
 		// dropped packets and an affected-flow set.
-		{"router-fault", 0xb26ea98f6614f464, func(t *testing.T) *Network {
+		{"router-fault", 0x02c03876f616fe16, func(t *testing.T) *Network {
 			cfg := snapCfg(1)
 			cfg.Faults = []Fault{{Cycle: 100, Kind: FaultRouter, Router: 5}}
 			n := snapNet(t, cfg, 0.6)
@@ -431,7 +447,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			}
 			return n
 		}},
-		{"embedded-2-rings", 0xbefce990d40cbf18, func(t *testing.T) *Network {
+		{"embedded-2-rings", 0x44fb49413b635057, func(t *testing.T) *Network {
 			cfg := snapCfg(1)
 			cfg.Ring, cfg.NumRings = RingEmbedded, 2
 			n := snapNet(t, cfg, 0.6)
@@ -442,7 +458,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			return n
 		}},
 		// Per-slot emitted counters and per-job statistics.
-		{"jobset", 0x7bdda1a161940375, func(t *testing.T) *Network {
+		{"jobset", 0xc659aff634a9ee6c, func(t *testing.T) *Network {
 			n := mustNet(t, snapCfg(1))
 			js, err := traffic.NewJobSet(n.Topo, traffic.JobSetConfig{
 				Jobs: []traffic.JobSpec{
@@ -464,7 +480,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			return n
 		}},
 		// Every budget spent, packets still in the network.
-		{"burst-mid-drain", 0x9a2716e3f7ba0fca, func(t *testing.T) *Network {
+		{"burst-mid-drain", 0x2dead866de9f440c, func(t *testing.T) *Network {
 			n := mustNet(t, snapCfg(1))
 			b := traffic.NewBurst(traffic.NewAdv(n.Topo, 1), 6, n.Topo.Nodes)
 			n.SetGenerator(b)
@@ -475,7 +491,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			return n
 		}},
 		// Per-node replay cursors, part of the trace still to come.
-		{"trace-replay", 0x01cbac8817f86fd0, func(t *testing.T) *Network {
+		{"trace-replay", 0x5188a1b7bf336044, func(t *testing.T) *Network {
 			rec := &trace.Recorder{}
 			src := snapNet(t, snapCfg(1), 0.6)
 			src.SetTraceRecorder(rec)
@@ -494,7 +510,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		}},
 		// Grant digest and log, series, histogram and utilization, inside a
 		// measurement window.
-		{"observers", 0x98564dc222d62620, func(t *testing.T) *Network {
+		{"observers", 0x4975fb3275d80ee6, func(t *testing.T) *Network {
 			n := snapNet(t, snapCfg(1), 0.6)
 			n.EnableGrantLog(64)
 			n.Stats.EnableSeries(50)

@@ -8,7 +8,12 @@
 // Size cycles to cross a link or a crossbar port.
 package packet
 
-import "ofar/internal/simcore"
+import (
+	"cmp"
+	"slices"
+
+	"ofar/internal/simcore"
+)
 
 // ID uniquely identifies a packet within one simulation run.
 type ID uint64
@@ -186,18 +191,50 @@ func (pl *Pool) Outstanding() uint64 { return uint64(pl.next) }
 // for the lifetime of a run; traces and snapshot dedup rely on that).
 func (pl *Pool) SetOutstanding(n uint64) { pl.next = ID(n) }
 
-// Ref visits a reference to a packet by the packet's ID in a snapshot walk:
-// encoding writes (*p).ID, decoding reads an ID and resolves it through
-// lookup, which returns nil for an ID it does not know.
-func Ref(c *simcore.Codec, p **Packet, lookup func(ID) *Packet) {
-	var id ID
-	if !c.Decoding() {
-		id = (*p).ID
+// Table is a snapshot's packet table: every packet the state holds, once
+// each, in ID order. The state refers to a packet by its position here, so
+// aliased references decode to one object. Encoding needs IDs, decoding
+// Pkts; IDs[i] is Pkts[i].ID.
+type Table struct {
+	IDs  []ID
+	Pkts []*Packet
+}
+
+// NewTable returns the table of pkts, each packet once, reusing pkts. The
+// sort compares dense (ID, packet) pairs, so it never dereferences a packet.
+func NewTable(pkts []*Packet) *Table {
+	type entry struct {
+		id ID
+		p  *Packet
 	}
-	c.U64((*uint64)(&id))
+	es := make([]entry, len(pkts))
+	for i, p := range pkts {
+		es[i] = entry{p.ID, p}
+	}
+	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
+	es = slices.CompactFunc(es, func(a, b entry) bool { return a.id == b.id })
+	t := &Table{IDs: make([]ID, len(es)), Pkts: pkts[:len(es)]}
+	for i, e := range es {
+		t.IDs[i], t.Pkts[i] = e.id, e.p
+	}
+	return t
+}
+
+// Ref visits a reference to a packet in a snapshot walk: encoding finds
+// (*p).ID among t.IDs and writes its position, decoding reads a position
+// and fails unless it indexes t.Pkts.
+func (t *Table) Ref(c *simcore.Codec, p **Packet) {
+	var i uint64
+	if !c.Decoding() {
+		k, _ := slices.BinarySearch(t.IDs, (*p).ID)
+		i = uint64(k)
+	}
+	c.Uvarint(&i)
 	if c.Decoding() && c.Err() == nil {
-		if *p = lookup(id); *p == nil {
-			c.Fail("unknown packet ID %d", id)
+		if i >= uint64(len(t.Pkts)) {
+			c.Fail("packet reference %d outside the %d-packet table", i, len(t.Pkts))
+			return
 		}
+		*p = t.Pkts[i]
 	}
 }

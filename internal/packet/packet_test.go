@@ -3,6 +3,8 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+
+	"ofar/internal/simcore"
 )
 
 func TestPoolReusesAndResets(t *testing.T) {
@@ -107,5 +109,36 @@ func TestEnterGroupQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTableRef: NewTable sorts and de-duplicates, a reference encodes as the
+// packet's position and decodes to the same object, and a position past the
+// table fails instead of indexing.
+func TestTableRef(t *testing.T) {
+	a, b, c := &Packet{ID: 9}, &Packet{ID: 4}, &Packet{ID: 6}
+	tab := NewTable([]*Packet{a, b, c, b})
+	if len(tab.IDs) != 3 || tab.IDs[0] != 4 || tab.IDs[2] != 9 || tab.Pkts[0] != b || tab.Pkts[2] != a {
+		t.Fatalf("table IDs %v", tab.IDs)
+	}
+	var e simcore.Enc
+	enc := simcore.Encoder(&e)
+	for _, p := range []*Packet{a, c, b} {
+		tab.Ref(enc, &p)
+	}
+	if string(e.Data()) != "\x02\x01\x00" {
+		t.Fatalf("references encoded as % x, want positions 2 1 0", e.Data())
+	}
+	dec := simcore.Decoder(simcore.NewDec(e.Data()))
+	for _, want := range []*Packet{a, c, b} {
+		var p *Packet
+		if tab.Ref(dec, &p); p != want {
+			t.Fatalf("decoded %v, want packet %d", p, want.ID)
+		}
+	}
+	var p *Packet
+	dec = simcore.Decoder(simcore.NewDec([]byte{3}))
+	if tab.Ref(dec, &p); dec.Err() == nil || p != nil {
+		t.Fatal("a position past the table decoded")
 	}
 }

@@ -41,14 +41,13 @@ func (r *Router) ForEachPacket(f func(*packet.Packet)) {
 }
 
 // State walks the router's full mutable state. Queued packets are visited
-// by ID: while decoding, pkt resolves an ID to the restored packet instance
-// (the network keeps the table, so aliased references — a committed head
-// also in flight as an arrival event — decode to one object); it is unused
-// while encoding. now is the simulation time, which decoding needs to
-// rebuild the route cache's busy-port view. Decoding recomputes the derived
-// state (occupancy, ready bitsets, canonical credit aggregates, the entire
-// route cache), and the cache restarts cold.
-func (r *Router) State(c *simcore.Codec, pkt func(packet.ID) *packet.Packet, now int64) error {
+// as references into the network's packet table, so aliased references — a
+// committed head also in flight as an arrival event — decode to one object.
+// now is the simulation time, which decoding needs to rebuild the route
+// cache's busy-port view. Decoding recomputes the derived state (occupancy,
+// ready bitsets, canonical credit aggregates, the entire route cache), and
+// the cache restarts cold.
+func (r *Router) State(c *simcore.Codec, pkts *packet.Table, now int64) error {
 	dec := c.Decoding()
 	c.RNG(r.rng)
 	c.Shape(len(r.In), "router ports")
@@ -83,7 +82,7 @@ func (r *Router) State(c *simcore.Codec, pkt func(packet.ID) *packet.Packet, now
 				if !dec {
 					p = buf.q[buf.slot(j)]
 				}
-				packet.Ref(c, &p, pkt)
+				pkts.Ref(c, &p)
 				if dec {
 					if c.Err() != nil {
 						return c.Err()

@@ -1,25 +1,27 @@
 package simcore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 )
 
-// Enc and Dec are the little-endian binary codec behind simulator snapshots.
-// The format is deliberately dumb — fixed-width integers, length-prefixed
-// byte strings, no varints, no framing — because the consumers are the
-// snapshot writers/readers in the stats, router, topology and network
-// packages, which know their own structure and only need the bytes to round
-// trip deterministically.
+// Enc and Dec are the little-endian binary codec behind simulator snapshots
+// and trace files. The format is deliberately dumb — fixed-width integers,
+// varints, length-prefixed byte strings, no framing — because the consumers
+// are the snapshot walks in the stats, router, topology and network packages
+// and the trace codec, which know their own structure and only need the
+// bytes to round trip deterministically.
 //
 // Dec latches its first error: every accessor after a failure returns the
 // zero value without advancing, so decode code can run straight-line and
 // check Err() once per logical section. Every read is bounds-checked against
 // the remaining input; a truncated or corrupted stream produces an error,
-// never a panic. Counts must go through Len, which enforces a caller-supplied
-// upper bound so a corrupted length can neither allocate unbounded memory nor
-// index out of range downstream.
+// never a panic. Counts must go through Len (or, in a walk, Codec.Len and
+// Records), which enforces a caller-supplied upper bound so a corrupted
+// length can neither allocate unbounded memory nor index out of range
+// downstream.
 
 // Enc appends fixed-width values to a growing buffer. Encoding never fails.
 type Enc struct {
@@ -68,6 +70,13 @@ func (e *Enc) Bool(v bool) {
 
 // F64 appends a float64 by its IEEE-754 bit pattern.
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
+
+// Varint appends a zig-zag varint: small magnitudes of either sign take
+// one byte.
+func (e *Enc) Varint(v int64) { e.b = binary.AppendVarint(e.b, v) }
+
+// Uvarint appends an unsigned varint.
+func (e *Enc) Uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 
 // Bytes appends a length-prefixed byte string.
 func (e *Enc) Bytes(b []byte) {
@@ -188,9 +197,47 @@ func (d *Dec) Bool() bool {
 // F64 reads a float64 from its bit pattern.
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 
-// Len reads a count and validates it against [0, max]. Every decoded count
-// must pass through here so corrupted lengths fail instead of driving huge
-// allocations or out-of-range indexing.
+// Uvarint reads an unsigned varint. A truncated varint, one past 64 bits and
+// one longer than its minimal encoding all fail, so every value has exactly
+// one encoding and an image decodes only from the bytes Enc writes.
+func (d *Dec) Uvarint() uint64 {
+	if b := d.b[d.off:]; len(b) > 0 && b[0] < 0x80 && d.err == nil {
+		d.off++ // one byte, as most fields take: nothing left to check
+		return uint64(b[0])
+	}
+	return d.uvarint()
+}
+
+// uvarint is Uvarint's general case.
+func (d *Dec) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b[d.off:])
+	switch {
+	case n == 0:
+		d.Fail("truncated varint at offset %d", d.off)
+		return 0
+	case n < 0:
+		d.Fail("varint at offset %d overflows 64 bits", d.off)
+		return 0
+	case n > 1 && d.b[d.off+n-1] == 0:
+		d.Fail("overlong varint at offset %d", d.off)
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// Varint reads a zig-zag varint, with Uvarint's checks.
+func (d *Dec) Varint() int64 {
+	u := d.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// Len reads a fixed-width count and validates it against [0, max], so a
+// corrupted length fails instead of driving a huge allocation or
+// out-of-range indexing.
 func (d *Dec) Len(max int) int {
 	v := d.I64()
 	if v < 0 || v > int64(max) {
@@ -231,7 +278,9 @@ func Checksum64(b []byte) uint64 {
 // encoding appends each visited field to an Enc, decoding overwrites it from
 // a Dec. A snapshotted type's State(c *Codec) walk is therefore its whole
 // layout, written once, and both directions of a Snapshot/Restore pair run
-// the same code. Int stores a signed integer of any width as 64 bits.
+// the same code. Int stores a signed integer of any width as a zig-zag
+// varint, and so do Len, Shape and String's length; U64 and F64 stay 8
+// bytes wide.
 //
 // Checks that only mean something on the way in, and state derived from the
 // visited fields, go in branches guarded by Decoding. Build a failure
@@ -282,20 +331,31 @@ type Integer interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64
 }
 
-// Int visits a signed integer of any width, stored as 64 bits. Decoding
-// fails on a value that does not fit T.
+// Int visits a signed integer of any width, stored as a zig-zag varint.
+// Decoding fails on a value that does not fit T.
 func Int[T Integer](c *Codec, v *T) {
 	if c.d == nil {
-		c.e.I64(int64(*v))
+		c.e.Varint(int64(*v))
 		return
 	}
-	x := c.d.I64()
+	x := c.d.Varint()
 	if *v = T(x); int64(*v) != x {
 		c.d.Fail("value %d overflows %T", x, *v)
 	}
 }
 
-// U64 visits an unsigned 64-bit value.
+// Uvarint visits an unsigned value stored as a varint (table positions, ID
+// deltas).
+func (c *Codec) Uvarint(v *uint64) {
+	if c.d == nil {
+		c.e.Uvarint(*v)
+	} else {
+		*v = c.d.Uvarint()
+	}
+}
+
+// U64 visits an unsigned 64-bit value, stored 8 bytes wide (RNG states,
+// digests: values spread over all 64 bits).
 func (c *Codec) U64(v *uint64) {
 	if c.d == nil {
 		c.e.U64(*v)
@@ -335,17 +395,25 @@ func (c *Codec) Bool(v *bool) {
 // encoding writes n, decoding reads a count in [0, max] that also fits the
 // input left (every element takes at least one byte), so a corrupted count
 // can drive neither a huge allocation nor a long loop.
-func (c *Codec) Len(n, max int) int {
+func (c *Codec) Len(n, max int) int { return c.Records(n, max, 1) }
+
+// Records is Len for a sequence whose elements take at least size bytes
+// each: decoding fails a count whose elements would not fit the input left.
+func (c *Codec) Records(n, max, size int) int {
 	if c.d == nil {
-		c.e.Int(n)
+		c.e.Varint(int64(n))
 		return n
 	}
-	v := c.d.Len(max)
-	if c.d.err == nil && v > c.d.Remaining() {
-		c.d.Fail("count %d exceeds the %d bytes left", v, c.d.Remaining())
-		return 0
+	switch v := c.d.Varint(); {
+	case c.d.err != nil:
+	case v < 0 || v > int64(max):
+		c.d.Fail("count %d outside [0,%d]", v, max)
+	case v > int64(c.d.Remaining()/size):
+		c.d.Fail("truncated input: %d records of at least %d bytes, %d bytes left", v, size, c.d.Remaining())
+	default:
+		return int(v)
 	}
-	return v
+	return 0
 }
 
 // Shape visits a count the target's structure fixes (ports per router, job
@@ -353,10 +421,10 @@ func (c *Codec) Len(n, max int) int {
 // names the count in the error.
 func (c *Codec) Shape(n int, what string) {
 	if c.d == nil {
-		c.e.Int(n)
+		c.e.Varint(int64(n))
 		return
 	}
-	if v := c.d.I64(); c.d.err == nil && v != int64(n) {
+	if v := c.d.Varint(); c.d.err == nil && v != int64(n) {
 		c.d.Fail("%s: snapshot has %d, target %d", what, v, n)
 	}
 }
@@ -364,10 +432,10 @@ func (c *Codec) Shape(n int, what string) {
 // String visits a length-prefixed string of at most max bytes.
 func (c *Codec) String(s *string, max int) {
 	if c.d == nil {
-		c.e.Int(len(*s))
+		c.e.Varint(int64(len(*s)))
 		c.e.b = append(c.e.b, *s...)
 	} else {
-		*s = string(c.d.Bytes(max))
+		*s = string(c.d.take(c.Len(0, max)))
 	}
 }
 

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"strings"
 	"testing"
 
 	"ofar/internal/simcore"
@@ -269,42 +270,44 @@ func TestJobSetStateRoundTripAndFailures(t *testing.T) {
 		}
 	}
 
-	corrupt := func(name string, enc func(*simcore.Enc)) {
+	// Each image is well-formed varints up to the fault it is named for,
+	// and must fail with that fault's error.
+	corrupt := func(name, want string, enc func(*simcore.Enc)) {
 		var e simcore.Enc
 		enc(&e)
 		target, err := NewJobSet(d, jobSetConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := target.State(simcore.Decoder(simcore.NewDec(e.Data()))); err == nil {
-			t.Errorf("%s: decoded cleanly, want error", name)
+		if err := target.State(simcore.Decoder(simcore.NewDec(e.Data()))); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want an error containing %q", name, err, want)
 		}
 	}
-	corrupt("slot count mismatch", func(e *simcore.Enc) {
-		e.Int(3)
+	corrupt("slot count mismatch", "job set slots", func(e *simcore.Enc) {
+		e.Varint(3)
 		for i := 0; i < 3; i++ {
-			e.I64(1)
+			e.Varint(1)
 		}
-		e.I64(3)
+		e.Varint(3)
 	})
-	corrupt("negative counter", func(e *simcore.Enc) {
-		e.Int(5)
-		e.I64(-1)
+	corrupt("negative counter", "emitted -1 < 0", func(e *simcore.Enc) {
+		e.Varint(5)
+		e.Varint(-1)
 		for i := 0; i < 4; i++ {
-			e.I64(0)
+			e.Varint(0)
 		}
-		e.I64(-1)
+		e.Varint(-1)
 	})
-	corrupt("total mismatch", func(e *simcore.Enc) {
-		e.Int(5)
+	corrupt("total mismatch", "emitted total 99 != sum of slots 10", func(e *simcore.Enc) {
+		e.Varint(5)
 		for i := 0; i < 5; i++ {
-			e.I64(2)
+			e.Varint(2)
 		}
-		e.I64(99) // sum is 10
+		e.Varint(99) // sum is 10
 	})
-	corrupt("truncated", func(e *simcore.Enc) {
-		e.Int(5)
-		e.I64(1)
+	corrupt("truncated", "truncated", func(e *simcore.Enc) {
+		e.Varint(5)
+		e.Varint(1)
 	})
 }
 
@@ -315,14 +318,14 @@ func TestBurstDecodeRejectsInconsistentTotal(t *testing.T) {
 	d := topo(t)
 	b := NewBurst(NewUniform(d), 4, d.Nodes)
 	var e simcore.Enc
-	e.Int(4)       // perNode matches
-	e.Int(8)       // emitted: in [0, total] but != sum(sent) below
-	e.Int(d.Nodes) // node count matches
+	e.Varint(4)              // perNode matches
+	e.Varint(8)              // emitted: in [0, total] but != sum(sent) below
+	e.Varint(int64(d.Nodes)) // node count matches
 	for i := 0; i < d.Nodes; i++ {
-		e.Int(0) // all counters zero — sum is 0, not 8
+		e.Varint(0) // all counters zero — sum is 0, not 8
 	}
-	if err := b.State(simcore.Decoder(simcore.NewDec(e.Data()))); err == nil {
-		t.Fatal("inconsistent burst state decoded cleanly, want error")
+	if err := b.State(simcore.Decoder(simcore.NewDec(e.Data()))); err == nil || !strings.Contains(err.Error(), "emitted 8 != sum of per-node sent 0") {
+		t.Fatalf("inconsistent burst state: got %v, want the emitted-total error", err)
 	}
 }
 
