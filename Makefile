@@ -39,7 +39,7 @@ loc:
 # internal/network + internal/router sum may not exceed the ceiling, which is
 # the measured sum at the time the gate was added — lower it when a deletion
 # lands, never raise it to make a PR pass.
-LOC_CEILING ?= 4671
+LOC_CEILING ?= 4670
 
 loc-check: loc
 	@sum=0; for d in internal/network internal/router; do sum=$$((sum + $$($(LOC_COUNT)))); done; \
@@ -57,7 +57,7 @@ api-check:
 
 # What a constructed network costs: arena state, heap after New and warm
 # snapshot size at h=2/3/6/8 (the table in docs/ARCHITECTURE.md, "Memory
-# follows ownership"). The test also bounds the heap at h=3 and h=6.
+# follows ownership"). The test also bounds the arenas and the heap at h=3 and h=6.
 footprint:
 	$(GO) test ./internal/network -run '^TestConstructFootprint$$' -count=1 -v
 

@@ -187,7 +187,7 @@ func TestWarmCacheSweep(t *testing.T) {
 	}
 
 	// An entry of the previous format version — well-formed, only its
-	// version field reads 3 — is a miss as well: the point warms again, its
+	// version field reads 4 — is a miss as well: the point warms again, its
 	// row does not move, and the entry it writes back restores next time.
 	path := filepath.Join(dir, name)
 	img, err := os.ReadFile(path)
@@ -198,7 +198,7 @@ func TestWarmCacheSweep(t *testing.T) {
 	if v := binary.LittleEndian.Uint64(version); v != network.SnapshotVersion {
 		t.Fatalf("rewritten entry has format version %d, want %d", v, network.SnapshotVersion)
 	}
-	binary.LittleEndian.PutUint64(version, 3)
+	binary.LittleEndian.PutUint64(version, 4)
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +207,11 @@ func TestWarmCacheSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st4.Warmed != 1 || st4.Restored != len(loads)-1 {
-		t.Fatalf("version-3 entry: warmed %d / restored %d, want 1 / %d", st4.Warmed, st4.Restored, len(loads)-1)
+		t.Fatalf("version-4 entry: warmed %d / restored %d, want 1 / %d", st4.Warmed, st4.Restored, len(loads)-1)
 	}
 	for i := range loads {
 		if fourth[i] != classic[i] {
-			t.Fatalf("load %.2f after a version-3 entry: %+v != %+v", loads[i], fourth[i], classic[i])
+			t.Fatalf("load %.2f after a version-4 entry: %+v != %+v", loads[i], fourth[i], classic[i])
 		}
 	}
 	if _, st5, err := RunLoadSweepOpt(cfg, Uniform(), loads, warmup, measure, opt); err != nil || st5.Restored != len(loads) {

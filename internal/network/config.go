@@ -278,6 +278,10 @@ func (c *Config) PoolWidth() int {
 	return max(1, min(c.Workers, c.numGroups()))
 }
 
+// Routers keep latencies and phit counters in 32 bits; 64 VCs of maxVCBuf
+// phits stay below 2^31.
+const maxLinkLatency, maxVCBuf = 1 << 30, 1 << 24
+
 // Validate reports the first configuration error.
 func (c *Config) Validate() error {
 	switch {
@@ -289,8 +293,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: packet size must be positive")
 	case c.LocalLatency < 1 || c.GlobalLatency < 1:
 		return fmt.Errorf("network: link latencies must be ≥ 1")
+	case c.LocalLatency > maxLinkLatency || c.GlobalLatency > maxLinkLatency:
+		return fmt.Errorf("network: link latencies must be ≤ %d", maxLinkLatency)
 	case c.LocalBuf < c.PacketSize || c.GlobalBuf < c.PacketSize || c.InjBuf < c.PacketSize:
 		return fmt.Errorf("network: every VC FIFO must hold at least one packet (VCT)")
+	case max(c.LocalBuf, c.GlobalBuf, c.InjBuf, c.RingBuf) > maxVCBuf:
+		return fmt.Errorf("network: VC FIFOs must be ≤ %d phits", maxVCBuf)
 	case c.LocalVCs < 1 || c.GlobalVCs < 1 || c.InjVCs < 1:
 		return fmt.Errorf("network: VC counts must be ≥ 1")
 	case c.AllocIters < 1:

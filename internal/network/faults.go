@@ -105,7 +105,7 @@ func (n *Network) failLink(r, port int) {
 		return
 	}
 	rt.FailOutput(port)
-	peer, peerPort := rt.Out[port].Peer, rt.Out[port].PeerPort
+	peer, peerPort := int(rt.Out[port].Peer), int(rt.Out[port].PeerPort)
 	n.Routers[peer].FailOutput(peerPort)
 	if n.Cfg.Ring == RingEmbedded {
 		// An embedded ring riding the dead link is broken in that direction.
@@ -152,7 +152,7 @@ func (n *Network) failRouter(w int, now int64) {
 		case topology.PortLocal, topology.PortGlobal:
 			if !op.Dead() {
 				rt.FailOutput(port)
-				n.Routers[op.Peer].FailOutput(op.PeerPort)
+				n.Routers[op.Peer].FailOutput(int(op.PeerPort))
 			}
 		case topology.PortRing:
 			rt.FailOutput(port)
@@ -223,13 +223,13 @@ func (n *Network) spliceRing(j, w int) {
 	// path. Future drains at next refund prev — consistent, because the
 	// re-derived credits charge prev for everything in or bound for next's
 	// buffer.
-	po.Peer, po.PeerPort = next, ringPort
-	po.Latency = n.Cfg.LocalLatency
+	po.Peer, po.PeerPort = int32(next), int16(ringPort)
+	po.Latency = int32(n.Cfg.LocalLatency)
 	if newRg.EdgeIsGlobal(prev) {
-		po.Latency = n.Cfg.GlobalLatency
+		po.Latency = int32(n.Cfg.GlobalLatency)
 	}
 	ni := &n.Routers[next].In[ringPort]
-	ni.UpRouter, ni.UpPort = prev, ringPort
+	ni.UpRouter, ni.UpPort = int32(prev), int16(ringPort)
 	for vc := 0; vc < po.NumVCs(); vc++ {
 		po.SetCredits(vc, po.VCCap(vc)-ni.VCs[vc].Occupied()-arriving[vc])
 	}

@@ -98,7 +98,7 @@ func TestGlobalLinkFaultDegradedDelivery(t *testing.T) {
 	}
 	// The dead pair never carries traffic again: both directions stay Busy.
 	f := fs[0]
-	peer, peerPort := n.Routers[f.Router].Out[f.Port].Peer, n.Routers[f.Router].Out[f.Port].PeerPort
+	peer, peerPort := n.Routers[f.Router].Out[f.Port].Peer, int(n.Routers[f.Router].Out[f.Port].PeerPort)
 	if !n.Routers[f.Router].OutputDead(f.Port) || !n.Routers[peer].OutputDead(peerPort) {
 		t.Error("dead link has a live direction")
 	}
@@ -155,7 +155,7 @@ func TestRingSpliceAfterRouterFault(t *testing.T) {
 		t.Fatalf("splice: ring successor of %d is %d, want %d", prev, got, next)
 	}
 	ringPort := n.Topo.RouterPorts
-	if po := &n.Routers[prev].Out[ringPort]; po.Peer != next || po.PeerPort != ringPort {
+	if po := &n.Routers[prev].Out[ringPort]; int(po.Peer) != next || int(po.PeerPort) != ringPort {
 		t.Fatalf("splice: predecessor port targets %d:%d, want %d:%d", po.Peer, po.PeerPort, next, ringPort)
 	}
 
@@ -172,7 +172,7 @@ func TestRingSpliceAfterRouterFault(t *testing.T) {
 
 // TestCreditConservationAfterLinkFault: drain the network after a link fault
 // and require every *live* output port's credits to be fully restored (dead
-// ports are frozen by design and skipped by CheckCredits).
+// ports are frozen by design and skipped by checkDrainedCredits).
 func TestCreditConservationAfterLinkFault(t *testing.T) {
 	cfg := testConfig(OFAR)
 	fs, err := GlobalLinkFaults(cfg, 800, 2)
@@ -191,11 +191,7 @@ func TestCreditConservationAfterLinkFault(t *testing.T) {
 		t.Fatalf("faulted network did not drain: %d packets left", left)
 	}
 	n.Run(cfg.GlobalLatency + cfg.PacketSize + 2)
-	for _, r := range n.Routers {
-		if err := r.CheckCredits(n.Routers, func(int, int, int) int { return 0 }); err != nil {
-			t.Fatal(err)
-		}
-	}
+	checkDrainedCredits(t, n)
 	if err := n.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"ofar/internal/packet"
-	"ofar/internal/router"
 	"ofar/internal/simcore"
 	"ofar/internal/traffic"
 )
@@ -65,28 +63,40 @@ func memDelta(f func()) (live, allocated float64) {
 	return (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / (1 << 20), allocated
 }
 
-// arenaBytes is the memory the slabs of one group arena occupy.
-func arenaBytes(sz router.ArenaSize) int {
-	return 8*(sz.Ints+sz.Int64s+sz.Uint64s+sz.PacketSlots) + 4*sz.Int32s + sz.Int8s +
-		sz.VCBuffers*int(unsafe.Sizeof(router.VCBuffer{})) + sz.Requests*int(unsafe.Sizeof(router.Request{})) +
-		sz.LRSs*int(unsafe.Sizeof(router.LRS{})) + sz.InPorts*int(unsafe.Sizeof(router.InPort{})) +
-		sz.OutPorts*int(unsafe.Sizeof(router.OutPort{}))
+// arenaBytes is the memory the slabs of a network's group arenas occupy,
+// by part (see router.ArenaSize.Bytes): queue slots, VC buffers, arbiter
+// ranks, ports, request slots and scratch, then the total.
+func arenaBytes(n *Network) (parts [6]int, total int) {
+	for _, a := range n.arenas {
+		q, vcs, arb, ports, reqs, scratch := a.Size.Bytes()
+		for k, b := range [6]int{q, vcs, arb, ports, reqs, scratch} {
+			parts[k] += b
+			total += b
+		}
+	}
+	return parts, total
 }
 
-// TestConstructFootprint bounds what a constructed network holds — h=3 within
-// 4 MB (19.3 under fixed-size arena chunks), h=6 within 36 MB (83.7) — and
-// its warm snapshot (UN at load 0.3, cycle 1,000): a third of what the image
-// took with every integer 8 bytes wide, 0.7 MB at h=3 and 13.4 MB at h=6. It
-// prints the footprint table docs/ARCHITECTURE.md quotes (`make footprint`):
-// the arenas' state, the heap after New, and the warm snapshot.
+// TestConstructFootprint bounds what a constructed network holds — its
+// arenas' state at h=3 within 0.8 MB and at h=6 within 12.5 MB (21.3 with
+// 8-byte arbiter timestamps and word-wide counters), the heap after New at
+// h=3 within 1.1 MB and at h=6 within 15 MB (23.4) — and its warm snapshot (UN
+// at load 0.3, cycle 1,000): a third of what the image took with every
+// integer 8 bytes wide, 0.7 MB at h=3 and 13.4 MB at h=6. It prints the
+// footprint table docs/ARCHITECTURE.md quotes (`make footprint`): the
+// arenas' state, total and per slab, the heap after New, and the warm
+// snapshot.
 func TestConstructFootprint(t *testing.T) {
-	bound := map[int]float64{3: 4, 6: 36}
+	stateBound := map[int]float64{3: 0.8, 6: 12.5}
+	bound := map[int]float64{3: 1.1, 6: 15}
 	snapBound := map[int]float64{3: 0.7 / 3, 6: 13.4 / 3}
 	hs := []int{2, 3, 6, 8}
 	if testing.Short() {
 		hs = hs[:2]
 	}
-	t.Logf("%2s %8s %9s %11s %12s", "h", "routers", "state MB", "heap MB", "snapshot MB")
+	const mb = 1 << 20
+	t.Logf("%2s %8s %9s %7s %7s %7s %7s %7s %7s %8s %12s", "h", "routers", "state MB",
+		"queues", "VCs", "arbiter", "ports", "reqs", "scratch", "heap MB", "snapshot MB")
 	for _, h := range hs {
 		cfg := DefaultConfig(h)
 		if h == 8 {
@@ -94,17 +104,20 @@ func TestConstructFootprint(t *testing.T) {
 		}
 		var n *Network
 		heap, _ := memDelta(func() { n = mustNet(t, cfg) })
-		state := 0
-		for _, a := range n.arenas {
-			state += arenaBytes(a.Size)
-		}
+		parts, total := arenaBytes(n)
+		state := float64(total) / mb
 		n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.3, cfg.PacketSize))
 		n.Run(1000)
 		snap := snapshotBytes(t, n)
-		snapMB := float64(len(snap)) / (1 << 20)
-		t.Logf("%2d %8d %9.1f %11.1f %12.2f", h, len(n.Routers), float64(state)/(1<<20), heap, snapMB)
+		snapMB := float64(len(snap)) / mb
+		t.Logf("%2d %8d %9.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %8.1f %12.2f", h, len(n.Routers), state,
+			float64(parts[0])/mb, float64(parts[1])/mb, float64(parts[2])/mb, float64(parts[3])/mb,
+			float64(parts[4])/mb, float64(parts[5])/mb, heap, snapMB)
+		if max, ok := stateBound[h]; ok && state > max {
+			t.Errorf("h=%d: the arenas take %.1f MB, want ≤ %.1f", h, state, max)
+		}
 		if max, ok := bound[h]; ok && heap > max {
-			t.Errorf("h=%d: New holds %.1f MB, want ≤ %.0f", h, heap, max)
+			t.Errorf("h=%d: New holds %.1f MB, want ≤ %.1f", h, heap, max)
 		}
 		if max, ok := snapBound[h]; ok && snapMB > max {
 			t.Errorf("h=%d: the warm snapshot takes %.2f MB, want ≤ %.2f", h, snapMB, max)
@@ -129,7 +142,7 @@ func TestVCQueuesStayOnArena(t *testing.T) {
 			for vc := range r.In[i].VCs {
 				b := &r.In[i].VCs[vc]
 				total++
-				if b.QueueSlots() != b.Capacity/cfg.PacketSize+1 {
+				if b.QueueSlots() != int(b.Capacity)/cfg.PacketSize+1 {
 					off++
 				}
 			}

@@ -303,9 +303,8 @@ func New(cfg Config) (*Network, error) {
 	profs := make([][]prof, topo.Routers)
 	mkProf := func(vcs, buf int, ring int) prof {
 		p := prof{caps: make([]int, vcs), ring: make([]int, vcs)}
-		for i := 0; i < vcs; i++ {
-			p.caps[i] = buf
-			p.ring[i] = ring
+		for i := range vcs {
+			p.caps[i], p.ring[i] = buf, ring
 		}
 		return p
 	}
@@ -320,8 +319,6 @@ func New(cfg Config) (*Network, error) {
 				profs[r][port] = mkProf(cfg.LocalVCs, cfg.LocalBuf, -1)
 			case topology.PortGlobal:
 				profs[r][port] = mkProf(cfg.GlobalVCs, cfg.GlobalBuf, -1)
-			case topology.PortNone:
-				profs[r][port] = prof{}
 			}
 		}
 	}
@@ -380,16 +377,12 @@ func New(cfg Config) (*Network, error) {
 		ports := make([]router.PortSpec, nPorts)
 		for port := 0; port < topo.RouterPorts; port++ {
 			kind, peer, peerPort := topo.Peer(r, port)
-			ps := router.PortSpec{Kind: kind, Latency: 1}
+			ps := router.PortSpec{Kind: kind, Latency: 1, Peer: -1, PeerPort: -1, UpRouter: -1, UpPort: -1}
 			switch kind {
 			case topology.PortNode:
-				ps.Peer, ps.PeerPort = -1, -1
-				ps.UpRouter, ps.UpPort = -1, -1
 				ps.InCaps, ps.InRing = profs[r][port].caps, profs[r][port].ring
 				ps.OutCaps, ps.OutRing = []int{cfg.PacketSize}, []int{-1}
 			case topology.PortNone:
-				ps.Peer, ps.PeerPort = -1, -1
-				ps.UpRouter, ps.UpPort = -1, -1
 			default:
 				ps.Peer, ps.PeerPort = peer, peerPort
 				ps.UpRouter, ps.UpPort = peer, peerPort
@@ -698,9 +691,9 @@ func (n *Network) deriveLookahead() {
 		for i := range r.Out {
 			switch op := &r.Out[i]; {
 			case op.Peer < 0:
-			case op.Peer/n.groupSize != r.ID/n.groupSize:
-				n.lookahead = min(n.lookahead, op.Latency)
-			case op.Latency+2 > len(n.gs[0].ring):
+			case int(op.Peer)/n.groupSize != r.ID/n.groupSize:
+				n.lookahead = min(n.lookahead, int(op.Latency))
+			case int(op.Latency)+2 > len(n.gs[0].ring):
 				n.lookahead = 1
 			}
 		}
@@ -887,7 +880,7 @@ func (n *Network) handle(s *groupScratch, g, k int, ev event, idx int32, now int
 			// with a synthesized refund, since the buffer space it reserved
 			// on this live router is never consumed.
 			if up := &n.Routers[ev.r].In[ev.port]; up.UpRouter >= 0 {
-				n.sched(s, g, k, 0, event{kind: evCredit, r: int32(up.UpRouter), port: int16(up.UpPort), vc: ev.vc, phits: int32(ev.pkt.Size)})
+				n.sched(s, g, k, 0, event{kind: evCredit, r: up.UpRouter, port: up.UpPort, vc: ev.vc, phits: int32(ev.pkt.Size)})
 			}
 			s.fx = append(s.fx, fxRec{pkt: ev.pkt, idx: idx, drop: true})
 			return
@@ -908,7 +901,7 @@ func (n *Network) handle(s *groupScratch, g, k int, ev event, idx int32, now int
 			// with frozen counters — except a re-formed ring predecessor,
 			// whose counters were re-derived against the new downstream
 			// buffer and must not absorb refunds for the old one.
-			lat := n.Routers[upR].Out[upP].Latency
+			lat := int(n.Routers[upR].Out[upP].Latency)
 			n.sched(s, g, k, lat-1, event{kind: evCredit, r: int32(upR), port: int16(upP), vc: ev.vc, phits: int32(p.Size)})
 		}
 		if ev.kind == evDrainDeliver {
@@ -1026,7 +1019,7 @@ func (n *Network) cycleGroup(s *groupScratch, g, k int, now int64) {
 				n.sched(s, g, k, p.Size-1, event{kind: evDrainDeliver, r: int32(r.ID), port: int16(gr.InPort), vc: int16(gr.InVC)})
 			} else {
 				out := &r.Out[req.Out]
-				n.sched(s, g, k, out.Latency, event{kind: evArrive, pkt: p, r: int32(out.Peer), port: int16(out.PeerPort), vc: int16(req.VC)})
+				n.sched(s, g, k, int(out.Latency), event{kind: evArrive, pkt: p, r: out.Peer, port: out.PeerPort, vc: int16(req.VC)})
 				n.sched(s, g, k, p.Size-1, event{kind: evDrain, r: int32(r.ID), port: int16(gr.InPort), vc: int16(gr.InVC)})
 			}
 			n.Stats.AddUtilization(r.ID, req.Out, p.Size)

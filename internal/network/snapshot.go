@@ -52,7 +52,9 @@ const (
 	// dragonfly group (the sharded injection front-end's per-group streams).
 	// Version 4 stores integers as varints, packet IDs as deltas and packet
 	// references as positions in the packet table.
-	SnapshotVersion = 4
+	// Version 5 stores each LRS arbiter as a row of byte ranks instead of
+	// last-grant timestamps.
+	SnapshotVersion = 5
 
 	maxSnapCfgJSON = 1 << 20
 	maxSnapPackets = 1 << 26
@@ -516,12 +518,12 @@ func (n *Network) checkWiring(c *simcore.Codec) error {
 	}
 	for _, r := range n.Routers {
 		for i, op := range r.Out {
-			if !fits(op.Peer, op.PeerPort, true) {
+			if !fits(int(op.Peer), int(op.PeerPort), true) {
 				c.Fail("router %d output %d wired to router %d input %d", r.ID, i, op.Peer, op.PeerPort)
 			}
 		}
 		for i, ip := range r.In {
-			if !fits(ip.UpRouter, ip.UpPort, false) {
+			if !fits(int(ip.UpRouter), int(ip.UpPort), false) {
 				c.Fail("router %d input %d fed from router %d output %d", r.ID, i, ip.UpRouter, ip.UpPort)
 			}
 		}

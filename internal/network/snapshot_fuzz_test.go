@@ -54,8 +54,12 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	}))
 	// Checksum-valid state that does not fit the network.
 	f.Add(hostileUtilization(f, warm(false, nil)))
-	f.Add(hostileWiring(f, warm(false, nil), func(n *Network) {
+	f.Add(hostileState(f, warm(false, nil), func(n *Network) {
 		n.Routers[4].Out[n.Topo.LocalPortBase()].Peer = 1 << 20
+	}))
+	f.Add(hostileState(f, warm(false, nil), func(n *Network) {
+		_, out := n.Routers[4].ArbiterRanks(n.Topo.LocalPortBase())
+		out[0] = out[1]
 	}))
 	// Valid header and checksum, a packet count far beyond the payload: the
 	// decoder must size its packet block by the bytes present.

@@ -354,17 +354,27 @@ func TestRestoreRejects(t *testing.T) {
 	// Checksum-valid images whose state does not fit the network: each used
 	// to restore, and the next window panicked indexing past the state.
 	expectErr("utilization narrower than the routers", hostileUtilization(t, snapNet(t, cfg, 0.6)))
-	expectErr("output wired past the routers", hostileWiring(t, snapNet(t, cfg, 0.6), func(n *Network) {
+	expectErr("output wired past the routers", hostileState(t, snapNet(t, cfg, 0.6), func(n *Network) {
 		n.Routers[4].Out[n.Topo.LocalPortBase()].Peer = 1 << 20
 	}))
-	expectErr("output wired past the peer's ports", hostileWiring(t, snapNet(t, cfg, 0.6), func(n *Network) {
-		n.Routers[4].Out[n.Topo.LocalPortBase()].PeerPort = len(n.Routers[0].In)
+	expectErr("output wired past the peer's ports", hostileState(t, snapNet(t, cfg, 0.6), func(n *Network) {
+		n.Routers[4].Out[n.Topo.LocalPortBase()].PeerPort = int16(len(n.Routers[0].In))
 	}))
-	expectErr("input fed from past the routers", hostileWiring(t, snapNet(t, cfg, 0.6), func(n *Network) {
+	expectErr("input fed from past the routers", hostileState(t, snapNet(t, cfg, 0.6), func(n *Network) {
 		n.Routers[4].In[n.Topo.LocalPortBase()].UpRouter = -2
 	}))
-	expectErr("input fed from past the upstream's ports", hostileWiring(t, snapNet(t, cfg, 0.6), func(n *Network) {
-		n.Routers[4].In[n.Topo.LocalPortBase()].UpPort = 1 << 20
+	expectErr("input fed from past the upstream's ports", hostileState(t, snapNet(t, cfg, 0.6), func(n *Network) {
+		n.Routers[4].In[n.Topo.LocalPortBase()].UpPort = 1 << 14
+	}))
+	// Two requesters on one rank would make the allocator favour the lower
+	// index forever, a rank past the row starve the requester holding it.
+	expectErr("output arbiter ranks repeated", hostileState(t, snapNet(t, cfg, 0.6), func(n *Network) {
+		_, out := n.Routers[4].ArbiterRanks(n.Topo.LocalPortBase())
+		out[0] = out[1]
+	}))
+	expectErr("input arbiter rank past its row", hostileState(t, snapNet(t, cfg, 0.6), func(n *Network) {
+		in, _ := n.Routers[4].ArbiterRanks(n.Topo.LocalPortBase())
+		in[0] = uint8(len(in))
 	}))
 
 	// A packet ID the pool never handed out, and one not above the record
@@ -405,39 +415,40 @@ func hostileUtilization(t testing.TB, n *Network) []byte {
 	return snapshotBytes(t, n)
 }
 
-// hostileWiring returns an image of n, run 120 cycles, after rewire has
-// pointed one link somewhere the network does not have.
-func hostileWiring(t testing.TB, n *Network, rewire func(*Network)) []byte {
+// hostileState returns an image of n, run 120 cycles, after corrupt has
+// put state in it that no run reaches: a link wired somewhere the network
+// does not have, an arbiter row that is not a permutation.
+func hostileState(t testing.TB, n *Network, corrupt func(*Network)) []byte {
 	n.Run(120)
-	rewire(n)
+	corrupt(n)
 	return snapshotBytes(t, n)
 }
 
 // TestSnapshotBytesPinned holds the image format still: the FNV of a warm
 // h=2 snapshot equals a literal recorded from an earlier build, for every
 // section a snapshot can carry. Every literal was recorded at format version
-// 4 (varint fields, packet IDs as deltas, packet references as table
-// positions). Each case also checks that the state it is there for is really
-// in the image.
+// 5 (varint fields, packet IDs as deltas, packet references as table
+// positions, arbiters as byte ranks). Each case also checks that the state
+// it is there for is really in the image.
 func TestSnapshotBytesPinned(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		want uint64
 		run  func(t *testing.T) *Network
 	}{
-		{"OFAR", 0xd24b5fdb7266ed99, func(t *testing.T) *Network {
+		{"OFAR", 0x49fed25ecfbef450, func(t *testing.T) *Network {
 			n := snapNet(t, snapCfg(1).WithRouting(OFAR), 0.6)
 			n.Run(400)
 			return n
 		}},
-		{"PB", 0x95179e4fab1e80ca, func(t *testing.T) *Network {
+		{"PB", 0x3cd86c69360fbb69, func(t *testing.T) *Network {
 			n := snapNet(t, snapCfg(1).WithRouting(PB), 0.6)
 			n.Run(400)
 			return n
 		}},
 		// Liveness masks, a physical ring spliced around the dead router,
 		// dropped packets and an affected-flow set.
-		{"router-fault", 0x02c03876f616fe16, func(t *testing.T) *Network {
+		{"router-fault", 0x7b580286b6a5ff1d, func(t *testing.T) *Network {
 			cfg := snapCfg(1)
 			cfg.Faults = []Fault{{Cycle: 100, Kind: FaultRouter, Router: 5}}
 			n := snapNet(t, cfg, 0.6)
@@ -447,7 +458,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			}
 			return n
 		}},
-		{"embedded-2-rings", 0x44fb49413b635057, func(t *testing.T) *Network {
+		{"embedded-2-rings", 0x7236f354fac9dda9, func(t *testing.T) *Network {
 			cfg := snapCfg(1)
 			cfg.Ring, cfg.NumRings = RingEmbedded, 2
 			n := snapNet(t, cfg, 0.6)
@@ -458,7 +469,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			return n
 		}},
 		// Per-slot emitted counters and per-job statistics.
-		{"jobset", 0xc659aff634a9ee6c, func(t *testing.T) *Network {
+		{"jobset", 0xebf4b54077a3ce38, func(t *testing.T) *Network {
 			n := mustNet(t, snapCfg(1))
 			js, err := traffic.NewJobSet(n.Topo, traffic.JobSetConfig{
 				Jobs: []traffic.JobSpec{
@@ -480,7 +491,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			return n
 		}},
 		// Every budget spent, packets still in the network.
-		{"burst-mid-drain", 0x2dead866de9f440c, func(t *testing.T) *Network {
+		{"burst-mid-drain", 0x58f3e835b60bcf16, func(t *testing.T) *Network {
 			n := mustNet(t, snapCfg(1))
 			b := traffic.NewBurst(traffic.NewAdv(n.Topo, 1), 6, n.Topo.Nodes)
 			n.SetGenerator(b)
@@ -491,7 +502,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			return n
 		}},
 		// Per-node replay cursors, part of the trace still to come.
-		{"trace-replay", 0x5188a1b7bf336044, func(t *testing.T) *Network {
+		{"trace-replay", 0xff75271a8de8e6ac, func(t *testing.T) *Network {
 			rec := &trace.Recorder{}
 			src := snapNet(t, snapCfg(1), 0.6)
 			src.SetTraceRecorder(rec)
@@ -510,7 +521,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		}},
 		// Grant digest and log, series, histogram and utilization, inside a
 		// measurement window.
-		{"observers", 0x4975fb3275d80ee6, func(t *testing.T) *Network {
+		{"observers", 0x710267bfb466e0de, func(t *testing.T) *Network {
 			n := snapNet(t, snapCfg(1), 0.6)
 			n.EnableGrantLog(64)
 			n.Stats.EnableSeries(50)

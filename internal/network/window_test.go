@@ -125,12 +125,12 @@ func TestRunWindowsMatchStep(t *testing.T) {
 	// reference share the merge, so its order is also pinned against the
 	// engine before lookahead windows, which put each event into the wheel
 	// as it was made: the digest it ended this run on, and the checksum of
-	// that state's snapshot (re-recorded at format version 4).
+	// that state's snapshot (re-recorded at format version 5).
 	shared := DefaultConfig(3)
 	shared.LocalLatency = shared.PacketSize
 	extras := []windowCase{
 		{name: "faults", cfg: faulted, setup: bernoulliSetup(0.5)},
-		{name: "phases-share-slots", cfg: shared, setup: bernoulliSetup(0.7), digest: 0x46ca793db3d68a9c, snap: 0x14c45c1a22de8905},
+		{name: "phases-share-slots", cfg: shared, setup: bernoulliSetup(0.7), digest: 0x46ca793db3d68a9c, snap: 0x9e58bb3f9137fefc},
 		{name: "burst", cfg: DefaultConfig(3), setup: func(n *Network) {
 			n.SetGenerator(traffic.NewBurst(traffic.NewAdv(n.Topo, 3), 6, n.Topo.Nodes))
 		}},

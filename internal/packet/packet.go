@@ -117,31 +117,24 @@ func (p *Packet) EnterGroup(g int) {
 // fighting it.
 type Pool struct {
 	free  []*Packet
-	block []Packet // current carve block; grows in poolBlock-sized steps
+	block []Packet // current carve block
+	carve int      // size of the next carve block; 0 until the first carve
 	next  ID
 }
 
-// poolBlock is the carve-block size in packets (~64 KiB of packet structs):
-// large enough that a saturation wave spans a handful of mappings, small
-// enough that a low-load run wastes at most one block's tail.
-const poolBlock = 512
+// Carve blocks start at poolBlockMin packets and double up to poolBlock
+// (~64 KiB of packet structs): a low-load run, or a group that never
+// injects much, holds a few small blocks, while a saturation wave reaches
+// full-size blocks within a few carves and spans a handful of mappings.
+const (
+	poolBlockMin = 16
+	poolBlock    = 512
+)
 
 // Get returns a zeroed packet with a fresh ID.
 func (pl *Pool) Get() *Packet {
-	var p *Packet
-	if n := len(pl.free); n > 0 {
-		p = pl.free[n-1]
-		pl.free = pl.free[:n-1]
-	} else {
-		if len(pl.block) == 0 {
-			pl.block = make([]Packet, poolBlock)
-		}
-		p = &pl.block[0]
-		pl.block = pl.block[1:]
-	}
-	p.Reset()
-	pl.next++
-	p.ID = pl.next
+	p := pl.GetBlank()
+	p.ID = pl.NextID()
 	return p
 }
 
@@ -158,7 +151,9 @@ func (pl *Pool) GetBlank() *Packet {
 		pl.free = pl.free[:n-1]
 	} else {
 		if len(pl.block) == 0 {
-			pl.block = make([]Packet, poolBlock)
+			pl.carve = max(pl.carve, poolBlockMin)
+			pl.block = make([]Packet, pl.carve)
+			pl.carve = min(2*pl.carve, poolBlock)
 		}
 		p = &pl.block[0]
 		pl.block = pl.block[1:]

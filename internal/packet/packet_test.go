@@ -39,6 +39,32 @@ func TestPoolPutNil(t *testing.T) {
 	}
 }
 
+// TestPoolCarveBlocks pins the carve sequence of a zero Pool — blocks of
+// 16, 32, …, 512 packets, then 512 again — with every packet of a block
+// handed out before the next block is carved, and Get and GetBlank drawing
+// on the same blocks.
+func TestPoolCarveBlocks(t *testing.T) {
+	var pool Pool
+	for k, size := range []int{16, 32, 64, 128, 256, 512, 512} {
+		for i := range size {
+			get := pool.GetBlank
+			if i%2 == 1 {
+				get = pool.Get
+			}
+			get()
+			if i == 0 && cap(pool.block) != size-1 {
+				t.Fatalf("block %d holds %d packets, want %d", k, cap(pool.block)+1, size)
+			}
+		}
+		if len(pool.block) != 0 {
+			t.Fatalf("block %d has %d packets left over", k, len(pool.block))
+		}
+	}
+	if got, want := pool.Outstanding(), uint64((16+32+64+128+256+512+512)/2); got != want {
+		t.Fatalf("%d IDs handed out, want %d (Get only)", got, want)
+	}
+}
+
 func TestPoolUniqueIDs(t *testing.T) {
 	var pool Pool
 	seen := map[ID]bool{}

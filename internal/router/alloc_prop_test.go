@@ -15,18 +15,29 @@ import (
 // grant thousands of packets without refund bookkeeping.
 func propRouter(t testing.TB, ports, vcs, iters int) *Router {
 	t.Helper()
+	perPort := make([]int, ports)
+	for i := range perPort {
+		perPort[i] = vcs
+	}
+	return shapedRouter(t, perPort, iters, 1<<20)
+}
+
+// shapedRouter is propRouter with port i holding vcs[i] VCs of the given
+// capacity (phits, and credits downstream).
+func shapedRouter(t testing.TB, vcs []int, iters, capacity int) *Router {
+	t.Helper()
 	d, err := topology.New(1, 2, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := make([]int, vcs)
-	rings := make([]int, vcs)
-	for i := range caps {
-		caps[i] = 1 << 20
-		rings[i] = -1
-	}
-	specs := make([]PortSpec, ports)
+	specs := make([]PortSpec, len(vcs))
 	for i := range specs {
+		caps := make([]int, vcs[i])
+		rings := make([]int, vcs[i])
+		for vc := range caps {
+			caps[vc] = capacity
+			rings[vc] = -1
+		}
 		specs[i] = PortSpec{
 			Kind: topology.PortLocal, Peer: 1, PeerPort: 0, UpRouter: 1, UpPort: 0,
 			Latency: 10, InCaps: caps, InRing: rings, OutCaps: caps, OutRing: rings,
@@ -276,87 +287,110 @@ func TestAllocatorRandomizedMatching(t *testing.T) {
 	}
 }
 
-// lrsPick is the reference least-recently-served choice — the eligible
-// requester with the oldest grant, the lower index on a tie, -1 when nobody is
-// eligible. The allocator inlines this scan over bitsets twice (input and
-// output arbitration); TestAllocatorMatchesLRSModel holds it to this model.
-func lrsPick(a *LRS, eligible func(i int) bool) int {
+// lrsModel is the reference least-recently-served arbiter, kept apart from
+// the router's rank rows: the cycle of each requester's last grant (-1 while
+// never served). It picks the eligible requester served longest ago, the
+// lower index on a tie, and -1 when nobody is eligible.
+type lrsModel []int64
+
+func newLRSModel(n int) lrsModel {
+	m := make(lrsModel, n)
+	for i := range m {
+		m[i] = -1
+	}
+	return m
+}
+
+func (m lrsModel) pick(eligible func(i int) bool) int {
 	best := -1
-	var bestT int64
-	for i := range a.lastServed {
-		if !eligible(i) {
-			continue
-		}
-		if best == -1 || a.lastServed[i] < bestT {
+	for i, t := range m {
+		if eligible(i) && (best == -1 || t < m[best]) {
 			best = i
-			bestT = a.lastServed[i]
 		}
 	}
 	return best
 }
 
+func (m lrsModel) grant(i int, now int64) { m[i] = now }
+
 // TestAllocatorMatchesLRSModel drives each of the allocator's two arbiters
 // alone — several inputs contending for one output, and several VCs of one
 // input bound for distinct outputs — with a random set of requesters per
-// round, and requires the grant lrsPick predicts from the arbiter's memory.
+// round, and requires the grant an lrsModel shadow of the same grants
+// predicts. The upper half of the requesters stays silent for the first
+// third of the rounds, so never-served ties are broken mid-run, against
+// requesters served long ago; the 64-wide case fills a rank row to the
+// validation limit.
 func TestAllocatorMatchesLRSModel(t *testing.T) {
-	const width, rounds = 5, 600
+	const rounds = 600
 	for _, stage := range []string{"output_arbiter", "input_arbiter"} {
 		t.Run(stage, func(t *testing.T) {
-			byOutput := stage == "output_arbiter"
-			// Output stage: inputs 0..width-1 (one VC) all request port width.
-			// Input stage: VC v of port 0 requests port 1+v.
-			vcs := width
-			if byOutput {
-				vcs = 1
-			}
-			r := propRouter(t, width+1, vcs, 1)
-			slot := func(i int) (port, vc int) {
-				if byOutput {
-					return i, 0
-				}
-				return 0, i
-			}
-			eng := scriptEngine{route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
-				if byOutput {
-					return Request{Out: width}, in.Port < width
-				}
-				return Request{Out: 1 + in.VC}, in.Port == 0
-			}}
-			arb := &r.inArb[0]
-			if byOutput {
-				arb = &r.outArb[width]
-			}
-			rng := simcore.NewRNG(0x125)
-			var pool packet.Pool
-			granted := 0
-			for now := int64(0); now < rounds*int64(r.PktSize); now += int64(r.PktSize) {
-				for i := 0; i < width; i++ {
-					if port, vc := slot(i); r.In[port].VCs[vc].Len() == 0 && rng.Bernoulli(0.5) {
-						push(r, port, vc, &pool)
-					}
-				}
-				want := lrsPick(arb, func(i int) bool {
-					port, vc := slot(i)
-					return i < width && r.In[port].VCs[vc].Len() > 0
+			for _, width := range []int{5, 64} {
+				t.Run(fmt.Sprint(width), func(t *testing.T) {
+					testArbiterAgainstModel(t, stage == "output_arbiter", width, rounds)
 				})
-				grants := r.Cycle(eng, now)
-				got := -1
-				if len(grants) == 1 {
-					got = grants[0].InPort
-					if !byOutput {
-						got = grants[0].InVC
-					}
-					granted++
-				}
-				if len(grants) > 1 || got != want {
-					t.Fatalf("cycle %d: allocator granted %+v, LRS model picks requester %d", now, grants, want)
-				}
-				drainDue(r, now+int64(r.PktSize)-1) // the grant has streamed out by the next round
-			}
-			if granted < rounds/2 {
-				t.Fatalf("only %d grants in %d rounds", granted, rounds)
 			}
 		})
+	}
+}
+
+func testArbiterAgainstModel(t *testing.T, byOutput bool, width, rounds int) {
+	// Output stage: inputs 0..width-1 (one VC each) all request port 0.
+	// Input stage: VC v of port 0 requests port v.
+	vcs := make([]int, width)
+	for i := range vcs {
+		vcs[i] = 1
+	}
+	if !byOutput {
+		vcs[0] = width
+	}
+	r := shapedRouter(t, vcs, 1, 8*rounds)
+	slot := func(i int) (port, vc int) {
+		if byOutput {
+			return i, 0
+		}
+		return 0, i
+	}
+	eng := scriptEngine{route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
+		if byOutput {
+			return Request{Out: 0}, true
+		}
+		return Request{Out: in.VC}, in.Port == 0
+	}}
+	model := newLRSModel(width)
+	rng := simcore.NewRNG(0x125)
+	var pool packet.Pool
+	granted := 0
+	for round := range rounds {
+		now := int64(round * r.PktSize)
+		for i := 0; i < width; i++ {
+			if i >= width/2 && round < rounds/3 {
+				continue
+			}
+			if port, vc := slot(i); r.In[port].VCs[vc].Len() == 0 && rng.Bernoulli(0.5) {
+				push(r, port, vc, &pool)
+			}
+		}
+		want := model.pick(func(i int) bool {
+			port, vc := slot(i)
+			return r.In[port].VCs[vc].Len() > 0
+		})
+		grants := r.Cycle(eng, now)
+		got := -1
+		if len(grants) == 1 {
+			got = grants[0].InPort
+			if !byOutput {
+				got = grants[0].InVC
+			}
+			model.grant(got, now)
+			granted++
+		}
+		if len(grants) > 1 || got != want {
+			t.Fatalf("round %d: allocator granted %+v, LRS model picks requester %d", round, grants, want)
+		}
+		drainDue(r, now+int64(r.PktSize)-1) // the grant has streamed out by the next round
+	}
+	if granted < rounds/2 {
+		t.Fatalf("only %d grants in %d rounds", granted, rounds)
 	}
 }

@@ -1,14 +1,18 @@
 package router
 
-import "ofar/internal/packet"
+import (
+	"unsafe"
+
+	"ofar/internal/packet"
+)
 
 // Arena is a typed bump allocator for router hot state. The network builds
 // one arena per dragonfly group and constructs the group's routers into it,
 // so every slice the per-cycle loops touch — VC buffer entries (including
-// their route-cache fields), credit counters, arbiter timestamps, request
-// slots, ready/dirty masks, queue backing arrays — lands in a handful of
-// large contiguous slabs owned by that group instead of hundreds of
-// individually heap-allocated slices scattered by the allocator.
+// their route-cache fields), per-VC credit records, arbiter rank rows,
+// request slots, ready/dirty masks, queue backing arrays — lands in a
+// handful of large contiguous slabs owned by that group instead of hundreds
+// of individually heap-allocated slices scattered by the allocator.
 //
 // The layout is struct-of-arrays at the group level: all VCBuffer entries of
 // a group share one slab (allocated router-major, port-major, so the
@@ -25,17 +29,15 @@ import "ofar/internal/packet"
 // fault surgery only rewrites in place. The zero Arena is valid and spills
 // every request to plain make: bare test routers (Params.Arena nil) get one.
 type Arena struct {
-	ints []int
-	i8   []int8
-	i32  []int32
-	i64  []int64
-	u64  []uint64
-	vcs  []VCBuffer
-	reqs []Request
-	lrs  []LRS
-	inP  []InPort
-	outP []OutPort
-	pkts []*packet.Packet
+	u8     []uint8
+	i32    []int32
+	u64    []uint64
+	vcs    []VCBuffer
+	outVCs []outVC
+	reqs   []reqSlot
+	inP    []InPort
+	outP   []OutPort
+	pkts   []*packet.Packet
 
 	// Size is what NewArena allocated; Slack counts the elements not carved
 	// (yet), Spill those requested beyond a slab and served off-arena by plain
@@ -46,8 +48,8 @@ type Arena struct {
 
 // ArenaSize is the element count of each typed slab of one group's arena.
 type ArenaSize struct {
-	Ints, Int8s, Int32s, Int64s, Uint64s                      int
-	VCBuffers, Requests, LRSs, InPorts, OutPorts, PacketSlots int
+	Uint8s, Int32s, Uint64s                                     int
+	VCBuffers, OutVCs, Requests, InPorts, OutPorts, PacketSlots int
 }
 
 // Add counts what NewInto(p) — and EnableRouteCache, when cache is set —
@@ -57,16 +59,14 @@ func (s *ArenaSize) Add(p Params, cache bool) {
 	n := len(p.Ports)
 	s.InPorts += n
 	s.OutPorts += n
-	s.LRSs += 2 * n
 	s.Int32s += 2*n + 1 + len(p.RingOuts)
 	s.Uint64s += 2 * n
-	s.Int64s += n * n // output arbiters: one row of n per port
+	s.Uint8s += n * n // output arbiters: one rank row of n per port
 	for _, ps := range p.Ports {
 		s.VCBuffers += len(ps.InCaps)
 		s.Requests += len(ps.InCaps)
-		s.Int64s += len(ps.InCaps)
-		s.Ints += 2 * len(ps.OutCaps)
-		s.Int8s += len(ps.OutCaps)
+		s.Uint8s += len(ps.InCaps) // input arbiters: one rank per VC
+		s.OutVCs += len(ps.OutCaps)
 		for _, c := range ps.InCaps {
 			s.PacketSlots += queueSlots(c, p.PktSize)
 		}
@@ -80,14 +80,26 @@ func (s *ArenaSize) Add(p Params, cache bool) {
 func NewArena(sz ArenaSize) *Arena {
 	return &Arena{
 		Size: sz,
-		ints: make([]int, sz.Ints), i8: make([]int8, sz.Int8s), i32: make([]int32, sz.Int32s),
-		i64: make([]int64, sz.Int64s), u64: make([]uint64, sz.Uint64s),
-		vcs: make([]VCBuffer, sz.VCBuffers), reqs: make([]Request, sz.Requests),
-		lrs: make([]LRS, sz.LRSs), inP: make([]InPort, sz.InPorts), outP: make([]OutPort, sz.OutPorts),
+		u8:   make([]uint8, sz.Uint8s), i32: make([]int32, sz.Int32s), u64: make([]uint64, sz.Uint64s),
+		vcs: make([]VCBuffer, sz.VCBuffers), outVCs: make([]outVC, sz.OutVCs), reqs: make([]reqSlot, sz.Requests),
+		inP: make([]InPort, sz.InPorts), outP: make([]OutPort, sz.OutPorts),
 		pkts: make([]*packet.Packet, sz.PacketSlots),
-		Slack: sz.Ints + sz.Int8s + sz.Int32s + sz.Int64s + sz.Uint64s + sz.VCBuffers +
-			sz.Requests + sz.LRSs + sz.InPorts + sz.OutPorts + sz.PacketSlots,
+		Slack: sz.Uint8s + sz.Int32s + sz.Uint64s + sz.VCBuffers + sz.OutVCs +
+			sz.Requests + sz.InPorts + sz.OutPorts + sz.PacketSlots,
 	}
+}
+
+// Bytes is what the slabs of an arena of this size occupy, by part: queue
+// slots, VC buffers, arbiter ranks, ports (with their per-VC credit
+// records), request slots, and the allocator's scratch masks and indices.
+func (s ArenaSize) Bytes() (queues, vcs, arbiters, ports, reqs, scratch int) {
+	return s.PacketSlots * int(unsafe.Sizeof((*packet.Packet)(nil))),
+		s.VCBuffers * int(unsafe.Sizeof(VCBuffer{})),
+		s.Uint8s,
+		s.InPorts*int(unsafe.Sizeof(InPort{})) + s.OutPorts*int(unsafe.Sizeof(OutPort{})) +
+			s.OutVCs*int(unsafe.Sizeof(outVC{})),
+		s.Requests * int(unsafe.Sizeof(reqSlot{})),
+		4*s.Int32s + 8*s.Uint64s
 }
 
 // carve bumps n elements off one slab, capacity-capped (so a stray append
@@ -107,17 +119,3 @@ func carve[T any](a *Arena, slab *[]T, n int) []T {
 	a.Slack -= n
 	return out
 }
-
-func (a *Arena) Ints(n int) []int           { return carve(a, &a.ints, n) }
-func (a *Arena) Int8s(n int) []int8         { return carve(a, &a.i8, n) }
-func (a *Arena) Int32s(n int) []int32       { return carve(a, &a.i32, n) }
-func (a *Arena) Int64s(n int) []int64       { return carve(a, &a.i64, n) }
-func (a *Arena) Uint64s(n int) []uint64     { return carve(a, &a.u64, n) }
-func (a *Arena) VCBuffers(n int) []VCBuffer { return carve(a, &a.vcs, n) }
-func (a *Arena) Requests(n int) []Request   { return carve(a, &a.reqs, n) }
-func (a *Arena) LRSs(n int) []LRS           { return carve(a, &a.lrs, n) }
-func (a *Arena) InPorts(n int) []InPort     { return carve(a, &a.inP, n) }
-func (a *Arena) OutPorts(n int) []OutPort   { return carve(a, &a.outP, n) }
-
-// PacketSlots carves the n-slot ring of one VC queue.
-func (a *Arena) PacketSlots(n int) []*packet.Packet { return carve(a, &a.pkts, n) }

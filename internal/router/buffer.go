@@ -24,17 +24,18 @@ type VCBuffer struct {
 	// (-1 for canonical buffers).
 	Escape   bool
 	Ring     int8
-	draining bool // packed with the flags above: the struct stays 88 bytes
+	draining bool
+	cOK      bool // route cache: the cached outcome, Route returned (request, true)
 
-	Capacity int // phits
+	Capacity int32 // phits (Config.Validate bounds every buffer)
 
 	// q is a fixed-capacity ring carved from the group arena: n packets
 	// starting at slot head, wrapping at len(q). Credit flow control keeps n
 	// below len(q) (see queueSlots), so the queue never leaves its slab.
 	q        []*packet.Packet
-	head     int
-	n        int
-	occupied int // phits
+	head     int32
+	n        int32
+	occupied int32 // phits
 
 	// Route-cache entry for the current head packet (see Router.Cycle).
 	// Valid while now < cExpire AND cMask (the decision's output-port read
@@ -44,10 +45,9 @@ type VCBuffer struct {
 	// of this buffer overwrites it). cMin caches the engine's per-head anchor
 	// port (InCtx.MinHint) and survives dirty invalidation: it depends only
 	// on the head's identity, so only head replacement resets it.
+	cMin    int32
 	cMask   uint64
 	cExpire int64
-	cMin    int32
-	cOK     bool // the cached outcome: Route returned (request, true)
 }
 
 // invalidateCache forgets the route-cache entry and the per-head anchor
@@ -59,7 +59,7 @@ func (b *VCBuffer) invalidateCache() {
 
 // Init sets the buffer capacity (phits). ring < 0 marks a canonical buffer.
 func (b *VCBuffer) Init(capacity int, ring int) {
-	b.Capacity = capacity
+	b.Capacity = int32(capacity)
 	b.Escape = ring >= 0
 	b.Ring = int8(ring)
 	clear(b.q)
@@ -79,7 +79,7 @@ func queueSlots(capacity, pktSize int) int {
 }
 
 // Len returns the number of queued packets.
-func (b *VCBuffer) Len() int { return b.n }
+func (b *VCBuffer) Len() int { return int(b.n) }
 
 // QueueSlots returns the ring's slot count: what NewInto carved, unless the
 // queue ever grew off the arena. Test and diagnostics hook.
@@ -87,17 +87,17 @@ func (b *VCBuffer) QueueSlots() int { return len(b.q) }
 
 // slot returns the ring index of the j-th queued packet (0 = head).
 func (b *VCBuffer) slot(j int) int {
-	if j += b.head; j >= len(b.q) {
+	if j += int(b.head); j >= len(b.q) {
 		j -= len(b.q)
 	}
 	return j
 }
 
 // Occupied returns the occupied phits.
-func (b *VCBuffer) Occupied() int { return b.occupied }
+func (b *VCBuffer) Occupied() int { return int(b.occupied) }
 
 // Free returns the free phits.
-func (b *VCBuffer) Free() int { return b.Capacity - b.occupied }
+func (b *VCBuffer) Free() int { return int(b.Capacity - b.occupied) }
 
 // Head returns the head packet, or nil. The head is not routable while the
 // buffer is draining a previous grant.
@@ -122,18 +122,18 @@ func (b *VCBuffer) Push(p *packet.Packet) {
 	if b.n == 0 {
 		b.invalidateCache() // the pushed packet becomes the head
 	}
-	if b.n == len(b.q) {
+	if b.Len() == len(b.q) {
 		// Genuinely full: only a buffer built without NewInto's sizing (a bare
 		// test buffer, a hostile snapshot) gets here. Unroll onto the heap.
 		grown := make([]*packet.Packet, 2*b.n+2)
-		for j := range b.n {
+		for j := range b.Len() {
 			grown[j] = b.q[b.slot(j)]
 		}
 		b.q, b.head = grown, 0
 	}
-	b.q[b.slot(b.n)] = p
+	b.q[b.slot(b.Len())] = p
 	b.n++
-	b.occupied += p.Size
+	b.occupied += int32(p.Size)
 }
 
 // DropQueued removes every queued packet except a draining head (whose
@@ -149,14 +149,14 @@ func (b *VCBuffer) DropQueued(visit func(*packet.Packet)) {
 	if b.draining {
 		keep = 1 // the in-flight head survives until its FinishDrain
 	}
-	for j := keep; j < b.n; j++ {
+	for j := keep; j < b.Len(); j++ {
 		i := b.slot(j)
 		p := b.q[i]
-		b.occupied -= p.Size
+		b.occupied -= int32(p.Size)
 		b.q[i] = nil
 		visit(p)
 	}
-	b.n = keep
+	b.n = int32(keep)
 }
 
 // BeginDrain marks the head as granted; it stays at the head (consuming
@@ -175,11 +175,11 @@ func (b *VCBuffer) FinishDrain() *packet.Packet {
 	}
 	p := b.q[b.head]
 	b.q[b.head] = nil
-	if b.head++; b.head == len(b.q) {
+	if b.head++; int(b.head) == len(b.q) {
 		b.head = 0
 	}
 	b.n--
-	b.occupied -= p.Size
+	b.occupied -= int32(p.Size)
 	b.draining = false
 	b.invalidateCache() // whatever queued behind p is the new head
 	return p

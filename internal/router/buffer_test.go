@@ -3,8 +3,10 @@ package router
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ofar/internal/packet"
+	"ofar/internal/simcore"
 )
 
 func mkPkt(pool *packet.Pool, size int) *packet.Packet {
@@ -154,7 +156,7 @@ func TestVCBufferRing(t *testing.T) {
 	slots := queueSlots(32, 8)
 	ar := NewArena(ArenaSize{PacketSlots: slots})
 	var c VCBuffer
-	c.q = ar.PacketSlots(slots)
+	c.q = carve(ar, &ar.pkts, slots)
 	c.Init(32, -1)
 	home := &c.q[0]
 	for i := 0; i < 1000; i++ {
@@ -196,16 +198,26 @@ func TestVCBufferRing(t *testing.T) {
 	}
 }
 
+// rankPick is the allocator's scan over one rank row: the eligible
+// requester of lowest rank, -1 when nobody is eligible.
+func rankPick(row []uint8, eligible func(i int) bool) int {
+	best := -1
+	for i, rk := range row {
+		if eligible(i) && (best == -1 || rk < row[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
 func TestLRSFairness(t *testing.T) {
-	var a LRS
-	a.initLRS(new(Arena), 3)
+	row := make([]uint8, 3)
+	initRanks(row)
 	all := func(int) bool { return true }
 	order := []int{}
-	now := int64(0)
 	for i := 0; i < 6; i++ {
-		pick := lrsPick(&a, all)
-		a.Grant(pick, now)
-		now++
+		pick := rankPick(row, all)
+		grantRank(row, pick)
 		order = append(order, pick)
 	}
 	// Round-robin-like rotation: each requester served twice in 6 grants.
@@ -221,19 +233,81 @@ func TestLRSFairness(t *testing.T) {
 }
 
 func TestLRSEligibility(t *testing.T) {
-	var a LRS
-	a.initLRS(new(Arena), 4)
-	if got := lrsPick(&a, func(i int) bool { return i == 2 }); got != 2 {
+	row := make([]uint8, 4)
+	initRanks(row)
+	if got := rankPick(row, func(i int) bool { return i == 2 }); got != 2 {
 		t.Errorf("pick=%d", got)
 	}
-	if got := lrsPick(&a, func(int) bool { return false }); got != -1 {
+	if got := rankPick(row, func(int) bool { return false }); got != -1 {
 		t.Errorf("pick on empty=%d", got)
 	}
 	// After serving 0 and 1, the least recently served eligible of {0,1} is 0.
-	a.Grant(0, 10)
-	a.Grant(1, 11)
-	if got := lrsPick(&a, func(i int) bool { return i < 2 }); got != 0 {
+	grantRank(row, 0)
+	grantRank(row, 1)
+	if got := rankPick(row, func(i int) bool { return i < 2 }); got != 0 {
 		t.Errorf("LRS pick=%d want 0", got)
+	}
+}
+
+// TestRanksFollowTimestamps: after any sequence of one-grant-per-cycle
+// grants, a rank row orders its requesters exactly as their last-grant
+// cycles do, never-served ones first in index order, and stays a
+// permutation.
+func TestRanksFollowTimestamps(t *testing.T) {
+	rng := simcore.NewRNG(0x7A4C)
+	for _, n := range []int{1, 2, 5, 24, 64} {
+		row := make([]uint8, n)
+		initRanks(row)
+		model := newLRSModel(n)
+		for now := int64(0); now < 400; now++ {
+			w := rng.Intn(n)
+			grantRank(row, w)
+			model.grant(w, now)
+			if !validRanks(row) {
+				t.Fatalf("n=%d cycle %d: ranks %v are not a permutation", n, now, row)
+			}
+			for i := range n {
+				for j := range n {
+					older := model[i] < model[j] || model[i] == model[j] && i < j
+					if older != (row[i] < row[j]) {
+						t.Fatalf("n=%d cycle %d: requesters %d (last %d) and %d (last %d) have ranks %d and %d",
+							n, now, i, model[i], j, model[j], row[i], row[j])
+					}
+				}
+			}
+		}
+	}
+	for _, bad := range [][]uint8{{0, 0}, {1, 2}, {2, 0, 1, 1}} {
+		if validRanks(bad) {
+			t.Errorf("validRanks accepted %v", bad)
+		}
+	}
+}
+
+// TestRecordSizes bounds the per-port and per-VC records the group arenas
+// hold thousands of, and checks a request survives its packed slot.
+func TestRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"VCBuffer", unsafe.Sizeof(VCBuffer{}), 64},
+		{"InPort", unsafe.Sizeof(InPort{}), 48},
+		{"OutPort", unsafe.Sizeof(OutPort{}), 64},
+		{"request slot", unsafe.Sizeof(reqSlot{}), 8},
+	} {
+		if c.size > c.max {
+			t.Errorf("%s takes %d bytes, want ≤ %d", c.name, c.size, c.max)
+		}
+	}
+	for _, q := range []Request{
+		{},
+		{Out: 63, VC: 63, Escape: true, EnterRing: true, Ring: 7, SetLocalMis: true},
+		{Out: 12, VC: 2, Escape: true, ExitRing: true, Ring: -1, SetGlobalMis: true},
+	} {
+		if got := packRequest(q).request(); got != q {
+			t.Errorf("request %+v unpacks to %+v", q, got)
+		}
 	}
 }
 

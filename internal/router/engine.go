@@ -22,6 +22,31 @@ type Request struct {
 	SetLocalMis  bool // mark the packet's per-group local-misroute flag
 }
 
+// reqSlot is a Request packed into the router's reqs slab: ports and VCs
+// are below 64 (Config.Validate), so each fits a byte, and the five flags
+// share one, bit i for the i-th flag in Request's field order.
+type reqSlot struct {
+	out, vc uint8
+	ring    int8
+	flags   uint8
+}
+
+func packRequest(q Request) reqSlot {
+	s := reqSlot{out: uint8(q.Out), vc: uint8(q.VC), ring: q.Ring}
+	for i, b := range [...]bool{q.Escape, q.EnterRing, q.ExitRing, q.SetGlobalMis, q.SetLocalMis} {
+		if b {
+			s.flags |= 1 << i
+		}
+	}
+	return s
+}
+
+func (s reqSlot) request() Request {
+	bit := func(i int) bool { return s.flags>>i&1 != 0 }
+	return Request{Out: int(s.out), VC: int(s.vc), Ring: s.ring,
+		Escape: bit(0), EnterRing: bit(1), ExitRing: bit(2), SetGlobalMis: bit(3), SetLocalMis: bit(4)}
+}
+
 // InCtx describes the input buffer holding the packet a routing decision is
 // being made for. The paper's OFAR policy distinguishes injection queues,
 // local queues and escape channels (§IV-A).

@@ -6,13 +6,7 @@ import (
 
 // InPort is one input port of the router with its virtual-channel buffers.
 type InPort struct {
-	Kind topology.PortKind
-	VCs  []VCBuffer
-
-	// UpRouter/UpPort identify the upstream output port feeding this input,
-	// used to return credits; both are -1 for injection ports.
-	UpRouter int
-	UpPort   int
+	VCs []VCBuffer
 
 	// busyUntil gates the port's 1 phit/cycle crossbar bandwidth: while a
 	// packet drains, no other VC of the port can be granted.
@@ -24,6 +18,13 @@ type InPort struct {
 	// ports always equals readyVCs. Cycle iterates set bits instead of
 	// scanning every VC.
 	ready uint64
+
+	// UpRouter/UpPort identify the upstream output port feeding this input,
+	// used to return credits; both are -1 for injection ports.
+	UpRouter int32
+	UpPort   int16
+
+	Kind topology.PortKind
 }
 
 // Busy reports whether the port is still streaming a previous grant.
@@ -36,52 +37,55 @@ func (ip *InPort) ReadyMask() uint64 { return ip.ready }
 // OutPort is one output port with per-VC credit counters mirroring the free
 // space of the downstream input buffer.
 type OutPort struct {
-	Kind topology.PortKind
+	// vcs holds each downstream VC's credits, capacity and escape ring.
+	vcs []outVC
+
+	busyUntil int64
 
 	// Peer/PeerPort identify the downstream router input; both are -1 for
 	// ejection (node) ports.
-	Peer     int
-	PeerPort int
+	Peer     int32
+	PeerPort int16
 
-	// Latency is the link traversal latency in cycles.
-	Latency int
-
-	credits []int
-	vcCap   []int
-	// escRing maps each VC to the escape ring it belongs to, or -1 for
-	// canonical VCs.
-	escRing []int8
-
-	busyUntil int64
+	Kind topology.PortKind
 
 	// dead marks a failed link: a dead port is permanently Busy, so no
 	// allocator or engine ever grants it again. Credits are frozen as-is.
 	dead bool
 
+	// Latency is the link traversal latency in cycles.
+	Latency int32
+
 	// canonical aggregates for the occupancy percentage used by adaptive
 	// routing thresholds (escape VCs excluded).
-	canCap     int
-	canCredits int
+	canCap     int32
+	canCredits int32
+}
+
+// outVC is one downstream VC as its output port sees it. Config.Validate
+// bounds every buffer, so the counters fit 32 bits.
+type outVC struct {
+	credits int32
+	cap     int32
+	// ring is the escape ring the VC belongs to, or -1 for canonical VCs.
+	ring int8
 }
 
 // initOut sets up the credit state. caps lists per-VC capacities; escRing
-// tags escape VCs (-1 = canonical; nil = all canonical). The persistent
-// per-VC arrays are carved from ar.
+// tags escape VCs (-1 = canonical; nil = all canonical). The per-VC records
+// are carved from ar.
 func (op *OutPort) initOut(ar *Arena, caps, escRing []int) {
-	op.credits = ar.Ints(len(caps))
-	copy(op.credits, caps)
-	op.vcCap = ar.Ints(len(caps))
-	copy(op.vcCap, caps)
-	op.escRing = ar.Int8s(len(caps))
+	op.vcs = carve(ar, &ar.outVCs, len(caps))
 	op.canCap, op.canCredits = 0, 0
 	for vc, c := range caps {
-		op.escRing[vc] = -1
+		v := &op.vcs[vc]
+		v.credits, v.cap, v.ring = int32(c), int32(c), -1
 		if escRing != nil {
-			op.escRing[vc] = int8(escRing[vc])
+			v.ring = int8(escRing[vc])
 		}
-		if op.escRing[vc] < 0 {
-			op.canCap += c
-			op.canCredits += c
+		if v.ring < 0 {
+			op.canCap += v.cap
+			op.canCredits += v.cap
 		}
 	}
 }
@@ -95,30 +99,28 @@ func (op *OutPort) Busy(now int64) bool { return op.dead || op.busyUntil > now }
 // Dead reports whether the link behind this port has failed.
 func (op *OutPort) Dead() bool { return op.dead }
 
-// Fail marks the link behind this port as failed.
-func (op *OutPort) Fail() { op.dead = true }
-
 // SetCredits overwrites one VC's credit counter during structural surgery
 // (escape-ring re-formation retargets a port to a new downstream buffer and
 // must re-derive its free space). Maintains the canonical aggregate.
 func (op *OutPort) SetCredits(vc, credits int) {
-	if credits < 0 || credits > op.vcCap[vc] {
+	v := &op.vcs[vc]
+	if credits < 0 || credits > int(v.cap) {
 		panic("router: SetCredits outside [0, cap]")
 	}
-	if op.escRing[vc] < 0 {
-		op.canCredits += credits - op.credits[vc]
+	if v.ring < 0 {
+		op.canCredits += int32(credits) - v.credits
 	}
-	op.credits[vc] = credits
+	v.credits = int32(credits)
 }
 
 // NumVCs returns the number of downstream VCs.
-func (op *OutPort) NumVCs() int { return len(op.credits) }
+func (op *OutPort) NumVCs() int { return len(op.vcs) }
 
 // Credits returns the credit count of one VC.
-func (op *OutPort) Credits(vc int) int { return op.credits[vc] }
+func (op *OutPort) Credits(vc int) int { return int(op.vcs[vc].credits) }
 
 // VCCap returns the capacity of one downstream VC.
-func (op *OutPort) VCCap(vc int) int { return op.vcCap[vc] }
+func (op *OutPort) VCCap(vc int) int { return int(op.vcs[vc].cap) }
 
 // ClassVC is the hop-class VC rule every engine shares: the downstream VC is
 // the number of hops already taken, clamped to the port's VC count, and
@@ -129,11 +131,11 @@ func (op *OutPort) ClassVC(hops int) int {
 	if op.Kind == topology.PortNode {
 		return 0
 	}
-	return min(hops, len(op.credits)-1)
+	return min(hops, len(op.vcs)-1)
 }
 
 // EscapeRing returns the escape-ring index of a VC, or -1 for canonical VCs.
-func (op *OutPort) EscapeRing(vc int) int { return int(op.escRing[vc]) }
+func (op *OutPort) EscapeRing(vc int) int { return int(op.vcs[vc].ring) }
 
 // Occupancy returns the canonical downstream occupancy as a fraction in
 // [0,1], the quantity compared against misrouting thresholds (paper §IV-B
@@ -147,36 +149,35 @@ func (op *OutPort) Occupancy() float64 {
 
 // Take consumes credits for a departing packet.
 func (op *OutPort) Take(vc, size int) {
-	if op.credits[vc] < size {
+	v := &op.vcs[vc]
+	if int(v.credits) < size {
 		panic("router: credit underflow")
 	}
-	op.credits[vc] -= size
-	if op.escRing[vc] < 0 {
-		op.canCredits -= size
+	v.credits -= int32(size)
+	if v.ring < 0 {
+		op.canCredits -= int32(size)
 	}
 }
 
 // Refund returns credits after the downstream buffer frees the space.
 func (op *OutPort) Refund(vc, size int) {
-	op.credits[vc] += size
-	if op.escRing[vc] < 0 {
-		op.canCredits += size
-	}
-	if op.credits[vc] > op.vcCap[vc] {
+	v := &op.vcs[vc]
+	if int(v.cap-v.credits) < size {
 		panic("router: credit overflow")
+	}
+	v.credits += int32(size)
+	if v.ring < 0 {
+		op.canCredits += int32(size)
 	}
 }
 
 // bestEscapeVC returns the VC of the given escape ring with the most
 // credits (no size requirement; bubble checks are the caller's business).
 func (op *OutPort) bestEscapeVC(ring int) (int, bool) {
-	best, bestCr := -1, -1
-	for vc := range op.credits {
-		if int(op.escRing[vc]) != ring {
-			continue
-		}
-		if cr := op.credits[vc]; cr > bestCr {
-			best, bestCr = vc, cr
+	best, bestCr := -1, int32(-1)
+	for vc := range op.vcs {
+		if v := &op.vcs[vc]; int(v.ring) == ring && v.credits > bestCr {
+			best, bestCr = vc, v.credits
 		}
 	}
 	return best, best >= 0

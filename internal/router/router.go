@@ -1,7 +1,6 @@
 package router
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -96,6 +95,12 @@ type Router struct {
 	// values. The network republishes only dirty routers.
 	pbDirty bool
 
+	// LRS arbiter rank rows (see arbiter.go): inRank holds one rank per input
+	// VC, the row of input port ip starting at vcBase[ip]; outRank holds a row
+	// of len(In) per output port, output op's at op·len(In).
+	inRank  []uint8
+	outRank []uint8
+
 	// allocator scratch state (reused every cycle). Request validity and the
 	// separable-allocator match state live in bitsets: reqMask[ip] holds the
 	// valid-request VC mask of input port ip (rebuilt from scratch each
@@ -104,9 +109,7 @@ type Router struct {
 	// cleared — a slot is only read when its reqMask bit is set this cycle,
 	// and only a re-evaluation of that (port, vc) writes it, which is what
 	// lets route-cache hits skip the write entirely.
-	inArb       []LRS
-	outArb      []LRS
-	reqs        []Request
+	reqs        []reqSlot
 	reqMask     []uint64
 	vcBase      []int32
 	candVC      []int32
@@ -194,31 +197,27 @@ func NewInto(r *Router, p Params) {
 		r.AllocIters = 1
 	}
 	n := len(p.Ports)
-	r.In = ar.InPorts(n)
-	r.Out = ar.OutPorts(n)
-	r.inArb = ar.LRSs(n)
-	r.outArb = ar.LRSs(n)
-	r.vcBase = ar.Int32s(n + 1)
-	r.candVC = ar.Int32s(n)
-	r.reqMask = ar.Uint64s(n)
-	r.outCandMask = ar.Uint64s(n)
+	r.In = carve(ar, &ar.inP, n)
+	r.Out = carve(ar, &ar.outP, n)
+	r.outRank = carve(ar, &ar.u8, n*n)
+	r.vcBase = carve(ar, &ar.i32, n+1)
+	r.candVC = carve(ar, &ar.i32, n)
+	r.reqMask = carve(ar, &ar.u64, n)
+	r.outCandMask = carve(ar, &ar.u64, n)
 	total := 0
 	for i, ps := range p.Ports {
 		r.vcBase[i] = int32(total)
 		in := &r.In[i]
 		in.Kind = ps.Kind
-		in.UpRouter, in.UpPort = ps.UpRouter, ps.UpPort
-		if ps.Kind == topology.PortNode {
-			in.UpRouter, in.UpPort = -1, -1
-		}
-		in.VCs = ar.VCBuffers(len(ps.InCaps))
+		in.UpRouter, in.UpPort = int32(ps.UpRouter), int16(ps.UpPort)
+		in.VCs = carve(ar, &ar.vcs, len(ps.InCaps))
 		for vc := range in.VCs {
 			ring := -1
 			if ps.InRing != nil {
 				ring = ps.InRing[vc]
 			}
 			buf := &in.VCs[vc]
-			buf.q = ar.PacketSlots(queueSlots(ps.InCaps[vc], p.PktSize))
+			buf.q = carve(ar, &ar.pkts, queueSlots(ps.InCaps[vc], p.PktSize))
 			buf.Init(ps.InCaps[vc], ring)
 			if ring < 0 {
 				r.capPhits += ps.InCaps[vc]
@@ -226,23 +225,37 @@ func NewInto(r *Router, p Params) {
 		}
 		out := &r.Out[i]
 		out.Kind = ps.Kind
-		out.Peer, out.PeerPort = ps.Peer, ps.PeerPort
+		out.Peer, out.PeerPort = int32(ps.Peer), int16(ps.PeerPort)
 		if ps.Kind == topology.PortNode {
-			out.Peer, out.PeerPort = -1, -1
+			in.UpRouter, in.UpPort, out.Peer, out.PeerPort = -1, -1, -1, -1
 		}
-		out.Latency = ps.Latency
+		out.Latency = int32(ps.Latency)
 		out.initOut(ar, ps.OutCaps, ps.OutRing)
-		r.inArb[i].initLRS(ar, len(ps.InCaps))
-		r.outArb[i].initLRS(ar, n)
+		initRanks(r.outRow(i))
 		total += len(ps.InCaps)
 	}
 	r.vcBase[n] = int32(total)
-	r.reqs = ar.Requests(total)
-	r.ringOuts = ar.Int32s(len(p.RingOuts))
+	r.inRank = carve(ar, &ar.u8, total)
+	for i := range r.In {
+		initRanks(r.inRow(i))
+	}
+	r.reqs = carve(ar, &ar.reqs, total)
+	r.ringOuts = carve(ar, &ar.i32, len(p.RingOuts))
 	for i, po := range p.RingOuts {
 		r.ringOuts[i] = int32(po)
 	}
 }
+
+// inRow is input port ip's arbiter rank row, one rank per VC.
+func (r *Router) inRow(ip int) []uint8 { return r.inRank[r.vcBase[ip]:r.vcBase[ip+1]] }
+
+// outRow is output port op's arbiter rank row, one rank per input port.
+func (r *Router) outRow(op int) []uint8 { return r.outRank[op*len(r.In) : (op+1)*len(r.In)] }
+
+// ArbiterRanks returns the rank rows of port's input arbiter (one rank per
+// VC) and output arbiter (one per input port), aliasing the router's state.
+// Test hook: the snapshot tests plant rows that Restore must refuse.
+func (r *Router) ArbiterRanks(port int) (in, out []uint8) { return r.inRow(port), r.outRow(port) }
 
 // --- engine-facing helpers ---------------------------------------------------
 
@@ -282,7 +295,7 @@ func (r *Router) EnableRouteCache() {
 		panic("router: route cache requires <= 64 ports (enforced by config validation)")
 	}
 	r.cacheOn = true
-	r.pendingDirty = r.arena.Uint64s(len(r.In))
+	r.pendingDirty = carve(r.arena, &r.arena.u64, len(r.In))
 	r.allOut = ^uint64(0) >> uint(64-len(r.Out))
 	r.nextFree = math.MaxInt64
 }
@@ -320,7 +333,7 @@ func (r *Router) VCFits(port, vc, size int) bool {
 // permanently busy and is never granted again. PB flags of a dead global
 // link must republish as congested, so the router is marked dirty.
 func (r *Router) FailOutput(port int) {
-	r.Out[port].Fail()
+	r.Out[port].dead = true
 	if r.cacheOn {
 		r.dirty |= 1 << uint(port)
 	}
@@ -473,7 +486,7 @@ func (r *Router) FinishDrain(port, vc int) (p *packet.Packet, upRouter, upPort i
 	if !buf.Escape {
 		r.occPhits -= p.Size
 	}
-	return p, inp.UpRouter, inp.UpPort
+	return p, int(inp.UpRouter), int(inp.UpPort)
 }
 
 // AddCredit refunds credits on an output port (a downstream buffer freed
@@ -547,35 +560,9 @@ func (r *Router) QueuedPhits() int {
 	return total
 }
 
-// CheckCredits verifies that every output port's missing credits equal the
-// downstream buffer occupancy plus in-flight phits accounted by the caller.
-// It is used by integration tests; inFlight maps (router,port,vc) → phits.
-func (r *Router) CheckCredits(routers []*Router, inFlight func(router, port, vc int) int) error {
-	for po := range r.Out {
-		op := &r.Out[po]
-		if op.Kind == topology.PortNode || op.Kind == topology.PortNone {
-			continue
-		}
-		if op.dead {
-			continue // frozen by a fault; never consulted again
-		}
-		peer := routers[op.Peer]
-		for vc := range op.credits {
-			missing := op.vcCap[vc] - op.credits[vc]
-			down := peer.In[op.PeerPort].VCs[vc].Occupied()
-			fl := inFlight(r.ID, po, vc)
-			if missing != down+fl {
-				return fmt.Errorf("router %d port %d vc %d: missing=%d downstream=%d inflight=%d",
-					r.ID, po, vc, missing, down, fl)
-			}
-		}
-	}
-	return nil
-}
-
 // StateFingerprint folds every piece of router state that a Cycle call may
-// mutate — the private RNG stream, the arbiter LRS memories, buffer contents
-// and drain state, port serialization deadlines and the occupancy counters —
+// mutate — the private RNG stream, the arbiter ranks, buffer contents and
+// drain state, port serialization deadlines and the occupancy counters —
 // into one FNV-1a hash. Tests compare fingerprints across a Cycle call on an
 // idle router to prove the call had no side effects (the contract of Cycle's
 // early return). The request scratch and the grants slice are deliberately
@@ -587,55 +574,31 @@ func (r *Router) CheckCredits(routers []*Router, inFlight func(router, port, vc 
 // and excluding it is what makes cache-on and cache-off runs — which are
 // bit-identical by construction — report identical fingerprints.
 func (r *Router) StateFingerprint() uint64 {
-	const (
-		offset uint64 = 14695981039346656037
-		prime  uint64 = 1099511628211
-	)
-	h := offset
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h = (h ^ (v & 0xff)) * prime
-			v >>= 8
-		}
-	}
-	mixb := func(b bool) {
-		if b {
-			mix(1)
-		} else {
-			mix(0)
-		}
-	}
+	var e simcore.Enc
 	for _, s := range r.rng.State() {
-		mix(s)
+		e.U64(s)
 	}
-	for i := range r.inArb {
-		for _, t := range r.inArb[i].lastServed {
-			mix(uint64(t))
-		}
-		for _, t := range r.outArb[i].lastServed {
-			mix(uint64(t))
-		}
-	}
-	mix(uint64(r.occPhits))
-	mix(uint64(r.readyVCs))
-	mixb(r.pbDirty)
+	e.Raw(r.inRank)
+	e.Raw(r.outRank)
+	e.Int(r.occPhits)
+	e.Int(r.readyVCs)
+	e.Bool(r.pbDirty)
 	for i := range r.In {
-		inp := &r.In[i]
-		mix(uint64(inp.busyUntil))
-		for vc := range inp.VCs {
-			buf := &inp.VCs[vc]
-			mix(uint64(buf.Len()))
-			mix(uint64(buf.Occupied()))
-			mixb(buf.Draining())
+		e.I64(r.In[i].busyUntil)
+		for vc := range r.In[i].VCs {
+			buf := &r.In[i].VCs[vc]
+			e.Int(buf.Len())
+			e.Int(buf.Occupied())
+			e.Bool(buf.draining)
 		}
 		op := &r.Out[i]
-		mix(uint64(op.busyUntil))
-		mixb(op.dead)
-		for vc := range op.credits {
-			mix(uint64(op.credits[vc]))
+		e.I64(op.busyUntil)
+		e.Bool(op.dead)
+		for _, v := range op.vcs {
+			e.Int(int(v.credits))
 		}
 	}
-	return h
+	return simcore.Checksum64(e.Data())
 }
 
 // --- per-cycle routing + switch allocation -----------------------------------
@@ -761,7 +724,7 @@ func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend u
 				}
 			}
 			if ok {
-				r.reqs[base+vc] = req
+				r.reqs[base+vc] = packRequest(req)
 				reqM |= 1 << uint(vc)
 			}
 		}
@@ -804,22 +767,21 @@ func (r *Router) allocate(inPend uint64, now int64) {
 		for pm := inPend; pm != 0; pm &= pm - 1 {
 			ip := bits.TrailingZeros64(pm)
 			base := int(r.vcBase[ip])
-			arb := r.inArb[ip].lastServed
 			best := -1
-			var bestT int64
+			var bestRk uint8
 			for vm := r.reqMask[ip]; vm != 0; vm &= vm - 1 {
 				vc := bits.TrailingZeros64(vm)
-				if outAvail&(1<<uint(r.reqs[base+vc].Out)) == 0 {
+				if outAvail&(1<<r.reqs[base+vc].out) == 0 {
 					continue
 				}
-				if best == -1 || arb[vc] < bestT {
-					best, bestT = vc, arb[vc]
+				if rk := r.inRank[base+vc]; best == -1 || rk < bestRk {
+					best, bestRk = vc, rk
 				}
 			}
 			if best < 0 {
 				continue
 			}
-			out := r.reqs[base+best].Out
+			out := r.reqs[base+best].out
 			r.candVC[ip] = int32(best)
 			if r.outCandMask[out] == 0 {
 				r.touchedOut = append(r.touchedOut, int32(out))
@@ -840,13 +802,13 @@ func (r *Router) allocate(inPend uint64, now int64) {
 			if outAvail&(1<<uint(op)) == 0 {
 				continue
 			}
-			arb := r.outArb[op].lastServed
+			row := r.outRow(op)
 			best := -1
-			var bestT int64
+			var bestRk uint8
 			for ; cm != 0; cm &= cm - 1 {
 				ip := bits.TrailingZeros64(cm)
-				if arb[ip] < bestT || best == -1 {
-					best, bestT = ip, arb[ip]
+				if rk := row[ip]; best == -1 || rk < bestRk {
+					best, bestRk = ip, rk
 				}
 			}
 			if best < 0 {
@@ -855,9 +817,9 @@ func (r *Router) allocate(inPend uint64, now int64) {
 			vc := int(r.candVC[best])
 			inPend &^= 1 << uint(best)
 			outAvail &^= 1 << uint(op)
-			r.inArb[best].Grant(vc, now)
-			r.outArb[op].Grant(best, now)
-			r.commit(best, vc, r.reqs[int(r.vcBase[best])+vc], now)
+			grantRank(r.inRow(best), vc)
+			grantRank(row, best)
+			r.commit(best, vc, r.reqs[int(r.vcBase[best])+vc].request(), now)
 			granted = true
 		}
 		if !granted {

@@ -1,8 +1,6 @@
 package router
 
 import (
-	"math"
-
 	"ofar/internal/packet"
 	"ofar/internal/simcore"
 )
@@ -33,7 +31,7 @@ func (r *Router) ForEachPacket(f func(*packet.Packet)) {
 	for i := range r.In {
 		for vc := range r.In[i].VCs {
 			buf := &r.In[i].VCs[vc]
-			for j := range buf.n {
+			for j := range buf.Len() {
 				f(buf.q[buf.slot(j)])
 			}
 		}
@@ -52,10 +50,13 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Table, now int64) error {
 	c.RNG(r.rng)
 	c.Shape(len(r.In), "router ports")
 	for i := range r.In {
-		for _, ls := range [2][]int64{r.inArb[i].lastServed, r.outArb[i].lastServed} {
-			c.Shape(len(ls), "arbiter inputs")
-			for j := range ls {
-				simcore.Int(c, &ls[j])
+		for _, row := range [2][]uint8{r.inRow(i), r.outRow(i)} {
+			c.Shape(len(row), "arbiter inputs")
+			for j := range row {
+				c.U8(&row[j])
+			}
+			if dec && c.Err() == nil && !validRanks(row) {
+				c.Fail("router %d port %d: arbiter ranks %v are not a permutation", r.ID, i, row)
 			}
 		}
 	}
@@ -73,9 +74,9 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Table, now int64) error {
 		}
 		for vc := range inp.VCs {
 			buf := &inp.VCs[vc]
-			nq := c.Len(buf.n, maxSnapQueue)
+			nq := c.Len(buf.Len(), maxSnapQueue)
 			if dec {
-				buf.Init(buf.Capacity, int(buf.Ring))
+				buf.Init(int(buf.Capacity), int(buf.Ring))
 			}
 			for j := range nq {
 				var p *packet.Packet
@@ -87,7 +88,7 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Table, now int64) error {
 					if c.Err() != nil {
 						return c.Err()
 					}
-					if buf.occupied+p.Size > buf.Capacity {
+					if p.Size > buf.Free() {
 						c.Fail("router %d port %d vc %d overflows capacity %d", r.ID, i, vc, buf.Capacity)
 						return c.Err()
 					}
@@ -100,7 +101,7 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Table, now int64) error {
 					c.Fail("router %d port %d vc %d draining while empty", r.ID, i, vc)
 				}
 				if !buf.Escape {
-					r.occPhits += buf.occupied
+					r.occPhits += buf.Occupied()
 				}
 				if buf.n > 0 && !buf.draining {
 					r.readyVCs++
@@ -125,20 +126,21 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Table, now int64) error {
 		if dec && (op.Latency < 0 || op.Latency > maxSnapLatency) {
 			c.Fail("router %d port %d latency %d out of range", r.ID, i, op.Latency)
 		}
-		c.Shape(len(op.credits), "output VCs")
+		c.Shape(len(op.vcs), "output VCs")
 		if dec {
 			op.canCredits = 0
 		}
-		for vc := range op.credits {
-			simcore.Int(c, &op.credits[vc])
+		for vc := range op.vcs {
+			v := &op.vcs[vc]
+			simcore.Int(c, &v.credits)
 			if !dec {
 				continue
 			}
-			if cr := op.credits[vc]; cr < 0 || cr > op.vcCap[vc] {
-				c.Fail("router %d out port %d vc %d credits %d outside [0,%d]", r.ID, i, vc, cr, op.vcCap[vc])
+			if v.credits < 0 || v.credits > v.cap {
+				c.Fail("router %d out port %d vc %d credits %d outside [0,%d]", r.ID, i, vc, v.credits, v.cap)
 			}
-			if op.escRing[vc] < 0 {
-				op.canCredits += op.credits[vc]
+			if v.ring < 0 {
+				op.canCredits += v.credits
 			}
 		}
 		if err := c.Err(); err != nil {
@@ -158,20 +160,11 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Table, now int64) error {
 	}
 	// Cold restart of the memoization layer: no cached decisions, every
 	// output dirty, busy view rebuilt from the restored serialization
-	// deadlines.
-	r.dirty = r.allOut
+	// deadlines: expireBusy keeps the ports still busy at now.
+	r.dirty, r.outBusy = r.allOut, r.allOut
 	clear(r.pendingDirty)
 	r.rngDraws = 0
-	r.outBusy = 0
-	r.nextFree = math.MaxInt64
-	for o := range r.Out {
-		if bu := r.Out[o].busyUntil; bu > now {
-			r.outBusy |= 1 << uint(o)
-			if bu < r.nextFree {
-				r.nextFree = bu
-			}
-		}
-	}
+	r.expireBusy(now)
 	return nil
 }
 
