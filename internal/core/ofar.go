@@ -52,7 +52,7 @@ type Config struct {
 	// MaxRingExits bounds how many times a packet may leave the escape
 	// ring (§IV-C livelock guard). Once exhausted the packet rides the
 	// ring to its destination router, which the Hamiltonian ring always
-	// reaches.
+	// reaches. At most MaxRingExitsCap.
 	MaxRingExits int
 
 	// LeastOccupied selects the least-occupied misroute candidate instead
@@ -99,12 +99,24 @@ func VariablePolicyConfig() Config {
 	return cfg
 }
 
-// Validate reports a policy with no usable non-minimal threshold: a negative
-// StaticNonMin selects the variable policy, which needs NonMinFactor > 0.
+// MaxRingExitsCap bounds MaxRingExits so a packet's 16-bit hop counters
+// cannot wrap. A packet leaves the ring at most MaxRingExits+1 times (the
+// last exit may be its ejection), and between two exits it takes at most 6
+// local and 2 global canonical hops: one global misroute per packet, one
+// local misroute per group, minimal hops otherwise. So RingExits ≤ 4,097
+// and LocalHops ≤ 6·(4,096+2) < 2^15.
+const MaxRingExitsCap = 4096
+
+// Validate reports a policy with no usable non-minimal threshold — a
+// negative StaticNonMin selects the variable policy, which needs
+// NonMinFactor > 0 — or an exit budget above MaxRingExitsCap.
 func (c Config) Validate() error {
 	if c.NonMinFactor <= 0 && c.StaticNonMin < 0 {
 		return fmt.Errorf("no usable non-minimal threshold: NonMinFactor %v with StaticNonMin %v (a negative StaticNonMin selects the variable policy, which needs NonMinFactor > 0)",
 			c.NonMinFactor, c.StaticNonMin)
+	}
+	if c.MaxRingExits > MaxRingExitsCap {
+		return fmt.Errorf("MaxRingExits %d above %d: a packet's hop counters could wrap", c.MaxRingExits, MaxRingExitsCap)
 	}
 	return nil
 }
@@ -124,7 +136,7 @@ type OFAR struct {
 func (e *OFAR) minPort(rt *router.Router, in router.InCtx, p *packet.Packet) int {
 	min := int(in.MinHint)
 	if min < 0 {
-		min = e.d.MinimalPort(rt.ID, p.Dst)
+		min = e.d.MinimalPort(rt.ID, int(p.Dst))
 	}
 	rt.NoteAnchor(min)
 	return min
@@ -166,8 +178,8 @@ func chooseVC(rt *router.Router, port int, p *packet.Packet, now int64) (int, bo
 	if op.Kind == topology.PortNone || op.Busy(now) {
 		return -1, false
 	}
-	vc := op.ClassVC(p.GlobalHops)
-	if op.EscapeRing(vc) >= 0 || op.Credits(vc) < p.Size {
+	vc := op.ClassVC(int(p.GlobalHops))
+	if op.EscapeRing(vc) >= 0 || op.Credits(vc) < int(p.Size) {
 		return -1, false
 	}
 	return vc, true
@@ -179,7 +191,7 @@ func (e *OFAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now i
 	if in.Escape {
 		return e.routeOnRing(rt, in, p, now)
 	}
-	size := p.Size
+	size := int(p.Size)
 	min := e.minPort(rt, in, p)
 	rt.NoteRead(min)
 	if vc, ok := chooseVC(rt, min, p, now); ok {
@@ -242,7 +254,7 @@ func (e *OFAR) routeOnRing(rt *router.Router, in router.InCtx, p *packet.Packet,
 	minKind := e.d.PortKindOf(min)
 	// Ejection at the destination router is always permitted regardless of
 	// the exit budget; otherwise the packet could never leave the network.
-	if p.RingExits < e.cfg.MaxRingExits || minKind == topology.PortNode {
+	if int(p.RingExits) < e.cfg.MaxRingExits || minKind == topology.PortNode {
 		rt.NoteRead(min)
 		if vc, ok := chooseVC(rt, min, p, now); ok {
 			return router.Request{Out: min, VC: vc, ExitRing: true}, true
@@ -251,7 +263,7 @@ func (e *OFAR) routeOnRing(rt *router.Router, in router.InCtx, p *packet.Packet,
 	port, vc, credits, ok := rt.RingOut(in.Ring)
 	if ok {
 		rt.NoteRead(port) // a dead ring edge (ok == false) never heals; no read
-		if credits >= p.Size && !rt.OutBusy(port, now) {
+		if credits >= int(p.Size) && !rt.OutBusy(port, now) {
 			return router.Request{Out: port, VC: vc, Escape: true, Ring: int8(in.Ring)}, true
 		}
 	}
@@ -282,9 +294,9 @@ func (e *OFAR) misroute(rt *router.Router, in router.InCtx, p *packet.Packet, mi
 	localSat := minKind == topology.PortLocal && !vcFits(rt, min, p)
 	tryLocal, tryGlobal := false, false
 	switch {
-	case p.DstGroup == g:
+	case int(p.DstGroup) == g:
 		tryLocal = e.cfg.LocalMisroute && !p.LocalMisrouted && localSat
-	case p.SrcGroup == g:
+	case int(p.SrcGroup) == g:
 		if in.Kind == topology.PortNode {
 			tryGlobal = !p.GlobalMisrouted
 		} else if e.cfg.LocalMisroute && !p.LocalMisrouted && localSat {
@@ -338,7 +350,7 @@ func (e *OFAR) pickAmong(rt *router.Router, base, count, exclude int, th float64
 		// hold only a handful of packets, so a nearly-full "alternative"
 		// is measurement noise, not an escape valve, and chasing it under
 		// symmetric saturation wastes bandwidth on longer paths.
-		if rt.Out[port].Credits(vc) < 2*p.Size {
+		if rt.Out[port].Credits(vc) < 2*int(p.Size) {
 			continue
 		}
 		cand[nc] = uint8(port)
@@ -369,7 +381,7 @@ func (e *OFAR) pickAmong(rt *router.Router, base, count, exclude int, th float64
 // consults credits (not Busy) when deciding to divert.
 func vcFits(rt *router.Router, port int, p *packet.Packet) bool {
 	op := &rt.Out[port]
-	return !op.Dead() && op.Credits(op.ClassVC(p.GlobalHops)) >= p.Size
+	return !op.Dead() && op.Credits(op.ClassVC(int(p.GlobalHops))) >= int(p.Size)
 }
 
 // occFor returns the occupancy fraction used in threshold comparisons: the

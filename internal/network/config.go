@@ -279,8 +279,8 @@ func (c *Config) PoolWidth() int {
 }
 
 // Routers keep latencies and phit counters in 32 bits; 64 VCs of maxVCBuf
-// phits stay below 2^31.
-const maxLinkLatency, maxVCBuf = 1 << 30, 1 << 24
+// phits stay below 2^31. A packet keeps its size in 16 bits.
+const maxLinkLatency, maxVCBuf, maxPacketSize = 1 << 30, 1 << 24, 1<<15 - 1
 
 // Validate reports the first configuration error.
 func (c *Config) Validate() error {
@@ -289,8 +289,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: p/a/h must be positive")
 	case c.Groups < 0 || c.Groups > c.A*c.H+1:
 		return fmt.Errorf("network: group count %d outside [0, a·h+1=%d]", c.Groups, c.A*c.H+1)
-	case c.PacketSize < 1:
-		return fmt.Errorf("network: packet size must be positive")
+	case c.PacketSize < 1 || c.PacketSize > maxPacketSize:
+		return fmt.Errorf("network: packet size %d outside [1,%d] phits", c.PacketSize, maxPacketSize)
 	case c.LocalLatency < 1 || c.GlobalLatency < 1:
 		return fmt.Errorf("network: link latencies must be ≥ 1")
 	case c.LocalLatency > maxLinkLatency || c.GlobalLatency > maxLinkLatency:

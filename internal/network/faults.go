@@ -215,7 +215,7 @@ func (n *Network) spliceRing(j, w int) {
 	arriving := make([]int, po.NumVCs())
 	n.wheel.ForEach(func(ev event) {
 		if ev.kind == evArrive && int(ev.r) == next && int(ev.port) == ringPort {
-			arriving[ev.vc] += ev.pkt.Size
+			arriving[ev.vc] += int(ev.pkt.Size)
 		}
 	})
 
@@ -243,7 +243,7 @@ func (n *Network) spliceRing(j, w int) {
 func (n *Network) dropPacket(p *packet.Packet, now int64) {
 	n.Stats.Dropped++
 	n.settled = now
-	n.Stats.NoteAffectedFlow(p.Src, p.Dst)
+	n.Stats.NoteAffectedFlow(int(p.Src), int(p.Dst))
 	if p.Job >= 0 {
 		n.Stats.JobDropped(int(p.Job))
 	}

@@ -3,9 +3,11 @@ package network
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ofar/internal/packet"
 	"ofar/internal/simcore"
@@ -82,21 +84,25 @@ func arenaBytes(n *Network) (parts [6]int, total int) {
 // 8-byte arbiter timestamps and word-wide counters), the heap after New at
 // h=3 within 1.1 MB and at h=6 within 15 MB (23.4) — and its warm snapshot (UN
 // at load 0.3, cycle 1,000): a third of what the image took with every
-// integer 8 bytes wide, 0.7 MB at h=3 and 13.4 MB at h=6. It prints the
-// footprint table docs/ARCHITECTURE.md quotes (`make footprint`): the
-// arenas' state, total and per slab, the heap after New, and the warm
-// snapshot.
+// integer 8 bytes wide, 0.7 MB at h=3 and 13.4 MB at h=6. The warm column is
+// the live heap of a network run 1,000 cycles of ADV+h at load 0.5, where
+// packets and wheel events outweigh the arenas; at h=3 it is bounded within
+// 3.5 MB (5.2 with 152-byte packets and 24-byte events, 3.65 with 24-byte
+// events alone). It prints the footprint table docs/ARCHITECTURE.md quotes
+// (`make footprint`): the arenas' state, total and per slab, the heap after
+// New, the warm snapshot and the warm heap.
 func TestConstructFootprint(t *testing.T) {
 	stateBound := map[int]float64{3: 0.8, 6: 12.5}
 	bound := map[int]float64{3: 1.1, 6: 15}
 	snapBound := map[int]float64{3: 0.7 / 3, 6: 13.4 / 3}
+	warmBound := map[int]float64{3: 3.5}
 	hs := []int{2, 3, 6, 8}
 	if testing.Short() {
 		hs = hs[:2]
 	}
 	const mb = 1 << 20
-	t.Logf("%2s %8s %9s %7s %7s %7s %7s %7s %7s %8s %12s", "h", "routers", "state MB",
-		"queues", "VCs", "arbiter", "ports", "reqs", "scratch", "heap MB", "snapshot MB")
+	t.Logf("%2s %8s %9s %7s %7s %7s %7s %7s %7s %8s %12s %8s", "h", "routers", "state MB",
+		"queues", "VCs", "arbiter", "ports", "reqs", "scratch", "heap MB", "snapshot MB", "warm MB")
 	for _, h := range hs {
 		cfg := DefaultConfig(h)
 		if h == 8 {
@@ -110,9 +116,19 @@ func TestConstructFootprint(t *testing.T) {
 		n.Run(1000)
 		snap := snapshotBytes(t, n)
 		snapMB := float64(len(snap)) / mb
-		t.Logf("%2d %8d %9.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %8.1f %12.2f", h, len(n.Routers), state,
+		n.Close()
+		warm, warmCol := 0.0, "-"
+		if h == 3 || h == 6 {
+			warm, _ = memDelta(func() {
+				n = mustNet(t, cfg)
+				n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, h), 0.5, cfg.PacketSize))
+				n.Run(1000)
+			})
+			warmCol = fmt.Sprintf("%.2f", warm)
+		}
+		t.Logf("%2d %8d %9.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %8.1f %12.2f %8s", h, len(n.Routers), state,
 			float64(parts[0])/mb, float64(parts[1])/mb, float64(parts[2])/mb, float64(parts[3])/mb,
-			float64(parts[4])/mb, float64(parts[5])/mb, heap, snapMB)
+			float64(parts[4])/mb, float64(parts[5])/mb, heap, snapMB, warmCol)
 		if max, ok := stateBound[h]; ok && state > max {
 			t.Errorf("h=%d: the arenas take %.1f MB, want ≤ %.1f", h, state, max)
 		}
@@ -122,7 +138,22 @@ func TestConstructFootprint(t *testing.T) {
 		if max, ok := snapBound[h]; ok && snapMB > max {
 			t.Errorf("h=%d: the warm snapshot takes %.2f MB, want ≤ %.2f", h, snapMB, max)
 		}
+		if max, ok := warmBound[h]; ok && warm > max {
+			t.Errorf("h=%d: a warm ADV+%d network holds %.1f MB, want ≤ %.1f", h, h, warm, max)
+		}
 		n.Close()
+	}
+}
+
+// TestEventSizes pins the records the wheel, the window rings and the
+// outboxes hold one of per packet in flight and per credit owed: an event
+// is 16 bytes and an outbox entry 24, so a new field cannot grow them back.
+func TestEventSizes(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 16 {
+		t.Errorf("event takes %d bytes, want 16", size)
+	}
+	if size := unsafe.Sizeof(schedEv{}); size > 24 {
+		t.Errorf("schedEv takes %d bytes, want ≤ 24", size)
 	}
 }
 
@@ -243,6 +274,13 @@ func hostilePacketCount(t testing.TB, n *Network, count int64, pad int) []byte {
 	payload.Raw(cold.Data()[:table])
 	payload.Varint(count)
 	payload.Raw(make([]byte, pad))
+	return snapImage(t, n, payload.Data())
+}
+
+// snapImage wraps payload in the header and checksum an image of n's
+// configuration carries, so Restore reads it as far as the payload allows.
+func snapImage(t testing.TB, n *Network, payload []byte) []byte {
+	t.Helper()
 	cfgJSON, err := SnapshotConfigJSON(n.Cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +290,8 @@ func hostilePacketCount(t testing.TB, n *Network, count int64, pad int) []byte {
 	img.U64(SnapshotVersion)
 	img.U64(EngineDigest())
 	img.Bytes(cfgJSON)
-	img.U64(simcore.Checksum64(payload.Data()))
-	img.Bytes(payload.Data())
+	img.U64(simcore.Checksum64(payload))
+	img.Bytes(payload)
 	return img.Data()
 }
 

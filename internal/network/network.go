@@ -29,13 +29,14 @@ const (
 	evCredit
 )
 
+// event is a 16-byte wheel entry: Validate caps ports and VCs at 64, and a
+// credit always returns Cfg.PacketSize phits.
 type event struct {
-	pkt   *packet.Packet
-	r     int32
-	port  int16
-	vc    int16
-	phits int32
-	kind  evKind
+	pkt  *packet.Packet
+	r    int32
+	port int8
+	vc   int8
+	kind evKind
 }
 
 // schedEv is an outbox entry: an event for the shared wheel and the window
@@ -880,7 +881,7 @@ func (n *Network) handle(s *groupScratch, g, k int, ev event, idx int32, now int
 			// with a synthesized refund, since the buffer space it reserved
 			// on this live router is never consumed.
 			if up := &n.Routers[ev.r].In[ev.port]; up.UpRouter >= 0 {
-				n.sched(s, g, k, 0, event{kind: evCredit, r: up.UpRouter, port: up.UpPort, vc: ev.vc, phits: int32(ev.pkt.Size)})
+				n.sched(s, g, k, 0, event{kind: evCredit, r: up.UpRouter, port: int8(up.UpPort), vc: ev.vc})
 			}
 			s.fx = append(s.fx, fxRec{pkt: ev.pkt, idx: idx, drop: true})
 			return
@@ -902,14 +903,13 @@ func (n *Network) handle(s *groupScratch, g, k int, ev event, idx int32, now int
 			// whose counters were re-derived against the new downstream
 			// buffer and must not absorb refunds for the old one.
 			lat := int(n.Routers[upR].Out[upP].Latency)
-			n.sched(s, g, k, lat-1, event{kind: evCredit, r: int32(upR), port: int16(upP), vc: ev.vc, phits: int32(p.Size)})
+			n.sched(s, g, k, lat-1, event{kind: evCredit, r: int32(upR), port: int8(upP), vc: ev.vc})
 		}
 		if ev.kind == evDrainDeliver {
-			p.Done = now
 			s.fx = append(s.fx, fxRec{pkt: p, idx: idx})
 		}
 	case evCredit:
-		n.Routers[ev.r].AddCredit(int(ev.port), int(ev.vc), int(ev.phits))
+		n.Routers[ev.r].AddCredit(int(ev.port), int(ev.vc), n.Cfg.PacketSize)
 	}
 }
 
@@ -959,10 +959,9 @@ func (n *Network) generateGroup(g int, now int64) {
 			sh.blocked++
 		} else {
 			p := n.poolG[g].GetBlank()
-			p.Size = n.Cfg.PacketSize
-			p.Src, p.Dst = node, dst
-			p.SrcGroup = g
-			p.DstGroup = topo.GroupOfNode(dst)
+			p.Size = int16(n.Cfg.PacketSize)
+			p.Src, p.Dst = h.Node, h.Dst
+			p.SrcGroup, p.DstGroup = int16(g), int16(topo.GroupOfNode(dst))
 			p.Born = now
 			if n.jobOf != nil {
 				p.Job = n.jobOf[node]
@@ -985,7 +984,7 @@ func (n *Network) generateGroup(g int, now int64) {
 				continue
 			}
 			port := topo.NodePort(topo.NodeSlot(node))
-			if vc, ok := r.InjectionSpace(port, p.Size); ok {
+			if vc, ok := r.InjectionSpace(port, int(p.Size)); ok {
 				pq.pop()
 				sh.setPend(node-lo, pq.len() > 0)
 				r.Inject(port, vc, p, now)
@@ -1016,13 +1015,13 @@ func (n *Network) cycleGroup(s *groupScratch, g, k int, now int64) {
 			gr := &grants[j]
 			p, req := gr.Pkt, &gr.Req
 			if gr.Eject {
-				n.sched(s, g, k, p.Size-1, event{kind: evDrainDeliver, r: int32(r.ID), port: int16(gr.InPort), vc: int16(gr.InVC)})
+				n.sched(s, g, k, int(p.Size)-1, event{kind: evDrainDeliver, r: int32(r.ID), port: int8(gr.InPort), vc: int8(gr.InVC)})
 			} else {
 				out := &r.Out[req.Out]
-				n.sched(s, g, k, int(out.Latency), event{kind: evArrive, pkt: p, r: out.Peer, port: out.PeerPort, vc: int16(req.VC)})
-				n.sched(s, g, k, p.Size-1, event{kind: evDrain, r: int32(r.ID), port: int16(gr.InPort), vc: int16(gr.InVC)})
+				n.sched(s, g, k, int(out.Latency), event{kind: evArrive, pkt: p, r: out.Peer, port: int8(out.PeerPort), vc: int8(req.VC)})
+				n.sched(s, g, k, int(p.Size)-1, event{kind: evDrain, r: int32(r.ID), port: int8(gr.InPort), vc: int8(gr.InVC)})
 			}
-			n.Stats.AddUtilization(r.ID, req.Out, p.Size)
+			n.Stats.AddUtilization(r.ID, req.Out, int(p.Size))
 			if req.SetGlobalMis {
 				s.globalMis++
 			}
@@ -1140,7 +1139,7 @@ func (n *Network) mergeEffects(fx []fxRec, now int64) {
 			// just the grant sequence.
 			n.fold(1, now, int64(p.Src), int64(p.Dst), p.Born, p.Injected)
 		}
-		n.Stats.OnDeliver(p.Born, p.Injected, now, p.TotalHops, p.RingHops)
+		n.Stats.OnDeliver(p.Born, p.Injected, now, int(p.TotalHops), int(p.RingHops))
 		n.settled = now
 		if p.Job >= 0 {
 			n.Stats.JobDelivered(int(p.Job), now-p.Born)

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ofar/internal/core"
 	"ofar/internal/topology"
 	"ofar/internal/traffic"
 )
@@ -52,6 +53,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Routing = OFAR; c.Ring = RingNone },
 		func(c *Config) { c.OFAR.NonMinFactor, c.OFAR.StaticNonMin = 0, -1 },                     // no misroute threshold
 		func(c *Config) { c.Routing = OFARL; c.OFAR.NonMinFactor, c.OFAR.StaticNonMin = -1, -1 }, // nor for OFAR-L
+		func(c *Config) { c.OFAR.MaxRingExits = core.MaxRingExitsCap + 1 },                       // hop counters could wrap
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig(2)
@@ -63,6 +65,16 @@ func TestConfigValidation(t *testing.T) {
 	good := DefaultConfig(2)
 	if err := good.Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+	// A packet keeps its size in 16 bits: 32,767 phits is the largest
+	// packet, whatever the buffers hold.
+	for size, ok := range map[int]bool{1<<15 - 1: true, 1 << 15: false} {
+		cfg := DefaultConfig(2)
+		cfg.PacketSize = size
+		cfg.LocalBuf, cfg.GlobalBuf, cfg.InjBuf, cfg.RingBuf = 1<<17, 1<<17, 1<<17, 1<<17
+		if err := cfg.Validate(); (err == nil) != ok {
+			t.Errorf("packet size %d: Validate = %v, want accepted %v", size, err, ok)
+		}
 	}
 	// OFAR without a ring is allowed when the escape is explicitly disabled.
 	cfg := DefaultConfig(2)

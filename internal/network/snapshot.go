@@ -541,7 +541,11 @@ func (n *Network) eventState(c *simcore.Codec, delay *int, ev *event, tab *packe
 	simcore.Int(c, &ev.r)
 	simcore.Int(c, &ev.port)
 	simcore.Int(c, &ev.vc)
-	simcore.Int(c, &ev.phits)
+	phits := 0 // the image keeps the slot events no longer carry
+	if ev.kind == evCredit {
+		phits = n.Cfg.PacketSize
+	}
+	c.Shape(phits, "event phits")
 	if c.Decoding() && c.Err() == nil {
 		switch r, port := int(ev.r), int(ev.port); {
 		case *delay < 0 || *delay > n.wheel.Horizon():
@@ -555,8 +559,6 @@ func (n *Network) eventState(c *simcore.Codec, delay *int, ev *event, tab *packe
 		case ev.vc < 0 || ev.kind != evCredit && int(ev.vc) >= len(n.Routers[r].In[port].VCs) ||
 			ev.kind == evCredit && int(ev.vc) >= n.Routers[r].Out[port].NumVCs():
 			c.Fail("event vc %d out of range on router %d port %d", ev.vc, r, port)
-		case ev.phits < 0 || int(ev.phits) > n.Cfg.PacketSize:
-			c.Fail("event phits %d out of range", ev.phits)
 		}
 	}
 	if ev.kind == evArrive && c.Err() == nil {
@@ -587,7 +589,7 @@ func (n *Network) imageSize(tab *packet.Table) int {
 		size += count * (len(e.Data()) - at)
 	}
 	probe(len(n.Routers)*21/20, func() { n.Routers[0].State(c, tab, n.now) })
-	ev, delay := event{kind: evCredit, r: int32(len(n.Routers) - 1), phits: int32(n.Cfg.PacketSize)}, n.wheel.Horizon()
+	ev, delay := event{kind: evCredit, r: int32(len(n.Routers) - 1)}, n.wheel.Horizon()
 	if np := len(tab.Pkts); np > 0 {
 		ev.kind, ev.pkt = evArrive, tab.Pkts[np-1]
 		probe(np, func() { n.packetState(c, ev.pkt, ev.pkt.ID-1) })
@@ -600,7 +602,8 @@ func (n *Network) imageSize(tab *packet.Table) int {
 // packetState visits one packet record, its ID as the delta from prev, the
 // record's before it in the table. Decoding validates its fields against
 // this network's topology, and its ID against prev and the pool's
-// handed-out IDs (restored before the table).
+// handed-out IDs (restored before the table). The last slot is a retired
+// delivery stamp.
 func (n *Network) packetState(c *simcore.Codec, p *packet.Packet, prev packet.ID) {
 	delta := uint64(p.ID - prev)
 	c.Uvarint(&delta)
@@ -627,20 +630,20 @@ func (n *Network) packetState(c *simcore.Codec, p *packet.Packet, prev packet.ID
 	simcore.Int(c, &p.Job)
 	simcore.Int(c, &p.Born)
 	simcore.Int(c, &p.Injected)
-	simcore.Int(c, &p.Done)
+	c.Shape(0, "packet delivery stamp")
 	if !c.Decoding() || c.Err() != nil {
 		return
 	}
 	switch id := p.ID; {
 	case id <= prev || uint64(id) > n.pool.Outstanding():
 		c.Fail("packet ID %d outside (%d,%d]: out of order or never handed out", id, prev, n.pool.Outstanding())
-	case p.Size != n.Cfg.PacketSize:
+	case int(p.Size) != n.Cfg.PacketSize:
 		c.Fail("packet %d size %d != configured %d", id, p.Size, n.Cfg.PacketSize)
-	case p.Src < 0 || p.Src >= n.Topo.Nodes || p.Dst < 0 || p.Dst >= n.Topo.Nodes:
+	case p.Src < 0 || int(p.Src) >= n.Topo.Nodes || p.Dst < 0 || int(p.Dst) >= n.Topo.Nodes:
 		c.Fail("packet %d endpoints %d→%d outside [0,%d)", id, p.Src, p.Dst, n.Topo.Nodes)
-	case p.SrcGroup < 0 || p.SrcGroup >= n.Topo.G || p.DstGroup < 0 || p.DstGroup >= n.Topo.G:
+	case p.SrcGroup < 0 || int(p.SrcGroup) >= n.Topo.G || p.DstGroup < 0 || int(p.DstGroup) >= n.Topo.G:
 		c.Fail("packet %d group fields out of range", id)
-	case p.ValiantGroup < -1 || p.ValiantGroup >= n.Topo.G || p.MisrouteGroup < -1 || p.MisrouteGroup >= n.Topo.G:
+	case p.ValiantGroup < -1 || int(p.ValiantGroup) >= n.Topo.G || p.MisrouteGroup < -1 || int(p.MisrouteGroup) >= n.Topo.G:
 		c.Fail("packet %d intermediate-group fields out of range", id)
 	case p.Ring < -1:
 		c.Fail("packet %d ring %d below -1", id, p.Ring)

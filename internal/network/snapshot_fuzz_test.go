@@ -61,6 +61,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		_, out := n.Routers[4].ArbiterRanks(n.Topo.LocalPortBase())
 		out[0] = out[1]
 	}))
+	// A credit event returning one phit short of a packet.
+	f.Add(hostileRecord(f, warm(false, nil), creditPhits, int64(cfg.PacketSize-1)))
 	// Valid header and checksum, a packet count far beyond the payload: the
 	// decoder must size its packet block by the bytes present.
 	cold, err := New(cfg)

@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -392,6 +393,32 @@ func TestRestoreRejects(t *testing.T) {
 		t.Fatal("a packet record with a zero ID delta decoded")
 	}
 
+	// Records whose narrowed fields or retired slots hold what no walk
+	// writes: a size that wraps to the configured 8 in 16 bits, a nonzero
+	// delivery stamp, a credit of other than PacketSize phits, and an
+	// arrival or drain carrying phits. The same splice with the value the
+	// walk writes restores.
+	S := int64(cfg.PacketSize)
+	for _, c := range []struct {
+		name      string
+		which     int
+		good, bad int64
+		want      string
+	}{
+		{"packet size past int16", packetSize, S, 1<<16 + S, "overflows int16"},
+		{"packet delivery stamp", packetDone, 0, 5, "delivery stamp: snapshot has 5"},
+		{"credit phits", creditPhits, S, S - 1, "event phits: snapshot has 7, target 8"},
+		{"arrival or drain phits", otherPhits, 0, S, "event phits: snapshot has 8, target 0"},
+	} {
+		if err := fresh().Restore(bytes.NewReader(hostileRecord(t, snapNet(t, cfg, 0.6), c.which, c.good))); err != nil {
+			t.Errorf("%s: the walk's own value refused: %v", c.name, err)
+		}
+		err := fresh().Restore(bytes.NewReader(hostileRecord(t, snapNet(t, cfg, 0.6), c.which, c.bad)))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+
 	// An image written while Config still had ParallelCutover and
 	// DisableShardedGenerate carries both (always zero) in its header: it is
 	// refused as a configuration mismatch like any foreign header, and the
@@ -422,6 +449,71 @@ func hostileState(t testing.TB, n *Network, corrupt func(*Network)) []byte {
 	n.Run(120)
 	corrupt(n)
 	return snapshotBytes(t, n)
+}
+
+// The records hostileRecord rewrites, and the varint it sets in each.
+const (
+	packetSize  = iota // a packet's Size
+	packetDone         // a packet's retired delivery-stamp slot
+	creditPhits        // a credit event's phits slot
+	otherPhits         // an arrival's or drain's phits slot
+)
+
+// hostileRecord returns an image of n, run 120 cycles, in which the first
+// record of the given kind whose bytes occur once in the payload has that
+// varint set to v, behind a valid header and checksum.
+func hostileRecord(t testing.TB, n *Network, which int, v int64) []byte {
+	t.Helper()
+	n.Run(120)
+	var payload simcore.Enc
+	n.state(simcore.Encoder(&payload))
+	img := payload.Data()
+	tab := n.packetTable()
+	var recs [][]byte
+	if which <= packetDone {
+		prev := packet.ID(0)
+		for _, p := range tab.Pkts {
+			var e simcore.Enc
+			n.packetState(simcore.Encoder(&e), p, prev)
+			recs, prev = append(recs, e.Data()), p.ID
+		}
+	} else {
+		n.wheel.ForEachDelay(func(delay int, ev event) {
+			if (ev.kind == evCredit) == (which == creditPhits) {
+				var e simcore.Enc
+				n.eventState(simcore.Encoder(&e), &delay, &ev, tab)
+				recs = append(recs, e.Data())
+			}
+		})
+	}
+	for _, rec := range recs {
+		if bytes.Count(img, rec) != 1 {
+			continue
+		}
+		at := 0 // the varint's offset: after the ID delta, or the last byte
+		switch which {
+		case packetSize:
+			_, at = binary.Uvarint(rec)
+		case packetDone:
+			at = len(rec) - 1
+		default: // after the delay, the kind byte, the router, the port and the VC
+			_, w := binary.Varint(rec)
+			at = w + 1
+			for range 3 {
+				_, w = binary.Varint(rec[at:])
+				at += w
+			}
+		}
+		_, w := binary.Varint(rec[at:])
+		var bad simcore.Enc
+		i := bytes.Index(img, rec)
+		bad.Raw(img[:i+at])
+		bad.Varint(v)
+		bad.Raw(img[i+at+w:])
+		return snapImage(t, n, bad.Data())
+	}
+	t.Fatalf("no record of kind %d occurs once in the payload", which)
+	return nil
 }
 
 // TestSnapshotBytesPinned holds the image format still: the FNV of a warm

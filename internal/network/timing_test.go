@@ -1,0 +1,109 @@
+package network
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"ofar/internal/topology"
+	"ofar/internal/trace"
+	"ofar/internal/traffic"
+)
+
+// replayNet returns an h=2 MIN network with the given workers (a pool that
+// takes every phase when > 1) replaying recs.
+func replayNet(t *testing.T, cfg Config, workers int, recs []trace.Record) *Network {
+	t.Helper()
+	cfg.Workers = workers
+	n := mustPoolNet(t, cfg)
+	gen, err := traffic.NewTraceReplay(recs, n.Topo.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetGenerator(gen)
+	return n
+}
+
+// TestZeroLoadLatency pins the router's first timing law: a lone packet's
+// latency is S + Σ(ℓᵢ+1) over the links it crosses — S cycles to serialize
+// at ejection, and per link its latency plus the cycle the next router takes
+// to route and grant the head. h=2 MIN, S=8, 10/100-cycle links: 8, 19, 120
+// and 131 cycles over no link, a local one, global+local and
+// local+global+local, each at Workers 1 and 2 inside one long window.
+func TestZeroLoadLatency(t *testing.T) {
+	cfg := DefaultConfig(2).WithRouting(MIN)
+	d, err := topology.New(cfg.P, cfg.A, cfg.H, cfg.Groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Router 0's first global link lands on router far of group x; a
+	// destination on far's group neighbour is one local hop further, and a
+	// source on router 1 one local hop before router 0.
+	_, far, _ := d.Peer(0, d.GlobalPortBase())
+	x := d.GroupOf(far)
+	if r, _ := d.GlobalEntry(0, x); r != 0 {
+		t.Fatalf("group 0 reaches group %d from router %d, not 0", x, r)
+	}
+	beyond := d.RouterAt(x, (d.LocalIndex(far)+1)%d.A)
+	S, l, g := cfg.PacketSize, cfg.LocalLatency, cfg.GlobalLatency
+	for _, c := range []struct {
+		name     string
+		src, dst int
+		want     int
+	}{
+		{"no-link", d.NodeAt(0, 0), d.NodeAt(0, 1), S},
+		{"local", d.NodeAt(0, 0), d.NodeAt(1, 0), S + l + 1},
+		{"global+local", d.NodeAt(0, 0), d.NodeAt(beyond, 0), S + g + 1 + l + 1},
+		{"local+global+local", d.NodeAt(1, 0), d.NodeAt(beyond, 0), S + l + 1 + g + 1 + l + 1},
+	} {
+		for _, w := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(t *testing.T) {
+				n := replayNet(t, cfg, w, []trace.Record{{Cycle: 5, Src: int32(c.src), Dst: int32(c.dst), Size: uint16(S)}})
+				n.Stats.StartMeasurement(0)
+				n.Run(400)
+				if got := n.Stats.MeasuredPackets(); got != 1 {
+					t.Fatalf("%d packets delivered, want 1", got)
+				}
+				if got := n.Stats.MaxLatency(); got != int64(c.want) {
+					t.Errorf("latency %d cycles, want %d", got, c.want)
+				}
+			})
+		}
+	}
+}
+
+// TestCreditLoopBandwidth pins the second law: one saturated stream over
+// one local link delivers min(1, B/(2ℓ+S+1)) phits per cycle with B phits
+// of downstream VC buffer — a packet's credit comes back 2ℓ+S+1 = 29 cycles
+// after it was granted (link, route, drain, credit link), so B/S packets
+// cross per round trip until the link itself is the limit. The paper's
+// 32-phit local FIFO covers the loop with 3 phits to spare. The rate is
+// counted over a steady-state window of S·29·4 cycles, a whole number of
+// loops, at Workers 1 and 2.
+func TestCreditLoopBandwidth(t *testing.T) {
+	cfg := DefaultConfig(2).WithRouting(MIN)
+	S, l := cfg.PacketSize, cfg.LocalLatency
+	loop := 2*l + S + 1
+	src, dst := 0, cfg.P // router 0 to router 1: one local link
+	var recs []trace.Record
+	for c := range 4000 {
+		recs = append(recs, trace.Record{Cycle: int64(c), Src: int32(src), Dst: int32(dst), Size: uint16(S)})
+	}
+	for _, b := range []int{8, 16, 24, 32} {
+		for _, w := range []int{1, 2} {
+			t.Run(fmt.Sprintf("B=%d/workers=%d", b, w), func(t *testing.T) {
+				cfg := cfg
+				cfg.LocalBuf = b
+				n := replayNet(t, cfg, w, recs)
+				n.Run(500) // past the first packet's arrival: steady state
+				window := S * loop * 4
+				before := n.Stats.Delivered
+				n.Run(window)
+				got := float64(int(n.Stats.Delivered-before)*S) / float64(window)
+				if want := math.Min(1, float64(b)/float64(loop)); math.Abs(got-want) > 1e-9 {
+					t.Errorf("%.4f phits/cycle, want min(1, %d/%d) = %.4f", got, b, loop, want)
+				}
+			})
+		}
+	}
+}

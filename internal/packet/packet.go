@@ -21,68 +21,80 @@ type ID uint64
 // Packet is a network packet. All fields are managed by the simulator; user
 // code observes packets only through statistics.
 //
-// Field order is deliberate: the leading fields are exactly the routing
-// engine's per-cycle read set (consulted for every blocked buffer head at
-// saturation), packed so they share the packet's first cache lines. The
-// trailing fields are written once per hop or once per lifetime. Reordering
-// is semantics-neutral — nothing reflects over this struct, and the snapshot
-// walk visits its fields by name.
+// Packets scale with traffic, not topology (~200k live at h=6 above
+// saturation), so each field is as narrow as its bound allows, and the
+// record is 72 bytes (TestPacketSize pins it):
+//   - 64 bits only for the ID and the three cycle stamps;
+//   - int32 for node indices (radix ≤ 64 means < 2^31 nodes), the job slot,
+//     and TotalHops and RingHops, which a packet advances at most once per
+//     cycle of its life;
+//   - int16 for group indices (radix ≤ 64 means ≤ 4,097 groups; -1 for
+//     none), Size (network.Config.Validate caps PacketSize at 32,767), and
+//     RingExits, LocalHops and GlobalHops, which core.MaxRingExitsCap keeps
+//     below 2^15;
+//   - a byte each for the flags and the ring index.
+//
+// Field order is deliberate: the leading 28 bytes are the routing engines'
+// per-cycle read set (consulted for every blocked buffer head at
+// saturation), so they mostly share one cache line. The trailing fields are
+// written once per hop or once per lifetime. Each field is aligned with no
+// padding. Nothing reflects over this struct, and the snapshot walk visits
+// its fields by name.
 type Packet struct {
-	ID   ID
-	Size int // size in phits
+	// BlockedSince is the cycle at which the packet most recently became
+	// head of an input buffer without being able to advance; < 0 when the
+	// packet is not blocked. Drives the escape-ring timeout.
+	BlockedSince int64
 
-	Dst int // destination node index
+	Dst  int32 // destination node index
+	Size int16 // size in phits
 
-	SrcGroup int // group of the source node (cached)
-	DstGroup int // group of the destination node (cached)
+	SrcGroup int16 // group of the source node (cached)
+	DstGroup int16 // group of the destination node (cached)
 
 	// ValiantGroup is the intermediate group chosen at injection time by
 	// source-adaptive mechanisms (VAL, PB, UGAL). It is < 0 when no
 	// intermediate group has been assigned, and it is cleared (set to -1)
 	// once the packet reaches the intermediate group, at which point the
 	// packet proceeds minimally.
-	ValiantGroup int
+	ValiantGroup int16
 
-	// BlockedSince is the cycle at which the packet most recently became
-	// head of an input buffer without being able to advance; < 0 when the
-	// packet is not blocked. Drives the escape-ring timeout.
-	BlockedSince int64
+	// Hop class counters used for deadlock-free VC selection by the
+	// baseline mechanisms (ascending VC order).
+	LocalHops  int16 // local hops taken so far
+	GlobalHops int16 // global hops taken so far
 
 	// Misroute header flags used by OFAR (paper §IV-A).
 	GlobalMisrouted bool // at most one global non-minimal hop per packet
 	LocalMisrouted  bool // at most one local non-minimal hop per group
 
-	// Escape subnetwork state (hot part: read by every OFAR Route call).
+	// Escape subnetwork state (read by every OFAR Route call).
 	OnRing bool // currently stored in an escape-ring buffer
 	Ring   int8 // index of the escape ring the packet rides (-1 off-ring)
 
-	// Hop class counters used for deadlock-free VC selection by the
-	// baseline mechanisms (ascending VC order).
-	LocalHops  int // local hops taken so far
-	GlobalHops int // global hops taken so far
+	// --- cold fields: written per hop or per lifetime ---
 
-	// --- cold fields: written per hop or per lifetime, never read by Route ---
-
-	Src int // source node index
-
-	// MisrouteGroup remembers the group in which LocalMisrouted was set so
-	// the flag can be reset when the packet changes group.
-	MisrouteGroup int
-
-	TotalHops int
-
-	RingExits int // times the packet has left the escape ring
-	RingHops  int // hops taken on the escape ring
+	Src int32 // source node index
 
 	// Job is the source job slot under a job-aware workload, -1 otherwise.
 	// Read only at the packet's terminal event (delivery or drop) to credit
 	// the right per-job statistics bucket.
 	Job int32
 
+	TotalHops int32
+	RingHops  int32 // hops taken on the escape ring
+
+	// MisrouteGroup remembers the group in which LocalMisrouted was set so
+	// the flag can be reset when the packet changes group.
+	MisrouteGroup int16
+
+	RingExits int16 // times the packet has left the escape ring
+
+	ID ID
+
 	// Timestamps (in cycles).
 	Born     int64 // generation time at the source node
 	Injected int64 // time the packet entered the injection buffer
-	Done     int64 // delivery completion time
 }
 
 // Reset clears a packet for reuse from the pool.
@@ -94,11 +106,11 @@ func (p *Packet) Reset() {
 // router of group g: the local-misroute flag is per group, and a packet that
 // reaches its Valiant intermediate group reverts to minimal routing.
 func (p *Packet) EnterGroup(g int) {
-	if p.LocalMisrouted && p.MisrouteGroup != g {
+	if p.LocalMisrouted && int(p.MisrouteGroup) != g {
 		p.LocalMisrouted = false
 		p.MisrouteGroup = -1
 	}
-	if p.ValiantGroup == g {
+	if int(p.ValiantGroup) == g {
 		p.ValiantGroup = -1
 	}
 }
@@ -123,7 +135,7 @@ type Pool struct {
 }
 
 // Carve blocks start at poolBlockMin packets and double up to poolBlock
-// (~64 KiB of packet structs): a low-load run, or a group that never
+// (36 KiB of 72-byte packets): a low-load run, or a group that never
 // injects much, holds a few small blocks, while a saturation wave reaches
 // full-size blocks within a few carves and spans a handful of mappings.
 const (

@@ -3,6 +3,7 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ofar/internal/simcore"
 )
@@ -120,11 +121,11 @@ func TestEnterGroupQuick(t *testing.T) {
 		var p Packet
 		p.Reset()
 		p.LocalMisrouted = true
-		p.MisrouteGroup = int(misG)
+		p.MisrouteGroup = int16(misG)
 		for _, g := range groups {
 			p.EnterGroup(int(g))
 			// Invariant: the flag may only be set while in its group.
-			if p.LocalMisrouted && p.MisrouteGroup != int(misG) {
+			if p.LocalMisrouted && int(p.MisrouteGroup) != int(misG) {
 				return false
 			}
 			if p.LocalMisrouted && int(g) != int(misG) {
@@ -166,5 +167,14 @@ func TestTableRef(t *testing.T) {
 	dec = simcore.Decoder(simcore.NewDec([]byte{3}))
 	if tab.Ref(dec, &p); dec.Err() == nil || p != nil {
 		t.Fatal("a position past the table decoded")
+	}
+}
+
+// TestPacketSize pins the packet record at 72 bytes or less: a simulation
+// above saturation holds hundreds of thousands, so a new or widened field
+// must fit the layout the Packet comment sets out.
+func TestPacketSize(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size > 72 {
+		t.Errorf("Packet takes %d bytes, want ≤ 72", size)
 	}
 }

@@ -116,7 +116,7 @@ func (b *VCBuffer) Draining() bool { return b.draining }
 // before injecting. Push panics on overflow because an overflow means a
 // credit-accounting bug, not a runtime condition.
 func (b *VCBuffer) Push(p *packet.Packet) {
-	if p.Size > b.Free() {
+	if int(p.Size) > b.Free() {
 		panic("router: VC buffer overflow (credit accounting bug)")
 	}
 	if b.n == 0 {

@@ -11,7 +11,7 @@ import (
 
 func mkPkt(pool *packet.Pool, size int) *packet.Packet {
 	p := pool.Get()
-	p.Size = size
+	p.Size = int16(size)
 	return p
 }
 

@@ -124,7 +124,7 @@ func TestRouteCacheBanksWindowOfBusyInput(t *testing.T) {
 	var pool packet.Pool
 	eng := &cacheScriptEngine{
 		route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
-			if rt.VCFits(2, 0, p.Size) {
+			if rt.VCFits(2, 0, int(p.Size)) {
 				return Request{Out: 2, VC: 0}, true
 			}
 			return Request{Out: 1, VC: 0}, true

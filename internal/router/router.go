@@ -445,22 +445,11 @@ func (r *Router) PBDirty() bool { return r.pbDirty }
 // Arrive stores a packet arriving on (port, vc) and updates its header: hop
 // counters, per-group flag lifetimes and Valiant-group completion.
 func (r *Router) Arrive(port, vc int, p *packet.Packet) {
-	inp := &r.In[port]
-	buf := &inp.VCs[vc]
-	if buf.Len() == 0 && !buf.Draining() {
-		r.readyVCs++ // empty → head becomes routable
-		inp.ready |= 1 << uint(vc)
-		r.readyPorts |= 1 << uint(port)
-	}
-	buf.Push(p)
-	if !buf.Escape {
-		r.occPhits += p.Size
-	}
 	p.TotalHops++
-	if buf.Escape {
+	if r.push(port, vc, p).Escape {
 		p.RingHops++
 	} else {
-		switch inp.Kind {
+		switch r.In[port].Kind {
 		case topology.PortLocal:
 			p.LocalHops++
 		case topology.PortGlobal:
@@ -484,7 +473,7 @@ func (r *Router) FinishDrain(port, vc int) (p *packet.Packet, upRouter, upPort i
 		r.readyPorts |= 1 << uint(port)
 	}
 	if !buf.Escape {
-		r.occPhits -= p.Size
+		r.occPhits -= int(p.Size)
 	}
 	return p, int(inp.UpRouter), int(inp.UpPort)
 }
@@ -517,15 +506,24 @@ func (r *Router) InjectionSpace(port, size int) (vc int, ok bool) {
 // Inject places a freshly generated packet into injection buffer (port, vc).
 func (r *Router) Inject(port, vc int, p *packet.Packet, now int64) {
 	p.Injected = now
+	r.push(port, vc, p)
+}
+
+// push stores p in input buffer (port, vc), routable at once if the buffer
+// was idle, and returns the buffer; escape VCs count no occupancy.
+func (r *Router) push(port, vc int, p *packet.Packet) *VCBuffer {
 	inp := &r.In[port]
 	buf := &inp.VCs[vc]
 	if buf.Len() == 0 && !buf.Draining() {
-		r.readyVCs++
+		r.readyVCs++ // empty → head becomes routable
 		inp.ready |= 1 << uint(vc)
 		r.readyPorts |= 1 << uint(port)
 	}
 	buf.Push(p)
-	r.occPhits += p.Size
+	if !buf.Escape {
+		r.occPhits += int(p.Size)
+	}
+	return buf
 }
 
 // HasRoutableWork reports whether any input VC holds a routable head (non-
@@ -856,7 +854,7 @@ func (r *Router) commit(ip, vc int, req Request, now int64) {
 	}
 	eject := out.Kind == topology.PortNode
 	if !eject {
-		out.Take(req.VC, p.Size)
+		out.Take(req.VC, int(p.Size))
 		if r.pb != nil && out.Kind == topology.PortGlobal {
 			r.pbDirty = true
 		}
@@ -866,7 +864,7 @@ func (r *Router) commit(ip, vc int, req Request, now int64) {
 	}
 	if req.SetLocalMis {
 		p.LocalMisrouted = true
-		p.MisrouteGroup = r.Group
+		p.MisrouteGroup = int16(r.Group)
 	}
 	if req.EnterRing {
 		p.OnRing = true

@@ -222,7 +222,7 @@ func TestCommitAppliesHeaderFlags(t *testing.T) {
 	if !p.GlobalMisrouted || !p.LocalMisrouted {
 		t.Error("flags not applied on commit")
 	}
-	if p.MisrouteGroup != r.Group {
+	if int(p.MisrouteGroup) != r.Group {
 		t.Errorf("MisrouteGroup=%d want %d", p.MisrouteGroup, r.Group)
 	}
 	if p.BlockedSince != -1 {

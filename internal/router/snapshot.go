@@ -88,7 +88,7 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Table, now int64) error {
 					if c.Err() != nil {
 						return c.Err()
 					}
-					if p.Size > buf.Free() {
+					if int(p.Size) > buf.Free() {
 						c.Fail("router %d port %d vc %d overflows capacity %d", r.ID, i, vc, buf.Capacity)
 						return c.Err()
 					}

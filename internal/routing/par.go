@@ -32,12 +32,12 @@ func (e *PAR) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
 	if p.DstGroup == p.SrcGroup {
 		return
 	}
-	vg := pickIntermediate(e.d, rt, p.SrcGroup, p.DstGroup)
+	vg := pickIntermediate(e.d, rt, int(p.SrcGroup), int(p.DstGroup))
 	if vg < 0 {
 		return
 	}
 	if ugalDecision(e.d, rt, p, vg, e.cfg) {
-		p.ValiantGroup = vg
+		p.ValiantGroup = int16(vg)
 	}
 }
 
@@ -49,13 +49,13 @@ func (e *PAR) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
 // not record and may rewrite the header.
 func (e *PAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
 	if in.Kind == topology.PortLocal && // re-evaluation point: after a local hop
-		rt.Group == p.SrcGroup &&
+		rt.Group == int(p.SrcGroup) &&
 		p.ValiantGroup < 0 &&
 		p.DstGroup != p.SrcGroup &&
 		p.GlobalHops == 0 {
-		vg := pickIntermediate(e.d, rt, p.SrcGroup, p.DstGroup)
+		vg := pickIntermediate(e.d, rt, int(p.SrcGroup), int(p.DstGroup))
 		if vg >= 0 && ugalDecision(e.d, rt, p, vg, e.cfg) {
-			p.ValiantGroup = vg // in-transit divert (PAR's defining move)
+			p.ValiantGroup = int16(vg) // in-transit divert (PAR's defining move)
 		}
 	}
 	out := nextOut(e.d, rt.ID, p)
@@ -63,7 +63,7 @@ func (e *PAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now in
 		return router.Request{}, false
 	}
 	vc := rt.Out[out].ClassVC(parHops(rt.Out[out].Kind, p))
-	if !rt.VCFits(out, vc, p.Size) {
+	if !rt.VCFits(out, vc, int(p.Size)) {
 		return router.Request{}, false
 	}
 	return router.Request{Out: out, VC: vc}, true
@@ -75,7 +75,7 @@ func (e *PAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now in
 // shared 2-VC global order.
 func parHops(kind topology.PortKind, p *packet.Packet) int {
 	if kind == topology.PortLocal {
-		return p.LocalHops
+		return int(p.LocalHops)
 	}
-	return p.GlobalHops
+	return int(p.GlobalHops)
 }

@@ -18,10 +18,10 @@ import (
 // packet: toward the Valiant intermediate group while one is pending,
 // minimal afterwards.
 func nextOut(d *topology.Dragonfly, r int, p *packet.Packet) int {
-	if p.ValiantGroup >= 0 && d.GroupOf(r) != p.ValiantGroup {
-		return d.PortToGroup(r, p.ValiantGroup)
+	if p.ValiantGroup >= 0 && d.GroupOf(r) != int(p.ValiantGroup) {
+		return d.PortToGroup(r, int(p.ValiantGroup))
 	}
-	return d.MinimalPort(r, p.Dst)
+	return d.MinimalPort(r, int(p.Dst))
 }
 
 // routeFixed implements Route for every baseline: follow the committed path,
@@ -41,8 +41,8 @@ func routeFixed(d *topology.Dragonfly, rt *router.Router, in router.InCtx, p *pa
 	if rt.OutBusy(out, now) {
 		return router.Request{}, false
 	}
-	vc := rt.Out[out].ClassVC(p.GlobalHops)
-	if !rt.VCFits(out, vc, p.Size) {
+	vc := rt.Out[out].ClassVC(int(p.GlobalHops))
+	if !rt.VCFits(out, vc, int(p.Size)) {
 		return router.Request{}, false
 	}
 	return router.Request{Out: out, VC: vc}, true
@@ -105,7 +105,7 @@ func (e *Valiant) Name() string { return "VAL" }
 
 // AtInjection implements router.Engine.
 func (e *Valiant) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
-	p.ValiantGroup = pickIntermediate(e.d, rt, p.SrcGroup, p.DstGroup)
+	p.ValiantGroup = int16(pickIntermediate(e.d, rt, int(p.SrcGroup), int(p.DstGroup)))
 }
 
 // Route implements router.Engine.

@@ -417,8 +417,9 @@ func (c *Codec) Records(n, max, size int) int {
 }
 
 // Shape visits a count the target's structure fixes (ports per router, job
-// slots): encoding writes n, decoding fails unless it reads n back. what
-// names the count in the error.
+// slots), or the slot of a field a record no longer keeps: encoding writes
+// n, decoding fails unless it reads n back. what names the value in the
+// error.
 func (c *Codec) Shape(n int, what string) {
 	if c.d == nil {
 		c.e.Varint(int64(n))
