@@ -135,9 +135,10 @@ serve:
 # no simulation, concurrent identical requests coalesce onto one simulation,
 # overload sheds 429, cached lines reach the client before a miss completes,
 # a disconnected client frees its handler, failed disk writes are counted
-# and survived, and the appended NDJSON lines equal json.Encoder's.
+# and survived, the appended NDJSON lines equal json.Encoder's, and transient
+# and burst requests are served, cached and keyed apart from steady ones.
 smoke-serve:
-	$(GO) test -run 'TestServer|TestConcurrentIdentical|TestOverload|TestDiskPersistence|TestPointLineMatchesEncoder' -v ./internal/service
+	$(GO) test -run 'TestServer|TestConcurrentIdentical|TestOverload|TestDiskPersistence|TestPointLineMatchesEncoder|TestSectionRequestsCached' -v ./internal/service
 
 # Trace record/replay smoke: record a run's generated packets with ofarsim
 # -trace-out, replay the file with -trace-in, and require the two grant
@@ -157,7 +158,9 @@ smoke-trace:
 
 # CLI smoke (h=2, seconds): the contracts the CLIs share with the library,
 # end to end. A sweep run twice against one -checkpoint/-restore directory
-# prints identical CSV and the second run restores every point; an ofarsim
+# prints identical CSV and the second run restores every point, and so does a
+# two-seed replicated sweep checkpointed by one run and restored by the next;
+# an ofarsim
 # job-set point checkpointed into a directory and then restored from it
 # prints the identical report, the second run restoring it; a -dump-config
 # file fed back through -config reproduces the flag run's -q row; -workers 4
@@ -172,6 +175,10 @@ smoke-cli:
 	$$sw > cold.csv 2> cold.log; $$sw > warm.csv 2> warm.log; cat warm.log; \
 	cmp cold.csv warm.csv; \
 	grep -q '3 point(s) restored (1500 warmup cycles skipped), 0 warmed' warm.log; \
+	rep="./sweep -h 2 -routing OFAR -pattern UN -from 0.1 -to 0.5 -points 3 -warmup 500 -measure 1000 -seeds 2"; \
+	$$rep -checkpoint seeds > seeds_cold.csv 2> seeds_cold.log; $$rep -restore seeds > seeds_warm.csv 2> seeds_warm.log; cat seeds_warm.log; \
+	cmp seeds_cold.csv seeds_warm.csv; \
+	grep -q '6 point(s) restored (3000 warmup cycles skipped), 0 warmed' seeds_warm.log; \
 	job="-h 2 -jobs a2a:12@0.5,ring:12@0.2 -load 0.8 -warmup 500 -measure 1000"; \
 	./ofarsim $$job -checkpoint jobwarm > jobs_cold.txt 2> jobs_cold.log; \
 	./ofarsim $$job -restore jobwarm > jobs_warm.txt 2> jobs_warm.log; cat jobs_warm.log; \

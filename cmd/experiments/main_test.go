@@ -53,7 +53,7 @@ func golden(t *testing.T, name, got string) {
 // testdata pins.
 func TestFiguresGolden(t *testing.T) {
 	var all strings.Builder
-	for _, f := range ofar.PaperFigures(2) {
+	for _, f := range ofar.PaperFigures(2, 200) {
 		t.Run(f.ID, func(t *testing.T) {
 			out := experiments(t, "-fig", f.ID)
 			golden(t, f.ID, out)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"ofar/internal/network"
 )
 
 // ConfigToJSON serializes a configuration with stable, human-editable
@@ -47,5 +49,5 @@ func LoadFaults(pathOrSpec string) ([]Fault, error) {
 		}
 		return fs, nil
 	}
-	return ParseFaults(pathOrSpec)
+	return network.ParseFaults(pathOrSpec)
 }

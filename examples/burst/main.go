@@ -15,9 +15,7 @@ func main() {
 	const h = 3
 	const perNode = 100 // the paper uses 2000/node on the h=6 network
 
-	patterns := append(
-		[]ofar.PatternSpec{ofar.Uniform(), ofar.Adv(2), ofar.Adv(h)},
-		ofar.PaperMixes(h)...)
+	patterns := []string{"UN", "ADV+2", fmt.Sprintf("ADV+%d", h), "MIX1", "MIX2", "MIX3"}
 
 	fmt.Printf("burst of %d packets/node on an h=%d dragonfly\n\n", perNode, h)
 	fmt.Printf("%-8s %10s %10s %10s %10s %10s\n",
@@ -27,22 +25,26 @@ func main() {
 	for _, ps := range patterns {
 		cycles := map[ofar.Routing]int64{}
 		for _, rt := range []ofar.Routing{ofar.PB, ofar.OFAR, ofar.OFARL} {
-			cfg := ofar.DefaultConfig(h).WithRouting(rt)
-			res, err := ofar.RunBurst(cfg, ps, perNode, 50_000_000)
+			r, err := ofar.Experiment{H: h, Routing: string(rt), Pattern: ps,
+				Burst: &ofar.Burst{PerNode: perNode, MaxCycles: 50_000_000}}.Resolve()
 			if err != nil {
 				log.Fatal(err)
 			}
-			if !res.Drained {
-				log.Fatalf("%s/%s: burst not consumed", rt, ps.Name())
+			res, err := r.Run(0, ofar.SweepOptions{}) // a burst has no load axis
+			if err != nil {
+				log.Fatal(err)
 			}
-			cycles[rt] = res.Cycles
+			if !res.Burst.Drained {
+				log.Fatalf("%s/%s: burst not consumed", rt, ps)
+			}
+			cycles[rt] = res.Burst.Cycles
 		}
 		ro := float64(cycles[ofar.OFAR]) / float64(cycles[ofar.PB])
 		rl := float64(cycles[ofar.OFARL]) / float64(cycles[ofar.PB])
 		sumOFAR += ro
 		sumOFARL += rl
 		fmt.Printf("%-8s %10d %10d %10d %10.3f %10.3f\n",
-			ps.Name(), cycles[ofar.PB], cycles[ofar.OFAR], cycles[ofar.OFARL], ro, rl)
+			ps, cycles[ofar.PB], cycles[ofar.OFAR], cycles[ofar.OFARL], ro, rl)
 	}
 	n := float64(len(patterns))
 	fmt.Printf("%-8s %10s %10s %10s %10.3f %10.3f\n", "average", "", "", "",

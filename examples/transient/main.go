@@ -17,14 +17,14 @@ func main() {
 
 	cases := []struct {
 		name     string
-		from, to ofar.PatternSpec
+		from, to string
 		load     float64
 	}{
-		{"UN -> ADV+2", ofar.Uniform(), ofar.Adv(2), load},
-		{"ADV+2 -> UN", ofar.Adv(2), ofar.Uniform(), load},
+		{"UN -> ADV+2", "UN", "ADV+2", load},
+		{"ADV+2 -> UN", "ADV+2", "UN", load},
 		// The paper lowers the load for ADV+2 -> ADV+h because PB would
 		// saturate at 0.14 on ADV+h.
-		{"ADV+2 -> ADV+h", ofar.Adv(2), ofar.Adv(h), 0.12},
+		{"ADV+2 -> ADV+h", "ADV+2", fmt.Sprintf("ADV+%d", h), 0.12},
 	}
 
 	for _, c := range cases {
@@ -32,13 +32,18 @@ func main() {
 		fmt.Printf("%-10s %10s %10s %10s\n", "cycle", "PB", "OFAR", "OFAR-L")
 		series := map[ofar.Routing]map[int64]float64{}
 		for _, rt := range []ofar.Routing{ofar.PB, ofar.OFAR, ofar.OFARL} {
-			cfg := ofar.DefaultConfig(h).WithRouting(rt)
-			res, err := ofar.RunTransient(cfg, c.from, c.to, c.load, 4000, 3000, 4000, 250)
+			// The pattern switches after 4000 cycles of warm-up.
+			r, err := ofar.Experiment{H: h, Routing: string(rt), Pattern: c.from, Warmup: 4000,
+				Transient: &ofar.Transient{After: c.to, Run: 3000, Drain: 4000, Bucket: 250}}.Resolve()
+			if err != nil {
+				log.Fatal(err)
+			}
+			res, err := r.Run(c.load, ofar.SweepOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}
 			m := map[int64]float64{}
-			for _, p := range res.Points {
+			for _, p := range res.Transient.Points {
 				m[p.Cycle] = p.MeanLatency
 			}
 			series[rt] = m

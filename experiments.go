@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"ofar/internal/network"
-	"ofar/internal/stats"
 	"ofar/internal/traffic"
 )
 
@@ -160,68 +159,6 @@ func RunLoadSweepOpt(cfg Config, ps PatternSpec, loads []float64, warmup, measur
 	return out, st, errors.Join(errs...)
 }
 
-// ReplicatedResult aggregates one metric across seeds.
-type ReplicatedResult struct {
-	Runs           int
-	Throughput     Aggregate
-	AvgLatency     Aggregate
-	EscapeFraction Aggregate
-}
-
-// Aggregate is a mean ± standard deviation across replicated runs.
-type Aggregate struct {
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-func aggregate(vals []float64) Aggregate {
-	var rep stats.Replication
-	a := Aggregate{Min: math.Inf(1), Max: math.Inf(-1)}
-	for _, v := range vals {
-		rep.Add(v)
-		if v < a.Min {
-			a.Min = v
-		}
-		if v > a.Max {
-			a.Max = v
-		}
-	}
-	a.Mean, a.StdDev = rep.Mean(), rep.StdDev()
-	return a
-}
-
-// RunReplicated repeats a steady-state experiment with `runs` different
-// seeds (cfg.Seed, cfg.Seed+1, …) and aggregates the results. The paper
-// notes that some of its plots (e.g. Fig. 9) average several simulations —
-// this is the corresponding driver.
-func RunReplicated(cfg Config, ps PatternSpec, load float64, warmup, measure, runs int) (ReplicatedResult, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	thr := make([]float64, 0, runs)
-	lat := make([]float64, 0, runs)
-	esc := make([]float64, 0, runs)
-	for i := 0; i < runs; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)
-		r, err := RunSteady(c, ps, load, warmup, measure)
-		if err != nil {
-			return ReplicatedResult{}, err
-		}
-		thr = append(thr, r.Throughput)
-		lat = append(lat, r.AvgLatency)
-		esc = append(esc, r.EscapeFraction)
-	}
-	return ReplicatedResult{
-		Runs:           runs,
-		Throughput:     aggregate(thr),
-		AvgLatency:     aggregate(lat),
-		EscapeFraction: aggregate(esc),
-	}, nil
-}
-
 // TransientPoint is one bucket of the latency-by-send-cycle series.
 type TransientPoint struct {
 	Cycle       int64 // bucket start, relative to the pattern switch
@@ -239,25 +176,24 @@ type TransientResult struct {
 	Points   []TransientPoint
 }
 
-// RunTransient warms the network with pattern `before` for warmup cycles,
-// switches to pattern `after`, and keeps simulating: `after` runs for run
-// cycles plus drain cycles with generation continuing, so that late
-// deliveries fill the send-cycle series. bucket sets the series resolution.
-func RunTransient(cfg Config, before, after PatternSpec, load float64, warmup, run, drain, bucket int) (TransientResult, error) {
-	n, err := network.New(cfg)
+// runTransient runs r's Transient section at load: r.Pattern for r.Warmup
+// cycles, then After for Run plus Drain cycles, with the send-cycle series on.
+func (r Resolved) runTransient(load float64) (TransientResult, error) {
+	n, err := network.New(r.Config)
 	if err != nil {
 		return TransientResult{}, err
 	}
 	defer n.Close()
-	pb := before.build(n.Topo)
-	pa := after.build(n.Topo)
-	switchAt := int64(warmup)
-	n.SetGenerator(traffic.NewTransient(pb, pa, switchAt, load, cfg.PacketSize))
-	n.Stats.EnableSeries(bucket)
-	n.Run(warmup + run + drain)
+	t := r.Transient
+	pb := r.Pattern.build(n.Topo)
+	pa := r.After.build(n.Topo)
+	switchAt := int64(r.Warmup)
+	n.SetGenerator(traffic.NewTransient(pb, pa, switchAt, load, r.Config.PacketSize))
+	n.Stats.EnableSeries(t.Bucket)
+	n.Run(r.Warmup + t.Run + t.Drain)
 	series := n.Stats.Series()
 	res := TransientResult{
-		Routing:  cfg.Routing,
+		Routing:  r.Config.Routing,
 		From:     pb.Name(),
 		To:       pa.Name(),
 		Load:     load,
@@ -266,7 +202,7 @@ func RunTransient(cfg Config, before, after PatternSpec, load float64, warmup, r
 	// Report from shortly before the switch through the run window.
 	for i := 0; i < series.Len(); i++ {
 		cycle, mean, cnt := series.At(i)
-		if cycle < switchAt-int64(run)/2 || cycle > switchAt+int64(run) {
+		if cycle < switchAt-int64(t.Run)/2 || cycle > switchAt+int64(t.Run) {
 			continue
 		}
 		if cnt == 0 || math.IsNaN(mean) {
@@ -277,40 +213,6 @@ func RunTransient(cfg Config, before, after PatternSpec, load float64, warmup, r
 	return res, nil
 }
 
-// DegradationPoint is one point of the fault-degradation curve: the
-// steady-state result with a given number of failed global links (Dropped,
-// FaultReroutes and AffectedFlows are the fault transient's footprint).
-type DegradationPoint struct {
-	FailedLinks int
-	SteadyResult
-}
-
-// RunDegradation measures OFAR's graceful degradation: for each count in
-// 0..maxFailed, the first `count` global links fail at cycle faultAt (during
-// warm-up, so the measurement window sees the degraded network in steady
-// state), and throughput plus tail latency are recorded. Conservation is
-// checked with the explicit Dropped term, so a silently lost packet fails
-// the run rather than flattering the curve.
-func RunDegradation(cfg Config, ps PatternSpec, load float64, faultAt int64, maxFailed, warmup, measure int) ([]DegradationPoint, error) {
-	points := make([]DegradationPoint, 0, maxFailed+1)
-	for count := 0; count <= maxFailed; count++ {
-		c := cfg
-		if count > 0 {
-			faults, err := GlobalLinkFaults(cfg, faultAt, count)
-			if err != nil {
-				return points, err
-			}
-			c.Faults = faults
-		}
-		r, err := RunSteady(c, ps, load, warmup, measure)
-		if err != nil {
-			return points, err
-		}
-		points = append(points, DegradationPoint{count, r})
-	}
-	return points, nil
-}
-
 // BurstResult is one §VI-C burst-consumption measurement.
 type BurstResult struct {
 	Routing   Routing
@@ -318,27 +220,29 @@ type BurstResult struct {
 	PerNode   int
 	Packets   int64
 	Cycles    int64 // time to consume the whole burst
-	Drained   bool  // false when maxCycles elapsed first
+	Drained   bool  // false when MaxCycles elapsed first
 	RingUse   int64 // escape-ring entries during the burst
 	GlobalMis int64
 	LocalMis  int64
 }
 
-// RunBurst injects perNode packets from every node as fast as the network
-// accepts them and measures the time until all are delivered.
-func RunBurst(cfg Config, ps PatternSpec, perNode, maxCycles int) (BurstResult, error) {
-	n, err := network.New(cfg)
+// runBurst runs r's Burst section: every node injects PerNode packets as fast
+// as the network accepts them, and the row is the time until all are
+// delivered.
+func (r Resolved) runBurst() (BurstResult, error) {
+	n, err := network.New(r.Config)
 	if err != nil {
 		return BurstResult{}, err
 	}
 	defer n.Close()
-	pattern := ps.build(n.Topo)
-	n.SetGenerator(traffic.NewBurst(pattern, perNode, n.Topo.Nodes))
-	cycles, drained := n.RunUntilDrained(maxCycles)
+	b := r.Burst
+	pattern := r.Pattern.build(n.Topo)
+	n.SetGenerator(traffic.NewBurst(pattern, b.PerNode, n.Topo.Nodes))
+	cycles, drained := n.RunUntilDrained(b.MaxCycles)
 	res := BurstResult{
-		Routing:   cfg.Routing,
+		Routing:   r.Config.Routing,
 		Pattern:   pattern.Name(),
-		PerNode:   perNode,
+		PerNode:   b.PerNode,
 		Packets:   n.Stats.Delivered,
 		Cycles:    cycles,
 		Drained:   drained,

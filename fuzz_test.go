@@ -3,6 +3,8 @@ package ofar
 import (
 	"math"
 	"testing"
+
+	"ofar/internal/network"
 )
 
 // Go-native fuzz targets. In regular `go test` runs they execute the seed
@@ -81,7 +83,7 @@ func FuzzFaultSchedule(f *testing.F) {
 	f.Add("melt@1:2", uint64(5))
 	f.Add("link@-5:0:2", uint64(6))
 	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
-		fs, err := ParseFaults(spec)
+		fs, err := network.ParseFaults(spec)
 		if err != nil || len(fs) > 16 {
 			return
 		}
@@ -130,7 +132,7 @@ func FuzzRouteCache(f *testing.F) {
 		if math.IsNaN(load) || load < 0 || load > 1 {
 			return
 		}
-		fs, err := ParseFaults(spec)
+		fs, err := network.ParseFaults(spec)
 		if err != nil || len(fs) > 16 {
 			return
 		}

@@ -21,6 +21,8 @@ func FuzzExperimentDecode(f *testing.F) {
 		`{"config":{"P":2,"A":4,"H":2,"Workers":4},"routing":"PAR","loads":[0.2],"warmup":500,"measure":700}`,
 		`{"h":2,"jobs":"a2a:12@0.5,ring:12@0.2","jobmap":"random","background":0.05,"loads":[0.5,1],"warmup":200,"measure":400}`,
 		`{"h":2,"pattern":"MIX2","loads":[1e-7,2]}`,
+		`{"h":2,"routing":"OFAR","pattern":"UN","loads":[0.14],"warmup":1000,"transient":{"after":"ADV+2","run":600,"drain":800,"bucket":100}}`,
+		`{"h":2,"pattern":"ST4x3x2/rnd","burst":{"per_node":10,"max_cycles":100000}}`,
 		`{"h":9,"loads":[0.1]}`,
 		`{"h":2,"loads":[-0.5]}`,
 		`{"h":2,"loads":[0.1],"warmup":9223372036854775807,"measure":1}`,
@@ -79,5 +81,10 @@ func checkCaps(t *testing.T, res ofar.Resolved) {
 		t.Fatalf("accepted link latencies %d/%d", c.LocalLatency, c.GlobalLatency)
 	case slots > maxQueueSlots:
 		t.Fatalf("accepted %v queue slots", slots)
+	case res.Transient != nil && (f(res.Warmup)+f(res.Transient.Run)+f(res.Transient.Drain) > maxCycles ||
+		(f(res.Warmup)+f(res.Transient.Run)+f(res.Transient.Drain))/f(res.Transient.Bucket) >= maxBuckets):
+		t.Fatalf("accepted transient %+v after %d warm-up cycles", *res.Transient, res.Warmup)
+	case res.Burst != nil && (res.Burst.MaxCycles > maxCycles || len(res.Loads) != 1):
+		t.Fatalf("accepted burst %+v with loads %v", *res.Burst, res.Loads)
 	}
 }

@@ -15,10 +15,13 @@ import (
 type Request = ofar.Experiment
 
 const (
-	// maxCycles bounds warmup+measure per request: sized far above any
-	// experiment in the repo (the paper's runs are ≤ 10^4 cycles) while
-	// keeping a single request from monopolizing the service for hours.
+	// maxCycles bounds warmup+measure per request, and the cycles of a
+	// transient or a burst: sized far above any experiment in the repo (the
+	// paper's runs are ≤ 10^4 cycles) while keeping a single request from
+	// monopolizing the service for hours.
 	maxCycles = 10_000_000
+	// maxBuckets bounds a transient's latency series (16 B per bucket).
+	maxBuckets = 1 << 16
 	// maxWorkers bounds the per-network pool width a request may demand.
 	maxWorkers = 64
 
@@ -75,16 +78,14 @@ func resolveBounded(req Request, maxLoads int) (ofar.Resolved, error) {
 	if b := req.Background; req.Jobs != "" && (math.IsNaN(b) || math.IsInf(b, 0) || b < 0 || b > 2) {
 		return r, fmt.Errorf("background %v outside [0, 2]", b)
 	}
-	if len(r.Loads) == 0 {
-		return r, fmt.Errorf("loads must name at least one offered load")
-	}
-	if len(r.Loads) > maxLoads {
-		return r, fmt.Errorf("%d loads exceed the per-request cap %d", len(r.Loads), maxLoads)
-	}
-	for _, l := range r.Loads {
-		if math.IsNaN(l) || math.IsInf(l, 0) || l <= 0 || l > 2 {
-			return r, fmt.Errorf("load %v outside (0, 2]", l)
+	if r.Burst != nil {
+		// A burst has no load axis: the request is one point, at load 0.
+		if len(r.Loads) > 0 {
+			return r, fmt.Errorf("a burst takes no loads")
 		}
+		r.Loads = []float64{0}
+	} else if err := checkLoads(r.Loads, maxLoads); err != nil {
+		return r, err
 	}
 	if r.Warmup < 0 || r.Measure < 1 {
 		return r, fmt.Errorf("warmup/measure must be ≥ 0 / ≥ 1")
@@ -92,7 +93,34 @@ func resolveBounded(req Request, maxLoads int) (ofar.Resolved, error) {
 	if r.Warmup > maxCycles || r.Measure > maxCycles-r.Warmup { // the sum may overflow
 		return r, fmt.Errorf("warmup %d + measure %d exceeds the service cap %d cycles", r.Warmup, r.Measure, maxCycles)
 	}
+	if t := r.Transient; t != nil {
+		if t.Run > maxCycles-r.Warmup || t.Drain > maxCycles-r.Warmup-t.Run {
+			return r, fmt.Errorf("warmup %d + transient run %d + drain %d exceeds the service cap %d cycles", r.Warmup, t.Run, t.Drain, maxCycles)
+		}
+		if (r.Warmup+t.Run+t.Drain)/t.Bucket >= maxBuckets {
+			return r, fmt.Errorf("a transient of %d-cycle buckets exceeds the service cap %d buckets", t.Bucket, maxBuckets)
+		}
+	}
+	if b := r.Burst; b != nil && b.MaxCycles > maxCycles {
+		return r, fmt.Errorf("burst max_cycles %d exceeds the service cap %d cycles", b.MaxCycles, maxCycles)
+	}
 	return r, boundSize(&r.Config)
+}
+
+// checkLoads bounds a request's offered loads in count and range.
+func checkLoads(loads []float64, maxLoads int) error {
+	if len(loads) == 0 {
+		return fmt.Errorf("loads must name at least one offered load")
+	}
+	if len(loads) > maxLoads {
+		return fmt.Errorf("%d loads exceed the per-request cap %d", len(loads), maxLoads)
+	}
+	for _, l := range loads {
+		if math.IsNaN(l) || math.IsInf(l, 0) || l <= 0 || l > 2 {
+			return fmt.Errorf("load %v outside (0, 2]", l)
+		}
+	}
+	return nil
 }
 
 // boundSize applies the size caps to a validated config.

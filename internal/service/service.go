@@ -371,8 +371,13 @@ func (s *Server) point(rs *reqState, res ofar.Resolved, key uint64, index int, s
 				s.met.restored.Add(1)
 			}
 			var reply any = pr.SteadyResult
-			if res.Jobs != nil {
+			switch {
+			case res.Jobs != nil:
 				reply = ofar.JobsResult{Workload: res.PatternName(), Scale: res.Loads[index], Agg: pr.SteadyResult, Jobs: pr.Jobs}
+			case pr.Transient != nil:
+				reply = pr.Transient
+			case pr.Burst != nil:
+				reply = pr.Burst
 			}
 			out, rerr = json.Marshal(reply)
 		})

@@ -428,6 +428,16 @@ func TestRequestValidation(t *testing.T) {
 			*c = ofar.DefaultConfig(8)
 			c.PacketSize, c.LocalBuf, c.GlobalBuf, c.InjBuf = 1, 4096, 4096, 4096
 		}),
+		"transient and burst": `{"h":2,"loads":[0.1],"transient":{"after":"UN","bucket":100},"burst":{"per_node":1,"max_cycles":10}}`,
+		"jobs and transient":  `{"h":2,"jobs":"a2a:8@0.5","loads":[0.5],"transient":{"after":"UN","bucket":100}}`,
+		"bad after":           `{"h":2,"loads":[0.1],"transient":{"after":"NOPE","bucket":100}}`,
+		"zero bucket":         `{"h":2,"loads":[0.1],"transient":{"after":"UN"}}`,
+		"huge transient":      `{"h":2,"loads":[0.1],"transient":{"after":"UN","run":9000000,"drain":9000000,"bucket":100}}`,
+		"transient overflows": `{"h":2,"loads":[0.1],"transient":{"after":"UN","run":1,"drain":9223372036854775807,"bucket":100}}`,
+		"too many buckets":    `{"h":2,"loads":[0.1],"transient":{"after":"UN","run":1000000,"bucket":1}}`,
+		"huge burst":          `{"h":2,"burst":{"per_node":1,"max_cycles":20000000}}`,
+		"burst with loads":    `{"h":2,"loads":[0.1],"burst":{"per_node":1,"max_cycles":1000}}`,
+		"stencil too big":     `{"h":2,"loads":[0.1],"pattern":"ST9x9x9/lin"}`,
 	}
 	for name, body := range cases {
 		if code := post(body); code != http.StatusBadRequest {
@@ -587,6 +597,60 @@ func TestServerJobsRequest(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("jobs+pattern: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSectionRequestsCached: a Fig. 6-shaped transient request and a Fig. 7
+// burst request are served and cached like sweeps — the identical second
+// request comes from cache with no new simulation — and a section is a cache
+// identity of its own: the transient's key is not the key of the steady
+// request with the same loads.
+func TestSectionRequestsCached(t *testing.T) {
+	var calls atomic.Int64
+	_, ts := startServer(t, Options{Sims: 2, MaxQueue: 8, Runner: countingRunner(&calls)})
+	// post sends req and returns its one point, which must come from source
+	// with wantCalls simulations run so far.
+	post := func(req Request, source string, wantCalls int64) PointResponse {
+		t.Helper()
+		r := postSweep(t, ts.URL, req)
+		if r.status != http.StatusOK || len(r.points) != 1 || r.points[0].Error != "" {
+			t.Fatalf("HTTP %d: %s", r.status, r.raw)
+		}
+		if p := r.points[0]; p.Source != source || calls.Load() != wantCalls {
+			t.Fatalf("point from %q after %d simulations, want %q after %d", p.Source, calls.Load(), source, wantCalls)
+		}
+		return r.points[0]
+	}
+	steady := Request{H: 2, Routing: "OFAR", Pattern: "UN", Loads: []float64{0.14}, Warmup: 1000}
+	transient := steady
+	transient.Transient = &ofar.Transient{After: "ADV+2", Run: 600, Drain: 800, Bucket: 100}
+
+	cold := post(transient, "computed", 1)
+	var series ofar.TransientResult
+	if err := json.Unmarshal(cold.Result, &series); err != nil {
+		t.Fatal(err)
+	}
+	if series.From != "UN" || series.To != "ADV+2" || series.SwitchAt != 1000 || len(series.Points) == 0 {
+		t.Errorf("transient reply %+v", series)
+	}
+	if warm := post(transient, "cache", 1); warm.Key != cold.Key || !bytes.Equal(warm.Result, cold.Result) {
+		t.Errorf("cached transient reply differs:\n%s\nvs\n%s", warm.Result, cold.Result)
+	}
+	if st := post(steady, "computed", 2); st.Key == cold.Key {
+		t.Errorf("transient and steady requests share the key %s", st.Key)
+	}
+
+	burst := Request{H: 2, Routing: "OFAR", Pattern: "ADV+2", Burst: &ofar.Burst{PerNode: 10, MaxCycles: 100_000}}
+	cold = post(burst, "computed", 3)
+	var row ofar.BurstResult
+	if err := json.Unmarshal(cold.Result, &row); err != nil {
+		t.Fatal(err)
+	}
+	if !row.Drained || row.Packets != 10*72 || row.Pattern != "ADV+2" {
+		t.Errorf("burst reply %+v", row)
+	}
+	if warm := post(burst, "cache", 3); !bytes.Equal(warm.Result, cold.Result) {
+		t.Errorf("cached burst reply differs:\n%s\nvs\n%s", warm.Result, cold.Result)
 	}
 }
 

@@ -8,13 +8,13 @@
 // and an iterative separable allocator, the routing mechanisms MIN, VAL,
 // PB, UGAL-L, OFAR and OFAR-L, the Hamiltonian escape subnetwork (physical
 // or embedded, single or multi-ring), the synthetic traffic patterns
-// UN/ADV+N/mixes, and drivers for steady-state, transient and burst
-// experiments.
+// UN/ADV+N/mixes, and one runner, Resolved.Run, for steady-state,
+// transient and burst experiments.
 //
 // Quick start:
 //
-//	cfg := ofar.DefaultConfig(3)          // balanced h=3 dragonfly, OFAR
-//	res, err := ofar.RunSteady(cfg, ofar.Uniform(), 0.3, 2000, 5000)
+//	r, err := ofar.Experiment{H: 3, Pattern: "UN", Warmup: 2000}.Resolve()
+//	res, err := r.Run(0.3, ofar.SweepOptions{}) // balanced h=3 dragonfly, OFAR
 //	fmt.Println(res.AvgLatency, res.Throughput)
 package ofar
 
@@ -76,16 +76,6 @@ const (
 	FaultRouter = network.FaultRouter
 )
 
-// ParseFaults parses an inline fault schedule such as
-// "link@5000:12:7,router@20000:3"; see network.ParseFaults.
-func ParseFaults(spec string) ([]Fault, error) { return network.ParseFaults(spec) }
-
-// GlobalLinkFaults builds a schedule killing the first count global links at
-// the given cycle (the degradation experiment's workload).
-func GlobalLinkFaults(cfg Config, cycle int64, count int) ([]Fault, error) {
-	return network.GlobalLinkFaults(cfg, cycle, count)
-}
-
 // DefaultConfig returns the paper's §V configuration for a balanced
 // maximum-size dragonfly with the given h (the paper evaluates h = 6:
 // 5,256 nodes, 876 routers in 73 groups).
@@ -100,7 +90,7 @@ func DefaultOFARConfig() OFARConfig { return core.DefaultConfig() }
 func DefaultOFARVariableConfig() OFARConfig { return core.VariablePolicyConfig() }
 
 // Simulator wraps an assembled network for step-level control. Most users
-// should prefer the RunSteady/RunTransient/RunBurst drivers.
+// should prefer Resolved.Run.
 type Simulator struct {
 	net *network.Network
 }
@@ -166,6 +156,5 @@ func (s *Simulator) Fork() (*Simulator, error) {
 
 // Close releases the simulator's resources — with Config.Workers > 1, the
 // persistent router-stage worker pool. Idempotent; a no-op for serial
-// configurations. The RunSteady/RunTransient/RunBurst drivers close their
-// networks themselves.
+// configurations. Resolved.Run closes its networks itself.
 func (s *Simulator) Close() { s.net.Close() }

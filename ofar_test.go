@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ofar/internal/network"
+	"ofar/internal/stats"
 	"ofar/internal/traffic"
 )
 
@@ -147,9 +148,23 @@ func TestRunLoadSweepOptMatchesRunSteady(t *testing.T) {
 	}
 }
 
+// transientPoint runs one transient point through Resolved.Run: from for
+// warmup cycles, then to.
+func transientPoint(cfg Config, from, to PatternSpec, load float64, warmup, run, drain, bucket int) (TransientResult, error) {
+	res, err := Resolved{Config: cfg, Pattern: from, After: to, Warmup: warmup,
+		Transient: &Transient{After: to.Name(), Run: run, Drain: drain, Bucket: bucket}}.Run(load, SweepOptions{})
+	return *res.Transient, err
+}
+
+// burstPoint runs one burst point through Resolved.Run.
+func burstPoint(cfg Config, ps PatternSpec, perNode, maxCycles int) (BurstResult, error) {
+	res, err := Resolved{Config: cfg, Pattern: ps, Burst: &Burst{PerNode: perNode, MaxCycles: maxCycles}}.Run(0, SweepOptions{})
+	return *res.Burst, err
+}
+
 func TestRunTransientSeries(t *testing.T) {
 	cfg := DefaultConfig(2)
-	res, err := RunTransient(cfg, Uniform(), Adv(2), 0.14, 2000, 1500, 2000, 100)
+	res, err := transientPoint(cfg, Uniform(), Adv(2), 0.14, 2000, 1500, 2000, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +197,7 @@ func TestRunTransientSeries(t *testing.T) {
 
 func TestRunBurstDrains(t *testing.T) {
 	cfg := DefaultConfig(2)
-	res, err := RunBurst(cfg, PaperMixes(2)[0], 20, 1_000_000)
+	res, err := burstPoint(cfg, PaperMixes(2)[0], 20, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +212,7 @@ func TestRunBurstDrains(t *testing.T) {
 	}
 }
 
-// steppedBurst is RunBurst's reference: the same burst stepped a cycle at a
+// steppedBurst is a burst point's reference: the same burst stepped a cycle at a
 // time until the first cycle boundary at which the network is drained, or
 // maxCycles. It also returns the cycle by which the source had run dry (-1:
 // never).
@@ -225,7 +240,7 @@ func steppedBurst(t *testing.T, cfg Config, ps PatternSpec, perNode, maxCycles i
 	}, dry
 }
 
-// TestRunBurstMatchesStepped: RunBurst runs lookahead windows (on the caller
+// TestRunBurstMatchesStepped: a burst point runs lookahead windows (on the caller
 // and on a 4-worker pool) yet reports what stepping a cycle at a time until
 // the drain reports, field for field — the drain cycle as Cycles, not the
 // end of the window it fell in. Also when the source runs dry and the network
@@ -272,7 +287,7 @@ func TestRunBurstMatchesStepped(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				cfg := c.cfg
 				cfg.Workers = workers
-				got, err := RunBurst(cfg, c.ps, c.perNode, c.maxCyc)
+				got, err := burstPoint(cfg, c.ps, c.perNode, c.maxCyc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -308,7 +323,7 @@ func TestStencilPatternEndToEnd(t *testing.T) {
 // conserved.
 func TestPermutationPatternEndToEnd(t *testing.T) {
 	cfg := DefaultConfig(2)
-	res, err := RunSteady(cfg, Permutation(11), 0.3, 1000, 2000)
+	res, err := RunSteady(cfg, permutation(11), 0.3, 1000, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,24 +332,28 @@ func TestPermutationPatternEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunReplicated: multi-seed aggregation has sane statistics.
+// TestRunReplicated: replication is one experiment per seed; three seeds
+// give three different rows with a sane mean throughput.
 func TestRunReplicated(t *testing.T) {
-	cfg := DefaultConfig(2)
-	rep, err := RunReplicated(cfg, Uniform(), 0.2, 800, 1500, 3)
-	if err != nil {
-		t.Fatal(err)
+	var thr stats.Replication
+	latencies := map[float64]bool{}
+	for seed := uint64(1); seed <= 3; seed++ {
+		r, err := Experiment{H: 2, Seed: &seed, Warmup: 800, Measure: 1500}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run(0.2, SweepOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		thr.Add(res.Throughput)
+		latencies[res.AvgLatency] = true
 	}
-	if rep.Runs != 3 {
-		t.Errorf("runs=%d", rep.Runs)
+	if thr.Mean() < 0.17 || thr.Mean() > 0.22 {
+		t.Errorf("replicated throughput %.3f", thr.Mean())
 	}
-	if rep.Throughput.Mean < 0.17 || rep.Throughput.Mean > 0.22 {
-		t.Errorf("replicated throughput %.3f", rep.Throughput.Mean)
-	}
-	if rep.Throughput.Min > rep.Throughput.Max {
-		t.Error("min above max")
-	}
-	if rep.AvgLatency.StdDev < 0 {
-		t.Error("negative stddev")
+	if len(latencies) != 3 {
+		t.Errorf("three seeds gave %d distinct latencies", len(latencies))
 	}
 }
 

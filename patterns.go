@@ -1,6 +1,7 @@
 package ofar
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -70,9 +71,9 @@ func Stencil3D(x, y, z int, randomMapping bool) PatternSpec {
 	}
 }
 
-// Permutation returns a fixed random derangement pattern: every node always
+// permutation returns a fixed random derangement pattern: every node always
 // sends to the same partner.
-func Permutation(seed uint64) PatternSpec {
+func permutation(seed uint64) PatternSpec {
 	return PatternSpec{kind: patternPerm, label: fmt.Sprintf("PERM(%d)", seed), seed: seed}
 }
 
@@ -126,7 +127,7 @@ func (ps PatternSpec) build(d *topology.Dragonfly) traffic.Pattern {
 // "MIX2", "MIX3" — as used by the command-line tools. The h parameter
 // selects the adversarial component of the MIX patterns (ADV+h). It also
 // names the classic permutations BITCOMP, BITREV, SHUFFLE, TORNADO (ADV with
-// a near-half group offset) and PERM (Permutation(h+1)).
+// a near-half group offset) and PERM (a fixed derangement seeded with h+1).
 func ParsePattern(s string, h int) (PatternSpec, error) {
 	up := strings.ToUpper(strings.TrimSpace(s))
 	switch {
@@ -149,9 +150,28 @@ func ParsePattern(s string, h int) (PatternSpec, error) {
 	case up == "TORNADO":
 		return PatternSpec{kind: patternTornado, label: "TORNADO"}, nil
 	case strings.HasPrefix(up, "PERM"):
-		return Permutation(uint64(h) + 1), nil
+		return permutation(uint64(h) + 1), nil
 	}
 	return PatternSpec{}, fmt.Errorf("ofar: unknown pattern %q (want UN, ADV+<n>, MIX1..3, BITCOMP, BITREV, SHUFFLE, TORNADO, PERM)", s)
+}
+
+// resolvePattern parses s for cfg's network: ParsePattern's names plus
+// Stencil3D's own, "ST<x>x<y>x<z>/lin" or ".../rnd", whose tasks must fit on
+// the network's nodes.
+func resolvePattern(s string, cfg Config) (PatternSpec, error) {
+	up := strings.ToUpper(strings.TrimSpace(s))
+	if !strings.HasPrefix(up, "ST") {
+		return ParsePattern(s, cfg.H)
+	}
+	var x, y, z int
+	var m string
+	nodes := cfg.P * cfg.A * cmp.Or(cfg.Groups, cfg.A*cfg.H+1)
+	if _, err := fmt.Sscanf(up, "ST%dX%dX%d/%s", &x, &y, &z, &m); err != nil || min(x, y, z) < 1 || (m != "LIN" && m != "RND") {
+		return PatternSpec{}, fmt.Errorf("ofar: bad stencil %q (want ST<x>x<y>x<z>/lin or /rnd)", s)
+	} else if x > nodes || y > nodes/x || z > nodes/(x*y) {
+		return PatternSpec{}, fmt.Errorf("ofar: stencil %q has more tasks than the %d nodes", s, nodes)
+	}
+	return Stencil3D(x, y, z, m == "RND"), nil
 }
 
 // PaperMixes returns the three traffic mixes of the burst experiment

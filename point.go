@@ -14,13 +14,16 @@ import (
 // PointResult is one measured point of an experiment: the steady-state row
 // plus what the point's SweepOptions asked for. For a job set the embedded
 // row is the aggregate, its Pattern the workload's canonical name and its
-// Load the scale.
+// Load the scale. A transient or burst point carries its section's result
+// instead, and a zero steady-state row.
 type PointResult struct {
 	SteadyResult
-	Jobs     []JobResult   // per-job rows of a job-set point (the background slot included)
-	Restored bool          // the warm state came from SweepOptions.RestoreDir
-	Digest   uint64        // grant digest of the whole run, when recording
-	Trace    []TraceRecord // every generated packet, when recording
+	Jobs      []JobResult      // per-job rows of a job-set point (the background slot included)
+	Transient *TransientResult // the latency series of a transient point
+	Burst     *BurstResult     // the row of a burst point
+	Restored  bool             // the warm state came from SweepOptions.RestoreDir
+	Digest    uint64           // grant digest of the whole run, when recording
+	Trace     []TraceRecord    // every generated packet, when recording
 }
 
 // Run measures one point of the experiment, the paper's §VI-A procedure:
@@ -31,7 +34,19 @@ type PointResult struct {
 // that warmed writes its snapshot there before measuring; the file name pins
 // (configuration, pattern, load, warm-up), so a stale or missing entry just
 // warms again. The row is the same however the warm state was reached.
+//
+// A transient or burst point runs its section's shape from cycle 0 instead
+// and ignores opt: it has no warm state to cache or resume, and no window to
+// time or record.
 func (r Resolved) Run(load float64, opt SweepOptions) (PointResult, error) {
+	switch {
+	case r.Transient != nil:
+		t, err := r.runTransient(load)
+		return PointResult{Transient: &t}, err
+	case r.Burst != nil:
+		b, err := r.runBurst()
+		return PointResult{Burst: &b}, err
+	}
 	p := r.point(load)
 	p.phaseSink = opt.PhaseSink
 	if opt.Record {

@@ -16,7 +16,7 @@ import (
 // figure returns the figure id of PaperFigures(h).
 func figure(t *testing.T, h int, id string) Figure {
 	t.Helper()
-	for _, f := range PaperFigures(h) {
+	for _, f := range PaperFigures(h, 2000) {
 		if f.ID == id {
 			return f
 		}
@@ -152,7 +152,7 @@ func TestFig7Shape(t *testing.T) {
 	f := figure(t, 3, "fig7")
 	burst := func(label, pattern string) BurstResult {
 		cfg, ps := resolve(t, series(t, f, label), pattern)
-		r, err := RunBurst(cfg, ps, 40, 3_000_000)
+		r, err := burstPoint(cfg, ps, 40, 3_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,11 +232,11 @@ func TestFig6Shape(t *testing.T) {
 	f := figure(t, 3, "fig6")
 	early := func(s Series, p Panel) (earlyLat, lateLat float64) {
 		cfg, from := resolve(t, s, p.Pattern)
-		to, err := ParsePattern(p.To, 3)
+		to, err := ParsePattern(p.Transient.After, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunTransient(cfg, from, to, p.Load, 4000, 3000, 4000, 200)
+		res, err := transientPoint(cfg, from, to, p.Load, 4000, 3000, 4000, 200)
 		if err != nil {
 			t.Fatal(err)
 		}

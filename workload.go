@@ -2,7 +2,6 @@ package ofar
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -18,8 +17,9 @@ import (
 // all-to-all phases, ring allreduce, parameter-server fan-in) onto node
 // ranges, each with its own offered load and lifetime. Resolved.Run measures
 // one with per-job statistics and can record its packet trace; the functions
-// below replay traces and measure inter-job interference (shared-run
-// slowdown versus each job running alone).
+// below replay and store traces. Inter-job interference is a job set run
+// shared and once per job alone (the other jobs' loads and the background
+// zeroed): see the interference figure of PaperFigures.
 
 // JobSpec describes one job of a workload at the API surface. Kind is one of
 // "stencil", "a2a", "ring", "ps". Tasks is the node count; stencil jobs give
@@ -222,71 +222,6 @@ func collectJobs(n *network.Network) []JobResult {
 		}
 	}
 	return out
-}
-
-// InterferencePoint compares one job's shared-run tail latency with the same
-// job running alone on the same placement (other jobs' loads and the
-// background zeroed — the topology, mapping and RNG streams are unchanged).
-type InterferencePoint struct {
-	Job         string  `json:"job"`
-	SharedP99   float64 `json:"shared_p99"`
-	AloneP99    float64 `json:"alone_p99"`
-	SlowdownP99 float64 `json:"slowdown_p99"` // shared/alone
-	SharedAvg   float64 `json:"shared_avg"`
-	AloneAvg    float64 `json:"alone_avg"`
-	SlowdownAvg float64 `json:"slowdown_avg"`
-}
-
-// InterferenceResult is the RunInterference report.
-type InterferenceResult struct {
-	Workload string              `json:"workload"`
-	Shared   JobsResult          `json:"shared"`
-	Points   []InterferencePoint `json:"points"`
-}
-
-// RunInterference measures inter-job interference: the workload runs once
-// shared, then each job runs alone (same placement, everything else muted),
-// and each job's slowdown is the ratio of its shared to alone latencies.
-// The background slot, having no alone baseline of interest, is skipped.
-func RunInterference(cfg Config, w Workload, scale float64, warmup, measure int) (InterferenceResult, error) {
-	run := func(w Workload) (JobsResult, error) {
-		p, err := Resolved{Config: cfg, Jobs: &w, Warmup: warmup, Measure: measure}.Run(scale, SweepOptions{})
-		return JobsResult{Workload: w.Name(), Scale: scale, Agg: p.SteadyResult, Jobs: p.Jobs}, err
-	}
-	shared, err := run(w)
-	if err != nil {
-		return InterferenceResult{}, err
-	}
-	res := InterferenceResult{Workload: w.Name(), Shared: shared}
-	for i := range w.Jobs {
-		alone := w
-		alone.Jobs = append([]JobSpec(nil), w.Jobs...)
-		alone.Background = 0
-		for k := range alone.Jobs {
-			if k != i {
-				alone.Jobs[k].Load = 0
-			}
-		}
-		ar, err := run(alone)
-		if err != nil {
-			return res, err
-		}
-		pt := InterferencePoint{
-			Job:       shared.Jobs[i].Job,
-			SharedP99: shared.Jobs[i].P99Latency,
-			AloneP99:  ar.Jobs[i].P99Latency,
-			SharedAvg: shared.Jobs[i].AvgLatency,
-			AloneAvg:  ar.Jobs[i].AvgLatency,
-		}
-		if pt.AloneP99 > 0 && !math.IsNaN(pt.SharedP99) && !math.IsNaN(pt.AloneP99) {
-			pt.SlowdownP99 = pt.SharedP99 / pt.AloneP99
-		}
-		if pt.AloneAvg > 0 && !math.IsNaN(pt.SharedAvg) && !math.IsNaN(pt.AloneAvg) {
-			pt.SlowdownAvg = pt.SharedAvg / pt.AloneAvg
-		}
-		res.Points = append(res.Points, pt)
-	}
-	return res, nil
 }
 
 // TraceRecord is one generated packet of a trace (see internal/trace).

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ofar/internal/network"
 )
 
 // testWorkload is the shared four-kind job mix: 30 of the h=2 network's 72
@@ -168,7 +170,7 @@ func TestTraceRecordReplayDigest(t *testing.T) {
 	})
 	t.Run("jobs-faulted", func(t *testing.T) {
 		cfg := DefaultConfig(2)
-		fs, err := ParseFaults("link@300:3:2")
+		fs, err := network.ParseFaults("link@300:3:2")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +239,7 @@ func TestJobStatsConservation(t *testing.T) {
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := DefaultConfig(2)
-			fs, err := ParseFaults("link@400:3:2,router@700:9")
+			fs, err := network.ParseFaults("link@400:3:2,router@700:9")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,25 +345,30 @@ func TestJobSetSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunInterferenceSmoke: interference is a shared job-set experiment plus
+// one experiment per job alone, the other jobs' loads zeroed: each alone run
+// keeps the job's row (same placement, same label) and gives a positive p99
+// slowdown.
 func TestRunInterferenceSmoke(t *testing.T) {
-	w, err := ParseWorkload("a2a:12@0.5,ring:12@0.2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(2)
-	res, err := RunInterference(cfg, w, 1.0, 300, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != len(w.Jobs) {
-		t.Fatalf("got %d interference points, want %d", len(res.Points), len(w.Jobs))
-	}
-	for i, p := range res.Points {
-		if p.Job != res.Shared.Jobs[i].Job {
-			t.Errorf("point %d labeled %q, shared row is %q", i, p.Job, res.Shared.Jobs[i].Job)
+	run := func(jobs string) []JobResult {
+		r, err := Experiment{H: 2, Jobs: jobs, Warmup: 300, Measure: 600}.Resolve()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.SlowdownP99 <= 0 {
-			t.Errorf("job %s: non-positive p99 slowdown %v (alone p99 %v)", p.Job, p.SlowdownP99, p.AloneP99)
+		res, err := r.Run(1.0, SweepOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Jobs
+	}
+	shared := run("a2a:12@0.5,ring:12@0.2")
+	for i, jobs := range []string{"a2a:12@0.5,ring:12@0", "a2a:12@0,ring:12@0.2"} {
+		alone := run(jobs)
+		if alone[i].Job != shared[i].Job {
+			t.Errorf("alone run %d labeled %q, shared row is %q", i, alone[i].Job, shared[i].Job)
+		}
+		if slowdown := shared[i].P99Latency / alone[i].P99Latency; !(slowdown > 0) {
+			t.Errorf("job %s: non-positive p99 slowdown %v (alone p99 %v)", shared[i].Job, slowdown, alone[i].P99Latency)
 		}
 	}
 }
