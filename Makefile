@@ -31,7 +31,7 @@ cover:
 LOC_COUNT = find $$d $$([ $$d = cmd ] || [ $$d = examples ] || echo -maxdepth 1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 loc:
-	@for d in internal/network internal/router internal/routing internal/core internal/simcore internal/stats internal/topology internal/traffic internal/service . cmd cmd/experiments examples; do \
+	@for d in internal/network internal/router internal/routing internal/core internal/simcore internal/stats internal/topology internal/traffic internal/service internal/cli . cmd cmd/experiments examples; do \
 		printf '%-18s %6d\n' $$d $$($(LOC_COUNT)); \
 	done
 

@@ -17,7 +17,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,28 +27,20 @@ import (
 	"strings"
 
 	"ofar"
+	"ofar/internal/cli"
 	"ofar/internal/plot"
 	"ofar/internal/topology"
 )
 
 // scale is what every figure run shares: the flags and the output streams.
 type scale struct {
-	h, warmup, measure, points int
-	burst                      int // packets per node in fig7
-	seed                       uint64
-	workers                    int // intra-network pool workers (0/1 = no pool)
-	faults                     []ofar.Fault
-	svgDir                     string // when non-empty, write an SVG per figure
-	ckptDir, restDir           string // when non-empty, write/restore per-point warm snapshots here
-	out, log                   io.Writer
+	*cli.Run
+	points, burst int    // load points per sweep, packets per node in fig7
+	svgDir        string // when non-empty, write an SVG per figure
+	out, log      io.Writer
 }
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("experiments", run) }
 
 // failure carries an error from check to run, out of the figure being printed.
 type failure struct{ err error }
@@ -72,33 +63,24 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			err = f.err
 		}
 	}()
-	sc := scale{out: stdout, log: stderr}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	sc := scale{Run: cli.BindRun(fs), out: stdout, log: stderr}
 	fig := fs.String("fig", "all", "figure to regenerate: fig2b,fig3,fig4,fig5,fig6,fig7,fig8,fig9,bounds,all; extensions: stencil,fig9m,degradation,interference")
-	fs.IntVar(&sc.h, "h", 3, "dragonfly parameter h (6 = paper scale)")
-	fs.IntVar(&sc.warmup, "warmup", 3000, "warm-up cycles per point")
-	fs.IntVar(&sc.measure, "measure", 5000, "measurement cycles per point")
 	fs.IntVar(&sc.burst, "burst", 100, "burst size per node for fig7 (paper: 2000)")
-	fs.Uint64Var(&sc.seed, "seed", 1, "random seed")
 	fs.IntVar(&sc.points, "points", 8, "load points per sweep")
 	fs.StringVar(&sc.svgDir, "svg", "", "directory to write one SVG chart per figure (optional)")
-	fs.IntVar(&sc.workers, "workers", 0, "pool workers per network, stealing whole dragonfly groups (0/1 = no pool; bit-identical results, useful at h=6)")
-	faults := fs.String("faults", "", "fault schedule added to every run: a JSON file of Fault objects, or inline like link@5000:12:7")
-	fs.StringVar(&sc.ckptDir, "checkpoint", "", "directory to write per-point warm snapshots into (reuse with -restore)")
-	fs.StringVar(&sc.restDir, "restore", "", "directory of warm snapshots: steady-state points found there skip warmup, bit-identically")
-	if err = fs.Parse(args); err != nil {
+	if err = sc.Parse(args); err != nil {
 		return err
 	}
-	if *faults != "" {
-		sc.faults, err = ofar.LoadFaults(*faults)
-		check(err)
+	if sc.points < 1 {
+		return fmt.Errorf("-points %d: want ≥ 1", sc.points)
 	}
 	if sc.svgDir != "" {
 		check(os.MkdirAll(sc.svgDir, 0o755))
 	}
 	name, found := strings.ToLower(*fig), false
-	for _, f := range ofar.PaperFigures(sc.h, sc.warmup) {
+	for _, f := range ofar.PaperFigures(sc.H, sc.Warmup) {
 		if f.ID != name && (name != "all" || f.Extension) {
 			continue
 		}
@@ -130,7 +112,6 @@ func (sc *scale) printf(format string, a ...any) { fmt.Fprintf(sc.out, format, a
 // -seed, -workers, -faults and -burst, the flags' windows (-warmup 0 is 0
 // cycles) and the warm cache of -checkpoint/-restore: res[panel][series*loads+load].
 func (sc *scale) results(f ofar.Figure, loads int) [][]ofar.PointResult {
-	opt := ofar.SweepOptions{CheckpointDir: sc.ckptDir, RestoreDir: sc.restDir}
 	res, restored := make([][]ofar.PointResult, len(f.Panels)), 0
 	for pi, p := range f.Panels {
 		for _, s := range f.Series {
@@ -138,16 +119,15 @@ func (sc *scale) results(f ofar.Figure, loads int) [][]ofar.PointResult {
 			if e.Config != nil {
 				cfg = *e.Config
 			}
-			cfg.Workers, cfg.Faults = sc.workers, slices.Concat(cfg.Faults, sc.faults)
-			e.Config, e.Seed, e.Pattern, e.Transient, e.Burst = &cfg, &sc.seed, p.Pattern, p.Transient, p.Burst
+			cfg.Workers, cfg.Faults = sc.Workers, slices.Concat(cfg.Faults, sc.Faults)
+			e.Config, e.Seed, e.Pattern, e.Transient, e.Burst = &cfg, &sc.Seed, p.Pattern, p.Transient, p.Burst
 			if p.Burst != nil {
 				e.Burst = &ofar.Burst{PerNode: sc.burst, MaxCycles: p.Burst.MaxCycles}
 			}
-			r, err := e.Resolve()
+			r, err := sc.Resolve(e)
 			check(err)
-			r.Warmup, r.Measure = sc.warmup, sc.measure
 			for j := range loads {
-				pt, err := r.Run(p.Load*float64(j+1)/float64(loads), opt)
+				pt, err := r.Run(p.Load*float64(j+1)/float64(loads), sc.SweepOptions)
 				check(err)
 				res[pi] = append(res[pi], pt)
 				if pt.Restored {
@@ -156,9 +136,9 @@ func (sc *scale) results(f ofar.Figure, loads int) [][]ofar.PointResult {
 			}
 		}
 	}
-	if sc.ckptDir != "" || sc.restDir != "" {
+	if sc.CheckpointDir != "" || sc.RestoreDir != "" {
 		fmt.Fprintf(sc.log, "experiments: %s: warm cache: %d point(s) restored (%d warmup cycles skipped)\n",
-			f.ID, restored, restored*sc.warmup)
+			f.ID, restored, restored*sc.Warmup)
 	}
 	return res
 }
@@ -225,21 +205,21 @@ func sweepFigure(sc *scale, f ofar.Figure, res [][]ofar.PointResult) {
 // bounds prints the §III analytic throughput ceilings next to measured
 // saturation values.
 func bounds(sc *scale, f ofar.Figure, res [][]ofar.PointResult) {
-	d, err := topology.NewBalanced(sc.h) // the network of DefaultConfig(h)
+	d, err := topology.NewBalanced(sc.H) // the network of DefaultConfig(h)
 	check(err)
-	sc.printf("network: h=%d, %d nodes, %d routers, %d groups\n", sc.h, d.Nodes, d.Routers, d.G)
+	sc.printf("network: h=%d, %d nodes, %d routers, %d groups\n", sc.H, d.Nodes, d.Routers, d.G)
 	sc.printf("MIN worst case (group->group): analytic %.4f\n", d.MinGlobalWorstCaseThroughput())
 	sc.printf("MIN worst case (router->router local): analytic %.4f\n", d.MinLocalWorstCaseThroughput())
 	sc.printf("VAL global-link bound: %.3f\n", d.ValiantThroughputBound())
 	sc.printf("VAL ADV+h local l2 cap: analytic %.4f (1/h = %.4f)\n",
-		d.AdvValiantLocalCap(sc.h), d.ValiantLocalSaturationBound())
+		d.AdvValiantLocalCap(sc.H), d.ValiantLocalSaturationBound())
 	sc.printf("measured: %s ADV+h saturation %.4f, %s ADV+h saturation %.4f\n",
 		f.Series[0].Label, res[0][0].Throughput, f.Series[1].Label, res[0][1].Throughput)
 }
 
 // fig2b: VAL saturation throughput versus ADV offset.
 func fig2b(sc *scale, f ofar.Figure, res [][]ofar.PointResult) {
-	d, err := topology.NewBalanced(sc.h)
+	d, err := topology.NewBalanced(sc.H)
 	check(err)
 	sc.printf("%-8s %-12s %-12s\n", "offset", "throughput", "analytic-cap")
 	ch := &plot.Chart{Title: "Fig. 2b — VAL throughput vs ADV offset", XLabel: "group offset N", YLabel: "saturation throughput"}

@@ -56,6 +56,10 @@ func main() {
 		retries   = flag.Int("retries", 3, "attempts per request when shed with 429 (Retry-After honored between attempts)")
 	)
 	flag.Parse()
+	if err := checkWindows(*warmup, *measure); err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		os.Exit(1)
+	}
 
 	// Accept the same bare host:port (or :port) form sweepd's -addr takes.
 	if !strings.Contains(*addr, "://") {
@@ -179,6 +183,15 @@ func main() {
 			fmt.Println("  " + sc.Text())
 		}
 	}
+}
+
+// checkWindows refuses windows a request cannot carry: a 0 is left out of
+// the request body, so sweepd would run its default window instead.
+func checkWindows(warmup, measure int) error {
+	if warmup < 1 || measure < 1 {
+		return fmt.Errorf("-warmup %d / -measure %d: want ≥ 1 (a 0 is omitted from the request and sweepd runs its 3000/5000-cycle default)", warmup, measure)
+	}
+	return nil
 }
 
 // quantile is the nearest-rank q-quantile of sorted, the ceil(q·n)-th order

@@ -40,3 +40,22 @@ func TestQuantileNearestRank(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckWindows: a window below 1 is refused before any request is sent —
+// a 0 would be omitted from the body and silently run sweepd's default.
+func TestCheckWindows(t *testing.T) {
+	for _, c := range []struct {
+		warmup, measure int
+		ok              bool
+	}{
+		{1000, 1000, true},
+		{1, 1, true},
+		{0, 1000, false},
+		{1000, 0, false},
+		{-1, 1000, false},
+	} {
+		if err := checkWindows(c.warmup, c.measure); (err == nil) != c.ok {
+			t.Errorf("checkWindows(%d, %d) = %v, want ok=%v", c.warmup, c.measure, err, c.ok)
+		}
+	}
+}

@@ -19,14 +19,10 @@ import (
 	"strings"
 
 	"ofar"
+	"ofar/internal/cli"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintf(os.Stderr, "ofarsim: %v\n", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("ofarsim", run) }
 
 // run parses args, simulates one point and prints its report to stdout;
 // warnings and the warm-cache note go to stderr.
@@ -34,36 +30,24 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	pol := ofar.DefaultOFARConfig()
 	fs := flag.NewFlagSet("ofarsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	p := cli.BindPoint(fs)
 	var (
-		h        = fs.Int("h", 3, "dragonfly parameter h (balanced: p=h, a=2h, max groups)")
 		groups   = fs.Int("groups", 0, "group count (0 = maximum size a*h+1)")
-		routing  = fs.String("routing", "OFAR", "routing mechanism: MIN, VAL, PB, UGAL-L, PAR, OFAR, OFAR-L")
-		pattern  = fs.String("pattern", "UN", "traffic pattern: UN, ADV+<n>, MIX1, MIX2, MIX3")
 		load     = fs.Float64("load", 0.3, "offered load in phits/(node*cycle)")
-		warmup   = fs.Int("warmup", 3000, "warm-up cycles")
-		measure  = fs.Int("measure", 5000, "measurement cycles")
 		ring     = fs.String("ring", "physical", "escape ring: none, physical, embedded")
 		rings    = fs.Int("rings", 1, "number of escape rings")
-		seed     = fs.Uint64("seed", 1, "random seed")
 		nonMin   = fs.Float64("nonmin-factor", pol.NonMinFactor, "OFAR variable threshold factor")
 		static   = fs.Float64("static-th", pol.StaticNonMin, "OFAR static non-minimal threshold (<0 = the paper's §V variable policy: Th_min 0, Th_non-min = nonmin-factor·Q_min)")
 		escapeTO = fs.Int("escape-timeout", pol.EscapeTimeout, "blocked cycles before requesting the escape ring")
-		faults   = fs.String("faults", "", "fault schedule: a JSON file of Fault objects, or inline like link@5000:12:7,router@20000:3")
-		workers  = fs.Int("workers", 0, "intra-cycle workers: a persistent pool steals whole dragonfly groups each window (0/1 = no pool; results are bit-identical)")
-		ckpt     = fs.String("checkpoint", "", "directory to write the post-warmup snapshot into (reuse with -restore)")
-		restore  = fs.String("restore", "", "directory of warm snapshots: a snapshot of this point found there skips warmup, bit-identically (stale entries re-warm)")
-		jobs     = fs.String("jobs", "", "job-level workload instead of -pattern: kind:size@load[,...] with kinds stencil (size XxYxZ), a2a, ring, ps; -load scales every job")
-		jobMap   = fs.String("jobmap", "linear", "job placement: linear (consecutive nodes) or random (seeded permutation)")
-		bg       = fs.Float64("bg", 0, "uniform background load on nodes no job occupies")
 		traceOut = fs.String("trace-out", "", "record every generated packet to this trace file")
 		traceIn  = fs.String("trace-in", "", "replay a trace file instead of generating traffic (overrides -pattern/-jobs/-load)")
 		quiet    = fs.Bool("q", false, "print a single CSV row instead of the report")
-		confPath = fs.String("config", "", "load the full network config from a JSON file (overrides topology/router flags)")
+		confPath = fs.String("config", "", "load the full network config from a JSON file (overrides the topology, router and routing flags; -workers and -faults override the file)")
 		dumpConf = fs.Bool("dump-config", false, "print the effective config as JSON and exit")
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = fs.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := p.Parse(args); err != nil {
 		return err
 	}
 	given := map[string]bool{}
@@ -94,49 +78,35 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	// Flags → one Experiment → Resolve: the routing conventions, validation
-	// and pattern|jobs parsing are the resolver's. -load and the windows stay
-	// flags (-load doubles as the job scale; an explicit 0 means 0 cycles).
-	exp := ofar.Experiment{Jobs: *jobs, JobMap: *jobMap, Background: *bg}
-	if *jobs == "" {
-		exp.Pattern = *pattern
-	}
-	var base ofar.Config
+	// and pattern|jobs parsing are the resolver's.
 	if *confPath != "" {
 		// The file is the whole network description; only an explicit
-		// -workers overrides it (wall-clock only, never results).
-		if base, err = ofar.LoadConfig(*confPath); err != nil {
+		// -workers (wall-clock only, never results) or -faults overrides it.
+		if p.Config, err = ofar.LoadConfig(*confPath); err != nil {
 			return err
 		}
 		if given["workers"] {
-			base.Workers = *workers
+			p.Config.Workers = p.Workers
 		}
+		if p.Faults != nil {
+			p.Config.Faults = p.Faults
+		}
+		p.Experiment.Routing = ""
 	} else {
-		base = ofar.DefaultConfig(*h)
-		base.Groups = *groups
-		base.Seed = *seed
-		base.OFAR = ofarPolicy(given, *nonMin, *static, *escapeTO)
+		p.Config.Groups = *groups
+		p.Config.OFAR = ofarPolicy(given, *nonMin, *static, *escapeTO)
 		mode, ok := map[string]ofar.RingMode{
 			"none": ofar.RingNone, "physical": ofar.RingPhysical, "embedded": ofar.RingEmbedded,
 		}[strings.ToLower(*ring)]
 		if !ok {
 			return fmt.Errorf("unknown ring mode %q", *ring)
 		}
-		base.Ring = mode
-		base.NumRings = *rings
-		base.Workers = *workers
-		exp.Routing = *routing
+		p.Config.Ring, p.Config.NumRings = mode, *rings
 	}
-	if *faults != "" {
-		if base.Faults, err = ofar.LoadFaults(*faults); err != nil {
-			return err
-		}
-	}
-	exp.Config = &base
-	r, err := exp.Resolve()
+	r, err := p.Resolve(*load)
 	if err != nil {
 		return err
 	}
-	r.Warmup, r.Measure = *warmup, *measure
 	cfg := r.Config
 	if *dumpConf {
 		data, err := ofar.ConfigToJSON(cfg)
@@ -151,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	// trace recorded by this build reproduces its run's grant digest
 	// bit-identically, which is what the printed digest line is for.
 	if *traceIn != "" {
-		if *jobs != "" || *ckpt != "" || *restore != "" {
+		if p.Experiment.Jobs != "" || p.CheckpointDir != "" || p.RestoreDir != "" {
 			return errors.New("-trace-in composes with none of -jobs, -checkpoint, -restore")
 		}
 		recs, engine, err := ofar.LoadTrace(*traceIn)
@@ -185,18 +155,16 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if r.Jobs != nil && !given["load"] {
 		*load = 1
 	}
-	res, err := r.Run(*load, ofar.SweepOptions{CheckpointDir: *ckpt, RestoreDir: *restore, Record: *traceOut != ""})
+	p.Record = *traceOut != ""
+	res, err := r.Run(*load, p.SweepOptions)
 	if err != nil {
 		return fmt.Errorf("simulation failed: %w", err)
 	}
-	if *ckpt != "" || *restore != "" {
-		restored := 0
-		if res.Restored {
-			restored = 1
-		}
-		fmt.Fprintf(stderr, "ofarsim: warm cache: %d point(s) restored (%d warmup cycles skipped), %d warmed (%d cycles)\n",
-			restored, restored*r.Warmup, 1-restored, (1-restored)*r.Warmup)
+	restored := 0
+	if res.Restored {
+		restored = 1
 	}
+	p.CacheNote(stderr, 1, restored)
 	if *traceOut != "" {
 		if err := ofar.SaveTrace(*traceOut, res.Trace); err != nil {
 			return fmt.Errorf("writing trace %s: %w", *traceOut, err)

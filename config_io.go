@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"ofar/internal/network"
 )
 
 // ConfigToJSON serializes a configuration with stable, human-editable
@@ -36,18 +34,4 @@ func LoadConfig(path string) (Config, error) {
 		return Config{}, err
 	}
 	return ConfigFromJSON(data)
-}
-
-// LoadFaults resolves a -faults argument: a path to a JSON file holding an
-// array of Fault objects, or (when no such file exists) an inline schedule
-// like "link@5000:12:7,router@20000:3".
-func LoadFaults(pathOrSpec string) ([]Fault, error) {
-	if data, err := os.ReadFile(pathOrSpec); err == nil {
-		var fs []Fault
-		if err := json.Unmarshal(data, &fs); err != nil {
-			return nil, fmt.Errorf("ofar: parsing fault file %s: %w", pathOrSpec, err)
-		}
-		return fs, nil
-	}
-	return network.ParseFaults(pathOrSpec)
 }

@@ -134,8 +134,9 @@ func ParsePattern(s string, h int) (PatternSpec, error) {
 	case up == "UN" || up == "UNIFORM":
 		return Uniform(), nil
 	case strings.HasPrefix(up, "ADV+"):
-		n, err := strconv.Atoi(up[len("ADV+"):])
-		if err != nil || n < 1 {
+		off := up[len("ADV+"):]
+		n, err := strconv.Atoi(off)
+		if err != nil || n < 1 || off[0] == '+' { // Atoi takes a sign; an offset is digits
 			return PatternSpec{}, fmt.Errorf("ofar: bad ADV offset in %q", s)
 		}
 		return Adv(n), nil
@@ -149,7 +150,7 @@ func ParsePattern(s string, h int) (PatternSpec, error) {
 		return PatternSpec{kind: patternShuffle, label: "SHUFFLE"}, nil
 	case up == "TORNADO":
 		return PatternSpec{kind: patternTornado, label: "TORNADO"}, nil
-	case strings.HasPrefix(up, "PERM"):
+	case up == "PERM":
 		return permutation(uint64(h) + 1), nil
 	}
 	return PatternSpec{}, fmt.Errorf("ofar: unknown pattern %q (want UN, ADV+<n>, MIX1..3, BITCOMP, BITREV, SHUFFLE, TORNADO, PERM)", s)

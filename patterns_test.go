@@ -20,6 +20,9 @@ func TestParsePattern(t *testing.T) {
 		{"MIX4", "", false},
 		{"", "", false},
 		{"bogus", "", false},
+		{"ADV++2", "", false},
+		{"PERMANENT", "", false},
+		{"perm", "PERM(4)", true},
 	}
 	for _, c := range cases {
 		ps, err := ParsePattern(c.in, 3)
