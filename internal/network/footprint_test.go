@@ -65,6 +65,38 @@ func memDelta(f func()) (live, allocated float64) {
 	return (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / (1 << 20), allocated
 }
 
+// allocBytes returns the bytes one call of f allocates, averaged over runs
+// calls after a warm-up call, as testing.AllocsPerRun counts allocations.
+func allocBytes(runs int, f func()) float64 {
+	f()
+	_, mb := memDelta(func() {
+		for range runs {
+			f()
+		}
+	})
+	return mb * (1 << 20) / float64(runs)
+}
+
+// imageIOBytes returns, in KB, what one Snapshot of n into a bytes.Buffer
+// that already has room for it allocates, and what one repeat Restore of
+// snap into n allocates.
+func imageIOBytes(t testing.TB, n *Network, snap []byte) (snapKB, restoreKB float64) {
+	t.Helper()
+	roomy := bytes.NewBuffer(make([]byte, 0, 2*len(snap)))
+	snapKB = allocBytes(3, func() {
+		roomy.Reset()
+		if err := n.Snapshot(roomy); err != nil {
+			t.Fatal(err)
+		}
+	}) / 1024
+	restoreKB = allocBytes(3, func() {
+		if err := n.Restore(bytes.NewReader(snap)); err != nil {
+			t.Fatal(err)
+		}
+	}) / 1024
+	return snapKB, restoreKB
+}
+
 // arenaBytes is the memory the slabs of a network's group arenas occupy,
 // by part (see router.ArenaSize.Bytes): queue slots, VC buffers, arbiter
 // ranks, ports, request slots and scratch, then the total.
@@ -88,21 +120,26 @@ func arenaBytes(n *Network) (parts [6]int, total int) {
 // the live heap of a network run 1,000 cycles of ADV+h at load 0.5, where
 // packets and wheel events outweigh the arenas; at h=3 it is bounded within
 // 3.5 MB (5.2 with 152-byte packets and 24-byte events, 3.65 with 24-byte
-// events alone). It prints the footprint table docs/ARCHITECTURE.md quotes
+// events alone). The snap and restore columns are the bytes one Snapshot
+// of the UN network into a bytes.Buffer with room allocates and one repeat
+// Restore of its image allocates; at h=3 they are bounded within 40 KB and
+// 16 KB (283 and 144 when Restore copied the image and Snapshot encoded the
+// payload apart). It prints the footprint table docs/ARCHITECTURE.md quotes
 // (`make footprint`): the arenas' state, total and per slab, the heap after
-// New, the warm snapshot and the warm heap.
+// New, the warm snapshot, the warm heap and the snapshot I/O.
 func TestConstructFootprint(t *testing.T) {
 	stateBound := map[int]float64{3: 0.8, 6: 12.5}
 	bound := map[int]float64{3: 1.1, 6: 15}
 	snapBound := map[int]float64{3: 0.7 / 3, 6: 13.4 / 3}
 	warmBound := map[int]float64{3: 3.5}
+	snapIOBound, restoreIOBound := map[int]float64{3: 40}, map[int]float64{3: 16}
 	hs := []int{2, 3, 6, 8}
 	if testing.Short() {
 		hs = hs[:2]
 	}
 	const mb = 1 << 20
-	t.Logf("%2s %8s %9s %7s %7s %7s %7s %7s %7s %8s %12s %8s", "h", "routers", "state MB",
-		"queues", "VCs", "arbiter", "ports", "reqs", "scratch", "heap MB", "snapshot MB", "warm MB")
+	t.Logf("%2s %8s %9s %7s %7s %7s %7s %7s %7s %8s %12s %8s %8s %10s", "h", "routers", "state MB",
+		"queues", "VCs", "arbiter", "ports", "reqs", "scratch", "heap MB", "snapshot MB", "warm MB", "snap KB", "restore KB")
 	for _, h := range hs {
 		cfg := DefaultConfig(h)
 		if h == 8 {
@@ -116,6 +153,7 @@ func TestConstructFootprint(t *testing.T) {
 		n.Run(1000)
 		snap := snapshotBytes(t, n)
 		snapMB := float64(len(snap)) / mb
+		snapKB, restoreKB := imageIOBytes(t, n, snap)
 		n.Close()
 		warm, warmCol := 0.0, "-"
 		if h == 3 || h == 6 {
@@ -126,9 +164,9 @@ func TestConstructFootprint(t *testing.T) {
 			})
 			warmCol = fmt.Sprintf("%.2f", warm)
 		}
-		t.Logf("%2d %8d %9.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %8.1f %12.2f %8s", h, len(n.Routers), state,
+		t.Logf("%2d %8d %9.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %8.1f %12.2f %8s %8.1f %10.1f", h, len(n.Routers), state,
 			float64(parts[0])/mb, float64(parts[1])/mb, float64(parts[2])/mb, float64(parts[3])/mb,
-			float64(parts[4])/mb, float64(parts[5])/mb, heap, snapMB, warmCol)
+			float64(parts[4])/mb, float64(parts[5])/mb, heap, snapMB, warmCol, snapKB, restoreKB)
 		if max, ok := stateBound[h]; ok && state > max {
 			t.Errorf("h=%d: the arenas take %.1f MB, want ≤ %.1f", h, state, max)
 		}
@@ -140,6 +178,12 @@ func TestConstructFootprint(t *testing.T) {
 		}
 		if max, ok := warmBound[h]; ok && warm > max {
 			t.Errorf("h=%d: a warm ADV+%d network holds %.1f MB, want ≤ %.1f", h, h, warm, max)
+		}
+		if max, ok := snapIOBound[h]; ok && snapKB > max {
+			t.Errorf("h=%d: a Snapshot into a buffer with room allocates %.1f KB, want ≤ %.0f", h, snapKB, max)
+		}
+		if max, ok := restoreIOBound[h]; ok && restoreKB > max {
+			t.Errorf("h=%d: a repeat Restore allocates %.1f KB, want ≤ %.0f", h, restoreKB, max)
 		}
 		n.Close()
 	}
@@ -189,11 +233,17 @@ func TestVCQueuesStayOnArena(t *testing.T) {
 	}
 }
 
-// TestRestoreAllocs pins the restore path's allocation count — one image
-// buffer, one packet block, a handful of small slices; 2,277 when every
-// packet was its own object behind a map — and that restoring twice into one
-// network (the reused wheel, the re-initialised rings) lands exactly where a
-// fresh restore does, now and 200 cycles on.
+// TestRestoreAllocs pins the restore path's allocation count — a handful
+// of small slices; 2,277 when every packet was its own object behind a map —
+// and its bytes: a repeat restore of the 121.5 KB image decodes where the
+// bytes lie into the network's own packet table and allocates ≤ 16 KB (it
+// takes 3; 144 KB when Restore copied the image first and made a table per
+// call). A Snapshot into a bytes.Buffer that already has room allocates no
+// image-sized buffer, at most half the image (38 KB, the packet table; 283
+// KB when the payload was encoded apart and written behind the header). It
+// also checks that restoring twice into one network (the reused wheel and
+// packet table, the re-initialised rings) lands exactly where a fresh
+// restore does, now and 200 cycles on.
 func TestRestoreAllocs(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Seed = 7
@@ -220,6 +270,13 @@ func TestRestoreAllocs(t *testing.T) {
 	twice.Run(137) // leave the first restore's state well behind
 	if allocs := testing.AllocsPerRun(5, func() { restore(twice) }); allocs > 100 {
 		t.Errorf("Restore of a warm h=3 image: %.0f allocs, want ≤ 100", allocs)
+	}
+	snapKB, restoreKB := imageIOBytes(t, twice, snap)
+	if restoreKB > 16 {
+		t.Errorf("Restore of a warm h=3 image: %.1f KB allocated, want ≤ 16", restoreKB)
+	}
+	if img := float64(len(snap)) / 1024; snapKB > img/2 {
+		t.Errorf("Snapshot into a bytes.Buffer with room: %.1f KB allocated for a %.1f KB image, want ≤ half of it", snapKB, img)
 	}
 	restore(fresh)
 	expectSameState(t, "second restore", twice, fresh)
@@ -257,8 +314,8 @@ func TestRestoreBoundsPacketBlock(t *testing.T) {
 // packet table, then a count of packets and pad zero bytes past it.
 func hostilePacketCount(t testing.TB, n *Network, count int64, pad int) []byte {
 	t.Helper()
-	var cold, marker simcore.Enc
-	n.state(simcore.Encoder(&cold))
+	var marker simcore.Enc
+	cold := n.encode()
 	// A cold network has no packets: find its empty table by what surrounds
 	// the zero count — the pending-queue section (a queue count, a one-byte
 	// zero length per queue) and the ring count behind it.
@@ -266,12 +323,12 @@ func hostilePacketCount(t testing.TB, n *Network, count int64, pad int) []byte {
 	marker.Varint(int64(len(n.pending)))
 	marker.Raw(make([]byte, len(n.pending)))
 	marker.Varint(int64(len(n.Rings)))
-	table := bytes.Index(cold.Data(), marker.Data())
+	table := bytes.Index(cold, marker.Data())
 	if table < 0 {
 		t.Fatal("packet table not found in a cold payload")
 	}
 	var payload simcore.Enc
-	payload.Raw(cold.Data()[:table])
+	payload.Raw(cold[:table])
 	payload.Varint(count)
 	payload.Raw(make([]byte, pad))
 	return snapImage(t, n, payload.Data())
@@ -308,12 +365,13 @@ func TestSnapPacketBytes(t *testing.T) {
 	}
 	n.Run(300)
 	const widest = 19*binary.MaxVarintLen64 + 3
-	tab := n.packetTable()
-	if len(tab.Pkts) == 0 {
+	tab := packet.NewTable(n.forEachPacket)
+	if tab.Len() == 0 {
 		t.Fatal("no packets in flight")
 	}
 	prev := packet.ID(0)
-	for _, p := range tab.Pkts {
+	for i := range tab.Len() {
+		p := tab.At(i)
 		var e simcore.Enc
 		n.packetState(simcore.Encoder(&e), p, prev)
 		if l := len(e.Data()); l < snapPacketMin || l > widest {

@@ -143,6 +143,7 @@ type Network struct {
 	// a shared allocator, and block-carve locality follows the group.
 	pool  packet.Pool
 	poolG []packet.Pool
+	tab   packet.Table // Restore's position → packet table, empty between decodes
 
 	// trafficRNG[g] is group g's traffic stream, derived deterministically
 	// from the run seed (one stream per dragonfly group). Nodes of group g

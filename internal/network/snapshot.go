@@ -115,25 +115,25 @@ func SnapshotConfigJSON(c Config) ([]byte, error) {
 }
 
 // Snapshot writes the network's full simulation state to w. The image is
-// deterministic: the same state always produces the same bytes.
+// deterministic: the same state always produces the same bytes. It is
+// encoded once, header and payload in one buffer — w's own spare capacity
+// when w is a *bytes.Buffer — and written in one Write.
 func (n *Network) Snapshot(w io.Writer) error {
 	cfgJSON, err := json.Marshal(normalizeConfig(n.Cfg))
 	if err != nil {
 		return fmt.Errorf("network: snapshot config: %w", err)
 	}
-	data := n.encode()
-
-	var hdr simcore.Enc
-	hdr.Raw([]byte(snapMagic))
-	hdr.U64(SnapshotVersion)
-	hdr.U64(EngineDigest())
-	hdr.Bytes(cfgJSON)
-	hdr.U64(simcore.Checksum64(data))
-	hdr.Int(len(data)) // with data behind it: the payload as a byte string
-	for _, b := range [][]byte{hdr.Data(), data} {
-		if _, err := w.Write(b); err != nil {
-			return fmt.Errorf("network: snapshot write: %w", err)
-		}
+	tab := packet.NewTable(n.forEachPacket)
+	hdr := len(snapMagic) + 5*8 + len(cfgJSON) // version, digest, config length, checksum, payload length
+	err = simcore.WriteImage(w, hdr+n.imageSize(tab), func(e *simcore.Enc) {
+		e.Raw([]byte(snapMagic))
+		e.U64(SnapshotVersion)
+		e.U64(EngineDigest())
+		e.Bytes(cfgJSON)
+		e.Sealed(func() { n.state(simcore.Encoder(e), tab) }) // checksum, length, payload
+	})
+	if err != nil {
+		return fmt.Errorf("network: snapshot write: %w", err)
 	}
 	return nil
 }
@@ -145,21 +145,15 @@ func (n *Network) Snapshot(w io.Writer) error {
 // snapshot carries generator state. Corrupt or truncated input is detected
 // (checksum before any mutation, bounds checks after) and returns an error —
 // never a panic. If Restore returns an error after the checksum passed, the
-// network's state is unspecified: discard it.
+// network's state is unspecified: discard it. A *bytes.Reader or
+// *bytes.Buffer is decoded where its bytes lie (simcore.ReadImage); any
+// other reader is read whole first.
 func (n *Network) Restore(r io.Reader) error {
-	var raw []byte
-	var err error
-	if l, ok := r.(interface{ Len() int }); ok {
-		// bytes.Reader, bytes.Buffer: one buffer of exactly the image's size
-		// instead of ReadAll's doubling.
-		raw = make([]byte, l.Len())
-		_, err = io.ReadFull(r, raw)
-	} else {
-		raw, err = io.ReadAll(r)
-	}
-	if err != nil {
-		return fmt.Errorf("network: restore read: %w", err)
-	}
+	return simcore.ReadImage(r, n.restore)
+}
+
+// restore decodes one whole image; nothing it keeps aliases raw.
+func (n *Network) restore(raw []byte) error {
 	d := simcore.NewDec(raw)
 	magic := d.Raw(len(snapMagic))
 	if d.Err() == nil && string(magic) != snapMagic {
@@ -192,7 +186,7 @@ func (n *Network) Restore(r io.Reader) error {
 	if d.Remaining() != 0 {
 		return fmt.Errorf("network: %d trailing bytes after snapshot", d.Remaining())
 	}
-	if err := n.state(simcore.Decoder(simcore.NewDec(payload))); err != nil {
+	if err := n.state(simcore.Decoder(simcore.NewDec(payload)), &n.tab); err != nil {
 		return fmt.Errorf("network: restore: %w", err)
 	}
 	return nil
@@ -224,7 +218,7 @@ func (n *Network) Fork() (*Network, error) {
 	default:
 		m.SetGenerator(n.gen)
 	}
-	if err := m.state(simcore.Decoder(simcore.NewDec(payload))); err != nil {
+	if err := m.state(simcore.Decoder(simcore.NewDec(payload)), &m.tab); err != nil {
 		m.Close()
 		return nil, fmt.Errorf("network: fork: %w", err)
 	}
@@ -267,34 +261,29 @@ func (n *Network) forEachPacket(f func(*packet.Packet)) {
 	})
 }
 
-// packetTable returns every packet the state holds, once each, sorted by ID
-// for deterministic bytes. A committed packet can be referenced twice — by
-// the draining buffer that still holds it and by its in-flight arrival event
-// — and must decode to one object, which is why buffers, queues and events
-// store positions in this table.
-func (n *Network) packetTable() *packet.Table {
-	pkts := make([]*packet.Packet, 0, n.BufferedPackets()+n.PendingPackets()+n.wheel.Pending())
-	n.forEachPacket(func(p *packet.Packet) { pkts = append(pkts, p) })
-	return packet.NewTable(pkts)
-}
-
-// encode returns the snapshot payload: the state walk, encoding.
+// encode returns the snapshot payload: the state walk, encoding. Buffers,
+// queues and events store packets as positions in the packet table: a
+// committed packet can be referenced twice — by the draining buffer that
+// still holds it and by its in-flight arrival event — and must decode to one
+// object.
 func (n *Network) encode() []byte {
 	var e simcore.Enc
-	n.state(simcore.Encoder(&e)) // encoding never fails
+	tab := packet.NewTable(n.forEachPacket)
+	e.Grow(n.imageSize(tab))
+	n.state(simcore.Encoder(&e), tab) // encoding never fails
 	return e.Data()
 }
 
 // state is the snapshot payload, walked in one fixed order: Snapshot and Fork
-// encode it, Restore and Fork decode it. Decoding validates every index
-// against this network and rebuilds the derived state; on an error the
-// network's state is unspecified.
-func (n *Network) state(c *simcore.Codec) error {
+// encode it, Restore and Fork decode it. tab is the packet table: encoding
+// reads it, decoding fills it and empties it again on the way out, so it
+// pins no packet between restores. Decoding validates every index against
+// this network and rebuilds the derived state; on an error the network's
+// state is unspecified.
+func (n *Network) state(c *simcore.Codec, tab *packet.Table) error {
 	dec := c.Decoding()
-	tab := new(packet.Table)
-	if !dec {
-		tab = n.packetTable()
-		c.Grow(n.imageSize(tab))
+	if dec {
+		defer tab.Reset()
 	}
 
 	simcore.Int(c, &n.now)
@@ -400,7 +389,7 @@ func (n *Network) state(c *simcore.Codec) error {
 	}
 
 	// Bound the block by the input, not by a header field.
-	np := c.Records(len(tab.Pkts), maxSnapPackets, snapPacketMin)
+	np := c.Records(tab.Len(), maxSnapPackets, snapPacketMin)
 	if dec {
 		if err := c.Err(); err != nil {
 			return err
@@ -415,20 +404,22 @@ func (n *Network) state(c *simcore.Codec) error {
 				n.putPacket(p)
 			}
 		})
-		tab.Pkts = make([]*packet.Packet, np)
+		tab.Grow(np)
 	}
 	var in packet.Packet
 	var prev packet.ID
-	for i, p := range tab.Pkts {
-		if dec {
-			p = &in
+	for i := range np {
+		p := &in
+		if !dec {
+			p = tab.At(i)
 		}
 		if n.packetState(c, p, prev); dec {
 			if err := c.Err(); err != nil {
 				return err
 			}
-			tab.Pkts[i] = n.poolG[p.SrcGroup].GetBlank()
-			*tab.Pkts[i] = *p
+			q := n.poolG[p.SrcGroup].GetBlank()
+			*q = *p
+			tab.Add(q)
 		}
 		prev = p.ID
 	}
@@ -590,8 +581,8 @@ func (n *Network) imageSize(tab *packet.Table) int {
 	}
 	probe(len(n.Routers)*21/20, func() { n.Routers[0].State(c, tab, n.now) })
 	ev, delay := event{kind: evCredit, r: int32(len(n.Routers) - 1)}, n.wheel.Horizon()
-	if np := len(tab.Pkts); np > 0 {
-		ev.kind, ev.pkt = evArrive, tab.Pkts[np-1]
+	if np := tab.Len(); np > 0 {
+		ev.kind, ev.pkt = evArrive, tab.At(np-1)
 		probe(np, func() { n.packetState(c, ev.pkt, ev.pkt.ID-1) })
 		probe(n.PendingPackets(), func() { tab.Ref(c, &ev.pkt) })
 	}

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"ofar/internal/packet"
 	"ofar/internal/simcore"
@@ -310,7 +314,8 @@ func TestForkIndependence(t *testing.T) {
 
 // TestRestoreRejects exercises the refusal paths: wrong magic, wrong
 // version, flipped payload bits, truncation, config mismatch and trailing
-// garbage must all error out without panicking.
+// garbage must all error out without panicking, through every one of
+// imageReaders — decoded in place and read whole alike.
 func TestRestoreRejects(t *testing.T) {
 	cfg := snapCfg(1)
 	orig := snapNet(t, cfg, 0.6)
@@ -318,11 +323,17 @@ func TestRestoreRejects(t *testing.T) {
 	snap := snapshotBytes(t, orig)
 
 	fresh := func() *Network { return snapNet(t, cfg, 0.6) }
+	refuse := func(target func() *Network, label string, data []byte, want string) {
+		t.Helper()
+		for _, r := range imageReaders {
+			if err := target().Restore(r.open(t, data)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s through %s: got %v, want an error containing %q", label, r.name, err, want)
+			}
+		}
+	}
 	expectErr := func(label string, data []byte) {
 		t.Helper()
-		if err := fresh().Restore(bytes.NewReader(data)); err == nil {
-			t.Fatalf("%s: restore accepted corrupt input", label)
-		}
+		refuse(fresh, label, data, "")
 	}
 
 	bad := append([]byte(nil), snap...)
@@ -348,9 +359,7 @@ func TestRestoreRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	mis.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(mis.Topo), 0.6, other.PacketSize))
-	if err := mis.Restore(bytes.NewReader(snap)); err == nil {
-		t.Fatal("restore accepted a snapshot from a different configuration")
-	}
+	refuse(func() *Network { return mis }, "another seed", snap, "different configuration")
 
 	// Checksum-valid images whose state does not fit the network: each used
 	// to restore, and the next window panicked indexing past the state.
@@ -382,10 +391,10 @@ func TestRestoreRejects(t *testing.T) {
 	// before it (a zero ID delta).
 	stray := snapNet(t, cfg, 0.6)
 	stray.Run(120)
-	tab := stray.packetTable()
-	tab.Pkts[len(tab.Pkts)-1].ID = packet.ID(stray.pool.Outstanding() + 1)
+	tab := packet.NewTable(stray.forEachPacket)
+	tab.At(tab.Len() - 1).ID = packet.ID(stray.pool.Outstanding() + 1)
 	expectErr("packet ID never handed out", snapshotBytes(t, stray))
-	p := tab.Pkts[0]
+	p := tab.At(0)
 	var rec simcore.Enc
 	stray.packetState(simcore.Encoder(&rec), p, p.ID)
 	c := simcore.Decoder(simcore.NewDec(rec.Data()))
@@ -413,10 +422,7 @@ func TestRestoreRejects(t *testing.T) {
 		if err := fresh().Restore(bytes.NewReader(hostileRecord(t, snapNet(t, cfg, 0.6), c.which, c.good))); err != nil {
 			t.Errorf("%s: the walk's own value refused: %v", c.name, err)
 		}
-		err := fresh().Restore(bytes.NewReader(hostileRecord(t, snapNet(t, cfg, 0.6), c.which, c.bad)))
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
-		}
+		refuse(fresh, c.name, hostileRecord(t, snapNet(t, cfg, 0.6), c.which, c.bad), c.want)
 	}
 
 	// An image written while Config still had ParallelCutover and
@@ -429,9 +435,7 @@ func TestRestoreRejects(t *testing.T) {
 	hdr := d.Bytes(maxSnapCfgJSON)
 	old.Bytes(append(hdr[:len(hdr)-1:len(hdr)-1], `,"ParallelCutover":0,"DisableShardedGenerate":false}`...))
 	old.Raw(d.Raw(d.Remaining()))
-	if err := fresh().Restore(bytes.NewReader(old.Data())); err == nil || !strings.Contains(err.Error(), "different configuration") {
-		t.Fatalf("image with pre-removal config keys: got %v, want the config-mismatch error", err)
-	}
+	refuse(fresh, "image with pre-removal config keys", old.Data(), "different configuration")
 }
 
 // hostileUtilization returns an image of n, run 120 cycles, whose
@@ -465,14 +469,13 @@ const (
 func hostileRecord(t testing.TB, n *Network, which int, v int64) []byte {
 	t.Helper()
 	n.Run(120)
-	var payload simcore.Enc
-	n.state(simcore.Encoder(&payload))
-	img := payload.Data()
-	tab := n.packetTable()
+	img := n.encode()
+	tab := packet.NewTable(n.forEachPacket)
 	var recs [][]byte
 	if which <= packetDone {
 		prev := packet.ID(0)
-		for _, p := range tab.Pkts {
+		for i := range tab.Len() {
+			p := tab.At(i)
 			var e simcore.Enc
 			n.packetState(simcore.Encoder(&e), p, prev)
 			recs, prev = append(recs, e.Data()), p.ID
@@ -516,121 +519,178 @@ func hostileRecord(t testing.TB, n *Network, which int, v int64) []byte {
 	return nil
 }
 
+// pinnedSections is one warm h=2 network for every section a snapshot can
+// carry, with the FNV of its image recorded from an earlier build. Each run
+// also checks that the state it is there for is really in the image.
+var pinnedSections = []struct {
+	name string
+	want uint64
+	run  func(t *testing.T) *Network
+}{
+	{"OFAR", 0x49fed25ecfbef450, func(t *testing.T) *Network {
+		n := snapNet(t, snapCfg(1).WithRouting(OFAR), 0.6)
+		n.Run(400)
+		return n
+	}},
+	{"PB", 0x3cd86c69360fbb69, func(t *testing.T) *Network {
+		n := snapNet(t, snapCfg(1).WithRouting(PB), 0.6)
+		n.Run(400)
+		return n
+	}},
+	// Liveness masks, a physical ring spliced around the dead router,
+	// dropped packets and an affected-flow set.
+	{"router-fault", 0x7b580286b6a5ff1d, func(t *testing.T) *Network {
+		cfg := snapCfg(1)
+		cfg.Faults = []Fault{{Cycle: 100, Kind: FaultRouter, Router: 5}}
+		n := snapNet(t, cfg, 0.6)
+		n.Run(400)
+		if n.DeadRouters() != 1 || n.Stats.Dropped == 0 || n.Stats.AffectedFlows() == 0 {
+			t.Fatalf("dead routers %d, dropped %d, affected flows %d", n.DeadRouters(), n.Stats.Dropped, n.Stats.AffectedFlows())
+		}
+		return n
+	}},
+	{"embedded-2-rings", 0x7236f354fac9dda9, func(t *testing.T) *Network {
+		cfg := snapCfg(1)
+		cfg.Ring, cfg.NumRings = RingEmbedded, 2
+		n := snapNet(t, cfg, 0.6)
+		n.Run(400)
+		if len(n.Rings) != 2 {
+			t.Fatalf("%d rings", len(n.Rings))
+		}
+		return n
+	}},
+	// Per-slot emitted counters and per-job statistics.
+	{"jobset", 0xebf4b54077a3ce38, func(t *testing.T) *Network {
+		n := mustNet(t, snapCfg(1))
+		js, err := traffic.NewJobSet(n.Topo, traffic.JobSetConfig{
+			Jobs: []traffic.JobSpec{
+				{Kind: traffic.JobStencil, Nodes: 8, Load: 0.4, Dims: [3]int{2, 2, 2}},
+				{Kind: traffic.JobAll2All, Nodes: 24, Load: 0.5},
+			},
+			Background: 0.2, Seed: 3, PacketSize: n.Cfg.PacketSize,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.SetGenerator(js)
+		n.Run(200)
+		n.Stats.StartMeasurement(n.Now())
+		n.Run(200)
+		if n.Stats.Jobs() == 0 || js.Emitted(0) == 0 {
+			t.Fatalf("%d job slots, job 0 emitted %d", n.Stats.Jobs(), js.Emitted(0))
+		}
+		return n
+	}},
+	// Every budget spent, packets still in the network.
+	{"burst-mid-drain", 0x58f3e835b60bcf16, func(t *testing.T) *Network {
+		n := mustNet(t, snapCfg(1))
+		b := traffic.NewBurst(traffic.NewAdv(n.Topo, 1), 6, n.Topo.Nodes)
+		n.SetGenerator(b)
+		n.Run(150)
+		if !b.Done() || n.Drained() {
+			t.Fatalf("burst done %v, network drained %v: not mid-drain", b.Done(), n.Drained())
+		}
+		return n
+	}},
+	// Per-node replay cursors, part of the trace still to come.
+	{"trace-replay", 0xff75271a8de8e6ac, func(t *testing.T) *Network {
+		rec := &trace.Recorder{}
+		src := snapNet(t, snapCfg(1), 0.6)
+		src.SetTraceRecorder(rec)
+		src.Run(300)
+		n := mustNet(t, snapCfg(1))
+		gen, err := traffic.NewTraceReplay(rec.Records(), n.Topo.Nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.SetGenerator(gen)
+		n.Run(150)
+		if gen.Done() {
+			t.Fatal("replay finished before the snapshot")
+		}
+		return n
+	}},
+	// Grant digest and log, series, histogram and utilization, inside a
+	// measurement window.
+	{"observers", 0x710267bfb466e0de, func(t *testing.T) *Network {
+		n := snapNet(t, snapCfg(1), 0.6)
+		n.EnableGrantLog(64)
+		n.Stats.EnableSeries(50)
+		n.Stats.EnableHistogram()
+		n.Stats.EnableUtilization(len(n.Routers), len(n.Routers[0].Out))
+		n.Run(200)
+		n.Stats.StartMeasurement(n.Now())
+		n.Run(200)
+		if len(n.GrantLog()) == 0 || n.Stats.Histogram().Count() == 0 || n.Stats.Utilization(0, n.Topo.P) == 0 {
+			t.Fatal("an observer recorded nothing")
+		}
+		return n
+	}},
+}
+
 // TestSnapshotBytesPinned holds the image format still: the FNV of a warm
 // h=2 snapshot equals a literal recorded from an earlier build, for every
 // section a snapshot can carry. Every literal was recorded at format version
 // 5 (varint fields, packet IDs as deltas, packet references as table
-// positions, arbiters as byte ranks). Each case also checks that the state
-// it is there for is really in the image.
+// positions, arbiters as byte ranks).
 func TestSnapshotBytesPinned(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		want uint64
-		run  func(t *testing.T) *Network
-	}{
-		{"OFAR", 0x49fed25ecfbef450, func(t *testing.T) *Network {
-			n := snapNet(t, snapCfg(1).WithRouting(OFAR), 0.6)
-			n.Run(400)
-			return n
-		}},
-		{"PB", 0x3cd86c69360fbb69, func(t *testing.T) *Network {
-			n := snapNet(t, snapCfg(1).WithRouting(PB), 0.6)
-			n.Run(400)
-			return n
-		}},
-		// Liveness masks, a physical ring spliced around the dead router,
-		// dropped packets and an affected-flow set.
-		{"router-fault", 0x7b580286b6a5ff1d, func(t *testing.T) *Network {
-			cfg := snapCfg(1)
-			cfg.Faults = []Fault{{Cycle: 100, Kind: FaultRouter, Router: 5}}
-			n := snapNet(t, cfg, 0.6)
-			n.Run(400)
-			if n.DeadRouters() != 1 || n.Stats.Dropped == 0 || n.Stats.AffectedFlows() == 0 {
-				t.Fatalf("dead routers %d, dropped %d, affected flows %d", n.DeadRouters(), n.Stats.Dropped, n.Stats.AffectedFlows())
-			}
-			return n
-		}},
-		{"embedded-2-rings", 0x7236f354fac9dda9, func(t *testing.T) *Network {
-			cfg := snapCfg(1)
-			cfg.Ring, cfg.NumRings = RingEmbedded, 2
-			n := snapNet(t, cfg, 0.6)
-			n.Run(400)
-			if len(n.Rings) != 2 {
-				t.Fatalf("%d rings", len(n.Rings))
-			}
-			return n
-		}},
-		// Per-slot emitted counters and per-job statistics.
-		{"jobset", 0xebf4b54077a3ce38, func(t *testing.T) *Network {
-			n := mustNet(t, snapCfg(1))
-			js, err := traffic.NewJobSet(n.Topo, traffic.JobSetConfig{
-				Jobs: []traffic.JobSpec{
-					{Kind: traffic.JobStencil, Nodes: 8, Load: 0.4, Dims: [3]int{2, 2, 2}},
-					{Kind: traffic.JobAll2All, Nodes: 24, Load: 0.5},
-				},
-				Background: 0.2, Seed: 3, PacketSize: n.Cfg.PacketSize,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n.SetGenerator(js)
-			n.Run(200)
-			n.Stats.StartMeasurement(n.Now())
-			n.Run(200)
-			if n.Stats.Jobs() == 0 || js.Emitted(0) == 0 {
-				t.Fatalf("%d job slots, job 0 emitted %d", n.Stats.Jobs(), js.Emitted(0))
-			}
-			return n
-		}},
-		// Every budget spent, packets still in the network.
-		{"burst-mid-drain", 0x58f3e835b60bcf16, func(t *testing.T) *Network {
-			n := mustNet(t, snapCfg(1))
-			b := traffic.NewBurst(traffic.NewAdv(n.Topo, 1), 6, n.Topo.Nodes)
-			n.SetGenerator(b)
-			n.Run(150)
-			if !b.Done() || n.Drained() {
-				t.Fatalf("burst done %v, network drained %v: not mid-drain", b.Done(), n.Drained())
-			}
-			return n
-		}},
-		// Per-node replay cursors, part of the trace still to come.
-		{"trace-replay", 0xff75271a8de8e6ac, func(t *testing.T) *Network {
-			rec := &trace.Recorder{}
-			src := snapNet(t, snapCfg(1), 0.6)
-			src.SetTraceRecorder(rec)
-			src.Run(300)
-			n := mustNet(t, snapCfg(1))
-			gen, err := traffic.NewTraceReplay(rec.Records(), n.Topo.Nodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n.SetGenerator(gen)
-			n.Run(150)
-			if gen.Done() {
-				t.Fatal("replay finished before the snapshot")
-			}
-			return n
-		}},
-		// Grant digest and log, series, histogram and utilization, inside a
-		// measurement window.
-		{"observers", 0x710267bfb466e0de, func(t *testing.T) *Network {
-			n := snapNet(t, snapCfg(1), 0.6)
-			n.EnableGrantLog(64)
-			n.Stats.EnableSeries(50)
-			n.Stats.EnableHistogram()
-			n.Stats.EnableUtilization(len(n.Routers), len(n.Routers[0].Out))
-			n.Run(200)
-			n.Stats.StartMeasurement(n.Now())
-			n.Run(200)
-			if len(n.GrantLog()) == 0 || n.Stats.Histogram().Count() == 0 || n.Stats.Utilization(0, n.Topo.P) == 0 {
-				t.Fatal("an observer recorded nothing")
-			}
-			return n
-		}},
-	} {
+	for _, c := range pinnedSections {
 		t.Run(c.name, func(t *testing.T) {
 			if got := simcore.Checksum64(snapshotBytes(t, c.run(t))); got != c.want {
 				t.Errorf("snapshot FNV %#016x, pinned %#016x", got, c.want)
+			}
+		})
+	}
+}
+
+// imageReaders are the readers Restore must treat alike: a bytes.Reader and
+// a bytes.Buffer hand their bytes over in place, a OneByteReader and a file
+// (whose WriteTo would write in chunks) are read whole first.
+var imageReaders = []struct {
+	name string
+	open func(t *testing.T, img []byte) io.Reader
+}{
+	{"bytes.Reader", func(_ *testing.T, img []byte) io.Reader { return bytes.NewReader(img) }},
+	{"bytes.Buffer", func(_ *testing.T, img []byte) io.Reader { return bytes.NewBuffer(img) }},
+	{"OneByteReader", func(_ *testing.T, img []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(img)) }},
+	{"os.File", func(t *testing.T, img []byte) io.Reader {
+		path := filepath.Join(t.TempDir(), "warm.ofarsnap")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}},
+}
+
+// TestRestoreReaders restores every pinned section's image through each of
+// imageReaders into a network that ran on past it. Each restore must land on
+// the source's state — router fingerprints, grant digest, and a re-snapshot
+// equal to the image — and still re-snapshot to the image after the bytes it
+// was read from are overwritten: nothing restored aliases them.
+func TestRestoreReaders(t *testing.T) {
+	for _, c := range pinnedSections {
+		t.Run(c.name, func(t *testing.T) {
+			src := c.run(t)
+			img := snapshotBytes(t, src)
+			for _, r := range imageReaders {
+				dst := c.run(t)
+				dst.Run(50)
+				held := append([]byte(nil), img...)
+				if err := dst.Restore(r.open(t, held)); err != nil {
+					t.Fatalf("%s: %v", r.name, err)
+				}
+				expectSameState(t, r.name, src, dst)
+				for i := range held {
+					held[i] = ^held[i]
+				}
+				if got := snapshotBytes(t, dst); !bytes.Equal(got, img) {
+					t.Fatalf("%s: the image changed when its source bytes were overwritten", r.name)
+				}
 			}
 		})
 	}

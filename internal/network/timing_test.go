@@ -10,7 +10,7 @@ import (
 	"ofar/internal/traffic"
 )
 
-// replayNet returns an h=2 MIN network with the given workers (a pool that
+// replayNet returns a network of cfg with the given workers (a pool that
 // takes every phase when > 1) replaying recs.
 func replayNet(t *testing.T, cfg Config, workers int, recs []trace.Record) *Network {
 	t.Helper()
@@ -27,47 +27,54 @@ func replayNet(t *testing.T, cfg Config, workers int, recs []trace.Record) *Netw
 // TestZeroLoadLatency pins the router's first timing law: a lone packet's
 // latency is S + Σ(ℓᵢ+1) over the links it crosses — S cycles to serialize
 // at ejection, and per link its latency plus the cycle the next router takes
-// to route and grant the head. h=2 MIN, S=8, 10/100-cycle links: 8, 19, 120
-// and 131 cycles over no link, a local one, global+local and
-// local+global+local, each at Workers 1 and 2 inside one long window.
+// to route and grant the head. MIN, S=8, 10/100-cycle links: 8, 19, 120 and
+// 131 cycles over no link, a local one, global+local and local+global+local,
+// at h=2 and h=3 (subtests prefixed h3/), each at Workers 1 and 2 inside one
+// long window.
 func TestZeroLoadLatency(t *testing.T) {
-	cfg := DefaultConfig(2).WithRouting(MIN)
-	d, err := topology.New(cfg.P, cfg.A, cfg.H, cfg.Groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Router 0's first global link lands on router far of group x; a
-	// destination on far's group neighbour is one local hop further, and a
-	// source on router 1 one local hop before router 0.
-	_, far, _ := d.Peer(0, d.GlobalPortBase())
-	x := d.GroupOf(far)
-	if r, _ := d.GlobalEntry(0, x); r != 0 {
-		t.Fatalf("group 0 reaches group %d from router %d, not 0", x, r)
-	}
-	beyond := d.RouterAt(x, (d.LocalIndex(far)+1)%d.A)
-	S, l, g := cfg.PacketSize, cfg.LocalLatency, cfg.GlobalLatency
-	for _, c := range []struct {
-		name     string
-		src, dst int
-		want     int
-	}{
-		{"no-link", d.NodeAt(0, 0), d.NodeAt(0, 1), S},
-		{"local", d.NodeAt(0, 0), d.NodeAt(1, 0), S + l + 1},
-		{"global+local", d.NodeAt(0, 0), d.NodeAt(beyond, 0), S + g + 1 + l + 1},
-		{"local+global+local", d.NodeAt(1, 0), d.NodeAt(beyond, 0), S + l + 1 + g + 1 + l + 1},
-	} {
-		for _, w := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(t *testing.T) {
-				n := replayNet(t, cfg, w, []trace.Record{{Cycle: 5, Src: int32(c.src), Dst: int32(c.dst), Size: uint16(S)}})
-				n.Stats.StartMeasurement(0)
-				n.Run(400)
-				if got := n.Stats.MeasuredPackets(); got != 1 {
-					t.Fatalf("%d packets delivered, want 1", got)
-				}
-				if got := n.Stats.MaxLatency(); got != int64(c.want) {
-					t.Errorf("latency %d cycles, want %d", got, c.want)
-				}
-			})
+	for _, h := range []int{2, 3} {
+		cfg := DefaultConfig(h).WithRouting(MIN)
+		d, err := topology.New(cfg.P, cfg.A, cfg.H, cfg.Groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Router 0's first global link lands on router far of group x; a
+		// destination on far's group neighbour is one local hop further, and
+		// a source on router 1 one local hop before router 0.
+		_, far, _ := d.Peer(0, d.GlobalPortBase())
+		x := d.GroupOf(far)
+		if r, _ := d.GlobalEntry(0, x); r != 0 {
+			t.Fatalf("h=%d: group 0 reaches group %d from router %d, not 0", h, x, r)
+		}
+		beyond := d.RouterAt(x, (d.LocalIndex(far)+1)%d.A)
+		S, l, g := cfg.PacketSize, cfg.LocalLatency, cfg.GlobalLatency
+		prefix := ""
+		if h != 2 {
+			prefix = fmt.Sprintf("h%d/", h)
+		}
+		for _, c := range []struct {
+			name     string
+			src, dst int
+			want     int
+		}{
+			{"no-link", d.NodeAt(0, 0), d.NodeAt(0, 1), S},
+			{"local", d.NodeAt(0, 0), d.NodeAt(1, 0), S + l + 1},
+			{"global+local", d.NodeAt(0, 0), d.NodeAt(beyond, 0), S + g + 1 + l + 1},
+			{"local+global+local", d.NodeAt(1, 0), d.NodeAt(beyond, 0), S + l + 1 + g + 1 + l + 1},
+		} {
+			for _, w := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s%s/workers=%d", prefix, c.name, w), func(t *testing.T) {
+					n := replayNet(t, cfg, w, []trace.Record{{Cycle: 5, Src: int32(c.src), Dst: int32(c.dst), Size: uint16(S)}})
+					n.Stats.StartMeasurement(0)
+					n.Run(400)
+					if got := n.Stats.MeasuredPackets(); got != 1 {
+						t.Fatalf("%d packets delivered, want 1", got)
+					}
+					if got := n.Stats.MaxLatency(); got != int64(c.want) {
+						t.Errorf("latency %d cycles, want %d", got, c.want)
+					}
+				})
+			}
 		}
 	}
 }

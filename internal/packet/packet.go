@@ -200,48 +200,66 @@ func (pl *Pool) SetOutstanding(n uint64) { pl.next = ID(n) }
 
 // Table is a snapshot's packet table: every packet the state holds, once
 // each, in ID order. The state refers to a packet by its position here, so
-// aliased references decode to one object. Encoding needs IDs, decoding
-// Pkts; IDs[i] is Pkts[i].ID.
+// aliased references decode to one object. It is one slice of (ID, packet)
+// pairs: encoding binary-searches the IDs, decoding indexes the packets.
 type Table struct {
-	IDs  []ID
-	Pkts []*Packet
+	es []tableEntry
 }
 
-// NewTable returns the table of pkts, each packet once, reusing pkts. The
-// sort compares dense (ID, packet) pairs, so it never dereferences a packet.
-func NewTable(pkts []*Packet) *Table {
-	type entry struct {
-		id ID
-		p  *Packet
-	}
-	es := make([]entry, len(pkts))
-	for i, p := range pkts {
-		es[i] = entry{p.ID, p}
-	}
-	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
-	es = slices.CompactFunc(es, func(a, b entry) bool { return a.id == b.id })
-	t := &Table{IDs: make([]ID, len(es)), Pkts: pkts[:len(es)]}
-	for i, e := range es {
-		t.IDs[i], t.Pkts[i] = e.id, e.p
-	}
+type tableEntry struct {
+	id ID
+	p  *Packet
+}
+
+// NewTable returns the table of the packets each visits, each packet once
+// however often it is visited. The slice is sized exactly by a counting
+// pass, and the sort compares the dense pairs, so it never dereferences a
+// packet.
+func NewTable(each func(visit func(*Packet))) *Table {
+	n := 0
+	each(func(*Packet) { n++ })
+	t := &Table{es: make([]tableEntry, 0, n)}
+	each(func(p *Packet) { t.es = append(t.es, tableEntry{p.ID, p}) })
+	slices.SortFunc(t.es, func(a, b tableEntry) int { return cmp.Compare(a.id, b.id) })
+	t.es = slices.CompactFunc(t.es, func(a, b tableEntry) bool { return a.id == b.id })
 	return t
 }
 
+// Len reports how many packets the table holds.
+func (t *Table) Len() int { return len(t.es) }
+
+// At returns the packet at position i.
+func (t *Table) At(i int) *Packet { return t.es[i].p }
+
+// Add appends p at the next position (decoding, which reads the table in
+// ID order).
+func (t *Table) Add(p *Packet) { t.es = append(t.es, tableEntry{p.ID, p}) }
+
+// Grow makes room for n more packets.
+func (t *Table) Grow(n int) { t.es = slices.Grow(t.es, n) }
+
+// Reset empties the table and drops its packet references, keeping the
+// capacity for the next decode.
+func (t *Table) Reset() {
+	clear(t.es)
+	t.es = t.es[:0]
+}
+
 // Ref visits a reference to a packet in a snapshot walk: encoding finds
-// (*p).ID among t.IDs and writes its position, decoding reads a position
-// and fails unless it indexes t.Pkts.
+// (*p).ID among the IDs and writes its position, decoding reads a position
+// and fails unless it indexes the table.
 func (t *Table) Ref(c *simcore.Codec, p **Packet) {
 	var i uint64
 	if !c.Decoding() {
-		k, _ := slices.BinarySearch(t.IDs, (*p).ID)
+		k, _ := slices.BinarySearchFunc(t.es, (*p).ID, func(e tableEntry, id ID) int { return cmp.Compare(e.id, id) })
 		i = uint64(k)
 	}
 	c.Uvarint(&i)
 	if c.Decoding() && c.Err() == nil {
-		if i >= uint64(len(t.Pkts)) {
-			c.Fail("packet reference %d outside the %d-packet table", i, len(t.Pkts))
+		if i >= uint64(len(t.es)) {
+			c.Fail("packet reference %d outside the %d-packet table", i, len(t.es))
 			return
 		}
-		*p = t.Pkts[i]
+		*p = t.es[i].p
 	}
 }

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -139,14 +140,19 @@ func TestEnterGroupQuick(t *testing.T) {
 	}
 }
 
-// TestTableRef: NewTable sorts and de-duplicates, a reference encodes as the
-// packet's position and decodes to the same object, and a position past the
-// table fails instead of indexing.
+// TestTableRef: NewTable sorts and de-duplicates into a slice of exactly
+// the visits' length, a reference encodes as the packet's position and
+// decodes to the same object, a position past the table fails instead of
+// indexing, and Reset drops every packet but keeps the capacity.
 func TestTableRef(t *testing.T) {
 	a, b, c := &Packet{ID: 9}, &Packet{ID: 4}, &Packet{ID: 6}
-	tab := NewTable([]*Packet{a, b, c, b})
-	if len(tab.IDs) != 3 || tab.IDs[0] != 4 || tab.IDs[2] != 9 || tab.Pkts[0] != b || tab.Pkts[2] != a {
-		t.Fatalf("table IDs %v", tab.IDs)
+	tab := NewTable(func(visit func(*Packet)) {
+		for _, p := range []*Packet{a, b, c, b} {
+			visit(p)
+		}
+	})
+	if tab.Len() != 3 || tab.At(0) != b || tab.At(1) != c || tab.At(2) != a || cap(tab.es) != 4 {
+		t.Fatalf("table of %d packets, capacity %d: %v", tab.Len(), cap(tab.es), tab.es)
 	}
 	var e simcore.Enc
 	enc := simcore.Encoder(&e)
@@ -167,6 +173,14 @@ func TestTableRef(t *testing.T) {
 	dec = simcore.Decoder(simcore.NewDec([]byte{3}))
 	if tab.Ref(dec, &p); dec.Err() == nil || p != nil {
 		t.Fatal("a position past the table decoded")
+	}
+	tab.Reset()
+	if tab.Len() != 0 || cap(tab.es) != 4 || slices.ContainsFunc(tab.es[:3], func(e tableEntry) bool { return e.p != nil }) {
+		t.Fatalf("after Reset: %d packets, capacity %d, %v", tab.Len(), cap(tab.es), tab.es[:3])
+	}
+	tab.Add(c)
+	if tab.Len() != 1 || tab.At(0) != c {
+		t.Fatal("Add after Reset did not take position 0")
 	}
 }
 
