@@ -51,8 +51,12 @@ func buildRouter(t *testing.T, d *topology.Dragonfly, id int, withRing bool) *ro
 	return router.New(router.Params{
 		ID: id, Topo: d, PktSize: 8, AllocIters: 3,
 		RNG: simcore.NewRNG(uint64(id) + 3), Ports: specs, RingOuts: ringOuts,
+		Packets: &testPackets,
 	})
 }
+
+// testPackets is the packet store of every router buildRouter builds.
+var testPackets packet.Store
 
 func newPkt(d *topology.Dragonfly, src, dst int) *packet.Packet {
 	p := &packet.Packet{}
@@ -61,6 +65,15 @@ func newPkt(d *topology.Dragonfly, src, dst int) *packet.Packet {
 	p.Src, p.Dst = int32(src), int32(dst)
 	p.SrcGroup, p.DstGroup = int16(d.GroupOfNode(src)), int16(d.GroupOfNode(dst))
 	return p
+}
+
+// arrive stores a copy of p on (port, vc) of rt, a router buildRouter
+// built, in a fresh slot of testPackets.
+func arrive(rt *router.Router, port, vc int, p *packet.Packet) {
+	pool := packet.NewPool(&testPackets)
+	h := pool.Alloc()
+	*testPackets.At(h) = *p
+	rt.Arrive(port, vc, h)
 }
 
 // saturatePort exhausts every canonical VC of an output port.
@@ -104,7 +117,7 @@ func TestOFARNoMisrouteOnEmptyQueues(t *testing.T) {
 	// keep queue occupancy zero is impossible — instead mark port busy by
 	// simulating a serialization in progress.
 	p2 := newPkt(d, 0, int(p.Dst))
-	rt.Arrive(0, 0, p2)
+	arrive(rt, 0, 0, p2)
 	eng := scriptEngine{out: min}
 	if g := rt.Cycle(eng, 0); len(g) != 1 {
 		t.Fatal("setup grant failed")
@@ -444,7 +457,7 @@ func TestOFARVariablePolicyStrictness(t *testing.T) {
 	// Make the minimal port busy via a scripted grant (queue stays almost
 	// empty: only the granted packet's 8 phits are accounted downstream).
 	p2 := newPkt(d, 0, dst)
-	rt.Arrive(0, 0, p2)
+	arrive(rt, 0, 0, p2)
 	if g := rt.Cycle(scriptEngine{out: min}, 0); len(g) != 1 {
 		t.Fatal("setup grant failed")
 	}

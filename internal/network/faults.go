@@ -163,7 +163,7 @@ func (n *Network) failRouter(w int, now int64) {
 	// Buffered packets are lost (draining heads complete via their pending
 	// wheel events; the dead-router refund suppression in handle keeps their
 	// upstream credits frozen rather than stale).
-	rt.DropBuffered(func(p *packet.Packet) { n.dropPacket(p, now) })
+	rt.DropBuffered(func(h packet.Handle) { n.dropPacket(h, now) })
 
 	// The router's nodes die with it: pending source packets are dropped
 	// and the sources stop generating.
@@ -215,7 +215,7 @@ func (n *Network) spliceRing(j, w int) {
 	arriving := make([]int, po.NumVCs())
 	n.wheel.ForEach(func(ev event) {
 		if ev.kind == evArrive && int(ev.r) == next && int(ev.port) == ringPort {
-			arriving[ev.vc] += int(ev.pkt.Size)
+			arriving[ev.vc] += int(n.pkts.At(ev.pkt).Size)
 		}
 	})
 
@@ -240,7 +240,8 @@ func (n *Network) spliceRing(j, w int) {
 // affected-flow set, the determinism digest (tag 2, mirroring grants' tag 0
 // and deliveries' tag 1) and the trace record all learn about it, and the
 // packet returns to the pool.
-func (n *Network) dropPacket(p *packet.Packet, now int64) {
+func (n *Network) dropPacket(h packet.Handle, now int64) {
+	p := n.pkts.At(h)
 	n.Stats.Dropped++
 	n.settled = now
 	n.Stats.NoteAffectedFlow(int(p.Src), int(p.Dst))
@@ -255,7 +256,7 @@ func (n *Network) dropPacket(p *packet.Packet, now int64) {
 			tr.Dropped = true
 		}
 	}
-	n.putPacket(p)
+	n.poolG[p.SrcGroup].Free(h)
 }
 
 // GlobalLinkFaults builds a schedule killing the first `count` global links

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"ofar/internal/packet"
+	"ofar/internal/router"
 	"ofar/internal/simcore"
 	"ofar/internal/traffic"
 )
@@ -118,28 +120,36 @@ func arenaBytes(n *Network) (parts [6]int, total int) {
 // at load 0.3, cycle 1,000): a third of what the image took with every
 // integer 8 bytes wide, 0.7 MB at h=3 and 13.4 MB at h=6. The warm column is
 // the live heap of a network run 1,000 cycles of ADV+h at load 0.5, where
-// packets and wheel events outweigh the arenas; at h=3 it is bounded within
-// 3.5 MB (5.2 with 152-byte packets and 24-byte events, 3.65 with 24-byte
-// events alone). The snap and restore columns are the bytes one Snapshot
-// of the UN network into a bytes.Buffer with room allocates and one repeat
-// Restore of its image allocates; at h=3 they are bounded within 40 KB and
-// 16 KB (283 and 144 when Restore copied the image and Snapshot encoded the
-// payload apart). It prints the footprint table docs/ARCHITECTURE.md quotes
-// (`make footprint`): the arenas' state, total and per slab, the heap after
-// New, the warm snapshot, the warm heap and the snapshot I/O.
+// packets and wheel events outweigh the arenas; it is bounded within 2.8 MB
+// at h=3 and 35 MB at h=6 (3.35 and 40.3 with 8-byte packet pointers in
+// queues, events, logs and free lists; 5.2 and 58.2 with 152-byte packets
+// and 24-byte events). The 1st snap and 1st restore columns are what one
+// Snapshot of that warm network into an empty bytes.Buffer and the first
+// Restore of its image allocate; at h=6 they are bounded within 8.5 MB and
+// 2.5 MB (9.7 and 6.6 with a 16-byte (ID, pointer) packet table and a
+// Restore that recycled the outgoing packets). The snap and restore columns
+// are the bytes one Snapshot of the UN network into a bytes.Buffer with room
+// allocates and one repeat Restore of its image allocates; at h=3 they are
+// bounded within 40 KB and 16 KB (283 and 144 when Restore copied the image
+// and Snapshot encoded the payload apart). It prints the footprint table
+// docs/ARCHITECTURE.md quotes (`make footprint`): the arenas' state, total
+// and per slab, the heap after New, the warm snapshot, the warm heap and the
+// snapshot I/O.
 func TestConstructFootprint(t *testing.T) {
 	stateBound := map[int]float64{3: 0.8, 6: 12.5}
 	bound := map[int]float64{3: 1.1, 6: 15}
 	snapBound := map[int]float64{3: 0.7 / 3, 6: 13.4 / 3}
-	warmBound := map[int]float64{3: 3.5}
+	warmBound := map[int]float64{3: 2.8, 6: 35}
+	firstSnapBound, firstRestoreBound := map[int]float64{6: 8.5}, map[int]float64{6: 2.5}
 	snapIOBound, restoreIOBound := map[int]float64{3: 40}, map[int]float64{3: 16}
 	hs := []int{2, 3, 6, 8}
 	if testing.Short() {
 		hs = hs[:2]
 	}
 	const mb = 1 << 20
-	t.Logf("%2s %8s %9s %7s %7s %7s %7s %7s %7s %8s %12s %8s %8s %10s", "h", "routers", "state MB",
-		"queues", "VCs", "arbiter", "ports", "reqs", "scratch", "heap MB", "snapshot MB", "warm MB", "snap KB", "restore KB")
+	t.Logf("%2s %8s %9s %7s %7s %7s %7s %7s %7s %8s %12s %8s %12s %15s %8s %10s", "h", "routers", "state MB",
+		"queues", "VCs", "arbiter", "ports", "reqs", "scratch", "heap MB", "snapshot MB", "warm MB",
+		"1st snap MB", "1st restore MB", "snap KB", "restore KB")
 	for _, h := range hs {
 		cfg := DefaultConfig(h)
 		if h == 8 {
@@ -155,18 +165,25 @@ func TestConstructFootprint(t *testing.T) {
 		snapMB := float64(len(snap)) / mb
 		snapKB, restoreKB := imageIOBytes(t, n, snap)
 		n.Close()
-		warm, warmCol := 0.0, "-"
+		warm, firstSnap, firstRestore, warmCols := 0.0, 0.0, 0.0, [3]string{"-", "-", "-"}
 		if h == 3 || h == 6 {
 			warm, _ = memDelta(func() {
 				n = mustNet(t, cfg)
 				n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, h), 0.5, cfg.PacketSize))
 				n.Run(1000)
 			})
-			warmCol = fmt.Sprintf("%.2f", warm)
+			var img bytes.Buffer
+			_, firstSnap = memDelta(func() { n.Snapshot(&img) })
+			_, firstRestore = memDelta(func() {
+				if err := n.Restore(bytes.NewReader(img.Bytes())); err != nil {
+					t.Fatal(err)
+				}
+			})
+			warmCols = [3]string{fmt.Sprintf("%.2f", warm), fmt.Sprintf("%.2f", firstSnap), fmt.Sprintf("%.2f", firstRestore)}
 		}
-		t.Logf("%2d %8d %9.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %8.1f %12.2f %8s %8.1f %10.1f", h, len(n.Routers), state,
+		t.Logf("%2d %8d %9.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %8.1f %12.2f %8s %12s %15s %8.1f %10.1f", h, len(n.Routers), state,
 			float64(parts[0])/mb, float64(parts[1])/mb, float64(parts[2])/mb, float64(parts[3])/mb,
-			float64(parts[4])/mb, float64(parts[5])/mb, heap, snapMB, warmCol, snapKB, restoreKB)
+			float64(parts[4])/mb, float64(parts[5])/mb, heap, snapMB, warmCols[0], warmCols[1], warmCols[2], snapKB, restoreKB)
 		if max, ok := stateBound[h]; ok && state > max {
 			t.Errorf("h=%d: the arenas take %.1f MB, want ≤ %.1f", h, state, max)
 		}
@@ -178,6 +195,12 @@ func TestConstructFootprint(t *testing.T) {
 		}
 		if max, ok := warmBound[h]; ok && warm > max {
 			t.Errorf("h=%d: a warm ADV+%d network holds %.1f MB, want ≤ %.1f", h, h, warm, max)
+		}
+		if max, ok := firstSnapBound[h]; ok && firstSnap > max {
+			t.Errorf("h=%d: the first Snapshot of the warm ADV+%d network allocates %.2f MB, want ≤ %.1f", h, h, firstSnap, max)
+		}
+		if max, ok := firstRestoreBound[h]; ok && firstRestore > max {
+			t.Errorf("h=%d: the first Restore of the warm ADV+%d image allocates %.2f MB, want ≤ %.1f", h, h, firstRestore, max)
 		}
 		if max, ok := snapIOBound[h]; ok && snapKB > max {
 			t.Errorf("h=%d: a Snapshot into a buffer with room allocates %.1f KB, want ≤ %.0f", h, snapKB, max)
@@ -191,14 +214,90 @@ func TestConstructFootprint(t *testing.T) {
 
 // TestEventSizes pins the records the wheel, the window rings and the
 // outboxes hold one of per packet in flight and per credit owed: an event
-// is 16 bytes and an outbox entry 24, so a new field cannot grow them back.
+// is 12 bytes and an outbox entry 16, so a new field cannot grow them back.
+// It also pins every record that names a packet — events, outbox entries,
+// the effect log, VC queue slots, source queues and pool free lists — as
+// pointer-free: they hold packet handles, so the collector never scans
+// them, and a *packet.Packet field put back into one fails here.
 func TestEventSizes(t *testing.T) {
-	if size := unsafe.Sizeof(event{}); size != 16 {
-		t.Errorf("event takes %d bytes, want 16", size)
+	if size := unsafe.Sizeof(event{}); size != 12 {
+		t.Errorf("event takes %d bytes, want 12", size)
 	}
-	if size := unsafe.Sizeof(schedEv{}); size > 24 {
-		t.Errorf("schedEv takes %d bytes, want ≤ 24", size)
+	if size := unsafe.Sizeof(schedEv{}); size != 16 {
+		t.Errorf("schedEv takes %d bytes, want 16", size)
 	}
+	field := func(v any, name string) reflect.Type {
+		f, ok := reflect.TypeOf(v).FieldByName(name)
+		if !ok {
+			t.Fatalf("%T has no field %s", v, name)
+		}
+		return f.Type.Elem()
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(event{}), reflect.TypeOf(schedEv{}), reflect.TypeOf(fxRec{}),
+		field(router.VCBuffer{}, "q"), field(pqueue{}, "q"), field(packet.Pool{}, "free"),
+	} {
+		if holdsPointer(typ) {
+			t.Errorf("%v holds a pointer", typ)
+		}
+	}
+}
+
+// TestNewBoundsPacketHandles: New refuses a configuration whose packets one
+// group could hold at once are more than 32-bit handles address. On two
+// one-router groups (one node each) a group holds at worst every queue slot
+// of the network, its node's PendingCap source packets and a wheel horizon
+// of deliveries at both nodes, and reserves a horizon of generation; the
+// store's 2^24−1 directory entries of 256 packets give each of the two
+// groups 8,388,606 blocks beyond the one spare, so PendingCap may reach the
+// packet count that leaves exactly that many and not one more.
+func TestNewBoundsPacketHandles(t *testing.T) {
+	cfg := DefaultConfig(1).WithRouting(MIN)
+	cfg.A = 1
+	probe := mustNet(t, cfg)
+	slots := 0
+	for _, a := range probe.arenas {
+		slots += a.Size.PacketSlots
+	}
+	horizon := probe.wheel.Horizon()
+	fixed := slots + probe.Topo.Nodes*(horizon/cfg.PacketSize+1) + horizon
+	if probe.Topo.G != 2 || probe.groupNodes != 1 {
+		t.Fatalf("%d groups of %d nodes, want 2 of 1", probe.Topo.G, probe.groupNodes)
+	}
+	limit := ((packet.MaxBlocks/2)-1)*packet.BlockSize - fixed
+	for _, c := range []struct {
+		pending int
+		ok      bool
+	}{{limit - 1, true}, {limit, true}, {limit + 1, false}} {
+		cfg.PendingCap = c.pending
+		n, err := New(cfg)
+		if (err == nil) != c.ok {
+			t.Errorf("PendingCap %d (limit %d): error %v, want ok=%v", c.pending, limit, err, c.ok)
+		}
+		if n != nil {
+			n.Close()
+		}
+	}
+}
+
+// holdsPointer reports whether a value of typ contains a pointer the garbage
+// collector would scan.
+func holdsPointer(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if holdsPointer(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return typ.Len() > 0 && holdsPointer(typ.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.String:
+		return true
+	}
+	return false
 }
 
 // TestVCQueuesStayOnArena drives ADV+3 at load 1.0 on h=3 for 3,000 cycles —
@@ -365,13 +464,14 @@ func TestSnapPacketBytes(t *testing.T) {
 	}
 	n.Run(300)
 	const widest = 19*binary.MaxVarintLen64 + 3
-	tab := packet.NewTable(n.forEachPacket)
+	var tab packet.Refs
+	tab.Index(&n.pkts, n.forEachPacket)
 	if tab.Len() == 0 {
 		t.Fatal("no packets in flight")
 	}
 	prev := packet.ID(0)
 	for i := range tab.Len() {
-		p := tab.At(i)
+		p := n.pkts.At(tab.At(i))
 		var e simcore.Enc
 		n.packetState(simcore.Encoder(&e), p, prev)
 		if l := len(e.Data()); l < snapPacketMin || l > widest {

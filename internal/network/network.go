@@ -29,10 +29,11 @@ const (
 	evCredit
 )
 
-// event is a 16-byte wheel entry: Validate caps ports and VCs at 64, and a
-// credit always returns Cfg.PacketSize phits.
+// event is a 12-byte wheel entry: Validate caps ports and VCs at 64, a
+// credit always returns Cfg.PacketSize phits, and an arrival names its
+// packet by handle.
 type event struct {
-	pkt  *packet.Packet
+	pkt  packet.Handle
 	r    int32
 	port int8
 	vc   int8
@@ -51,18 +52,18 @@ type schedEv struct {
 // router stage, so ascending group is their due order; drops (one-cycle
 // windows only, see Run) are put back in due order by idx.
 type fxRec struct {
-	pkt  *packet.Packet
+	pkt  packet.Handle
 	idx  int32
 	drop bool
 }
 
 // genRec is one deferred generation event: a packet created by generateGroup
-// (pkt != nil, ID not yet assigned) or a dead-destination drop that consumed
-// a destination draw without allocating (pkt == nil). The merge replays these
-// in ascending (group, node) order to stamp IDs and fold the observable
-// effects, whoever walked the groups.
+// (ID not yet assigned) or a dead-destination drop that consumed a
+// destination draw without allocating (pkt == packet.None). The merge
+// replays these in ascending (group, node) order to stamp IDs and fold the
+// observable effects, whoever walked the groups.
 type genRec struct {
-	pkt  *packet.Packet
+	pkt  packet.Handle
 	node int32
 	dst  int32
 }
@@ -112,7 +113,7 @@ type groupState struct {
 	fx    []fxRec
 	gen   []genRec
 	grs   []grantRec
-	grPkt []*packet.Packet // the grants' packets, while path tracing
+	grPkt []packet.Handle // the grants' packets, while path tracing
 	tally
 	ph PhaseNanos // laps of the sampled cycles (see clock)
 	// This cycle's draw, and the pending-occupancy bitset: bit i set ⇔
@@ -138,12 +139,14 @@ type Network struct {
 	// Packet allocation is split between a run-wide ID authority and
 	// per-group memory shards: pool owns the ID sequence (and the
 	// Outstanding counter snapshots carry), while poolG[g] owns the free
-	// list and carve blocks that group g's sources allocate from and its
+	// list and blocks of pkts that group g's sources allocate from and its
 	// terminal packets recycle into — so concurrent group shards never touch
-	// a shared allocator, and block-carve locality follows the group.
+	// a shared allocator, and block-carve locality follows the group. The
+	// rest of the state names packets by their handles in pkts.
+	pkts  packet.Store
 	pool  packet.Pool
 	poolG []packet.Pool
-	tab   packet.Table // Restore's position → packet table, empty between decodes
+	tab   packet.Refs // Restore's position → handle table, reused
 
 	// trafficRNG[g] is group g's traffic stream, derived deterministically
 	// from the run seed (one stream per dragonfly group). Nodes of group g
@@ -233,22 +236,19 @@ type Network struct {
 }
 
 type pqueue struct {
-	q    []*packet.Packet
+	q    []packet.Handle
 	head int
 }
 
-func (p *pqueue) len() int              { return len(p.q) - p.head }
-func (p *pqueue) push(x *packet.Packet) { p.q = append(p.q, x) }
-func (p *pqueue) pop() *packet.Packet {
+func (p *pqueue) len() int             { return len(p.q) - p.head }
+func (p *pqueue) push(x packet.Handle) { p.q = append(p.q, x) }
+func (p *pqueue) pop() packet.Handle {
 	x := p.q[p.head]
-	p.q[p.head] = nil
 	p.head++
 	if p.head == len(p.q) {
 		p.q, p.head = p.q[:0], 0
 	} else if p.head > 64 && p.head*2 >= len(p.q) {
-		n := copy(p.q, p.q[p.head:])
-		clear(p.q[n:])
-		p.q, p.head = p.q[:n], 0
+		p.q, p.head = p.q[:copy(p.q, p.q[p.head:])], 0
 	}
 	return x
 }
@@ -437,6 +437,7 @@ func New(cfg Config) (*Network, error) {
 			RingOuts:    ringOuts,
 			PB:          pb,
 			PBThreshold: cfg.Adaptive.PBThreshold,
+			Packets:     &n.pkts,
 		}
 	}
 	n.Routers = make([]*router.Router, topo.Routers)
@@ -466,6 +467,17 @@ func New(cfg Config) (*Network, error) {
 	}
 
 	n.wheel = simcore.NewWheel[event](max(cfg.GlobalLatency, cfg.LocalLatency, cfg.PacketSize) + 2)
+	// A group's packets at worst fill every VC, its nodes' source queues and
+	// a window of every ejection port's deliveries (the merge frees them),
+	// and a window generates at most one per node and cycle (see window).
+	slots := 0
+	for _, a := range n.arenas {
+		slots += a.Size.PacketSlots
+	}
+	live := slots + cfg.PendingCap*topo.P*topo.A + topo.Nodes*(n.wheel.Horizon()/cfg.PacketSize+1)
+	if !packet.Addressable(topo.G, live, topo.P*topo.A*n.wheel.Horizon()) {
+		return nil, fmt.Errorf("network: %d packets per group exceed what 32-bit packet handles address", live)
+	}
 	n.pending = make([]pqueue, topo.Nodes)
 	n.Stats = stats.NewRun(topo.Nodes, cfg.PacketSize)
 	if cfg.Congestion.Enabled {
@@ -477,7 +489,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	n.groupSize = topo.A
 	n.groupNodes = topo.P * topo.A
-	n.poolG = make([]packet.Pool, topo.G)
+	n.poolG = packet.NewPools(&n.pkts, topo.G)
 	n.gs = make([]groupScratch, topo.G)
 	n.slots = make([][]event, n.wheel.Horizon())
 	n.groupOf = make([]int32, topo.Routers)
@@ -594,6 +606,9 @@ func (n *Network) window(left int) int {
 		w = min(w, int(n.faults[n.faultIdx].Cycle-n.now))
 	}
 	n.win, n.logGrants = w, n.digestOn || n.traceEvery > 0 || n.faultIdx > 0
+	for g := range n.poolG { // a window's carving writes only reserved directory entries
+		n.poolG[g].Reserve(n.groupNodes * w)
+	}
 
 	// Split the shared wheel's events due in the window by target group.
 	for k := 0; k <= w; k++ {
@@ -646,7 +661,7 @@ func (n *Network) runGroup(g int) {
 			for _, ev := range own {
 				n.handle(s, g, k, ev, -1, now)
 			}
-			s.ring[r] = reset(own)
+			s.ring[r] = own[:0]
 		}
 		t = lap(&s.ph.Events, t)
 		if n.gen != nil {
@@ -661,12 +676,6 @@ func (n *Network) runGroup(g int) {
 		n.cycleGroup(s, g, k, now)
 		lap(&s.ph.Routers, t)
 	}
-}
-
-// reset empties a reused slice, dropping the references it held.
-func reset[T any](s []T) []T {
-	clear(s)
-	return s[:0]
 }
 
 // sched files a wheel insertion group g makes at window cycle k: into the
@@ -876,7 +885,7 @@ func (n *Network) handle(s *groupScratch, g, k int, ev event, idx int32, now int
 			s.fx = append(s.fx, fxRec{pkt: ev.pkt, idx: idx, drop: true})
 			return
 		}
-		if n.deadNode != nil && n.deadNode[ev.pkt.Dst] {
+		if n.deadNode != nil && n.deadNode[n.pkts.At(ev.pkt).Dst] {
 			// The destination died while the packet was en route. Drop it
 			// here rather than let it chase an unreachable ejection port —
 			// with a synthesized refund, since the buffer space it reserved
@@ -890,7 +899,7 @@ func (n *Network) handle(s *groupScratch, g, k int, ev event, idx int32, now int
 		n.Routers[ev.r].Arrive(int(ev.port), int(ev.vc), ev.pkt)
 	case evDrain, evDrainDeliver:
 		r := n.Routers[ev.r]
-		p, upR, upP := r.FinishDrain(int(ev.port), int(ev.vc))
+		h, upR, upP := r.FinishDrain(int(ev.port), int(ev.vc))
 		if ev.kind == evDrain {
 			// The packet has fully left this buffer and is now only on the
 			// link (its arrival event is pending); with link latencies ≥
@@ -907,7 +916,7 @@ func (n *Network) handle(s *groupScratch, g, k int, ev event, idx int32, now int
 			n.sched(s, g, k, lat-1, event{kind: evCredit, r: int32(upR), port: int8(upP), vc: ev.vc})
 		}
 		if ev.kind == evDrainDeliver {
-			s.fx = append(s.fx, fxRec{pkt: p, idx: idx})
+			s.fx = append(s.fx, fxRec{pkt: h, idx: idx})
 		}
 	case evCredit:
 		n.Routers[ev.r].AddCredit(int(ev.port), int(ev.vc), n.Cfg.PacketSize)
@@ -954,12 +963,13 @@ func (n *Network) generateGroup(g int, now int64) {
 		if n.deadNode != nil && n.deadNode[dst] {
 			// The destination is down; the source learns immediately
 			// (its NIC would): no packet is allocated, only a record.
-			sh.gen = append(sh.gen, genRec{node: h.Node, dst: h.Dst})
+			sh.gen = append(sh.gen, genRec{pkt: packet.None, node: h.Node, dst: h.Dst})
 		} else if pq.len() >= n.Cfg.PendingCap {
 			n.gen.Retract(node)
 			sh.blocked++
 		} else {
-			p := n.poolG[g].GetBlank()
+			ph := n.poolG[g].Alloc()
+			p := n.pkts.At(ph)
 			p.Size = int16(n.Cfg.PacketSize)
 			p.Src, p.Dst = h.Node, h.Dst
 			p.SrcGroup, p.DstGroup = int16(g), int16(topo.GroupOfNode(dst))
@@ -967,9 +977,9 @@ func (n *Network) generateGroup(g int, now int64) {
 			if n.jobOf != nil {
 				p.Job = n.jobOf[node]
 			}
-			pq.push(p)
+			pq.push(ph)
 			sh.setPend(node-lo, true)
-			sh.gen = append(sh.gen, genRec{pkt: p, node: h.Node, dst: h.Dst})
+			sh.gen = append(sh.gen, genRec{pkt: ph, node: h.Node, dst: h.Dst})
 		}
 	}
 
@@ -978,7 +988,8 @@ func (n *Network) generateGroup(g int, now int64) {
 		for word := sh.pend[w]; word != 0; word &= word - 1 {
 			node := lo + w<<6 + bits.TrailingZeros64(word)
 			pq := &n.pending[node]
-			p := pq.q[pq.head]
+			h := pq.q[pq.head]
+			p := n.pkts.At(h)
 			r := n.Routers[topo.RouterOf(node)]
 			if n.congestionOn && r.CanonicalOccupancy() >= n.congestionTh {
 				sh.congStalls++
@@ -988,7 +999,7 @@ func (n *Network) generateGroup(g int, now int64) {
 			if vc, ok := r.InjectionSpace(port, int(p.Size)); ok {
 				pq.pop()
 				sh.setPend(node-lo, pq.len() > 0)
-				r.Inject(port, vc, p, now)
+				r.Inject(port, vc, h, now)
 				n.Engine.AtInjection(r, p, now)
 				sh.injected++
 			}
@@ -1014,12 +1025,12 @@ func (n *Network) cycleGroup(s *groupScratch, g, k int, now int64) {
 		grants := r.Cycle(n.Engine, now)
 		for j := range grants {
 			gr := &grants[j]
-			p, req := gr.Pkt, &gr.Req
+			p, req := n.pkts.At(gr.Pkt), &gr.Req
 			if gr.Eject {
 				n.sched(s, g, k, int(p.Size)-1, event{kind: evDrainDeliver, r: int32(r.ID), port: int8(gr.InPort), vc: int8(gr.InVC)})
 			} else {
 				out := &r.Out[req.Out]
-				n.sched(s, g, k, int(out.Latency), event{kind: evArrive, pkt: p, r: out.Peer, port: int8(out.PeerPort), vc: int8(req.VC)})
+				n.sched(s, g, k, int(out.Latency), event{kind: evArrive, pkt: gr.Pkt, r: out.Peer, port: int8(out.PeerPort), vc: int8(req.VC)})
 				n.sched(s, g, k, int(p.Size)-1, event{kind: evDrain, r: int32(r.ID), port: int8(gr.InPort), vc: int8(gr.InVC)})
 			}
 			n.Stats.AddUtilization(r.ID, req.Out, int(p.Size))
@@ -1045,7 +1056,7 @@ func (n *Network) cycleGroup(s *groupScratch, g, k int, now int64) {
 				inPort: uint8(gr.InPort), inVC: uint8(gr.InVC), out: uint8(req.Out), vc: uint8(req.VC),
 				eject: gr.Eject, escape: req.Escape, detour: req.SetGlobalMis || req.SetLocalMis || req.EnterRing})
 			if n.traceEvery > 0 {
-				s.grPkt = append(s.grPkt, p)
+				s.grPkt = append(s.grPkt, gr.Pkt)
 			}
 		}
 	}
@@ -1056,8 +1067,7 @@ func (n *Network) cycleGroup(s *groupScratch, g, k int, now int64) {
 // deliveries and drops, generation records, grants, then the cycle's wheel
 // insertions — the events phase's before the router stage's, the order a
 // cycle-at-a-time run appends them to the wheel's slots. Then the counter
-// deltas are added, and the logs cleared for the next window, references
-// included.
+// deltas are added, and the logs emptied for the next window.
 func (n *Network) merge() {
 	w := n.win
 	n.wheel.Skip(w)
@@ -1101,7 +1111,7 @@ func (n *Network) merge() {
 			}
 		}
 		lap(&n.laps.Routers, t)
-		n.fxBuf, n.busy = reset(fx), reset(busy)
+		n.fxBuf, n.busy = fx[:0], busy[:0]
 	}
 	st := n.Stats
 	for g := range n.gs {
@@ -1116,7 +1126,7 @@ func (n *Network) merge() {
 		st.RingExits += s.ringExits
 		st.RingHops += s.ringHops
 		s.tally = tally{}
-		s.out, s.fx, s.gen, s.grPkt = reset(s.out), reset(s.fx), reset(s.gen), reset(s.grPkt)
+		s.out, s.fx, s.gen, s.grPkt = s.out[:0], s.fx[:0], s.gen[:0], s.grPkt[:0]
 		s.pre, s.grs = s.pre[:0], s.grs[:0]
 	}
 	n.now += int64(w)
@@ -1124,17 +1134,18 @@ func (n *Network) merge() {
 
 // mergeEffects folds one cycle's deliveries and drops, gathered in group
 // order, into the digest and the statistics in due order, and recycles the
-// packets.
+// packets into their source groups' pools (only here, on the caller's
+// goroutine: until the merge the window's logs may still name them).
 func (n *Network) mergeEffects(fx []fxRec, now int64) {
 	if slices.ContainsFunc(fx, func(e fxRec) bool { return e.drop }) {
 		slices.SortFunc(fx, func(a, b fxRec) int { return cmp.Compare(a.idx, b.idx) })
 	}
 	for _, e := range fx {
-		p := e.pkt
 		if e.drop {
-			n.dropPacket(p, now)
+			n.dropPacket(e.pkt, now)
 			continue
 		}
+		p := n.pkts.At(e.pkt)
 		if n.digestOn {
 			// Folding (identity, latency) pins per-packet delivery times, not
 			// just the grant sequence.
@@ -1145,7 +1156,7 @@ func (n *Network) mergeEffects(fx []fxRec, now int64) {
 		if p.Job >= 0 {
 			n.Stats.JobDelivered(int(p.Job), now-p.Born)
 		}
-		n.putPacket(p)
+		n.poolG[p.SrcGroup].Free(e.pkt)
 	}
 }
 
@@ -1155,8 +1166,7 @@ func (n *Network) commitGen(rec *genRec, now int64) {
 	if n.rec != nil {
 		n.rec.Add(now, int(rec.node), int(rec.dst), n.Cfg.PacketSize)
 	}
-	p := rec.pkt
-	if p == nil {
+	if rec.pkt == packet.None {
 		// Dead-destination drop: Generated and Dropped move together so
 		// conservation holds without a packet.
 		n.Stats.Generated++
@@ -1173,6 +1183,7 @@ func (n *Network) commitGen(rec *genRec, now int64) {
 		}
 		return
 	}
+	p := n.pkts.At(rec.pkt)
 	p.ID = n.pool.NextID()
 	if n.jobOf != nil {
 		n.Stats.JobGenerated(int(p.Job))
@@ -1199,7 +1210,7 @@ func (n *Network) commitGrant(s *groupScratch, i int32, now int64) {
 		}
 	}
 	if n.traceEvery > 0 {
-		if tr, ok := n.traces[s.grPkt[i].ID]; ok {
+		if tr, ok := n.traces[n.pkts.At(s.grPkt[i]).ID]; ok {
 			tr.Hops = append(tr.Hops, TraceHop{
 				Router: int(g.r), Port: int(g.out), VC: int(g.vc),
 				Escape: g.escape, Cycle: now,
@@ -1215,14 +1226,6 @@ func (n *Network) commitGrant(s *groupScratch, i int32, now int64) {
 		n.Stats.FaultReroutes++
 		n.Stats.NoteAffectedFlow(int(g.src), int(g.dst))
 	}
-}
-
-// putPacket recycles a terminal packet into its source group's pool, keeping
-// the free list (and the block-carve locality it preserves) with the group
-// that allocated the packet. Caller's goroutine only, at the merge: until
-// then the window's logs may still point at the packet.
-func (n *Network) putPacket(p *packet.Packet) {
-	n.poolG[p.SrcGroup].Put(p)
 }
 
 // FailRingEdge breaks escape ring `ring` at the outgoing edge of `router`

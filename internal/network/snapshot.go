@@ -123,14 +123,15 @@ func (n *Network) Snapshot(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("network: snapshot config: %w", err)
 	}
-	tab := packet.NewTable(n.forEachPacket)
+	var tab packet.Refs
+	tab.Index(&n.pkts, n.forEachPacket)
 	hdr := len(snapMagic) + 5*8 + len(cfgJSON) // version, digest, config length, checksum, payload length
-	err = simcore.WriteImage(w, hdr+n.imageSize(tab), func(e *simcore.Enc) {
+	err = simcore.WriteImage(w, hdr+n.imageSize(&tab), func(e *simcore.Enc) {
 		e.Raw([]byte(snapMagic))
 		e.U64(SnapshotVersion)
 		e.U64(EngineDigest())
 		e.Bytes(cfgJSON)
-		e.Sealed(func() { n.state(simcore.Encoder(e), tab) }) // checksum, length, payload
+		e.Sealed(func() { n.state(simcore.Encoder(e), &tab) }) // checksum, length, payload
 	})
 	if err != nil {
 		return fmt.Errorf("network: snapshot write: %w", err)
@@ -244,14 +245,14 @@ func (n *Network) groupBoards() []*router.FlagBoard {
 // forEachPacket visits every reference the simulation state holds to a
 // packet — router buffers, source queues, in-flight arrivals. A draining
 // packet is visited twice: by its buffer and by its arrival event.
-func (n *Network) forEachPacket(f func(*packet.Packet)) {
+func (n *Network) forEachPacket(f func(packet.Handle)) {
 	for _, r := range n.Routers {
 		r.ForEachPacket(f)
 	}
 	for i := range n.pending {
 		pq := &n.pending[i]
-		for _, p := range pq.q[pq.head:] {
-			f(p)
+		for _, h := range pq.q[pq.head:] {
+			f(h)
 		}
 	}
 	n.wheel.ForEach(func(ev event) {
@@ -265,26 +266,23 @@ func (n *Network) forEachPacket(f func(*packet.Packet)) {
 // queues and events store packets as positions in the packet table: a
 // committed packet can be referenced twice — by the draining buffer that
 // still holds it and by its in-flight arrival event — and must decode to one
-// object.
+// packet.
 func (n *Network) encode() []byte {
 	var e simcore.Enc
-	tab := packet.NewTable(n.forEachPacket)
-	e.Grow(n.imageSize(tab))
-	n.state(simcore.Encoder(&e), tab) // encoding never fails
+	var tab packet.Refs
+	tab.Index(&n.pkts, n.forEachPacket)
+	e.Grow(n.imageSize(&tab))
+	n.state(simcore.Encoder(&e), &tab) // encoding never fails
 	return e.Data()
 }
 
 // state is the snapshot payload, walked in one fixed order: Snapshot and Fork
 // encode it, Restore and Fork decode it. tab is the packet table: encoding
-// reads it, decoding fills it and empties it again on the way out, so it
-// pins no packet between restores. Decoding validates every index against
-// this network and rebuilds the derived state; on an error the network's
-// state is unspecified.
-func (n *Network) state(c *simcore.Codec, tab *packet.Table) error {
+// reads it, decoding empties and refills it. Decoding validates every index
+// against this network and rebuilds the derived state; on an error the
+// network's state is unspecified.
+func (n *Network) state(c *simcore.Codec, tab *packet.Refs) error {
 	dec := c.Decoding()
-	if dec {
-		defer tab.Reset()
-	}
 
 	simcore.Int(c, &n.now)
 	simcore.Int(c, &n.inFlight)
@@ -394,32 +392,27 @@ func (n *Network) state(c *simcore.Codec, tab *packet.Table) error {
 		if err := c.Err(); err != nil {
 			return err
 		}
-		// The outgoing state's packets go back to their pools (a packet held
-		// twice once: the first visit clears its ID) and the image's packets
-		// reuse them, so a Restore loop keeps one packet population, not a
-		// block per Restore.
-		n.forEachPacket(func(p *packet.Packet) {
-			if p.ID != 0 {
-				p.ID = 0
-				n.putPacket(p)
-			}
-		})
-		tab.Grow(np)
+		// Every group's pool forgets the outgoing packets and takes the
+		// image's densely, in image order, into the blocks it already has.
+		tab.Reset(np)
+		for g := range n.poolG {
+			n.poolG[g].Reset()
+		}
 	}
 	var in packet.Packet
 	var prev packet.ID
 	for i := range np {
 		p := &in
 		if !dec {
-			p = tab.At(i)
+			p = n.pkts.At(tab.At(i))
 		}
 		if n.packetState(c, p, prev); dec {
 			if err := c.Err(); err != nil {
 				return err
 			}
-			q := n.poolG[p.SrcGroup].GetBlank()
-			*q = *p
-			tab.Add(q)
+			h := n.poolG[p.SrcGroup].Alloc()
+			*n.pkts.At(h) = *p
+			tab.Add(h)
 		}
 		prev = p.ID
 	}
@@ -432,12 +425,12 @@ func (n *Network) state(c *simcore.Codec, tab *packet.Table) error {
 			pq.q, pq.head = pq.q[:0], 0
 		}
 		for j := range cnt {
-			var p *packet.Packet
+			var h packet.Handle
 			if !dec {
-				p = pq.q[pq.head+j]
+				h = pq.q[pq.head+j]
 			}
-			if tab.Ref(c, &p); dec && p != nil { // nil: a bad reference, latched in c
-				pq.q = append(pq.q, p)
+			if tab.Ref(c, &h); dec && c.Err() == nil {
+				pq.q = append(pq.q, h)
 			}
 		}
 		if dec {
@@ -526,7 +519,7 @@ func (n *Network) checkWiring(c *simcore.Codec) error {
 // carries its packet as a reference into tab. Decoding validates every index
 // against this network (the cases run in order, so each may index by the
 // ones before).
-func (n *Network) eventState(c *simcore.Codec, delay *int, ev *event, tab *packet.Table) error {
+func (n *Network) eventState(c *simcore.Codec, delay *int, ev *event, tab *packet.Refs) error {
 	simcore.Int(c, delay)
 	c.U8((*uint8)(&ev.kind))
 	simcore.Int(c, &ev.r)
@@ -571,7 +564,7 @@ const (
 // every queued injection, an arrival at the wheel's horizon for every event,
 // and 64 KB for the rest (statistics, a grant log). A miss only means append
 // grows the buffer.
-func (n *Network) imageSize(tab *packet.Table) int {
+func (n *Network) imageSize(tab *packet.Refs) int {
 	var e simcore.Enc
 	c, size := simcore.Encoder(&e), len(n.pending)+64<<10
 	probe := func(count int, visit func()) {
@@ -583,7 +576,8 @@ func (n *Network) imageSize(tab *packet.Table) int {
 	ev, delay := event{kind: evCredit, r: int32(len(n.Routers) - 1)}, n.wheel.Horizon()
 	if np := tab.Len(); np > 0 {
 		ev.kind, ev.pkt = evArrive, tab.At(np-1)
-		probe(np, func() { n.packetState(c, ev.pkt, ev.pkt.ID-1) })
+		p := n.pkts.At(ev.pkt)
+		probe(np, func() { n.packetState(c, p, p.ID-1) })
 		probe(n.PendingPackets(), func() { tab.Ref(c, &ev.pkt) })
 	}
 	probe(n.wheel.Pending(), func() { n.eventState(c, &delay, &ev, tab) })

@@ -99,6 +99,58 @@ func TestSnapshotDifferential(t *testing.T) {
 	}
 }
 
+// TestRestoreOverOtherPopulations restores an h=3 ADV+3 image taken at
+// cycle 1,000 into three networks whose packet stores hold other
+// populations: a fresh network, the source itself 600 cycles later (more
+// packets than the image), and a network restored from that later image.
+// Restore empties every group's store and refills it densely, so each must
+// match a never-restored run at the image's cycle — router fingerprints,
+// grant digest, re-snapshot bytes — and again 300 cycles on, at Workers 1
+// and 2.
+func TestRestoreOverOtherPopulations(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := DefaultConfig(3)
+			cfg.Workers = workers
+			mk := func() *Network {
+				n := mustPoolNet(t, cfg)
+				n.EnableGrantDigest()
+				n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, 3), 0.5, cfg.PacketSize))
+				return n
+			}
+			held := func(n *Network) int { return n.BufferedPackets() + n.InFlightPackets() + n.PendingPackets() }
+			ref, src := mk(), mk()
+			ref.Run(1000)
+			src.Run(1000)
+			img := snapshotBytes(t, src)
+			src.Run(600)
+			later := snapshotBytes(t, src)
+			if held(src) <= held(ref) {
+				t.Fatalf("the source holds %d packets 600 cycles on, the image %d: want more", held(src), held(ref))
+			}
+			fresh, relaid := mk(), mk()
+			if err := relaid.Restore(bytes.NewReader(later)); err != nil {
+				t.Fatal(err)
+			}
+			targets := []struct {
+				name string
+				n    *Network
+			}{{"fresh", fresh}, {"source 600 cycles on", src}, {"restored from the later image", relaid}}
+			for _, tg := range targets {
+				if err := tg.n.Restore(bytes.NewReader(img)); err != nil {
+					t.Fatalf("%s: %v", tg.name, err)
+				}
+				expectSameState(t, tg.name, ref, tg.n)
+			}
+			ref.Run(300)
+			for _, tg := range targets {
+				tg.n.Run(300)
+				expectSameState(t, tg.name+", 300 cycles on", ref, tg.n)
+			}
+		})
+	}
+}
+
 // TestSnapshotIsPure proves taking a snapshot perturbs nothing: a run that
 // snapshots mid-flight ends bit-identical to one that never did.
 func TestSnapshotIsPure(t *testing.T) {
@@ -391,10 +443,11 @@ func TestRestoreRejects(t *testing.T) {
 	// before it (a zero ID delta).
 	stray := snapNet(t, cfg, 0.6)
 	stray.Run(120)
-	tab := packet.NewTable(stray.forEachPacket)
-	tab.At(tab.Len() - 1).ID = packet.ID(stray.pool.Outstanding() + 1)
+	var tab packet.Refs
+	tab.Index(&stray.pkts, stray.forEachPacket)
+	stray.pkts.At(tab.At(tab.Len() - 1)).ID = packet.ID(stray.pool.Outstanding() + 1)
 	expectErr("packet ID never handed out", snapshotBytes(t, stray))
-	p := tab.At(0)
+	p := stray.pkts.At(tab.At(0))
 	var rec simcore.Enc
 	stray.packetState(simcore.Encoder(&rec), p, p.ID)
 	c := simcore.Decoder(simcore.NewDec(rec.Data()))
@@ -470,12 +523,13 @@ func hostileRecord(t testing.TB, n *Network, which int, v int64) []byte {
 	t.Helper()
 	n.Run(120)
 	img := n.encode()
-	tab := packet.NewTable(n.forEachPacket)
+	var tab packet.Refs
+	tab.Index(&n.pkts, n.forEachPacket)
 	var recs [][]byte
 	if which <= packetDone {
 		prev := packet.ID(0)
 		for i := range tab.Len() {
-			p := tab.At(i)
+			p := n.pkts.At(tab.At(i))
 			var e simcore.Enc
 			n.packetState(simcore.Encoder(&e), p, prev)
 			recs, prev = append(recs, e.Data()), p.ID
@@ -484,7 +538,7 @@ func hostileRecord(t testing.TB, n *Network, which int, v int64) []byte {
 		n.wheel.ForEachDelay(func(delay int, ev event) {
 			if (ev.kind == evCredit) == (which == creditPhits) {
 				var e simcore.Enc
-				n.eventState(simcore.Encoder(&e), &delay, &ev, tab)
+				n.eventState(simcore.Encoder(&e), &delay, &ev, &tab)
 				recs = append(recs, e.Data())
 			}
 		})

@@ -88,45 +88,51 @@ func TestZeroLoadLatency(t *testing.T) {
 // phits to spare; over a global link (router 0's first, to its peer) it is
 // 209, which the 256-phit global FIFO covers. The rate is counted over a
 // steady-state window of S·loop·4 cycles, a whole number of loops, at Workers
-// 1 and 2.
+// 1 and 2, at h=2 and h=3 (subtests h3/local/… and h3/global/…).
 func TestCreditLoopBandwidth(t *testing.T) {
-	cfg := DefaultConfig(2).WithRouting(MIN)
-	d, err := topology.New(cfg.P, cfg.A, cfg.H, cfg.Groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, far, _ := d.Peer(0, d.GlobalPortBase())
-	S := cfg.PacketSize
-	for _, c := range []struct {
-		name    string // subtest prefix
-		dst     int    // node the stream from node 0 goes to
-		latency int
-		bufs    []int
-		setBuf  func(*Config, int)
-	}{
-		{"", cfg.P, cfg.LocalLatency, []int{8, 16, 24, 32}, func(c *Config, b int) { c.LocalBuf = b }},
-		{"global/", d.NodeAt(far, 0), cfg.GlobalLatency, []int{64, 128, 192, 208, 216, 256}, func(c *Config, b int) { c.GlobalBuf = b }},
-	} {
-		loop := 2*c.latency + S + 1
-		var recs []trace.Record
-		for cyc := range 4000 {
-			recs = append(recs, trace.Record{Cycle: int64(cyc), Src: 0, Dst: int32(c.dst), Size: uint16(S)})
+	for _, h := range []int{2, 3} {
+		cfg := DefaultConfig(h).WithRouting(MIN)
+		d, err := topology.New(cfg.P, cfg.A, cfg.H, cfg.Groups)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, b := range c.bufs {
-			for _, w := range []int{1, 2} {
-				t.Run(fmt.Sprintf("%sB=%d/workers=%d", c.name, b, w), func(t *testing.T) {
-					cfg := cfg
-					c.setBuf(&cfg, b)
-					n := replayNet(t, cfg, w, recs)
-					n.Run(500) // past the first packet's arrival: steady state
-					window := S * loop * 4
-					before := n.Stats.Delivered
-					n.Run(window)
-					got := float64(int(n.Stats.Delivered-before)*S) / float64(window)
-					if want := math.Min(1, float64(b)/float64(loop)); math.Abs(got-want) > 1e-9 {
-						t.Errorf("%.4f phits/cycle, want min(1, %d/%d) = %.4f", got, b, loop, want)
-					}
-				})
+		_, far, _ := d.Peer(0, d.GlobalPortBase())
+		local, prefix := "", ""
+		if h != 2 {
+			local, prefix = fmt.Sprintf("h%d/local/", h), fmt.Sprintf("h%d/", h)
+		}
+		S := cfg.PacketSize
+		for _, c := range []struct {
+			name    string // subtest prefix
+			dst     int    // node the stream from node 0 goes to
+			latency int
+			bufs    []int
+			setBuf  func(*Config, int)
+		}{
+			{local, cfg.P, cfg.LocalLatency, []int{8, 16, 24, 32}, func(c *Config, b int) { c.LocalBuf = b }},
+			{prefix + "global/", d.NodeAt(far, 0), cfg.GlobalLatency, []int{64, 128, 192, 208, 216, 256}, func(c *Config, b int) { c.GlobalBuf = b }},
+		} {
+			loop := 2*c.latency + S + 1
+			var recs []trace.Record
+			for cyc := range 4000 {
+				recs = append(recs, trace.Record{Cycle: int64(cyc), Src: 0, Dst: int32(c.dst), Size: uint16(S)})
+			}
+			for _, b := range c.bufs {
+				for _, w := range []int{1, 2} {
+					t.Run(fmt.Sprintf("%sB=%d/workers=%d", c.name, b, w), func(t *testing.T) {
+						cfg := cfg
+						c.setBuf(&cfg, b)
+						n := replayNet(t, cfg, w, recs)
+						n.Run(500) // past the first packet's arrival: steady state
+						window := S * loop * 4
+						before := n.Stats.Delivered
+						n.Run(window)
+						got := float64(int(n.Stats.Delivered-before)*S) / float64(window)
+						if want := math.Min(1, float64(b)/float64(loop)); math.Abs(got-want) > 1e-9 {
+							t.Errorf("%.4f phits/cycle, want min(1, %d/%d) = %.4f", got, b, loop, want)
+						}
+					})
+				}
 			}
 		}
 	}

@@ -217,8 +217,9 @@ func TestWindowLookahead(t *testing.T) {
 }
 
 // TestWindowLogsHoldNoPackets: between windows — and so after Restore — the
-// logs, outboxes and rings are empty and their backing arrays reference no
-// packet, so a window never keeps recycled or restored-over packets alive.
+// logs, outboxes and rings are empty, and their records name packets only
+// by handle, so a window never keeps recycled or restored-over packets
+// alive.
 func TestWindowLogsHoldNoPackets(t *testing.T) {
 	n := snapNet(t, snapCfg(1), 0.9)
 	n.EnableTracing(1)
@@ -233,32 +234,15 @@ func TestWindowLogsHoldNoPackets(t *testing.T) {
 		if len(s.pre)+len(s.out)+len(s.fx)+len(s.gen)+len(s.grs)+len(s.grPkt) != 0 {
 			t.Fatalf("group %d: window logs not empty between windows", g)
 		}
-		for _, e := range s.fx[:cap(s.fx)] {
-			if e.pkt != nil {
-				t.Fatalf("group %d: effect log still references a packet", g)
-			}
-		}
-		for _, r := range s.gen[:cap(s.gen)] {
-			if r.pkt != nil {
-				t.Fatalf("group %d: generation log still references a packet", g)
-			}
-		}
-		for _, p := range s.grPkt[:cap(s.grPkt)] {
-			if p != nil {
-				t.Fatalf("group %d: grant log still references a packet", g)
-			}
-		}
-		for _, o := range s.out[:cap(s.out)] {
-			if o.ev.pkt != nil {
-				t.Fatalf("group %d: outbox still references a packet", g)
-			}
-		}
 		for _, slot := range s.ring {
-			for _, ev := range slot[:cap(slot)] {
-				if len(slot) != 0 || ev.pkt != nil {
-					t.Fatalf("group %d: ring not empty or still references a packet", g)
-				}
+			if len(slot) != 0 {
+				t.Fatalf("group %d: ring not empty between windows", g)
 			}
+		}
+	}
+	for _, rec := range []any{fxRec{}, genRec{}, grantRec{}, schedEv{}, event{}} {
+		if typ := reflect.TypeOf(rec); holdsPointer(typ) {
+			t.Errorf("a %v record holds a pointer", typ)
 		}
 	}
 }

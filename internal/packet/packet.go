@@ -1,7 +1,7 @@
 // Package packet defines the unit of information exchanged through the
 // simulated network: fixed-size virtual cut-through packets, their routing
-// header state, and a free-list pool that keeps allocation pressure off the
-// simulation hot loop.
+// header state, the block store that holds them and hands out 32-bit
+// handles, and the free-list pools that allocate from it.
 //
 // The simulator works at packet granularity for buffering decisions and at
 // phit granularity for bandwidth accounting: a packet of Size phits needs
@@ -11,6 +11,7 @@ package packet
 import (
 	"cmp"
 	"slices"
+	"unsafe"
 
 	"ofar/internal/simcore"
 )
@@ -21,8 +22,8 @@ type ID uint64
 // Packet is a network packet. All fields are managed by the simulator; user
 // code observes packets only through statistics.
 //
-// Packets scale with traffic, not topology (~200k live at h=6 above
-// saturation), so each field is as narrow as its bound allows, and the
+// Packets scale with traffic, not topology (140–160k live at h=6 under
+// ADV+6 above saturation), so each field is as narrow as its bound allows, and the
 // record is 72 bytes (TestPacketSize pins it):
 //   - 64 bits only for the ID and the three cycle stamps;
 //   - int32 for node indices (radix ≤ 64 means < 2^31 nodes), the job slot,
@@ -115,78 +116,178 @@ func (p *Packet) EnterGroup(g int) {
 	}
 }
 
-// Pool is a free list of packets. It is not safe for concurrent use; the
-// simulator is single-threaded by design (single-cycle simulation), and
-// parallel experiments each own a private pool.
+// Handle is a packet's 32-bit address in a Store: the index of its block in
+// the store's directory above BlockBits, its slot in the block below. The
+// simulation state refers to packets only by handle — VC queues, events,
+// source queues, free lists — so none of it holds a pointer for the garbage
+// collector to scan, and each reference takes half the bytes.
+type Handle uint32
+
+// A block holds BlockSize packets (18 KiB, an exact allocator size class).
+// MaxBlocks bounds a directory so that every handle addresses a slot except
+// None, which is all ones.
+const (
+	BlockBits        = 8
+	BlockSize        = 1 << BlockBits
+	MaxBlocks        = 1<<(32-BlockBits) - 1
+	None      Handle = 1<<32 - 1
+)
+
+type block [BlockSize]Packet
+
+// Store is the packet memory of one network: a directory of fixed blocks.
+// Each block belongs to one Pool, which alone carves it and recycles its
+// slots, so a packet never moves. At resolves a handle with one indexed load
+// from the directory.
 //
-// Fresh packets are carved from block allocations rather than individual
-// `new(Packet)` calls: packets born together tend to travel together (a
-// saturation wave admits thousands of packets in a few cycles), so block
-// carving keeps the packets a router dereferences in one cycle on far fewer
-// cache lines and TLB pages than the allocator's default scattering, and it
-// cuts allocator metadata per packet to zero. Recycled packets keep their
-// original block homes — the free list preserves locality instead of
-// fighting it.
+// The directory grows when a pool reserves entries (Reserve) or carves a
+// block with none reserved; growth may move it, so either must happen where
+// nothing else resolves handles. A pool carving into a reserved entry writes
+// that entry alone, so pools carve concurrently without a race: the network
+// reserves for a whole lookahead window before the window starts.
+type Store struct {
+	blocks []*block
+}
+
+// At returns the packet a handle addresses.
+func (s *Store) At(h Handle) *Packet { return &s.blocks[h>>BlockBits][h&(BlockSize-1)] }
+
+// Pool is a free list of packets over blocks of a Store. It is not safe for
+// concurrent use; the network gives every dragonfly group its own pool on
+// one shared store, so a group's packets are allocated, and recycled, by the
+// group that generated them.
+//
+// Blocks keep packets born together close: a saturation wave admits
+// thousands of packets in a few cycles, and carving them from the same
+// blocks keeps the packets a router reads in one cycle on far fewer cache
+// lines and TLB pages than the allocator's scattering would. Recycled
+// packets keep their block homes — the free list preserves that locality.
+//
+// The zero Pool is valid: it makes a private store on first use, and Get and
+// Put hand out and take back packets by pointer. The engine itself
+// allocates and frees by handle (Alloc, Free).
 type Pool struct {
-	free  []*Packet
-	block []Packet // current carve block
-	carve int      // size of the next carve block; 0 until the first carve
+	store *Store
+	free  []Handle
+	own   []uint32 // directory indices of the pool's blocks, in carve order
+	spare []uint32 // directory entries reserved for the pool's next blocks
+	used  int      // slots of own handed out, front to back; the rest are uncarved
 	next  ID
 }
 
-// Carve blocks start at poolBlockMin packets and double up to poolBlock
-// (36 KiB of 72-byte packets): a low-load run, or a group that never
-// injects much, holds a few small blocks, while a saturation wave reaches
-// full-size blocks within a few carves and spans a handful of mappings.
-const (
-	poolBlockMin = 16
-	poolBlock    = 512
-)
+// NewPool returns an empty pool allocating from s.
+func NewPool(s *Store) Pool { return Pool{store: s} }
 
-// Get returns a zeroed packet with a fresh ID.
+// NewPools returns n empty pools allocating from s.
+func NewPools(s *Store, n int) []Pool {
+	pools := make([]Pool, n)
+	for i := range pools {
+		pools[i].store = s
+	}
+	return pools
+}
+
+// Store returns the store the pool allocates from.
+func (pl *Pool) Store() *Store {
+	if pl.store == nil {
+		pl.store = new(Store)
+	}
+	return pl.store
+}
+
+// Alloc returns the handle of a reset packet without an ID: a recycled slot
+// if the free list has one, else the next uncarved slot of the pool's
+// blocks.
+func (pl *Pool) Alloc() Handle {
+	var h Handle
+	if n := len(pl.free); n > 0 {
+		h = pl.free[n-1]
+		pl.free = pl.free[:n-1]
+	} else {
+		if pl.used == len(pl.own)*BlockSize {
+			pl.carve()
+		}
+		h = Handle(pl.own[pl.used>>BlockBits])<<BlockBits | Handle(pl.used&(BlockSize-1))
+		pl.used++
+	}
+	pl.store.At(h).Reset()
+	return h
+}
+
+// carve gives the pool a new block, in a reserved directory entry if it has
+// one and else in a new one.
+func (pl *Pool) carve() {
+	s := pl.Store()
+	var i uint32
+	if n := len(pl.spare); n > 0 {
+		i, pl.spare = pl.spare[n-1], pl.spare[:n-1]
+	} else {
+		i = s.entry()
+	}
+	s.blocks[i] = new(block)
+	pl.own = append(pl.own, i)
+}
+
+// entry appends an empty directory entry and returns its index.
+func (s *Store) entry() uint32 {
+	if len(s.blocks) >= MaxBlocks {
+		panic("packet: store directory full (network.New bounds every group's packets)")
+	}
+	s.blocks = append(s.blocks, nil)
+	return uint32(len(s.blocks) - 1)
+}
+
+// Free returns a packet's slot to the pool. The caller must hold no other
+// reference to the handle.
+func (pl *Pool) Free(h Handle) { pl.free = append(pl.free, h) }
+
+// Reserve makes sure the pool's next n Allocs need no new directory entry:
+// between them, the free list, the uncarved slots and the reserved entries
+// hold n packets. Call it where nothing else resolves handles; the Allocs
+// may then run concurrently with other pools' and with handle resolution.
+func (pl *Pool) Reserve(n int) {
+	s := pl.Store()
+	for n -= len(pl.free) + (len(pl.own)+len(pl.spare))*BlockSize - pl.used; n > 0; n -= BlockSize {
+		pl.spare = append(pl.spare, s.entry())
+	}
+}
+
+// Reset forgets every packet the pool handed out: the free list empties and
+// carving restarts at the first slot of the pool's first block, so the next
+// Allocs fill the pool's blocks densely in order. The blocks stay the pool's.
+func (pl *Pool) Reset() {
+	pl.free = pl.free[:0]
+	pl.used = 0
+}
+
+// Get returns a reset packet with a fresh ID.
 func (pl *Pool) Get() *Packet {
-	p := pl.GetBlank()
+	h := pl.Alloc()
+	p := pl.store.At(h)
 	p.ID = pl.NextID()
 	return p
 }
 
-// GetBlank returns a zeroed packet WITHOUT assigning an ID (p.ID stays 0).
-// The sharded injection front-end uses per-group pools for memory locality
-// but a single run-wide ID sequence for determinism: group shards call
-// GetBlank concurrently on their own pools, and the commit barrier stamps IDs
-// in (group, node) order via NextID on the shared pool. Callers must stamp an
-// ID before the packet becomes observable (traces, snapshots, stats).
-func (pl *Pool) GetBlank() *Packet {
-	var p *Packet
-	if n := len(pl.free); n > 0 {
-		p = pl.free[n-1]
-		pl.free = pl.free[:n-1]
-	} else {
-		if len(pl.block) == 0 {
-			pl.carve = max(pl.carve, poolBlockMin)
-			pl.block = make([]Packet, pl.carve)
-			pl.carve = min(2*pl.carve, poolBlock)
-		}
-		p = &pl.block[0]
-		pl.block = pl.block[1:]
-	}
-	p.Reset()
-	return p
-}
-
-// NextID advances the run-wide ID sequence and returns the fresh ID. Pairs
-// with GetBlank; Get is equivalent to GetBlank + NextID on one pool.
-func (pl *Pool) NextID() ID {
-	pl.next++
-	return pl.next
-}
-
-// Put returns a packet to the pool. The caller must not retain references.
+// Put returns a packet Get handed out to the pool. The caller must not
+// retain references.
 func (pl *Pool) Put(p *Packet) {
 	if p == nil {
 		return
 	}
-	pl.free = append(pl.free, p)
+	for _, i := range pl.own {
+		b := pl.store.blocks[i]
+		if off := uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(b)); off < unsafe.Sizeof(*b) {
+			pl.Free(Handle(i)<<BlockBits | Handle(off/unsafe.Sizeof(*p)))
+			return
+		}
+	}
+	panic("packet: Put of a packet the pool did not hand out")
+}
+
+// NextID advances the run-wide ID sequence and returns the fresh ID.
+func (pl *Pool) NextID() ID {
+	pl.next++
+	return pl.next
 }
 
 // Outstanding reports how many IDs have been handed out in total. Useful in
@@ -198,68 +299,91 @@ func (pl *Pool) Outstanding() uint64 { return uint64(pl.next) }
 // for the lifetime of a run; traces and snapshot dedup rely on that).
 func (pl *Pool) SetOutstanding(n uint64) { pl.next = ID(n) }
 
-// Table is a snapshot's packet table: every packet the state holds, once
+// Addressable reports whether a store can serve groups pools that each hold
+// at most live packets at once and reserve room for window more (Reserve):
+// at worst a pool's blocks and reserved entries cover both plus one block,
+// and all pools' together must fit the directory.
+func Addressable(groups, live, window int) bool {
+	return groups*((live+window+BlockSize-1)/BlockSize+1) <= MaxBlocks
+}
+
+// Refs is a snapshot's packet table: every packet the state holds, once
 // each, in ID order. The state refers to a packet by its position here, so
-// aliased references decode to one object. It is one slice of (ID, packet)
-// pairs: encoding binary-searches the IDs, decoding indexes the packets.
-type Table struct {
-	es []tableEntry
+// a packet referenced twice — a draining head also in flight as an arrival —
+// decodes to one packet. Both maps are flat 32-bit arrays: order maps a
+// position to its handle, and pos (encoding only) maps a carved slot to its
+// position, base locating each block's slots in pos.
+type Refs struct {
+	order []Handle
+	pos   []uint32
+	base  []int32
 }
 
-type tableEntry struct {
-	id ID
-	p  *Packet
-}
-
-// NewTable returns the table of the packets each visits, each packet once
-// however often it is visited. The slice is sized exactly by a counting
-// pass, and the sort compares the dense pairs, so it never dereferences a
-// packet.
-func NewTable(each func(visit func(*Packet))) *Table {
+// Index fills an empty table with the handles each visits, each once
+// however often it is visited, sorted by packet ID.
+func (t *Refs) Index(s *Store, each func(visit func(Handle))) {
+	t.base = make([]int32, len(s.blocks))
+	k := 0
+	for i, b := range s.blocks {
+		t.base[i] = -1
+		if b != nil {
+			t.base[i] = int32(k)
+			k += BlockSize
+		}
+	}
+	t.pos = make([]uint32, k)
 	n := 0
-	each(func(*Packet) { n++ })
-	t := &Table{es: make([]tableEntry, 0, n)}
-	each(func(p *Packet) { t.es = append(t.es, tableEntry{p.ID, p}) })
-	slices.SortFunc(t.es, func(a, b tableEntry) int { return cmp.Compare(a.id, b.id) })
-	t.es = slices.CompactFunc(t.es, func(a, b tableEntry) bool { return a.id == b.id })
-	return t
+	each(func(h Handle) {
+		if i := t.slot(h); t.pos[i] == 0 {
+			t.pos[i] = 1
+			n++
+		}
+	})
+	t.order = make([]Handle, 0, n)
+	for i, b := range s.blocks {
+		for j := 0; b != nil && j < BlockSize; j++ {
+			if t.pos[int(t.base[i])+j] != 0 {
+				t.order = append(t.order, Handle(i)<<BlockBits|Handle(j))
+			}
+		}
+	}
+	slices.SortFunc(t.order, func(a, b Handle) int { return cmp.Compare(s.At(a).ID, s.At(b).ID) })
+	for i, h := range t.order {
+		t.pos[t.slot(h)] = uint32(i)
+	}
 }
+
+// slot is h's index in pos.
+func (t *Refs) slot(h Handle) int { return int(t.base[h>>BlockBits]) + int(h&(BlockSize-1)) }
 
 // Len reports how many packets the table holds.
-func (t *Table) Len() int { return len(t.es) }
+func (t *Refs) Len() int { return len(t.order) }
 
-// At returns the packet at position i.
-func (t *Table) At(i int) *Packet { return t.es[i].p }
+// At returns the handle at position i.
+func (t *Refs) At(i int) Handle { return t.order[i] }
 
-// Add appends p at the next position (decoding, which reads the table in
+// Add appends h at the next position (decoding, which reads the table in
 // ID order).
-func (t *Table) Add(p *Packet) { t.es = append(t.es, tableEntry{p.ID, p}) }
+func (t *Refs) Add(h Handle) { t.order = append(t.order, h) }
 
-// Grow makes room for n more packets.
-func (t *Table) Grow(n int) { t.es = slices.Grow(t.es, n) }
+// Reset empties the table for a decode of n packets, keeping its capacity
+// for the next.
+func (t *Refs) Reset(n int) { t.order = slices.Grow(t.order[:0], n) }
 
-// Reset empties the table and drops its packet references, keeping the
-// capacity for the next decode.
-func (t *Table) Reset() {
-	clear(t.es)
-	t.es = t.es[:0]
-}
-
-// Ref visits a reference to a packet in a snapshot walk: encoding finds
-// (*p).ID among the IDs and writes its position, decoding reads a position
-// and fails unless it indexes the table.
-func (t *Table) Ref(c *simcore.Codec, p **Packet) {
+// Ref visits a reference to a packet in a snapshot walk: encoding writes
+// h's position, decoding reads a position and fails unless it indexes the
+// table.
+func (t *Refs) Ref(c *simcore.Codec, h *Handle) {
 	var i uint64
 	if !c.Decoding() {
-		k, _ := slices.BinarySearchFunc(t.es, (*p).ID, func(e tableEntry, id ID) int { return cmp.Compare(e.id, id) })
-		i = uint64(k)
+		i = uint64(t.pos[t.slot(*h)])
 	}
 	c.Uvarint(&i)
 	if c.Decoding() && c.Err() == nil {
-		if i >= uint64(len(t.es)) {
-			c.Fail("packet reference %d outside the %d-packet table", i, len(t.es))
+		if i >= uint64(len(t.order)) {
+			c.Fail("packet reference %d outside the %d-packet table", i, len(t.order))
 			return
 		}
-		*p = t.es[i].p
+		*h = t.order[i]
 	}
 }

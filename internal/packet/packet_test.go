@@ -1,7 +1,6 @@
 package packet
 
 import (
-	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -42,28 +41,45 @@ func TestPoolPutNil(t *testing.T) {
 }
 
 // TestPoolCarveBlocks pins the carve sequence of a zero Pool — blocks of
-// 16, 32, …, 512 packets, then 512 again — with every packet of a block
-// handed out before the next block is carved, and Get and GetBlank drawing
-// on the same blocks.
+// BlockSize packets, every slot of a block handed out in order before the
+// next block is carved, Alloc and Get drawing on the same blocks — and what
+// Reserve and Reset do to it: Reserve adds directory entries only for what
+// the free list, the uncarved slots and earlier entries cannot cover, and
+// after Reset the pool refills its own blocks from the first slot.
 func TestPoolCarveBlocks(t *testing.T) {
 	var pool Pool
-	for k, size := range []int{16, 32, 64, 128, 256, 512, 512} {
-		for i := range size {
-			get := pool.GetBlank
-			if i%2 == 1 {
-				get = pool.Get
+	for i := range 3 * BlockSize {
+		var h Handle
+		if i%2 == 1 {
+			p := pool.Get()
+			h = Handle(len(pool.own)-1)<<BlockBits | Handle(i%BlockSize)
+			if pool.Store().At(h) != p {
+				t.Fatalf("Get %d is not slot %d of block %d", i, i%BlockSize, len(pool.own)-1)
 			}
-			get()
-			if i == 0 && cap(pool.block) != size-1 {
-				t.Fatalf("block %d holds %d packets, want %d", k, cap(pool.block)+1, size)
-			}
-		}
-		if len(pool.block) != 0 {
-			t.Fatalf("block %d has %d packets left over", k, len(pool.block))
+		} else if h = pool.Alloc(); h != Handle(i) {
+			t.Fatalf("Alloc %d returned handle %d", i, h)
 		}
 	}
-	if got, want := pool.Outstanding(), uint64((16+32+64+128+256+512+512)/2); got != want {
-		t.Fatalf("%d IDs handed out, want %d (Get only)", got, want)
+	if got, want := len(pool.Store().blocks), 3; got != want || pool.Outstanding() != 3*BlockSize/2 {
+		t.Fatalf("%d blocks, %d IDs; want %d blocks, %d IDs (Get only)", got, pool.Outstanding(), want, 3*BlockSize/2)
+	}
+	pool.Free(5)
+	pool.Reserve(1 + BlockSize/2)
+	if len(pool.Store().blocks) != 4 || len(pool.spare) != 1 {
+		t.Fatalf("Reserve with one free slot left %d blocks, %d spare; want 4, 1", len(pool.Store().blocks), len(pool.spare))
+	}
+	if h := pool.Alloc(); h != 5 {
+		t.Fatalf("Alloc after Free returned %d, want the freed 5", h)
+	}
+	if h := pool.Alloc(); h != 3<<BlockBits || len(pool.Store().blocks) != 4 || len(pool.spare) != 0 {
+		t.Fatalf("carve into the reserved entry returned %d with %d blocks", h, len(pool.Store().blocks))
+	}
+	pool.Free(9)
+	pool.Reset()
+	for i := range BlockSize + 1 {
+		if h := pool.Alloc(); h != Handle(i) {
+			t.Fatalf("Alloc %d after Reset returned %d, want %d", i, h, i)
+		}
 	}
 }
 
@@ -140,43 +156,48 @@ func TestEnterGroupQuick(t *testing.T) {
 	}
 }
 
-// TestTableRef: NewTable sorts and de-duplicates into a slice of exactly
-// the visits' length, a reference encodes as the packet's position and
-// decodes to the same object, a position past the table fails instead of
-// indexing, and Reset drops every packet but keeps the capacity.
-func TestTableRef(t *testing.T) {
-	a, b, c := &Packet{ID: 9}, &Packet{ID: 4}, &Packet{ID: 6}
-	tab := NewTable(func(visit func(*Packet)) {
-		for _, p := range []*Packet{a, b, c, b} {
-			visit(p)
+// TestRefsRef: Index de-duplicates and sorts the visited handles by packet
+// ID into a table of exactly their number, a reference encodes as the packet's position and decodes to the same
+// handle, a position past the table fails instead of indexing, and Reset
+// empties the table but keeps the capacity.
+func TestRefsRef(t *testing.T) {
+	var pool Pool
+	a, b, c := pool.Alloc(), pool.Alloc(), pool.Alloc()
+	s := pool.Store()
+	s.At(a).ID, s.At(b).ID, s.At(c).ID = 9, 4, 6
+	var tab Refs
+	tab.Index(s, func(visit func(Handle)) {
+		for _, h := range []Handle{a, b, c, b} {
+			visit(h)
 		}
 	})
-	if tab.Len() != 3 || tab.At(0) != b || tab.At(1) != c || tab.At(2) != a || cap(tab.es) != 4 {
-		t.Fatalf("table of %d packets, capacity %d: %v", tab.Len(), cap(tab.es), tab.es)
+	if tab.Len() != 3 || tab.At(0) != b || tab.At(1) != c || tab.At(2) != a || cap(tab.order) != 3 {
+		t.Fatalf("table of %d packets, capacity %d: %v", tab.Len(), cap(tab.order), tab.order)
 	}
 	var e simcore.Enc
 	enc := simcore.Encoder(&e)
-	for _, p := range []*Packet{a, c, b} {
-		tab.Ref(enc, &p)
+	for _, h := range []Handle{a, c, b} {
+		tab.Ref(enc, &h)
 	}
 	if string(e.Data()) != "\x02\x01\x00" {
 		t.Fatalf("references encoded as % x, want positions 2 1 0", e.Data())
 	}
 	dec := simcore.Decoder(simcore.NewDec(e.Data()))
-	for _, want := range []*Packet{a, c, b} {
-		var p *Packet
-		if tab.Ref(dec, &p); p != want {
-			t.Fatalf("decoded %v, want packet %d", p, want.ID)
+	for _, want := range []Handle{a, c, b} {
+		var h Handle
+		if tab.Ref(dec, &h); h != want {
+			t.Fatalf("decoded handle %d, want %d", h, want)
 		}
 	}
-	var p *Packet
+	h := None
 	dec = simcore.Decoder(simcore.NewDec([]byte{3}))
-	if tab.Ref(dec, &p); dec.Err() == nil || p != nil {
+	if tab.Ref(dec, &h); dec.Err() == nil || h != None {
 		t.Fatal("a position past the table decoded")
 	}
-	tab.Reset()
-	if tab.Len() != 0 || cap(tab.es) != 4 || slices.ContainsFunc(tab.es[:3], func(e tableEntry) bool { return e.p != nil }) {
-		t.Fatalf("after Reset: %d packets, capacity %d, %v", tab.Len(), cap(tab.es), tab.es[:3])
+	had := cap(tab.order)
+	tab.Reset(2)
+	if tab.Len() != 0 || cap(tab.order) != had {
+		t.Fatalf("after Reset: %d packets, capacity %d, want 0, %d", tab.Len(), cap(tab.order), had)
 	}
 	tab.Add(c)
 	if tab.Len() != 1 || tab.At(0) != c {

@@ -10,7 +10,7 @@ import (
 // one arena per dragonfly group and constructs the group's routers into it,
 // so every slice the per-cycle loops touch — VC buffer entries (including
 // their route-cache fields), per-VC credit records, arbiter rank rows,
-// request slots, ready/dirty masks, queue backing arrays — lands in a
+// request slots, ready/dirty masks, queue handle rings — lands in a
 // handful of large contiguous slabs owned by that group instead of hundreds
 // of individually heap-allocated slices scattered by the allocator.
 //
@@ -37,7 +37,7 @@ type Arena struct {
 	reqs   []reqSlot
 	inP    []InPort
 	outP   []OutPort
-	pkts   []*packet.Packet
+	pkts   []packet.Handle
 
 	// Size is what NewArena allocated; Slack counts the elements not carved
 	// (yet), Spill those requested beyond a slab and served off-arena by plain
@@ -83,7 +83,7 @@ func NewArena(sz ArenaSize) *Arena {
 		u8:   make([]uint8, sz.Uint8s), i32: make([]int32, sz.Int32s), u64: make([]uint64, sz.Uint64s),
 		vcs: make([]VCBuffer, sz.VCBuffers), outVCs: make([]outVC, sz.OutVCs), reqs: make([]reqSlot, sz.Requests),
 		inP: make([]InPort, sz.InPorts), outP: make([]OutPort, sz.OutPorts),
-		pkts: make([]*packet.Packet, sz.PacketSlots),
+		pkts: make([]packet.Handle, sz.PacketSlots),
 		Slack: sz.Uint8s + sz.Int32s + sz.Uint64s + sz.VCBuffers + sz.OutVCs +
 			sz.Requests + sz.InPorts + sz.OutPorts + sz.PacketSlots,
 	}
@@ -93,7 +93,7 @@ func NewArena(sz ArenaSize) *Arena {
 // slots, VC buffers, arbiter ranks, ports (with their per-VC credit
 // records), request slots, and the allocator's scratch masks and indices.
 func (s ArenaSize) Bytes() (queues, vcs, arbiters, ports, reqs, scratch int) {
-	return s.PacketSlots * int(unsafe.Sizeof((*packet.Packet)(nil))),
+	return s.PacketSlots * int(unsafe.Sizeof(packet.Handle(0))),
 		s.VCBuffers * int(unsafe.Sizeof(VCBuffer{})),
 		s.Uint8s,
 		s.InPorts*int(unsafe.Sizeof(InPort{})) + s.OutPorts*int(unsafe.Sizeof(OutPort{})) +

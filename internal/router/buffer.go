@@ -29,10 +29,11 @@ type VCBuffer struct {
 
 	Capacity int32 // phits (Config.Validate bounds every buffer)
 
-	// q is a fixed-capacity ring carved from the group arena: n packets
-	// starting at slot head, wrapping at len(q). Credit flow control keeps n
-	// below len(q) (see queueSlots), so the queue never leaves its slab.
-	q        []*packet.Packet
+	// q is a fixed-capacity ring of packet handles carved from the group
+	// arena: n packets starting at slot head, wrapping at len(q). Credit flow
+	// control keeps n below len(q) (see queueSlots), so the queue never
+	// leaves its slab.
+	q        []packet.Handle
 	head     int32
 	n        int32
 	occupied int32 // phits
@@ -99,24 +100,19 @@ func (b *VCBuffer) Occupied() int { return int(b.occupied) }
 // Free returns the free phits.
 func (b *VCBuffer) Free() int { return int(b.Capacity - b.occupied) }
 
-// Head returns the head packet, or nil. The head is not routable while the
-// buffer is draining a previous grant.
-func (b *VCBuffer) Head() *packet.Packet {
-	if b.n == 0 {
-		return nil
-	}
-	return b.q[b.head]
-}
+// Head returns the head packet's handle; the buffer must not be empty. The
+// head is not routable while the buffer is draining a previous grant.
+func (b *VCBuffer) Head() packet.Handle { return b.q[b.head] }
 
 // Draining reports whether the head packet is currently streaming out.
 func (b *VCBuffer) Draining() bool { return b.draining }
 
-// Push appends a packet. The caller must have verified space; credit-based
-// flow control guarantees it for network traffic, and sources check Free
-// before injecting. Push panics on overflow because an overflow means a
-// credit-accounting bug, not a runtime condition.
-func (b *VCBuffer) Push(p *packet.Packet) {
-	if int(p.Size) > b.Free() {
+// Push appends the packet h of size phits. The caller must have verified
+// space; credit-based flow control guarantees it for network traffic, and
+// sources check Free before injecting. Push panics on overflow because an
+// overflow means a credit-accounting bug, not a runtime condition.
+func (b *VCBuffer) Push(h packet.Handle, size int) {
+	if size > b.Free() {
 		panic("router: VC buffer overflow (credit accounting bug)")
 	}
 	if b.n == 0 {
@@ -125,22 +121,23 @@ func (b *VCBuffer) Push(p *packet.Packet) {
 	if b.Len() == len(b.q) {
 		// Genuinely full: only a buffer built without NewInto's sizing (a bare
 		// test buffer, a hostile snapshot) gets here. Unroll onto the heap.
-		grown := make([]*packet.Packet, 2*b.n+2)
+		grown := make([]packet.Handle, 2*b.n+2)
 		for j := range b.Len() {
 			grown[j] = b.q[b.slot(j)]
 		}
 		b.q, b.head = grown, 0
 	}
-	b.q[b.slot(b.Len())] = p
+	b.q[b.slot(b.Len())] = h
 	b.n++
-	b.occupied += int32(p.Size)
+	b.occupied += int32(size)
 }
 
 // DropQueued removes every queued packet except a draining head (whose
 // phits are already committed to the crossbar and must finish via
-// FinishDrain), calling visit for each removed packet. Used when a router
-// fails: its buffered traffic is lost and must be accounted explicitly.
-func (b *VCBuffer) DropQueued(visit func(*packet.Packet)) {
+// FinishDrain; headSize is its size), calling visit for each removed packet.
+// Used when a router fails: its buffered traffic is lost and must be
+// accounted explicitly.
+func (b *VCBuffer) DropQueued(headSize int, visit func(packet.Handle)) {
 	if b.n == 0 {
 		return
 	}
@@ -150,13 +147,9 @@ func (b *VCBuffer) DropQueued(visit func(*packet.Packet)) {
 		keep = 1 // the in-flight head survives until its FinishDrain
 	}
 	for j := keep; j < b.Len(); j++ {
-		i := b.slot(j)
-		p := b.q[i]
-		b.occupied -= int32(p.Size)
-		b.q[i] = nil
-		visit(p)
+		visit(b.q[b.slot(j)])
 	}
-	b.n = int32(keep)
+	b.n, b.occupied = int32(keep), int32(keep*headSize)
 }
 
 // BeginDrain marks the head as granted; it stays at the head (consuming
@@ -168,19 +161,19 @@ func (b *VCBuffer) BeginDrain() {
 	b.draining = true
 }
 
-// FinishDrain removes the head packet and frees its space.
-func (b *VCBuffer) FinishDrain() *packet.Packet {
+// FinishDrain removes the head packet, whose size is size phits, and frees
+// its space.
+func (b *VCBuffer) FinishDrain(size int) packet.Handle {
 	if !b.draining {
 		panic("router: FinishDrain without BeginDrain")
 	}
-	p := b.q[b.head]
-	b.q[b.head] = nil
+	h := b.q[b.head]
 	if b.head++; int(b.head) == len(b.q) {
 		b.head = 0
 	}
 	b.n--
-	b.occupied -= int32(p.Size)
+	b.occupied -= int32(size)
 	b.draining = false
-	b.invalidateCache() // whatever queued behind p is the new head
-	return p
+	b.invalidateCache() // whatever queued behind h is the new head
+	return h
 }

@@ -9,26 +9,18 @@ import (
 	"ofar/internal/simcore"
 )
 
-func mkPkt(pool *packet.Pool, size int) *packet.Packet {
-	p := pool.Get()
-	p.Size = int16(size)
-	return p
-}
-
 func TestVCBufferBasics(t *testing.T) {
-	var pool packet.Pool
 	var b VCBuffer
 	b.Init(32, -1)
 	if b.Escape || b.Ring != -1 {
 		t.Error("canonical buffer flagged as escape")
 	}
-	if b.Len() != 0 || b.Occupied() != 0 || b.Free() != 32 || b.Head() != nil {
+	if b.Len() != 0 || b.Occupied() != 0 || b.Free() != 32 {
 		t.Error("fresh buffer not empty")
 	}
-	p1 := mkPkt(&pool, 8)
-	p2 := mkPkt(&pool, 8)
-	b.Push(p1)
-	b.Push(p2)
+	const p1, p2 packet.Handle = 7, 3
+	b.Push(p1, 8)
+	b.Push(p2, 8)
 	if b.Len() != 2 || b.Occupied() != 16 || b.Free() != 16 {
 		t.Errorf("len=%d occ=%d free=%d", b.Len(), b.Occupied(), b.Free())
 	}
@@ -39,7 +31,7 @@ func TestVCBufferBasics(t *testing.T) {
 	if !b.Draining() {
 		t.Error("not draining")
 	}
-	if got := b.FinishDrain(); got != p1 {
+	if got := b.FinishDrain(8); got != p1 {
 		t.Error("drained wrong packet")
 	}
 	if b.Draining() || b.Len() != 1 || b.Occupied() != 8 {
@@ -59,16 +51,15 @@ func TestVCBufferEscapeTag(t *testing.T) {
 }
 
 func TestVCBufferOverflowPanics(t *testing.T) {
-	var pool packet.Pool
 	var b VCBuffer
 	b.Init(8, -1)
-	b.Push(mkPkt(&pool, 8))
+	b.Push(0, 8)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected overflow panic")
 		}
 	}()
-	b.Push(mkPkt(&pool, 8))
+	b.Push(1, 8)
 }
 
 func TestVCBufferDrainPanics(t *testing.T) {
@@ -77,7 +68,7 @@ func TestVCBufferDrainPanics(t *testing.T) {
 	if didPanic(func() { b.BeginDrain() }) == false {
 		t.Error("BeginDrain on empty buffer must panic")
 	}
-	if didPanic(func() { b.FinishDrain() }) == false {
+	if didPanic(func() { b.FinishDrain(8) }) == false {
 		t.Error("FinishDrain without BeginDrain must panic")
 	}
 }
@@ -92,19 +83,16 @@ func didPanic(f func()) (p bool) {
 // occupancy accounting.
 func TestVCBufferFIFOQuick(t *testing.T) {
 	f := func(ops []bool) bool {
-		var pool packet.Pool
 		var b VCBuffer
 		b.Init(1<<20, -1)
-		var expect []*packet.Packet
-		for _, push := range ops {
+		var expect []packet.Handle
+		for i, push := range ops {
 			if push {
-				p := mkPkt(&pool, 4)
-				b.Push(p)
-				expect = append(expect, p)
+				b.Push(packet.Handle(i), 4)
+				expect = append(expect, packet.Handle(i))
 			} else if len(expect) > 0 {
 				b.BeginDrain()
-				got := b.FinishDrain()
-				if got != expect[0] {
+				if b.FinishDrain(4) != expect[0] {
 					return false
 				}
 				expect = expect[1:]
@@ -126,17 +114,17 @@ func TestVCBufferFIFOQuick(t *testing.T) {
 // slots — that never fully empties stays in exactly those slots however far
 // its head walks, which is what keeps VC queues on the group arena.
 func TestVCBufferRing(t *testing.T) {
-	var pool packet.Pool
+	var next packet.Handle
 	var b VCBuffer
 	b.Init(1<<20, -1)
-	var live []*packet.Packet
+	var live []packet.Handle
 	for i := 0; i < 500; i++ {
-		p := mkPkt(&pool, 2)
-		b.Push(p)
-		live = append(live, p)
+		b.Push(next, 2)
+		live = append(live, next)
+		next++
 		if i%3 != 0 {
 			b.BeginDrain()
-			if got := b.FinishDrain(); got != live[0] {
+			if got := b.FinishDrain(2); got != live[0] {
 				t.Fatalf("iteration %d: wrong packet", i)
 			}
 			live = live[1:]
@@ -144,7 +132,7 @@ func TestVCBufferRing(t *testing.T) {
 	}
 	for len(live) > 0 {
 		b.BeginDrain()
-		if got := b.FinishDrain(); got != live[0] {
+		if got := b.FinishDrain(2); got != live[0] {
 			t.Fatal("tail drain order broken")
 		}
 		live = live[1:]
@@ -161,12 +149,12 @@ func TestVCBufferRing(t *testing.T) {
 	home := &c.q[0]
 	for i := 0; i < 1000; i++ {
 		for c.Free() >= 8 && (c.Len() < 2 || i%3 == 0) {
-			p := mkPkt(&pool, 8)
-			c.Push(p)
-			live = append(live, p)
+			c.Push(next, 8)
+			live = append(live, next)
+			next++
 		}
 		c.BeginDrain()
-		if got := c.FinishDrain(); got != live[0] {
+		if got := c.FinishDrain(8); got != live[0] {
 			t.Fatalf("round %d: wrong packet", i)
 		}
 		if live = live[1:]; c.Len() != len(live) || c.Len() == 0 {
@@ -178,28 +166,26 @@ func TestVCBufferRing(t *testing.T) {
 	}
 	// A wrapped queue with a draining head drops exactly the packets behind it.
 	for c.Free() >= 8 {
-		p := mkPkt(&pool, 8)
-		c.Push(p)
-		live = append(live, p)
+		c.Push(next, 8)
+		live = append(live, next)
+		next++
 	}
 	c.BeginDrain()
-	var dropped []*packet.Packet
-	c.DropQueued(func(p *packet.Packet) { dropped = append(dropped, p) })
+	var dropped []packet.Handle
+	c.DropQueued(8, func(h packet.Handle) { dropped = append(dropped, h) })
 	if len(dropped) != len(live)-1 || c.Len() != 1 || c.Occupied() != 8 {
 		t.Fatalf("dropped %d of %d, %d left", len(dropped), len(live), c.Len())
 	}
-	for i, p := range dropped {
-		if p != live[i+1] {
+	for i, h := range dropped {
+		if h != live[i+1] {
 			t.Fatalf("drop %d out of FIFO order", i)
 		}
 	}
-	if got := c.FinishDrain(); got != live[0] || c.Len() != 0 {
+	if got := c.FinishDrain(8); got != live[0] || c.Len() != 0 {
 		t.Fatal("draining head did not survive DropQueued")
 	}
 }
 
-// rankPick is the allocator's scan over one rank row: the eligible
-// requester of lowest rank, -1 when nobody is eligible.
 func rankPick(row []uint8, eligible func(i int) bool) int {
 	best := -1
 	for i, rk := range row {

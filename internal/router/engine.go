@@ -96,6 +96,6 @@ type Engine interface {
 type Grant struct {
 	InPort, InVC int
 	Req          Request
-	Pkt          *packet.Packet
+	Pkt          packet.Handle
 	Eject        bool
 }

@@ -173,13 +173,13 @@ func TestRouteCacheHeadReplacement(t *testing.T) {
 		},
 		deps: port2Deps,
 	}
-	push(r, 0, 0, &pool)
+	first := push(r, 0, 0, &pool)
 	push(r, 0, 0, &pool) // queued behind the head
 	if grants := r.Cycle(eng, 0); len(grants) != 1 || eng.calls != 1 {
 		t.Fatalf("cycle 0: %d grants, %d calls", len(grants), eng.calls)
 	}
-	if p, _, _ := r.FinishDrain(0, 0); p == nil {
-		t.Fatal("FinishDrain returned nil")
+	if h, _, _ := r.FinishDrain(0, 0); r.pkts.At(h) != first {
+		t.Fatal("FinishDrain returned another packet than the head")
 	}
 	if grants := r.Cycle(eng, 8); len(grants) != 1 || eng.calls != 2 {
 		t.Fatalf("new head: %d grants, %d calls; want fresh evaluation and grant", len(grants), eng.calls)

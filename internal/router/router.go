@@ -49,6 +49,9 @@ type Params struct {
 	PB          *FlagBoard
 	PBThreshold float64
 
+	// Packets resolves the packet handles the router's buffers hold.
+	Packets *packet.Store
+
 	// Arena, when non-nil, backs every slice the router allocates (ports,
 	// VC buffers, queue backings, arbiter rows, allocator scratch, cache
 	// masks). The network hands all routers of one dragonfly group the same
@@ -65,10 +68,11 @@ type Router struct {
 	In  []InPort
 	Out []OutPort
 
-	PktSize    int
+	PktSize    int // phits of every packet the router holds
 	AllocIters int
 
 	rng         *simcore.RNG
+	pkts        *packet.Store
 	pb          *FlagBoard
 	pbThreshold float64
 
@@ -189,6 +193,7 @@ func NewInto(r *Router, p Params) {
 		PktSize:     p.PktSize,
 		AllocIters:  p.AllocIters,
 		rng:         p.RNG,
+		pkts:        p.Packets,
 		pb:          p.PB,
 		pbThreshold: p.PBThreshold,
 		arena:       ar,
@@ -351,7 +356,7 @@ func (r *Router) OutputDead(port int) bool {
 // except heads that already won allocation and are draining (their phits are
 // on the crossbar; the pending FinishDrain completes them). Routable heads
 // that are dropped decrement readyVCs. Used when the whole router fails.
-func (r *Router) DropBuffered(visit func(*packet.Packet)) {
+func (r *Router) DropBuffered(visit func(packet.Handle)) {
 	for i := range r.In {
 		for vc := range r.In[i].VCs {
 			buf := &r.In[i].VCs[vc]
@@ -360,7 +365,7 @@ func (r *Router) DropBuffered(visit func(*packet.Packet)) {
 				r.In[i].ready &^= 1 << uint(vc)
 			}
 			before := buf.Occupied()
-			buf.DropQueued(visit)
+			buf.DropQueued(r.PktSize, visit)
 			if !buf.Escape {
 				r.occPhits -= before - buf.Occupied()
 			}
@@ -442,11 +447,12 @@ func (r *Router) PBDirty() bool { return r.pbDirty }
 
 // --- event-side interface (driven by the network) ---------------------------
 
-// Arrive stores a packet arriving on (port, vc) and updates its header: hop
+// Arrive stores packet h arriving on (port, vc) and updates its header: hop
 // counters, per-group flag lifetimes and Valiant-group completion.
-func (r *Router) Arrive(port, vc int, p *packet.Packet) {
+func (r *Router) Arrive(port, vc int, h packet.Handle) {
+	p := r.pkts.At(h)
 	p.TotalHops++
-	if r.push(port, vc, p).Escape {
+	if r.push(port, vc, h).Escape {
 		p.RingHops++
 	} else {
 		switch r.In[port].Kind {
@@ -463,19 +469,19 @@ func (r *Router) Arrive(port, vc int, p *packet.Packet) {
 // FinishDrain completes the transfer of the head packet of (port, vc),
 // freeing its buffer space. It returns the packet and the upstream output
 // coordinates that must be refunded (upRouter == -1 for injection buffers).
-func (r *Router) FinishDrain(port, vc int) (p *packet.Packet, upRouter, upPort int) {
+func (r *Router) FinishDrain(port, vc int) (h packet.Handle, upRouter, upPort int) {
 	inp := &r.In[port]
 	buf := &inp.VCs[vc]
-	p = buf.FinishDrain()
+	h = buf.FinishDrain(r.PktSize)
 	if buf.Len() > 0 {
 		r.readyVCs++ // the queued packet behind the drained head is now routable
 		inp.ready |= 1 << uint(vc)
 		r.readyPorts |= 1 << uint(port)
 	}
 	if !buf.Escape {
-		r.occPhits -= int(p.Size)
+		r.occPhits -= r.PktSize
 	}
-	return p, int(inp.UpRouter), int(inp.UpPort)
+	return h, int(inp.UpRouter), int(inp.UpPort)
 }
 
 // AddCredit refunds credits on an output port (a downstream buffer freed
@@ -503,15 +509,15 @@ func (r *Router) InjectionSpace(port, size int) (vc int, ok bool) {
 	return best, best >= 0
 }
 
-// Inject places a freshly generated packet into injection buffer (port, vc).
-func (r *Router) Inject(port, vc int, p *packet.Packet, now int64) {
-	p.Injected = now
-	r.push(port, vc, p)
+// Inject places freshly generated packet h into injection buffer (port, vc).
+func (r *Router) Inject(port, vc int, h packet.Handle, now int64) {
+	r.pkts.At(h).Injected = now
+	r.push(port, vc, h)
 }
 
-// push stores p in input buffer (port, vc), routable at once if the buffer
-// was idle, and returns the buffer; escape VCs count no occupancy.
-func (r *Router) push(port, vc int, p *packet.Packet) *VCBuffer {
+// push stores packet h in input buffer (port, vc), routable at once if the
+// buffer was idle, and returns the buffer; escape VCs count no occupancy.
+func (r *Router) push(port, vc int, h packet.Handle) *VCBuffer {
 	inp := &r.In[port]
 	buf := &inp.VCs[vc]
 	if buf.Len() == 0 && !buf.Draining() {
@@ -519,9 +525,9 @@ func (r *Router) push(port, vc int, p *packet.Packet) *VCBuffer {
 		inp.ready |= 1 << uint(vc)
 		r.readyPorts |= 1 << uint(port)
 	}
-	buf.Push(p)
+	buf.Push(h, r.PktSize)
 	if !buf.Escape {
-		r.occPhits += int(p.Size)
+		r.occPhits += r.PktSize
 	}
 	return buf
 }
@@ -664,7 +670,7 @@ func (r *Router) expireBusy(now int64) {
 // A head is routed by engine.Route unless its buffer holds a valid cache
 // entry — expiry not reached, read set disjoint from the window — in which
 // case the request still in its reqs slot is replayed and the engine, the
-// Head() dereference and the BlockedSince stamp are all skipped. The entry is
+// head's resolution and the BlockedSince stamp are all skipped. The entry is
 // the read set the Route call recorded on the router (rs). A valid entry
 // implies the same head: every change of head (a push onto an empty buffer,
 // FinishDrain, a fault drop) invalidates it, so BlockedSince was stamped when
@@ -700,7 +706,7 @@ func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend u
 				}
 				continue
 			}
-			p := buf.Head()
+			p := r.pkts.At(buf.Head())
 			if p.BlockedSince < 0 {
 				p.BlockedSince = now
 			}
@@ -832,7 +838,8 @@ func (r *Router) allocate(inPend uint64, now int64) {
 func (r *Router) commit(ip, vc int, req Request, now int64) {
 	inp := &r.In[ip]
 	buf := &inp.VCs[vc]
-	p := buf.Head()
+	h := buf.Head()
+	p := r.pkts.At(h)
 	buf.BeginDrain()
 	r.readyVCs-- // the head drains; anything queued behind it must wait
 	inp.ready &^= 1 << uint(vc)
@@ -876,5 +883,5 @@ func (r *Router) commit(ip, vc int, req Request, now int64) {
 		p.RingExits++
 	}
 	p.BlockedSince = -1
-	r.grants = append(r.grants, Grant{InPort: ip, InVC: vc, Req: req, Pkt: p, Eject: eject})
+	r.grants = append(r.grants, Grant{InPort: ip, InVC: vc, Req: req, Pkt: h, Eject: eject})
 }

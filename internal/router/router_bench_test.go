@@ -29,9 +29,9 @@ func BenchmarkCycleLoaded(b *testing.B) {
 	var pool packet.Pool
 	for ip := range r.In {
 		for vc := range r.In[ip].VCs {
-			p := pool.Get()
+			h, p := get(r, &pool)
 			p.Size = 8
-			r.Arrive(ip, vc, p)
+			r.Arrive(ip, vc, h)
 		}
 	}
 	eng := scriptEngine{route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
@@ -47,8 +47,8 @@ func BenchmarkCycleLoaded(b *testing.B) {
 			for vc := range r.In[ip].VCs {
 				buf := &r.In[ip].VCs[vc]
 				if buf.Draining() {
-					p, _, _ := r.FinishDrain(ip, vc)
-					r.Arrive(ip, vc, p) // requeue at the tail
+					h, _, _ := r.FinishDrain(ip, vc)
+					r.Arrive(ip, vc, h) // requeue at the tail
 				}
 			}
 		}

@@ -48,13 +48,27 @@ func testRouter(t *testing.T, vcsPerPort int) *Router {
 }
 
 func push(r *Router, port, vc int, pool *packet.Pool) *packet.Packet {
-	p := pool.Get()
+	h, p := get(r, pool)
 	p.Size = 8
 	p.Dst = 0
 	// Arrive, not a raw buffer Push: Cycle iterates the per-port ready
 	// bitsets, which only the router's own entry points maintain.
-	r.Arrive(port, vc, p)
+	r.Arrive(port, vc, h)
 	return p
+}
+
+// get takes a packet with a fresh ID from pool for r, giving a bare router
+// the pool's store, or binding the pool to the router's.
+func get(r *Router, pool *packet.Pool) (packet.Handle, *packet.Packet) {
+	if r.pkts == nil {
+		r.pkts = pool.Store()
+	} else if pool.Store() != r.pkts {
+		*pool = packet.NewPool(r.pkts)
+	}
+	h := pool.Alloc()
+	p := r.pkts.At(h)
+	p.ID = pool.NextID()
+	return h, p
 }
 
 // TestAllocatorSingleGrantPerOutput: two inputs requesting the same output
@@ -270,12 +284,12 @@ func TestArriveUpdatesHeader(t *testing.T) {
 	r := New(Params{ID: 0, Topo: d, PktSize: 8, AllocIters: 3, RNG: simcore.NewRNG(1), Ports: specs})
 
 	var pool packet.Pool
-	p := pool.Get()
+	h, p := get(r, &pool)
 	p.Size = 8
 	p.LocalMisrouted = true
 	p.MisrouteGroup = 5 // set in another group
 	p.ValiantGroup = 0  // this router's group is the valiant target
-	r.Arrive(1, 0, p)
+	r.Arrive(1, 0, h)
 	if p.LocalHops != 1 || p.GlobalHops != 0 || p.TotalHops != 1 {
 		t.Errorf("hops after local arrive: %d/%d/%d", p.LocalHops, p.GlobalHops, p.TotalHops)
 	}
@@ -285,9 +299,9 @@ func TestArriveUpdatesHeader(t *testing.T) {
 	if p.ValiantGroup != -1 {
 		t.Error("valiant group not cleared on arrival at the target group")
 	}
-	p2 := pool.Get()
+	h2, p2 := get(r, &pool)
 	p2.Size = 8
-	r.Arrive(2, 0, p2)
+	r.Arrive(2, 0, h2)
 	if p2.GlobalHops != 1 || p2.LocalHops != 0 {
 		t.Errorf("hops after global arrive: %d/%d", p2.LocalHops, p2.GlobalHops)
 	}
@@ -305,9 +319,9 @@ func TestInjectionSpaceAndInject(t *testing.T) {
 		if !ok {
 			t.Fatalf("no injection space at %d", i)
 		}
-		p := pool.Get()
+		h, p := get(r, &pool)
 		p.Size = 8
-		r.Inject(0, vc, p, int64(i))
+		r.Inject(0, vc, h, int64(i))
 		if p.Injected != int64(i) {
 			t.Error("Injected timestamp not set")
 		}

@@ -27,7 +27,7 @@ func (r *Router) Board() *FlagBoard { return r.pb }
 // ForEachPacket visits every packet stored in this router's input buffers,
 // including draining heads. The network snapshot uses it to build the
 // deduplicated packet table.
-func (r *Router) ForEachPacket(f func(*packet.Packet)) {
+func (r *Router) ForEachPacket(f func(packet.Handle)) {
 	for i := range r.In {
 		for vc := range r.In[i].VCs {
 			buf := &r.In[i].VCs[vc]
@@ -40,12 +40,12 @@ func (r *Router) ForEachPacket(f func(*packet.Packet)) {
 
 // State walks the router's full mutable state. Queued packets are visited
 // as references into the network's packet table, so aliased references — a
-// committed head also in flight as an arrival event — decode to one object.
+// committed head also in flight as an arrival event — decode to one packet.
 // now is the simulation time, which decoding needs to rebuild the route
 // cache's busy-port view. Decoding recomputes the derived state (occupancy,
 // ready bitsets, canonical credit aggregates, the entire route cache), and
 // the cache restarts cold.
-func (r *Router) State(c *simcore.Codec, pkts *packet.Table, now int64) error {
+func (r *Router) State(c *simcore.Codec, pkts *packet.Refs, now int64) error {
 	dec := c.Decoding()
 	c.RNG(r.rng)
 	c.Shape(len(r.In), "router ports")
@@ -79,20 +79,20 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Table, now int64) error {
 				buf.Init(int(buf.Capacity), int(buf.Ring))
 			}
 			for j := range nq {
-				var p *packet.Packet
+				var h packet.Handle
 				if !dec {
-					p = buf.q[buf.slot(j)]
+					h = buf.q[buf.slot(j)]
 				}
-				pkts.Ref(c, &p)
+				pkts.Ref(c, &h)
 				if dec {
 					if c.Err() != nil {
 						return c.Err()
 					}
-					if int(p.Size) > buf.Free() {
+					if r.PktSize > buf.Free() {
 						c.Fail("router %d port %d vc %d overflows capacity %d", r.ID, i, vc, buf.Capacity)
 						return c.Err()
 					}
-					buf.Push(p)
+					buf.Push(h, r.PktSize)
 				}
 			}
 			c.Bool(&buf.draining)
