@@ -137,3 +137,109 @@ func TestCreditLoopBandwidth(t *testing.T) {
 		}
 	}
 }
+
+// satNet returns a network of DefaultConfig(h) under routing rt with the
+// given workers (the pool forced on when > 1), loaded with ADV+h at 0.8 —
+// above saturation for every mechanism — and run for warm cycles.
+func satNet(t *testing.T, h int, rt Routing, workers, warm int) *Network {
+	t.Helper()
+	cfg := DefaultConfig(h).WithRouting(rt)
+	cfg.Workers = workers
+	n := mustPoolNet(t, cfg)
+	n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, h), 0.8, cfg.PacketSize))
+	n.Run(warm)
+	return n
+}
+
+// TestVCTLaw pins virtual cut-through: a grant starts on a link only when
+// the downstream VC has credit for the whole packet. Stepping saturated
+// ADV+h runs one cycle at a time, every grant's output VC must be left with
+// credits in [0, cap] — a grant that took credit the VC did not have drives
+// it below 0 — and so must every other live VC. OFAR (its own credit
+// checks, the escape ring) and PB (the baselines' VCFits) at h=2 and h=3,
+// Workers 1 and 2.
+func TestVCTLaw(t *testing.T) {
+	for _, h := range []int{2, 3} {
+		for _, rt := range []Routing{OFAR, PB} {
+			for _, w := range []int{1, 2} {
+				t.Run(fmt.Sprintf("h%d/%s/workers=%d", h, rt, w), func(t *testing.T) {
+					n := satNet(t, h, rt, w, 200)
+					n.EnableGrantLog(1 << 12) // one cycle's grants; emptied after each
+					granted := 0
+					for range 600 {
+						n.Step()
+						for _, g := range n.GrantLog() {
+							if g.Eject {
+								continue
+							}
+							granted++
+							if c := n.Routers[g.Router].Out[g.Out].Credits(g.VC); c < 0 {
+								t.Fatalf("cycle %d: router %d port %d vc %d granted with %d credits left",
+									g.Cycle, g.Router, g.Out, g.VC, c)
+							}
+						}
+						n.grantLog = n.grantLog[:0]
+						for _, r := range n.Routers {
+							for po := range r.Out {
+								op := &r.Out[po]
+								if op.Kind == topology.PortNode || op.Kind == topology.PortNone {
+									continue
+								}
+								for vc := range op.NumVCs() {
+									if c := op.Credits(vc); c < 0 || c > op.VCCap(vc) {
+										t.Fatalf("cycle %d: router %d port %d vc %d holds %d credits, cap %d",
+											n.Now(), r.ID, po, vc, c, op.VCCap(vc))
+									}
+								}
+							}
+						}
+					}
+					if granted == 0 {
+						t.Fatal("no link grants to check")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSerializationLaw pins the crossbar's bandwidth of one phit per cycle
+// per port: a grant keeps its input and its output port busy for the S
+// cycles the packet takes to serialize, so over a saturated ADV+h OFAR run
+// consecutive grants on one (router, output port) and on one (router, input
+// port) are at least S cycles apart, at h=2 and h=3, Workers 1 and 2.
+func TestSerializationLaw(t *testing.T) {
+	for _, h := range []int{2, 3} {
+		for _, w := range []int{1, 2} {
+			t.Run(fmt.Sprintf("h%d/workers=%d", h, w), func(t *testing.T) {
+				n := satNet(t, h, OFAR, w, 300)
+				n.EnableGrantLog(1 << 17)
+				n.Run(400)
+				S := int64(n.Cfg.PacketSize)
+				type port struct{ r, p int }
+				lastOut, lastIn := map[port]int64{}, map[port]int64{}
+				tight := 0
+				for _, g := range n.GrantLog() {
+					for _, c := range []struct {
+						side string
+						last map[port]int64
+						key  port
+					}{{"output", lastOut, port{g.Router, g.Out}}, {"input", lastIn, port{g.Router, g.InPort}}} {
+						if prev, ok := c.last[c.key]; ok {
+							if gap := g.Cycle - prev; gap < S {
+								t.Fatalf("router %d %s port %d granted at cycles %d and %d, %d apart, want ≥ %d",
+									g.Router, c.side, c.key.p, prev, g.Cycle, gap, S)
+							} else if gap == S {
+								tight++
+							}
+						}
+						c.last[c.key] = g.Cycle
+					}
+				}
+				if tight == 0 {
+					t.Fatal("no back-to-back grants: the run never saturated a port")
+				}
+			})
+		}
+	}
+}
