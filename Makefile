@@ -31,7 +31,7 @@ cover:
 LOC_COUNT = find $$d $$([ $$d = cmd ] || [ $$d = examples ] || echo -maxdepth 1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 loc:
-	@for d in internal/network internal/router internal/routing internal/core internal/simcore internal/stats internal/topology internal/traffic internal/service internal/cli . cmd cmd/experiments examples; do \
+	@for d in internal/network internal/router internal/packet internal/routing internal/core internal/simcore internal/stats internal/topology internal/traffic internal/service internal/cli . cmd cmd/experiments examples; do \
 		printf '%-18s %6d\n' $$d $$($(LOC_COUNT)); \
 	done
 
@@ -39,7 +39,7 @@ loc:
 # internal/network + internal/router sum may not exceed the ceiling, which is
 # the measured sum at the time the gate was added — lower it when a deletion
 # lands, never raise it to make a PR pass.
-LOC_CEILING ?= 4660
+LOC_CEILING ?= 4644
 
 loc-check: loc
 	@sum=0; for d in internal/network internal/router; do sum=$$((sum + $$($(LOC_COUNT)))); done; \

@@ -226,6 +226,20 @@ func TestHelp(t *testing.T) {
 	golden(t, "help", errOut.String())
 }
 
+// TestForeignPacketSize: -trace-in of a trace whose packets are not the
+// network's 8 phits fails, naming the record, and prints no report.
+func TestForeignPacketSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "foreign.trace")
+	if err := ofar.SaveTrace(path, []ofar.TraceRecord{{Cycle: 5, Src: 0, Dst: 9, Size: 16}}); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run(append(slices.Clone(h2), "-trace-in", path), &out, io.Discard)
+	if want := "trace: record 0 is a 16-phit packet, this network's packets are 8 phits"; err == nil || !strings.Contains(err.Error(), want) || out.Len() != 0 {
+		t.Errorf("error %v, printed %q; want an error containing %q", err, out.String(), want)
+	}
+}
+
 // TestRejects: a window no run can have and a negative or NaN load are
 // errors before anything is simulated or printed.
 func TestRejects(t *testing.T) {

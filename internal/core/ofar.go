@@ -179,7 +179,7 @@ func chooseVC(rt *router.Router, port int, p *packet.Packet, now int64) (int, bo
 		return -1, false
 	}
 	vc := op.ClassVC(int(p.GlobalHops))
-	if op.EscapeRing(vc) >= 0 || op.Credits(vc) < int(p.Size) {
+	if op.EscapeRing(vc) >= 0 || op.Credits(vc) < 1 {
 		return -1, false
 	}
 	return vc, true
@@ -191,7 +191,6 @@ func (e *OFAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now i
 	if in.Escape {
 		return e.routeOnRing(rt, in, p, now)
 	}
-	size := int(p.Size)
 	min := e.minPort(rt, in, p)
 	rt.NoteRead(min)
 	if vc, ok := chooseVC(rt, min, p, now); ok {
@@ -234,7 +233,7 @@ func (e *OFAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now i
 	// enough. Ring entry demands a two-packet bubble (§IV-C).
 	if e.cfg.EscapeTimeout >= 0 && rt.NumRings() > 0 {
 		if now-p.BlockedSince >= int64(e.cfg.EscapeTimeout) {
-			if ring, port, vc, ok := e.pickRing(rt, 2*size, now); ok {
+			if ring, port, vc, ok := e.pickRing(rt, now); ok {
 				return router.Request{Out: port, VC: vc, Escape: true, EnterRing: true, Ring: int8(ring)}, true
 			}
 		} else {
@@ -263,7 +262,7 @@ func (e *OFAR) routeOnRing(rt *router.Router, in router.InCtx, p *packet.Packet,
 	port, vc, credits, ok := rt.RingOut(in.Ring)
 	if ok {
 		rt.NoteRead(port) // a dead ring edge (ok == false) never heals; no read
-		if credits >= int(p.Size) && !rt.OutBusy(port, now) {
+		if credits >= 1 && !rt.OutBusy(port, now) {
 			return router.Request{Out: port, VC: vc, Escape: true, Ring: int8(in.Ring)}, true
 		}
 	}
@@ -350,7 +349,7 @@ func (e *OFAR) pickAmong(rt *router.Router, base, count, exclude int, th float64
 		// hold only a handful of packets, so a nearly-full "alternative"
 		// is measurement noise, not an escape valve, and chasing it under
 		// symmetric saturation wastes bandwidth on longer paths.
-		if rt.Out[port].Credits(vc) < 2*int(p.Size) {
+		if rt.Out[port].Credits(vc) < 2 {
 			continue
 		}
 		cand[nc] = uint8(port)
@@ -381,7 +380,7 @@ func (e *OFAR) pickAmong(rt *router.Router, base, count, exclude int, th float64
 // consults credits (not Busy) when deciding to divert.
 func vcFits(rt *router.Router, port int, p *packet.Packet) bool {
 	op := &rt.Out[port]
-	return !op.Dead() && op.Credits(op.ClassVC(int(p.GlobalHops))) >= int(p.Size)
+	return !op.Dead() && op.Credits(op.ClassVC(int(p.GlobalHops))) >= 1
 }
 
 // occFor returns the occupancy fraction used in threshold comparisons: the
@@ -398,8 +397,9 @@ func occFor(rt *router.Router, port int, _ *packet.Packet) float64 {
 }
 
 // pickRing returns the escape ring whose next-hop channel has the most
-// credits, provided it meets the needed bubble and its port is free.
-func (e *OFAR) pickRing(rt *router.Router, needed int, now int64) (ring, port, vc int, ok bool) {
+// credits, provided it has room for the two-packet bubble and its port is
+// free.
+func (e *OFAR) pickRing(rt *router.Router, now int64) (ring, port, vc int, ok bool) {
 	bestCr := -1
 	for j := 0; j < rt.NumRings(); j++ {
 		pj, vj, cr, okj := rt.RingOut(j)
@@ -407,7 +407,7 @@ func (e *OFAR) pickRing(rt *router.Router, needed int, now int64) (ring, port, v
 			continue // a failed ring edge never heals; no read
 		}
 		rt.NoteRead(pj)
-		if cr < needed || rt.OutBusy(pj, now) {
+		if cr < 2 || rt.OutBusy(pj, now) {
 			continue
 		}
 		if cr > bestCr {

@@ -25,15 +25,15 @@ func buildRouter(t *testing.T, d *topology.Dragonfly, id int, withRing bool) *ro
 		switch kind {
 		case topology.PortNode:
 			ps.Peer, ps.PeerPort, ps.UpRouter, ps.UpPort = -1, -1, -1, -1
-			ps.InCaps, ps.InRing = []int{32, 32, 32}, []int{-1, -1, -1}
-			ps.OutCaps, ps.OutRing = []int{8}, []int{-1}
+			ps.InCaps, ps.InRing = []int{4, 4, 4}, []int{-1, -1, -1}
+			ps.OutCaps, ps.OutRing = []int{1}, []int{-1}
 		case topology.PortLocal:
-			ps.InCaps, ps.InRing = []int{32, 32, 32}, []int{-1, -1, -1}
-			ps.OutCaps, ps.OutRing = []int{32, 32, 32}, []int{-1, -1, -1}
+			ps.InCaps, ps.InRing = []int{4, 4, 4}, []int{-1, -1, -1}
+			ps.OutCaps, ps.OutRing = []int{4, 4, 4}, []int{-1, -1, -1}
 		case topology.PortGlobal:
 			ps.Latency = 100
-			ps.InCaps, ps.InRing = []int{256, 256}, []int{-1, -1}
-			ps.OutCaps, ps.OutRing = []int{256, 256}, []int{-1, -1}
+			ps.InCaps, ps.InRing = []int{32, 32}, []int{-1, -1}
+			ps.OutCaps, ps.OutRing = []int{32, 32}, []int{-1, -1}
 		}
 		specs[port] = ps
 	}
@@ -43,8 +43,8 @@ func buildRouter(t *testing.T, d *topology.Dragonfly, id int, withRing bool) *ro
 		specs[rp] = router.PortSpec{
 			Kind: topology.PortRing, Peer: id, PeerPort: rp, UpRouter: id, UpPort: rp,
 			Latency: 10,
-			InCaps:  []int{32, 32, 32}, InRing: []int{0, 0, 0},
-			OutCaps: []int{32, 32, 32}, OutRing: []int{0, 0, 0},
+			InCaps:  []int{4, 4, 4}, InRing: []int{0, 0, 0},
+			OutCaps: []int{4, 4, 4}, OutRing: []int{0, 0, 0},
 		}
 		ringOuts = []int{rp}
 	}
@@ -61,7 +61,6 @@ var testPackets packet.Store
 func newPkt(d *topology.Dragonfly, src, dst int) *packet.Packet {
 	p := &packet.Packet{}
 	p.Reset()
-	p.Size = 8
 	p.Src, p.Dst = int32(src), int32(dst)
 	p.SrcGroup, p.DstGroup = int16(d.GroupOfNode(src)), int16(d.GroupOfNode(dst))
 	return p
@@ -81,7 +80,7 @@ func saturatePort(rt *router.Router, port int) {
 	op := &rt.Out[port]
 	for vc := 0; vc < op.NumVCs(); vc++ {
 		if op.EscapeRing(vc) < 0 {
-			op.Take(vc, op.Credits(vc))
+			op.SetCredits(vc, 0)
 		}
 	}
 }
@@ -314,10 +313,7 @@ func TestOFAREscapeAfterTimeout(t *testing.T) {
 	// Bubble: deplete the escape VCs below 2 packets and retry.
 	rp := d.RouterPorts
 	for vc := 0; vc < 3; vc++ {
-		cr := rt.Out[rp].Credits(vc)
-		if cr > 15 {
-			rt.Out[rp].Take(vc, cr-15) // leave <2 packets of room
-		}
+		rt.Out[rp].SetCredits(vc, 1) // leave <2 packets of room
 	}
 	if _, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortLocal, Ring: -1}, p, 20); ok {
 		t.Error("ring entry granted without a two-packet bubble")
@@ -351,7 +347,7 @@ func TestOFAROnRingBehavior(t *testing.T) {
 	}
 	// Exit budget exhausted: may not exit mid-route even if minimal frees.
 	p.RingExits = 1
-	rt.AddCredit(d.MinimalPort(0, dst), 0, 8)
+	rt.AddCredit(d.MinimalPort(0, dst), 0)
 	req, ok = e.Route(rt, in, p, 0)
 	if ok && req.ExitRing {
 		t.Error("exited the ring beyond the exit budget")
@@ -402,8 +398,7 @@ func TestOFARHeadroomFilter(t *testing.T) {
 		if port == min {
 			continue
 		}
-		cr := rt.Out[port].Credits(0)
-		rt.Out[port].Take(0, cr-8)
+		rt.Out[port].SetCredits(0, 1)
 	}
 	if req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode, Ring: -1}, p, 0); ok {
 		t.Errorf("misrouted to a headroom-less candidate: %+v", req)
@@ -463,7 +458,7 @@ func TestOFARVariablePolicyStrictness(t *testing.T) {
 	}
 	// Refund the grant's credits so the port is busy with a truly empty
 	// downstream queue (Q_min = 0): nothing is strictly below 0.9·0.
-	rt.AddCredit(min, 0, int(p2.Size))
+	rt.AddCredit(min, 0)
 	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode, Ring: -1}, p, 1)
 	if ok && (req.SetGlobalMis || req.SetLocalMis) {
 		t.Errorf("variable policy misrouted on a serialization collision: %+v", req)
@@ -515,7 +510,7 @@ func TestOFARLeastOccupiedSelection(t *testing.T) {
 	p := newPkt(d, d.P*3, dst)
 	saturatePort(rt, min)
 	g0 := d.GlobalPortBase()
-	rt.Out[g0].Take(0, 64) // 12.5% occupancy on the first global port
+	rt.Out[g0].SetCredits(0, rt.Out[g0].VCCap(0)-8) // 12.5% occupancy on the first global port
 	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode, Ring: -1}, p, 0)
 	if !ok || !req.SetGlobalMis {
 		t.Fatalf("no misroute: %+v ok=%v", req, ok)
@@ -536,7 +531,7 @@ func TestVCFitsClamping(t *testing.T) {
 		t.Error("clamped class should fit on a fresh port")
 	}
 	last := rt.Out[min].NumVCs() - 1
-	rt.Out[min].Take(last, rt.Out[min].Credits(last))
+	rt.Out[min].SetCredits(last, 0)
 	if vcFits(rt, min, p) {
 		t.Error("clamped class reported fit on an exhausted VC")
 	}

@@ -125,11 +125,13 @@ type Config struct {
 	// Groups groups (0 = maximum size a·h+1).
 	P, A, H, Groups int
 
-	PacketSize int // phits
+	PacketSize int // phits, the same for every packet
 
 	LocalLatency  int // cycles
 	GlobalLatency int // cycles
 
+	// VC FIFO sizes in phits, each a multiple of PacketSize (routers count
+	// buffers and credits in packets).
 	LocalBuf  int // phits per local-link VC FIFO
 	GlobalBuf int // phits per global-link VC FIFO
 	InjBuf    int // phits per injection VC FIFO
@@ -141,7 +143,7 @@ type Config struct {
 	Ring     RingMode
 	NumRings int // embedded rings (≥1; physical mode uses 1 per ring too)
 	RingVCs  int // VCs per physical ring port (embedded rings add 1 escape VC per link)
-	RingBuf  int // phits per escape VC FIFO
+	RingBuf  int // phits per escape VC FIFO (a multiple of PacketSize)
 
 	AllocIters int // separable allocator iterations
 
@@ -278,8 +280,8 @@ func (c *Config) PoolWidth() int {
 	return max(1, min(c.Workers, c.numGroups()))
 }
 
-// Routers keep latencies and phit counters in 32 bits; 64 VCs of maxVCBuf
-// phits stay below 2^31. A packet keeps its size in 16 bits.
+// Routers keep latencies and buffer counters in 32 bits; 64 VCs of maxVCBuf
+// phits stay below 2^31. A trace record keeps the packet size in 16 bits.
 const maxLinkLatency, maxVCBuf, maxPacketSize = 1 << 30, 1 << 24, 1<<15 - 1
 
 // Validate reports the first configuration error.
@@ -297,6 +299,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: link latencies must be ≤ %d", maxLinkLatency)
 	case c.LocalBuf < c.PacketSize || c.GlobalBuf < c.PacketSize || c.InjBuf < c.PacketSize:
 		return fmt.Errorf("network: every VC FIFO must hold at least one packet (VCT)")
+	case c.LocalBuf%c.PacketSize != 0 || c.GlobalBuf%c.PacketSize != 0 || c.InjBuf%c.PacketSize != 0:
+		// Routers count buffers in packets; the occupancy thresholds read
+		// matches the phit ratio only while no FIFO holds part of a packet.
+		return fmt.Errorf("network: every VC FIFO must hold a whole number of %d-phit packets", c.PacketSize)
 	case max(c.LocalBuf, c.GlobalBuf, c.InjBuf, c.RingBuf) > maxVCBuf:
 		return fmt.Errorf("network: VC FIFOs must be ≤ %d phits", maxVCBuf)
 	case c.LocalVCs < 1 || c.GlobalVCs < 1 || c.InjVCs < 1:
@@ -333,8 +339,8 @@ func (c *Config) Validate() error {
 		if c.NumRings < 1 {
 			return fmt.Errorf("network: ring mode %v needs NumRings ≥ 1", c.Ring)
 		}
-		if c.RingBuf < 2*c.PacketSize {
-			return fmt.Errorf("network: escape VC FIFOs must hold ≥ 2 packets for the bubble condition")
+		if c.RingBuf < 2*c.PacketSize || c.RingBuf%c.PacketSize != 0 {
+			return fmt.Errorf("network: escape VC FIFOs must hold ≥ 2 whole packets for the bubble condition")
 		}
 		if c.Ring == RingPhysical && c.RingVCs < 1 {
 			return fmt.Errorf("network: physical ring needs RingVCs ≥ 1")

@@ -215,7 +215,7 @@ func (n *Network) spliceRing(j, w int) {
 	arriving := make([]int, po.NumVCs())
 	n.wheel.ForEach(func(ev event) {
 		if ev.kind == evArrive && int(ev.r) == next && int(ev.port) == ringPort {
-			arriving[ev.vc] += int(n.pkts.At(ev.pkt).Size)
+			arriving[ev.vc]++
 		}
 	})
 
@@ -231,7 +231,7 @@ func (n *Network) spliceRing(j, w int) {
 	ni := &n.Routers[next].In[ringPort]
 	ni.UpRouter, ni.UpPort = int32(prev), int16(ringPort)
 	for vc := 0; vc < po.NumVCs(); vc++ {
-		po.SetCredits(vc, po.VCCap(vc)-ni.VCs[vc].Occupied()-arriving[vc])
+		po.SetCredits(vc, po.VCCap(vc)-ni.VCs[vc].Len()-arriving[vc])
 	}
 	n.Routers[prev].NoteOutMutated(ringPort)
 }

@@ -316,7 +316,7 @@ func TestVCQueuesStayOnArena(t *testing.T) {
 			for vc := range r.In[i].VCs {
 				b := &r.In[i].VCs[vc]
 				total++
-				if b.QueueSlots() != int(b.Capacity)/cfg.PacketSize+1 {
+				if b.QueueSlots() != int(b.Capacity)+1 {
 					off++
 				}
 			}

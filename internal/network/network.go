@@ -30,7 +30,7 @@ const (
 )
 
 // event is a 12-byte wheel entry: Validate caps ports and VCs at 64, a
-// credit always returns Cfg.PacketSize phits, and an arrival names its
+// credit always returns one packet's space, and an arrival names its
 // packet by handle.
 type event struct {
 	pkt  packet.Handle
@@ -291,9 +291,9 @@ func New(cfg Config) (*Network, error) {
 		n.Engine = core.New(topo, oc)
 	}
 
-	// Input-buffer VC profiles per (router, input port); escape VCs of
-	// embedded rings are appended to the canonical profile of the links
-	// the ring traverses.
+	// Input-buffer VC profiles per (router, input port), in packets (Validate
+	// makes every FIFO a whole number of them); escape VCs of embedded rings
+	// are appended to the canonical profile of the links the ring traverses.
 	nPorts := topo.RouterPorts
 	if cfg.Ring == RingPhysical {
 		nPorts += cfg.NumRings
@@ -306,7 +306,7 @@ func New(cfg Config) (*Network, error) {
 	mkProf := func(vcs, buf int, ring int) prof {
 		p := prof{caps: make([]int, vcs), ring: make([]int, vcs)}
 		for i := range vcs {
-			p.caps[i], p.ring[i] = buf, ring
+			p.caps[i], p.ring[i] = buf/cfg.PacketSize, ring
 		}
 		return p
 	}
@@ -329,9 +329,8 @@ func New(cfg Config) (*Network, error) {
 			for r := 0; r < topo.Routers; r++ {
 				out := rg.EmbeddedPort(r)
 				_, peer, peerPort := topo.Peer(r, out)
-				pp := &profs[peer][peerPort]
-				pp.caps = append(pp.caps, cfg.RingBuf)
-				pp.ring = append(pp.ring, j)
+				esc, pp := mkProf(1, cfg.RingBuf, j), &profs[peer][peerPort]
+				pp.caps, pp.ring = append(pp.caps, esc.caps...), append(pp.ring, esc.ring...)
 			}
 		}
 	}
@@ -383,7 +382,7 @@ func New(cfg Config) (*Network, error) {
 			switch kind {
 			case topology.PortNode:
 				ps.InCaps, ps.InRing = profs[r][port].caps, profs[r][port].ring
-				ps.OutCaps, ps.OutRing = []int{cfg.PacketSize}, []int{-1}
+				ps.OutCaps, ps.OutRing = []int{1}, []int{-1}
 			case topology.PortNone:
 			default:
 				ps.Peer, ps.PeerPort = peer, peerPort
@@ -919,7 +918,7 @@ func (n *Network) handle(s *groupScratch, g, k int, ev event, idx int32, now int
 			s.fx = append(s.fx, fxRec{pkt: h, idx: idx})
 		}
 	case evCredit:
-		n.Routers[ev.r].AddCredit(int(ev.port), int(ev.vc), n.Cfg.PacketSize)
+		n.Routers[ev.r].AddCredit(int(ev.port), int(ev.vc))
 	}
 }
 
@@ -970,7 +969,6 @@ func (n *Network) generateGroup(g int, now int64) {
 		} else {
 			ph := n.poolG[g].Alloc()
 			p := n.pkts.At(ph)
-			p.Size = int16(n.Cfg.PacketSize)
 			p.Src, p.Dst = h.Node, h.Dst
 			p.SrcGroup, p.DstGroup = int16(g), int16(topo.GroupOfNode(dst))
 			p.Born = now
@@ -996,7 +994,7 @@ func (n *Network) generateGroup(g int, now int64) {
 				continue
 			}
 			port := topo.NodePort(topo.NodeSlot(node))
-			if vc, ok := r.InjectionSpace(port, int(p.Size)); ok {
+			if vc, ok := r.InjectionSpace(port); ok {
 				pq.pop()
 				sh.setPend(node-lo, pq.len() > 0)
 				r.Inject(port, vc, h, now)
@@ -1020,20 +1018,20 @@ func (s *groupState) setPend(i int, on bool) {
 // schedule each grant's events, count it, and log its observable half when
 // the merge needs it.
 func (n *Network) cycleGroup(s *groupScratch, g, k int, now int64) {
-	lo := g * n.groupSize
+	lo, S := g*n.groupSize, n.Cfg.PacketSize
 	for _, r := range n.Routers[lo : lo+n.groupSize] {
 		grants := r.Cycle(n.Engine, now)
 		for j := range grants {
 			gr := &grants[j]
 			p, req := n.pkts.At(gr.Pkt), &gr.Req
 			if gr.Eject {
-				n.sched(s, g, k, int(p.Size)-1, event{kind: evDrainDeliver, r: int32(r.ID), port: int8(gr.InPort), vc: int8(gr.InVC)})
+				n.sched(s, g, k, S-1, event{kind: evDrainDeliver, r: int32(r.ID), port: int8(gr.InPort), vc: int8(gr.InVC)})
 			} else {
 				out := &r.Out[req.Out]
 				n.sched(s, g, k, int(out.Latency), event{kind: evArrive, pkt: gr.Pkt, r: out.Peer, port: int8(out.PeerPort), vc: int8(req.VC)})
-				n.sched(s, g, k, int(p.Size)-1, event{kind: evDrain, r: int32(r.ID), port: int8(gr.InPort), vc: int8(gr.InVC)})
+				n.sched(s, g, k, S-1, event{kind: evDrain, r: int32(r.ID), port: int8(gr.InPort), vc: int8(gr.InVC)})
 			}
-			n.Stats.AddUtilization(r.ID, req.Out, int(p.Size))
+			n.Stats.AddUtilization(r.ID, req.Out, S)
 			if req.SetGlobalMis {
 				s.globalMis++
 			}

@@ -50,6 +50,12 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Routing = "bogus" },
 		func(c *Config) { c.Ring = RingPhysical; c.NumRings = 0 },
 		func(c *Config) { c.Ring = RingPhysical; c.RingBuf = 8 }, // < 2 packets
+		// FIFOs hold whole packets: k·S+1 phits is refused for each.
+		func(c *Config) { c.LocalBuf = 4*c.PacketSize + 1 },
+		func(c *Config) { c.GlobalBuf = 32*c.PacketSize + 1 },
+		func(c *Config) { c.InjBuf = 4*c.PacketSize + 1 },
+		func(c *Config) { c.Ring = RingPhysical; c.RingBuf = 4*c.PacketSize + 1 },
+		func(c *Config) { c.Ring = RingEmbedded; c.RingBuf = 4*c.PacketSize + 1 },
 		func(c *Config) { c.Routing = OFAR; c.Ring = RingNone },
 		func(c *Config) { c.OFAR.NonMinFactor, c.OFAR.StaticNonMin = 0, -1 },                     // no misroute threshold
 		func(c *Config) { c.Routing = OFARL; c.OFAR.NonMinFactor, c.OFAR.StaticNonMin = -1, -1 }, // nor for OFAR-L
@@ -66,12 +72,28 @@ func TestConfigValidation(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
-	// A packet keeps its size in 16 bits: 32,767 phits is the largest
-	// packet, whatever the buffers hold.
+	// k·S phits is accepted for every FIFO, and without a ring RingBuf is
+	// not read.
+	for i, mut := range []func(*Config){
+		func(c *Config) { c.LocalBuf = 5 * c.PacketSize },
+		func(c *Config) { c.GlobalBuf = 33 * c.PacketSize },
+		func(c *Config) { c.InjBuf = 5 * c.PacketSize },
+		func(c *Config) { c.RingBuf = 5 * c.PacketSize },
+		func(c *Config) { c.Ring = RingEmbedded; c.RingBuf = 5 * c.PacketSize },
+		func(c *Config) { *c = c.WithRouting(MIN); c.RingBuf = 4*c.PacketSize + 1 },
+	} {
+		cfg := DefaultConfig(2)
+		mut(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("multiple-of-S FIFO %d rejected: %v", i, err)
+		}
+	}
+	// A trace record keeps the packet size in 16 bits: 32,767 phits is the
+	// largest packet, whatever the buffers hold.
 	for size, ok := range map[int]bool{1<<15 - 1: true, 1 << 15: false} {
 		cfg := DefaultConfig(2)
 		cfg.PacketSize = size
-		cfg.LocalBuf, cfg.GlobalBuf, cfg.InjBuf, cfg.RingBuf = 1<<17, 1<<17, 1<<17, 1<<17
+		cfg.LocalBuf, cfg.GlobalBuf, cfg.InjBuf, cfg.RingBuf = 4*size, 4*size, 4*size, 4*size
 		if err := cfg.Validate(); (err == nil) != ok {
 			t.Errorf("packet size %d: Validate = %v, want accepted %v", size, err, ok)
 		}
@@ -450,7 +472,7 @@ func TestValidateGroupsRange(t *testing.T) {
 }
 
 // checkDrainedCredits requires every live output port's missing credits to
-// equal the phits its downstream buffer holds: once a network has drained
+// equal the packets its downstream buffer holds: once a network has drained
 // and its straggler credits have landed, nothing is on a link. Dead ports
 // are frozen by their fault and skipped.
 func checkDrainedCredits(t *testing.T, n *Network) {
@@ -463,8 +485,8 @@ func checkDrainedCredits(t *testing.T, n *Network) {
 			}
 			for vc := range op.NumVCs() {
 				missing := op.VCCap(vc) - op.Credits(vc)
-				if down := n.Routers[op.Peer].In[op.PeerPort].VCs[vc].Occupied(); missing != down {
-					t.Fatalf("router %d port %d vc %d: %d credits missing, %d phits downstream",
+				if down := n.Routers[op.Peer].In[op.PeerPort].VCs[vc].Len(); missing != down {
+					t.Fatalf("router %d port %d vc %d: %d credits missing, %d packets downstream",
 						r.ID, po, vc, missing, down)
 				}
 			}

@@ -587,15 +587,16 @@ func (n *Network) imageSize(tab *packet.Refs) int {
 // packetState visits one packet record, its ID as the delta from prev, the
 // record's before it in the table. Decoding validates its fields against
 // this network's topology, and its ID against prev and the pool's
-// handed-out IDs (restored before the table). The last slot is a retired
-// delivery stamp.
+// handed-out IDs (restored before the table). The second slot holds the
+// network's packet size, which packets no longer carry, and the last a
+// retired delivery stamp.
 func (n *Network) packetState(c *simcore.Codec, p *packet.Packet, prev packet.ID) {
 	delta := uint64(p.ID - prev)
 	c.Uvarint(&delta)
 	if c.Decoding() {
 		p.ID = prev + packet.ID(delta)
 	}
-	simcore.Int(c, &p.Size)
+	c.Shape(n.Cfg.PacketSize, "packet size")
 	simcore.Int(c, &p.Dst)
 	simcore.Int(c, &p.SrcGroup)
 	simcore.Int(c, &p.DstGroup)
@@ -622,8 +623,6 @@ func (n *Network) packetState(c *simcore.Codec, p *packet.Packet, prev packet.ID
 	switch id := p.ID; {
 	case id <= prev || uint64(id) > n.pool.Outstanding():
 		c.Fail("packet ID %d outside (%d,%d]: out of order or never handed out", id, prev, n.pool.Outstanding())
-	case int(p.Size) != n.Cfg.PacketSize:
-		c.Fail("packet %d size %d != configured %d", id, p.Size, n.Cfg.PacketSize)
 	case p.Src < 0 || int(p.Src) >= n.Topo.Nodes || p.Dst < 0 || int(p.Dst) >= n.Topo.Nodes:
 		c.Fail("packet %d endpoints %d→%d outside [0,%d)", id, p.Src, p.Dst, n.Topo.Nodes)
 	case p.SrcGroup < 0 || int(p.SrcGroup) >= n.Topo.G || p.DstGroup < 0 || int(p.DstGroup) >= n.Topo.G:

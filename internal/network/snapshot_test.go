@@ -455,11 +455,19 @@ func TestRestoreRejects(t *testing.T) {
 		t.Fatal("a packet record with a zero ID delta decoded")
 	}
 
-	// Records whose narrowed fields or retired slots hold what no walk
-	// writes: a size that wraps to the configured 8 in 16 bits, a nonzero
-	// delivery stamp, a credit of other than PacketSize phits, and an
-	// arrival or drain carrying phits. The same splice with the value the
-	// walk writes restores.
+	// Output credits are written in phits, the unit of the version-5 image:
+	// a count that is not a whole number of packets is refused before it is
+	// divided. Encoding router 4 as if its packets were S/2 phits writes its
+	// ejection port's one credit as S/2, inside [0, S].
+	refuse(fresh, "output credits not a multiple of S", hostileState(t, snapNet(t, cfg, 0.6), func(n *Network) {
+		n.Routers[4].PktSize /= 2
+	}), "4 phits of credit, not a multiple of the 8-phit packet")
+
+	// Records whose derived or retired slots hold what no walk writes: a
+	// packet size other than the network's (and one that wraps to it in 16
+	// bits), a nonzero delivery stamp, a credit of other than PacketSize
+	// phits, and an arrival or drain carrying phits. The same splice with
+	// the value the walk writes restores.
 	S := int64(cfg.PacketSize)
 	for _, c := range []struct {
 		name      string
@@ -467,7 +475,8 @@ func TestRestoreRejects(t *testing.T) {
 		good, bad int64
 		want      string
 	}{
-		{"packet size past int16", packetSize, S, 1<<16 + S, "overflows int16"},
+		{"packet size other than S", packetSize, S, 2 * S, "packet size: snapshot has 16, target 8"},
+		{"packet size past int16", packetSize, S, 1<<16 + S, "packet size: snapshot has 65544, target 8"},
 		{"packet delivery stamp", packetDone, 0, 5, "delivery stamp: snapshot has 5"},
 		{"credit phits", creditPhits, S, S - 1, "event phits: snapshot has 7, target 8"},
 		{"arrival or drain phits", otherPhits, 0, S, "event phits: snapshot has 8, target 0"},
@@ -510,7 +519,7 @@ func hostileState(t testing.TB, n *Network, corrupt func(*Network)) []byte {
 
 // The records hostileRecord rewrites, and the varint it sets in each.
 const (
-	packetSize  = iota // a packet's Size
+	packetSize  = iota // a packet's size slot
 	packetDone         // a packet's retired delivery-stamp slot
 	creditPhits        // a credit event's phits slot
 	otherPhits         // an arrival's or drain's phits slot

@@ -3,9 +3,10 @@
 // header state, the block store that holds them and hands out 32-bit
 // handles, and the free-list pools that allocate from it.
 //
-// The simulator works at packet granularity for buffering decisions and at
-// phit granularity for bandwidth accounting: a packet of Size phits needs
-// Size cycles to cross a link or a crossbar port.
+// Every packet of a network has the same size, network.Config.PacketSize
+// phits, so a packet carries no size of its own. The simulator counts
+// buffers and credits in packets and time and bandwidth in phits: a packet
+// of S phits needs S cycles to cross a link or a crossbar port.
 package packet
 
 import (
@@ -30,25 +31,24 @@ type ID uint64
 //     and TotalHops and RingHops, which a packet advances at most once per
 //     cycle of its life;
 //   - int16 for group indices (radix ≤ 64 means ≤ 4,097 groups; -1 for
-//     none), Size (network.Config.Validate caps PacketSize at 32,767), and
-//     RingExits, LocalHops and GlobalHops, which core.MaxRingExitsCap keeps
-//     below 2^15;
+//     none) and RingExits, LocalHops and GlobalHops, which
+//     core.MaxRingExitsCap keeps below 2^15;
 //   - a byte each for the flags and the ring index.
 //
-// Field order is deliberate: the leading 28 bytes are the routing engines'
+// Field order is deliberate: the leading 26 bytes are the routing engines'
 // per-cycle read set (consulted for every blocked buffer head at
 // saturation), so they mostly share one cache line. The trailing fields are
-// written once per hop or once per lifetime. Each field is aligned with no
-// padding. Nothing reflects over this struct, and the snapshot walk visits
-// its fields by name.
+// written once per hop or once per lifetime. Each field is aligned; the
+// only padding is the two bytes that align Src after the read set. Nothing
+// reflects over this struct, and the snapshot walk visits its fields by
+// name.
 type Packet struct {
 	// BlockedSince is the cycle at which the packet most recently became
 	// head of an input buffer without being able to advance; < 0 when the
 	// packet is not blocked. Drives the escape-ring timeout.
 	BlockedSince int64
 
-	Dst  int32 // destination node index
-	Size int16 // size in phits
+	Dst int32 // destination node index
 
 	SrcGroup int16 // group of the source node (cached)
 	DstGroup int16 // group of the destination node (cached)

@@ -19,11 +19,11 @@ func propRouter(t testing.TB, ports, vcs, iters int) *Router {
 	for i := range perPort {
 		perPort[i] = vcs
 	}
-	return shapedRouter(t, perPort, iters, 1<<20)
+	return shapedRouter(t, perPort, iters, 1<<17)
 }
 
 // shapedRouter is propRouter with port i holding vcs[i] VCs of the given
-// capacity (phits, and credits downstream).
+// capacity (packets, and credits downstream).
 func shapedRouter(t testing.TB, vcs []int, iters, capacity int) *Router {
 	t.Helper()
 	d, err := topology.New(1, 2, 1, 0)
@@ -344,7 +344,7 @@ func testArbiterAgainstModel(t *testing.T, byOutput bool, width, rounds int) {
 	if !byOutput {
 		vcs[0] = width
 	}
-	r := shapedRouter(t, vcs, 1, 8*rounds)
+	r := shapedRouter(t, vcs, 1, rounds)
 	slot := func(i int) (port, vc int) {
 		if byOutput {
 			return i, 0

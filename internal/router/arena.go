@@ -68,7 +68,7 @@ func (s *ArenaSize) Add(p Params, cache bool) {
 		s.Uint8s += len(ps.InCaps) // input arbiters: one rank per VC
 		s.OutVCs += len(ps.OutCaps)
 		for _, c := range ps.InCaps {
-			s.PacketSlots += queueSlots(c, p.PktSize)
+			s.PacketSlots += queueSlots(c)
 		}
 	}
 	if cache {

@@ -1,9 +1,10 @@
 // Package router implements the microarchitecture of the simulated
 // input-buffered virtual cut-through router used throughout the paper's
-// evaluation (§V): per-VC input FIFOs with phit-granularity occupancy,
-// credit-based flow control, an iterative separable batch allocator with
-// least-recently-served arbiters, and the escape-channel bookkeeping needed
-// by OFAR's deadlock-free subnetwork.
+// evaluation (§V): per-VC input FIFOs counted in packets (every packet of a
+// network has the same size, Params.PktSize phits), credit-based flow
+// control with one credit per packet, an iterative separable batch
+// allocator with least-recently-served arbiters, and the escape-channel
+// bookkeeping needed by OFAR's deadlock-free subnetwork.
 //
 // The package also defines the Engine interface that routing mechanisms
 // (MIN, VAL, PB, UGAL, OFAR) implement; engines receive the concrete
@@ -14,10 +15,10 @@ import (
 	"ofar/internal/packet"
 )
 
-// VCBuffer is one virtual-channel FIFO of an input port. Occupancy is
-// tracked in phits; the packet at the head may additionally be "draining"
-// (it won switch allocation and its phits are streaming out), during which
-// it is not eligible for routing.
+// VCBuffer is one virtual-channel FIFO of an input port, counted in packets;
+// the packet at the head may additionally be "draining" (it won switch
+// allocation and its phits are streaming out), during which it is not
+// eligible for routing.
 type VCBuffer struct {
 	// Escape marks the buffer as part of the escape subnetwork (a ring
 	// port's VC or an embedded escape VC); Ring identifies which ring
@@ -27,16 +28,15 @@ type VCBuffer struct {
 	draining bool
 	cOK      bool // route cache: the cached outcome, Route returned (request, true)
 
-	Capacity int32 // phits (Config.Validate bounds every buffer)
+	Capacity int32 // packets (Config.Validate bounds every buffer)
 
 	// q is a fixed-capacity ring of packet handles carved from the group
 	// arena: n packets starting at slot head, wrapping at len(q). Credit flow
 	// control keeps n below len(q) (see queueSlots), so the queue never
 	// leaves its slab.
-	q        []packet.Handle
-	head     int32
-	n        int32
-	occupied int32 // phits
+	q    []packet.Handle
+	head int32
+	n    int32
 
 	// Route-cache entry for the current head packet (see Router.Cycle).
 	// Valid while now < cExpire AND cMask (the decision's output-port read
@@ -58,26 +58,20 @@ func (b *VCBuffer) invalidateCache() {
 	b.cMin = -1
 }
 
-// Init sets the buffer capacity (phits). ring < 0 marks a canonical buffer.
+// Init sets the buffer capacity (packets). ring < 0 marks a canonical buffer.
 func (b *VCBuffer) Init(capacity int, ring int) {
 	b.Capacity = int32(capacity)
 	b.Escape = ring >= 0
 	b.Ring = int8(ring)
 	clear(b.q)
 	b.head, b.n = 0, 0
-	b.occupied = 0
 	b.draining = false
 	b.invalidateCache()
 }
 
-// queueSlots is the ring size of a VC of the given capacity: the packets
-// that fit plus one slot of margin.
-func queueSlots(capacity, pktSize int) int {
-	if pktSize <= 0 {
-		return 2
-	}
-	return capacity/pktSize + 1
-}
+// queueSlots is the ring size of a VC of the given capacity in packets: the
+// packets that fit plus one slot of margin.
+func queueSlots(capacity int) int { return capacity + 1 }
 
 // Len returns the number of queued packets.
 func (b *VCBuffer) Len() int { return int(b.n) }
@@ -94,11 +88,8 @@ func (b *VCBuffer) slot(j int) int {
 	return j
 }
 
-// Occupied returns the occupied phits.
-func (b *VCBuffer) Occupied() int { return int(b.occupied) }
-
-// Free returns the free phits.
-func (b *VCBuffer) Free() int { return int(b.Capacity - b.occupied) }
+// Free returns the room left, in packets.
+func (b *VCBuffer) Free() int { return int(b.Capacity - b.n) }
 
 // Head returns the head packet's handle; the buffer must not be empty. The
 // head is not routable while the buffer is draining a previous grant.
@@ -107,12 +98,12 @@ func (b *VCBuffer) Head() packet.Handle { return b.q[b.head] }
 // Draining reports whether the head packet is currently streaming out.
 func (b *VCBuffer) Draining() bool { return b.draining }
 
-// Push appends the packet h of size phits. The caller must have verified
-// space; credit-based flow control guarantees it for network traffic, and
-// sources check Free before injecting. Push panics on overflow because an
-// overflow means a credit-accounting bug, not a runtime condition.
-func (b *VCBuffer) Push(h packet.Handle, size int) {
-	if size > b.Free() {
+// Push appends the packet h. The caller must have verified space;
+// credit-based flow control guarantees it for network traffic, and sources
+// check Free before injecting. Push panics on overflow because an overflow
+// means a credit-accounting bug, not a runtime condition.
+func (b *VCBuffer) Push(h packet.Handle) {
+	if b.n >= b.Capacity {
 		panic("router: VC buffer overflow (credit accounting bug)")
 	}
 	if b.n == 0 {
@@ -129,15 +120,14 @@ func (b *VCBuffer) Push(h packet.Handle, size int) {
 	}
 	b.q[b.slot(b.Len())] = h
 	b.n++
-	b.occupied += int32(size)
 }
 
 // DropQueued removes every queued packet except a draining head (whose
 // phits are already committed to the crossbar and must finish via
-// FinishDrain; headSize is its size), calling visit for each removed packet.
+// FinishDrain), calling visit for each removed packet.
 // Used when a router fails: its buffered traffic is lost and must be
 // accounted explicitly.
-func (b *VCBuffer) DropQueued(headSize int, visit func(packet.Handle)) {
+func (b *VCBuffer) DropQueued(visit func(packet.Handle)) {
 	if b.n == 0 {
 		return
 	}
@@ -149,7 +139,7 @@ func (b *VCBuffer) DropQueued(headSize int, visit func(packet.Handle)) {
 	for j := keep; j < b.Len(); j++ {
 		visit(b.q[b.slot(j)])
 	}
-	b.n, b.occupied = int32(keep), int32(keep*headSize)
+	b.n = int32(keep)
 }
 
 // BeginDrain marks the head as granted; it stays at the head (consuming
@@ -161,9 +151,8 @@ func (b *VCBuffer) BeginDrain() {
 	b.draining = true
 }
 
-// FinishDrain removes the head packet, whose size is size phits, and frees
-// its space.
-func (b *VCBuffer) FinishDrain(size int) packet.Handle {
+// FinishDrain removes the head packet and frees its space.
+func (b *VCBuffer) FinishDrain() packet.Handle {
 	if !b.draining {
 		panic("router: FinishDrain without BeginDrain")
 	}
@@ -172,7 +161,6 @@ func (b *VCBuffer) FinishDrain(size int) packet.Handle {
 		b.head = 0
 	}
 	b.n--
-	b.occupied -= int32(size)
 	b.draining = false
 	b.invalidateCache() // whatever queued behind h is the new head
 	return h

@@ -11,18 +11,18 @@ import (
 
 func TestVCBufferBasics(t *testing.T) {
 	var b VCBuffer
-	b.Init(32, -1)
+	b.Init(4, -1)
 	if b.Escape || b.Ring != -1 {
 		t.Error("canonical buffer flagged as escape")
 	}
-	if b.Len() != 0 || b.Occupied() != 0 || b.Free() != 32 {
+	if b.Len() != 0 || b.Free() != 4 {
 		t.Error("fresh buffer not empty")
 	}
 	const p1, p2 packet.Handle = 7, 3
-	b.Push(p1, 8)
-	b.Push(p2, 8)
-	if b.Len() != 2 || b.Occupied() != 16 || b.Free() != 16 {
-		t.Errorf("len=%d occ=%d free=%d", b.Len(), b.Occupied(), b.Free())
+	b.Push(p1)
+	b.Push(p2)
+	if b.Len() != 2 || b.Free() != 2 {
+		t.Errorf("len=%d free=%d", b.Len(), b.Free())
 	}
 	if b.Head() != p1 {
 		t.Error("head is not FIFO order")
@@ -31,10 +31,10 @@ func TestVCBufferBasics(t *testing.T) {
 	if !b.Draining() {
 		t.Error("not draining")
 	}
-	if got := b.FinishDrain(8); got != p1 {
+	if got := b.FinishDrain(); got != p1 {
 		t.Error("drained wrong packet")
 	}
-	if b.Draining() || b.Len() != 1 || b.Occupied() != 8 {
+	if b.Draining() || b.Len() != 1 || b.Free() != 3 {
 		t.Error("drain bookkeeping wrong")
 	}
 	if b.Head() != p2 {
@@ -44,7 +44,7 @@ func TestVCBufferBasics(t *testing.T) {
 
 func TestVCBufferEscapeTag(t *testing.T) {
 	var b VCBuffer
-	b.Init(32, 2)
+	b.Init(4, 2)
 	if !b.Escape || b.Ring != 2 {
 		t.Errorf("escape=%v ring=%d", b.Escape, b.Ring)
 	}
@@ -52,23 +52,23 @@ func TestVCBufferEscapeTag(t *testing.T) {
 
 func TestVCBufferOverflowPanics(t *testing.T) {
 	var b VCBuffer
-	b.Init(8, -1)
-	b.Push(0, 8)
+	b.Init(1, -1)
+	b.Push(0)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected overflow panic")
 		}
 	}()
-	b.Push(1, 8)
+	b.Push(1)
 }
 
 func TestVCBufferDrainPanics(t *testing.T) {
 	var b VCBuffer
-	b.Init(8, -1)
+	b.Init(1, -1)
 	if didPanic(func() { b.BeginDrain() }) == false {
 		t.Error("BeginDrain on empty buffer must panic")
 	}
-	if didPanic(func() { b.FinishDrain(8) }) == false {
+	if didPanic(func() { b.FinishDrain() }) == false {
 		t.Error("FinishDrain without BeginDrain must panic")
 	}
 }
@@ -80,7 +80,7 @@ func didPanic(f func()) (p bool) {
 }
 
 // TestVCBufferFIFOQuick pushes/drains randomly and checks FIFO order and
-// occupancy accounting.
+// free-space accounting.
 func TestVCBufferFIFOQuick(t *testing.T) {
 	f := func(ops []bool) bool {
 		var b VCBuffer
@@ -88,16 +88,16 @@ func TestVCBufferFIFOQuick(t *testing.T) {
 		var expect []packet.Handle
 		for i, push := range ops {
 			if push {
-				b.Push(packet.Handle(i), 4)
+				b.Push(packet.Handle(i))
 				expect = append(expect, packet.Handle(i))
 			} else if len(expect) > 0 {
 				b.BeginDrain()
-				if b.FinishDrain(4) != expect[0] {
+				if b.FinishDrain() != expect[0] {
 					return false
 				}
 				expect = expect[1:]
 			}
-			if b.Len() != len(expect) || b.Occupied() != 4*len(expect) {
+			if b.Len() != len(expect) || b.Free() != 1<<20-len(expect) {
 				return false
 			}
 		}
@@ -110,7 +110,7 @@ func TestVCBufferFIFOQuick(t *testing.T) {
 
 // TestVCBufferRing covers the two regimes of the queue ring. A bare buffer
 // (no carved slots) grows on demand and keeps FIFO order across growth and
-// wrap-around. A buffer carved the way NewInto carves it — Capacity/PktSize+1
+// wrap-around. A buffer carved the way NewInto carves it — Capacity+1
 // slots — that never fully empties stays in exactly those slots however far
 // its head walks, which is what keeps VC queues on the group arena.
 func TestVCBufferRing(t *testing.T) {
@@ -119,12 +119,12 @@ func TestVCBufferRing(t *testing.T) {
 	b.Init(1<<20, -1)
 	var live []packet.Handle
 	for i := 0; i < 500; i++ {
-		b.Push(next, 2)
+		b.Push(next)
 		live = append(live, next)
 		next++
 		if i%3 != 0 {
 			b.BeginDrain()
-			if got := b.FinishDrain(2); got != live[0] {
+			if got := b.FinishDrain(); got != live[0] {
 				t.Fatalf("iteration %d: wrong packet", i)
 			}
 			live = live[1:]
@@ -132,29 +132,29 @@ func TestVCBufferRing(t *testing.T) {
 	}
 	for len(live) > 0 {
 		b.BeginDrain()
-		if got := b.FinishDrain(2); got != live[0] {
+		if got := b.FinishDrain(); got != live[0] {
 			t.Fatal("tail drain order broken")
 		}
 		live = live[1:]
 	}
-	if b.Len() != 0 || b.Occupied() != 0 {
+	if b.Len() != 0 || b.Free() != 1<<20 {
 		t.Error("buffer not empty after full drain")
 	}
 
-	slots := queueSlots(32, 8)
+	slots := queueSlots(4)
 	ar := NewArena(ArenaSize{PacketSlots: slots})
 	var c VCBuffer
 	c.q = carve(ar, &ar.pkts, slots)
-	c.Init(32, -1)
+	c.Init(4, -1)
 	home := &c.q[0]
 	for i := 0; i < 1000; i++ {
-		for c.Free() >= 8 && (c.Len() < 2 || i%3 == 0) {
-			c.Push(next, 8)
+		for c.Free() > 0 && (c.Len() < 2 || i%3 == 0) {
+			c.Push(next)
 			live = append(live, next)
 			next++
 		}
 		c.BeginDrain()
-		if got := c.FinishDrain(8); got != live[0] {
+		if got := c.FinishDrain(); got != live[0] {
 			t.Fatalf("round %d: wrong packet", i)
 		}
 		if live = live[1:]; c.Len() != len(live) || c.Len() == 0 {
@@ -165,15 +165,15 @@ func TestVCBufferRing(t *testing.T) {
 		t.Fatalf("queue left its %d carved slots (now %d, spill %d)", slots, c.QueueSlots(), ar.Spill)
 	}
 	// A wrapped queue with a draining head drops exactly the packets behind it.
-	for c.Free() >= 8 {
-		c.Push(next, 8)
+	for c.Free() > 0 {
+		c.Push(next)
 		live = append(live, next)
 		next++
 	}
 	c.BeginDrain()
 	var dropped []packet.Handle
-	c.DropQueued(8, func(h packet.Handle) { dropped = append(dropped, h) })
-	if len(dropped) != len(live)-1 || c.Len() != 1 || c.Occupied() != 8 {
+	c.DropQueued(func(h packet.Handle) { dropped = append(dropped, h) })
+	if len(dropped) != len(live)-1 || c.Len() != 1 || c.Free() != 3 {
 		t.Fatalf("dropped %d of %d, %d left", len(dropped), len(live), c.Len())
 	}
 	for i, h := range dropped {
@@ -181,7 +181,7 @@ func TestVCBufferRing(t *testing.T) {
 			t.Fatalf("drop %d out of FIFO order", i)
 		}
 	}
-	if got := c.FinishDrain(8); got != live[0] || c.Len() != 0 {
+	if got := c.FinishDrain(); got != live[0] || c.Len() != 0 {
 		t.Fatal("draining head did not survive DropQueued")
 	}
 }
@@ -325,39 +325,40 @@ func TestFlagBoardZeroDelay(t *testing.T) {
 
 func TestOutPortCredits(t *testing.T) {
 	var op OutPort
-	op.initOut(new(Arena), []int{16, 16, 8}, []int{-1, -1, 0})
+	op.initOut(new(Arena), []int{2, 2, 1}, []int{-1, -1, 0})
 	if op.NumVCs() != 3 {
 		t.Fatal("vc count")
 	}
 	if op.Occupancy() != 0 {
 		t.Error("fresh occupancy nonzero")
 	}
-	op.Take(0, 8)
-	// Canonical capacity is 32 (escape VC excluded): 8/32 occupied.
+	op.Take(0)
+	// Canonical capacity is 4 packets (escape VC excluded): 1/4 occupied.
 	if got := op.Occupancy(); got != 0.25 {
 		t.Errorf("occupancy=%f", got)
 	}
-	op.Take(2, 8) // escape VC does not affect canonical occupancy
+	op.Take(2) // escape VC does not affect canonical occupancy
 	if got := op.Occupancy(); got != 0.25 {
 		t.Errorf("occupancy after escape take=%f", got)
 	}
-	op.Refund(0, 8)
-	op.Refund(2, 8)
-	if op.Occupancy() != 0 || op.Credits(0) != 16 || op.Credits(2) != 8 {
+	op.Refund(0)
+	op.Refund(2)
+	if op.Occupancy() != 0 || op.Credits(0) != 2 || op.Credits(2) != 1 {
 		t.Error("refund bookkeeping")
 	}
-	if !didPanic(func() { op.Take(0, 17) }) {
+	op.Take(2)
+	if !didPanic(func() { op.Take(2) }) {
 		t.Error("credit underflow must panic")
 	}
-	if !didPanic(func() { op.Refund(1, 1) }) {
+	if !didPanic(func() { op.Refund(1) }) {
 		t.Error("credit overflow must panic")
 	}
 }
 
 func TestBestVCSelection(t *testing.T) {
 	var op OutPort
-	op.initOut(new(Arena), []int{16, 16, 8}, []int{-1, -1, 1})
-	op.Take(0, 12)
+	op.initOut(new(Arena), []int{2, 2, 1}, []int{-1, -1, 1})
+	op.Take(0)
 	evc, ok := op.bestEscapeVC(1)
 	if !ok || evc != 2 {
 		t.Errorf("bestEscapeVC=%d,%v", evc, ok)

@@ -35,7 +35,7 @@ func (ip *InPort) Busy(now int64) bool { return ip.busyUntil > now }
 func (ip *InPort) ReadyMask() uint64 { return ip.ready }
 
 // OutPort is one output port with per-VC credit counters mirroring the free
-// space of the downstream input buffer.
+// space of the downstream input buffer: one credit per packet.
 type OutPort struct {
 	// vcs holds each downstream VC's credits, capacity and escape ring.
 	vcs []outVC
@@ -147,32 +147,33 @@ func (op *OutPort) Occupancy() float64 {
 	return 1 - float64(op.canCredits)/float64(op.canCap)
 }
 
-// Take consumes credits for a departing packet.
-func (op *OutPort) Take(vc, size int) {
+// Take consumes the credit of a departing packet.
+func (op *OutPort) Take(vc int) {
 	v := &op.vcs[vc]
-	if int(v.credits) < size {
+	if v.credits < 1 {
 		panic("router: credit underflow")
 	}
-	v.credits -= int32(size)
+	v.credits--
 	if v.ring < 0 {
-		op.canCredits -= int32(size)
+		op.canCredits--
 	}
 }
 
-// Refund returns credits after the downstream buffer frees the space.
-func (op *OutPort) Refund(vc, size int) {
+// Refund returns a packet's credit after the downstream buffer frees its
+// space.
+func (op *OutPort) Refund(vc int) {
 	v := &op.vcs[vc]
-	if int(v.cap-v.credits) < size {
+	if v.credits >= v.cap {
 		panic("router: credit overflow")
 	}
-	v.credits += int32(size)
+	v.credits++
 	if v.ring < 0 {
-		op.canCredits += int32(size)
+		op.canCredits++
 	}
 }
 
 // bestEscapeVC returns the VC of the given escape ring with the most
-// credits (no size requirement; bubble checks are the caller's business).
+// credits (no credit requirement; bubble checks are the caller's business).
 func (op *OutPort) bestEscapeVC(ring int) (int, bool) {
 	best, bestCr := -1, int32(-1)
 	for vc := range op.vcs {

@@ -47,7 +47,7 @@ func TestRouteCacheStableBlockedHead(t *testing.T) {
 		route: func(*Router, InCtx, *packet.Packet, int64) (Request, bool) { return Request{}, false },
 		deps:  port2Deps,
 	}
-	r.Out[2].Take(0, 8) // headroom so the refund below is legal
+	r.Out[2].Take(0) // headroom so the refund below is legal
 	push(r, 0, 0, &pool)
 	for now := int64(0); now < 5; now++ {
 		r.Cycle(eng, now)
@@ -58,7 +58,7 @@ func TestRouteCacheStableBlockedHead(t *testing.T) {
 	if eng.hints[0] != -1 {
 		t.Fatalf("first evaluation saw MinHint %d, want -1", eng.hints[0])
 	}
-	r.AddCredit(2, 0, 8) // epoch bump on the read port
+	r.AddCredit(2, 0) // epoch bump on the read port
 	for now := int64(5); now < 8; now++ {
 		r.Cycle(eng, now)
 	}
@@ -124,14 +124,14 @@ func TestRouteCacheBanksWindowOfBusyInput(t *testing.T) {
 	var pool packet.Pool
 	eng := &cacheScriptEngine{
 		route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
-			if rt.VCFits(2, 0, int(p.Size)) {
+			if rt.VCFits(2, 0) {
 				return Request{Out: 2, VC: 0}, true
 			}
 			return Request{Out: 1, VC: 0}, true
 		},
 		deps: port2Deps,
 	}
-	r.Out[2].Take(0, 64) // output 2 VC 0 has no credits
+	r.Out[2].SetCredits(0, 0) // output 2 VC 0 has no credits
 	push(r, 0, 0, &pool)
 	push(r, 0, 1, &pool)
 	if g := r.Cycle(eng, 0); len(g) != 1 || g[0].Req.Out != 1 || eng.calls != 2 {
@@ -139,7 +139,7 @@ func TestRouteCacheBanksWindowOfBusyInput(t *testing.T) {
 	}
 	for now := int64(1); now < 8; now++ {
 		if now == 3 {
-			r.AddCredit(2, 0, 8)
+			r.AddCredit(2, 0)
 		}
 		if g := r.Cycle(eng, now); len(g) != 0 {
 			t.Fatalf("cycle %d: unexpected grant while input port 0 serializes", now)

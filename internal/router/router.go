@@ -25,9 +25,9 @@ type PortSpec struct {
 	UpPort   int
 	Latency  int // link latency in cycles
 
-	InCaps  []int // per-VC capacities of this router's input buffer (phits)
+	InCaps  []int // per-VC capacities of this router's input buffer (packets)
 	InRing  []int // escape-ring tag per input VC (-1 canonical)
-	OutCaps []int // per-VC capacities of the downstream buffer (credits)
+	OutCaps []int // per-VC capacities of the downstream buffer (packets: credits)
 	OutRing []int // escape-ring tag per downstream VC
 }
 
@@ -68,7 +68,7 @@ type Router struct {
 	In  []InPort
 	Out []OutPort
 
-	PktSize    int // phits of every packet the router holds
+	PktSize    int // phits of every packet: the cycles a grant keeps its ports busy
 	AllocIters int
 
 	rng         *simcore.RNG
@@ -78,10 +78,10 @@ type Router struct {
 
 	ringOuts []int32
 
-	// canonical input-buffer occupancy, tracked incrementally for the
-	// congestion-management injection throttle.
-	occPhits int
-	capPhits int
+	// canonical input-buffer occupancy in packets, tracked incrementally for
+	// the congestion-management injection throttle.
+	occPkts int
+	capPkts int
 
 	// readyVCs counts input VCs holding a routable head: non-empty and not
 	// draining. It is maintained incrementally by Arrive/Inject/commit/
@@ -222,10 +222,10 @@ func NewInto(r *Router, p Params) {
 				ring = ps.InRing[vc]
 			}
 			buf := &in.VCs[vc]
-			buf.q = carve(ar, &ar.pkts, queueSlots(ps.InCaps[vc], p.PktSize))
+			buf.q = carve(ar, &ar.pkts, queueSlots(ps.InCaps[vc]))
 			buf.Init(ps.InCaps[vc], ring)
 			if ring < 0 {
-				r.capPhits += ps.InCaps[vc]
+				r.capPkts += ps.InCaps[vc]
 			}
 		}
 		out := &r.Out[i]
@@ -320,10 +320,10 @@ func (r *Router) OutBusy(port int, now int64) bool { return r.Out[port].Busy(now
 // OutOcc returns the canonical occupancy fraction of the downstream buffer.
 func (r *Router) OutOcc(port int) float64 { return r.Out[port].Occupancy() }
 
-// VCFits reports whether a specific downstream VC has credits for size phits
+// VCFits reports whether a specific downstream VC has a credit for a packet
 // (ejection ports always fit). Dead ports never fit: frozen credits would
 // otherwise keep looking available forever.
-func (r *Router) VCFits(port, vc, size int) bool {
+func (r *Router) VCFits(port, vc int) bool {
 	op := &r.Out[port]
 	if op.dead {
 		return false
@@ -331,7 +331,7 @@ func (r *Router) VCFits(port, vc, size int) bool {
 	if op.Kind == topology.PortNode {
 		return true
 	}
-	return op.Credits(vc) >= size
+	return op.Credits(vc) > 0
 }
 
 // FailOutput marks one output port's link as failed: the port becomes
@@ -364,10 +364,10 @@ func (r *Router) DropBuffered(visit func(packet.Handle)) {
 				r.readyVCs-- // the routable head is among the dropped
 				r.In[i].ready &^= 1 << uint(vc)
 			}
-			before := buf.Occupied()
-			buf.DropQueued(r.PktSize, visit)
+			before := buf.Len()
+			buf.DropQueued(visit)
 			if !buf.Escape {
-				r.occPhits -= before - buf.Occupied()
+				r.occPkts -= before - buf.Len()
 			}
 		}
 		if r.In[i].ready == 0 {
@@ -472,22 +472,22 @@ func (r *Router) Arrive(port, vc int, h packet.Handle) {
 func (r *Router) FinishDrain(port, vc int) (h packet.Handle, upRouter, upPort int) {
 	inp := &r.In[port]
 	buf := &inp.VCs[vc]
-	h = buf.FinishDrain(r.PktSize)
+	h = buf.FinishDrain()
 	if buf.Len() > 0 {
 		r.readyVCs++ // the queued packet behind the drained head is now routable
 		inp.ready |= 1 << uint(vc)
 		r.readyPorts |= 1 << uint(port)
 	}
 	if !buf.Escape {
-		r.occPhits -= r.PktSize
+		r.occPkts--
 	}
 	return h, int(inp.UpRouter), int(inp.UpPort)
 }
 
-// AddCredit refunds credits on an output port (a downstream buffer freed
-// space).
-func (r *Router) AddCredit(port, vc, phits int) {
-	r.Out[port].Refund(vc, phits)
+// AddCredit refunds a packet's credit on an output port (a downstream buffer
+// freed its space).
+func (r *Router) AddCredit(port, vc int) {
+	r.Out[port].Refund(vc)
 	if r.cacheOn {
 		r.dirty |= 1 << uint(port)
 	}
@@ -497,12 +497,12 @@ func (r *Router) AddCredit(port, vc, phits int) {
 }
 
 // InjectionSpace returns the injection VC of node-slot port `port` with the
-// most free space, if any fits a packet of `size` phits.
-func (r *Router) InjectionSpace(port, size int) (vc int, ok bool) {
+// most free space, if any has room for a packet.
+func (r *Router) InjectionSpace(port int) (vc int, ok bool) {
 	inp := &r.In[port]
-	best, bestFree := -1, -1
+	best, bestFree := -1, 0
 	for i := range inp.VCs {
-		if f := inp.VCs[i].Free(); f >= size && f > bestFree {
+		if f := inp.VCs[i].Free(); f > bestFree {
 			best, bestFree = i, f
 		}
 	}
@@ -525,9 +525,9 @@ func (r *Router) push(port, vc int, h packet.Handle) *VCBuffer {
 		inp.ready |= 1 << uint(vc)
 		r.readyPorts |= 1 << uint(port)
 	}
-	buf.Push(h, r.PktSize)
+	buf.Push(h)
 	if !buf.Escape {
-		r.occPhits += r.PktSize
+		r.occPkts++
 	}
 	return buf
 }
@@ -546,22 +546,10 @@ func (r *Router) RoutableVCs() int { return r.readyVCs }
 // buffering that is currently occupied — the congestion signal used by the
 // injection throttle.
 func (r *Router) CanonicalOccupancy() float64 {
-	if r.capPhits == 0 {
+	if r.capPkts == 0 {
 		return 0
 	}
-	return float64(r.occPhits) / float64(r.capPhits)
-}
-
-// QueuedPhits returns the total phits stored in this router's input buffers
-// (used by drain checks and conservation tests).
-func (r *Router) QueuedPhits() int {
-	total := 0
-	for i := range r.In {
-		for vc := range r.In[i].VCs {
-			total += r.In[i].VCs[vc].Occupied()
-		}
-	}
-	return total
+	return float64(r.occPkts) / float64(r.capPkts)
 }
 
 // StateFingerprint folds every piece of router state that a Cycle call may
@@ -584,7 +572,7 @@ func (r *Router) StateFingerprint() uint64 {
 	}
 	e.Raw(r.inRank)
 	e.Raw(r.outRank)
-	e.Int(r.occPhits)
+	e.Int(r.occPkts)
 	e.Int(r.readyVCs)
 	e.Bool(r.pbDirty)
 	for i := range r.In {
@@ -592,7 +580,6 @@ func (r *Router) StateFingerprint() uint64 {
 		for vc := range r.In[i].VCs {
 			buf := &r.In[i].VCs[vc]
 			e.Int(buf.Len())
-			e.Int(buf.Occupied())
 			e.Bool(buf.draining)
 		}
 		op := &r.Out[i]
@@ -833,7 +820,7 @@ func (r *Router) allocate(inPend uint64, now int64) {
 }
 
 // commit applies one allocation winner: the buffer starts draining, ports
-// serialize for the packet duration, credits are consumed, and the request's
+// serialize for the packet duration, a credit is consumed, and the request's
 // header side effects are applied.
 func (r *Router) commit(ip, vc int, req Request, now int64) {
 	inp := &r.In[ip]
@@ -846,7 +833,7 @@ func (r *Router) commit(ip, vc int, req Request, now int64) {
 	if inp.ready == 0 {
 		r.readyPorts &^= 1 << uint(ip)
 	}
-	size := int64(p.Size)
+	size := int64(r.PktSize)
 	inp.busyUntil = now + size
 	out := &r.Out[req.Out]
 	out.busyUntil = now + size
@@ -861,7 +848,7 @@ func (r *Router) commit(ip, vc int, req Request, now int64) {
 	}
 	eject := out.Kind == topology.PortNode
 	if !eject {
-		out.Take(req.VC, int(p.Size))
+		out.Take(req.VC)
 		if r.pb != nil && out.Kind == topology.PortGlobal {
 			r.pbDirty = true
 		}

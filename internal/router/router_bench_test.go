@@ -29,8 +29,7 @@ func BenchmarkCycleLoaded(b *testing.B) {
 	var pool packet.Pool
 	for ip := range r.In {
 		for vc := range r.In[ip].VCs {
-			h, p := get(r, &pool)
-			p.Size = 8
+			h, _ := get(r, &pool)
 			r.Arrive(ip, vc, h)
 		}
 	}
@@ -54,9 +53,7 @@ func BenchmarkCycleLoaded(b *testing.B) {
 		}
 		for op := range r.Out {
 			for vc := 0; vc < r.Out[op].NumVCs(); vc++ {
-				if miss := r.Out[op].VCCap(vc) - r.Out[op].Credits(vc); miss > 0 {
-					r.Out[op].Refund(vc, miss)
-				}
+				r.Out[op].SetCredits(vc, r.Out[op].VCCap(vc))
 			}
 		}
 	}
@@ -71,7 +68,7 @@ func benchRouter(b *testing.B, ports, vcs int) *Router {
 	caps := make([]int, vcs)
 	rings := make([]int, vcs)
 	for i := range caps {
-		caps[i] = 64
+		caps[i] = 8
 		rings[i] = -1
 	}
 	specs := make([]PortSpec, ports)

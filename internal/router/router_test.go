@@ -31,7 +31,7 @@ func testRouter(t *testing.T, vcsPerPort int) *Router {
 	caps := make([]int, vcsPerPort)
 	rings := make([]int, vcsPerPort)
 	for i := range caps {
-		caps[i] = 64
+		caps[i] = 8
 		rings[i] = -1
 	}
 	mk := func() PortSpec {
@@ -49,7 +49,6 @@ func testRouter(t *testing.T, vcsPerPort int) *Router {
 
 func push(r *Router, port, vc int, pool *packet.Pool) *packet.Packet {
 	h, p := get(r, pool)
-	p.Size = 8
 	p.Dst = 0
 	// Arrive, not a raw buffer Push: Cycle iterates the per-port ready
 	// bitsets, which only the router's own entry points maintain.
@@ -198,8 +197,8 @@ func TestSerializationBlocksPort(t *testing.T) {
 	}
 }
 
-// TestCommitConsumesCredits: winning a grant decrements downstream credits;
-// AddCredit refunds them.
+// TestCommitConsumesCredits: winning a grant takes one downstream credit;
+// AddCredit refunds it.
 func TestCommitConsumesCredits(t *testing.T) {
 	r := testRouter(t, 1)
 	var pool packet.Pool
@@ -211,10 +210,10 @@ func TestCommitConsumesCredits(t *testing.T) {
 	if g := r.Cycle(eng, 0); len(g) != 1 {
 		t.Fatal("no grant")
 	}
-	if got := r.Out[1].Credits(0); got != before-8 {
-		t.Errorf("credits=%d want %d", got, before-8)
+	if got := r.Out[1].Credits(0); got != before-1 {
+		t.Errorf("credits=%d want %d", got, before-1)
 	}
-	r.AddCredit(1, 0, 8)
+	r.AddCredit(1, 0)
 	if got := r.Out[1].Credits(0); got != before {
 		t.Errorf("after refund credits=%d want %d", got, before)
 	}
@@ -275,7 +274,7 @@ func TestBlockedSinceTracking(t *testing.T) {
 // TestArriveUpdatesHeader: hop counters, group-entry flag maintenance.
 func TestArriveUpdatesHeader(t *testing.T) {
 	d, _ := topology.New(2, 4, 2, 0)
-	caps := []int{32}
+	caps := []int{4}
 	ring := []int{-1}
 	specs := make([]PortSpec, 3)
 	specs[0] = PortSpec{Kind: topology.PortNode, Peer: -1, PeerPort: -1, UpRouter: -1, UpPort: -1, Latency: 1, InCaps: caps, InRing: ring, OutCaps: caps, OutRing: ring}
@@ -285,7 +284,6 @@ func TestArriveUpdatesHeader(t *testing.T) {
 
 	var pool packet.Pool
 	h, p := get(r, &pool)
-	p.Size = 8
 	p.LocalMisrouted = true
 	p.MisrouteGroup = 5 // set in another group
 	p.ValiantGroup = 0  // this router's group is the valiant target
@@ -300,7 +298,6 @@ func TestArriveUpdatesHeader(t *testing.T) {
 		t.Error("valiant group not cleared on arrival at the target group")
 	}
 	h2, p2 := get(r, &pool)
-	p2.Size = 8
 	r.Arrive(2, 0, h2)
 	if p2.GlobalHops != 1 || p2.LocalHops != 0 {
 		t.Errorf("hops after global arrive: %d/%d", p2.LocalHops, p2.GlobalHops)
@@ -309,31 +306,30 @@ func TestArriveUpdatesHeader(t *testing.T) {
 
 func TestInjectionSpaceAndInject(t *testing.T) {
 	d, _ := topology.New(1, 2, 1, 0)
-	caps := []int{16, 16}
+	caps := []int{2, 2}
 	ring := []int{-1, -1}
-	spec := PortSpec{Kind: topology.PortNode, Peer: -1, PeerPort: -1, UpRouter: -1, UpPort: -1, Latency: 1, InCaps: caps, InRing: ring, OutCaps: []int{8}, OutRing: []int{-1}}
+	spec := PortSpec{Kind: topology.PortNode, Peer: -1, PeerPort: -1, UpRouter: -1, UpPort: -1, Latency: 1, InCaps: caps, InRing: ring, OutCaps: []int{1}, OutRing: []int{-1}}
 	r := New(Params{ID: 0, Topo: d, PktSize: 8, AllocIters: 1, RNG: simcore.NewRNG(1), Ports: []PortSpec{spec}})
 	var pool packet.Pool
 	for i := 0; i < 4; i++ {
-		vc, ok := r.InjectionSpace(0, 8)
+		vc, ok := r.InjectionSpace(0)
 		if !ok {
 			t.Fatalf("no injection space at %d", i)
 		}
 		h, p := get(r, &pool)
-		p.Size = 8
 		r.Inject(0, vc, h, int64(i))
 		if p.Injected != int64(i) {
 			t.Error("Injected timestamp not set")
 		}
 	}
-	if _, ok := r.InjectionSpace(0, 8); ok {
+	if _, ok := r.InjectionSpace(0); ok {
 		t.Error("injection space reported in full buffers")
 	}
 }
 
 func TestRingOutSelection(t *testing.T) {
 	d, _ := topology.New(1, 2, 1, 0)
-	caps := []int{16, 32}
+	caps := []int{2, 4}
 	ring := []int{-1, 0}
 	spec := PortSpec{Kind: topology.PortLocal, Peer: 1, PeerPort: 0, UpRouter: 1, UpPort: 0, Latency: 10, InCaps: caps, InRing: ring, OutCaps: caps, OutRing: ring}
 	r := New(Params{ID: 0, Topo: d, PktSize: 8, AllocIters: 1, RNG: simcore.NewRNG(1), Ports: []PortSpec{spec}, RingOuts: []int{0}})
@@ -341,7 +337,7 @@ func TestRingOutSelection(t *testing.T) {
 		t.Fatal("ring count")
 	}
 	port, vc, credits, ok := r.RingOut(0)
-	if !ok || port != 0 || vc != 1 || credits != 32 {
+	if !ok || port != 0 || vc != 1 || credits != 4 {
 		t.Fatalf("RingOut = %d,%d,%d,%v", port, vc, credits, ok)
 	}
 	if _, _, _, ok := r.RingOut(1); ok {
@@ -352,7 +348,7 @@ func TestRingOutSelection(t *testing.T) {
 func TestUpdatePBFlags(t *testing.T) {
 	d, _ := topology.New(1, 2, 1, 0) // ports: 1 node, 1 local, 1 global
 	fb := NewFlagBoard(d.A*d.H, 0)
-	caps := []int{32}
+	caps := []int{4}
 	ring := []int{-1}
 	mk := func(kind topology.PortKind) PortSpec {
 		return PortSpec{Kind: kind, Peer: 1, PeerPort: 0, UpRouter: 1, UpPort: 0, Latency: 1, InCaps: caps, InRing: ring, OutCaps: caps, OutRing: ring}
@@ -364,7 +360,7 @@ func TestUpdatePBFlags(t *testing.T) {
 	if r.PBFlag(0, 0) {
 		t.Error("uncongested link flagged")
 	}
-	r.Out[2].Take(0, 24) // 75% occupancy on the global port
+	r.Out[2].SetCredits(0, 1) // 75% occupancy on the global port
 	r.UpdatePBFlags(1)
 	if !r.PBFlag(0, 1) {
 		t.Error("congested link not flagged")
@@ -382,20 +378,13 @@ func TestRouterAccessors(t *testing.T) {
 	if r.OutOcc(1) != 0 {
 		t.Error("fresh port occupied")
 	}
-	r.Out[1].Take(0, 32)
+	r.Out[1].SetCredits(0, 4)
 	if got := r.OutOcc(1); got != 0.25 {
 		t.Errorf("OutOcc=%f want 0.25 (aggregate of 2 VCs)", got)
 	}
-	if !r.VCFits(1, 1, 8) || r.VCFits(1, 0, 33) {
+	r.Out[1].SetCredits(0, 0)
+	if !r.VCFits(1, 1) || r.VCFits(1, 0) {
 		t.Error("VCFits wrong")
-	}
-	if r.QueuedPhits() != 0 {
-		t.Error("phantom queued phits")
-	}
-	var pool packet.Pool
-	push(r, 0, 0, &pool)
-	if r.QueuedPhits() != 8 {
-		t.Errorf("QueuedPhits=%d", r.QueuedPhits())
 	}
 	if r.PBFlag(0, 0) {
 		t.Error("PBFlag without a board")
@@ -404,8 +393,8 @@ func TestRouterAccessors(t *testing.T) {
 
 func TestVCCapAndEscapeRingAccessors(t *testing.T) {
 	var op OutPort
-	op.initOut(new(Arena), []int{16, 8}, []int{-1, 1})
-	if op.VCCap(0) != 16 || op.VCCap(1) != 8 {
+	op.initOut(new(Arena), []int{2, 1}, []int{-1, 1})
+	if op.VCCap(0) != 2 || op.VCCap(1) != 1 {
 		t.Error("VCCap")
 	}
 	if op.EscapeRing(0) != -1 || op.EscapeRing(1) != 1 {

@@ -61,7 +61,7 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Refs, now int64) error {
 		}
 	}
 	if dec {
-		r.occPhits, r.readyVCs, r.readyPorts = 0, 0, 0
+		r.occPkts, r.readyVCs, r.readyPorts = 0, 0, 0
 	}
 	for i := range r.In {
 		inp := &r.In[i]
@@ -88,11 +88,11 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Refs, now int64) error {
 					if c.Err() != nil {
 						return c.Err()
 					}
-					if r.PktSize > buf.Free() {
+					if buf.Free() < 1 {
 						c.Fail("router %d port %d vc %d overflows capacity %d", r.ID, i, vc, buf.Capacity)
 						return c.Err()
 					}
-					buf.Push(h, r.PktSize)
+					buf.Push(h)
 				}
 			}
 			c.Bool(&buf.draining)
@@ -101,7 +101,7 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Refs, now int64) error {
 					c.Fail("router %d port %d vc %d draining while empty", r.ID, i, vc)
 				}
 				if !buf.Escape {
-					r.occPhits += buf.Occupied()
+					r.occPkts += buf.Len()
 				}
 				if buf.n > 0 && !buf.draining {
 					r.readyVCs++
@@ -116,6 +116,7 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Refs, now int64) error {
 			return err
 		}
 	}
+	S := int64(r.PktSize)
 	for i := range r.Out {
 		op := &r.Out[i]
 		simcore.Int(c, &op.busyUntil)
@@ -132,13 +133,17 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Refs, now int64) error {
 		}
 		for vc := range op.vcs {
 			v := &op.vcs[vc]
-			simcore.Int(c, &v.credits)
+			phits := int64(v.credits) * S // the image keeps credits in phits
+			simcore.Int(c, &phits)
 			if !dec {
 				continue
 			}
-			if v.credits < 0 || v.credits > v.cap {
-				c.Fail("router %d out port %d vc %d credits %d outside [0,%d]", r.ID, i, vc, v.credits, v.cap)
+			if phits%S != 0 || phits < 0 || phits > int64(v.cap)*S {
+				c.Fail("router %d out port %d vc %d: %d phits of credit, not a multiple of the %d-phit packet in [0,%d]",
+					r.ID, i, vc, phits, S, int64(v.cap)*S)
+				return c.Err()
 			}
+			v.credits = int32(phits / S)
 			if v.ring < 0 {
 				op.canCredits += v.credits
 			}

@@ -43,7 +43,8 @@ func ugalDecision(d *topology.Dragonfly, rt *router.Router, p *packet.Packet, vg
 }
 
 // queuedPhits estimates the backlog toward an output as the occupied phits
-// of the downstream buffer (capacity minus credits).
+// of the downstream buffer: its packets (capacity minus credits) times the
+// packet size, so AdaptiveConfig.UgalT stays in phits.
 func queuedPhits(rt *router.Router, port int) int {
 	op := &rt.Out[port]
 	q := 0
@@ -52,7 +53,7 @@ func queuedPhits(rt *router.Router, port int) int {
 			q += op.VCCap(vc) - op.Credits(vc)
 		}
 	}
-	return q
+	return q * rt.PktSize
 }
 
 // UGAL is the UGAL-L mechanism (local information only): an extension

@@ -63,7 +63,7 @@ func (e *PAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now in
 		return router.Request{}, false
 	}
 	vc := rt.Out[out].ClassVC(parHops(rt.Out[out].Kind, p))
-	if !rt.VCFits(out, vc, int(p.Size)) {
+	if !rt.VCFits(out, vc) {
 		return router.Request{}, false
 	}
 	return router.Request{Out: out, VC: vc}, true

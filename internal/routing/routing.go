@@ -42,7 +42,7 @@ func routeFixed(d *topology.Dragonfly, rt *router.Router, in router.InCtx, p *pa
 		return router.Request{}, false
 	}
 	vc := rt.Out[out].ClassVC(int(p.GlobalHops))
-	if !rt.VCFits(out, vc, int(p.Size)) {
+	if !rt.VCFits(out, vc) {
 		return router.Request{}, false
 	}
 	return router.Request{Out: out, VC: vc}, true

@@ -21,15 +21,15 @@ func buildRouter(t *testing.T, d *topology.Dragonfly, id int, fb *router.FlagBoa
 		switch kind {
 		case topology.PortNode:
 			ps.Peer, ps.PeerPort, ps.UpRouter, ps.UpPort = -1, -1, -1, -1
-			ps.InCaps, ps.InRing = []int{32, 32, 32}, []int{-1, -1, -1}
-			ps.OutCaps, ps.OutRing = []int{8}, []int{-1}
+			ps.InCaps, ps.InRing = []int{4, 4, 4}, []int{-1, -1, -1}
+			ps.OutCaps, ps.OutRing = []int{1}, []int{-1}
 		case topology.PortLocal:
-			ps.InCaps, ps.InRing = []int{32, 32, 32}, []int{-1, -1, -1}
-			ps.OutCaps, ps.OutRing = []int{32, 32, 32}, []int{-1, -1, -1}
+			ps.InCaps, ps.InRing = []int{4, 4, 4}, []int{-1, -1, -1}
+			ps.OutCaps, ps.OutRing = []int{4, 4, 4}, []int{-1, -1, -1}
 		case topology.PortGlobal:
 			ps.Latency = 100
-			ps.InCaps, ps.InRing = []int{256, 256}, []int{-1, -1}
-			ps.OutCaps, ps.OutRing = []int{256, 256}, []int{-1, -1}
+			ps.InCaps, ps.InRing = []int{32, 32}, []int{-1, -1}
+			ps.OutCaps, ps.OutRing = []int{32, 32}, []int{-1, -1}
 		}
 		specs[port] = ps
 	}
@@ -43,19 +43,18 @@ func buildRouter(t *testing.T, d *topology.Dragonfly, id int, fb *router.FlagBoa
 func newPkt(d *topology.Dragonfly, src, dst int) *packet.Packet {
 	p := &packet.Packet{}
 	p.Reset()
-	p.Size = 8
 	p.Src, p.Dst = int32(src), int32(dst)
 	p.SrcGroup, p.DstGroup = int16(d.GroupOfNode(src)), int16(d.GroupOfNode(dst))
 	return p
 }
 
 // outPort returns a lone output port of the given kind with numVCs
-// downstream VCs of 32 phits.
+// downstream VCs of 4 packets.
 func outPort(kind topology.PortKind, numVCs int) *router.OutPort {
 	d, _ := topology.New(2, 4, 2, 0)
 	caps := make([]int, numVCs)
 	for i := range caps {
-		caps[i] = 32
+		caps[i] = 4
 	}
 	rt := router.New(router.Params{Topo: d, PktSize: 8, Ports: []router.PortSpec{{Kind: kind, OutCaps: caps}}})
 	return &rt.Out[0]
@@ -135,7 +134,7 @@ func TestMinimalWaitsOnFixedVC(t *testing.T) {
 	p := newPkt(d, 0, dst)
 	out := d.MinimalPort(0, dst)
 	// Exhaust VC0 of the minimal port; VC1 keeps credits.
-	rt.Out[out].Take(0, rt.Out[out].Credits(0))
+	rt.Out[out].SetCredits(0, 0)
 	if _, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode}, p, 0); ok {
 		t.Error("baseline used a different VC than its class")
 	}
@@ -199,7 +198,7 @@ func TestUGALMisroutesOnBacklog(t *testing.T) {
 	minOut := d.MinimalPort(0, dst)
 	// Saturate the minimal output queue completely.
 	for vc := 0; vc < rt.Out[minOut].NumVCs(); vc++ {
-		rt.Out[minOut].Take(vc, rt.Out[minOut].Credits(vc))
+		rt.Out[minOut].SetCredits(vc, 0)
 	}
 	misroutes := 0
 	for i := 0; i < 100; i++ {
@@ -317,7 +316,7 @@ func TestPARInTransitDivert(t *testing.T) {
 	// Saturate the minimal output at this router: PAR must divert in
 	// transit, something UGAL/PB cannot do.
 	for vc := 0; vc < rt.Out[minOut].NumVCs(); vc++ {
-		rt.Out[minOut].Take(vc, rt.Out[minOut].Credits(vc))
+		rt.Out[minOut].SetCredits(vc, 0)
 	}
 	diverted := 0
 	for i := 0; i < 50; i++ {
@@ -341,7 +340,7 @@ func TestPARNoDivertAfterGlobalHop(t *testing.T) {
 	p.GlobalHops = 1
 	min := d.MinimalPort(0, int(p.Dst))
 	for vc := 0; vc < rt.Out[min].NumVCs(); vc++ {
-		rt.Out[min].Take(vc, rt.Out[min].Credits(vc))
+		rt.Out[min].SetCredits(vc, 0)
 	}
 	if _, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortLocal}, p, 0); ok {
 		t.Error("PAR moved through a saturated port")

@@ -421,6 +421,7 @@ func TestRequestValidation(t *testing.T) {
 		"window overflows":   `{"h":2,"loads":[0.1],"warmup":9223372036854775807,"measure":1}`,
 		"workers too big":    `{"config":{"P":2,"A":4,"H":2,"Workers":999},"loads":[0.1]}`,
 		"huge global FIFO":   config(func(c *ofar.Config) { c.GlobalBuf = 1 << 40 }),
+		"30-phit local FIFO": config(func(c *ofar.Config) { c.LocalBuf = 30 }), // not a whole number of 8-phit packets
 		"huge local latency": config(func(c *ofar.Config) { c.LocalLatency = 1 << 40 }),
 		"too many routers":   config(func(c *ofar.Config) { c.P, c.A, c.H = 1, 16, 40 }),
 		"ring count wraps":   config(func(c *ofar.Config) { c.NumRings = math.MaxInt }),

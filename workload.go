@@ -234,6 +234,14 @@ type TraceRecord = trace.Record
 func ReplayTrace(cfg Config, recs []TraceRecord, warmup, measure int) (SteadyResult, uint64, error) {
 	p := &point{cfg: cfg, warmup: warmup, digest: true,
 		source: func(n *network.Network) (traffic.Generator, string, error) {
+			// Every packet of a network is PacketSize phits: a record of
+			// another size cannot be replayed as what it says.
+			for i, rec := range recs {
+				if int(rec.Size) != n.Cfg.PacketSize {
+					return nil, "", fmt.Errorf("trace: record %d is a %d-phit packet, this network's packets are %d phits",
+						i, rec.Size, n.Cfg.PacketSize)
+				}
+			}
 			gen, err := traffic.NewTraceReplay(recs, n.Topo.Nodes)
 			if err != nil {
 				return nil, "", err

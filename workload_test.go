@@ -2,7 +2,9 @@ package ofar
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -200,6 +202,29 @@ func TestTraceRecordReplayDigest(t *testing.T) {
 			t.Errorf("restore after the recording: restored=%v err=%v, row %+v, want %+v", again.Restored, err, again.SteadyResult, cold.SteadyResult)
 		}
 	})
+}
+
+// TestReplayTraceRejectsForeignPacketSize: every packet of a network has
+// Config.PacketSize phits, so a trace record of another size is refused,
+// naming the record, where it used to replay as a PacketSize packet. A
+// recorded trace, all of whose records have that size, replays to its
+// recording's digest.
+func TestReplayTraceRejectsForeignPacketSize(t *testing.T) {
+	cfg := DefaultConfig(2)
+	res := record(t, Resolved{Config: cfg, Pattern: Adv(2), Warmup: 200, Measure: 300}, 0.4, SweepOptions{})
+	if _, digest, err := ReplayTrace(cfg, res.Trace, 200, 300); err != nil || digest != res.Digest {
+		t.Fatalf("recorded trace: digest %016x, err %v; want %016x", digest, err, res.Digest)
+	}
+	foreign := []TraceRecord{{Cycle: 5, Src: 0, Dst: 9, Size: 16}}
+	_, _, err := ReplayTrace(cfg, foreign, 200, 300)
+	if want := "trace: record 0 is a 16-phit packet, this network's packets are 8 phits"; err == nil || err.Error() != want {
+		t.Fatalf("16-phit record at S=8: err %v, want %q", err, want)
+	}
+	recs := slices.Clone(res.Trace)
+	recs[len(recs)/2].Size = 16
+	if _, _, err := ReplayTrace(cfg, recs, 200, 300); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("record %d ", len(recs)/2)) {
+		t.Fatalf("recorded trace with one 16-phit record: err %v, want it named", err)
+	}
 }
 
 func TestTraceSaveLoadRoundTrip(t *testing.T) {
