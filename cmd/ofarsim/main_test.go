@@ -186,7 +186,11 @@ func TestNetworkLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := ofar.ConfigFromJSON(data)
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := ofar.LoadConfig(path)
 	if err != nil {
 		t.Fatal(err)
 	}

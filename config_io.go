@@ -12,8 +12,8 @@ func ConfigToJSON(cfg Config) ([]byte, error) {
 	return json.MarshalIndent(cfg, "", "  ")
 }
 
-// ConfigFromJSON parses a configuration and validates it.
-func ConfigFromJSON(data []byte) (Config, error) {
+// configFromJSON parses a configuration and validates it.
+func configFromJSON(data []byte) (Config, error) {
 	// Start from a neutral zero config: absent fields keep their zero
 	// values and Validate reports anything unusable, so a partial file is
 	// caught early instead of silently simulating a degenerate network.
@@ -33,5 +33,5 @@ func LoadConfig(path string) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	return ConfigFromJSON(data)
+	return configFromJSON(data)
 }

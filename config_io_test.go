@@ -20,7 +20,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ConfigFromJSON(data)
+	back, err := configFromJSON(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestConfigFromJSONIgnoresRetiredKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := append(data[:len(data)-2:len(data)-2], ",\n  \"ParallelCutover\": 8,\n  \"DisableShardedGenerate\": true\n}"...)
-	back, err := ConfigFromJSON(old)
+	back, err := configFromJSON(old)
 	if err != nil {
 		t.Fatalf("config with retired keys rejected: %v", err)
 	}
@@ -47,10 +47,10 @@ func TestConfigFromJSONIgnoresRetiredKeys(t *testing.T) {
 }
 
 func TestConfigFromJSONValidates(t *testing.T) {
-	if _, err := ConfigFromJSON([]byte(`{"P":0}`)); err == nil {
+	if _, err := configFromJSON([]byte(`{"P":0}`)); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := ConfigFromJSON([]byte(`{not json`)); err == nil {
+	if _, err := configFromJSON([]byte(`{not json`)); err == nil {
 		t.Error("malformed JSON accepted")
 	}
 }

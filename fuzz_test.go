@@ -182,7 +182,7 @@ func FuzzConfigFromJSON(f *testing.F) {
 	f.Add([]byte(`{"P":-1}`))
 	f.Add([]byte(`garbage`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, err := ConfigFromJSON(data)
+		cfg, err := configFromJSON(data)
 		if err != nil {
 			return
 		}

@@ -130,18 +130,6 @@ type OFAR struct {
 	name string
 }
 
-// minPort resolves the minimal output port for the head packet, using the
-// router's cached per-head hint to skip the topology lookup when possible,
-// and records it as the head's anchor.
-func (e *OFAR) minPort(rt *router.Router, in router.InCtx, p *packet.Packet) int {
-	min := int(in.MinHint)
-	if min < 0 {
-		min = e.d.MinimalPort(rt.ID, int(p.Dst))
-	}
-	rt.NoteAnchor(min)
-	return min
-}
-
 // New builds an OFAR engine for a topology from a validated config (see
 // Config.Validate). With cfg.LocalMisroute == false the engine is the OFAR-L
 // model.
@@ -191,7 +179,7 @@ func (e *OFAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now i
 	if in.Escape {
 		return e.routeOnRing(rt, in, p, now)
 	}
-	min := e.minPort(rt, in, p)
+	min := e.d.MinimalPort(rt.ID, int(p.Dst))
 	rt.NoteRead(min)
 	if vc, ok := chooseVC(rt, min, p, now); ok {
 		return router.Request{Out: min, VC: vc}, true
@@ -217,13 +205,25 @@ func (e *OFAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now i
 	// minimal one"). The strictness matters: with an empty minimal queue
 	// nothing qualifies, so a mere serialization collision does not
 	// trigger misrouting — only real backlog does.
+	//
+	// Occupancy is the aggregate canonical occupancy of a port (OutOcc;
+	// §IV-B compares "the percentage of buffer occupancy" of whole queues).
+	// Aggregating across the port's VCs pools 3 VCs (12 packets) of signal,
+	// which discriminates a genuinely saturated hotspot (ADV+h: the l2 port
+	// is full across classes while alternatives idle) from
+	// symmetric-overload noise (UN: every port's class VC oscillates around
+	// full while aggregates stay comparable). The class-VC-granular checks
+	// remain where the physical resource matters: the misroute trigger
+	// (VCFits on the class VC; a dead port never fits, which is what turns a
+	// failed minimal link into a trigger under the static policy) and the
+	// candidate headroom filter.
 	if e.cfg.StaticNonMin >= 0 {
-		if !vcFits(rt, min, p) {
+		if !rt.VCFits(min, rt.Out[min].ClassVC(int(p.GlobalHops))) {
 			if req, ok := e.misroute(rt, in, p, min, minKind, e.cfg.StaticNonMin, false, now); ok {
 				return req, true
 			}
 		}
-	} else if qmin := occFor(rt, min, p); qmin >= e.cfg.ThMin {
+	} else if qmin := rt.OutOcc(min); qmin >= e.cfg.ThMin {
 		th := e.cfg.NonMinFactor * qmin
 		if req, ok := e.misroute(rt, in, p, min, minKind, th, true, now); ok {
 			return req, true
@@ -249,7 +249,7 @@ func (e *OFAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now i
 // soon as a minimal output is available (within the exit budget), otherwise
 // advance along the ring under the one-packet bubble rule.
 func (e *OFAR) routeOnRing(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
-	min := e.minPort(rt, in, p)
+	min := e.d.MinimalPort(rt.ID, int(p.Dst))
 	minKind := e.d.PortKindOf(min)
 	// Ejection at the destination router is always permitted regardless of
 	// the exit budget; otherwise the packet could never leave the network.
@@ -290,7 +290,7 @@ func (e *OFAR) misroute(rt *router.Router, in router.InCtx, p *packet.Packet, mi
 	// for. Global misrouting keeps the weaker busy-or-full trigger — it is
 	// the load-balancing decision, and deferring it to credit exhaustion
 	// would recreate injection-time routing.
-	localSat := minKind == topology.PortLocal && !vcFits(rt, min, p)
+	localSat := minKind == topology.PortLocal && !rt.VCFits(min, rt.Out[min].ClassVC(int(p.GlobalHops)))
 	tryLocal, tryGlobal := false, false
 	switch {
 	case int(p.DstGroup) == g:
@@ -337,7 +337,7 @@ func (e *OFAR) pickAmong(rt *router.Router, base, count, exclude int, th float64
 		if rt.OutBusy(port, now) {
 			continue
 		}
-		occ := occFor(rt, port, p)
+		occ := rt.OutOcc(port)
 		if occ > th || (strict && occ >= th) {
 			continue
 		}
@@ -361,9 +361,9 @@ func (e *OFAR) pickAmong(rt *router.Router, base, count, exclude int, th float64
 	var port int
 	if e.cfg.LeastOccupied {
 		port = int(cand[0])
-		best := occFor(rt, port, p)
+		best := rt.OutOcc(port)
 		for _, c := range cand[1:nc] {
-			if occ := occFor(rt, int(c), p); occ < best {
+			if occ := rt.OutOcc(int(c)); occ < best {
 				port, best = int(c), occ
 			}
 		}
@@ -372,28 +372,6 @@ func (e *OFAR) pickAmong(rt *router.Router, base, count, exclude int, th float64
 	}
 	vc, _ := chooseVC(rt, port, p, now)
 	return router.Request{Out: port, VC: vc}, true
-}
-
-// vcFits reports whether the packet's hop-class VC on the given port has
-// credits for it. A dead port never fits — this is what turns a failed
-// minimal link into a misrouting trigger under the static policy, which only
-// consults credits (not Busy) when deciding to divert.
-func vcFits(rt *router.Router, port int, p *packet.Packet) bool {
-	op := &rt.Out[port]
-	return !op.Dead() && op.Credits(op.ClassVC(int(p.GlobalHops))) >= 1
-}
-
-// occFor returns the occupancy fraction used in threshold comparisons: the
-// aggregate canonical occupancy of the port (§IV-B compares "the percentage
-// of buffer occupancy" of whole queues). Aggregating across the port's VCs
-// pools 3 VCs (12 packets) of signal, which discriminates a genuinely
-// saturated hotspot (ADV+h: the l2 port is full across classes while
-// alternatives idle) from symmetric-overload noise (UN: every port's class
-// VC oscillates around full while aggregates stay comparable). The
-// class-VC-granular checks remain where the physical resource matters: the
-// misroute *trigger* (vcFits) and the candidate headroom filter.
-func occFor(rt *router.Router, port int, _ *packet.Packet) float64 {
-	return rt.OutOcc(port)
 }
 
 // pickRing returns the escape ring whose next-hop channel has the most

@@ -90,7 +90,7 @@ func TestOFARMinimalWhenIdle(t *testing.T) {
 	rt := buildRouter(t, d, 0, true)
 	e := New(d, DefaultConfig())
 	p := newPkt(d, 0, d.Nodes-1)
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode, Ring: -1}, p, 0)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 0)
 	if !ok {
 		t.Fatal("refused on idle router")
 	}
@@ -127,7 +127,7 @@ func TestOFARNoMisrouteOnEmptyQueues(t *testing.T) {
 	// which IS strictly below — so a global misroute from an injection
 	// queue is legitimate here. Local misroute must not fire (minimal is
 	// not credit-exhausted).
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode, Ring: -1}, p, 1)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 1)
 	if ok && req.SetLocalMis {
 		t.Error("local misroute without credit exhaustion")
 	}
@@ -157,7 +157,7 @@ func TestOFARGlobalMisrouteFromInjection(t *testing.T) {
 		t.Fatalf("setup: minimal port %d is not global", min)
 	}
 	saturatePort(rt, min)
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode, Ring: -1}, p, 0)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 0)
 	if !ok {
 		t.Fatal("blocked packet did not misroute")
 	}
@@ -191,7 +191,7 @@ func TestOFARInjectionMisroutesGlobally(t *testing.T) {
 	}
 	p := newPkt(d, 0, dst)
 	saturatePort(rt, min)
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode, Ring: -1}, p, 0)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 0)
 	if !ok {
 		t.Fatal("no misroute")
 	}
@@ -214,20 +214,20 @@ func TestOFARLocalThenGlobal(t *testing.T) {
 	}
 	p := newPkt(d, 0, dst)
 	saturatePort(rt, min)
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortLocal, Ring: -1}, p, 0)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortLocal, Ring: -1}, p, 0)
 	if !ok || !req.SetLocalMis || d.PortKindOf(req.Out) != topology.PortLocal {
 		t.Fatalf("first misroute %+v, want local", req)
 	}
 	// Apply the flag as a commit would, then route again.
 	p.LocalMisrouted = true
 	p.MisrouteGroup = 0
-	req, ok = e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortLocal, Ring: -1}, p, 0)
+	req, ok = e.Route(rt, router.InCtx{Kind: topology.PortLocal, Ring: -1}, p, 0)
 	if !ok || !req.SetGlobalMis || d.PortKindOf(req.Out) != topology.PortGlobal {
 		t.Fatalf("second misroute %+v, want global", req)
 	}
 	// Both flags set: no further misrouting is allowed.
 	p.GlobalMisrouted = true
-	if _, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortLocal, Ring: -1}, p, 0); ok {
+	if _, ok := e.Route(rt, router.InCtx{Kind: topology.PortLocal, Ring: -1}, p, 0); ok {
 		t.Error("misrouted with both flags set")
 	}
 }
@@ -249,7 +249,7 @@ func TestOFARIntermediateGroupPolicy(t *testing.T) {
 		t.Fatal("setup: expected local minimal")
 	}
 	saturatePort(rt, min)
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortGlobal, Ring: -1}, p, 0)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortGlobal, Ring: -1}, p, 0)
 	if !ok || !req.SetLocalMis {
 		t.Fatalf("expected local misroute in destination group, got %+v ok=%v", req, ok)
 	}
@@ -257,7 +257,7 @@ func TestOFARIntermediateGroupPolicy(t *testing.T) {
 	// misroute outside the source group) — the packet waits.
 	p.LocalMisrouted = true
 	p.MisrouteGroup = 0
-	if _, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortGlobal, Ring: -1}, p, 0); ok {
+	if _, ok := e.Route(rt, router.InCtx{Kind: topology.PortGlobal, Ring: -1}, p, 0); ok {
 		t.Error("misrouted globally outside the source group")
 	}
 }
@@ -279,7 +279,7 @@ func TestOFARLDisablesLocal(t *testing.T) {
 	}
 	p := newPkt(d, 0, dst)
 	saturatePort(rt, min)
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortLocal, Ring: -1}, p, 0)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortLocal, Ring: -1}, p, 0)
 	if ok && req.SetLocalMis {
 		t.Error("OFAR-L misrouted locally")
 	}
@@ -303,10 +303,10 @@ func TestOFAREscapeAfterTimeout(t *testing.T) {
 	p.MisrouteGroup = 0
 	saturatePort(rt, d.MinimalPort(0, dst))
 	p.BlockedSince = 0
-	if _, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortLocal, Ring: -1}, p, 5); ok {
+	if _, ok := e.Route(rt, router.InCtx{Kind: topology.PortLocal, Ring: -1}, p, 5); ok {
 		t.Fatal("escaped before timeout")
 	}
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortLocal, Ring: -1}, p, 10)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortLocal, Ring: -1}, p, 10)
 	if !ok || !req.EnterRing || !req.Escape {
 		t.Fatalf("expected ring entry at timeout, got %+v ok=%v", req, ok)
 	}
@@ -315,7 +315,7 @@ func TestOFAREscapeAfterTimeout(t *testing.T) {
 	for vc := 0; vc < 3; vc++ {
 		rt.Out[rp].SetCredits(vc, 1) // leave <2 packets of room
 	}
-	if _, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortLocal, Ring: -1}, p, 20); ok {
+	if _, ok := e.Route(rt, router.InCtx{Kind: topology.PortLocal, Ring: -1}, p, 20); ok {
 		t.Error("ring entry granted without a two-packet bubble")
 	}
 }
@@ -332,7 +332,7 @@ func TestOFAROnRingBehavior(t *testing.T) {
 	p := newPkt(d, 0, dst)
 	p.OnRing = true
 	p.Ring = 0
-	in := router.InCtx{MinHint: -1, Kind: topology.PortRing, Escape: true, Ring: 0}
+	in := router.InCtx{Kind: topology.PortRing, Escape: true, Ring: 0}
 
 	// Minimal available: exit.
 	req, ok := e.Route(rt, in, p, 0)
@@ -373,7 +373,7 @@ func TestOFARIntraGroup(t *testing.T) {
 	p := newPkt(d, 0, dst)
 	min := d.MinimalPort(0, dst)
 	saturatePort(rt, min)
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode, Ring: -1}, p, 0)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 0)
 	if !ok || !req.SetLocalMis || d.PortKindOf(req.Out) != topology.PortLocal {
 		t.Fatalf("intra-group misroute %+v ok=%v, want local", req, ok)
 	}
@@ -400,7 +400,7 @@ func TestOFARHeadroomFilter(t *testing.T) {
 		}
 		rt.Out[port].SetCredits(0, 1)
 	}
-	if req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode, Ring: -1}, p, 0); ok {
+	if req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 0); ok {
 		t.Errorf("misrouted to a headroom-less candidate: %+v", req)
 	}
 }
@@ -459,7 +459,7 @@ func TestOFARVariablePolicyStrictness(t *testing.T) {
 	// Refund the grant's credits so the port is busy with a truly empty
 	// downstream queue (Q_min = 0): nothing is strictly below 0.9·0.
 	rt.AddCredit(min, 0)
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode, Ring: -1}, p, 1)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 1)
 	if ok && (req.SetGlobalMis || req.SetLocalMis) {
 		t.Errorf("variable policy misrouted on a serialization collision: %+v", req)
 	}
@@ -480,7 +480,7 @@ func TestOFARVariablePolicyMisroutesOnBacklog(t *testing.T) {
 		t.Fatal("setup: want global minimal")
 	}
 	saturatePort(rt, min) // occupancy 100%, credits exhausted
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode, Ring: -1}, p, 0)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 0)
 	if !ok || !req.SetGlobalMis {
 		t.Fatalf("variable policy did not misroute on backlog: %+v ok=%v", req, ok)
 	}
@@ -511,7 +511,7 @@ func TestOFARLeastOccupiedSelection(t *testing.T) {
 	saturatePort(rt, min)
 	g0 := d.GlobalPortBase()
 	rt.Out[g0].SetCredits(0, rt.Out[g0].VCCap(0)-8) // 12.5% occupancy on the first global port
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode, Ring: -1}, p, 0)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 0)
 	if !ok || !req.SetGlobalMis {
 		t.Fatalf("no misroute: %+v ok=%v", req, ok)
 	}
@@ -527,12 +527,12 @@ func TestVCFitsClamping(t *testing.T) {
 	p := newPkt(d, 0, d.Nodes-1)
 	p.GlobalHops = 9 // clamps to the last VC
 	min := d.GlobalPortBase()
-	if !vcFits(rt, min, p) {
+	if !rt.VCFits(min, rt.Out[min].ClassVC(int(p.GlobalHops))) {
 		t.Error("clamped class should fit on a fresh port")
 	}
 	last := rt.Out[min].NumVCs() - 1
 	rt.Out[min].SetCredits(last, 0)
-	if vcFits(rt, min, p) {
+	if rt.VCFits(min, rt.Out[min].ClassVC(int(p.GlobalHops))) {
 		t.Error("clamped class reported fit on an exhausted VC")
 	}
 }

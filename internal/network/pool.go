@@ -32,6 +32,10 @@ import (
 //     dry; the last one records the epoch in doneEpoch and signals. The
 //     caller spins briefly, yields, then parks on the completion cond, and
 //     afterwards merges the logs as it does after walking the groups itself.
+//
+// A panic in a parked worker's walk, which no recover of the Run caller
+// reaches, is kept in panicked; the worker still reports in, and runShards
+// re-panics the value on the caller once the epoch is joined.
 type stepPool struct {
 	// Hot shared state, reset at each dispatch.
 	cursor  atomic.Int64 // next unclaimed group
@@ -51,6 +55,8 @@ type stepPool struct {
 	doneMu    sync.Mutex
 	doneCond  sync.Cond
 	doneEpoch uint64 // guarded by doneMu
+
+	panicked atomic.Pointer[any] // first value a worker's walk panicked with
 
 	workers sync.WaitGroup // worker goroutine lifetimes, for Close
 }
@@ -89,7 +95,7 @@ func (n *Network) poolWorker(p *stepPool, w int) {
 			seen = p.epoch
 			p.mu.Unlock()
 
-			n.groupShare(p)
+			p.recoverShare(n)
 
 			if p.pending.Add(-1) == 0 {
 				p.doneMu.Lock()
@@ -99,6 +105,17 @@ func (n *Network) poolWorker(p *stepPool, w int) {
 			}
 		}
 	})
+}
+
+// recoverShare is a parked worker's groupShare, keeping a panic for runShards.
+func (p *stepPool) recoverShare(n *Network) {
+	defer func() {
+		if v := recover(); v != nil {
+			kept := v // escapes; declared here so that only a panic allocates
+			p.panicked.CompareAndSwap(nil, &kept)
+		}
+	}()
+	n.groupShare(p)
 }
 
 // groupShare claims group IDs one at a time until the cursor runs dry and
@@ -131,6 +148,9 @@ func (n *Network) runShards() {
 
 	n.groupShare(p)
 	p.join(epoch)
+	if v := p.panicked.Swap(nil); v != nil {
+		panic(*v)
+	}
 }
 
 // join waits for the epoch's parked workers to report in: spin first (a

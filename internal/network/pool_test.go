@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"ofar/internal/packet"
+	"ofar/internal/router"
 	"ofar/internal/traffic"
 )
 
@@ -135,6 +139,66 @@ func TestPoolGoroutineLeak(t *testing.T) {
 			t.Fatalf("goroutines leaked after Close: %d before, %d after", before, runtime.NumGoroutine())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// goid is the running goroutine's ID, read off its stack header.
+func goid() uint64 {
+	var buf [64]byte
+	s := strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine ")
+	id, _ := strconv.ParseUint(s[:strings.IndexByte(s, ' ')], 10, 64)
+	return id
+}
+
+// panicAt wraps an engine so Route panics from cycle at on, but only on
+// goroutines other than caller: the walk that panics is a pool worker's. The
+// caller's own Route calls yield, so a single-P scheduler still hands the
+// worker a group.
+type panicAt struct {
+	router.Engine
+	at     int64
+	caller uint64
+}
+
+const workerPanic = "engine fault on a pool worker"
+
+func (e panicAt) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
+	if now >= e.at {
+		if goid() != e.caller {
+			panic(workerPanic)
+		}
+		runtime.Gosched()
+	}
+	return e.Engine.Route(rt, in, p, now)
+}
+
+// TestPoolWorkerPanicReachesCaller: a panic on a pool goroutine is recovered
+// there, its epoch still joins, and Run re-panics the value on the caller,
+// who can recover it; Close then returns. Unrecovered, the worker's panic
+// would end the test binary.
+func TestPoolWorkerPanicReachesCaller(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.Workers = 2
+	n := mustPoolNet(t, cfg)
+	n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.5, cfg.PacketSize))
+	n.Engine = panicAt{Engine: n.Engine, at: 100, caller: goid()}
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		n.Run(2000)
+		return nil
+	}()
+	if got != workerPanic {
+		t.Fatalf("Run recovered %v, want the worker's panic %q", got, workerPanic)
+	}
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		n.Close()
+	}()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close did not return after a worker panic")
 	}
 }
 

@@ -79,6 +79,58 @@ func TestZeroLoadLatency(t *testing.T) {
 	}
 }
 
+// TestZeroLoadLatencyValiant pins the same law on Valiant paths, which take
+// two global hops: VAL packets sent one at a time (400 cycles apart, longer
+// than any path takes) each arrive S + Σ(ℓᵢ+1) cycles after birth, the sum
+// over the links their grant log shows, and every one crosses exactly two
+// global links. h=2 and h=3, Workers 1 and 2.
+func TestZeroLoadLatencyValiant(t *testing.T) {
+	const packets, gap = 24, 400
+	for _, h := range []int{2, 3} {
+		cfg := DefaultConfig(h).WithRouting(VAL)
+		S := cfg.PacketSize
+		nodes := cfg.P * cfg.A * cfg.numGroups()
+		var recs []trace.Record
+		for i := range packets {
+			src, dst := i*7%nodes, (i*13+5)%nodes
+			recs = append(recs, trace.Record{Cycle: int64(5 + i*gap), Src: int32(src), Dst: int32(dst), Size: uint16(S)})
+		}
+		for _, w := range []int{1, 2} {
+			t.Run(fmt.Sprintf("h%d/workers=%d", h, w), func(t *testing.T) {
+				n := replayNet(t, cfg, w, recs)
+				n.EnableGrantLog(64)
+				for _, rec := range recs {
+					n.Stats.StartMeasurement(n.Now())
+					n.grantLog = n.grantLog[:0]
+					n.Run(gap)
+					if got := n.Stats.MeasuredPackets(); got != 1 {
+						t.Fatalf("packet %d→%d born at %d: %d packets delivered in its window, want 1", rec.Src, rec.Dst, rec.Cycle, got)
+					}
+					want, globals := S, 0
+					for _, g := range n.GrantLog() {
+						if g.Src != int(rec.Src) || g.Born != rec.Cycle {
+							t.Fatalf("window of packet %d→%d born at %d logged a grant of %d→%d born at %d", rec.Src, rec.Dst, rec.Cycle, g.Src, g.Dst, g.Born)
+						}
+						switch n.Topo.PortKindOf(g.Out) {
+						case topology.PortLocal:
+							want += cfg.LocalLatency + 1
+						case topology.PortGlobal:
+							want += cfg.GlobalLatency + 1
+							globals++
+						}
+					}
+					if globals != 2 {
+						t.Errorf("packet %d→%d crossed %d global links, want 2", rec.Src, rec.Dst, globals)
+					}
+					if got := n.Stats.MaxLatency(); got != int64(want) {
+						t.Errorf("packet %d→%d: latency %d cycles, want %d over its %d grants", rec.Src, rec.Dst, got, want, len(n.GrantLog()))
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestCreditLoopBandwidth pins the second law: one saturated stream over
 // one link of latency ℓ delivers min(1, B/(2ℓ+S+1)) phits per cycle with B
 // phits of downstream VC buffer — a packet's credit comes back 2ℓ+S+1 cycles

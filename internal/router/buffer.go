@@ -43,20 +43,14 @@ type VCBuffer struct {
 	// set) is disjoint from the dirty window the router presents at
 	// validation time; cExpire 0 marks no entry. The cached Request itself
 	// lives in the router's reqs slot for this buffer (only a re-evaluation
-	// of this buffer overwrites it). cMin caches the engine's per-head anchor
-	// port (InCtx.MinHint) and survives dirty invalidation: it depends only
-	// on the head's identity, so only head replacement resets it.
-	cMin    int32
+	// of this buffer overwrites it).
 	cMask   uint64
 	cExpire int64
 }
 
-// invalidateCache forgets the route-cache entry and the per-head anchor
-// hint. Called whenever the head packet changes identity.
-func (b *VCBuffer) invalidateCache() {
-	b.cExpire = 0
-	b.cMin = -1
-}
+// invalidateCache forgets the route-cache entry. Called whenever the head
+// packet changes identity.
+func (b *VCBuffer) invalidateCache() { b.cExpire = 0 }
 
 // Init sets the buffer capacity (packets). ring < 0 marks a canonical buffer.
 func (b *VCBuffer) Init(capacity int, ring int) {

@@ -277,7 +277,7 @@ func TestRecordSizes(t *testing.T) {
 		name      string
 		size, max uintptr
 	}{
-		{"VCBuffer", unsafe.Sizeof(VCBuffer{}), 64},
+		{"VCBuffer", unsafe.Sizeof(VCBuffer{}), 56},
 		{"InPort", unsafe.Sizeof(InPort{}), 48},
 		{"OutPort", unsafe.Sizeof(OutPort{}), 64},
 		{"request slot", unsafe.Sizeof(reqSlot{}), 8},

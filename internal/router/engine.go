@@ -55,19 +55,6 @@ type InCtx struct {
 	Kind     topology.PortKind
 	Escape   bool // the buffer is an escape-ring channel
 	Ring     int  // escape ring index (-1 for canonical buffers)
-
-	// MinHint, when ≥ 0, is the engine's own per-head anchor port (the port
-	// a previous Route call on this exact head packet passed to NoteAnchor),
-	// cached by the router so the engine can skip recomputing the
-	// topology lookup. -1 when unknown. Purely an accelerator: the hinted
-	// value equals what the engine would compute, so decisions are
-	// identical with or without it.
-	//
-	// Beware the zero value: 0 is a real port, not "no hint". Code that
-	// constructs an InCtx by hand (tests calling Route directly) must set
-	// MinHint to -1 explicitly or the engine will treat port 0 as the
-	// minimal route.
-	MinHint int32
 }
 
 // Engine is a routing mechanism. Route is invoked every cycle for every
@@ -76,10 +63,12 @@ type InCtx struct {
 // false when the packet must wait.
 //
 // Engines are stateless: one instance serves every router and every pool
-// worker. What a Route call read is recorded on the router being routed
-// (NoteRead, NoteExpiry, NoteAnchor) — routers are group-owned, so the
-// record is race-free — and the router's route cache replays the decision
-// while nothing recorded has changed. A call that notes no expiry is never
+// worker, and every call decides from scratch (minimal ports come from the
+// topology's forwarding tables). What a Route call read is recorded on the
+// router being routed — which output ports (NoteRead) and until when the
+// decision holds (NoteExpiry); routers are group-owned, so the record is
+// race-free — and the router's route cache replays the decision while
+// nothing recorded has changed. A call that notes no expiry is never
 // replayed.
 type Engine interface {
 	Name() string

@@ -7,13 +7,11 @@ import (
 	"ofar/internal/packet"
 )
 
-// cacheScriptEngine is a scriptable engine that counts Route calls and
-// records the MinHint each call received, so tests can pin exactly when the
-// route cache recomputes versus replays. Every call records its read set
-// through deps before deciding.
+// cacheScriptEngine is a scriptable engine that counts Route calls, so tests
+// can pin exactly when the route cache recomputes versus replays. Every call
+// records its read set through deps before deciding.
 type cacheScriptEngine struct {
 	calls int
-	hints []int32
 	route func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool)
 	deps  func(rt *Router, now int64)
 }
@@ -22,23 +20,19 @@ func (e *cacheScriptEngine) Name() string                               { return
 func (e *cacheScriptEngine) AtInjection(*Router, *packet.Packet, int64) {}
 func (e *cacheScriptEngine) Route(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
 	e.calls++
-	e.hints = append(e.hints, in.MinHint)
 	e.deps(rt, now)
 	return e.route(rt, in, p, now)
 }
 
-// port2Deps records a read set of output port 2 only, no time dependence,
-// with port 2 as the per-head anchor.
+// port2Deps records a read set of output port 2 only, no time dependence.
 func port2Deps(rt *Router, _ int64) {
 	rt.NoteRead(2)
 	rt.NoteExpiry(math.MaxInt64)
-	rt.NoteAnchor(2)
 }
 
 // TestRouteCacheStableBlockedHead: a blocked head whose read set does not
 // change is evaluated exactly once, however many cycles pass; a credit refund
-// on a read port forces one re-evaluation, which then sees the cached
-// MinHint anchor instead of -1.
+// on a read port forces one re-evaluation.
 func TestRouteCacheStableBlockedHead(t *testing.T) {
 	r := testRouter(t, 1)
 	r.EnableRouteCache()
@@ -55,18 +49,12 @@ func TestRouteCacheStableBlockedHead(t *testing.T) {
 	if eng.calls != 1 {
 		t.Fatalf("blocked head with stable deps evaluated %d times, want 1", eng.calls)
 	}
-	if eng.hints[0] != -1 {
-		t.Fatalf("first evaluation saw MinHint %d, want -1", eng.hints[0])
-	}
 	r.AddCredit(2, 0) // epoch bump on the read port
 	for now := int64(5); now < 8; now++ {
 		r.Cycle(eng, now)
 	}
 	if eng.calls != 2 {
 		t.Fatalf("credit refund triggered %d re-evaluations, want exactly 1 (calls=2)", eng.calls)
-	}
-	if eng.hints[1] != 2 {
-		t.Fatalf("re-evaluation saw MinHint %d, want the cached anchor 2", eng.hints[1])
 	}
 }
 
@@ -157,9 +145,8 @@ func TestRouteCacheBanksWindowOfBusyInput(t *testing.T) {
 	}
 }
 
-// TestRouteCacheHeadReplacement: draining the head invalidates both the
-// cached decision and the MinHint anchor, so the next head is evaluated
-// fresh with MinHint -1.
+// TestRouteCacheHeadReplacement: draining the head invalidates the cached
+// decision, so the next head is evaluated fresh.
 func TestRouteCacheHeadReplacement(t *testing.T) {
 	r := testRouter(t, 1)
 	r.EnableRouteCache()
@@ -183,9 +170,6 @@ func TestRouteCacheHeadReplacement(t *testing.T) {
 	}
 	if grants := r.Cycle(eng, 8); len(grants) != 1 || eng.calls != 2 {
 		t.Fatalf("new head: %d grants, %d calls; want fresh evaluation and grant", len(grants), eng.calls)
-	}
-	if eng.hints[1] != -1 {
-		t.Fatalf("new head saw MinHint %d, want -1 (anchor reset on head replacement)", eng.hints[1])
 	}
 }
 

@@ -159,14 +159,12 @@ type Router struct {
 	arena *Arena
 }
 
-// readSet is what one Route call recorded through NoteRead, NoteExpiry and
-// NoteAnchor: the output ports it read, the first cycle its decision may
-// change by time alone (0, never replayed, until the engine notes one) and
-// the per-head anchor port (-1 for none).
+// readSet is what one Route call recorded through NoteRead and NoteExpiry:
+// the output ports it read and the first cycle its decision may change by
+// time alone (0, never replayed, until the engine notes one).
 type readSet struct {
 	mask   uint64
 	expire int64
-	anchor int32
 }
 
 // New builds a router from its parameter block.
@@ -284,11 +282,6 @@ func (r *Router) NoteRead(port int) { r.rs.mask |= 1 << uint(port) }
 // busy→free transitions itself. A call that notes no expiry is never
 // replayed, so an engine opts into the cache call by call.
 func (r *Router) NoteExpiry(cycle int64) { r.rs.expire = cycle }
-
-// NoteAnchor records a port that is fixed for the head being routed (OFAR's
-// minimal port, a baseline's committed output); later calls on the same head
-// receive it as InCtx.MinHint.
-func (r *Router) NoteAnchor(port int) { r.rs.anchor = int32(port) }
 
 // EnableRouteCache turns on dirty-mask-invalidated route memoization: one
 // entry per input VC (see formRequests). The network calls it once, after
@@ -700,13 +693,11 @@ func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend u
 			in := InCtx{
 				Port: ip, VC: vc, Kind: inp.Kind,
 				Escape: buf.Escape, Ring: int(buf.Ring),
-				MinHint: buf.cMin,
 			}
-			r.rs = readSet{anchor: -1}
+			r.rs = readSet{}
 			rngBefore := r.rngDraws
 			req, ok := engine.Route(r, in, p, now)
 			if r.cacheOn {
-				buf.cMin = r.rs.anchor // per-head anchor; survives invalidation
 				buf.cMask, buf.cExpire, buf.cOK = r.rs.mask, r.rs.expire, ok
 				if r.rngDraws != rngBefore {
 					// The decision consumed randomness; replaying it would

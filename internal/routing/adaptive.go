@@ -88,7 +88,7 @@ func (e *UGAL) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
 // Route implements router.Engine. UGAL's adaptivity lives entirely in
 // AtInjection; in transit it is a fixed-path engine.
 func (e *UGAL) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
-	return routeFixed(e.d, rt, in, p, now)
+	return routeFixed(e.d, rt, p, now)
 }
 
 // PB is the Piggybacking mechanism (Jiang et al., ISCA 2009): UGAL-L
@@ -139,5 +139,5 @@ func (e *PB) AtInjection(rt *router.Router, p *packet.Packet, now int64) {
 // injection time, never here, so the delayed FlagBoard view is in no read
 // set — in transit PB is a fixed-path engine.
 func (e *PB) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
-	return routeFixed(e.d, rt, in, p, now)
+	return routeFixed(e.d, rt, p, now)
 }

@@ -25,19 +25,13 @@ func nextOut(d *topology.Dragonfly, r int, p *packet.Packet) int {
 }
 
 // routeFixed implements Route for every baseline: follow the committed path,
-// wait when the required port/VC cannot accept the packet. The decision
-// reads only the committed port and time cannot change it. The port is also
-// the per-head anchor: everything nextOut reads — the packet's Valiant state
-// and this router's group — is fixed while the packet sits at a buffer head,
-// so the router's hint (router.InCtx.MinHint) skips the topology lookup.
-func routeFixed(d *topology.Dragonfly, rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
-	out := int(in.MinHint)
-	if out < 0 {
-		out = nextOut(d, rt.ID, p)
-	}
+// wait when the required port/VC cannot accept the packet. Each call looks
+// the committed port up in the topology's tables; the decision reads only
+// that port and time cannot change it.
+func routeFixed(d *topology.Dragonfly, rt *router.Router, p *packet.Packet, now int64) (router.Request, bool) {
+	out := nextOut(d, rt.ID, p)
 	rt.NoteRead(out)
 	rt.NoteExpiry(math.MaxInt64)
-	rt.NoteAnchor(out)
 	if rt.OutBusy(out, now) {
 		return router.Request{}, false
 	}
@@ -90,7 +84,7 @@ func (e *Minimal) AtInjection(*router.Router, *packet.Packet, int64) {}
 
 // Route implements router.Engine.
 func (e *Minimal) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
-	return routeFixed(e.d, rt, in, p, now)
+	return routeFixed(e.d, rt, p, now)
 }
 
 // Valiant is the VAL mechanism: every packet visits a random intermediate
@@ -110,5 +104,5 @@ func (e *Valiant) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
 
 // Route implements router.Engine.
 func (e *Valiant) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
-	return routeFixed(e.d, rt, in, p, now)
+	return routeFixed(e.d, rt, p, now)
 }

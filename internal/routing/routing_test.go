@@ -112,7 +112,7 @@ func TestMinimalRouteRequest(t *testing.T) {
 	e := NewMinimal(d)
 	dst := d.Nodes - 1
 	p := newPkt(d, 0, dst)
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode}, p, 0)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode}, p, 0)
 	if !ok {
 		t.Fatal("route refused on an idle router")
 	}
@@ -135,7 +135,7 @@ func TestMinimalWaitsOnFixedVC(t *testing.T) {
 	out := d.MinimalPort(0, dst)
 	// Exhaust VC0 of the minimal port; VC1 keeps credits.
 	rt.Out[out].SetCredits(0, 0)
-	if _, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode}, p, 0); ok {
+	if _, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode}, p, 0); ok {
 		t.Error("baseline used a different VC than its class")
 	}
 }
@@ -321,7 +321,7 @@ func TestPARInTransitDivert(t *testing.T) {
 	diverted := 0
 	for i := 0; i < 50; i++ {
 		q := *p // copy: Route mutates ValiantGroup
-		if _, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortLocal}, &q, 0); ok || q.ValiantGroup >= 0 {
+		if _, ok := e.Route(rt, router.InCtx{Kind: topology.PortLocal}, &q, 0); ok || q.ValiantGroup >= 0 {
 			if q.ValiantGroup >= 0 {
 				diverted++
 			}
@@ -342,7 +342,7 @@ func TestPARNoDivertAfterGlobalHop(t *testing.T) {
 	for vc := 0; vc < rt.Out[min].NumVCs(); vc++ {
 		rt.Out[min].SetCredits(vc, 0)
 	}
-	if _, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortLocal}, p, 0); ok {
+	if _, ok := e.Route(rt, router.InCtx{Kind: topology.PortLocal}, p, 0); ok {
 		t.Error("PAR moved through a saturated port")
 	}
 	if p.ValiantGroup >= 0 {
@@ -393,7 +393,7 @@ func TestValiantRouteFollowsCommittedPath(t *testing.T) {
 	e := NewValiant(d)
 	p := newPkt(d, 0, d.Nodes-1)
 	p.ValiantGroup = 4
-	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode}, p, 0)
+	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode}, p, 0)
 	if !ok {
 		t.Fatal("route refused")
 	}
@@ -407,7 +407,7 @@ func TestUGALAndPBRouteAreFixed(t *testing.T) {
 	rt := buildRouter(t, d, 0, nil)
 	p := newPkt(d, 0, d.Nodes-1)
 	for _, e := range []router.Engine{NewUGAL(d, DefaultAdaptiveConfig()), NewPB(d, DefaultAdaptiveConfig())} {
-		req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode}, p, 0)
+		req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode}, p, 0)
 		if !ok || req.Out != d.MinimalPort(0, int(p.Dst)) {
 			t.Errorf("%s route %+v ok=%v", e.Name(), req, ok)
 		}

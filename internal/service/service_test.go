@@ -12,6 +12,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +21,10 @@ import (
 	"time"
 
 	"ofar"
+	"ofar/internal/network"
+	"ofar/internal/packet"
+	"ofar/internal/router"
+	"ofar/internal/traffic"
 )
 
 // testConfig is the tiny h=2 system (36 routers, 72 nodes) every service
@@ -740,6 +746,81 @@ func TestPanickingSimulation(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("pool after the panic: %d of %d tokens free, %d in flight, depth %d", tokens, capacity, inflight, depth)
 		}
+	}
+}
+
+// goid is the running goroutine's ID, read off its stack header.
+func goid() uint64 {
+	var buf [64]byte
+	s := strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine ")
+	id, _ := strconv.ParseUint(s[:strings.IndexByte(s, ' ')], 10, 64)
+	return id
+}
+
+// workerPanics wraps an engine so Route panics on every goroutine but
+// caller, the goroutine running the network: only a pool worker's walk
+// panics. The caller's own Route calls yield, so the worker gets groups.
+type workerPanics struct {
+	router.Engine
+	caller uint64
+}
+
+func (e workerPanics) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
+	if goid() != e.caller {
+		panic("engine fault on a pool worker")
+	}
+	runtime.Gosched()
+	return e.Engine.Route(rt, in, p, now)
+}
+
+// TestPanickingPoolWorker: a workers: 2 request whose simulation panics on
+// one of its network's pool goroutines fails its point, not the server — a
+// panic there is beyond the per-point recover unless the network hands it to
+// the goroutine running it. The reply carries the panic,
+// sweepd_sim_panics_total counts it, and the next request is served.
+func TestPanickingPoolWorker(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("with GOMAXPROCS=1 a network walks every window on its caller: no pool worker runs")
+	}
+	runner := func(r ofar.Resolved, load float64, opt ofar.SweepOptions) (ofar.PointResult, error) {
+		if load != 0.1 {
+			return r.Run(load, opt)
+		}
+		n, err := network.New(r.Config)
+		if err != nil {
+			return ofar.PointResult{}, err
+		}
+		defer n.Close()
+		n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.5, r.Config.PacketSize))
+		n.Engine = workerPanics{Engine: n.Engine, caller: goid()}
+		n.Run(2000)
+		return ofar.PointResult{}, fmt.Errorf("no pool worker panicked in 2000 cycles")
+	}
+	srv, ts := startServer(t, Options{Sims: 2, MaxQueue: 16, Runner: runner})
+	cfg := testConfig()
+	cfg.Workers = 2
+	r := postSweep(t, ts.URL, Request{Config: &cfg, Loads: []float64{0.1}, Warmup: 200, Measure: 200})
+	if r.status != http.StatusOK || len(r.points) != 1 {
+		t.Fatalf("HTTP %d, %d points: %s", r.status, len(r.points), r.raw)
+	}
+	if p := r.points[0]; p.Error != "simulation panicked: engine fault on a pool worker" || p.Result != nil {
+		t.Fatalf("point error %q, result %s; want the worker's panic", p.Error, p.Result)
+	}
+	if got := srv.met.panicked.Load(); got != 1 {
+		t.Errorf("panics counted %d, want 1", got)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(text), "sweepd_sim_panics_total 1\n") {
+		t.Errorf("/metrics lacks sweepd_sim_panics_total 1:\n%s", text)
+	}
+	next := postSweep(t, ts.URL, Request{Config: &cfg, Loads: []float64{0.2}, Warmup: 200, Measure: 200})
+	if next.status != http.StatusOK || len(next.points) != 1 || next.points[0].Error != "" || next.points[0].Source != "computed" {
+		t.Fatalf("request after the panic: HTTP %d %+v", next.status, next.points)
 	}
 }
 

@@ -17,6 +17,12 @@
 // §III pathology: under ADV+n·h traffic, all misrouted flow entering a
 // router of an intermediate group must leave through the single local link
 // to the next router.
+//
+// Minimal routes come from forwarding tables New fills once, as a fabric's
+// routing engine does: each node's and router's place, and per (group,
+// destination group) the gateway router's local index and global port (2 B a
+// pair, 10.6 KB at h=6). MinimalPort and PortToGroup read them with no
+// division; GlobalEntry and LocalPortTo build them.
 package topology
 
 import (
@@ -72,7 +78,24 @@ type Dragonfly struct {
 	RouterPorts int
 
 	wiring []wire // per router, per port: peer coordinates
+
+	// Minimal-route tables (buildTables).
+	nodePlace   []place // per node
+	routerPlace []place // per router
+	gateway     []gate  // per (group, destination group), row-major
 }
+
+// place is where a node or router sits: its group, its router's index in the
+// group and, for a node, its slot on that router.
+type place struct {
+	group uint16
+	local uint8
+	slot  uint8
+}
+
+// gate is a group's gateway toward one other group: the local index of the
+// router owning the global link and the link's port on that router.
+type gate struct{ local, port uint8 }
 
 // wire records the remote endpoint of one router output port.
 type wire struct {
@@ -95,6 +118,9 @@ func New(p, a, h, groups int) (*Dragonfly, error) {
 	if groups < 1 || groups > maxG {
 		return nil, fmt.Errorf("topology: group count %d out of range [1,%d]", groups, maxG)
 	}
+	if ports := p + a - 1 + h; ports > 256 {
+		return nil, fmt.Errorf("topology: %d ports per router, at most 256 (the routing tables hold 8-bit ports)", ports)
+	}
 	d := &Dragonfly{
 		P: p, A: a, H: h, G: groups,
 		Routers:     a * groups,
@@ -102,6 +128,7 @@ func New(p, a, h, groups int) (*Dragonfly, error) {
 		RouterPorts: p + (a - 1) + h,
 	}
 	d.buildWiring()
+	d.buildTables()
 	return d, nil
 }
 
@@ -178,23 +205,15 @@ func (d *Dragonfly) PortKindOf(port int) PortKind {
 // LocalPortTo returns the local port of router r leading to router t of the
 // same group. r and t are global router ids and must differ.
 func (d *Dragonfly) LocalPortTo(r, t int) int {
-	ri, ti := d.LocalIndex(r), d.LocalIndex(t)
+	return d.localPort(d.LocalIndex(r), d.LocalIndex(t))
+}
+
+// localPort is LocalPortTo on local indices.
+func (d *Dragonfly) localPort(ri, ti int) int {
 	if ti < ri {
 		return d.P + ti
 	}
 	return d.P + ti - 1
-}
-
-// LocalPortPeer returns the router reached through local port `port` of
-// router r.
-func (d *Dragonfly) LocalPortPeer(r, port int) int {
-	j := port - d.P
-	ri := d.LocalIndex(r)
-	t := j
-	if j >= ri {
-		t = j + 1
-	}
-	return d.RouterAt(d.GroupOf(r), t)
 }
 
 // --- global wiring -----------------------------------------------------------
@@ -282,58 +301,68 @@ func (d *Dragonfly) Peer(router, port int) (kind PortKind, peer, peerPort int) {
 
 // --- minimal routing ---------------------------------------------------------
 
+// buildTables fills the minimal-route tables from the coordinate and wiring
+// arithmetic. The gateway of a group toward itself is never read.
+func (d *Dragonfly) buildTables() {
+	d.routerPlace = make([]place, d.Routers)
+	d.nodePlace = make([]place, d.Nodes)
+	for r := range d.routerPlace {
+		at := place{group: uint16(d.GroupOf(r)), local: uint8(d.LocalIndex(r))}
+		d.routerPlace[r] = at
+		for s := 0; s < d.P; s++ {
+			at.slot = uint8(s)
+			d.nodePlace[d.NodeAt(r, s)] = at
+		}
+	}
+	d.gateway = make([]gate, d.G*d.G)
+	for i := range d.gateway {
+		if src, dst := i/d.G, i%d.G; src != dst {
+			r, port := d.GlobalEntry(src, dst)
+			d.gateway[i] = gate{local: uint8(d.LocalIndex(r)), port: uint8(port)}
+		}
+	}
+}
+
 // MinimalPort returns the canonical output port of router r on the minimal
 // path toward node dst. Minimal paths are l–g–l: at most one local hop in the
 // source group, the single global link to the destination group, and at most
 // one local hop in the destination group.
 func (d *Dragonfly) MinimalPort(r, dst int) int {
-	dr := d.RouterOf(dst)
-	if dr == r {
-		return d.NodePort(d.NodeSlot(dst))
+	at, to := d.routerPlace[r], d.nodePlace[dst]
+	if to.group != at.group {
+		return d.toGateway(at, int(to.group))
 	}
-	g, dg := d.GroupOf(r), d.GroupOf(dr)
-	if g == dg {
-		return d.LocalPortTo(r, dr)
+	if to.local == at.local {
+		return d.NodePort(int(to.slot))
 	}
-	entry, port := d.GlobalEntry(g, dg)
-	if entry == r {
-		return port
-	}
-	return d.LocalPortTo(r, entry)
+	return d.localPort(int(at.local), int(to.local))
 }
 
 // PortToGroup returns the output port of router r heading (minimally) toward
 // group tg: the global port if r owns the link, otherwise the local port to
 // the owning router. r's group must differ from tg.
 func (d *Dragonfly) PortToGroup(r, tg int) int {
-	entry, port := d.GlobalEntry(d.GroupOf(r), tg)
-	if entry == r {
-		return port
+	return d.toGateway(d.routerPlace[r], tg)
+}
+
+// toGateway is the port of the router at `at` toward its group's gateway to
+// group tg: the global link itself when the router owns it.
+func (d *Dragonfly) toGateway(at place, tg int) int {
+	gw := d.gateway[int(at.group)*d.G+tg]
+	if gw.local == at.local {
+		return int(gw.port)
 	}
-	return d.LocalPortTo(r, entry)
+	return d.localPort(int(at.local), int(gw.local))
 }
 
 // MinimalHops returns the number of router-to-router hops on the minimal
 // path between two nodes (0 when both share a router).
 func (d *Dragonfly) MinimalHops(src, dst int) int {
-	sr, dr := d.RouterOf(src), d.RouterOf(dst)
-	if sr == dr {
-		return 0
+	hops := 0
+	for r, dr := d.RouterOf(src), d.RouterOf(dst); r != dr; hops++ {
+		_, r, _ = d.Peer(r, d.MinimalPort(r, dst))
 	}
-	sg, dg := d.GroupOf(sr), d.GroupOf(dr)
-	if sg == dg {
-		return 1
-	}
-	h := 1 // the global hop
-	entry, _ := d.GlobalEntry(sg, dg)
-	if entry != sr {
-		h++
-	}
-	_, exit, _ := d.Peer(entry, d.PortToGroup(entry, dg))
-	if exit != dr {
-		h++
-	}
-	return h
+	return hops
 }
 
 // Validate checks structural invariants; it is used by tests and by New in

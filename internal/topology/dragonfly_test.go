@@ -50,6 +50,12 @@ func TestNewRejectsBadParams(t *testing.T) {
 	if _, err := New(1, 2, 1, -1); err == nil {
 		t.Error("negative groups accepted")
 	}
+	if _, err := New(200, 50, 8, 1); err == nil {
+		t.Error("257 ports per router accepted: the routing tables hold 8-bit ports")
+	}
+	if _, err := New(200, 50, 7, 1); err != nil {
+		t.Errorf("256 ports per router refused: %v", err)
+	}
 }
 
 func TestValidateBalanced(t *testing.T) {
@@ -94,9 +100,6 @@ func TestLocalPortSymmetry(t *testing.T) {
 				port := d.LocalPortTo(r, tr)
 				if k := d.PortKindOf(port); k != PortLocal {
 					t.Fatalf("LocalPortTo(%d,%d)=%d kind %v", r, tr, port, k)
-				}
-				if got := d.LocalPortPeer(r, port); got != tr {
-					t.Fatalf("LocalPortPeer(%d,%d)=%d want %d", r, port, got, tr)
 				}
 				kind, peer, peerPort := d.Peer(r, port)
 				if kind != PortLocal || peer != tr {
@@ -231,6 +234,81 @@ func TestPortToGroup(t *testing.T) {
 				}
 			default:
 				t.Fatalf("router %d PortToGroup(%d) kind %v", r, tg, kind)
+			}
+		}
+	}
+}
+
+// minimalPortArith and portToGroupArith are the coordinate arithmetic the
+// forwarding tables replaced, kept as their oracle.
+func minimalPortArith(d *Dragonfly, r, dst int) int {
+	dr := d.RouterOf(dst)
+	if dr == r {
+		return d.NodePort(d.NodeSlot(dst))
+	}
+	if dg := d.GroupOf(dr); dg != d.GroupOf(r) {
+		return portToGroupArith(d, r, dg)
+	}
+	return d.LocalPortTo(r, dr)
+}
+
+func portToGroupArith(d *Dragonfly, r, tg int) int {
+	entry, port := d.GlobalEntry(d.GroupOf(r), tg)
+	if entry == r {
+		return port
+	}
+	return d.LocalPortTo(r, entry)
+}
+
+// minimalHopsArith counts the l–g–l hops from the wiring arithmetic: the
+// global hop, plus a local one on each side whose router does not own the
+// link.
+func minimalHopsArith(d *Dragonfly, src, dst int) int {
+	sr, dr := d.RouterOf(src), d.RouterOf(dst)
+	if sr == dr {
+		return 0
+	}
+	sg, dg := d.GroupOf(sr), d.GroupOf(dr)
+	if sg == dg {
+		return 1
+	}
+	h := 1
+	entry, port := d.GlobalEntry(sg, dg)
+	if entry != sr {
+		h++
+	}
+	if _, exit, _ := d.Peer(entry, port); exit != dr {
+		h++
+	}
+	return h
+}
+
+// TestTablesMatchArithmetic: the table-driven MinimalPort and PortToGroup
+// equal the arithmetic for every (router, node) and every (router, other
+// group) pair, on balanced networks at h = 2, 3, 4 and 6 and on an
+// unbalanced, undersized one; so does MinimalHops, which walks the tables,
+// from one router of each group to every node.
+func TestTablesMatchArithmetic(t *testing.T) {
+	for _, c := range []struct{ p, a, h, g int }{
+		{2, 4, 2, 0}, {3, 6, 3, 0}, {4, 8, 4, 0}, {6, 12, 6, 0}, {3, 5, 2, 7},
+	} {
+		d := mustDF(t, c.p, c.a, c.h, c.g)
+		for r := 0; r < d.Routers; r++ {
+			for dst := 0; dst < d.Nodes; dst++ {
+				if got, want := d.MinimalPort(r, dst), minimalPortArith(d, r, dst); got != want {
+					t.Fatalf("%+v: MinimalPort(%d, %d) = %d, arithmetic says %d", c, r, dst, got, want)
+				}
+				if src := d.NodeAt(r, 0); d.LocalIndex(r) == 0 && d.MinimalHops(src, dst) != minimalHopsArith(d, src, dst) {
+					t.Fatalf("%+v: MinimalHops(%d, %d) = %d, arithmetic says %d", c, src, dst, d.MinimalHops(src, dst), minimalHopsArith(d, src, dst))
+				}
+			}
+			for tg := 0; tg < d.G; tg++ {
+				if tg == d.GroupOf(r) {
+					continue
+				}
+				if got, want := d.PortToGroup(r, tg), portToGroupArith(d, r, tg); got != want {
+					t.Fatalf("%+v: PortToGroup(%d, %d) = %d, arithmetic says %d", c, r, tg, got, want)
+				}
 			}
 		}
 	}

@@ -52,7 +52,7 @@ func TestPatternSpecs(t *testing.T) {
 	if Adv(6).Name() != "ADV+6" {
 		t.Error("adv name")
 	}
-	mixes := PaperMixes(6)
+	mixes := paperMixes(6)
 	if len(mixes) != 3 || mixes[0].Name() != "MIX1" || mixes[2].Name() != "MIX3" {
 		t.Error("paper mixes")
 	}
@@ -197,7 +197,7 @@ func TestRunTransientSeries(t *testing.T) {
 
 func TestRunBurstDrains(t *testing.T) {
 	cfg := DefaultConfig(2)
-	res, err := burstPoint(cfg, PaperMixes(2)[0], 20, 1_000_000)
+	res, err := burstPoint(cfg, paperMixes(2)[0], 20, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,7 @@ func ParsePattern(s string, h int) (PatternSpec, error) {
 		}
 		return Adv(n), nil
 	case up == "MIX1", up == "MIX2", up == "MIX3":
-		return PaperMixes(h)[up[3]-'1'], nil
+		return paperMixes(h)[up[3]-'1'], nil
 	case up == "BITCOMP":
 		return PatternSpec{kind: patternBitComp, label: "BITCOMP"}, nil
 	case up == "BITREV":
@@ -175,10 +175,10 @@ func resolvePattern(s string, cfg Config) (PatternSpec, error) {
 	return Stencil3D(x, y, z, m == "RND"), nil
 }
 
-// PaperMixes returns the three traffic mixes of the burst experiment
+// paperMixes returns the three traffic mixes of the burst experiment
 // (§VI-C) for a network with the given h: MIX1 = 80/10/10, MIX2 = 60/20/20,
 // MIX3 = 20/40/40 percent of UN / ADV+1 / ADV+h.
-func PaperMixes(h int) []PatternSpec {
+func paperMixes(h int) []PatternSpec {
 	mk := func(name string, un, a1, ah float64) PatternSpec {
 		return MixOf(name,
 			MixComponent{Spec: Uniform(), Weight: un},

@@ -39,7 +39,7 @@ func TestParsePattern(t *testing.T) {
 func TestPaperMixWeights(t *testing.T) {
 	// MIX components must reference ADV+1 and ADV+h.
 	for _, h := range []int{2, 6} {
-		for i, m := range PaperMixes(h) {
+		for i, m := range paperMixes(h) {
 			if len(m.mix) != 3 {
 				t.Fatalf("h=%d MIX%d has %d components", h, i+1, len(m.mix))
 			}
@@ -53,7 +53,7 @@ func TestPaperMixWeights(t *testing.T) {
 	}
 	// Weights follow 80/10/10, 60/20/20, 20/40/40.
 	wants := [][]float64{{0.8, 0.1, 0.1}, {0.6, 0.2, 0.2}, {0.2, 0.4, 0.4}}
-	for i, m := range PaperMixes(3) {
+	for i, m := range paperMixes(3) {
 		for j, c := range m.mix {
 			if c.Weight != wants[i][j] {
 				t.Errorf("MIX%d weight[%d]=%f want %f", i+1, j, c.Weight, wants[i][j])
@@ -68,7 +68,7 @@ func TestPatternBuildAgainstTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := s.Topology()
-	for _, ps := range []PatternSpec{Uniform(), Adv(1), Adv(8), PaperMixes(2)[0]} {
+	for _, ps := range []PatternSpec{Uniform(), Adv(1), Adv(8), paperMixes(2)[0]} {
 		p := ps.build(d)
 		if p == nil {
 			t.Fatalf("%s built nil", ps.Name())
