@@ -125,24 +125,16 @@ func (c Config) Validate() error {
 // router and every pool worker, and each Route call records what it read on
 // the router it routes (router.Router.NoteRead and friends).
 type OFAR struct {
-	cfg  Config
-	d    *topology.Dragonfly
-	name string
+	cfg Config
+	d   *topology.Dragonfly
 }
 
 // New builds an OFAR engine for a topology from a validated config (see
 // Config.Validate). With cfg.LocalMisroute == false the engine is the OFAR-L
 // model.
 func New(d *topology.Dragonfly, cfg Config) *OFAR {
-	name := "OFAR"
-	if !cfg.LocalMisroute {
-		name = "OFAR-L"
-	}
-	return &OFAR{cfg: cfg, d: d, name: name}
+	return &OFAR{cfg: cfg, d: d}
 }
-
-// Name implements router.Engine.
-func (e *OFAR) Name() string { return e.name }
 
 // AtInjection implements router.Engine. OFAR takes no decision at injection
 // time — that is the point of the mechanism.

@@ -135,7 +135,6 @@ func TestOFARNoMisrouteOnEmptyQueues(t *testing.T) {
 
 type scriptEngine struct{ out int }
 
-func (s scriptEngine) Name() string                                      { return "script" }
 func (s scriptEngine) AtInjection(*router.Router, *packet.Packet, int64) {}
 func (s scriptEngine) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
 	return router.Request{Out: s.out, VC: 0}, true
@@ -269,9 +268,6 @@ func TestOFARLDisablesLocal(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LocalMisroute = false
 	e := New(d, cfg)
-	if e.Name() != "OFAR-L" {
-		t.Errorf("name=%s", e.Name())
-	}
 	dst := d.Nodes - 1
 	min := d.MinimalPort(0, dst)
 	if d.PortKindOf(min) != topology.PortLocal {

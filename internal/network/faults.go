@@ -237,9 +237,9 @@ func (n *Network) spliceRing(j, w int) {
 }
 
 // dropPacket accounts one packet lost to a fault: the Dropped counter, the
-// affected-flow set, the determinism digest (tag 2, mirroring grants' tag 0
-// and deliveries' tag 1) and the trace record all learn about it, and the
-// packet returns to the pool.
+// affected-flow set and the determinism digest (tag 2, mirroring grants'
+// tag 0 and deliveries' tag 1) learn about it, and the packet returns to the
+// pool.
 func (n *Network) dropPacket(h packet.Handle, now int64) {
 	p := n.pkts.At(h)
 	n.Stats.Dropped++
@@ -250,11 +250,6 @@ func (n *Network) dropPacket(h packet.Handle, now int64) {
 	}
 	if n.digestOn {
 		n.fold(2, now, int64(p.Src), int64(p.Dst), p.Born)
-	}
-	if n.traceEvery > 0 {
-		if tr, ok := n.traces[p.ID]; ok {
-			tr.Dropped = true
-		}
 	}
 	n.poolG[p.SrcGroup].Free(h)
 }

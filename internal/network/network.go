@@ -69,13 +69,13 @@ type genRec struct {
 }
 
 // grantRec is the observable half of one grant, as values: logged only while
-// the digest, path tracing or fault attribution needs it (see Run). detour
-// marks a misroute or ring entry, what fault attribution inspects.
+// the digest or fault attribution needs it (see Run). detour marks a
+// misroute or ring entry, what fault attribution inspects.
 type grantRec struct {
 	born                  int64
 	r, src, dst           int32
 	inPort, inVC, out, vc uint8
-	eject, escape, detour bool
+	eject, detour         bool
 }
 
 // mark holds the lengths of a group's pre list and logs when one window
@@ -113,7 +113,6 @@ type groupState struct {
 	fx    []fxRec
 	gen   []genRec
 	grs   []grantRec
-	grPkt []packet.Handle // the grants' packets, while path tracing
 	tally
 	ph PhaseNanos // laps of the sampled cycles (see clock)
 	// This cycle's draw, and the pending-occupancy bitset: bit i set ⇔
@@ -206,11 +205,6 @@ type Network struct {
 	// logCap events.
 	grantLog []GrantEvent
 	logCap   int
-
-	// Path tracing (diagnostics/tests): when sampling is enabled, every
-	// N-th generated packet records its full hop sequence.
-	traceEvery int
-	traces     map[packet.ID]*Trace
 
 	// Job-aware accounting (SetGenerator with a traffic.JobAware source):
 	// node → job slot, consulted once per generated packet to tag it. Nil
@@ -604,7 +598,7 @@ func (n *Network) window(left int) int {
 	if n.faultIdx < len(n.faults) {
 		w = min(w, int(n.faults[n.faultIdx].Cycle-n.now))
 	}
-	n.win, n.logGrants = w, n.digestOn || n.traceEvery > 0 || n.faultIdx > 0
+	n.win, n.logGrants = w, n.digestOn || n.faultIdx > 0
 	for g := range n.poolG { // a window's carving writes only reserved directory entries
 		n.poolG[g].Reserve(n.groupNodes * w)
 	}
@@ -760,38 +754,6 @@ func (n *Network) RunUntilDrained(maxCycles int) (int64, bool) {
 	}
 	return at, true
 }
-
-// Trace is the recorded journey of one packet.
-type Trace struct {
-	Src, Dst int
-	Hops     []TraceHop
-	Done     bool
-	Dropped  bool // lost to an injected fault
-}
-
-// TraceHop is one crossbar transfer: the router, the output port taken and
-// whether it was an escape-channel move.
-type TraceHop struct {
-	Router int
-	Port   int
-	VC     int
-	Escape bool
-	Cycle  int64
-}
-
-// EnableTracing records the full path of every N-th generated packet
-// (N ≤ 1 traces everything). Intended for tests and debugging; tracing
-// allocates per packet.
-func (n *Network) EnableTracing(every int) {
-	if every < 1 {
-		every = 1
-	}
-	n.traceEvery = every
-	n.traces = make(map[packet.ID]*Trace)
-}
-
-// Traces returns the recorded packet journeys (nil unless enabled).
-func (n *Network) Traces() map[packet.ID]*Trace { return n.traces }
 
 // GrantEvent is one committed crossbar transfer as recorded by the grant
 // log: the granting router, the input buffer, the output assignment and the
@@ -1052,10 +1014,7 @@ func (n *Network) cycleGroup(s *groupScratch, g, k int, now int64) {
 			}
 			s.grs = append(s.grs, grantRec{born: p.Born, r: int32(r.ID), src: int32(p.Src), dst: int32(p.Dst),
 				inPort: uint8(gr.InPort), inVC: uint8(gr.InVC), out: uint8(req.Out), vc: uint8(req.VC),
-				eject: gr.Eject, escape: req.Escape, detour: req.SetGlobalMis || req.SetLocalMis || req.EnterRing})
-			if n.traceEvery > 0 {
-				s.grPkt = append(s.grPkt, gr.Pkt)
-			}
+				eject: gr.Eject, detour: req.SetGlobalMis || req.SetLocalMis || req.EnterRing})
 		}
 	}
 }
@@ -1095,7 +1054,7 @@ func (n *Network) merge() {
 		t = lap(&n.laps.Generate, t)
 		for _, s := range busy {
 			for i := s.marks[k].gr; i < s.marks[k+1].gr; i++ {
-				n.commitGrant(s, i, now)
+				n.commitGrant(&s.grs[i], now)
 			}
 		}
 		for _, s := range busy {
@@ -1124,7 +1083,7 @@ func (n *Network) merge() {
 		st.RingExits += s.ringExits
 		st.RingHops += s.ringHops
 		s.tally = tally{}
-		s.out, s.fx, s.gen, s.grPkt = s.out[:0], s.fx[:0], s.gen[:0], s.grPkt[:0]
+		s.out, s.fx, s.gen = s.out[:0], s.fx[:0], s.gen[:0]
 		s.pre, s.grs = s.pre[:0], s.grs[:0]
 	}
 	n.now += int64(w)
@@ -1186,16 +1145,12 @@ func (n *Network) commitGen(rec *genRec, now int64) {
 	if n.jobOf != nil {
 		n.Stats.JobGenerated(int(p.Job))
 	}
-	if n.traceEvery > 0 && n.Stats.Generated%int64(n.traceEvery) == 0 {
-		n.traces[p.ID] = &Trace{Src: int(rec.node), Dst: int(rec.dst)}
-	}
 	n.Stats.Generated++
 }
 
-// commitGrant applies the observable half of group s's i-th logged grant:
-// digest, grant log, traces and fault-reroute attribution.
-func (n *Network) commitGrant(s *groupScratch, i int32, now int64) {
-	g := &s.grs[i]
+// commitGrant applies the observable half of one logged grant: digest,
+// grant log and fault-reroute attribution.
+func (n *Network) commitGrant(g *grantRec, now int64) {
 	if n.digestOn {
 		n.fold(0, now, int64(g.r), int64(g.inPort), int64(g.inVC),
 			int64(g.out), int64(g.vc), int64(g.src), int64(g.dst), g.born)
@@ -1205,17 +1160,6 @@ func (n *Network) commitGrant(s *groupScratch, i int32, now int64) {
 				Out: int(g.out), VC: int(g.vc),
 				Src: int(g.src), Dst: int(g.dst), Born: g.born, Eject: g.eject,
 			})
-		}
-	}
-	if n.traceEvery > 0 {
-		if tr, ok := n.traces[n.pkts.At(s.grPkt[i]).ID]; ok {
-			tr.Hops = append(tr.Hops, TraceHop{
-				Router: int(g.r), Port: int(g.out), VC: int(g.vc),
-				Escape: g.escape, Cycle: now,
-			})
-			if g.eject {
-				tr.Done = true
-			}
 		}
 	}
 	if n.faultIdx > 0 && g.detour && n.Routers[g.r].OutputDead(n.Topo.MinimalPort(int(g.r), int(g.dst))) {

@@ -29,8 +29,6 @@ import (
 //     Restore brings every router up cache-cold; cache-on and cache-off
 //     trajectories are bit-identical, so resuming cold from a warm snapshot
 //     continues the exact same run.
-//   - Path tracing: a diagnostics sink with per-packet allocation; Restore
-//     resets it to disabled.
 //   - The worker pool: wall-clock machinery, rebuilt from the restoring
 //     network's own configuration. The snapshot config is compared after
 //     normalizing the execution fields away, so a snapshot taken at Workers=4
@@ -481,7 +479,6 @@ func (n *Network) state(c *simcore.Codec, tab *packet.Refs) error {
 	if c.Err() == nil && c.Remaining() != 0 {
 		c.Fail("%d trailing payload bytes", c.Remaining())
 	}
-	n.traceEvery, n.traces = 0, nil
 	n.deriveLookahead()
 	return c.Err()
 }

@@ -30,16 +30,16 @@ func bernoulliSetup(load float64) func(*Network) {
 }
 
 // expectSameRun is expectSameState plus everything the snapshot image does
-// not carry: every Stats field, the traces, the grant log, the trace
-// recorder, the in-flight count and the congestion stalls.
+// not carry: every Stats field, the grant log, the trace recorder, the
+// in-flight count and the congestion stalls.
 func expectSameRun(t *testing.T, label string, a, b *Network) {
 	t.Helper()
 	expectSameState(t, label, a, b)
 	if !reflect.DeepEqual(a.Stats, b.Stats) {
 		t.Fatalf("%s: statistics differ:\n%+v\n%+v", label, *a.Stats, *b.Stats)
 	}
-	if !reflect.DeepEqual(a.Traces(), b.Traces()) || !reflect.DeepEqual(a.GrantLog(), b.GrantLog()) {
-		t.Fatalf("%s: path traces or grant logs differ", label)
+	if !reflect.DeepEqual(a.GrantLog(), b.GrantLog()) {
+		t.Fatalf("%s: grant logs differ", label)
 	}
 	if a.rec != nil && !reflect.DeepEqual(a.rec.Records(), b.rec.Records()) {
 		t.Fatalf("%s: trace recorder streams differ", label)
@@ -153,7 +153,6 @@ func TestRunWindowsMatchStep(t *testing.T) {
 		}},
 		{name: "observers", cfg: DefaultConfig(3), setup: func(n *Network) {
 			bernoulliSetup(0.5)(n)
-			n.EnableTracing(5)
 			n.EnableGrantLog(3000)
 			n.SetTraceRecorder(&trace.Recorder{})
 			n.Stats.EnableSeries(50)
@@ -222,7 +221,7 @@ func TestWindowLookahead(t *testing.T) {
 // alive.
 func TestWindowLogsHoldNoPackets(t *testing.T) {
 	n := snapNet(t, snapCfg(1), 0.9)
-	n.EnableTracing(1)
+	n.EnableGrantLog(1000)
 	n.Run(250)
 	snap := snapshotBytes(t, n)
 	n.Run(130)
@@ -231,7 +230,7 @@ func TestWindowLogsHoldNoPackets(t *testing.T) {
 	}
 	for g := range n.gs {
 		s := &n.gs[g]
-		if len(s.pre)+len(s.out)+len(s.fx)+len(s.gen)+len(s.grs)+len(s.grPkt) != 0 {
+		if len(s.pre)+len(s.out)+len(s.fx)+len(s.gen)+len(s.grs) != 0 {
 			t.Fatalf("group %d: window logs not empty between windows", g)
 		}
 		for _, slot := range s.ring {

@@ -71,8 +71,6 @@ type InCtx struct {
 // nothing recorded has changed. A call that notes no expiry is never
 // replayed.
 type Engine interface {
-	Name() string
-
 	// AtInjection runs once when a packet is accepted into an injection
 	// buffer; source-adaptive mechanisms decide minimal-vs-Valiant here.
 	AtInjection(rt *Router, p *packet.Packet, now int64)

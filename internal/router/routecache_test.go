@@ -16,7 +16,6 @@ type cacheScriptEngine struct {
 	deps  func(rt *Router, now int64)
 }
 
-func (e *cacheScriptEngine) Name() string                               { return "cache-script" }
 func (e *cacheScriptEngine) AtInjection(*Router, *packet.Packet, int64) {}
 func (e *cacheScriptEngine) Route(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
 	e.calls++

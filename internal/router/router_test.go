@@ -13,7 +13,6 @@ type scriptEngine struct {
 	route func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool)
 }
 
-func (s scriptEngine) Name() string                               { return "script" }
 func (s scriptEngine) AtInjection(*Router, *packet.Packet, int64) {}
 func (s scriptEngine) Route(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
 	return s.route(rt, in, p, now)

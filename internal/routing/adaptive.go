@@ -68,9 +68,6 @@ func NewUGAL(d *topology.Dragonfly, cfg AdaptiveConfig) *UGAL {
 	return &UGAL{d: d, cfg: cfg}
 }
 
-// Name implements router.Engine.
-func (e *UGAL) Name() string { return "UGAL-L" }
-
 // AtInjection implements router.Engine.
 func (e *UGAL) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
 	if p.DstGroup == p.SrcGroup {
@@ -105,9 +102,6 @@ type PB struct {
 func NewPB(d *topology.Dragonfly, cfg AdaptiveConfig) *PB {
 	return &PB{d: d, cfg: cfg}
 }
-
-// Name implements router.Engine.
-func (e *PB) Name() string { return "PB" }
 
 // AtInjection implements router.Engine.
 func (e *PB) AtInjection(rt *router.Router, p *packet.Packet, now int64) {

@@ -14,31 +14,15 @@ import (
 // local VC: local hops use VC = number of local hops already taken
 // (0..3), global hops use VC = global hops taken (0..1). Configurations
 // running PAR must provision 4 local VCs.
+// Its initial decision, at injection, is UGAL-L's: PAR embeds UGAL for
+// AtInjection and overrides Route.
 type PAR struct {
-	d   *topology.Dragonfly
-	cfg AdaptiveConfig
+	UGAL
 }
 
 // NewPAR returns a PAR engine.
 func NewPAR(d *topology.Dragonfly, cfg AdaptiveConfig) *PAR {
-	return &PAR{d: d, cfg: cfg}
-}
-
-// Name implements router.Engine.
-func (e *PAR) Name() string { return "PAR" }
-
-// AtInjection implements router.Engine: the initial UGAL-style decision.
-func (e *PAR) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
-	if p.DstGroup == p.SrcGroup {
-		return
-	}
-	vg := pickIntermediate(e.d, rt, int(p.SrcGroup), int(p.DstGroup))
-	if vg < 0 {
-		return
-	}
-	if ugalDecision(e.d, rt, p, vg, e.cfg) {
-		p.ValiantGroup = int16(vg)
-	}
+	return &PAR{UGAL{d: d, cfg: cfg}}
 }
 
 // Route implements router.Engine. While the packet is still in its source

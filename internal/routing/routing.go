@@ -76,9 +76,6 @@ type Minimal struct{ d *topology.Dragonfly }
 // NewMinimal returns a MIN engine.
 func NewMinimal(d *topology.Dragonfly) *Minimal { return &Minimal{d: d} }
 
-// Name implements router.Engine.
-func (e *Minimal) Name() string { return "MIN" }
-
 // AtInjection implements router.Engine.
 func (e *Minimal) AtInjection(*router.Router, *packet.Packet, int64) {}
 
@@ -93,9 +90,6 @@ type Valiant struct{ d *topology.Dragonfly }
 
 // NewValiant returns a VAL engine.
 func NewValiant(d *topology.Dragonfly) *Valiant { return &Valiant{d: d} }
-
-// Name implements router.Engine.
-func (e *Valiant) Name() string { return "VAL" }
 
 // AtInjection implements router.Engine.
 func (e *Valiant) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {

@@ -370,23 +370,6 @@ func TestPARVCDiscipline(t *testing.T) {
 	}
 }
 
-func TestEngineNames(t *testing.T) {
-	d, _ := topology.New(2, 4, 2, 0)
-	cfg := DefaultAdaptiveConfig()
-	names := map[string]interface{ Name() string }{
-		"MIN":    NewMinimal(d),
-		"VAL":    NewValiant(d),
-		"PB":     NewPB(d, cfg),
-		"UGAL-L": NewUGAL(d, cfg),
-		"PAR":    NewPAR(d, cfg),
-	}
-	for want, e := range names {
-		if e.Name() != want {
-			t.Errorf("Name()=%q want %q", e.Name(), want)
-		}
-	}
-}
-
 func TestValiantRouteFollowsCommittedPath(t *testing.T) {
 	d, _ := topology.New(2, 4, 2, 0)
 	rt := buildRouter(t, d, 0, nil)
@@ -409,7 +392,7 @@ func TestUGALAndPBRouteAreFixed(t *testing.T) {
 	for _, e := range []router.Engine{NewUGAL(d, DefaultAdaptiveConfig()), NewPB(d, DefaultAdaptiveConfig())} {
 		req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode}, p, 0)
 		if !ok || req.Out != d.MinimalPort(0, int(p.Dst)) {
-			t.Errorf("%s route %+v ok=%v", e.Name(), req, ok)
+			t.Errorf("%T route %+v ok=%v", e, req, ok)
 		}
 	}
 }

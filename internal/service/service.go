@@ -15,7 +15,6 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -422,6 +421,3 @@ func (s *Server) sweepOptions() ofar.SweepOptions {
 		PhaseSink:     s.met.observePhases,
 	}
 }
-
-// ErrClosed is returned by helpers once the server is closed.
-var ErrClosed = errors.New("service: server closed")
