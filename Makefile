@@ -135,10 +135,13 @@ serve:
 # no simulation, concurrent identical requests coalesce onto one simulation,
 # overload sheds 429, cached lines reach the client before a miss completes,
 # a disconnected client frees its handler, failed disk writes are counted
-# and survived, the appended NDJSON lines equal json.Encoder's, and transient
-# and burst requests are served, cached and keyed apart from steady ones.
+# and survived, the appended NDJSON lines equal json.Encoder's, transient
+# and burst requests are served, cached and keyed apart from steady ones, a
+# repeated body is answered from the bounded request memo exactly as if
+# resolved afresh (a forced hash collision included) with three allocations,
+# and a body over 1 MiB is refused.
 smoke-serve:
-	$(GO) test -run 'TestServer|TestConcurrentIdentical|TestOverload|TestDiskPersistence|TestPointLineMatchesEncoder|TestSectionRequestsCached' -v ./internal/service
+	$(GO) test -run 'TestServer|TestConcurrentIdentical|TestOverload|TestDiskPersistence|TestPointLineMatchesEncoder|TestSectionRequestsCached|TestMemo|TestBodyCap|TestAllHitRequestAllocs' -v ./internal/service
 
 # Trace record/replay smoke: record a run's generated packets with ofarsim
 # -trace-out, replay the file with -trace-in, and require the two grant

@@ -98,14 +98,14 @@ func (w *WarmState) MeasureTimed(measure int) (SteadyResult, PhaseNanos, error) 
 // serve a stale cached result.
 func EngineDigest() uint64 { return network.EngineDigest() }
 
-// CanonicalConfigJSON returns the canonical identity of a configuration: its
+// canonicalConfigJSON returns the canonical identity of a configuration: its
 // JSON encoding with the wall-clock-only execution fields (Workers,
 // DisableRouteCache) and the ignored ones normalized away (see
 // network.SnapshotConfigJSON). Two configurations that differ only in those
 // fields simulate bit-identically and canonicalize to the same bytes, which
 // is what lets the warm-snapshot cache and the sweep service's result cache
 // share entries across execution settings.
-func CanonicalConfigJSON(cfg Config) ([]byte, error) { return network.SnapshotConfigJSON(cfg) }
+func canonicalConfigJSON(cfg Config) ([]byte, error) { return network.SnapshotConfigJSON(cfg) }
 
 // warmSnapshotName derives the cache file name of a warm state from
 // everything that determines it: the snapshot-normalized configuration (so

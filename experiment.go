@@ -85,7 +85,7 @@ type Resolved struct {
 	Transient *Transient  // the Experiment's run-shape sections,
 	Burst     *Burst      // at most one non-nil
 	After     PatternSpec // Transient.After, parsed
-	Canon     []byte      // CanonicalConfigJSON(Config)
+	Canon     []byte      // Config's canonical JSON: execution-only fields normalized away
 }
 
 // PatternName returns the cache-key pattern component: the workload's
@@ -147,7 +147,7 @@ func (e Experiment) Resolve() (Resolved, error) {
 	if err = r.resolveSections(e); err != nil {
 		return r, err
 	}
-	r.Canon, err = CanonicalConfigJSON(r.Config)
+	r.Canon, err = canonicalConfigJSON(r.Config)
 	return r, err
 }
 

@@ -786,11 +786,11 @@ func (n *Network) EnableGrantDigest() {
 func (n *Network) GrantDigest() (uint64, int64) { return n.digest, n.digestCount }
 
 // EnableGrantLog records up to max committed grants verbatim (the digest
-// keeps covering everything beyond the cap). Intended for golden-trace
-// tests; logging allocates.
+// keeps covering everything beyond the cap). Intended for tests: the log
+// grows as grants arrive, so max bounds it without reserving it.
 func (n *Network) EnableGrantLog(max int) {
 	n.logCap = max
-	n.grantLog = make([]GrantEvent, 0, max)
+	n.grantLog = []GrantEvent{}
 	if !n.digestOn {
 		n.EnableGrantDigest()
 	}

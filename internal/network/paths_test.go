@@ -1,6 +1,7 @@
 package network
 
 import (
+	"runtime"
 	"testing"
 
 	"ofar/internal/topology"
@@ -69,6 +70,33 @@ func validatePath(t *testing.T, n *Network, hops []GrantEvent) bool {
 		}
 	}
 	return false
+}
+
+// TestGrantLogGrowsOnDemand: EnableGrantLog's cap bounds the log without
+// reserving it — a 1<<20-event cap (80 MiB if reserved) costs almost nothing
+// up front — and the log still stops at its cap.
+func TestGrantLogGrowsOnDemand(t *testing.T) {
+	cfg := testConfig(OFAR)
+	n := mustNet(t, cfg)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	n.EnableGrantLog(1 << 20)
+	runtime.ReadMemStats(&m1)
+	if b := m1.TotalAlloc - m0.TotalAlloc; b >= 64<<10 {
+		t.Fatalf("EnableGrantLog(1<<20) allocated %d bytes up front, want < 64 KiB", b)
+	}
+	n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.3, cfg.PacketSize))
+	n.Run(300)
+	if got := len(n.GrantLog()); got == 0 || got >= 1<<20 {
+		t.Fatalf("%d events logged in 300 cycles under a 1<<20 cap", got)
+	}
+	m := mustNet(t, cfg)
+	m.EnableGrantLog(10)
+	m.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(m.Topo), 0.3, cfg.PacketSize))
+	m.Run(300)
+	if got := len(m.GrantLog()); got != 10 {
+		t.Fatalf("%d events logged under a cap of 10", got)
+	}
 }
 
 // TestTracedPathsAreValid drives every mechanism under adversarial traffic

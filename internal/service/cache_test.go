@@ -106,11 +106,17 @@ func keyOf(canon []byte, pattern ofar.PatternSpec, load float64, warmup, measure
 }
 
 func TestPointKeyChangesWithEngineDigest(t *testing.T) {
-	cfg := ofar.DefaultConfig(2)
-	canon, err := ofar.CanonicalConfigJSON(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// canonOf is the canonical config JSON the resolver keys a request by.
+	canonOf := func(cfg ofar.Config) []byte {
+		t.Helper()
+		r, err := ofar.Experiment{Config: &cfg, Loads: []float64{0.5}}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Canon
 	}
+	cfg := ofar.DefaultConfig(2)
+	canon := canonOf(cfg)
 	d := ofar.EngineDigest()
 	un := ofar.Uniform()
 	k1 := keyOf(canon, un, 0.5, 1000, 2000, d)
@@ -124,18 +130,13 @@ func TestPointKeyChangesWithEngineDigest(t *testing.T) {
 	par := cfg
 	par.Workers = 4
 	par.ShardByGroup = true
-	canonPar, err := ofar.CanonicalConfigJSON(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k3 := keyOf(canonPar, un, 0.5, 1000, 2000, d); k3 != k1 {
+	if k3 := keyOf(canonOf(par), un, 0.5, 1000, 2000, d); k3 != k1 {
 		t.Error("execution-only config fields leaked into the cache key")
 	}
 	// Physics-relevant knobs must move the key.
 	seeded := cfg
 	seeded.Seed++
-	canonSeed, _ := ofar.CanonicalConfigJSON(seeded)
-	if keyOf(canonSeed, un, 0.5, 1000, 2000, d) == k1 {
+	if keyOf(canonOf(seeded), un, 0.5, 1000, 2000, d) == k1 {
 		t.Error("seed change did not move the cache key")
 	}
 	if keyOf(canon, un, 0.5000001, 1000, 2000, d) == k1 {

@@ -34,7 +34,7 @@ func FuzzExperimentDecode(f *testing.F) {
 	}
 	f.Add([]byte(`{"h":2,"loads":[0.1]}`), 1e-7, "\x00\xff ")
 	f.Fuzz(func(t *testing.T, body []byte, load float64, msg string) {
-		if res, err := decodeRequest(bytes.NewReader(body), 64); err == nil {
+		if res, err := decodeRequest(body, 64); err == nil {
 			checkCaps(t, res)
 			const digest = 0x157c630a8efe4df6
 			keys := pointKeys(res, digest)

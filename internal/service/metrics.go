@@ -27,6 +27,7 @@ type metrics struct {
 	errored   atomic.Int64 // points whose simulation failed
 	panicked  atomic.Int64 // simulations that panicked (each also fails its points)
 	restored  atomic.Int64 // simulations that skipped warm-up via a warm snapshot
+	memoHits  atomic.Int64 // sweep bodies whose resolution came from the request memo
 
 	mu        sync.Mutex
 	ewmaNanos float64   // smoothed cost of one simulated point
@@ -132,6 +133,7 @@ func (m *metrics) writeTo(w http.ResponseWriter, pool *simPool, cache *resultCac
 	fmt.Fprintf(w, "sweepd_uptime_seconds %.1f\n", time.Since(m.start).Seconds())
 	fmt.Fprintf(w, "sweepd_requests_total %d\n", m.requests.Load())
 	fmt.Fprintf(w, "sweepd_requests_shed_total %d\n", m.shed.Load())
+	fmt.Fprintf(w, "sweepd_request_memo_hits_total %d\n", m.memoHits.Load())
 	fmt.Fprintf(w, "sweepd_cache_hits_total %d\n", hits)
 	fmt.Fprintf(w, "sweepd_cache_misses_total %d\n", misses)
 	fmt.Fprintf(w, "sweepd_points_coalesced_total %d\n", m.coalesced.Load())

@@ -1,10 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"ofar"
@@ -51,10 +51,11 @@ const (
 )
 
 // decodeRequest parses a sweep body and resolves it under the service's caps.
+// The body's first JSON value is the request; what follows it is ignored.
 // Every error it returns is the client's (400).
-func decodeRequest(body io.Reader, maxLoads int) (ofar.Resolved, error) {
+func decodeRequest(body []byte, maxLoads int) (ofar.Resolved, error) {
 	var req Request
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		return ofar.Resolved{}, fmt.Errorf("parsing request: %w", err)
 	}
 	return resolveBounded(req, maxLoads)

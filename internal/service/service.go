@@ -14,12 +14,14 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,6 +66,7 @@ type Server struct {
 	engine  string // digest as 16 hex digits, for the summary line
 	cache   *resultCache
 	flights flightGroup
+	memo    *requestMemo
 	pool    *simPool
 	met     *metrics
 	mux     *http.ServeMux
@@ -89,6 +92,7 @@ func New(opts Options) (*Server, error) {
 		opts:   opts,
 		digest: ofar.EngineDigest(),
 		met:    newMetrics(),
+		memo:   newRequestMemo(),
 		runner: opts.Runner,
 	}
 	s.engine = fmt.Sprintf("%016x", s.digest)
@@ -195,18 +199,43 @@ func writeJSONError(w http.ResponseWriter, code int, resp errorResponse) {
 	json.NewEncoder(w).Encode(resp)
 }
 
+// maxBodyBytes caps a sweep body: a longer one is refused (400) unread past
+// the cap.
+const maxBodyBytes = 1 << 20
+
+// bufs recycles the buffer a /sweep request reads its body into and then
+// builds its reply in. A buffer that grew past maxPooledBuf (an oversized
+// body, a reply of many large results) is left to the collector.
+var bufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+
+const maxPooledBuf = 64 << 10
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeJSONError(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST a sweep request"})
 		return
 	}
-	res, err := decodeRequest(http.MaxBytesReader(w, r.Body, 1<<20), s.opts.MaxLoads)
+	bp := bufs.Get().(*[]byte)
+	body := bytes.NewBuffer((*bp)[:0])
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var rv *resolution
+	if err != nil {
+		err = fmt.Errorf("parsing request: %w", err)
+	} else {
+		rv, err = s.resolve(body.Bytes())
+	}
+	buf := body.Bytes()[:0] // the body is resolved: the reply reuses its buffer
+	defer func() {
+		if cap(buf) <= maxPooledBuf {
+			*bp = buf[:0]
+			bufs.Put(bp)
+		}
+	}()
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	keys := pointKeys(res, s.digest)
 
 	// Admission: count the points that would create NEW work — not cached,
 	// not already in flight, not duplicated within this request — and
@@ -215,16 +244,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// always admitted; one that would overflow the queue (or the latency
 	// bound) is shed before any simulation starts.
 	newWork := 0
-	seen := make(map[uint64]bool, len(keys))
-	for _, k := range keys {
-		if seen[k] {
-			continue
+	for i, k := range rv.keys {
+		if !rv.repeat[i] && !s.cache.Has(k) && !s.flights.Pending(k) {
+			newWork++
 		}
-		seen[k] = true
-		if s.cache.Has(k) || s.flights.Pending(k) {
-			continue
-		}
-		newWork++
 	}
 	rs := &reqState{}
 	if newWork > 0 {
@@ -258,25 +281,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var (
 		sum     SummaryResponse
-		buf     []byte
 		lines   chan PointResponse // room for every miss: a sender never blocks on a handler that returned early
 		pending int
 	)
-	for i, key := range keys {
+	for i, key := range rv.keys {
 		t0 := time.Now()
 		data, ok := s.cache.Get(key)
 		if !ok {
 			if lines == nil {
-				lines = make(chan PointResponse, len(keys)-i)
+				lines = make(chan PointResponse, len(rv.keys)-i)
 			}
 			pending++
-			go func() { lines <- s.point(rs, res, key, i, t0) }()
+			go s.point(lines, rs, rv, i, t0)
 			continue
 		}
 		d := time.Since(t0)
 		s.met.hits.Add(1)
 		s.met.observePoint(d)
-		line := newPointResponse(res, key, i)
+		line := rv.line(i)
 		line.Source, line.Result, line.ElapsedUS = "cache", data, d.Microseconds()
 		buf = sum.append(buf, &line)
 	}
@@ -303,7 +325,26 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sum.Type = "summary"
 	sum.ElapsedUS = time.Since(start).Microseconds()
 	sum.Engine = s.engine
-	w.Write(appendSummaryLine(buf, &sum))
+	buf = appendSummaryLine(buf, &sum)
+	w.Write(buf)
+}
+
+// resolve returns the resolution of a sweep body: the memo's when these
+// exact bytes resolved before, else a fresh one, which the memo keeps.
+// Only a body that resolves is stored.
+func (s *Server) resolve(body []byte) (*resolution, error) {
+	h := fnv1a(fnvOffset64, body)
+	if rv := s.memo.get(h, body); rv != nil {
+		s.met.memoHits.Add(1)
+		return rv, nil
+	}
+	res, err := decodeRequest(body, s.opts.MaxLoads)
+	if err != nil {
+		return nil, err
+	}
+	rv := newResolution(res, s.digest)
+	s.memo.put(h, body, rv)
+	return rv, nil
 }
 
 // append counts line into the summary and appends it to buf.
@@ -323,18 +364,15 @@ func (sum *SummaryResponse) append(buf []byte, line *PointResponse) []byte {
 	return appendPointLine(buf, line)
 }
 
-func newPointResponse(res ofar.Resolved, key uint64, index int) PointResponse {
-	return PointResponse{Type: "point", Index: index, Load: res.Loads[index], Key: string(appendHex16(nil, key))}
-}
-
-// point computes one sweep point the lookup pass missed: singleflight, then
-// the admission-controlled pool. start is when its lookup began, so the
-// line's elapsed_us covers lookup, queueing and simulation. The returned line
-// carries the result bytes exactly as the simulation marshaled them, so
-// identical points are byte-identical across cache hits, coalesced waits and
-// fresh computations.
-func (s *Server) point(rs *reqState, res ofar.Resolved, key uint64, index int, start time.Time) PointResponse {
-	line := newPointResponse(res, key, index)
+// point computes one sweep point the lookup pass missed — singleflight, then
+// the admission-controlled pool — and sends its line on lines. start is when
+// its lookup began, so the line's elapsed_us covers lookup, queueing and
+// simulation. The line carries the result bytes exactly as the simulation
+// marshaled them, so identical points are byte-identical across cache hits,
+// coalesced waits and fresh computations.
+func (s *Server) point(lines chan<- PointResponse, rs *reqState, rv *resolution, index int, start time.Time) {
+	res, key := rv.res, rv.keys[index]
+	line := rv.line(index)
 	lateHit := false // set by this goroutine only: Do runs a leader's fn inline
 	data, shared, err := s.flights.Do(key, func() ([]byte, error) {
 		// Double-check under the flight: the leader may have completed
@@ -403,10 +441,10 @@ func (s *Server) point(rs *reqState, res ofar.Resolved, key uint64, index int, s
 	if err != nil {
 		s.met.errored.Add(1)
 		line.Error = err.Error()
-		return line
+	} else {
+		line.Result = data
 	}
-	line.Result = data
-	return line
+	lines <- line
 }
 
 // sweepOptions builds the per-point SweepOptions: with a disk directory

@@ -64,6 +64,12 @@ func postSweep(t *testing.T, url string, req Request) sweepResponse {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postBody(t, url, body)
+}
+
+// postBody posts raw bytes to /sweep and parses the reply.
+func postBody(t *testing.T, url string, body []byte) sweepResponse {
+	t.Helper()
 	resp, err := http.Post(url+"/sweep", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -387,6 +393,7 @@ func TestMetricsAndHealthz(t *testing.T) {
 		"sweepd_step_phase_seconds_total{phase=\"routers\"}",
 		"sweepd_step_phase_cycles_total",
 		"sweepd_disk_write_errors_total 0",
+		"sweepd_request_memo_hits_total 1", // the second post's body was resolved once, by the first
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
@@ -459,6 +466,48 @@ func TestRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /sweep: HTTP %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestBodyCap: a body one byte over the 1 MiB cap is refused with 400 and
+// the decoder's "parsing request" text, and the memo keeps nothing of it. A
+// request padded with trailing whitespace to exactly the cap is served (the
+// body's first JSON value is the request), and the memo does not store a body
+// that long.
+func TestBodyCap(t *testing.T) {
+	var calls atomic.Int64
+	srv, ts := startServer(t, Options{Runner: countingRunner(&calls)})
+	cfg := testConfig()
+	req, err := json.Marshal(Request{Config: &cfg, Loads: []float64{0.1}, Warmup: 300, Measure: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tooLarge = `{"error":"parsing request: http: request body too large"}`
+	pre := `{"h":2,"loads":[0.1],"pattern":"`
+	for name, body := range map[string][]byte{
+		"one long value":         []byte(pre + strings.Repeat("x", maxBodyBytes+1-len(pre)-2) + `"}`),
+		"trailing bytes past it": append(bytes.Clone(req), bytes.Repeat([]byte(" "), maxBodyBytes+1-len(req))...),
+	} {
+		if len(body) != maxBodyBytes+1 {
+			t.Fatalf("%s: %d bytes, want %d", name, len(body), maxBodyBytes+1)
+		}
+		r := postBody(t, ts.URL, body)
+		if r.status != http.StatusBadRequest || strings.TrimSpace(r.raw) != tooLarge {
+			t.Errorf("%s: HTTP %d %q, want 400 %s", name, r.status, r.raw, tooLarge)
+		}
+	}
+	if n := srv.memo.len(); n != 0 || calls.Load() != 0 {
+		t.Fatalf("after refused bodies: %d memo entries, %d simulations; want none", n, calls.Load())
+	}
+	atCap := append(bytes.Clone(req), bytes.Repeat([]byte(" \n\t"), maxBodyBytes)...)[:maxBodyBytes]
+	if r := postBody(t, ts.URL, atCap); r.status != http.StatusOK || len(r.points) != 1 || r.points[0].Error != "" {
+		t.Fatalf("a request padded to the cap: HTTP %d %s", r.status, r.raw)
+	}
+	if n := srv.memo.len(); n != 0 {
+		t.Errorf("a %d-byte body was memoized (%d entries); the memo holds bodies of at most %d bytes", maxBodyBytes, n, memoMaxBody)
+	}
+	if r := postBody(t, ts.URL, append(req, " \r\n"...)); r.status != http.StatusOK || len(r.points) != 1 || r.points[0].Source != "cache" {
+		t.Fatalf("a request with trailing whitespace: HTTP %d %s", r.status, r.raw)
 	}
 }
 
