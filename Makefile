@@ -39,7 +39,7 @@ loc:
 # internal/network + internal/router sum may not exceed the ceiling, which is
 # the measured sum at the time the gate was added — lower it when a deletion
 # lands, never raise it to make a PR pass.
-LOC_CEILING ?= 4572
+LOC_CEILING ?= 4546
 
 loc-check: loc
 	@sum=0; for d in internal/network internal/router; do sum=$$((sum + $$($(LOC_COUNT)))); done; \
@@ -139,9 +139,11 @@ serve:
 # and burst requests are served, cached and keyed apart from steady ones, a
 # repeated body is answered from the bounded request memo exactly as if
 # resolved afresh (a forced hash collision included) with three allocations,
-# and a body over 1 MiB is refused.
+# a body over 1 MiB is refused, a point whose window delivered nothing is
+# answered with null latencies and cached like any other, and the summary's
+# elapsed_us counts a slow body's read.
 smoke-serve:
-	$(GO) test -run 'TestServer|TestConcurrentIdentical|TestOverload|TestDiskPersistence|TestPointLineMatchesEncoder|TestSectionRequestsCached|TestMemo|TestBodyCap|TestAllHitRequestAllocs' -v ./internal/service
+	$(GO) test -run 'TestServer|TestConcurrentIdentical|TestOverload|TestDiskPersistence|TestPointLineMatchesEncoder|TestSectionRequestsCached|TestMemo|TestBodyCap|TestAllHitRequestAllocs|TestEmptyWindowPointCached|TestSummaryElapsedCoversBody' -v ./internal/service
 
 # Trace record/replay smoke: record a run's generated packets with ofarsim
 # -trace-out, replay the file with -trace-in, and require the two grant

@@ -236,22 +236,28 @@ func (n *Network) spliceRing(j, w int) {
 	n.Routers[prev].NoteOutMutated(ringPort)
 }
 
-// dropPacket accounts one packet lost to a fault: the Dropped counter, the
-// affected-flow set and the determinism digest (tag 2, mirroring grants'
-// tag 0 and deliveries' tag 1) learn about it, and the packet returns to the
-// pool.
+// dropPacket accounts one packet lost to a fault and returns it to the pool.
 func (n *Network) dropPacket(h packet.Handle, now int64) {
 	p := n.pkts.At(h)
+	n.dropped(now, p.Src, p.Dst, p.Born, p.Job)
+	n.poolG[p.SrcGroup].Free(h)
+}
+
+// dropped accounts one packet lost to a fault or to a dead destination: the
+// Dropped counter, the affected-flow set, the job's drops (job -1: none),
+// the determinism digest (tag 2, mirroring grants' tag 0 and deliveries'
+// tag 1) and the observer learn about it.
+func (n *Network) dropped(now int64, src, dst int32, born int64, job int32) {
 	n.Stats.Dropped++
 	n.settled = now
-	n.Stats.NoteAffectedFlow(int(p.Src), int(p.Dst))
-	if p.Job >= 0 {
-		n.Stats.JobDropped(int(p.Job))
-	}
+	n.Stats.NoteAffectedFlow(int(src), int(dst))
+	n.Stats.JobDropped(int(job))
 	if n.digestOn {
-		n.fold(2, now, int64(p.Src), int64(p.Dst), p.Born)
+		n.digest.fold(2, now, int64(src), int64(dst), born)
 	}
-	n.poolG[p.SrcGroup].Free(h)
+	if n.obs != nil {
+		n.obs.drop(now, src, dst, born)
+	}
 }
 
 // GlobalLinkFaults builds a schedule killing the first `count` global links

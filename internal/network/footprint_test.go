@@ -214,7 +214,8 @@ func TestConstructFootprint(t *testing.T) {
 
 // TestEventSizes pins the records the wheel, the window rings and the
 // outboxes hold one of per packet in flight and per credit owed: an event
-// is 12 bytes and an outbox entry 16, so a new field cannot grow them back.
+// is 12 bytes and an outbox entry 16, so a new field cannot grow them back;
+// and the GrantEvent an observer receives per grant, 40.
 // It also pins every record that names a packet — events, outbox entries,
 // the effect log, VC queue slots, source queues and pool free lists — as
 // pointer-free: they hold packet handles, so the collector never scans
@@ -225,6 +226,9 @@ func TestEventSizes(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(schedEv{}); size != 16 {
 		t.Errorf("schedEv takes %d bytes, want 16", size)
+	}
+	if size := unsafe.Sizeof(GrantEvent{}); size != 40 {
+		t.Errorf("GrantEvent takes %d bytes, want 40", size)
 	}
 	field := func(v any, name string) reflect.Type {
 		f, ok := reflect.TypeOf(v).FieldByName(name)

@@ -62,10 +62,10 @@ func TestFoldIsBytewiseFNV1a(t *testing.T) {
 	want := fnvOffset
 	check := func(vs ...int64) {
 		t.Helper()
-		n.fold(vs...)
+		n.digest.fold(vs...)
 		want = ref(want, vs...)
-		if n.digest != want {
-			t.Fatalf("fold(%v): digest %016x, byte-wise FNV-1a %016x", vs, n.digest, want)
+		if n.digest.sum != want {
+			t.Fatalf("fold(%v): digest %016x, byte-wise FNV-1a %016x", vs, n.digest.sum, want)
 		}
 	}
 	check()

@@ -64,7 +64,9 @@ func goldenRun(t *testing.T, spec goldenSpec, workers int, noCache bool, snapAt 
 	// also pin the window merge's serial order.
 	n := mustPoolNet(t, cfg)
 	attach(n)
-	n.EnableGrantLog(goldenHead)
+	n.EnableGrantDigest()
+	log := newStreamLog(goldenHead)
+	n.obs = log
 	if snapAt > 0 && snapAt < spec.cycles {
 		n.Run(snapAt)
 		var buf bytes.Buffer
@@ -76,12 +78,13 @@ func goldenRun(t *testing.T, spec goldenSpec, workers int, noCache bool, snapAt 
 		if err := m.Restore(&buf); err != nil {
 			t.Fatal(err)
 		}
+		m.obs = log // the head continues across the restore
 		n = m
 		n.Run(spec.cycles - snapAt)
 	} else {
 		n.Run(spec.cycles)
 	}
-	return goldenSerialize(t, n, cfg, spec)
+	return goldenSerialize(t, n, log, cfg, spec)
 }
 
 // goldenReplayRun runs the serial scenario with a trace recorder attached,
@@ -107,13 +110,16 @@ func goldenReplayRun(t *testing.T, spec goldenSpec) []byte {
 		t.Fatal(err)
 	}
 	m.SetGenerator(gen)
-	m.EnableGrantLog(goldenHead)
+	m.EnableGrantDigest()
+	log := newStreamLog(goldenHead)
+	m.obs = log
 	m.Run(spec.cycles)
-	return goldenSerialize(t, m, cfg, spec)
+	return goldenSerialize(t, m, log, cfg, spec)
 }
 
-// goldenSerialize renders a finished run as its golden document.
-func goldenSerialize(t *testing.T, n *Network, cfg Config, spec goldenSpec) []byte {
+// goldenSerialize renders a finished run as its golden document: the digest
+// from n, the head from the log that observed it.
+func goldenSerialize(t *testing.T, n *Network, log *streamLog, cfg Config, spec goldenSpec) []byte {
 	t.Helper()
 	digest, events := n.GrantDigest()
 	doc := goldenDoc{
@@ -125,7 +131,7 @@ func goldenSerialize(t *testing.T, n *Network, cfg Config, spec goldenSpec) []by
 		Faults:  spec.faults,
 		Events:  events,
 		Digest:  fmt.Sprintf("%016x", digest),
-		Head:    n.GrantLog(),
+		Head:    log.grants,
 	}
 	data, err := json.MarshalIndent(doc, "", " ")
 	if err != nil {

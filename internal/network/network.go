@@ -195,16 +195,13 @@ type Network struct {
 	fxBuf     []fxRec         // one cycle's effects, gathered by the merge
 	busy      []*groupScratch // the groups with records in a merged cycle
 
-	// Grant digest (tests): FNV-1a fold of every committed grant and every
-	// delivery, for cheap bit-equivalence checks between engines.
-	digestOn    bool
-	digest      uint64
-	digestCount int64
+	// Grant digest: FNV-1a fold of every committed grant, delivery and drop,
+	// for cheap bit-equivalence checks between engines.
+	digestOn bool
+	digest   fnvDigest
 
-	// Grant log (tests): explicit record of committed grants, capped at
-	// logCap events.
-	grantLog []GrantEvent
-	logCap   int
+	// obs, when set, receives every event the merge commits (see observer).
+	obs observer
 
 	// Job-aware accounting (SetGenerator with a traffic.JobAware source):
 	// node → job slot, consulted once per generated packet to tag it. Nil
@@ -598,7 +595,7 @@ func (n *Network) window(left int) int {
 	if n.faultIdx < len(n.faults) {
 		w = min(w, int(n.faults[n.faultIdx].Cycle-n.now))
 	}
-	n.win, n.logGrants = w, n.digestOn || n.faultIdx > 0
+	n.win, n.logGrants = w, n.digestOn || n.obs != nil || n.faultIdx > 0
 	for g := range n.poolG { // a window's carving writes only reserved directory entries
 		n.poolG[g].Reserve(n.groupNodes * w)
 	}
@@ -755,49 +752,46 @@ func (n *Network) RunUntilDrained(maxCycles int) (int64, bool) {
 	return at, true
 }
 
-// GrantEvent is one committed crossbar transfer as recorded by the grant
-// log: the granting router, the input buffer, the output assignment and the
+// GrantEvent is one committed crossbar transfer as an observer receives it:
+// the granting router, the input buffer, the output assignment and the
 // packet identity (source, destination, generation cycle — stable across
-// engines, unlike pool-recycled pointers).
+// engines, unlike pool-recycled handles). Ports and VCs fit a byte
+// (Validate caps both at 64).
 type GrantEvent struct {
 	Cycle  int64 `json:"t"`
-	Router int   `json:"r"`
-	InPort int   `json:"ip"`
-	InVC   int   `json:"iv"`
-	Out    int   `json:"o"`
-	VC     int   `json:"v"`
-	Src    int   `json:"s"`
-	Dst    int   `json:"d"`
+	Router int32 `json:"r"`
+	InPort uint8 `json:"ip"`
+	InVC   uint8 `json:"iv"`
+	Out    uint8 `json:"o"`
+	VC     uint8 `json:"v"`
+	Src    int32 `json:"s"`
+	Dst    int32 `json:"d"`
 	Born   int64 `json:"b"`
 	Eject  bool  `json:"e,omitempty"`
 }
 
-// EnableGrantDigest folds every committed grant and every delivery into a
+// observer receives every event the merge commits — grants, deliveries and
+// drops (fault and dead-destination alike) — with the values the digest
+// folds, in the digest's (cycle, phase, group) order. Each kind is reported
+// from one place: commitGrant, mergeEffects and dropped.
+type observer interface {
+	grant(e GrantEvent)
+	deliver(now int64, src, dst int32, born, injected int64)
+	drop(now int64, src, dst int32, born int64)
+}
+
+// EnableGrantDigest folds every committed grant, delivery and drop into a
 // running FNV-1a digest. Comparing digests after each cycle proves two runs
 // produce identical grant sequences and packet latencies without storing
 // the streams (the equivalence and golden-trace tests rely on this).
 func (n *Network) EnableGrantDigest() {
 	n.digestOn = true
-	n.digest = fnvOffset
+	n.digest.sum = fnvOffset
 }
 
 // GrantDigest returns the running digest and the number of events folded
-// into it (grants + deliveries).
-func (n *Network) GrantDigest() (uint64, int64) { return n.digest, n.digestCount }
-
-// EnableGrantLog records up to max committed grants verbatim (the digest
-// keeps covering everything beyond the cap). Intended for tests: the log
-// grows as grants arrive, so max bounds it without reserving it.
-func (n *Network) EnableGrantLog(max int) {
-	n.logCap = max
-	n.grantLog = []GrantEvent{}
-	if !n.digestOn {
-		n.EnableGrantDigest()
-	}
-}
-
-// GrantLog returns the recorded grant events.
-func (n *Network) GrantLog() []GrantEvent { return n.grantLog }
+// into it (grants + deliveries + drops).
+func (n *Network) GrantDigest() (uint64, int64) { return n.digest.sum, n.digest.count }
 
 // FNV-1a, 64 bit.
 const (
@@ -814,10 +808,16 @@ var fnvPow = func() (t [9]uint64) {
 	return t
 }()
 
+// fnvDigest is a running FNV-1a hash and the number of folds into it.
+type fnvDigest struct {
+	sum   uint64
+	count int64
+}
+
 // fold folds each value's eight little-endian bytes into the digest; the zero
 // bytes above the last significant one go in as one multiplication.
-func (n *Network) fold(vs ...int64) {
-	h := n.digest
+func (d *fnvDigest) fold(vs ...int64) {
+	h := d.sum
 	for _, v := range vs {
 		k := 8
 		for x := uint64(v); x != 0; x >>= 8 {
@@ -826,8 +826,8 @@ func (n *Network) fold(vs ...int64) {
 		}
 		h *= fnvPow[k]
 	}
-	n.digest = h
-	n.digestCount++
+	d.sum = h
+	d.count++
 }
 
 // handle processes one due event of group g at window cycle k; idx is its
@@ -1106,7 +1106,10 @@ func (n *Network) mergeEffects(fx []fxRec, now int64) {
 		if n.digestOn {
 			// Folding (identity, latency) pins per-packet delivery times, not
 			// just the grant sequence.
-			n.fold(1, now, int64(p.Src), int64(p.Dst), p.Born, p.Injected)
+			n.digest.fold(1, now, int64(p.Src), int64(p.Dst), p.Born, p.Injected)
+		}
+		if n.obs != nil {
+			n.obs.deliver(now, p.Src, p.Dst, p.Born, p.Injected)
 		}
 		n.Stats.OnDeliver(p.Born, p.Injected, now, int(p.TotalHops), int(p.RingHops))
 		n.settled = now
@@ -1126,18 +1129,13 @@ func (n *Network) commitGen(rec *genRec, now int64) {
 	if rec.pkt == packet.None {
 		// Dead-destination drop: Generated and Dropped move together so
 		// conservation holds without a packet.
-		n.Stats.Generated++
-		n.Stats.Dropped++
-		n.settled = now
-		n.Stats.NoteAffectedFlow(int(rec.node), int(rec.dst))
+		job := int32(-1)
 		if n.jobOf != nil {
-			j := int(n.jobOf[rec.node])
-			n.Stats.JobGenerated(j)
-			n.Stats.JobDropped(j)
+			job = n.jobOf[rec.node]
 		}
-		if n.digestOn {
-			n.fold(2, now, int64(rec.node), int64(rec.dst), now)
-		}
+		n.Stats.Generated++
+		n.Stats.JobGenerated(int(job))
+		n.dropped(now, rec.node, rec.dst, now, job)
 		return
 	}
 	p := n.pkts.At(rec.pkt)
@@ -1149,18 +1147,15 @@ func (n *Network) commitGen(rec *genRec, now int64) {
 }
 
 // commitGrant applies the observable half of one logged grant: digest,
-// grant log and fault-reroute attribution.
+// observer and fault-reroute attribution.
 func (n *Network) commitGrant(g *grantRec, now int64) {
 	if n.digestOn {
-		n.fold(0, now, int64(g.r), int64(g.inPort), int64(g.inVC),
+		n.digest.fold(0, now, int64(g.r), int64(g.inPort), int64(g.inVC),
 			int64(g.out), int64(g.vc), int64(g.src), int64(g.dst), g.born)
-		if len(n.grantLog) < n.logCap {
-			n.grantLog = append(n.grantLog, GrantEvent{
-				Cycle: now, Router: int(g.r), InPort: int(g.inPort), InVC: int(g.inVC),
-				Out: int(g.out), VC: int(g.vc),
-				Src: int(g.src), Dst: int(g.dst), Born: g.born, Eject: g.eject,
-			})
-		}
+	}
+	if n.obs != nil {
+		n.obs.grant(GrantEvent{Cycle: now, Router: g.r, InPort: g.inPort, InVC: g.inVC, Out: g.out, VC: g.vc,
+			Src: g.src, Dst: g.dst, Born: g.born, Eject: g.eject})
 	}
 	if n.faultIdx > 0 && g.detour && n.Routers[g.r].OutputDead(n.Topo.MinimalPort(int(g.r), int(g.dst))) {
 		// The packet left its minimal path while the minimal output here is

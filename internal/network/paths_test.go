@@ -1,33 +1,27 @@
 package network
 
 import (
-	"runtime"
 	"testing"
 
 	"ofar/internal/topology"
 	"ofar/internal/traffic"
 )
 
-// pathKey names a packet in the grant log: a source generates at most one
+// pathKey names a packet by its grants: a source generates at most one
 // packet per cycle, so its node and generation cycle identify it.
 type pathKey struct {
-	src  int
+	src  int32
 	born int64
 }
 
-// grantPaths groups n's grant log into packet paths, each in grant order. It
-// fails if the log filled to its cap: the paths would be cut short.
-func grantPaths(t *testing.T, n *Network) map[pathKey][]GrantEvent {
-	t.Helper()
-	log := n.GrantLog()
-	if len(log) >= n.logCap {
-		t.Fatalf("grant log filled to its cap of %d events", n.logCap)
-	}
+// grantPaths attaches an observer to n that groups its grants into packet
+// paths as they stream, each in grant order, and returns the paths it fills.
+func grantPaths(n *Network) map[pathKey][]GrantEvent {
 	paths := make(map[pathKey][]GrantEvent)
-	for _, e := range log {
+	n.obs = grantFunc(func(e GrantEvent) {
 		k := pathKey{e.Src, e.Born}
 		paths[k] = append(paths[k], e)
-	}
+	})
 	return paths
 }
 
@@ -39,27 +33,27 @@ func grantPaths(t *testing.T, n *Network) map[pathKey][]GrantEvent {
 func validatePath(t *testing.T, n *Network, hops []GrantEvent) bool {
 	t.Helper()
 	d := n.Topo
-	cur := d.RouterOf(hops[0].Src)
+	cur := d.RouterOf(int(hops[0].Src))
 	for i, hop := range hops {
-		if hop.Router != cur {
+		if int(hop.Router) != cur {
 			t.Fatalf("hop %d at router %d, expected %d (path %d->%d: %+v)",
 				i, hop.Router, cur, hop.Src, hop.Dst, hops)
 		}
 		if i > 0 && hop.Cycle <= hops[i-1].Cycle {
 			t.Fatalf("hop %d granted at cycle %d, not after hop %d's %d", i, hop.Cycle, i-1, hops[i-1].Cycle)
 		}
-		if hop.Out >= d.RouterPorts {
+		if int(hop.Out) >= d.RouterPorts {
 			// Physical ring port: the next router is the ring successor.
-			cur = n.Rings[hop.Out-d.RouterPorts].Next(hop.Router)
+			cur = n.Rings[int(hop.Out)-d.RouterPorts].Next(int(hop.Router))
 			continue
 		}
-		kind, peer, _ := d.Peer(hop.Router, hop.Out)
+		kind, peer, _ := d.Peer(int(hop.Router), int(hop.Out))
 		switch kind {
 		case topology.PortNode:
 			if i != len(hops)-1 {
 				t.Fatalf("ejected mid-route at hop %d", i)
 			}
-			if peer != hop.Dst || !hop.Eject {
+			if peer != int(hop.Dst) || !hop.Eject {
 				t.Fatalf("ejected to node %d (eject flag %v), want %d", peer, hop.Eject, hop.Dst)
 			}
 			return true
@@ -72,35 +66,8 @@ func validatePath(t *testing.T, n *Network, hops []GrantEvent) bool {
 	return false
 }
 
-// TestGrantLogGrowsOnDemand: EnableGrantLog's cap bounds the log without
-// reserving it — a 1<<20-event cap (80 MiB if reserved) costs almost nothing
-// up front — and the log still stops at its cap.
-func TestGrantLogGrowsOnDemand(t *testing.T) {
-	cfg := testConfig(OFAR)
-	n := mustNet(t, cfg)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	n.EnableGrantLog(1 << 20)
-	runtime.ReadMemStats(&m1)
-	if b := m1.TotalAlloc - m0.TotalAlloc; b >= 64<<10 {
-		t.Fatalf("EnableGrantLog(1<<20) allocated %d bytes up front, want < 64 KiB", b)
-	}
-	n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), 0.3, cfg.PacketSize))
-	n.Run(300)
-	if got := len(n.GrantLog()); got == 0 || got >= 1<<20 {
-		t.Fatalf("%d events logged in 300 cycles under a 1<<20 cap", got)
-	}
-	m := mustNet(t, cfg)
-	m.EnableGrantLog(10)
-	m.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(m.Topo), 0.3, cfg.PacketSize))
-	m.Run(300)
-	if got := len(m.GrantLog()); got != 10 {
-		t.Fatalf("%d events logged under a cap of 10", got)
-	}
-}
-
 // TestTracedPathsAreValid drives every mechanism under adversarial traffic
-// from cycle 0 with the grant log on, validates every packet's path edge by
+// from cycle 0 with its grants observed, validates every packet's path edge by
 // edge, and checks that the paths ejected more than one packet time before
 // the end are exactly the delivered packets.
 func TestTracedPathsAreValid(t *testing.T) {
@@ -109,11 +76,11 @@ func TestTracedPathsAreValid(t *testing.T) {
 		t.Run(string(rt), func(t *testing.T) {
 			cfg := testConfig(rt)
 			n := mustNet(t, cfg)
-			n.EnableGrantLog(1 << 17)
+			paths := grantPaths(n)
 			n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, n.Topo.H), 0.5, cfg.PacketSize))
 			n.Run(cycles)
 			ejected := 0
-			for _, hops := range grantPaths(t, n) {
+			for _, hops := range paths {
 				if validatePath(t, n, hops) && hops[len(hops)-1].Cycle < cycles-int64(cfg.PacketSize) {
 					ejected++
 				}
@@ -138,19 +105,19 @@ func TestTraceEscapeHopsMarked(t *testing.T) {
 		escape func(n *Network, e GrantEvent) bool
 	}{
 		{"physical", testConfig(OFAR), func(n *Network, e GrantEvent) bool {
-			return e.Out >= n.Topo.RouterPorts
+			return int(e.Out) >= n.Topo.RouterPorts
 		}},
 		{"embedded", embedded, func(n *Network, e GrantEvent) bool {
-			return n.Routers[e.Router].Out[e.Out].EscapeRing(e.VC) >= 0
+			return n.Routers[e.Router].Out[e.Out].EscapeRing(int(e.VC)) >= 0
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			n := mustNet(t, c.cfg)
-			n.EnableGrantLog(1 << 17)
+			paths := grantPaths(n)
 			n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, n.Topo.H), 1.0, c.cfg.PacketSize))
 			n.Run(3000)
 			escapes := int64(0)
-			for _, hops := range grantPaths(t, n) {
+			for _, hops := range paths {
 				for _, e := range hops {
 					if c.escape(n, e) {
 						escapes++

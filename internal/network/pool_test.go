@@ -32,12 +32,15 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		workers int
 		timed   bool
 		h6      bool
-		chunk   int // cycles per measured call: Step when 0
+		chunk   int  // cycles per measured call: Step when 0
+		digest  bool // the grant digest on: the merge logs and folds every grant
 	}{
-		{"serial/sched", 0, false, false, 0},
-		{"serial/timed", 0, true, false, 0},
-		{"workers4/sched", 4, false, false, 0},
-		{"workers4/timed", 4, true, false, 0},
+		{name: "serial/sched"},
+		{name: "serial/timed", timed: true},
+		{name: "serial/digest", digest: true},
+		{name: "workers4/sched", workers: 4},
+		{name: "workers4/timed", workers: 4, timed: true},
+		{name: "workers4/digest", workers: 4, digest: true},
 		// The paper's scale (ROADMAP 1(d)): UN at load 0.3, warmed 2,000
 		// cycles, then snapshotted and restored in place — the window the
 		// benchmark measures, which used to re-grow a rebuilt wheel (~1
@@ -64,6 +67,9 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 			n := mustPoolNet(t, cfg)
 			if tc.timed {
 				n.EnablePhaseTimings()
+			}
+			if tc.digest {
+				n.EnableGrantDigest()
 			}
 			n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), load, cfg.PacketSize))
 			chunk := max(1, tc.chunk)

@@ -46,7 +46,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(seed(150, false, nil))
 	f.Add(seed(150, true, nil)) // config mismatch vs the target: exercises rejection
 	f.Add(seed(150, false, func(n *Network) {
-		n.EnableGrantLog(64)
+		n.EnableGrantDigest()
 		n.Stats.EnableSeries(50)
 		n.Stats.EnableHistogram()
 		n.Stats.EnableUtilization(len(n.Routers), len(n.Routers[0].Out))

@@ -289,32 +289,6 @@ func TestSnapshotBurstGenerator(t *testing.T) {
 	expectSameState(t, "burst", orig, restored)
 }
 
-// TestSnapshotGrantLogRestores proves the grant log and its cap carry over,
-// enabling golden-trace comparisons across a snapshot boundary.
-func TestSnapshotGrantLogRestores(t *testing.T) {
-	cfg := snapCfg(1)
-	orig := snapNet(t, cfg, 0.6)
-	orig.EnableGrantLog(64)
-	orig.Run(150)
-	snap := snapshotBytes(t, orig)
-	orig.Run(150)
-
-	restored := snapNet(t, cfg, 0.6)
-	if err := restored.Restore(bytes.NewReader(snap)); err != nil {
-		t.Fatal(err)
-	}
-	restored.Run(150)
-	a, b := orig.GrantLog(), restored.GrantLog()
-	if len(a) != len(b) {
-		t.Fatalf("grant log lengths diverged: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("grant log entry %d diverged: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 // TestForkIndependence forks one warm network twice, drives the forks with
 // different loads, and proves (a) the parent is untouched, (b) each fork is
 // bit-identical to a solo run restored from the same snapshot — i.e. the
@@ -487,6 +461,11 @@ func TestRestoreRejects(t *testing.T) {
 		refuse(fresh, c.name, hostileRecord(t, snapNet(t, cfg, 0.6), c.which, c.bad), c.want)
 	}
 
+	// The grant-log slots behind the digest are zeros: an image that puts a
+	// cap or events there — what a test log once wrote — is refused.
+	refuse(fresh, "grant log cap", hostileLogFields(t, snapNet(t, cfg, 0.6), 64, 0), "grant log cap: snapshot has 64, target 0")
+	refuse(fresh, "grant log events", hostileLogFields(t, snapNet(t, cfg, 0.6), 0, 1), "grant log events: snapshot has 1, target 0")
+
 	// An image written while Config still had ParallelCutover and
 	// DisableShardedGenerate carries both (always zero) in its header: it is
 	// refused as a configuration mismatch like any foreign header, and the
@@ -515,6 +494,31 @@ func hostileState(t testing.TB, n *Network, corrupt func(*Network)) []byte {
 	n.Run(120)
 	corrupt(n)
 	return snapshotBytes(t, n)
+}
+
+// hostileLogFields returns an image of n, run 120 cycles, with the grant-log
+// cap and event count, the two zeros behind the digest, set to size and
+// events, behind a valid header and checksum.
+func hostileLogFields(t testing.TB, n *Network, size, events int64) []byte {
+	t.Helper()
+	n.Run(120)
+	img := n.encode()
+	var at simcore.Enc
+	at.U64(n.digest.sum)
+	at.Varint(n.digest.count)
+	at.Varint(0)
+	at.Varint(0)
+	i := bytes.Index(img, at.Data())
+	if i < 0 {
+		t.Fatal("no zero grant-log fields behind the digest")
+	}
+	end := i + len(at.Data())
+	var bad simcore.Enc
+	bad.Raw(img[:end-2])
+	bad.Varint(size)
+	bad.Varint(events)
+	bad.Raw(img[end:])
+	return snapImage(t, n, bad.Data())
 }
 
 // The records hostileRecord rewrites, and the varint it sets in each.
@@ -673,18 +677,18 @@ var pinnedSections = []struct {
 		}
 		return n
 	}},
-	// Grant digest and log, series, histogram and utilization, inside a
-	// measurement window.
-	{"observers", 0x710267bfb466e0de, func(t *testing.T) *Network {
+	// Grant digest, series, histogram and utilization, inside a measurement
+	// window.
+	{"observers", 0xbe4e290bed9ca1c3, func(t *testing.T) *Network {
 		n := snapNet(t, snapCfg(1), 0.6)
-		n.EnableGrantLog(64)
+		n.EnableGrantDigest()
 		n.Stats.EnableSeries(50)
 		n.Stats.EnableHistogram()
 		n.Stats.EnableUtilization(len(n.Routers), len(n.Routers[0].Out))
 		n.Run(200)
 		n.Stats.StartMeasurement(n.Now())
 		n.Run(200)
-		if len(n.GrantLog()) == 0 || n.Stats.Histogram().Count() == 0 || n.Stats.Utilization(0, n.Topo.P) == 0 {
+		if n.digest.count == 0 || n.Stats.Histogram().Count() == 0 || n.Stats.Utilization(0, n.Topo.P) == 0 {
 			t.Fatal("an observer recorded nothing")
 		}
 		return n

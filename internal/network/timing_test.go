@@ -82,8 +82,8 @@ func TestZeroLoadLatency(t *testing.T) {
 // TestZeroLoadLatencyValiant pins the same law on Valiant paths, which take
 // two global hops: VAL packets sent one at a time (400 cycles apart, longer
 // than any path takes) each arrive S + Σ(ℓᵢ+1) cycles after birth, the sum
-// over the links their grant log shows, and every one crosses exactly two
-// global links. h=2 and h=3, Workers 1 and 2.
+// over the links their observed grants show, and every one crosses exactly
+// two global links. h=2 and h=3, Workers 1 and 2.
 func TestZeroLoadLatencyValiant(t *testing.T) {
 	const packets, gap = 24, 400
 	for _, h := range []int{2, 3} {
@@ -98,20 +98,21 @@ func TestZeroLoadLatencyValiant(t *testing.T) {
 		for _, w := range []int{1, 2} {
 			t.Run(fmt.Sprintf("h%d/workers=%d", h, w), func(t *testing.T) {
 				n := replayNet(t, cfg, w, recs)
-				n.EnableGrantLog(64)
+				var grants []GrantEvent // the grants of the packet in flight
+				n.obs = grantFunc(func(g GrantEvent) { grants = append(grants, g) })
 				for _, rec := range recs {
 					n.Stats.StartMeasurement(n.Now())
-					n.grantLog = n.grantLog[:0]
+					grants = grants[:0]
 					n.Run(gap)
 					if got := n.Stats.MeasuredPackets(); got != 1 {
 						t.Fatalf("packet %d→%d born at %d: %d packets delivered in its window, want 1", rec.Src, rec.Dst, rec.Cycle, got)
 					}
 					want, globals := S, 0
-					for _, g := range n.GrantLog() {
-						if g.Src != int(rec.Src) || g.Born != rec.Cycle {
+					for _, g := range grants {
+						if g.Src != rec.Src || g.Born != rec.Cycle {
 							t.Fatalf("window of packet %d→%d born at %d logged a grant of %d→%d born at %d", rec.Src, rec.Dst, rec.Cycle, g.Src, g.Dst, g.Born)
 						}
-						switch n.Topo.PortKindOf(g.Out) {
+						switch n.Topo.PortKindOf(int(g.Out)) {
 						case topology.PortLocal:
 							want += cfg.LocalLatency + 1
 						case topology.PortGlobal:
@@ -123,7 +124,7 @@ func TestZeroLoadLatencyValiant(t *testing.T) {
 						t.Errorf("packet %d→%d crossed %d global links, want 2", rec.Src, rec.Dst, globals)
 					}
 					if got := n.Stats.MaxLatency(); got != int64(want) {
-						t.Errorf("packet %d→%d: latency %d cycles, want %d over its %d grants", rec.Src, rec.Dst, got, want, len(n.GrantLog()))
+						t.Errorf("packet %d→%d: latency %d cycles, want %d over its %d grants", rec.Src, rec.Dst, got, want, len(grants))
 					}
 				}
 			})
@@ -216,21 +217,21 @@ func TestVCTLaw(t *testing.T) {
 			for _, w := range []int{1, 2} {
 				t.Run(fmt.Sprintf("h%d/%s/workers=%d", h, rt, w), func(t *testing.T) {
 					n := satNet(t, h, rt, w, 200)
-					n.EnableGrantLog(1 << 12) // one cycle's grants; emptied after each
 					granted := 0
+					// A one-cycle window commits its grants after the router
+					// stage: the credits they see are the cycle's last.
+					n.obs = grantFunc(func(g GrantEvent) {
+						if g.Eject {
+							return
+						}
+						granted++
+						if c := n.Routers[g.Router].Out[g.Out].Credits(int(g.VC)); c < 0 {
+							t.Fatalf("cycle %d: router %d port %d vc %d granted with %d credits left",
+								g.Cycle, g.Router, g.Out, g.VC, c)
+						}
+					})
 					for range 600 {
 						n.Step()
-						for _, g := range n.GrantLog() {
-							if g.Eject {
-								continue
-							}
-							granted++
-							if c := n.Routers[g.Router].Out[g.Out].Credits(g.VC); c < 0 {
-								t.Fatalf("cycle %d: router %d port %d vc %d granted with %d credits left",
-									g.Cycle, g.Router, g.Out, g.VC, c)
-							}
-						}
-						n.grantLog = n.grantLog[:0]
 						for _, r := range n.Routers {
 							for po := range r.Out {
 								op := &r.Out[po]
@@ -265,13 +266,14 @@ func TestSerializationLaw(t *testing.T) {
 		for _, w := range []int{1, 2} {
 			t.Run(fmt.Sprintf("h%d/workers=%d", h, w), func(t *testing.T) {
 				n := satNet(t, h, OFAR, w, 300)
-				n.EnableGrantLog(1 << 17)
-				n.Run(400)
 				S := int64(n.Cfg.PacketSize)
-				type port struct{ r, p int }
+				type port struct {
+					r int32
+					p uint8
+				}
 				lastOut, lastIn := map[port]int64{}, map[port]int64{}
 				tight := 0
-				for _, g := range n.GrantLog() {
+				n.obs = grantFunc(func(g GrantEvent) {
 					for _, c := range []struct {
 						side string
 						last map[port]int64
@@ -287,7 +289,8 @@ func TestSerializationLaw(t *testing.T) {
 						}
 						c.last[c.key] = g.Cycle
 					}
-				}
+				})
+				n.Run(400)
 				if tight == 0 {
 					t.Fatal("no back-to-back grants: the run never saturated a port")
 				}

@@ -30,16 +30,16 @@ func bernoulliSetup(load float64) func(*Network) {
 }
 
 // expectSameRun is expectSameState plus everything the snapshot image does
-// not carry: every Stats field, the grant log, the trace recorder, the
-// in-flight count and the congestion stalls.
+// not carry: every Stats field, what a streamLog observer collected, the
+// trace recorder, the in-flight count and the congestion stalls.
 func expectSameRun(t *testing.T, label string, a, b *Network) {
 	t.Helper()
 	expectSameState(t, label, a, b)
 	if !reflect.DeepEqual(a.Stats, b.Stats) {
 		t.Fatalf("%s: statistics differ:\n%+v\n%+v", label, *a.Stats, *b.Stats)
 	}
-	if !reflect.DeepEqual(a.GrantLog(), b.GrantLog()) {
-		t.Fatalf("%s: grant logs differ", label)
+	if la, ok := a.obs.(*streamLog); ok && !reflect.DeepEqual(la, b.obs) {
+		t.Fatalf("%s: observed streams differ", label)
 	}
 	if a.rec != nil && !reflect.DeepEqual(a.rec.Records(), b.rec.Records()) {
 		t.Fatalf("%s: trace recorder streams differ", label)
@@ -153,7 +153,7 @@ func TestRunWindowsMatchStep(t *testing.T) {
 		}},
 		{name: "observers", cfg: DefaultConfig(3), setup: func(n *Network) {
 			bernoulliSetup(0.5)(n)
-			n.EnableGrantLog(3000)
+			n.obs = newStreamLog(3000)
 			n.SetTraceRecorder(&trace.Recorder{})
 			n.Stats.EnableSeries(50)
 			n.Stats.EnableUtilization(len(n.Routers), len(n.Routers[0].Out))
@@ -221,7 +221,6 @@ func TestWindowLookahead(t *testing.T) {
 // alive.
 func TestWindowLogsHoldNoPackets(t *testing.T) {
 	n := snapNet(t, snapCfg(1), 0.9)
-	n.EnableGrantLog(1000)
 	n.Run(250)
 	snap := snapshotBytes(t, n)
 	n.Run(130)

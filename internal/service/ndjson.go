@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
+	"reflect"
 	"strconv"
 )
 
@@ -103,4 +105,83 @@ func appendHex16(dst []byte, v uint64) []byte {
 		dst = append(dst, digits[v>>uint(shift)&0xf])
 	}
 	return dst
+}
+
+// marshalResult encodes a point's result as json.Marshal does, except that
+// a non-finite float — the mean latency of a window that delivered nothing
+// is NaN — is written as null, which json.Marshal refuses, not as 0, which
+// is a value. Only a result that holds one takes the reflective path.
+func marshalResult(v any) ([]byte, error) {
+	out, err := json.Marshal(v)
+	var unsupported *json.UnsupportedValueError
+	if !errors.As(err, &unsupported) {
+		return out, err
+	}
+	src := reflect.ValueOf(v)
+	dst := reflect.New(nullable(src.Type())).Elem()
+	copyNullable(dst, src)
+	return json.Marshal(dst.Interface())
+}
+
+// nullFloat is a float64 that encodes as null when it is not finite.
+type nullFloat float64
+
+func (f nullFloat) MarshalJSON() ([]byte, error) {
+	if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(f))
+}
+
+// nullable returns t with every float64 in it — a struct field, a slice or
+// pointer element — replaced by nullFloat, field names and tags kept, so
+// what is finite encodes byte for byte as before. A struct with an
+// unexported or embedded field, which reflect.StructOf cannot copy, stays
+// as it is.
+func nullable(t reflect.Type) reflect.Type {
+	switch t.Kind() {
+	case reflect.Float64:
+		return reflect.TypeFor[nullFloat]()
+	case reflect.Pointer:
+		return reflect.PointerTo(nullable(t.Elem()))
+	case reflect.Slice:
+		return reflect.SliceOf(nullable(t.Elem()))
+	case reflect.Struct:
+		fields := make([]reflect.StructField, t.NumField())
+		for i := range fields {
+			f := t.Field(i)
+			if !f.IsExported() || f.Anonymous {
+				return t
+			}
+			fields[i] = reflect.StructField{Name: f.Name, Type: nullable(f.Type), Tag: f.Tag}
+		}
+		return reflect.StructOf(fields)
+	}
+	return t
+}
+
+// copyNullable copies src into dst, whose type is nullable(src's type).
+func copyNullable(dst, src reflect.Value) {
+	switch {
+	case dst.Type() == src.Type():
+		dst.Set(src)
+	case src.Kind() == reflect.Float64:
+		dst.SetFloat(src.Float())
+	case src.Kind() == reflect.Pointer:
+		if !src.IsNil() {
+			dst.Set(reflect.New(dst.Type().Elem()))
+			copyNullable(dst.Elem(), src.Elem())
+		}
+	case src.Kind() == reflect.Slice:
+		if !src.IsNil() {
+			dst.Set(reflect.MakeSlice(dst.Type(), src.Len(), src.Len()))
+			for i := range src.Len() {
+				copyNullable(dst.Index(i), src.Index(i))
+			}
+		}
+	case src.Kind() == reflect.Struct:
+		for i := range src.NumField() {
+			copyNullable(dst.Field(i), src.Field(i))
+		}
+	}
 }

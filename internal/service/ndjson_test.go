@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"testing"
 
@@ -72,5 +73,39 @@ func TestPointLineMatchesEncoder(t *testing.T) {
 	sum := SummaryResponse{Type: "summary", Points: 64, CacheHits: 60, Computed: 3, Coalesced: 1, Errors: 2, ElapsedUS: 1234567, Engine: "157c630a8efe4df6"}
 	if got, want := appendSummaryLine([]byte("prefix"), &sum), append([]byte("prefix"), encoderLine(t, sum)...); !bytes.Equal(got, want) {
 		t.Errorf("appendSummaryLine\n got  %q\n want %q", got, want)
+	}
+}
+
+// TestMarshalResultNullsNonFinite: marshalResult writes what json.Marshal
+// writes for a finite result, and for one holding NaN or ±Inf — in the
+// aggregate and in a job row, of a result passed by pointer — the same
+// bytes with null where each non-finite value stands.
+func TestMarshalResultNullsNonFinite(t *testing.T) {
+	const mark = 12345.5 // a value no field holds, put where the non-finite ones go
+	build := func(bad float64) *ofar.JobsResult {
+		return &ofar.JobsResult{
+			Workload: "w", Scale: 0.5,
+			Agg:  ofar.SteadyResult{Routing: ofar.OFAR, Load: 0.5, AvgLatency: bad, P99Latency: bad, Throughput: 0.25},
+			Jobs: []ofar.JobResult{{Job: "a", AvgLatency: 3}, {Job: "b", P50Latency: bad}},
+		}
+	}
+	for _, v := range []any{build(mark), ofar.TransientResult{Points: []ofar.TransientPoint{{MeanLatency: 2}}}} {
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := marshalResult(v); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("finite %T: %s (%v), json.Marshal %s", v, got, err, want)
+		}
+	}
+	marked, err := json.Marshal(build(mark))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.ReplaceAll(marked, []byte("12345.5"), []byte("null"))
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got, err := marshalResult(build(bad)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("with %v: %s (%v), want %s", bad, got, err, want)
+		}
 	}
 }

@@ -211,6 +211,7 @@ var bufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
 const maxPooledBuf = 64 << 10
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	start := time.Now() // the summary's elapsed_us covers reading, resolving and admitting the body too
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeJSONError(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST a sweep request"})
@@ -278,7 +279,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	start := time.Now()
 	var (
 		sum     SummaryResponse
 		lines   chan PointResponse // room for every miss: a sender never blocks on a handler that returned early
@@ -416,7 +416,7 @@ func (s *Server) point(lines chan<- PointResponse, rs *reqState, rv *resolution,
 			case pr.Burst != nil:
 				reply = pr.Burst
 			}
-			out, rerr = json.Marshal(reply)
+			out, rerr = marshalResult(reply)
 		})
 		<-done
 		if rerr != nil {

@@ -1111,3 +1111,105 @@ func TestServerDiskWriteFailures(t *testing.T) {
 		t.Errorf("/metrics lacks %q:\n%s", want, text)
 	}
 }
+
+// scrapeMetrics returns the server's /metrics text.
+func scrapeMetrics(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(text)
+}
+
+// TestEmptyWindowPointCached: a point whose measurement window delivered
+// nothing has no latencies (NaN in Go). Its reply carries them as JSON null
+// rather than failing to encode, and the point is cached like any other:
+// the identical second post is a hit, with no further miss and no error
+// counted.
+func TestEmptyWindowPointCached(t *testing.T) {
+	_, ts := startServer(t, Options{})
+	body := []byte(`{"h":2,"loads":[0.1],"warmup":10,"measure":10}`)
+	first := postBody(t, ts.URL, body)
+	if first.status != http.StatusOK || len(first.points) != 1 {
+		t.Fatalf("HTTP %d, %d points: %s", first.status, len(first.points), first.raw)
+	}
+	p := first.points[0]
+	if p.Error != "" || p.Source != "computed" || first.summary.Errors != 0 {
+		t.Fatalf("first post: source %q, error %q, %d errors", p.Source, p.Error, first.summary.Errors)
+	}
+	var res map[string]any
+	if err := json.Unmarshal(p.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res["Delivered"] != 0.0 {
+		t.Fatalf("the window delivered %v packets, want none: %s", res["Delivered"], p.Result)
+	}
+	for _, k := range []string{"AvgLatency", "AvgNetLatency", "P50Latency", "P99Latency", "AvgHops"} {
+		if v, ok := res[k]; !ok || v != nil {
+			t.Errorf("%s = %v (present %v), want null", k, v, ok)
+		}
+	}
+	before := scrapeMetrics(t, ts.URL)
+	second := postBody(t, ts.URL, body)
+	if len(second.points) != 1 || second.points[0].Source != "cache" || !bytes.Equal(second.points[0].Result, p.Result) {
+		t.Fatalf("second post is not the cached point: %s", second.raw)
+	}
+	after := scrapeMetrics(t, ts.URL)
+	for _, want := range []string{"sweepd_cache_misses_total 1\n", "sweepd_points_errored_total 0\n", "sweepd_cache_hits_total 1\n"} {
+		if !strings.Contains(after, want) {
+			t.Errorf("metrics after the second post lack %q:\n%s", want, after)
+		}
+	}
+	if !strings.Contains(before, "sweepd_cache_misses_total 1\n") {
+		t.Errorf("metrics after the first post lack one miss:\n%s", before)
+	}
+}
+
+// slowBody hands out a body, then blocks for delay before its EOF.
+type slowBody struct {
+	r     io.Reader
+	delay time.Duration
+}
+
+func (b *slowBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err == io.EOF {
+		time.Sleep(b.delay)
+		b.delay = 0
+	}
+	return n, err
+}
+
+// TestSummaryElapsedCoversBody: the summary's elapsed_us counts the request
+// from the handler's entry, so a body that takes 20 ms to arrive shows in
+// it, not in what a client would put down to HTTP overhead.
+func TestSummaryElapsedCoversBody(t *testing.T) {
+	srv, err := New(Options{Runner: func(r ofar.Resolved, load float64, _ ofar.SweepOptions) (ofar.PointResult, error) {
+		return fakeResult(r, load), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cfg := testConfig()
+	body, err := json.Marshal(Request{Config: &cfg, Loads: []float64{0.1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", &slowBody{r: bytes.NewReader(body), delay: 20 * time.Millisecond}))
+	lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
+	var sum SummaryResponse
+	if err := json.Unmarshal(lines[len(lines)-1], &sum); err != nil || sum.Type != "summary" {
+		t.Fatalf("HTTP %d, no summary line (%v): %s", rec.Code, err, rec.Body.Bytes())
+	}
+	if sum.ElapsedUS < 20000 {
+		t.Fatalf("summary elapsed_us %d, want ≥ 20000: the body took 20 ms to read", sum.ElapsedUS)
+	}
+}
