@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ofar/internal/packet"
 	"ofar/internal/router"
@@ -25,9 +26,11 @@ import (
 type Config struct {
 	// ThMin is the occupancy fraction the minimal output queue must reach
 	// before misrouting is considered (in addition to the minimal port
-	// being unavailable). 0 reproduces the paper's variable policy; 1.0
-	// with a static non-minimal threshold reproduces the static example
-	// (Th_min = 100 %, Th_non-min = 40 %).
+	// being unavailable). Route reads it only under the variable policy
+	// (StaticNonMin < 0), where 0 reproduces the paper's Th_min = 0. The
+	// static policy ignores it: its trigger is the packet's class VC on the
+	// minimal port being out of credits, which is the static example's
+	// Th_min = 100 % whatever ThMin holds.
 	ThMin float64
 
 	// NonMinFactor is the variable threshold factor: a non-minimal output
@@ -66,7 +69,9 @@ type Config struct {
 // DefaultConfig returns the repository's default OFAR tuning: the §IV-B
 // static threshold policy (Th_min = 100 %, Th_non-min = 40 %): misroute
 // only when the minimal output has no credits left, to outputs with at
-// least 60 % of their credit count available.
+// least 60 % of their credit count available. The static policy's trigger
+// is that credit check, not ThMin, which it never reads; ThMin is 1.0 only
+// to record the example's Th_min.
 //
 // The paper's own evaluation used the variable policy (Th_min = 0,
 // Th_non-min = 0.9·Q_min — set ThMin: 0, NonMinFactor: 0.9,
@@ -168,20 +173,24 @@ func chooseVC(rt *router.Router, port int, p *packet.Packet, now int64) (int, bo
 // Route implements router.Engine (paper §IV-A/B).
 func (e *OFAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
 	rt.NoteExpiry(math.MaxInt64)
-	if in.Escape {
+	if in.Ring >= 0 {
 		return e.routeOnRing(rt, in, p, now)
 	}
 	min := e.d.MinimalPort(rt.ID, int(p.Dst))
 	rt.NoteRead(min)
-	if vc, ok := chooseVC(rt, min, p, now); ok {
-		return router.Request{Out: min, VC: vc}, true
+	op := &rt.Out[min]
+	if op.Kind == topology.PortNode {
+		// At the destination router: eject, or wait for a busy ejector,
+		// which drains at 1 phit/cycle.
+		return router.Request{Out: uint8(min)}, !op.Busy(now)
+	}
+	// chooseVC and the misroute trigger's VCFits, on one read of the port.
+	vc := op.ClassVC(int(p.GlobalHops))
+	credits := op.Credits(vc)
+	if !op.Busy(now) && op.EscapeRing(vc) < 0 && credits >= 1 {
+		return router.Request{Out: uint8(min), VC: uint8(vc)}, true
 	}
 	minKind := e.d.PortKindOf(min)
-	if minKind == topology.PortNode {
-		// Destination router with a busy ejector: the eject port drains at
-		// 1 phit/cycle, so just wait.
-		return router.Request{}, false
-	}
 	// The minimal port is unavailable (assigned to another packet or out of
 	// credits). Decide whether misrouting is allowed:
 	//
@@ -198,7 +207,7 @@ func (e *OFAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now i
 	// nothing qualifies, so a mere serialization collision does not
 	// trigger misrouting — only real backlog does.
 	//
-	// Occupancy is the aggregate canonical occupancy of a port (OutOcc;
+	// Occupancy is the aggregate canonical occupancy of a port (OutPort.Occupancy;
 	// §IV-B compares "the percentage of buffer occupancy" of whole queues).
 	// Aggregating across the port's VCs pools 3 VCs (12 packets) of signal,
 	// which discriminates a genuinely saturated hotspot (ADV+h: the l2 port
@@ -209,15 +218,16 @@ func (e *OFAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now i
 	// (VCFits on the class VC; a dead port never fits, which is what turns a
 	// failed minimal link into a trigger under the static policy) and the
 	// candidate headroom filter.
+	minFull := op.Dead() || credits < 1
 	if e.cfg.StaticNonMin >= 0 {
-		if !rt.VCFits(min, rt.Out[min].ClassVC(int(p.GlobalHops))) {
-			if req, ok := e.misroute(rt, in, p, min, minKind, e.cfg.StaticNonMin, false, now); ok {
+		if minFull {
+			if req, ok := e.misroute(rt, in, p, min, minKind, minFull, e.cfg.StaticNonMin, false, now); ok {
 				return req, true
 			}
 		}
-	} else if qmin := rt.OutOcc(min); qmin >= e.cfg.ThMin {
+	} else if qmin := op.Occupancy(); qmin >= e.cfg.ThMin {
 		th := e.cfg.NonMinFactor * qmin
-		if req, ok := e.misroute(rt, in, p, min, minKind, th, true, now); ok {
+		if req, ok := e.misroute(rt, in, p, min, minKind, minFull, th, true, now); ok {
 			return req, true
 		}
 	}
@@ -226,7 +236,7 @@ func (e *OFAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now i
 	if e.cfg.EscapeTimeout >= 0 && rt.NumRings() > 0 {
 		if now-p.BlockedSince >= int64(e.cfg.EscapeTimeout) {
 			if ring, port, vc, ok := e.pickRing(rt, now); ok {
-				return router.Request{Out: port, VC: vc, Escape: true, EnterRing: true, Ring: int8(ring)}, true
+				return router.Request{Out: uint8(port), VC: uint8(vc), Ring: int8(ring), Flags: router.Escape | router.EnterRing}, true
 			}
 		} else {
 			// Not blocked long enough yet: the decision flips by time alone
@@ -248,14 +258,14 @@ func (e *OFAR) routeOnRing(rt *router.Router, in router.InCtx, p *packet.Packet,
 	if int(p.RingExits) < e.cfg.MaxRingExits || minKind == topology.PortNode {
 		rt.NoteRead(min)
 		if vc, ok := chooseVC(rt, min, p, now); ok {
-			return router.Request{Out: min, VC: vc, ExitRing: true}, true
+			return router.Request{Out: uint8(min), VC: uint8(vc), Flags: router.ExitRing}, true
 		}
 	}
 	port, vc, credits, ok := rt.RingOut(in.Ring)
 	if ok {
 		rt.NoteRead(port) // a dead ring edge (ok == false) never heals; no read
-		if credits >= 1 && !rt.OutBusy(port, now) {
-			return router.Request{Out: port, VC: vc, Escape: true, Ring: int8(in.Ring)}, true
+		if credits >= 1 && !rt.Out[port].Busy(now) {
+			return router.Request{Out: uint8(port), VC: uint8(vc), Ring: int8(in.Ring), Flags: router.Escape}, true
 		}
 	}
 	return router.Request{}, false
@@ -272,7 +282,10 @@ func (e *OFAR) routeOnRing(rt *router.Router, in router.InCtx, p *packet.Packet,
 //   - in the source group: packets in injection queues misroute globally,
 //     packets in local queues misroute locally first and globally second
 //     (the order prevents starvation of the saturated router's own nodes).
-func (e *OFAR) misroute(rt *router.Router, in router.InCtx, p *packet.Packet, min int, minKind topology.PortKind, th float64, strict bool, now int64) (router.Request, bool) {
+//
+// minFull is whether the packet's hop-class VC on the minimal port is out
+// of credits (or the port is dead), which Route has already checked.
+func (e *OFAR) misroute(rt *router.Router, in router.InCtx, p *packet.Packet, min int, minKind topology.PortKind, minFull bool, th float64, strict bool, now int64) (router.Request, bool) {
 	g := rt.Group
 	// Local misrouting requires the minimal local port to be *saturated*
 	// (§IV-A: "only local misrouting is allowed when the minimal output is
@@ -282,7 +295,7 @@ func (e *OFAR) misroute(rt *router.Router, in router.InCtx, p *packet.Packet, mi
 	// for. Global misrouting keeps the weaker busy-or-full trigger — it is
 	// the load-balancing decision, and deferring it to credit exhaustion
 	// would recreate injection-time routing.
-	localSat := minKind == topology.PortLocal && !rt.VCFits(min, rt.Out[min].ClassVC(int(p.GlobalHops)))
+	localSat := minKind == topology.PortLocal && minFull
 	tryLocal, tryGlobal := false, false
 	switch {
 	case int(p.DstGroup) == g:
@@ -300,70 +313,45 @@ func (e *OFAR) misroute(rt *router.Router, in router.InCtx, p *packet.Packet, mi
 	}
 	if tryLocal {
 		if req, ok := e.pickAmong(rt, e.d.LocalPortBase(), e.d.A-1, min, th, strict, p, now); ok {
-			req.SetLocalMis = true
+			req.Flags = router.SetLocalMis
 			return req, true
 		}
 	}
 	if tryGlobal {
 		if req, ok := e.pickAmong(rt, e.d.GlobalPortBase(), e.d.H, min, th, strict, p, now); ok {
-			req.SetGlobalMis = true
+			req.Flags = router.SetGlobalMis
 			return req, true
 		}
 	}
 	return router.Request{}, false
 }
 
-// pickAmong selects uniformly at random among the ports in
-// [base, base+count) that are not the minimal port, not busy, have credits
-// for the packet, and satisfy Q_non-min ≤ th. Random selection (rather than
-// least-occupied) avoids synchronized convergence of many inputs on the
-// same output (§IV-B).
+// pickAmong selects uniformly at random among the misroute candidates in
+// [base, base+count) (router.Router.Candidates) other than the minimal
+// port: the draw takes the k-th candidate in ascending port order. Random
+// selection (rather than least-occupied) avoids synchronized convergence of
+// many inputs on the same output (§IV-B).
 func (e *OFAR) pickAmong(rt *router.Router, base, count, exclude int, th float64, strict bool, p *packet.Packet, now int64) (router.Request, bool) {
-	var cand [64]uint8 // candidate ports; config validation caps the radix at 64
-	nc := 0
-	for port := base; port < base+count; port++ {
-		if port == exclude {
-			continue
-		}
-		rt.NoteRead(port)
-		if rt.OutBusy(port, now) {
-			continue
-		}
-		occ := rt.OutOcc(port)
-		if occ > th || (strict && occ >= th) {
-			continue
-		}
-		vc, ok := chooseVC(rt, port, p, now)
-		if !ok {
-			continue
-		}
-		// Demand real headroom (two packets) on the candidate: VC FIFOs
-		// hold only a handful of packets, so a nearly-full "alternative"
-		// is measurement noise, not an escape valve, and chasing it under
-		// symmetric saturation wastes bandwidth on longer paths.
-		if rt.Out[port].Credits(vc) < 2 {
-			continue
-		}
-		cand[nc] = uint8(port)
-		nc++
-	}
-	if nc == 0 {
+	hops := int(p.GlobalHops)
+	m := rt.Candidates(base, count, hops, th, strict, now) &^ (1 << uint(exclude))
+	if m == 0 {
 		return router.Request{}, false
 	}
-	var port int
+	port := bits.TrailingZeros64(m)
 	if e.cfg.LeastOccupied {
-		port = int(cand[0])
-		best := rt.OutOcc(port)
-		for _, c := range cand[1:nc] {
-			if occ := rt.OutOcc(int(c)); occ < best {
-				port, best = int(c), occ
+		best := rt.Out[port].Occupancy()
+		for m &= m - 1; m != 0; m &= m - 1 {
+			if c := bits.TrailingZeros64(m); rt.Out[c].Occupancy() < best {
+				port, best = c, rt.Out[c].Occupancy()
 			}
 		}
 	} else {
-		port = int(cand[rt.RandInt(nc)])
+		for k := rt.RandInt(bits.OnesCount64(m)); k > 0; k-- {
+			m &= m - 1
+		}
+		port = bits.TrailingZeros64(m)
 	}
-	vc, _ := chooseVC(rt, port, p, now)
-	return router.Request{Out: port, VC: vc}, true
+	return router.Request{Out: uint8(port), VC: uint8(rt.Out[port].ClassVC(hops))}, true
 }
 
 // pickRing returns the escape ring whose next-hop channel has the most
@@ -377,7 +365,7 @@ func (e *OFAR) pickRing(rt *router.Router, now int64) (ring, port, vc int, ok bo
 			continue // a failed ring edge never heals; no read
 		}
 		rt.NoteRead(pj)
-		if cr < 2 || rt.OutBusy(pj, now) {
+		if cr < 2 || rt.Out[pj].Busy(now) {
 			continue
 		}
 		if cr > bestCr {

@@ -94,10 +94,10 @@ func TestOFARMinimalWhenIdle(t *testing.T) {
 	if !ok {
 		t.Fatal("refused on idle router")
 	}
-	if req.Out != d.MinimalPort(0, int(p.Dst)) {
+	if int(req.Out) != d.MinimalPort(0, int(p.Dst)) {
 		t.Errorf("out=%d want minimal %d", req.Out, d.MinimalPort(0, int(p.Dst)))
 	}
-	if req.SetGlobalMis || req.SetLocalMis || req.Escape {
+	if req.Has(router.SetGlobalMis) || req.Has(router.SetLocalMis) || req.Has(router.Escape) {
 		t.Error("idle packet flagged")
 	}
 }
@@ -128,7 +128,7 @@ func TestOFARNoMisrouteOnEmptyQueues(t *testing.T) {
 	// queue is legitimate here. Local misroute must not fire (minimal is
 	// not credit-exhausted).
 	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 1)
-	if ok && req.SetLocalMis {
+	if ok && req.Has(router.SetLocalMis) {
 		t.Error("local misroute without credit exhaustion")
 	}
 }
@@ -137,7 +137,7 @@ type scriptEngine struct{ out int }
 
 func (s scriptEngine) AtInjection(*router.Router, *packet.Packet, int64) {}
 func (s scriptEngine) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
-	return router.Request{Out: s.out, VC: 0}, true
+	return router.Request{Out: uint8(s.out), VC: 0}, true
 }
 
 // TestOFARGlobalMisrouteFromInjection: with the minimal global channel
@@ -160,10 +160,10 @@ func TestOFARGlobalMisrouteFromInjection(t *testing.T) {
 	if !ok {
 		t.Fatal("blocked packet did not misroute")
 	}
-	if !req.SetGlobalMis {
+	if !req.Has(router.SetGlobalMis) {
 		t.Errorf("expected global misroute, got %+v", req)
 	}
-	if d.PortKindOf(req.Out) != topology.PortGlobal || req.Out == min {
+	if d.PortKindOf(int(req.Out)) != topology.PortGlobal || int(req.Out) == min {
 		t.Errorf("misroute port %d invalid", req.Out)
 	}
 }
@@ -194,7 +194,7 @@ func TestOFARInjectionMisroutesGlobally(t *testing.T) {
 	if !ok {
 		t.Fatal("no misroute")
 	}
-	if !req.SetGlobalMis || d.PortKindOf(req.Out) != topology.PortGlobal {
+	if !req.Has(router.SetGlobalMis) || d.PortKindOf(int(req.Out)) != topology.PortGlobal {
 		t.Errorf("injection packet misrouted %+v, want global", req)
 	}
 }
@@ -214,14 +214,14 @@ func TestOFARLocalThenGlobal(t *testing.T) {
 	p := newPkt(d, 0, dst)
 	saturatePort(rt, min)
 	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortLocal, Ring: -1}, p, 0)
-	if !ok || !req.SetLocalMis || d.PortKindOf(req.Out) != topology.PortLocal {
+	if !ok || !req.Has(router.SetLocalMis) || d.PortKindOf(int(req.Out)) != topology.PortLocal {
 		t.Fatalf("first misroute %+v, want local", req)
 	}
 	// Apply the flag as a commit would, then route again.
 	p.LocalMisrouted = true
 	p.MisrouteGroup = 0
 	req, ok = e.Route(rt, router.InCtx{Kind: topology.PortLocal, Ring: -1}, p, 0)
-	if !ok || !req.SetGlobalMis || d.PortKindOf(req.Out) != topology.PortGlobal {
+	if !ok || !req.Has(router.SetGlobalMis) || d.PortKindOf(int(req.Out)) != topology.PortGlobal {
 		t.Fatalf("second misroute %+v, want global", req)
 	}
 	// Both flags set: no further misrouting is allowed.
@@ -249,7 +249,7 @@ func TestOFARIntermediateGroupPolicy(t *testing.T) {
 	}
 	saturatePort(rt, min)
 	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortGlobal, Ring: -1}, p, 0)
-	if !ok || !req.SetLocalMis {
+	if !ok || !req.Has(router.SetLocalMis) {
 		t.Fatalf("expected local misroute in destination group, got %+v ok=%v", req, ok)
 	}
 	// With the local flag consumed, nothing else is allowed (no global
@@ -276,10 +276,10 @@ func TestOFARLDisablesLocal(t *testing.T) {
 	p := newPkt(d, 0, dst)
 	saturatePort(rt, min)
 	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortLocal, Ring: -1}, p, 0)
-	if ok && req.SetLocalMis {
+	if ok && req.Has(router.SetLocalMis) {
 		t.Error("OFAR-L misrouted locally")
 	}
-	if !ok || !req.SetGlobalMis {
+	if !ok || !req.Has(router.SetGlobalMis) {
 		t.Errorf("OFAR-L should misroute globally, got %+v ok=%v", req, ok)
 	}
 }
@@ -303,7 +303,7 @@ func TestOFAREscapeAfterTimeout(t *testing.T) {
 		t.Fatal("escaped before timeout")
 	}
 	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortLocal, Ring: -1}, p, 10)
-	if !ok || !req.EnterRing || !req.Escape {
+	if !ok || !req.Has(router.EnterRing) || !req.Has(router.Escape) {
 		t.Fatalf("expected ring entry at timeout, got %+v ok=%v", req, ok)
 	}
 	// Bubble: deplete the escape VCs below 2 packets and retry.
@@ -328,24 +328,24 @@ func TestOFAROnRingBehavior(t *testing.T) {
 	p := newPkt(d, 0, dst)
 	p.OnRing = true
 	p.Ring = 0
-	in := router.InCtx{Kind: topology.PortRing, Escape: true, Ring: 0}
+	in := router.InCtx{Kind: topology.PortRing, Ring: 0}
 
 	// Minimal available: exit.
 	req, ok := e.Route(rt, in, p, 0)
-	if !ok || !req.ExitRing {
+	if !ok || !req.Has(router.ExitRing) {
 		t.Fatalf("expected ring exit, got %+v", req)
 	}
 	// Minimal saturated: continue on the ring (1-packet bubble).
 	saturatePort(rt, d.MinimalPort(0, dst))
 	req, ok = e.Route(rt, in, p, 0)
-	if !ok || !req.Escape || req.ExitRing {
+	if !ok || !req.Has(router.Escape) || req.Has(router.ExitRing) {
 		t.Fatalf("expected ring continuation, got %+v ok=%v", req, ok)
 	}
 	// Exit budget exhausted: may not exit mid-route even if minimal frees.
 	p.RingExits = 1
 	rt.AddCredit(d.MinimalPort(0, dst), 0)
 	req, ok = e.Route(rt, in, p, 0)
-	if ok && req.ExitRing {
+	if ok && req.Has(router.ExitRing) {
 		t.Error("exited the ring beyond the exit budget")
 	}
 	// ... but ejection at the destination router is always allowed.
@@ -354,7 +354,7 @@ func TestOFAROnRingBehavior(t *testing.T) {
 	pHome.Ring = 0
 	pHome.RingExits = 99
 	req, ok = e.Route(rt, in, pHome, 0)
-	if !ok || !req.ExitRing || d.PortKindOf(req.Out) != topology.PortNode {
+	if !ok || !req.Has(router.ExitRing) || d.PortKindOf(int(req.Out)) != topology.PortNode {
 		t.Fatalf("destination ejection from ring refused: %+v ok=%v", req, ok)
 	}
 }
@@ -370,10 +370,10 @@ func TestOFARIntraGroup(t *testing.T) {
 	min := d.MinimalPort(0, dst)
 	saturatePort(rt, min)
 	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 0)
-	if !ok || !req.SetLocalMis || d.PortKindOf(req.Out) != topology.PortLocal {
+	if !ok || !req.Has(router.SetLocalMis) || d.PortKindOf(int(req.Out)) != topology.PortLocal {
 		t.Fatalf("intra-group misroute %+v ok=%v, want local", req, ok)
 	}
-	if req.SetGlobalMis {
+	if req.Has(router.SetGlobalMis) {
 		t.Error("intra-group traffic misrouted globally")
 	}
 }
@@ -456,7 +456,7 @@ func TestOFARVariablePolicyStrictness(t *testing.T) {
 	// downstream queue (Q_min = 0): nothing is strictly below 0.9·0.
 	rt.AddCredit(min, 0)
 	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 1)
-	if ok && (req.SetGlobalMis || req.SetLocalMis) {
+	if ok && (req.Has(router.SetGlobalMis) || req.Has(router.SetLocalMis)) {
 		t.Errorf("variable policy misrouted on a serialization collision: %+v", req)
 	}
 }
@@ -477,7 +477,7 @@ func TestOFARVariablePolicyMisroutesOnBacklog(t *testing.T) {
 	}
 	saturatePort(rt, min) // occupancy 100%, credits exhausted
 	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 0)
-	if !ok || !req.SetGlobalMis {
+	if !ok || !req.Has(router.SetGlobalMis) {
 		t.Fatalf("variable policy did not misroute on backlog: %+v ok=%v", req, ok)
 	}
 }
@@ -508,27 +508,28 @@ func TestOFARLeastOccupiedSelection(t *testing.T) {
 	g0 := d.GlobalPortBase()
 	rt.Out[g0].SetCredits(0, rt.Out[g0].VCCap(0)-8) // 12.5% occupancy on the first global port
 	req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode, Ring: -1}, p, 0)
-	if !ok || !req.SetGlobalMis {
+	if !ok || !req.Has(router.SetGlobalMis) {
 		t.Fatalf("no misroute: %+v ok=%v", req, ok)
 	}
-	if req.Out != g0+1 {
+	if int(req.Out) != g0+1 {
 		t.Errorf("least-occupied pick %d, want the empty port %d", req.Out, g0+1)
 	}
 }
 
-// TestVCFitsClamping: hop classes beyond the VC count clamp to the last VC.
+// TestVCFitsClamping: hop classes beyond the VC count clamp to the last VC,
+// which is where a packet with that many hops fits or not.
 func TestVCFitsClamping(t *testing.T) {
 	d, _ := topology.New(2, 4, 2, 0)
 	rt := buildRouter(t, d, 0, true)
 	p := newPkt(d, 0, d.Nodes-1)
 	p.GlobalHops = 9 // clamps to the last VC
 	min := d.GlobalPortBase()
-	if !rt.VCFits(min, rt.Out[min].ClassVC(int(p.GlobalHops))) {
-		t.Error("clamped class should fit on a fresh port")
-	}
 	last := rt.Out[min].NumVCs() - 1
+	if vc := rt.Out[min].ClassVC(int(p.GlobalHops)); vc != last || rt.Out[min].Credits(vc) < 1 {
+		t.Errorf("clamped class VC %d, want %d with credits on a fresh port", vc, last)
+	}
 	rt.Out[min].SetCredits(last, 0)
-	if rt.VCFits(min, rt.Out[min].ClassVC(int(p.GlobalHops))) {
+	if rt.Out[min].Credits(rt.Out[min].ClassVC(int(p.GlobalHops))) > 0 {
 		t.Error("clamped class reported fit on an exhausted VC")
 	}
 }

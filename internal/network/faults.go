@@ -95,7 +95,7 @@ func (n *Network) applyDueFaults(now int64) {
 // router so OFAR stops entering or continuing it there.
 func (n *Network) failLink(r, port int) {
 	rt := n.Routers[r]
-	if rt.OutputDead(port) {
+	if rt.Out[port].Dead() {
 		return
 	}
 	if port >= n.Topo.RouterPorts {

@@ -99,7 +99,7 @@ func TestGlobalLinkFaultDegradedDelivery(t *testing.T) {
 	// The dead pair never carries traffic again: both directions stay Busy.
 	f := fs[0]
 	peer, peerPort := n.Routers[f.Router].Out[f.Port].Peer, int(n.Routers[f.Router].Out[f.Port].PeerPort)
-	if !n.Routers[f.Router].OutputDead(f.Port) || !n.Routers[peer].OutputDead(peerPort) {
+	if !n.Routers[f.Router].Out[f.Port].Dead() || !n.Routers[peer].Out[peerPort].Dead() {
 		t.Error("dead link has a live direction")
 	}
 }

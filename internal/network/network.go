@@ -993,28 +993,28 @@ func (n *Network) cycleGroup(s *groupScratch, g, k int, now int64) {
 				n.sched(s, g, k, int(out.Latency), event{kind: evArrive, pkt: gr.Pkt, r: out.Peer, port: int8(out.PeerPort), vc: int8(req.VC)})
 				n.sched(s, g, k, S-1, event{kind: evDrain, r: int32(r.ID), port: int8(gr.InPort), vc: int8(gr.InVC)})
 			}
-			n.Stats.AddUtilization(r.ID, req.Out, S)
-			if req.SetGlobalMis {
+			n.Stats.AddUtilization(r.ID, int(req.Out), S)
+			if req.Has(router.SetGlobalMis) {
 				s.globalMis++
 			}
-			if req.SetLocalMis {
+			if req.Has(router.SetLocalMis) {
 				s.localMis++
 			}
-			if req.EnterRing {
+			if req.Has(router.EnterRing) {
 				s.ringEnters++
 			}
-			if req.ExitRing {
+			if req.Has(router.ExitRing) {
 				s.ringExits++
 			}
-			if req.Escape && !req.EnterRing {
+			if req.Flags&(router.Escape|router.EnterRing) == router.Escape {
 				s.ringHops++
 			}
 			if !n.logGrants {
 				continue
 			}
 			s.grs = append(s.grs, grantRec{born: p.Born, r: int32(r.ID), src: int32(p.Src), dst: int32(p.Dst),
-				inPort: uint8(gr.InPort), inVC: uint8(gr.InVC), out: uint8(req.Out), vc: uint8(req.VC),
-				eject: gr.Eject, detour: req.SetGlobalMis || req.SetLocalMis || req.EnterRing})
+				inPort: uint8(gr.InPort), inVC: uint8(gr.InVC), out: req.Out, vc: req.VC,
+				eject: gr.Eject, detour: req.Flags&(router.SetGlobalMis|router.SetLocalMis|router.EnterRing) != 0})
 		}
 	}
 }
@@ -1157,7 +1157,7 @@ func (n *Network) commitGrant(g *grantRec, now int64) {
 		n.obs.grant(GrantEvent{Cycle: now, Router: g.r, InPort: g.inPort, InVC: g.inVC, Out: g.out, VC: g.vc,
 			Src: g.src, Dst: g.dst, Born: g.born, Eject: g.eject})
 	}
-	if n.faultIdx > 0 && g.detour && n.Routers[g.r].OutputDead(n.Topo.MinimalPort(int(g.r), int(g.dst))) {
+	if n.faultIdx > 0 && g.detour && n.Routers[g.r].Out[n.Topo.MinimalPort(int(g.r), int(g.dst))].Dead() {
 		// The packet left its minimal path while the minimal output here is
 		// dead: the fault, not ordinary congestion, forced the detour.
 		n.Stats.FaultReroutes++

@@ -34,6 +34,7 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		h6      bool
 		chunk   int  // cycles per measured call: Step when 0
 		digest  bool // the grant digest on: the merge logs and folds every grant
+		adv     bool // ADV+h at load 1.0: blocked heads misroute every cycle
 	}{
 		{name: "serial/sched"},
 		{name: "serial/timed", timed: true},
@@ -41,6 +42,10 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		{name: "workers4/sched", workers: 4},
 		{name: "workers4/timed", workers: 4, timed: true},
 		{name: "workers4/digest", workers: 4, digest: true},
+		// The misroute path: UN at 0.4 barely misroutes, ADV+h above
+		// saturation runs Candidates and its per-pass memo on most heads.
+		{name: "serial/adv", adv: true},
+		{name: "workers4/adv", workers: 4, adv: true},
 		// The paper's scale (ROADMAP 1(d)): UN at load 0.3, warmed 2,000
 		// cycles, then snapshotted and restored in place — the window the
 		// benchmark measures, which used to re-grow a rebuilt wheel (~1
@@ -71,7 +76,11 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 			if tc.digest {
 				n.EnableGrantDigest()
 			}
-			n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), load, cfg.PacketSize))
+			var pat traffic.Pattern = traffic.NewUniform(n.Topo)
+			if tc.adv {
+				pat, load = traffic.NewAdv(n.Topo, h), 1.0
+			}
+			n.SetGenerator(traffic.NewBernoulli(pat, load, cfg.PacketSize))
 			chunk := max(1, tc.chunk)
 			op := func() { n.Run(chunk) }
 			for i := 0; i < warm/chunk; i++ {

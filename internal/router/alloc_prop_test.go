@@ -95,7 +95,7 @@ func TestAllocatorLRSFairnessProperty(t *testing.T) {
 				if in.Port == out {
 					return Request{}, false
 				}
-				return Request{Out: out, VC: 0}, true
+				return Request{Out: uint8(out), VC: 0}, true
 			}}
 			var pool packet.Pool
 			requesters := tc.ports * tc.vcs
@@ -151,7 +151,7 @@ type reqTable map[[2]int]int
 func tableEngine(tab reqTable) scriptEngine {
 	return scriptEngine{route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
 		out, ok := tab[[2]int{in.Port, in.VC}]
-		return Request{Out: out, VC: 0}, ok
+		return Request{Out: uint8(out), VC: 0}, ok
 	}}
 }
 
@@ -163,9 +163,9 @@ func tableEngine(tab reqTable) scriptEngine {
 func checkMatching(t *testing.T, tab reqTable, grants []Grant) {
 	t.Helper()
 	inUsed := map[int]bool{}
-	outUsed := map[int]bool{}
+	outUsed := map[uint8]bool{}
 	for _, g := range grants {
-		if want, ok := tab[[2]int{g.InPort, g.InVC}]; !ok || want != g.Req.Out {
+		if want, ok := tab[[2]int{g.InPort, g.InVC}]; !ok || want != int(g.Req.Out) {
 			t.Fatalf("grant %+v does not correspond to a submitted request", g)
 		}
 		if inUsed[g.InPort] {
@@ -178,7 +178,7 @@ func checkMatching(t *testing.T, tab reqTable, grants []Grant) {
 		outUsed[g.Req.Out] = true
 	}
 	for key, out := range tab {
-		if !inUsed[key[0]] && !outUsed[out] {
+		if !inUsed[key[0]] && !outUsed[uint8(out)] {
 			t.Fatalf("matching not maximal: request %v -> %d has both endpoints free (grants %+v)",
 				key, out, grants)
 		}
@@ -355,7 +355,7 @@ func testArbiterAgainstModel(t *testing.T, byOutput bool, width, rounds int) {
 		if byOutput {
 			return Request{Out: 0}, true
 		}
-		return Request{Out: in.VC}, in.Port == 0
+		return Request{Out: uint8(in.VC)}, in.Port == 0
 	}}
 	model := newLRSModel(width)
 	rng := simcore.NewRNG(0x125)

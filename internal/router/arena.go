@@ -34,7 +34,7 @@ type Arena struct {
 	u64    []uint64
 	vcs    []VCBuffer
 	outVCs []outVC
-	reqs   []reqSlot
+	reqs   []Request
 	inP    []InPort
 	outP   []OutPort
 	pkts   []packet.Handle
@@ -81,7 +81,7 @@ func NewArena(sz ArenaSize) *Arena {
 	return &Arena{
 		Size: sz,
 		u8:   make([]uint8, sz.Uint8s), i32: make([]int32, sz.Int32s), u64: make([]uint64, sz.Uint64s),
-		vcs: make([]VCBuffer, sz.VCBuffers), outVCs: make([]outVC, sz.OutVCs), reqs: make([]reqSlot, sz.Requests),
+		vcs: make([]VCBuffer, sz.VCBuffers), outVCs: make([]outVC, sz.OutVCs), reqs: make([]Request, sz.Requests),
 		inP: make([]InPort, sz.InPorts), outP: make([]OutPort, sz.OutPorts),
 		pkts: make([]packet.Handle, sz.PacketSlots),
 		Slack: sz.Uint8s + sz.Int32s + sz.Uint64s + sz.VCBuffers + sz.OutVCs +
@@ -98,7 +98,7 @@ func (s ArenaSize) Bytes() (queues, vcs, arbiters, ports, reqs, scratch int) {
 		s.Uint8s,
 		s.InPorts*int(unsafe.Sizeof(InPort{})) + s.OutPorts*int(unsafe.Sizeof(OutPort{})) +
 			s.OutVCs*int(unsafe.Sizeof(outVC{})),
-		s.Requests * int(unsafe.Sizeof(reqSlot{})),
+		s.Requests * int(unsafe.Sizeof(Request{})),
 		4*s.Int32s + 8*s.Uint64s
 }
 

@@ -8,44 +8,29 @@ import (
 // Request is a routing engine's desired crossbar transfer for the packet at
 // the head of one input VC: the output port, the downstream VC, and the
 // header side effects to apply if (and only if) the request wins switch
-// allocation.
+// allocation. Ports and VCs are below 64 (Config.Validate), so the whole
+// request is one 4-byte record: the router stores it as returned in its
+// reqs slab and replays it from there.
 type Request struct {
-	Out int // output port
-	VC  int // downstream VC index on that port
-
-	Escape    bool // target VC belongs to the escape subnetwork
-	EnterRing bool // canonical → ring transition (2-packet bubble was checked)
-	ExitRing  bool // ring → canonical transition (counts against the exit budget)
-	Ring      int8 // escape ring being entered/ridden (valid when Escape)
-
-	SetGlobalMis bool // mark the packet's one-global-misroute flag
-	SetLocalMis  bool // mark the packet's per-group local-misroute flag
+	Out   uint8    // output port
+	VC    uint8    // downstream VC index on that port
+	Ring  int8     // escape ring being entered/ridden (valid with Escape)
+	Flags ReqFlags // header side effects
 }
 
-// reqSlot is a Request packed into the router's reqs slab: ports and VCs
-// are below 64 (Config.Validate), so each fits a byte, and the five flags
-// share one, bit i for the i-th flag in Request's field order.
-type reqSlot struct {
-	out, vc uint8
-	ring    int8
-	flags   uint8
-}
+// ReqFlags is a Request's set of header side effects.
+type ReqFlags uint8
 
-func packRequest(q Request) reqSlot {
-	s := reqSlot{out: uint8(q.Out), vc: uint8(q.VC), ring: q.Ring}
-	for i, b := range [...]bool{q.Escape, q.EnterRing, q.ExitRing, q.SetGlobalMis, q.SetLocalMis} {
-		if b {
-			s.flags |= 1 << i
-		}
-	}
-	return s
-}
+const (
+	Escape       ReqFlags = 1 << iota // target VC belongs to the escape subnetwork
+	EnterRing                         // canonical → ring transition (2-packet bubble was checked)
+	ExitRing                          // ring → canonical transition (counts against the exit budget)
+	SetGlobalMis                      // mark the packet's one-global-misroute flag
+	SetLocalMis                       // mark the packet's per-group local-misroute flag
+)
 
-func (s reqSlot) request() Request {
-	bit := func(i int) bool { return s.flags>>i&1 != 0 }
-	return Request{Out: int(s.out), VC: int(s.vc), Ring: s.ring,
-		Escape: bit(0), EnterRing: bit(1), ExitRing: bit(2), SetGlobalMis: bit(3), SetLocalMis: bit(4)}
-}
+// Has reports whether every flag of f is set.
+func (q Request) Has(f ReqFlags) bool { return q.Flags&f == f }
 
 // InCtx describes the input buffer holding the packet a routing decision is
 // being made for. The paper's OFAR policy distinguishes injection queues,
@@ -53,8 +38,7 @@ func (s reqSlot) request() Request {
 type InCtx struct {
 	Port, VC int
 	Kind     topology.PortKind
-	Escape   bool // the buffer is an escape-ring channel
-	Ring     int  // escape ring index (-1 for canonical buffers)
+	Ring     int // escape ring of an escape-ring channel; -1 for canonical buffers
 }
 
 // Engine is a routing mechanism. Route is invoked every cycle for every

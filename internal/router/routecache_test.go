@@ -67,7 +67,7 @@ func TestRouteCacheBusyTransitions(t *testing.T) {
 	var pool packet.Pool
 	eng := &cacheScriptEngine{
 		route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
-			if rt.OutBusy(2, now) {
+			if rt.Out[2].Busy(now) {
 				return Request{}, false
 			}
 			return Request{Out: 2, VC: 0}, true
@@ -111,7 +111,7 @@ func TestRouteCacheBanksWindowOfBusyInput(t *testing.T) {
 	var pool packet.Pool
 	eng := &cacheScriptEngine{
 		route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
-			if rt.VCFits(2, 0) {
+			if rt.Out[2].Credits(0) > 0 {
 				return Request{Out: 2, VC: 0}, true
 			}
 			return Request{Out: 1, VC: 0}, true
@@ -152,7 +152,7 @@ func TestRouteCacheHeadReplacement(t *testing.T) {
 	var pool packet.Pool
 	eng := &cacheScriptEngine{
 		route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
-			if rt.OutBusy(2, now) {
+			if rt.Out[2].Busy(now) {
 				return Request{}, false
 			}
 			return Request{Out: 2, VC: 0}, true

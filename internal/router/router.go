@@ -113,7 +113,7 @@ type Router struct {
 	// cleared — a slot is only read when its reqMask bit is set this cycle,
 	// and only a re-evaluation of that (port, vc) writes it, which is what
 	// lets route-cache hits skip the write entirely.
-	reqs        []reqSlot
+	reqs        []Request
 	reqMask     []uint64
 	vcBase      []int32
 	candVC      []int32
@@ -126,8 +126,8 @@ type Router struct {
 	// formation pass captured it: credits taken (commit) or refunded
 	// (AddCredit), busy→free expiry (expireBusy), link death (FailOutput),
 	// ring-edge removal (FailRing) and structural credit surgery
-	// (NoteOutMutated). Cycle drains dirty into the cycle's
-	// invalidation window; a cached decision is stale iff its read-set mask
+	// (NoteOutMutated) — kept with the cache off too, where nothing drains
+	// it. Cycle drains dirty into the cycle's invalidation window; a cached decision is stale iff its read-set mask
 	// intersects the window. Live cache entries are re-validated every Cycle
 	// (an entry's VC has its ready bit set by definition), with two gaps
 	// both covered: a busy input port's entries are skipped for the busy
@@ -149,22 +149,32 @@ type Router struct {
 	outBusy uint64
 	allOut  uint64
 
-	// rs is the read set of the engine.Route call in progress: formRequests
-	// resets it before every call and, with the cache on, stores it as the
-	// head's entry afterwards.
-	rs readSet
+	// rsMask and rsExpire are the read set the engine.Route call in progress
+	// records (NoteRead, NoteExpiry); formRequests resets them before every
+	// call and, with the cache on, stores them as the head's entry.
+	rsMask   uint64
+	rsExpire int64
 
 	// arena backs late slice allocations (EnableRouteCache) with the same
 	// group slab the constructor used.
 	arena *Arena
+
+	// cands memoizes the pass's Candidates queries while candOn: nCands
+	// slots, one per key. Four hold what the static policy asks (a range per
+	// hop class); a query past the last slot is just computed.
+	cands [4]struct {
+		key  candKey
+		mask uint64
+	}
+	nCands int
+	candOn bool
 }
 
-// readSet is what one Route call recorded through NoteRead and NoteExpiry:
-// the output ports it read and the first cycle its decision may change by
-// time alone (0, never replayed, until the engine notes one).
-type readSet struct {
-	mask   uint64
-	expire int64
+// candKey is a Candidates query; its cycle is the pass's.
+type candKey struct {
+	th                float64
+	base, count, hops uint8
+	strict            bool
 }
 
 // New builds a router from its parameter block.
@@ -273,7 +283,11 @@ func (r *Router) RandInt(n int) int {
 // NoteRead records that the Route call in progress read output port port's
 // state: credits, busy or dead status, escape-ring reachability. A cached
 // decision is replayed only while no port it read has changed.
-func (r *Router) NoteRead(port int) { r.rs.mask |= 1 << uint(port) }
+func (r *Router) NoteRead(port int) { r.rsMask |= 1 << uint(port) }
+
+// ReadSet returns the output ports the Route call in progress has noted as
+// read so far. Test hook: the candidate scan's oracle compares read sets.
+func (r *Router) ReadSet() uint64 { return r.rsMask }
 
 // NoteExpiry makes the Route call in progress replayable until cycle
 // (exclusive): the first cycle its decision may change by time alone, e.g. a
@@ -281,7 +295,7 @@ func (r *Router) NoteRead(port int) { r.rs.mask |= 1 << uint(port) }
 // change it. Busy deadlines need not be folded in; the router tracks
 // busy→free transitions itself. A call that notes no expiry is never
 // replayed, so an engine opts into the cache call by call.
-func (r *Router) NoteExpiry(cycle int64) { r.rs.expire = cycle }
+func (r *Router) NoteExpiry(cycle int64) { r.rsExpire = cycle }
 
 // EnableRouteCache turns on dirty-mask-invalidated route memoization: one
 // entry per input VC (see formRequests). The network calls it once, after
@@ -301,30 +315,41 @@ func (r *Router) EnableRouteCache() {
 // NoteOutMutated records that an output port's credit or peer state was
 // rewritten outside the normal commit/refund paths (escape-ring splice
 // surgery). Cached decisions that read the port are invalidated.
-func (r *Router) NoteOutMutated(port int) {
-	if r.cacheOn {
-		r.dirty |= 1 << uint(port)
-	}
-}
+func (r *Router) NoteOutMutated(port int) { r.dirty |= 1 << uint(port) }
 
-// OutBusy reports whether an output port is serializing a previous packet.
-func (r *Router) OutBusy(port int, now int64) bool { return r.Out[port].Busy(now) }
-
-// OutOcc returns the canonical occupancy fraction of the downstream buffer.
-func (r *Router) OutOcc(port int) float64 { return r.Out[port].Occupancy() }
-
-// VCFits reports whether a specific downstream VC has a credit for a packet
-// (ejection ports always fit). Dead ports never fit: frozen credits would
-// otherwise keep looking available forever.
-func (r *Router) VCFits(port, vc int) bool {
-	op := &r.Out[port]
-	if op.dead {
-		return false
+// Candidates returns the mask of the misroute candidates among the output
+// ports in [base, base+count), noting the whole range as read: ports that
+// are wired and free, whose occupancy is ≤ th (< th when strict), and whose
+// hop-class VC (for a packet that took hops global hops) is canonical with
+// at least two credits — real headroom, not measurement noise. Nothing an
+// engine reads changes during a formRequests pass (allocate commits after
+// every head has routed), so within a pass later heads reuse the first
+// mask computed for a key; outside a pass nothing is kept.
+func (r *Router) Candidates(base, count, hops int, th float64, strict bool, now int64) uint64 {
+	r.rsMask |= (1<<uint(count) - 1) << uint(base)
+	key := candKey{th, uint8(base), uint8(count), uint8(min(hops, 63)), strict}
+	for _, c := range r.cands[:r.nCands] {
+		if c.key == key {
+			return c.mask
+		}
 	}
-	if op.Kind == topology.PortNode {
-		return true
+	var m uint64
+	for port := base; port < base+count; port++ {
+		op := &r.Out[port]
+		if op.Kind == topology.PortNone || op.Busy(now) {
+			continue
+		}
+		v := &op.vcs[op.ClassVC(int(key.hops))]
+		if occ := op.Occupancy(); occ > th || strict && occ >= th || v.credits < 2 || v.ring >= 0 && op.Kind != topology.PortNode {
+			continue
+		}
+		m |= 1 << uint(port)
 	}
-	return op.Credits(vc) > 0
+	if r.candOn && r.nCands < len(r.cands) {
+		r.cands[r.nCands].key, r.cands[r.nCands].mask = key, m
+		r.nCands++
+	}
+	return m
 }
 
 // FailOutput marks one output port's link as failed: the port becomes
@@ -332,17 +357,10 @@ func (r *Router) VCFits(port, vc int) bool {
 // link must republish as congested, so the router is marked dirty.
 func (r *Router) FailOutput(port int) {
 	r.Out[port].dead = true
-	if r.cacheOn {
-		r.dirty |= 1 << uint(port)
-	}
+	r.dirty |= 1 << uint(port)
 	if r.pb != nil && r.Out[port].Kind == topology.PortGlobal {
 		r.pbDirty = true
 	}
-}
-
-// OutputDead reports whether an output port's link has failed.
-func (r *Router) OutputDead(port int) bool {
-	return port >= 0 && port < len(r.Out) && r.Out[port].dead
 }
 
 // DropBuffered discards every packet buffered in this router's input VCs,
@@ -397,7 +415,7 @@ func (r *Router) RingOut(ring int) (port, vc, credits int, ok bool) {
 // through canonical outputs as usual.
 func (r *Router) FailRing(ring int) {
 	if ring >= 0 && ring < len(r.ringOuts) {
-		if po := r.ringOuts[ring]; po >= 0 && r.cacheOn {
+		if po := r.ringOuts[ring]; po >= 0 {
 			r.dirty |= 1 << uint(po) // cached RingOut reads of this port are stale
 		}
 		r.ringOuts[ring] = -1
@@ -481,9 +499,7 @@ func (r *Router) FinishDrain(port, vc int) (h packet.Handle, upRouter, upPort in
 // freed its space).
 func (r *Router) AddCredit(port, vc int) {
 	r.Out[port].Refund(vc)
-	if r.cacheOn {
-		r.dirty |= 1 << uint(port)
-	}
+	r.dirty |= 1 << uint(port)
 	if r.pb != nil && r.Out[port].Kind == topology.PortGlobal {
 		r.pbDirty = true
 	}
@@ -661,6 +677,7 @@ func (r *Router) expireBusy(now int64) {
 // pendingDirty and joins the window of its first free cycle: an entry is
 // always checked against every invalidation since it was last checked.
 func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend uint64) {
+	r.nCands, r.candOn = 0, true
 	for pm := r.readyPorts; pm != 0; pm &= pm - 1 {
 		ip := bits.TrailingZeros64(pm)
 		inp := &r.In[ip]
@@ -690,15 +707,11 @@ func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend u
 			if p.BlockedSince < 0 {
 				p.BlockedSince = now
 			}
-			in := InCtx{
-				Port: ip, VC: vc, Kind: inp.Kind,
-				Escape: buf.Escape, Ring: int(buf.Ring),
-			}
-			r.rs = readSet{}
+			r.rsMask, r.rsExpire = 0, 0
 			rngBefore := r.rngDraws
-			req, ok := engine.Route(r, in, p, now)
+			req, ok := engine.Route(r, InCtx{Port: ip, VC: vc, Kind: inp.Kind, Ring: int(buf.Ring)}, p, now)
 			if r.cacheOn {
-				buf.cMask, buf.cExpire, buf.cOK = r.rs.mask, r.rs.expire, ok
+				buf.cMask, buf.cExpire, buf.cOK = r.rsMask, r.rsExpire, ok
 				if r.rngDraws != rngBefore {
 					// The decision consumed randomness; replaying it would
 					// skip the draws and desynchronize the RNG stream.
@@ -706,7 +719,7 @@ func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend u
 				}
 			}
 			if ok {
-				r.reqs[base+vc] = packRequest(req)
+				r.reqs[base+vc] = req
 				reqM |= 1 << uint(vc)
 			}
 		}
@@ -715,6 +728,7 @@ func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend u
 			inPend |= 1 << uint(ip)
 		}
 	}
+	r.nCands, r.candOn = 0, false
 	return inPend
 }
 
@@ -753,7 +767,7 @@ func (r *Router) allocate(inPend uint64, now int64) {
 			var bestRk uint8
 			for vm := r.reqMask[ip]; vm != 0; vm &= vm - 1 {
 				vc := bits.TrailingZeros64(vm)
-				if outAvail&(1<<r.reqs[base+vc].out) == 0 {
+				if outAvail&(1<<r.reqs[base+vc].Out) == 0 {
 					continue
 				}
 				if rk := r.inRank[base+vc]; best == -1 || rk < bestRk {
@@ -763,7 +777,7 @@ func (r *Router) allocate(inPend uint64, now int64) {
 			if best < 0 {
 				continue
 			}
-			out := r.reqs[base+best].out
+			out := r.reqs[base+best].Out
 			r.candVC[ip] = int32(best)
 			if r.outCandMask[out] == 0 {
 				r.touchedOut = append(r.touchedOut, int32(out))
@@ -801,7 +815,7 @@ func (r *Router) allocate(inPend uint64, now int64) {
 			outAvail &^= 1 << uint(op)
 			grantRank(r.inRow(best), vc)
 			grantRank(row, best)
-			r.commit(best, vc, r.reqs[int(r.vcBase[best])+vc].request(), now)
+			r.commit(best, vc, r.reqs[int(r.vcBase[best])+vc], now)
 			granted = true
 		}
 		if !granted {
@@ -839,23 +853,23 @@ func (r *Router) commit(ip, vc int, req Request, now int64) {
 	}
 	eject := out.Kind == topology.PortNode
 	if !eject {
-		out.Take(req.VC)
+		out.Take(int(req.VC))
 		if r.pb != nil && out.Kind == topology.PortGlobal {
 			r.pbDirty = true
 		}
 	}
-	if req.SetGlobalMis {
+	if req.Has(SetGlobalMis) {
 		p.GlobalMisrouted = true
 	}
-	if req.SetLocalMis {
+	if req.Has(SetLocalMis) {
 		p.LocalMisrouted = true
 		p.MisrouteGroup = int16(r.Group)
 	}
-	if req.EnterRing {
+	if req.Has(EnterRing) {
 		p.OnRing = true
 		p.Ring = req.Ring
 	}
-	if req.ExitRing {
+	if req.Has(ExitRing) {
 		p.OnRing = false
 		p.Ring = -1
 		p.RingExits++

@@ -34,7 +34,7 @@ func BenchmarkCycleLoaded(b *testing.B) {
 		}
 	}
 	eng := scriptEngine{route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
-		return Request{Out: (in.Port + 1) % len(rt.Out), VC: 0}, true
+		return Request{Out: uint8((in.Port + 1) % len(rt.Out)), VC: 0}, true
 	}}
 	b.ResetTimer()
 	now := int64(0)

@@ -112,7 +112,7 @@ func TestAllocatorParallelGrants(t *testing.T) {
 	r := testRouter(t, 1)
 	var pool packet.Pool
 	eng := scriptEngine{route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
-		return Request{Out: in.Port, VC: 0}, true // input i -> output i
+		return Request{Out: uint8(in.Port), VC: 0}, true // input i -> output i
 	}}
 	push(r, 0, 0, &pool)
 	push(r, 1, 0, &pool)
@@ -134,7 +134,7 @@ func TestAllocatorIterationsRecover(t *testing.T) {
 	want := map[[2]int]int{{0, 0}: 1, {1, 0}: 1, {1, 1}: 2}
 	eng := scriptEngine{route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
 		out, ok := want[[2]int{in.Port, in.VC}]
-		return Request{Out: out, VC: 0}, ok
+		return Request{Out: uint8(out), VC: 0}, ok
 	}}
 	push(r, 0, 0, &pool)
 	push(r, 1, 0, &pool)
@@ -145,7 +145,7 @@ func TestAllocatorIterationsRecover(t *testing.T) {
 	}
 	got := map[int]int{} // input -> output
 	for _, g := range grants {
-		got[g.InPort] = g.Req.Out
+		got[g.InPort] = int(g.Req.Out)
 	}
 	if got[0] != 1 || got[1] != 2 {
 		t.Errorf("matching %v, want 0->1 and 1->2", got)
@@ -161,7 +161,7 @@ func TestAllocatorMaximalNotMaximum(t *testing.T) {
 	want := map[[2]int]int{{0, 0}: 2, {0, 1}: 1, {1, 0}: 2}
 	eng := scriptEngine{route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
 		out, ok := want[[2]int{in.Port, in.VC}]
-		return Request{Out: out, VC: 0}, ok
+		return Request{Out: uint8(out), VC: 0}, ok
 	}}
 	push(r, 0, 0, &pool)
 	push(r, 0, 1, &pool)
@@ -224,7 +224,7 @@ func TestCommitAppliesHeaderFlags(t *testing.T) {
 	r := testRouter(t, 1)
 	var pool packet.Pool
 	eng := scriptEngine{route: func(rt *Router, in InCtx, p *packet.Packet, now int64) (Request, bool) {
-		return Request{Out: 1, VC: 0, SetGlobalMis: true, SetLocalMis: true}, true
+		return Request{Out: 1, VC: 0, Flags: SetGlobalMis | SetLocalMis}, true
 	}}
 	p := push(r, 0, 0, &pool)
 	if p.GlobalMisrouted || p.LocalMisrouted {
@@ -371,19 +371,19 @@ func TestRouterAccessors(t *testing.T) {
 	if v := r.RandInt(5); v < 0 || v >= 5 {
 		t.Errorf("RandInt out of range: %d", v)
 	}
-	if r.OutBusy(1, 0) {
+	if r.Out[1].Busy(0) {
 		t.Error("fresh port busy")
 	}
-	if r.OutOcc(1) != 0 {
+	if r.Out[1].Occupancy() != 0 {
 		t.Error("fresh port occupied")
 	}
 	r.Out[1].SetCredits(0, 4)
-	if got := r.OutOcc(1); got != 0.25 {
-		t.Errorf("OutOcc=%f want 0.25 (aggregate of 2 VCs)", got)
+	if got := r.Out[1].Occupancy(); got != 0.25 {
+		t.Errorf("Occupancy=%f want 0.25 (aggregate of 2 VCs)", got)
 	}
 	r.Out[1].SetCredits(0, 0)
-	if !r.VCFits(1, 1) || r.VCFits(1, 0) {
-		t.Error("VCFits wrong")
+	if r.Out[1].Credits(1) < 1 || r.Out[1].Credits(0) > 0 {
+		t.Error("credits wrong")
 	}
 	if r.PBFlag(0, 0) {
 		t.Error("PBFlag without a board")

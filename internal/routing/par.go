@@ -43,14 +43,12 @@ func (e *PAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now in
 		}
 	}
 	out := nextOut(e.d, rt.ID, p)
-	if rt.OutBusy(out, now) {
+	op := &rt.Out[out]
+	vc := op.ClassVC(parHops(op.Kind, p))
+	if op.Busy(now) || op.Kind != topology.PortNode && op.Credits(vc) < 1 {
 		return router.Request{}, false
 	}
-	vc := rt.Out[out].ClassVC(parHops(rt.Out[out].Kind, p))
-	if !rt.VCFits(out, vc) {
-		return router.Request{}, false
-	}
-	return router.Request{Out: out, VC: vc}, true
+	return router.Request{Out: uint8(out), VC: uint8(vc)}, true
 }
 
 // parHops is the hop count PAR's ascending discipline classes a hop on a

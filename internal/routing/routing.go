@@ -32,14 +32,12 @@ func routeFixed(d *topology.Dragonfly, rt *router.Router, p *packet.Packet, now 
 	out := nextOut(d, rt.ID, p)
 	rt.NoteRead(out)
 	rt.NoteExpiry(math.MaxInt64)
-	if rt.OutBusy(out, now) {
-		return router.Request{}, false
+	op := &rt.Out[out]
+	vc := op.ClassVC(int(p.GlobalHops))
+	if op.Busy(now) || op.Kind != topology.PortNode && op.Credits(vc) < 1 {
+		return router.Request{}, false // busy (or dead), or no credit for the packet
 	}
-	vc := rt.Out[out].ClassVC(int(p.GlobalHops))
-	if !rt.VCFits(out, vc) {
-		return router.Request{}, false
-	}
-	return router.Request{Out: out, VC: vc}, true
+	return router.Request{Out: uint8(out), VC: uint8(vc)}, true
 }
 
 // pickIntermediate selects a random intermediate group different from both

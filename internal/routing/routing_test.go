@@ -116,10 +116,10 @@ func TestMinimalRouteRequest(t *testing.T) {
 	if !ok {
 		t.Fatal("route refused on an idle router")
 	}
-	if req.Out != d.MinimalPort(0, dst) || req.VC != 0 {
+	if int(req.Out) != d.MinimalPort(0, dst) || req.VC != 0 {
 		t.Errorf("req=%+v", req)
 	}
-	if req.SetGlobalMis || req.SetLocalMis || req.Escape {
+	if req.Has(router.SetGlobalMis) || req.Has(router.SetLocalMis) || req.Has(router.Escape) {
 		t.Error("minimal routing set misroute/escape flags")
 	}
 }
@@ -380,7 +380,7 @@ func TestValiantRouteFollowsCommittedPath(t *testing.T) {
 	if !ok {
 		t.Fatal("route refused")
 	}
-	if req.Out != d.PortToGroup(0, 4) {
+	if int(req.Out) != d.PortToGroup(0, 4) {
 		t.Errorf("VAL did not head to its intermediate group")
 	}
 }
@@ -391,7 +391,7 @@ func TestUGALAndPBRouteAreFixed(t *testing.T) {
 	p := newPkt(d, 0, d.Nodes-1)
 	for _, e := range []router.Engine{NewUGAL(d, DefaultAdaptiveConfig()), NewPB(d, DefaultAdaptiveConfig())} {
 		req, ok := e.Route(rt, router.InCtx{Kind: topology.PortNode}, p, 0)
-		if !ok || req.Out != d.MinimalPort(0, int(p.Dst)) {
+		if !ok || int(req.Out) != d.MinimalPort(0, int(p.Dst)) {
 			t.Errorf("%T route %+v ok=%v", e, req, ok)
 		}
 	}
