@@ -33,7 +33,7 @@ type Experiment struct {
 	Measure int       `json:"measure,omitempty"` // cycles (default 5000)
 
 	// Jobs switches to a job-level workload (mutually exclusive with
-	// Pattern and the sections) in the ParseWorkload syntax,
+	// Pattern and the sections) in the CLIs' -jobs syntax,
 	// "stencil:4x4x4@0.3,a2a:32@0.5".
 	// Loads then scale every job's load, each point's result is a
 	// JobsResult, and the workload's canonical name is the pattern
@@ -128,7 +128,7 @@ func (e Experiment) Resolve() (Resolved, error) {
 		if e.Pattern != "" || e.Transient != nil || e.Burst != nil {
 			return r, fmt.Errorf("jobs are mutually exclusive with a pattern, a transient and a burst")
 		}
-		w, err := ParseWorkload(e.Jobs)
+		w, err := parseWorkload(e.Jobs)
 		if err != nil {
 			return r, fmt.Errorf("parsing jobs: %w", err)
 		}

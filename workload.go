@@ -54,14 +54,14 @@ var jobKinds = map[string]traffic.JobKind{
 	"ps":      traffic.JobParamServer,
 }
 
-// ParseWorkload parses the CLI workload syntax: comma-separated jobs, each
+// parseWorkload parses the CLI workload syntax: comma-separated jobs, each
 // `kind:size@load` with an optional `:start-end` lifetime window, e.g.
 //
 //	stencil:4x4x4@0.3,a2a:64@0.5,ps:32@0.2:1000-8000
 //
 // Stencil sizes are XxYxZ task grids; other kinds give a plain node count.
 // Placement and background load are separate knobs on the Workload.
-func ParseWorkload(s string) (Workload, error) {
+func parseWorkload(s string) (Workload, error) {
 	var w Workload
 	if strings.TrimSpace(s) == "" {
 		return w, fmt.Errorf("empty workload spec")

@@ -15,7 +15,7 @@ import (
 // nodes are occupied, the rest offer light background traffic.
 func testWorkload(t *testing.T) Workload {
 	t.Helper()
-	w, err := ParseWorkload("stencil:2x2x2@0.3,a2a:8@0.4,ring:8@0.2,ps:6@0.3")
+	w, err := parseWorkload("stencil:2x2x2@0.3,a2a:8@0.4,ring:8@0.2,ps:6@0.3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func testWorkload(t *testing.T) Workload {
 }
 
 func TestParseWorkload(t *testing.T) {
-	w, err := ParseWorkload("stencil:2x3x4@0.25,a2a:16@0.5,ring:8@0.1:100-900,ps:5@0.4")
+	w, err := parseWorkload("stencil:2x3x4@0.25,a2a:16@0.5,ring:8@0.1:100-900,ps:5@0.4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +53,8 @@ func TestParseWorkload(t *testing.T) {
 		"ring:8@0.2:900-100",       // end before start
 		"ps:6@0.3:extra:junk:junk", // too many fields
 	} {
-		if _, err := ParseWorkload(bad); err == nil {
-			t.Errorf("ParseWorkload(%q) accepted, want error", bad)
+		if _, err := parseWorkload(bad); err == nil {
+			t.Errorf("parseWorkload(%q) accepted, want error", bad)
 		}
 	}
 }
@@ -313,7 +313,7 @@ func TestJobStatsConservation(t *testing.T) {
 // restores bit-identically — per-job emission progress, lifetime windows and
 // per-job statistics included.
 func TestJobSetSnapshotRoundTrip(t *testing.T) {
-	w, err := ParseWorkload("stencil:2x2x2@0.3,a2a:8@0.4,ring:8@0.2:200-600,ps:6@0.3")
+	w, err := parseWorkload("stencil:2x2x2@0.3,a2a:8@0.4,ring:8@0.2:200-600,ps:6@0.3")
 	if err != nil {
 		t.Fatal(err)
 	}
