@@ -39,7 +39,7 @@ loc:
 # internal/network + internal/router sum may not exceed the ceiling, which is
 # the measured sum at the time the gate was added — lower it when a deletion
 # lands, never raise it to make a PR pass.
-LOC_CEILING ?= 4546
+LOC_CEILING ?= 4532
 
 loc-check: loc
 	@sum=0; for d in internal/network internal/router; do sum=$$((sum + $$($(LOC_COUNT)))); done; \

@@ -19,8 +19,7 @@ import (
 // TestArenaExactFit pins the sizing pass to what construction consumes: over
 // every radix × ring layout × routing family Validate accepts, each group
 // arena ends New with nothing left over (slack) and nothing served by plain
-// make (spill) — router.ArenaSize.Add and NewInto/EnableRouteCache agree to
-// the element.
+// make (spill) — router.ArenaSize.Add and NewInto agree to the element.
 func TestArenaExactFit(t *testing.T) {
 	hs := []int{2, 3, 6}
 	if testing.Short() {

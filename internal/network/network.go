@@ -364,7 +364,6 @@ func New(cfg Config) (*Network, error) {
 	// memoize decisions unless the config says not to (Validate guarantees
 	// ≤ 64 ports). A call that notes no expiry — every PAR call — is never
 	// replayed.
-	cacheOn := !cfg.DisableRouteCache
 	params := func(r int) router.Params {
 		ports := make([]router.PortSpec, nPorts)
 		for port := 0; port < topo.RouterPorts; port++ {
@@ -438,7 +437,7 @@ func New(cfg Config) (*Network, error) {
 		var size router.ArenaSize
 		for i := range group {
 			group[i] = params(g*topo.A + i)
-			size.Add(group[i], cacheOn)
+			size.Add(group[i])
 		}
 		n.arenas[g] = router.NewArena(size)
 		for i := range group {
@@ -446,13 +445,9 @@ func New(cfg Config) (*Network, error) {
 			group[i].Arena = n.arenas[g]
 			n.Routers[r] = &routerSlab[r]
 			router.NewInto(n.Routers[r], group[i])
-		}
-	}
-	if cacheOn {
-		// A second pass, so the cache arrays sit behind every router's
-		// construction-time arrays in the group's slabs.
-		for _, rt := range n.Routers {
-			rt.EnableRouteCache()
+			if !cfg.DisableRouteCache {
+				n.Routers[r].EnableRouteCache()
+			}
 		}
 	}
 
@@ -710,7 +705,7 @@ func (n *Network) deriveLookahead() {
 func (n *Network) ActiveRouters() int {
 	total := 0
 	for _, r := range n.Routers {
-		if r.HasRoutableWork() {
+		if r.RoutableVCs() > 0 {
 			total++
 		}
 	}

@@ -23,7 +23,7 @@ import (
 // walk one group for many cycles while this state stays cache-hot.
 //
 // Allocation is append-only and exact-fit: the network sums what a group's
-// routers will carve (ArenaSize.Add mirrors NewInto and EnableRouteCache),
+// routers will carve (ArenaSize.Add mirrors NewInto),
 // NewArena allocates each typed slab once at exactly that size, and
 // construction consumes it to the last element. Routers never free, and
 // fault surgery only rewrites in place. The zero Arena is valid and spills
@@ -52,15 +52,15 @@ type ArenaSize struct {
 	VCBuffers, OutVCs, Requests, InPorts, OutPorts, PacketSlots int
 }
 
-// Add counts what NewInto(p) — and EnableRouteCache, when cache is set —
-// carve for one router. It must stay the exact mirror of those two
-// (TestArenaExactFit pins zero slack and zero spill after construction).
-func (s *ArenaSize) Add(p Params, cache bool) {
+// Add counts what NewInto(p) carves for one router. It must stay the exact
+// mirror of it (TestArenaExactFit pins zero slack and zero spill after
+// construction).
+func (s *ArenaSize) Add(p Params) {
 	n := len(p.Ports)
 	s.InPorts += n
 	s.OutPorts += n
 	s.Int32s += 2*n + 1 + len(p.RingOuts)
-	s.Uint64s += 2 * n
+	s.Uint64s += 3 * n
 	s.Uint8s += n * n // output arbiters: one rank row of n per port
 	for _, ps := range p.Ports {
 		s.VCBuffers += len(ps.InCaps)
@@ -70,9 +70,6 @@ func (s *ArenaSize) Add(p Params, cache bool) {
 		for _, c := range ps.InCaps {
 			s.PacketSlots += queueSlots(c)
 		}
-	}
-	if cache {
-		s.Uint64s += n
 	}
 }
 

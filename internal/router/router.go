@@ -126,38 +126,36 @@ type Router struct {
 	// formation pass captured it: credits taken (commit) or refunded
 	// (AddCredit), busy→free expiry (expireBusy), link death (FailOutput),
 	// ring-edge removal (FailRing) and structural credit surgery
-	// (NoteOutMutated) — kept with the cache off too, where nothing drains
-	// it. Cycle drains dirty into the cycle's invalidation window; a cached decision is stale iff its read-set mask
-	// intersects the window. Live cache entries are re-validated every Cycle
-	// (an entry's VC has its ready bit set by definition), with two gaps
-	// both covered: a busy input port's entries are skipped for the busy
-	// span, so the skipped windows accumulate in pendingDirty[ip]; an idle
-	// router's Cycle returns before the drain, so dirty itself accumulates
-	// until its next working Cycle captures the union. rngDraws counts
-	// RandInt calls: a decision that consumed randomness is never cached,
-	// which is what makes replaying a cached decision deterministic.
+	// (NoteOutMutated). Cycle drains dirty into the cycle's invalidation
+	// window, which only the cache reads; a cached decision is stale iff its
+	// read-set mask intersects the window. Live cache entries are
+	// re-validated every Cycle (an entry's VC has its ready bit set by
+	// definition), with two gaps both covered: a busy input port's entries
+	// are skipped for the busy span, so the skipped windows accumulate in
+	// pendingDirty[ip]; an idle router's Cycle returns before the drain, so
+	// dirty itself accumulates until its next working Cycle captures the
+	// union. rngDraws counts RandInt calls: a decision that consumed
+	// randomness is never cached, which is what makes replaying a cached
+	// decision deterministic.
 	cacheOn      bool
 	dirty        uint64
 	pendingDirty []uint64
-	nextFree     int64 // earliest future busy→free transition; MaxInt64 if none
 	rngDraws     uint64
 
-	// outBusy mirrors "Out[o].busyUntil > now" under cacheOn: commit sets a
-	// port's bit, expireBusy clears crossed bits. It lets that scan walk only
-	// busy ports and turns the allocator's available-output rebuild into a
-	// complement (allOut is the all-ports mask).
-	outBusy uint64
-	allOut  uint64
+	// outBusy mirrors "Out[o].busyUntil > now": commit sets a port's bit,
+	// expireBusy clears crossed bits once now reaches nextFree, the earliest
+	// future busy→free transition (MaxInt64 if none). It lets that scan walk
+	// only busy ports and turns the allocator's available-output rebuild
+	// into a complement (allOut is the all-ports mask).
+	outBusy  uint64
+	allOut   uint64
+	nextFree int64
 
 	// rsMask and rsExpire are the read set the engine.Route call in progress
 	// records (NoteRead, NoteExpiry); formRequests resets them before every
 	// call and, with the cache on, stores them as the head's entry.
 	rsMask   uint64
 	rsExpire int64
-
-	// arena backs late slice allocations (EnableRouteCache) with the same
-	// group slab the constructor used.
-	arena *Arena
 
 	// cands memoizes the pass's Candidates queries while candOn: nCands
 	// slots, one per key. Four hold what the static policy asks (a range per
@@ -204,12 +202,13 @@ func NewInto(r *Router, p Params) {
 		pkts:        p.Packets,
 		pb:          p.PB,
 		pbThreshold: p.PBThreshold,
-		arena:       ar,
+		nextFree:    math.MaxInt64,
 	}
 	if r.AllocIters < 1 {
 		r.AllocIters = 1
 	}
 	n := len(p.Ports)
+	r.allOut = ^uint64(0) >> uint(64-n) // Config.Validate caps a router at 64 ports
 	r.In = carve(ar, &ar.inP, n)
 	r.Out = carve(ar, &ar.outP, n)
 	r.outRank = carve(ar, &ar.u8, n*n)
@@ -217,6 +216,7 @@ func NewInto(r *Router, p Params) {
 	r.candVC = carve(ar, &ar.i32, n)
 	r.reqMask = carve(ar, &ar.u64, n)
 	r.outCandMask = carve(ar, &ar.u64, n)
+	r.pendingDirty = carve(ar, &ar.u64, n)
 	total := 0
 	for i, ps := range p.Ports {
 		r.vcBase[i] = int32(total)
@@ -302,15 +302,7 @@ func (r *Router) NoteExpiry(cycle int64) { r.rsExpire = cycle }
 // construction, unless the config disables caching. Runs are bit-identical
 // with the cache on or off (see TestRouteCacheDifferential); the cache only
 // skips recomputation of decisions whose inputs provably did not change.
-func (r *Router) EnableRouteCache() {
-	if len(r.Out) > 64 {
-		panic("router: route cache requires <= 64 ports (enforced by config validation)")
-	}
-	r.cacheOn = true
-	r.pendingDirty = carve(r.arena, &r.arena.u64, len(r.In))
-	r.allOut = ^uint64(0) >> uint(64-len(r.Out))
-	r.nextFree = math.MaxInt64
-}
+func (r *Router) EnableRouteCache() { r.cacheOn = true }
 
 // NoteOutMutated records that an output port's credit or peer state was
 // rewritten outside the normal commit/refund paths (escape-ring splice
@@ -541,14 +533,10 @@ func (r *Router) push(port, vc int, h packet.Handle) *VCBuffer {
 	return buf
 }
 
-// HasRoutableWork reports whether any input VC holds a routable head (non-
-// empty, not draining). When false, Cycle returns at once — it calls no
-// engine, draws no randomness and moves no arbiter state (see
+// RoutableVCs returns the number of input VCs holding a routable head
+// (non-empty, not draining). When it is 0, Cycle returns at once — it calls
+// no engine, draws no randomness and moves no arbiter state (see
 // TestIdleCycleIsPure).
-func (r *Router) HasRoutableWork() bool { return r.readyVCs > 0 }
-
-// RoutableVCs returns the number of input VCs with a routable head (test
-// and diagnostics hook for the readyVCs counter).
 func (r *Router) RoutableVCs() int { return r.readyVCs }
 
 // CanonicalOccupancy returns the fraction of this router's canonical input
@@ -613,23 +601,20 @@ func (r *Router) StateFingerprint() uint64 {
 // any state: credits that arrive meanwhile accumulate in dirty, and busy-timer
 // expiries are picked up by expireBusy at the next working Cycle.
 //
-// With the route cache on, the cycle's invalidation window is the set of
-// output ports whose engine-visible state changed since the previous working
-// Cycle: dirty, drained here, after expireBusy has added the ports that
-// crossed busy→free. The cache-off reference path presents an empty window
-// and consults no entry.
+// The cycle's invalidation window is the set of output ports whose
+// engine-visible state changed since the previous working Cycle: dirty,
+// drained here, after expireBusy has added the ports that crossed busy→free.
+// Only the route cache reads it; the cache-off reference path consults no
+// entry.
 func (r *Router) Cycle(engine Engine, now int64) []Grant {
 	if r.readyVCs == 0 {
 		return r.grants[:0]
 	}
-	var window uint64
-	if r.cacheOn {
-		if now >= r.nextFree {
-			r.expireBusy(now)
-		}
-		window = r.dirty
-		r.dirty = 0
+	if now >= r.nextFree {
+		r.expireBusy(now)
 	}
+	window := r.dirty
+	r.dirty = 0
 	r.grants = r.grants[:0]
 	if inPend := r.formRequests(engine, now, window); inPend != 0 {
 		r.allocate(inPend, now)
@@ -676,30 +661,34 @@ func (r *Router) expireBusy(now int64) {
 // A busy input port is not validated, so the window it skips is banked in
 // pendingDirty and joins the window of its first free cycle: an entry is
 // always checked against every invalidation since it was last checked.
+//
+// The heads to route are resolved and stamped in batches of up to 32 before
+// route decides them in the same (port, VC) order: their packets are
+// independent loads, so a batch overlaps the cache misses that resolving
+// each head just before its Route call would serialize. No Route call reads
+// another head's packet, so the order of decisions, RNG draws and candidate
+// memo entries is unchanged.
 func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend uint64) {
 	r.nCands, r.candOn = 0, true
+	var heads [32]head
+	nh := 0
 	for pm := r.readyPorts; pm != 0; pm &= pm - 1 {
 		ip := bits.TrailingZeros64(pm)
 		inp := &r.In[ip]
 		if inp.Busy(now) {
-			if r.cacheOn {
-				r.pendingDirty[ip] |= window
-			}
+			r.pendingDirty[ip] |= window
 			continue
 		}
-		d := window
-		if r.cacheOn && r.pendingDirty[ip] != 0 {
-			d |= r.pendingDirty[ip]
-			r.pendingDirty[ip] = 0
-		}
-		base := int(r.vcBase[ip])
-		var reqM uint64
+		d := window | r.pendingDirty[ip]
+		r.pendingDirty[ip] = 0
+		r.reqMask[ip] = 0
 		for m := inp.ready; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros64(m)
 			buf := &inp.VCs[vc]
 			if r.cacheOn && now < buf.cExpire && buf.cMask&d == 0 {
 				if buf.cOK { // replay: the reqs slot still holds the request
-					reqM |= 1 << uint(vc)
+					r.reqMask[ip] |= 1 << uint(vc)
+					inPend |= 1 << uint(ip)
 				}
 				continue
 			}
@@ -707,28 +696,49 @@ func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend u
 			if p.BlockedSince < 0 {
 				p.BlockedSince = now
 			}
-			r.rsMask, r.rsExpire = 0, 0
-			rngBefore := r.rngDraws
-			req, ok := engine.Route(r, InCtx{Port: ip, VC: vc, Kind: inp.Kind, Ring: int(buf.Ring)}, p, now)
-			if r.cacheOn {
-				buf.cMask, buf.cExpire, buf.cOK = r.rsMask, r.rsExpire, ok
-				if r.rngDraws != rngBefore {
-					// The decision consumed randomness; replaying it would
-					// skip the draws and desynchronize the RNG stream.
-					buf.cExpire = 0
-				}
+			if nh == len(heads) {
+				inPend |= r.route(engine, heads[:], now)
+				nh = 0
 			}
-			if ok {
-				r.reqs[base+vc] = req
-				reqM |= 1 << uint(vc)
+			heads[nh] = head{p, buf, uint8(ip), uint8(vc)}
+			nh++
+		}
+	}
+	inPend |= r.route(engine, heads[:nh], now)
+	r.nCands, r.candOn = 0, false
+	return inPend
+}
+
+// head is a buffer head formRequests has resolved and not yet routed.
+type head struct {
+	p      *packet.Packet
+	buf    *VCBuffer
+	ip, vc uint8
+}
+
+// route asks the engine for the requests of a batch of heads, in order, and
+// returns the input ports that gained one.
+func (r *Router) route(engine Engine, hs []head, now int64) (inPend uint64) {
+	for i := range hs {
+		h := &hs[i]
+		ip, vc, buf := int(h.ip), int(h.vc), h.buf
+		r.rsMask, r.rsExpire = 0, 0
+		rngBefore := r.rngDraws
+		req, ok := engine.Route(r, InCtx{Port: ip, VC: vc, Kind: r.In[ip].Kind, Ring: int(buf.Ring)}, h.p, now)
+		if r.cacheOn {
+			buf.cMask, buf.cExpire, buf.cOK = r.rsMask, r.rsExpire, ok
+			if r.rngDraws != rngBefore {
+				// The decision consumed randomness; replaying it would
+				// skip the draws and desynchronize the RNG stream.
+				buf.cExpire = 0
 			}
 		}
-		if reqM != 0 {
-			r.reqMask[ip] = reqM
+		if ok {
+			r.reqs[int(r.vcBase[ip])+vc] = req
+			r.reqMask[ip] |= 1 << uint(vc)
 			inPend |= 1 << uint(ip)
 		}
 	}
-	r.nCands, r.candOn = 0, false
 	return inPend
 }
 
@@ -742,19 +752,9 @@ func (r *Router) formRequests(engine Engine, now int64, window uint64) (inPend u
 // digest in sequence — so neither walk may be reordered.
 func (r *Router) allocate(inPend uint64, now int64) {
 	// outAvail starts as the non-busy outputs and loses each granted port:
-	// port busy state only changes mid-cycle through grants. Under cacheOn
-	// outBusy is exact for this cycle (see expireBusy), so the rebuild is a
-	// complement.
-	var outAvail uint64
-	if r.cacheOn {
-		outAvail = ^r.outBusy & r.allOut
-	} else {
-		for op := range r.Out {
-			if !r.Out[op].Busy(now) {
-				outAvail |= 1 << uint(op)
-			}
-		}
-	}
+	// port busy state only changes mid-cycle through grants, and outBusy is
+	// exact for this cycle (see expireBusy).
+	outAvail := ^r.outBusy & r.allOut
 	for iter := 0; iter < r.AllocIters; iter++ {
 		// Input arbitration: each unmatched input port nominates its
 		// least-recently-served VC whose requested output is still free.
@@ -842,15 +842,11 @@ func (r *Router) commit(ip, vc int, req Request, now int64) {
 	inp.busyUntil = now + size
 	out := &r.Out[req.Out]
 	out.busyUntil = now + size
-	if r.cacheOn {
-		// Credits and/or busy status of the output changed (ejection still
-		// goes busy), and the port will cross back to free at now+size.
-		r.dirty |= 1 << uint(req.Out)
-		r.outBusy |= 1 << uint(req.Out)
-		if bu := now + size; bu < r.nextFree {
-			r.nextFree = bu
-		}
-	}
+	// Credits and/or busy status of the output changed (ejection still goes
+	// busy), and the port will cross back to free at now+size.
+	r.dirty |= 1 << uint(req.Out)
+	r.outBusy |= 1 << uint(req.Out)
+	r.nextFree = min(r.nextFree, now+size)
 	eject := out.Kind == topology.PortNode
 	if !eject {
 		out.Take(int(req.VC))

@@ -160,7 +160,7 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Refs, now int64) error {
 			c.Fail("router %d ring out %d = %d out of range", r.ID, i, po)
 		}
 	}
-	if err := c.Err(); err != nil || !dec || !r.cacheOn {
+	if err := c.Err(); err != nil || !dec {
 		return err
 	}
 	// Cold restart of the memoization layer: no cached decisions, every
