@@ -43,6 +43,9 @@ type Config struct {
 
 	// LocalMisroute enables in-transit local misrouting; false yields the
 	// OFAR-L model used in the paper to dissect local-misroute benefits.
+	// network.New sets it from Config.Routing (true for OFAR, false for
+	// OFAR-L), so the value a network config or config file gives here is
+	// ignored.
 	LocalMisroute bool
 
 	// EscapeTimeout is how many consecutive blocked cycles a head packet
@@ -299,17 +302,17 @@ func (e *OFAR) misroute(rt *router.Router, in router.InCtx, p *packet.Packet, mi
 	tryLocal, tryGlobal := false, false
 	switch {
 	case int(p.DstGroup) == g:
-		tryLocal = e.cfg.LocalMisroute && !p.LocalMisrouted && localSat
+		tryLocal = e.cfg.LocalMisroute && p.MisrouteGroup < 0 && localSat
 	case int(p.SrcGroup) == g:
 		if in.Kind == topology.PortNode {
 			tryGlobal = !p.GlobalMisrouted
-		} else if e.cfg.LocalMisroute && !p.LocalMisrouted && localSat {
+		} else if e.cfg.LocalMisroute && p.MisrouteGroup < 0 && localSat {
 			tryLocal = true
 		} else {
 			tryGlobal = !p.GlobalMisrouted
 		}
 	default: // intermediate group
-		tryLocal = e.cfg.LocalMisroute && !p.LocalMisrouted && localSat
+		tryLocal = e.cfg.LocalMisroute && p.MisrouteGroup < 0 && localSat
 	}
 	if tryLocal {
 		if req, ok := e.pickAmong(rt, e.d.LocalPortBase(), e.d.A-1, min, th, strict, p, now); ok {

@@ -218,7 +218,6 @@ func TestOFARLocalThenGlobal(t *testing.T) {
 		t.Fatalf("first misroute %+v, want local", req)
 	}
 	// Apply the flag as a commit would, then route again.
-	p.LocalMisrouted = true
 	p.MisrouteGroup = 0
 	req, ok = e.Route(rt, router.InCtx{Kind: topology.PortLocal, Ring: -1}, p, 0)
 	if !ok || !req.Has(router.SetGlobalMis) || d.PortKindOf(int(req.Out)) != topology.PortGlobal {
@@ -254,7 +253,6 @@ func TestOFARIntermediateGroupPolicy(t *testing.T) {
 	}
 	// With the local flag consumed, nothing else is allowed (no global
 	// misroute outside the source group) — the packet waits.
-	p.LocalMisrouted = true
 	p.MisrouteGroup = 0
 	if _, ok := e.Route(rt, router.InCtx{Kind: topology.PortGlobal, Ring: -1}, p, 0); ok {
 		t.Error("misrouted globally outside the source group")
@@ -295,7 +293,6 @@ func TestOFAREscapeAfterTimeout(t *testing.T) {
 	dst := d.Nodes - 1
 	p := newPkt(d, 0, dst)
 	p.GlobalMisrouted = true
-	p.LocalMisrouted = true
 	p.MisrouteGroup = 0
 	saturatePort(rt, d.MinimalPort(0, dst))
 	p.BlockedSince = 0
@@ -326,7 +323,6 @@ func TestOFAROnRingBehavior(t *testing.T) {
 	e := New(d, cfg)
 	dst := d.Nodes - 1
 	p := newPkt(d, 0, dst)
-	p.OnRing = true
 	p.Ring = 0
 	in := router.InCtx{Kind: topology.PortRing, Ring: 0}
 
@@ -350,7 +346,6 @@ func TestOFAROnRingBehavior(t *testing.T) {
 	}
 	// ... but ejection at the destination router is always allowed.
 	pHome := newPkt(d, d.Nodes-1, d.NodeAt(0, 1))
-	pHome.OnRing = true
 	pHome.Ring = 0
 	pHome.RingExits = 99
 	req, ok = e.Route(rt, in, pHome, 0)

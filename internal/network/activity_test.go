@@ -97,9 +97,10 @@ func TestActiveSetTracksLoad(t *testing.T) {
 }
 
 // TestReadyVCCounterMatchesBuffers cross-checks the incrementally tracked
-// routable-head counter against a from-scratch scan of the buffers, in the
-// middle of a loaded run — the counter gates Cycle's early return, so a
-// drift would mean skipped work.
+// routable heads — each port's ready bitset, and RoutableVCs, which counts
+// them over the router's readyPorts mask — against a from-scratch scan of
+// the buffers, in the middle of a loaded run: readyPorts gates Cycle's early
+// return, so a drift would mean skipped work.
 func TestReadyVCCounterMatchesBuffers(t *testing.T) {
 	cfg := testConfig(OFAR)
 	n := mustNet(t, cfg)
@@ -121,7 +122,7 @@ func TestReadyVCCounterMatchesBuffers(t *testing.T) {
 					}
 				}
 				// The per-port ready bitset the allocator iterates must agree
-				// bit for bit with the same predicate the counter tracks.
+				// bit for bit with the routable-head predicate.
 				if got := r.In[i].ReadyMask(); got != wantMask {
 					t.Fatalf("cycle %d router %d port %d: ready mask %b, buffers say %b", c, r.ID, i, got, wantMask)
 				}

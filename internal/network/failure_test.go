@@ -307,7 +307,7 @@ func TestFailedRingNotEntered(t *testing.T) {
 		for i := range r.In {
 			for vc := range r.In[i].VCs {
 				b := &r.In[i].VCs[vc]
-				if b.Escape && b.Ring == 0 && b.Len() > 0 {
+				if b.Ring == 0 && b.Len() > 0 {
 					t.Fatal("packet found on the failed ring")
 				}
 			}

@@ -163,7 +163,7 @@ func TestRingEnterExitBalance(t *testing.T) {
 	for _, r := range n.Routers {
 		for i := range r.In {
 			for vc := range r.In[i].VCs {
-				if r.In[i].VCs[vc].Escape {
+				if r.In[i].VCs[vc].Ring >= 0 {
 					onRing += int64(r.In[i].VCs[vc].Len())
 				}
 			}

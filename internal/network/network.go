@@ -1106,7 +1106,7 @@ func (n *Network) mergeEffects(fx []fxRec, now int64) {
 		if n.obs != nil {
 			n.obs.deliver(now, p.Src, p.Dst, p.Born, p.Injected)
 		}
-		n.Stats.OnDeliver(p.Born, p.Injected, now, int(p.TotalHops), int(p.RingHops))
+		n.Stats.OnDeliver(p.Born, p.Injected, now, p.Hops(), int(p.RingHops))
 		n.settled = now
 		if p.Job >= 0 {
 			n.Stats.JobDelivered(int(p.Job), now-p.Born)

@@ -559,13 +559,16 @@ func (n *Network) imageSize(tab *packet.Refs) int {
 // this network's topology, and its ID against prev and the pool's
 // handed-out IDs (restored before the table). The second slot holds the
 // network's packet size, which packets no longer carry, and the last a
-// retired delivery stamp.
+// retired delivery stamp. The local-misroute, on-ring and total-hop slots
+// are derived from the fields that carry each fact (MisrouteGroup >= 0,
+// Ring >= 0, Hops), and decoding refuses a value that disagrees.
 func (n *Network) packetState(c *simcore.Codec, p *packet.Packet, prev packet.ID) {
 	delta := uint64(p.ID - prev)
 	c.Uvarint(&delta)
 	if c.Decoding() {
 		p.ID = prev + packet.ID(delta)
 	}
+	localMis, onRing, hops := p.MisrouteGroup >= 0, p.Ring >= 0, int32(p.Hops())
 	c.Shape(n.Cfg.PacketSize, "packet size")
 	simcore.Int(c, &p.Dst)
 	simcore.Int(c, &p.SrcGroup)
@@ -573,14 +576,14 @@ func (n *Network) packetState(c *simcore.Codec, p *packet.Packet, prev packet.ID
 	simcore.Int(c, &p.ValiantGroup)
 	simcore.Int(c, &p.BlockedSince)
 	c.Bool(&p.GlobalMisrouted)
-	c.Bool(&p.LocalMisrouted)
-	c.Bool(&p.OnRing)
+	c.Bool(&localMis)
+	c.Bool(&onRing)
 	simcore.Int(c, &p.Ring)
 	simcore.Int(c, &p.LocalHops)
 	simcore.Int(c, &p.GlobalHops)
 	simcore.Int(c, &p.Src)
 	simcore.Int(c, &p.MisrouteGroup)
-	simcore.Int(c, &p.TotalHops)
+	simcore.Int(c, &hops)
 	simcore.Int(c, &p.RingExits)
 	simcore.Int(c, &p.RingHops)
 	simcore.Int(c, &p.Job)
@@ -601,6 +604,12 @@ func (n *Network) packetState(c *simcore.Codec, p *packet.Packet, prev packet.ID
 		c.Fail("packet %d intermediate-group fields out of range", id)
 	case p.Ring < -1:
 		c.Fail("packet %d ring %d below -1", id, p.Ring)
+	case localMis != (p.MisrouteGroup >= 0):
+		c.Fail("packet %d local-misroute flag %v contradicts misroute group %d", id, localMis, p.MisrouteGroup)
+	case onRing != (p.Ring >= 0):
+		c.Fail("packet %d on-ring flag %v contradicts ring %d", id, onRing, p.Ring)
+	case int(hops) != p.Hops():
+		c.Fail("packet %d total hops %d, not the %d its counters sum to", id, hops, p.Hops())
 	case p.Job < -1 || int(p.Job) >= n.Stats.Jobs():
 		// -1 (untagged) is always valid; a tagged packet needs its slot to
 		// exist in the attached generator's job table.

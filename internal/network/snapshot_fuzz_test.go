@@ -62,7 +62,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		out[0] = out[1]
 	}))
 	// A credit event returning one phit short of a packet.
-	f.Add(hostileRecord(f, warm(false, nil), creditPhits, int64(cfg.PacketSize-1)))
+	f.Add(hostileRecord(f, warm(false, nil), creditPhits, int64(cfg.PacketSize), int64(cfg.PacketSize-1)))
 	// Valid header and checksum, a packet count far beyond the payload: the
 	// decoder must size its packet block by the bytes present.
 	cold, err := New(cfg)

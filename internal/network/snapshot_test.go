@@ -439,7 +439,9 @@ func TestRestoreRejects(t *testing.T) {
 
 	// Records whose derived or retired slots hold what no walk writes: a
 	// packet size other than the network's (and one that wraps to it in 16
-	// bits), a nonzero delivery stamp, a credit of other than PacketSize
+	// bits), a nonzero delivery stamp, a local-misroute or on-ring byte that
+	// contradicts MisrouteGroup or Ring, a total-hop count other than the
+	// sum of the three hop counters, a credit of other than PacketSize
 	// phits, and an arrival or drain carrying phits. The same splice with
 	// the value the walk writes restores.
 	S := int64(cfg.PacketSize)
@@ -452,13 +454,16 @@ func TestRestoreRejects(t *testing.T) {
 		{"packet size other than S", packetSize, S, 2 * S, "packet size: snapshot has 16, target 8"},
 		{"packet size past int16", packetSize, S, 1<<16 + S, "packet size: snapshot has 65544, target 8"},
 		{"packet delivery stamp", packetDone, 0, 5, "delivery stamp: snapshot has 5"},
+		{"local-misroute flag without a misroute group", packetLocalMis, 0, 1, "local-misroute flag true contradicts misroute group -1"},
+		{"on-ring flag without a ring", packetRingFlag, 0, 1, "on-ring flag true contradicts ring -1"},
+		{"total hops other than the counters' sum", packetHops, 1, 2, "total hops 2, not the 1 its counters sum to"},
 		{"credit phits", creditPhits, S, S - 1, "event phits: snapshot has 7, target 8"},
 		{"arrival or drain phits", otherPhits, 0, S, "event phits: snapshot has 8, target 0"},
 	} {
-		if err := fresh().Restore(bytes.NewReader(hostileRecord(t, snapNet(t, cfg, 0.6), c.which, c.good))); err != nil {
+		if err := fresh().Restore(bytes.NewReader(hostileRecord(t, snapNet(t, cfg, 0.6), c.which, c.good, c.good))); err != nil {
 			t.Errorf("%s: the walk's own value refused: %v", c.name, err)
 		}
-		refuse(fresh, c.name, hostileRecord(t, snapNet(t, cfg, 0.6), c.which, c.bad), c.want)
+		refuse(fresh, c.name, hostileRecord(t, snapNet(t, cfg, 0.6), c.which, c.good, c.bad), c.want)
 	}
 
 	// The grant-log slots behind the digest are zeros: an image that puts a
@@ -521,25 +526,29 @@ func hostileLogFields(t testing.TB, n *Network, size, events int64) []byte {
 	return snapImage(t, n, bad.Data())
 }
 
-// The records hostileRecord rewrites, and the varint it sets in each.
+// The records hostileRecord rewrites, and the slot it sets in each.
 const (
-	packetSize  = iota // a packet's size slot
-	packetDone         // a packet's retired delivery-stamp slot
-	creditPhits        // a credit event's phits slot
-	otherPhits         // an arrival's or drain's phits slot
+	packetSize     = iota // a packet's size slot
+	packetDone            // a packet's retired delivery-stamp slot
+	packetLocalMis        // a packet's local-misroute byte
+	packetRingFlag        // a packet's on-ring byte
+	packetHops            // a packet's total-hop count
+	creditPhits           // a credit event's phits slot
+	otherPhits            // an arrival's or drain's phits slot
 )
 
 // hostileRecord returns an image of n, run 120 cycles, in which the first
-// record of the given kind whose bytes occur once in the payload has that
-// varint set to v, behind a valid header and checksum.
-func hostileRecord(t testing.TB, n *Network, which int, v int64) []byte {
+// record of the given kind whose bytes occur once in the payload and whose
+// slot holds good has that slot set to v, behind a valid header and
+// checksum.
+func hostileRecord(t testing.TB, n *Network, which int, good, v int64) []byte {
 	t.Helper()
 	n.Run(120)
 	img := n.encode()
 	var tab packet.Refs
 	tab.Index(&n.pkts, n.forEachPacket)
 	var recs [][]byte
-	if which <= packetDone {
+	if which < creditPhits {
 		prev := packet.ID(0)
 		for i := range tab.Len() {
 			p := n.pkts.At(tab.At(i))
@@ -556,34 +565,59 @@ func hostileRecord(t testing.TB, n *Network, which int, v int64) []byte {
 			}
 		})
 	}
+	flag := which == packetLocalMis || which == packetRingFlag
 	for _, rec := range recs {
 		if bytes.Count(img, rec) != 1 {
 			continue
 		}
-		at := 0 // the varint's offset: after the ID delta, or the last byte
-		switch which {
+		// A packet record opens with seven varints (the ID delta, the size,
+		// Dst, SrcGroup, DstGroup, ValiantGroup, BlockedSince) and three
+		// flag bytes; an event with the delay, the kind byte, the router,
+		// the port and the VC.
+		var at int
+		switch flags := varintsEnd(rec, 0, 7); which {
 		case packetSize:
-			_, at = binary.Uvarint(rec)
+			at = varintsEnd(rec, 0, 1)
 		case packetDone:
 			at = len(rec) - 1
-		default: // after the delay, the kind byte, the router, the port and the VC
-			_, w := binary.Varint(rec)
-			at = w + 1
-			for range 3 {
-				_, w = binary.Varint(rec[at:])
-				at += w
-			}
+		case packetLocalMis:
+			at = flags + 1
+		case packetRingFlag:
+			at = flags + 2
+		case packetHops: // after Ring, LocalHops, GlobalHops, Src, MisrouteGroup
+			at = varintsEnd(rec, flags+3, 5)
+		default:
+			at = varintsEnd(rec, varintsEnd(rec, 0, 1)+1, 3)
 		}
-		_, w := binary.Varint(rec[at:])
+		slot, w := binary.Varint(rec[at:])
+		if flag {
+			slot, w = int64(rec[at]), 1
+		}
+		if slot != good {
+			continue
+		}
 		var bad simcore.Enc
 		i := bytes.Index(img, rec)
 		bad.Raw(img[:i+at])
-		bad.Varint(v)
+		if flag {
+			bad.U8(uint8(v))
+		} else {
+			bad.Varint(v)
+		}
 		bad.Raw(img[i+at+w:])
 		return snapImage(t, n, bad.Data())
 	}
-	t.Fatalf("no record of kind %d occurs once in the payload", which)
+	t.Fatalf("no record of kind %d with slot %d occurs once in the payload", which, good)
 	return nil
+}
+
+// varintsEnd returns the offset in rec after the k varints from offset at.
+func varintsEnd(rec []byte, at, k int) int {
+	for range k {
+		_, w := binary.Uvarint(rec[at:])
+		at += w
+	}
+	return at
 }
 
 // pinnedSections is one warm h=2 network for every section a snapshot can

@@ -132,6 +132,90 @@ func TestZeroLoadLatencyValiant(t *testing.T) {
 	}
 }
 
+// TestZeroLoadLatencyEscapeRing pins the law on escape-ring paths. At h=2
+// under OFAR-L, a lone packet from router r0 to router r2 of its own group,
+// two ring steps ahead, finds its minimal local link dead (a FaultLink at
+// cycle 0). OFAR-L has no local misroute, so the head is routed at its
+// birth cycle, blocks, and enters the ring once it has been blocked
+// EscapeTimeout cycles; it leaves the ring at r1 onto the live local link to
+// r2. Its latency is exactly
+//
+//	S + Σ(ℓᵢ+1) + EscapeTimeout
+//
+// with the sum over the links its observed grants show (a physical ring
+// edge takes the local or global latency of the wire it stands for, an
+// embedded one that of the canonical link it rides): the blocked wait
+// before the ring-entry grant, then the zero-load law. The path takes at
+// least one ring hop. Physical and embedded ring, Workers 1 and 2.
+func TestZeroLoadLatencyEscapeRing(t *testing.T) {
+	for _, ring := range []RingMode{RingPhysical, RingEmbedded} {
+		cfg := DefaultConfig(2).WithRouting(OFARL)
+		cfg.Ring = ring
+		S, T := cfg.PacketSize, cfg.OFAR.EscapeTimeout
+		latency := func(global bool) int {
+			if global {
+				return cfg.GlobalLatency
+			}
+			return cfg.LocalLatency
+		}
+		d, err := topology.New(cfg.P, cfg.A, cfg.H, cfg.Groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rg, err := d.HamiltonianRing()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r0 := -1
+		for r := range d.A { // two local ring edges in a row in group 0
+			if !rg.EdgeIsGlobal(r) && !rg.EdgeIsGlobal(rg.Next(r)) {
+				r0 = r
+				break
+			}
+		}
+		if r0 < 0 {
+			t.Fatal("group 0 has no two consecutive local ring edges")
+		}
+		r2 := rg.Next(rg.Next(r0))
+		cfg.Faults = []Fault{{Cycle: 0, Kind: FaultLink, Router: r0, Port: d.LocalPortTo(r0, r2)}}
+		rec := trace.Record{Cycle: 5, Src: int32(d.NodeAt(r0, 0)), Dst: int32(d.NodeAt(r2, 0)), Size: uint16(S)}
+		for _, w := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", ring, w), func(t *testing.T) {
+				n := replayNet(t, cfg, w, []trace.Record{rec})
+				var grants []GrantEvent
+				n.obs = grantFunc(func(g GrantEvent) { grants = append(grants, g) })
+				n.Stats.StartMeasurement(0)
+				n.Run(400)
+				if got := n.Stats.MeasuredPackets(); got != 1 {
+					t.Fatalf("%d packets delivered, want 1", got)
+				}
+				if len(grants) == 0 || grants[0].Cycle != rec.Cycle+int64(T) {
+					t.Fatalf("grants %+v: want the first EscapeTimeout=%d cycles after birth at %d", grants, T, rec.Cycle)
+				}
+				want, ringHops := S+T, 0
+				for _, g := range grants {
+					out := &n.Routers[g.Router].Out[g.Out]
+					if out.EscapeRing(int(g.VC)) >= 0 {
+						ringHops++
+					}
+					switch kind := d.PortKindOf(int(g.Out)); kind {
+					case topology.PortRing:
+						want += latency(rg.EdgeIsGlobal(int(g.Router))) + 1
+					case topology.PortLocal, topology.PortGlobal:
+						want += latency(kind == topology.PortGlobal) + 1
+					}
+				}
+				if ringHops == 0 {
+					t.Errorf("no grant rode the ring: %+v", grants)
+				}
+				if got := n.Stats.MaxLatency(); got != int64(want) {
+					t.Errorf("latency %d cycles, want %d over its %d grants %+v", got, want, len(grants), grants)
+				}
+			})
+		}
+	}
+}
+
 // TestCreditLoopBandwidth pins the second law: one saturated stream over
 // one link of latency ℓ delivers min(1, B/(2ℓ+S+1)) phits per cycle with B
 // phits of downstream VC buffer — a packet's credit comes back 2ℓ+S+1 cycles

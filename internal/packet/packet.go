@@ -25,23 +25,27 @@ type ID uint64
 //
 // Packets scale with traffic, not topology (140–160k live at h=6 under
 // ADV+6 above saturation), so each field is as narrow as its bound allows, and the
-// record is 72 bytes (TestPacketSize pins it):
+// record is 64 bytes with no padding (TestPacketSize pins it), so a block of
+// BlockSize packets is 16 KiB and every packet sits on one cache line:
 //   - 64 bits only for the ID and the three cycle stamps;
 //   - int32 for node indices (radix ≤ 64 means < 2^31 nodes), the job slot,
-//     and TotalHops and RingHops, which a packet advances at most once per
-//     cycle of its life;
+//     and RingHops, which a packet advances at most once per cycle of its
+//     life;
 //   - int16 for group indices (radix ≤ 64 means ≤ 4,097 groups; -1 for
 //     none) and RingExits, LocalHops and GlobalHops, which
 //     core.MaxRingExitsCap keeps below 2^15;
-//   - a byte each for the flags and the ring index.
+//   - a byte each for the global-misroute flag and the ring index.
 //
-// Field order is deliberate: the leading 26 bytes are the routing engines'
+// Each fact has one field. The local-misroute flag of §IV-A is
+// MisrouteGroup >= 0, "on the escape ring" is Ring >= 0, and the total hop
+// count is Hops(); the version-5 snapshot image still carries all three as
+// slots, derived from these fields (see network.packetState).
+//
+// Field order is deliberate: the leading 28 bytes hold the routing engines'
 // per-cycle read set (consulted for every blocked buffer head at
-// saturation), so they mostly share one cache line. The trailing fields are
-// written once per hop or once per lifetime. Each field is aligned; the
-// only padding is the two bytes that align Src after the read set. Nothing
-// reflects over this struct, and the snapshot walk visits its fields by
-// name.
+// saturation). The trailing fields are written once per hop or once per
+// lifetime. Nothing reflects over this struct, and the snapshot walk visits
+// its fields by name.
 type Packet struct {
 	// BlockedSince is the cycle at which the packet most recently became
 	// head of an input buffer without being able to advance; < 0 when the
@@ -65,13 +69,16 @@ type Packet struct {
 	LocalHops  int16 // local hops taken so far
 	GlobalHops int16 // global hops taken so far
 
-	// Misroute header flags used by OFAR (paper §IV-A).
+	// Misroute header state used by OFAR (paper §IV-A). MisrouteGroup is
+	// the group in which the packet took its local non-minimal hop, -1 when
+	// it has taken none in its current group: at most one per group.
+	MisrouteGroup   int16
 	GlobalMisrouted bool // at most one global non-minimal hop per packet
-	LocalMisrouted  bool // at most one local non-minimal hop per group
 
-	// Escape subnetwork state (read by every OFAR Route call).
-	OnRing bool // currently stored in an escape-ring buffer
-	Ring   int8 // index of the escape ring the packet rides (-1 off-ring)
+	// Escape subnetwork state. OFAR reads RingExits, its exit budget; no
+	// decision reads Ring, which the version-5 snapshot image carries.
+	Ring      int8  // index of the escape ring the packet rides (-1 off-ring)
+	RingExits int16 // times the packet has left the escape ring
 
 	// --- cold fields: written per hop or per lifetime ---
 
@@ -82,14 +89,7 @@ type Packet struct {
 	// the right per-job statistics bucket.
 	Job int32
 
-	TotalHops int32
-	RingHops  int32 // hops taken on the escape ring
-
-	// MisrouteGroup remembers the group in which LocalMisrouted was set so
-	// the flag can be reset when the packet changes group.
-	MisrouteGroup int16
-
-	RingExits int16 // times the packet has left the escape ring
+	RingHops int32 // hops taken on the escape ring
 
 	ID ID
 
@@ -103,12 +103,14 @@ func (p *Packet) Reset() {
 	*p = Packet{ValiantGroup: -1, MisrouteGroup: -1, BlockedSince: -1, Ring: -1, Job: -1}
 }
 
+// Hops returns the hops the packet has taken: local, global and escape-ring.
+func (p *Packet) Hops() int { return int(p.LocalHops) + int(p.GlobalHops) + int(p.RingHops) }
+
 // EnterGroup updates per-group header state when the packet arrives at a
 // router of group g: the local-misroute flag is per group, and a packet that
 // reaches its Valiant intermediate group reverts to minimal routing.
 func (p *Packet) EnterGroup(g int) {
-	if p.LocalMisrouted && int(p.MisrouteGroup) != g {
-		p.LocalMisrouted = false
+	if int(p.MisrouteGroup) != g {
 		p.MisrouteGroup = -1
 	}
 	if int(p.ValiantGroup) == g {
@@ -123,7 +125,7 @@ func (p *Packet) EnterGroup(g int) {
 // collector to scan, and each reference takes half the bytes.
 type Handle uint32
 
-// A block holds BlockSize packets (18 KiB, an exact allocator size class).
+// A block holds BlockSize packets (16 KiB, an exact allocator size class).
 // MaxBlocks bounds a directory so that every handle addresses a slot except
 // None, which is all ones.
 const (

@@ -14,7 +14,7 @@ func TestPoolReusesAndResets(t *testing.T) {
 	id1 := p.ID
 	p.Src, p.Dst = 5, 9
 	p.GlobalMisrouted = true
-	p.OnRing = true
+	p.MisrouteGroup = 4
 	p.Ring = 2
 	pool.Put(p)
 	q := pool.Get()
@@ -24,7 +24,7 @@ func TestPoolReusesAndResets(t *testing.T) {
 	if q.ID == id1 {
 		t.Error("reused packet kept its old ID")
 	}
-	if q.GlobalMisrouted || q.OnRing || q.Ring != -1 || q.Src != 0 {
+	if q.GlobalMisrouted || q.Ring != -1 || q.Src != 0 {
 		t.Error("reused packet not reset")
 	}
 	if q.ValiantGroup != -1 || q.MisrouteGroup != -1 || q.BlockedSince != -1 {
@@ -107,14 +107,13 @@ func TestPoolUniqueIDs(t *testing.T) {
 func TestEnterGroupClearsLocalMisroute(t *testing.T) {
 	var p Packet
 	p.Reset()
-	p.LocalMisrouted = true
 	p.MisrouteGroup = 3
 	p.EnterGroup(3) // same group: flag persists
-	if !p.LocalMisrouted {
+	if p.MisrouteGroup != 3 {
 		t.Error("flag cleared within the misroute group")
 	}
 	p.EnterGroup(4) // group change: flag resets
-	if p.LocalMisrouted || p.MisrouteGroup != -1 {
+	if p.MisrouteGroup != -1 {
 		t.Error("flag not cleared on group change")
 	}
 }
@@ -137,15 +136,14 @@ func TestEnterGroupQuick(t *testing.T) {
 	f := func(groups []uint8, misG uint8) bool {
 		var p Packet
 		p.Reset()
-		p.LocalMisrouted = true
 		p.MisrouteGroup = int16(misG)
 		for _, g := range groups {
 			p.EnterGroup(int(g))
 			// Invariant: the flag may only be set while in its group.
-			if p.LocalMisrouted && int(p.MisrouteGroup) != int(misG) {
+			if p.MisrouteGroup >= 0 && int(p.MisrouteGroup) != int(misG) {
 				return false
 			}
-			if p.LocalMisrouted && int(g) != int(misG) {
+			if p.MisrouteGroup >= 0 && int(g) != int(misG) {
 				return false
 			}
 		}
@@ -205,11 +203,13 @@ func TestRefsRef(t *testing.T) {
 	}
 }
 
-// TestPacketSize pins the packet record at 72 bytes or less: a simulation
+// TestPacketSize pins the packet record at 64 bytes or less: a simulation
 // above saturation holds hundreds of thousands, so a new or widened field
-// must fit the layout the Packet comment sets out.
+// must fit the layout the Packet comment sets out. At 64 bytes a block of
+// BlockSize packets is 16 KiB, which the allocator page-aligns, so every
+// packet sits on one cache line.
 func TestPacketSize(t *testing.T) {
-	if size := unsafe.Sizeof(Packet{}); size > 72 {
-		t.Errorf("Packet takes %d bytes, want ≤ 72", size)
+	if size := unsafe.Sizeof(Packet{}); size > 64 {
+		t.Errorf("Packet takes %d bytes, want ≤ 64", size)
 	}
 }

@@ -20,10 +20,8 @@ import (
 // allocation and its phits are streaming out), during which it is not
 // eligible for routing.
 type VCBuffer struct {
-	// Escape marks the buffer as part of the escape subnetwork (a ring
-	// port's VC or an embedded escape VC); Ring identifies which ring
-	// (-1 for canonical buffers).
-	Escape   bool
+	// Ring identifies the escape ring the buffer belongs to (a ring port's
+	// VC or an embedded escape VC); -1 for canonical buffers.
 	Ring     int8
 	draining bool
 	cOK      bool // route cache: the cached outcome, Route returned (request, true)
@@ -55,7 +53,6 @@ func (b *VCBuffer) invalidateCache() { b.cExpire = 0 }
 // Init sets the buffer capacity (packets). ring < 0 marks a canonical buffer.
 func (b *VCBuffer) Init(capacity int, ring int) {
 	b.Capacity = int32(capacity)
-	b.Escape = ring >= 0
 	b.Ring = int8(ring)
 	clear(b.q)
 	b.head, b.n = 0, 0

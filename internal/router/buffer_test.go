@@ -12,7 +12,7 @@ import (
 func TestVCBufferBasics(t *testing.T) {
 	var b VCBuffer
 	b.Init(4, -1)
-	if b.Escape || b.Ring != -1 {
+	if b.Ring != -1 {
 		t.Error("canonical buffer flagged as escape")
 	}
 	if b.Len() != 0 || b.Free() != 4 {
@@ -45,8 +45,8 @@ func TestVCBufferBasics(t *testing.T) {
 func TestVCBufferEscapeTag(t *testing.T) {
 	var b VCBuffer
 	b.Init(4, 2)
-	if !b.Escape || b.Ring != 2 {
-		t.Errorf("escape=%v ring=%d", b.Escape, b.Ring)
+	if b.Ring != 2 {
+		t.Errorf("escape ring %d, want 2", b.Ring)
 	}
 }
 

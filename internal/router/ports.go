@@ -14,9 +14,9 @@ type InPort struct {
 
 	// ready is the bitset form of the routable-head predicate: bit vc is set
 	// iff VCs[vc] is non-empty and not draining. It is maintained at exactly
-	// the sites that maintain Router.readyVCs, so popcount(ready) summed over
-	// ports always equals readyVCs. Cycle iterates set bits instead of
-	// scanning every VC.
+	// the sites that maintain Router.readyPorts, whose bit for this port is
+	// set iff ready != 0. Cycle iterates set bits instead of scanning every
+	// VC.
 	ready uint64
 
 	// UpRouter/UpPort identify the upstream output port feeding this input,

@@ -83,14 +83,12 @@ type Router struct {
 	occPkts int
 	capPkts int
 
-	// readyVCs counts input VCs holding a routable head: non-empty and not
-	// draining. It is maintained incrementally by Arrive/Inject/commit/
-	// FinishDrain; when it is zero Cycle returns at once, touching nothing
-	// (no engine.Route call, no RNG draw, no arbiter movement, no header
-	// writes). readyPorts is the port-level projection (bit ip set iff
-	// In[ip].ready != 0), kept at the same sites, so Cycle iterates only
-	// ports that can hold work.
-	readyVCs   int
+	// readyPorts has bit ip set iff In[ip].ready != 0: some VC of the port
+	// holds a routable head (non-empty, not draining). It is maintained
+	// incrementally by Arrive/Inject/commit/FinishDrain/DropBuffered; when
+	// it is zero Cycle returns at once, touching nothing (no engine.Route
+	// call, no RNG draw, no arbiter movement, no header writes), and
+	// otherwise Cycle iterates only ports that can hold work.
 	readyPorts uint64
 
 	// pbDirty is set whenever the canonical occupancy of a global output
@@ -357,26 +355,21 @@ func (r *Router) FailOutput(port int) {
 
 // DropBuffered discards every packet buffered in this router's input VCs,
 // except heads that already won allocation and are draining (their phits are
-// on the crossbar; the pending FinishDrain completes them). Routable heads
-// that are dropped decrement readyVCs. Used when the whole router fails.
+// on the crossbar; the pending FinishDrain completes them). No routable head
+// survives, so every ready bit clears. Used when the whole router fails.
 func (r *Router) DropBuffered(visit func(packet.Handle)) {
 	for i := range r.In {
 		for vc := range r.In[i].VCs {
 			buf := &r.In[i].VCs[vc]
-			if buf.Len() > 0 && !buf.Draining() {
-				r.readyVCs-- // the routable head is among the dropped
-				r.In[i].ready &^= 1 << uint(vc)
-			}
 			before := buf.Len()
 			buf.DropQueued(visit)
-			if !buf.Escape {
+			if buf.Ring < 0 {
 				r.occPkts -= before - buf.Len()
 			}
 		}
-		if r.In[i].ready == 0 {
-			r.readyPorts &^= 1 << uint(i)
-		}
+		r.In[i].ready = 0
 	}
+	r.readyPorts = 0
 }
 
 // NumRings returns the number of escape rings configured on this router.
@@ -454,8 +447,7 @@ func (r *Router) PBDirty() bool { return r.pbDirty }
 // counters, per-group flag lifetimes and Valiant-group completion.
 func (r *Router) Arrive(port, vc int, h packet.Handle) {
 	p := r.pkts.At(h)
-	p.TotalHops++
-	if r.push(port, vc, h).Escape {
+	if r.push(port, vc, h).Ring >= 0 {
 		p.RingHops++
 	} else {
 		switch r.In[port].Kind {
@@ -476,12 +468,11 @@ func (r *Router) FinishDrain(port, vc int) (h packet.Handle, upRouter, upPort in
 	inp := &r.In[port]
 	buf := &inp.VCs[vc]
 	h = buf.FinishDrain()
-	if buf.Len() > 0 {
-		r.readyVCs++ // the queued packet behind the drained head is now routable
+	if buf.Len() > 0 { // the queued packet behind the drained head is now routable
 		inp.ready |= 1 << uint(vc)
 		r.readyPorts |= 1 << uint(port)
 	}
-	if !buf.Escape {
+	if buf.Ring < 0 {
 		r.occPkts--
 	}
 	return h, int(inp.UpRouter), int(inp.UpPort)
@@ -521,23 +512,28 @@ func (r *Router) Inject(port, vc int, h packet.Handle, now int64) {
 func (r *Router) push(port, vc int, h packet.Handle) *VCBuffer {
 	inp := &r.In[port]
 	buf := &inp.VCs[vc]
-	if buf.Len() == 0 && !buf.Draining() {
-		r.readyVCs++ // empty → head becomes routable
+	if buf.Len() == 0 && !buf.Draining() { // empty → head becomes routable
 		inp.ready |= 1 << uint(vc)
 		r.readyPorts |= 1 << uint(port)
 	}
 	buf.Push(h)
-	if !buf.Escape {
+	if buf.Ring < 0 {
 		r.occPkts++
 	}
 	return buf
 }
 
 // RoutableVCs returns the number of input VCs holding a routable head
-// (non-empty, not draining). When it is 0, Cycle returns at once — it calls
-// no engine, draws no randomness and moves no arbiter state (see
-// TestIdleCycleIsPure).
-func (r *Router) RoutableVCs() int { return r.readyVCs }
+// (non-empty, not draining): the ready bits of the ports readyPorts names.
+// When it is 0, Cycle returns at once — it calls no engine, draws no
+// randomness and moves no arbiter state (see TestIdleCycleIsPure).
+func (r *Router) RoutableVCs() int {
+	n := 0
+	for m := r.readyPorts; m != 0; m &= m - 1 {
+		n += bits.OnesCount64(r.In[bits.TrailingZeros64(m)].ready)
+	}
+	return n
+}
 
 // CanonicalOccupancy returns the fraction of this router's canonical input
 // buffering that is currently occupied — the congestion signal used by the
@@ -570,7 +566,6 @@ func (r *Router) StateFingerprint() uint64 {
 	e.Raw(r.inRank)
 	e.Raw(r.outRank)
 	e.Int(r.occPkts)
-	e.Int(r.readyVCs)
 	e.Bool(r.pbDirty)
 	for i := range r.In {
 		e.I64(r.In[i].busyUntil)
@@ -607,7 +602,7 @@ func (r *Router) StateFingerprint() uint64 {
 // Only the route cache reads it; the cache-off reference path consults no
 // entry.
 func (r *Router) Cycle(engine Engine, now int64) []Grant {
-	if r.readyVCs == 0 {
+	if r.readyPorts == 0 {
 		return r.grants[:0]
 	}
 	if now >= r.nextFree {
@@ -833,8 +828,7 @@ func (r *Router) commit(ip, vc int, req Request, now int64) {
 	h := buf.Head()
 	p := r.pkts.At(h)
 	buf.BeginDrain()
-	r.readyVCs-- // the head drains; anything queued behind it must wait
-	inp.ready &^= 1 << uint(vc)
+	inp.ready &^= 1 << uint(vc) // the head drains; anything queued behind it must wait
 	if inp.ready == 0 {
 		r.readyPorts &^= 1 << uint(ip)
 	}
@@ -858,15 +852,12 @@ func (r *Router) commit(ip, vc int, req Request, now int64) {
 		p.GlobalMisrouted = true
 	}
 	if req.Has(SetLocalMis) {
-		p.LocalMisrouted = true
 		p.MisrouteGroup = int16(r.Group)
 	}
 	if req.Has(EnterRing) {
-		p.OnRing = true
 		p.Ring = req.Ring
 	}
 	if req.Has(ExitRing) {
-		p.OnRing = false
 		p.Ring = -1
 		p.RingExits++
 	}

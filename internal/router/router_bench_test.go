@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkCycleIdle measures Cycle on a router with no routable head: the
-// readyVCs test and return on its first line, which the network pays for
+// readyPorts test and return on its first line, which the network pays for
 // every router every cycle (it walks them all).
 func BenchmarkCycleIdle(b *testing.B) {
 	r := benchRouter(b, 25, 3)

@@ -227,11 +227,11 @@ func TestCommitAppliesHeaderFlags(t *testing.T) {
 		return Request{Out: 1, VC: 0, Flags: SetGlobalMis | SetLocalMis}, true
 	}}
 	p := push(r, 0, 0, &pool)
-	if p.GlobalMisrouted || p.LocalMisrouted {
+	if p.GlobalMisrouted || p.MisrouteGroup >= 0 {
 		t.Fatal("flags set prematurely")
 	}
 	r.Cycle(eng, 0)
-	if !p.GlobalMisrouted || !p.LocalMisrouted {
+	if !p.GlobalMisrouted || p.MisrouteGroup < 0 {
 		t.Error("flags not applied on commit")
 	}
 	if int(p.MisrouteGroup) != r.Group {
@@ -283,14 +283,13 @@ func TestArriveUpdatesHeader(t *testing.T) {
 
 	var pool packet.Pool
 	h, p := get(r, &pool)
-	p.LocalMisrouted = true
 	p.MisrouteGroup = 5 // set in another group
 	p.ValiantGroup = 0  // this router's group is the valiant target
 	r.Arrive(1, 0, h)
-	if p.LocalHops != 1 || p.GlobalHops != 0 || p.TotalHops != 1 {
-		t.Errorf("hops after local arrive: %d/%d/%d", p.LocalHops, p.GlobalHops, p.TotalHops)
+	if p.LocalHops != 1 || p.GlobalHops != 0 || p.Hops() != 1 {
+		t.Errorf("hops after local arrive: %d/%d/%d", p.LocalHops, p.GlobalHops, p.Hops())
 	}
-	if p.LocalMisrouted {
+	if p.MisrouteGroup >= 0 {
 		t.Error("local-misroute flag not reset on group change")
 	}
 	if p.ValiantGroup != -1 {

@@ -61,7 +61,7 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Refs, now int64) error {
 		}
 	}
 	if dec {
-		r.occPkts, r.readyVCs, r.readyPorts = 0, 0, 0
+		r.occPkts, r.readyPorts = 0, 0
 	}
 	for i := range r.In {
 		inp := &r.In[i]
@@ -100,11 +100,10 @@ func (r *Router) State(c *simcore.Codec, pkts *packet.Refs, now int64) error {
 				if buf.draining && buf.n == 0 {
 					c.Fail("router %d port %d vc %d draining while empty", r.ID, i, vc)
 				}
-				if !buf.Escape {
+				if buf.Ring < 0 {
 					r.occPkts += buf.Len()
 				}
 				if buf.n > 0 && !buf.draining {
-					r.readyVCs++
 					inp.ready |= 1 << uint(vc)
 				}
 			}
